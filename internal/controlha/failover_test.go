@@ -310,3 +310,42 @@ func TestFailoverChaosUnderBroadcast(t *testing.T) {
 		t.Error("takeover latency histogram empty")
 	}
 }
+
+// TestJournalLagAcrossTakeover is the regression for the lag gauge going
+// negative on a successor's term: the new term's journal buffer starts empty
+// while the ring's offsets carry the predecessor's bytes, so the two must be
+// compared from the term's own start. The gauge reads 0 after every
+// replicated append, on either side of a takeover.
+func TestJournalLagAcrossTakeover(t *testing.T) {
+	rig := newHARig(t, 0)
+	lag := rig.reg.Gauge("controlha.journal.lag")
+	appendAll := func(l *controlha.Leader, term string) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			e := controlha.Entry{Type: controlha.EntryValidate, Digest: fmt.Sprintf("%s-%d", term, i)}
+			if err := l.Journal.Append(e); err != nil {
+				t.Fatal(err)
+			}
+			if got := lag.Value(); got != 0 {
+				t.Fatalf("%s term: lag gauge %d after replicated append %d, want 0", term, got, i)
+			}
+		}
+	}
+
+	cp1, _, _ := rig.controller(t)
+	first, err := controlha.AttachLeader(cp1, rig.hostQP(t), 1, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(first, "first")
+
+	cp2, _, flows := rig.controller(t)
+	second, state, err := controlha.TakeOver(cp2, rig.host, rig.hostQP(t), 2, time.Minute, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state.LastSeq != 3 {
+		t.Fatalf("successor replayed %d entries, want 3", state.LastSeq)
+	}
+	appendAll(second, "second")
+}

@@ -116,7 +116,9 @@ func (r *Replicator) classifyAppendErr(stage string, err error) error {
 	return fmt.Errorf("controlha: ring %s: %w", stage, err)
 }
 
-// Replicated returns the bytes committed to the standby so far.
+// Replicated returns the bytes this term has committed to the standby. It
+// counts from the term's own start, like the owning Journal's buffer — not
+// from the ring's absolute offsets, which carry every earlier term's bytes.
 func (r *Replicator) Replicated() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -168,7 +170,7 @@ func (r *Replicator) Append(b []byte) error {
 		return fmt.Errorf("%w: hwm %d, reserved at %d", ErrSplitBrain, prev, off)
 	}
 	r.mu.Lock()
-	r.replicated = off + n
+	r.replicated += n
 	r.mu.Unlock()
 	return nil
 }
@@ -198,8 +200,5 @@ func (r *Replicator) Reconcile() error {
 		return fmt.Errorf("%w: tail moved %d→%d during reconcile", ErrSplitBrain, tail, prev)
 	}
 	r.reg.Counter("controlha.journal.reconciled_reservations").Inc()
-	r.mu.Lock()
-	r.replicated = hwm
-	r.mu.Unlock()
 	return nil
 }

@@ -19,8 +19,8 @@ import (
 type Completion struct {
 	ID     uint64
 	Err    error
-	Data   []byte // READ payload, or 8-byte old value for CAS/FETCH_ADD
-	OldVal uint64 // decoded atomic result, valid for CAS/FETCH_ADD
+	Data   []byte // READ payload, batch statuses, chain or control response; nil for writes and atomics
+	OldVal uint64 // the prior qword, for CAS/FETCH_ADD only
 
 	// View is non-nil only for verbs posted through the view-read path
 	// (ReadFrameCtx): it is the pooled wire frame backing Data, retained
@@ -185,23 +185,24 @@ func (qp *QP) readLoop() {
 			// Data is attached even on error completions: batch responses
 			// carry per-sub-verb statuses the initiator uses to locate the
 			// failure. resp.data aliases the pooled frame, so it is copied
-			// out; plain write completions carry no data and stay
-			// allocation-free.
+			// out; plain write completions carry no data, and atomics
+			// decode theirs into OldVal, so both stay allocation-free.
 			c := Completion{ID: resp.id, Err: statusErr(resp.status)}
-			if len(resp.data) > 0 {
+			switch {
+			case pv.op == OpCAS || pv.op == OpFetchAdd:
 				if c.Err == nil && len(resp.data) == 8 {
 					c.OldVal = binary.BigEndian.Uint64(resp.data)
 				}
-				if pv.view {
-					// Zero-copy delivery: hand the consumer a retained
-					// reference to the pooled frame; Data aliases it. The
-					// consumer owns the extra reference (FrameView.Release).
-					f.Retain()
-					c.View = f
-					c.Data = resp.data
-				} else {
-					c.Data = append([]byte(nil), resp.data...)
-				}
+			case len(resp.data) == 0:
+			case pv.view:
+				// Zero-copy delivery: hand the consumer a retained
+				// reference to the pooled frame; Data aliases it. The
+				// consumer owns the extra reference (FrameView.Release).
+				f.Retain()
+				c.View = f
+				c.Data = resp.data
+			default:
+				c.Data = append([]byte(nil), resp.data...)
 			}
 			qp.completed(pv, len(resp.data), c.Err)
 			pv.ch <- c
@@ -306,11 +307,11 @@ func (qp *QP) post(q request) (*pendingVerb, error) {
 // allocations. Write payloads above the tuner's adaptive threshold (see
 // wireTuner; fixed 256 KiB before any samples arrive) skip the copy: the
 // header+meta prefix rides in the pooled buffer and the caller's data
-// slice is chained on via net.Buffers (writev on real sockets; on the
-// in-process fabric's net.Pipe — which has no writev — Buffers degrades
-// to sequential Writes, safe only because sendMu is held across the whole
-// emission). Each emission's wall time feeds the tuner. Returns the
-// encoded payload size.
+// slice is chained on via net.Buffers (writev on real sockets; the
+// in-process fabric's link has no writev, so there Buffers degrades to
+// sequential Writes into its ring, safe only because sendMu is held across
+// the whole emission). Each emission's wall time feeds the tuner. Returns
+// the encoded payload size.
 func (qp *QP) writeRequest(q *request) (int, error) {
 	size := q.encodedSize() // exact for the hot opcodes, upper bound otherwise
 	if size > MaxFrame {

@@ -7,9 +7,11 @@ import (
 )
 
 // Fabric is an in-process RDMA network: a named set of endpoints reachable
-// through synchronous in-memory pipes. It lets a whole cluster — control
-// plane plus many data-plane nodes — run in one test or benchmark process
-// with the same QP/endpoint code paths used over real TCP.
+// through buffered in-memory links (see link.go) — a Write lands in a
+// bounded ring and returns without waiting for the peer's Read, as a socket
+// send does. It lets a whole cluster — control plane plus many data-plane
+// nodes — run in one test or benchmark process with the same QP/endpoint
+// code paths used over real TCP.
 type Fabric struct {
 	mu    sync.Mutex
 	ports map[string]*pipeListener
@@ -50,7 +52,7 @@ func (f *Fabric) Dial(name string) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("rdma: no fabric listener named %q", name)
 	}
-	client, server := net.Pipe()
+	client, server := newLink(name)
 	select {
 	case l.accept <- server:
 		return client, nil
@@ -70,7 +72,7 @@ func (f *Fabric) DialQP(name string) (*QP, error) {
 	return NewQP(conn), nil
 }
 
-// pipeListener adapts a channel of pipes to net.Listener.
+// pipeListener adapts a channel of links to net.Listener.
 type pipeListener struct {
 	name    string
 	accept  chan net.Conn

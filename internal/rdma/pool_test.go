@@ -314,6 +314,37 @@ func TestBatchHotPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAtomicHotPathZeroAllocs gates the atomics' completion path: CAS and
+// FETCH_ADD results arrive in Completion.OldVal, with no payload copy.
+func TestAtomicHotPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is meaningless under -race")
+	}
+	arena, ep, qp := newTestRig(t, 1<<16, nil)
+	mr, err := ep.RegisterMR("all", 0, arena.Size(), PermAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	atomics := func() {
+		prev, err := qp.FetchAdd(mr.RKey, 64, 1)
+		if err != nil || prev != want {
+			t.Fatalf("FETCH_ADD returned %d, %v; want %d", prev, err, want)
+		}
+		prev, err = qp.CompareAndSwap(mr.RKey, 64, want+1, want+2)
+		if err != nil || prev != want+1 {
+			t.Fatalf("CAS returned %d, %v; want %d", prev, err, want+1)
+		}
+		want += 2
+	}
+	for i := 0; i < 200; i++ { // warm the pools and the pending map
+		atomics()
+	}
+	if avg := testing.AllocsPerRun(500, atomics); avg >= 1 {
+		t.Errorf("FETCH_ADD + CAS round trips allocate %.2f objects, want 0 steady-state", avg)
+	}
+}
+
 // BenchmarkVerbRoundTrip measures the synchronous verb hot path over the
 // in-process fabric. CI runs it with -benchtime=1x as a smoke check; the
 // allocs/op regression threshold is enforced by TestWriteHotPathZeroAllocs.

@@ -11,14 +11,16 @@ import (
 // out as the second element of a net.Buffers writev instead of being
 // memcpy'd into the assembled frame — used to be the fixed writevMin. The
 // right crossover point is where the copy cost overtakes the cost of a
-// second vector element, and that depends on the transport: net.Pipe (no
-// writev, Buffers degrades to two sequential Writes) wants a much higher
-// threshold than a real socket. wireTuner adapts it from an EWMA of
-// observed per-write syscall cost: small writes estimate the fixed
-// per-write overhead, large writes estimate the per-byte (copy+transfer)
-// cost, and the threshold settles where one extra write-overhead equals
-// the bytes' copy cost. Process-wide, like the frame pools: every QP's
-// writes feed one estimate of the same host's syscall economics.
+// second vector element, and that depends on the transport: a real socket
+// pays a syscall per write, while on the in-process fabric link (no writev:
+// Buffers degrades to two sequential Writes into the link's ring) a second
+// Write costs a mutex, so there the threshold settles at its floor.
+// wireTuner adapts it from an EWMA of observed per-write cost: small writes
+// estimate the fixed per-write overhead, large writes estimate the per-byte
+// (copy+transfer) cost, and the threshold settles where one extra
+// write-overhead equals the bytes' copy cost. Process-wide, like the frame
+// pools: every QP's writes feed one estimate of the same host's syscall
+// economics.
 type wireTuner struct {
 	overheadNs atomic.Uint64 // float64 bits: EWMA fixed cost of one write
 	perByteNs  atomic.Uint64 // float64 bits: EWMA cost per payload byte

@@ -2,7 +2,7 @@
 # verify.sh — the repo's tier-1 verification gate, runnable locally and in
 # CI. Fails fast on the first broken stage.
 #
-#   ./verify.sh          full gate: vet, build, tests, race, simulation
+#   ./verify.sh          full gate: vet, build, tests, alloc gates, race, simulation
 #   ./verify.sh quick    skip the -race pass (slowest stage) for inner loops
 set -eu
 cd "$(dirname "$0")"
@@ -16,9 +16,15 @@ go build ./...
 echo "== go test =="
 go test -timeout 120s ./...
 
+# The 0 allocs/op gates skip under -race; named here as in CI.
+echo "== wire hot-path alloc gates =="
+go test -count=1 -timeout 120s -run 'HotPathZeroAllocs$' ./internal/rdma/
+
 if [ "${1:-}" != "quick" ]; then
     echo "== go test -race =="
     go test -race -timeout 300s ./...
+    echo "== fabric link conformance (race, x10) =="
+    go test -race -timeout 120s -count=10 -run 'TestLink|TestConcurrentWritersShareConn' ./internal/rdma/
 fi
 
 # The simregression build re-seeds two historical bugs (pre-rotation
