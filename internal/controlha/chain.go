@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"rdx/internal/clock"
 	"rdx/internal/core"
 	"rdx/internal/rdma"
-	"rdx/internal/sim"
 	"rdx/internal/telemetry"
 	"rdx/internal/verbchain"
 )
@@ -214,13 +214,13 @@ func (c *ChainOffload) TriggerHeartbeat(ctx context.Context) (rdma.ChainResult, 
 	return res, err
 }
 
-// StartHeartbeat fires the heartbeat chain every interval on clock until
+// StartHeartbeat fires the heartbeat chain every interval on clk until
 // StopHeartbeat, a revoked/faulted chain, or an access error (a takeover
 // rotated the chain MR) — all of which stop the loop, since each means this
 // leader's term is over. Starting an already beating offload is a no-op.
-func (c *ChainOffload) StartHeartbeat(clock sim.Clock, interval time.Duration) {
-	if clock == nil {
-		clock = sim.Real{}
+func (c *ChainOffload) StartHeartbeat(clk clock.Clock, interval time.Duration) {
+	if clk == nil {
+		clk = clock.Real{}
 	}
 	if interval <= 0 {
 		interval = 5 * time.Millisecond
@@ -236,7 +236,7 @@ func (c *ChainOffload) StartHeartbeat(clock sim.Clock, interval time.Duration) {
 	c.mu.Unlock()
 	go func() {
 		defer close(done)
-		t := clock.NewTicker(interval)
+		t := clk.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rdx/internal/clock"
 	"rdx/internal/core"
 	"rdx/internal/rdma"
 	"rdx/internal/sim"
@@ -30,7 +31,7 @@ func (r *hostRig) connectChain(t *testing.T) (*core.RemoteMemory, []rdma.MR) {
 
 // armedLease acquires a lease on the rig and routes its renewals through a
 // freshly armed renew chain.
-func armedLease(t *testing.T, rig *hostRig, clk sim.Clock, reg *telemetry.Registry) (*Lease, *ChainOffload) {
+func armedLease(t *testing.T, rig *hostRig, clk clock.Clock, reg *telemetry.Registry) (*Lease, *ChainOffload) {
 	t.Helper()
 	mem, mrs := rig.connectChain(t)
 	w, err := findMR(mrs, WitnessMRName)
@@ -236,7 +237,7 @@ func TestTakeOverRemoteFencesStaleAppend(t *testing.T) {
 
 	// Remote takeover from a controller with no host handle: only verbs.
 	cp := core.NewControlPlane()
-	_, _, err := TakeOverRemote(cp, rig.hostQP(t), 2, time.Minute, nil)
+	_, _, err := TakeOverRemote(cp, rig.hostQP(t), 2, time.Minute, nil, nil)
 	if err != nil {
 		t.Fatalf("TakeOverRemote: %v", err)
 	}
@@ -259,6 +260,42 @@ func TestTakeOverRemoteFencesStaleAppend(t *testing.T) {
 	}
 	if hwmAfter != hwmBefore {
 		t.Fatalf("stale append moved hwm %d -> %d", hwmBefore, hwmAfter)
+	}
+}
+
+// TestTakeOverRemoteUnderScheduler: the remote takeover runs under the
+// model checker — its ring fence is a ROTATE_MR schedule step fired on the
+// host endpoint, and its lease is stamped in virtual time.
+func TestTakeOverRemoteUnderScheduler(t *testing.T) {
+	host, err := NewHost(1 << 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	ringKey, _ := host.Endpoint().MRByName(RingMRName)
+
+	s := sim.New(sim.Config{Det: true})
+	net := sim.NewNet(s)
+	net.AddHost("standby", host.Endpoint())
+	var ldr *Leader
+	s.Spawn("takeover", func() {
+		ldr, _, err = TakeOverRemote(core.NewControlPlane(), net.QP("ctrl", "standby"), 2, time.Minute, nil, s.Clock())
+	})
+	if res := s.Run(); res.Violation != nil {
+		t.Fatal(res.Violation)
+	}
+	if err != nil {
+		t.Fatalf("TakeOverRemote: %v", err)
+	}
+	if now, _ := host.Endpoint().MRByName(RingMRName); now.RKey == ringKey.RKey {
+		t.Error("ring rkey not rotated")
+	}
+	expiry, _ := host.Endpoint().Arena().ReadQword(hostWitnessBase + witnessOffExpiry)
+	if want := s.Clock().Now().Add(time.Minute).UnixNano(); int64(expiry) != want {
+		t.Errorf("lease expiry %d, want virtual now+ttl %d", expiry, want)
+	}
+	if !ldr.Lease.Held() {
+		t.Error("successor does not hold the lease")
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"rdx/internal/clock"
 	"rdx/internal/core"
 	"rdx/internal/rdma"
-	"rdx/internal/sim"
 )
 
 // Leader bundles one controller's leadership term: the lease it holds, the
@@ -39,12 +39,12 @@ func findMR(mrs []rdma.MR, name string) (rdma.MR, error) {
 // lease is NOT auto-renewed; call Leader.Lease.StartRenewal for
 // long-running deployments.
 func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration) (*Leader, error) {
-	return AttachLeaderClock(cp, qp, id, ttl, sim.Real{})
+	return AttachLeaderClock(cp, qp, id, ttl, nil)
 }
 
 // AttachLeaderClock is AttachLeader with an injected clock for the lease's
-// TTL arithmetic (the simulator's seam).
-func AttachLeaderClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, clock sim.Clock) (*Leader, error) {
+// TTL arithmetic (the simulator's seam; nil is the wall clock).
+func AttachLeaderClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, clk clock.Clock) (*Leader, error) {
 	mrs, err := qp.QueryMRs()
 	if err != nil {
 		return nil, fmt.Errorf("controlha: MR discovery: %w", err)
@@ -58,7 +58,7 @@ func AttachLeaderClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time
 	if err != nil {
 		return nil, err
 	}
-	lease := NewLeaseClock(mem, witness.Addr, id, ttl, cp.Registry, clock)
+	lease := NewLeaseClock(mem, witness.Addr, id, ttl, cp.Registry, clk)
 	if err := lease.Acquire(); err != nil {
 		return nil, err
 	}
@@ -89,31 +89,63 @@ func AttachLeaderClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time
 // the interrupted jobs the caller should re-drive. Takeover latency lands
 // in the controlha.takeover.latency histogram.
 func TakeOver(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
-	return TakeOverClock(cp, host, qp, id, ttl, flows, sim.Real{})
+	return TakeOverClock(cp, host, qp, id, ttl, flows, nil)
 }
 
-// TakeOverClock is TakeOver with an injected clock (the simulator's seam).
+// TakeOverClock is TakeOver with an injected clock (the simulator's seam;
+// nil is the wall clock). The successor owns the standby host, so it fences
+// the ring with a host-handle call (no verb) and takes the journal from the
+// host's pumped copy — which, unlike the ring, holds the whole history even
+// after the ring has wrapped.
+func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, clk clock.Clock) (*Leader, *State, error) {
+	return takeOver(cp, qp, id, ttl, flows, clk, host.FenceRing,
+		func(*core.RemoteMemory, uint64) (rdma.FrameView, error) {
+			if _, err := host.Pump(); err != nil {
+				return rdma.FrameView{}, fmt.Errorf("controlha: final pump: %w", err)
+			}
+			return rdma.ViewOf(host.JournalBytes()), nil
+		})
+}
+
+// TakeOverRemote is TakeOver for a controller that does not own the standby
+// host's arena (rdxctl failover): the ring is fenced by the remote
+// OpRotateMR verb and the journal is fetched over one-sided READs from the
+// ring MR instead of pumped locally. Requires an unwrapped ring; a
+// continuously pumping standby should promote itself with TakeOver instead.
+func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, clk clock.Clock) (*Leader, *State, error) {
+	return takeOver(cp, qp, id, ttl, flows, clk,
+		func() error {
+			_, err := qp.RotateMRCtx(context.Background(), RingMRName)
+			return err
+		},
+		FetchJournalView)
+}
+
+// takeOver is the one takeover body; its callers differ only in how the
+// ring is fenced and where the journal bytes come from (journal receives
+// the successor's RemoteMemory and the ring MR's base).
 //
-// The FIRST act of a takeover is rotating the ring MR's rkey on the
-// standby's endpoint (FenceRing). The epoch-word CAS check inside Append
-// narrows but cannot close the deposal window: a stale leader that passed
-// the check and already holds a tail reservation can land its WRITE and
-// plain hwm CAS after the successor replayed and re-seeded sequence
-// numbers, committing a duplicate-seq entry into the live ring. Rotation
-// revokes the stale leader's rkey before the successor queries the fresh
-// MR table, so no pre-takeover verb can mutate the ring afterwards —
-// which is also what makes Reconcile (collapsing a dead reservation so
-// the ring un-wedges) safe to run. The rotation happens before the lease
-// steal: if the steal then fails, the old leader is fenced off its ring
-// without a successor — acceptable for this administrative failover path,
-// where the operator retries.
-func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, clock sim.Clock) (*Leader, *State, error) {
-	if clock == nil {
-		clock = sim.Real{}
+// The FIRST act of a takeover is fenceRing: rotating the ring MR's rkey on
+// the standby's endpoint. The epoch-word CAS check inside Append narrows
+// but cannot close the deposal window: a stale leader that passed the check
+// and already holds a tail reservation can land its WRITE and plain hwm CAS
+// after the successor replayed and re-seeded sequence numbers, committing a
+// duplicate-seq entry into the live ring. Rotation revokes the stale
+// leader's rkey before the successor queries the fresh MR table, so no
+// pre-takeover verb can mutate the ring afterwards — which is also what
+// makes Reconcile (collapsing a dead reservation so the ring un-wedges)
+// safe to run. The rotation happens before the lease steal: if the steal
+// then fails, the old leader is fenced off its ring without a successor —
+// acceptable for this administrative failover path, where the operator
+// retries.
+func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, clk clock.Clock,
+	fenceRing func() error, journal func(mem *core.RemoteMemory, ringBase uint64) (rdma.FrameView, error)) (*Leader, *State, error) {
+	if clk == nil {
+		clk = clock.Real{}
 	}
-	start := clock.Now()
+	start := clk.Now()
 	if rotateRingOnTakeover {
-		if err := host.FenceRing(); err != nil {
+		if err := fenceRing(); err != nil {
 			return nil, nil, fmt.Errorf("controlha: ring fence: %w", err)
 		}
 	}
@@ -130,7 +162,7 @@ func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, 
 	if err != nil {
 		return nil, nil, err
 	}
-	lease := NewLeaseClock(mem, witness.Addr, id, ttl, cp.Registry, clock)
+	lease := NewLeaseClock(mem, witness.Addr, id, ttl, cp.Registry, clk)
 	if err := lease.Steal(); err != nil {
 		return nil, nil, err
 	}
@@ -143,10 +175,12 @@ func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, 
 			return nil, nil, err
 		}
 	}
-	if _, err := host.Pump(); err != nil {
-		return nil, nil, fmt.Errorf("controlha: final pump: %w", err)
+	view, err := journal(mem, ring.Addr)
+	if err != nil {
+		return nil, nil, err
 	}
-	state, err := Replay(host.JournalBytes())
+	state, err := Replay(view.Bytes())
+	view.Release() // Replay copies everything it keeps
 	if err != nil {
 		return nil, nil, fmt.Errorf("controlha: journal replay: %w", err)
 	}
@@ -157,7 +191,7 @@ func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, 
 	j.SetReplicator(rep)
 	cp.SetJournal(j)
 	cp.SetFence(lease.Check)
-	cp.Registry.Histogram("controlha.takeover.latency").RecordDuration(clock.Since(start))
+	cp.Registry.Histogram("controlha.takeover.latency").RecordDuration(clk.Since(start))
 	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}, state, nil
 }
 
@@ -210,69 +244,6 @@ func FetchJournal(mem *core.RemoteMemory, base uint64) ([]byte, error) {
 		return nil, nil
 	}
 	return append([]byte(nil), view.Bytes()...), nil
-}
-
-// TakeOverRemote is TakeOver for a controller that does not own the standby
-// host's arena (rdxctl failover): the journal is fetched over one-sided
-// READs from the ring MR instead of pumped locally. Requires an unwrapped
-// ring; a continuously pumping standby should promote itself with TakeOver
-// instead. Like TakeOverClock, the FIRST act is fencing the ring — here by
-// the remote OpRotateMR verb instead of a host-handle call — so a stale
-// leader's already-reserved WRITE/commit cannot land after the successor
-// replays (the window epoch-only fencing left open).
-func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
-	start := time.Now()
-	if rotateRingOnTakeover {
-		if _, err := qp.RotateMRCtx(context.Background(), RingMRName); err != nil {
-			return nil, nil, fmt.Errorf("controlha: remote ring fence: %w", err)
-		}
-	}
-	mrs, err := qp.QueryMRs()
-	if err != nil {
-		return nil, nil, fmt.Errorf("controlha: MR discovery: %w", err)
-	}
-	mem := core.NewRemoteMemory(qp, mrs)
-	witness, err := findMR(mrs, WitnessMRName)
-	if err != nil {
-		return nil, nil, err
-	}
-	ring, err := findMR(mrs, RingMRName)
-	if err != nil {
-		return nil, nil, err
-	}
-	lease := NewLease(mem, witness.Addr, id, ttl, cp.Registry)
-	if err := lease.Steal(); err != nil {
-		return nil, nil, err
-	}
-	rep := NewReplicator(mem, ring.Addr, 0, lease.Epoch(), cp.Registry)
-	if err := rep.Activate(); err != nil {
-		return nil, nil, err
-	}
-	if rotateRingOnTakeover {
-		// The rotation may have fenced a dead reservation mid-flight;
-		// collapse it so the ring un-wedges (same as TakeOverClock).
-		if err := rep.Reconcile(); err != nil {
-			return nil, nil, err
-		}
-	}
-	view, err := FetchJournalView(mem, ring.Addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	state, err := Replay(view.Bytes())
-	view.Release()
-	if err != nil {
-		return nil, nil, fmt.Errorf("controlha: journal replay: %w", err)
-	}
-	state.ApplyTo(cp, flows)
-	j := NewJournal(cp.Registry)
-	j.SeedSeq(state.LastSeq)
-	j.SetFenceSource(lease.Epoch)
-	j.SetReplicator(rep)
-	cp.SetJournal(j)
-	cp.SetFence(lease.Check)
-	cp.Registry.Histogram("controlha.takeover.latency").RecordDuration(time.Since(start))
-	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}, state, nil
 }
 
 // HAStatus is a read-only snapshot of a standby host's coordination state,

@@ -2,7 +2,7 @@
 
 package controlha
 
-// rotateRingOnTakeover gates the rkey-rotation fence in TakeOverClock. It
+// rotateRingOnTakeover gates the rkey-rotation fence in takeOver. It
 // is a const, not a flag: the only build that turns it off is the
 // simregression one, which deliberately re-opens the historical
 // stale-leader append window so the simulator can demonstrate it finds

@@ -85,7 +85,7 @@ func FuzzJournalPumpThroughSim(f *testing.F) {
 
 		s := sim.New(sim.Config{Det: true})
 		net := sim.NewNet(s)
-		net.AddHost("standby", host.Endpoint().Arena(), host.Endpoint().MRs)
+		net.AddHost("standby", host.Endpoint())
 
 		var appendErr error
 		s.Setup("pump", func() {

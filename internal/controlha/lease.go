@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"rdx/internal/clock"
 	"rdx/internal/core"
 	"rdx/internal/rdma"
-	"rdx/internal/sim"
 	"rdx/internal/telemetry"
 )
 
@@ -47,7 +47,7 @@ type Lease struct {
 	id    uint64
 	ttl   time.Duration
 	reg   *telemetry.Registry
-	clock sim.Clock
+	clock clock.Clock
 
 	mu     sync.Mutex
 	held   bool
@@ -60,24 +60,24 @@ type Lease struct {
 // NewLease binds a lease view over the witness MR at base, on the wall
 // clock.
 func NewLease(mem *core.RemoteMemory, base uint64, id uint64, ttl time.Duration, reg *telemetry.Registry) *Lease {
-	return NewLeaseClock(mem, base, id, ttl, reg, sim.Real{})
+	return NewLeaseClock(mem, base, id, ttl, reg, clock.Real{})
 }
 
 // NewLeaseClock is NewLease with an injected clock — the simulator binds a
 // virtual clock here so TTL expiry is a schedule step, not a wall-clock
 // race. All leases sharing a witness must share one clock: expiry
 // comparisons only mean anything on a common timeline.
-func NewLeaseClock(mem *core.RemoteMemory, base uint64, id uint64, ttl time.Duration, reg *telemetry.Registry, clock sim.Clock) *Lease {
+func NewLeaseClock(mem *core.RemoteMemory, base uint64, id uint64, ttl time.Duration, reg *telemetry.Registry, clk clock.Clock) *Lease {
 	if ttl <= 0 {
 		ttl = 2 * time.Second
 	}
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	if clock == nil {
-		clock = sim.Real{}
+	if clk == nil {
+		clk = clock.Real{}
 	}
-	return &Lease{mem: mem, base: base, id: id, ttl: ttl, reg: reg, clock: clock}
+	return &Lease{mem: mem, base: base, id: id, ttl: ttl, reg: reg, clock: clk}
 }
 
 // Epoch returns the fencing epoch of the currently held term (0 if never

@@ -508,6 +508,16 @@ type BatchOp struct {
 	HasImm bool
 }
 
+// request is op as the sub-verb an endpoint executes.
+func (op BatchOp) request() request {
+	q := request{op: OpWrite, rkey: op.RKey, addr: op.Addr, data: op.Data}
+	if op.HasImm {
+		q.op = OpWriteImm
+		q.imm = op.Imm
+	}
+	return q
+}
+
 // PostBatch posts one OpBatch chain asynchronously. The endpoint executes
 // the sub-verbs in order, charges the latency model once for the coalesced
 // payload, and returns a single completion for the chain.
@@ -532,11 +542,7 @@ func (qp *QP) postBatch(ctx context.Context, ops []BatchOp) (*pendingVerb, error
 		if len(op.Data) > WriteSeg {
 			return nil, fmt.Errorf("rdma: batch sub-verb %d payload %d exceeds segment %d", i, len(op.Data), WriteSeg)
 		}
-		subs[i] = request{op: OpWrite, rkey: op.RKey, addr: op.Addr, data: op.Data}
-		if op.HasImm {
-			subs[i].op = OpWriteImm
-			subs[i].imm = op.Imm
-		}
+		subs[i] = op.request()
 		size += 21 + len(op.Data)
 	}
 	if size > MaxFrame-64 {

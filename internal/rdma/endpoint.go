@@ -485,10 +485,9 @@ func (e *Endpoint) observe(q *request, st uint8, in, out, traceBytes int, start 
 	}
 }
 
-// handleBatch executes an OpBatch chain: the latency model is charged ONCE
+// handleBatch serves an OpBatch frame: the latency model is charged ONCE
 // for the coalesced payload (one doorbell ring moves the whole chain), then
-// the sub-verbs apply in posted order. The first failure flushes the rest,
-// matching a QP's error-WQE semantics; the response carries per-sub statuses.
+// execBatch applies the sub-verbs.
 func (e *Endpoint) handleBatch(q *request, cs *connScratch) (uint8, []byte) {
 	total := 0
 	for i := range q.subs {
@@ -496,23 +495,31 @@ func (e *Endpoint) handleBatch(q *request, cs *connScratch) (uint8, []byte) {
 	}
 	start := time.Now()
 	e.latency.Wait(total)
-	if cap(cs.statuses) < len(q.subs) {
-		cs.statuses = make([]byte, len(q.subs))
+	overall, statuses := e.execBatch(q.subs, cs)
+	e.observe(q, overall, total, len(statuses), total, start)
+	return overall, statuses
+}
+
+// execBatch applies a chain's sub-verbs in posted order. The first failure
+// flushes the rest, matching a QP's error-WQE semantics; the returned
+// per-sub statuses live in cs.statuses.
+func (e *Endpoint) execBatch(subs []request, cs *connScratch) (uint8, []byte) {
+	if cap(cs.statuses) < len(subs) {
+		cs.statuses = make([]byte, len(subs))
 	}
-	statuses := cs.statuses[:len(q.subs)]
+	statuses := cs.statuses[:len(subs)]
 	overall := StatusOK
-	for i := range q.subs {
+	for i := range subs {
 		if overall != StatusOK {
 			statuses[i] = StatusFlushed
 			continue
 		}
-		st, _ := e.exec(&q.subs[i], cs)
+		st, _ := e.exec(&subs[i], cs)
 		statuses[i] = st
 		if st != StatusOK {
 			overall = st
 		}
 	}
-	e.observe(q, overall, total, len(statuses), total, start)
 	return overall, statuses
 }
 
@@ -628,20 +635,6 @@ func (e *Endpoint) fireDoorbells(imm uint32, addr mem.Addr, data []byte) {
 			d.fn(imm, addr, data)
 		}
 	}
-}
-
-// MRs snapshots the registered MR table sorted by rkey — the local
-// equivalent of a peer's QueryMRs, re-read by the sim transport at every
-// fired verb so rotations propagate to in-flight operations.
-func (e *Endpoint) MRs() []MR {
-	e.mu.RLock()
-	out := make([]MR, 0, len(e.mrs))
-	for _, mr := range e.mrs {
-		out = append(out, *mr)
-	}
-	e.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].RKey < out[j].RKey })
-	return out
 }
 
 // encodeMRTable serializes the MR table:

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"rdx/internal/sim"
+	"rdx/internal/clock"
 	"rdx/internal/telemetry"
 )
 
@@ -78,7 +78,7 @@ type tenantBuckets struct {
 // Admission is the router's per-tenant admission controller. Tenants get
 // the default quota on first sight; SetQuota overrides per tenant.
 type Admission struct {
-	clock sim.Clock
+	clock clock.Clock
 
 	mu      sync.Mutex
 	def     TenantQuota
@@ -98,7 +98,7 @@ func NewAdmission(def TenantQuota, reg *telemetry.Registry) *Admission {
 		reg = telemetry.NewRegistry()
 	}
 	return &Admission{
-		clock:         sim.Real{},
+		clock:         clock.Real{},
 		def:           def,
 		tenants:       map[string]*tenantBuckets{},
 		quotas:        map[string]TenantQuota{},
@@ -111,9 +111,9 @@ func NewAdmission(def TenantQuota, reg *telemetry.Registry) *Admission {
 
 // WithClock rebinds bucket-refill time onto clock (the simulator's seam;
 // production stays on the wall clock). Call before first Admit.
-func (a *Admission) WithClock(clock sim.Clock) *Admission {
-	if clock != nil {
-		a.clock = clock
+func (a *Admission) WithClock(clk clock.Clock) *Admission {
+	if clk != nil {
+		a.clock = clk
 	}
 	return a
 }

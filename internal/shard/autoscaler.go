@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"rdx/internal/sim"
+	"rdx/internal/clock"
 	"rdx/internal/telemetry"
 )
 
@@ -47,7 +47,7 @@ type AutoscalerConfig struct {
 	// Clock drives the sampling ticker and the cooldown arithmetic (wall
 	// clock if nil). A test can bind a sim.VirtualClock and step the loop
 	// tick by tick with Advance, no wall-clock sleeps involved.
-	Clock sim.Clock
+	Clock clock.Clock
 }
 
 func (c *AutoscalerConfig) fillDefaults() {
@@ -82,7 +82,7 @@ func (c *AutoscalerConfig) fillDefaults() {
 		c.DrainTimeout = 30 * time.Second
 	}
 	if c.Clock == nil {
-		c.Clock = sim.Real{}
+		c.Clock = clock.Real{}
 	}
 }
 

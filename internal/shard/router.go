@@ -7,7 +7,7 @@ import (
 	"sort"
 	"sync"
 
-	"rdx/internal/sim"
+	"rdx/internal/clock"
 	"rdx/internal/telemetry"
 )
 
@@ -35,7 +35,7 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Clock is the time source for admission refill, queue-wait stamps, and
 	// rebalance latency (wall clock if nil — the simulator's seam).
-	Clock sim.Clock
+	Clock clock.Clock
 }
 
 func (c *Config) fillDefaults() {
@@ -52,7 +52,7 @@ func (c *Config) fillDefaults() {
 		c.Registry = telemetry.NewRegistry()
 	}
 	if c.Clock == nil {
-		c.Clock = sim.Real{}
+		c.Clock = clock.Real{}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rdx/internal/clock"
 	"rdx/internal/core"
 	"rdx/internal/ext"
-	"rdx/internal/sim"
 	"rdx/internal/telemetry"
 )
 
@@ -74,7 +74,7 @@ type Shard struct {
 	q        *fairQueue
 	exec     Executor
 	workers  int
-	clock    sim.Clock
+	clock    clock.Clock
 	down     atomic.Bool
 	draining atomic.Bool
 	cause    atomic.Pointer[error]
@@ -93,9 +93,9 @@ type Shard struct {
 // newShard builds and starts a shard front: workers goroutines draining a
 // queueCap-deep fair queue into ex. Instruments are named "shard.<id>.*"
 // so N shards sharing one registry stay distinguishable.
-func newShard(id, workers, queueCap int, ex Executor, clock sim.Clock, reg *telemetry.Registry) *Shard {
-	if clock == nil {
-		clock = sim.Real{}
+func newShard(id, workers, queueCap int, ex Executor, clk clock.Clock, reg *telemetry.Registry) *Shard {
+	if clk == nil {
+		clk = clock.Real{}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Shard{
@@ -103,7 +103,7 @@ func newShard(id, workers, queueCap int, ex Executor, clock sim.Clock, reg *tele
 		q:         newFairQueue(queueCap),
 		exec:      ex,
 		workers:   workers,
-		clock:     clock,
+		clock:     clk,
 		ctx:       ctx,
 		cancel:    cancel,
 		depth:     reg.Gauge(fmt.Sprintf("shard.%d.queue.depth", id)),

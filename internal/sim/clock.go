@@ -7,59 +7,26 @@
 // after every step, and a violation is reproduced exactly from its seed
 // and choice list, then greedily shrunk to a minimal trace.
 //
-// The package deliberately depends only on mem, rdma, faultnet, and
-// telemetry — controlha and shard import sim for the Clock/Rand seam, and
-// the scenarios that wire real protocol code under the scheduler live one
-// level down in sim/scenario, so no import cycle forms.
+// The package deliberately depends only on clock, mem, rdma and faultnet,
+// and nothing outside tests, experiments and sim/scenario imports it:
+// production code takes its time seam from internal/clock, verbs fired
+// here run the endpoint's own executor (rdma.Endpoint.Local), and the
+// scenarios that wire real protocol code under the scheduler live one
+// level down in sim/scenario.
 package sim
 
 import (
 	"sync"
 	"time"
+
+	"rdx/internal/clock"
 )
-
-// Clock is the time seam injected into the HA/shard paths. Production
-// code defaults to Real; the simulator binds a VirtualClock whose Sleep
-// parks the caller as a schedule step and whose Now only advances when
-// the scheduler fires a timer.
-type Clock interface {
-	Now() time.Time
-	Since(t time.Time) time.Duration
-	Sleep(d time.Duration)
-	NewTicker(d time.Duration) Ticker
-}
-
-// Ticker is the minimal ticker surface the repo's periodic loops need.
-type Ticker interface {
-	C() <-chan time.Time
-	Stop()
-}
-
-// Real is the wall-clock Clock. The zero value is usable.
-type Real struct{}
-
-// Now implements Clock.
-func (Real) Now() time.Time { return time.Now() }
-
-// Since implements Clock.
-func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
-
-// Sleep implements Clock.
-func (Real) Sleep(d time.Duration) { time.Sleep(d) }
-
-// NewTicker implements Clock.
-func (Real) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker(d)} }
-
-type realTicker struct{ t *time.Ticker }
-
-func (r realTicker) C() <-chan time.Time { return r.t.C }
-func (r realTicker) Stop()               { r.t.Stop() }
 
 // simEpoch is the fixed start instant of every virtual clock (2026-01-01
 // UTC): two runs of the same seed see byte-identical timestamps.
 var simEpoch = time.Unix(1767225600, 0).UTC()
 
-// VirtualClock is a deterministic Clock. It has two modes:
+// VirtualClock is a deterministic clock.Clock. It has two modes:
 //
 //   - standalone (sched == nil): tests drive it with Advance; Sleep blocks
 //     until some Advance moves now past the deadline, tickers deliver on
@@ -74,6 +41,8 @@ type VirtualClock struct {
 	waiters []*vcWaiter
 	tickers []*vcTicker
 }
+
+var _ clock.Clock = (*VirtualClock)(nil)
 
 type vcWaiter struct {
 	deadline time.Time
@@ -130,7 +99,7 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 // NewTicker implements Clock. Ticks deliver on a 1-buffered channel as the
 // clock advances past each period boundary (missed ticks coalesce, like
 // time.Ticker).
-func (c *VirtualClock) NewTicker(d time.Duration) Ticker {
+func (c *VirtualClock) NewTicker(d time.Duration) clock.Ticker {
 	if d <= 0 {
 		d = time.Nanosecond
 	}

@@ -69,14 +69,7 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 		panic(err)
 	}
 	defer host.Close()
-	net.AddHost(chStandby, host.Endpoint().Arena(), host.Endpoint().MRs)
-	net.BindRotator(chStandby, func(name string) (uint32, error) {
-		mr, err := host.Endpoint().RotateMR(name)
-		if err != nil {
-			return 0, err
-		}
-		return mr.RKey, nil
-	})
+	net.AddHost(chStandby, host.Endpoint())
 
 	// Prologue: A becomes leader, arms both chains, and journals two
 	// publishes — unrecorded, so schedules start at the interesting part.

@@ -104,7 +104,7 @@ func RunFailover(cfg sim.Config) *sim.Result {
 		panic(err)
 	}
 	defer host.Close()
-	net.AddHost(foStandby, host.Endpoint().Arena(), host.Endpoint().MRs)
+	net.AddHost(foStandby, host.Endpoint())
 
 	// Prologue: A becomes leader and journals two publishes. Setup fires
 	// these steps in program order without recording them, so schedules

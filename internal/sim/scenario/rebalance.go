@@ -18,7 +18,6 @@ const (
 	rbShards     = 2
 	rbPubsPerTen = 3
 	rbFleet      = "fleet"
-	rbCellRKey   = 7
 	rbQuotaRate  = 50 // publishes/sec per tenant — finite, so refill needs the clock
 	rbQuotaBurst = 2  // below rbPubsPerTen, so refill (a clock advance) is on the path
 )
@@ -66,9 +65,13 @@ func RunRebalance(cfg sim.Config) *sim.Result {
 	w := &rebalanceWorld{owners: map[string]map[uint64]int{}}
 
 	// One cell per shard; a publish is one WRITE to its owner's cell.
-	arena := mem.NewArena(64)
-	mrs := []rdma.MR{{Name: "cells", RKey: rbCellRKey, Addr: 0, Len: 64, Perm: rdma.PermAll}}
-	net.AddHost(rbFleet, arena, func() []rdma.MR { return mrs })
+	fleet := rdma.NewEndpoint(mem.NewArena(64), nil)
+	defer fleet.Close()
+	cells, err := fleet.RegisterMR("cells", 0, 64, rdma.PermAll)
+	if err != nil {
+		panic(err)
+	}
+	net.AddHost(rbFleet, fleet)
 
 	ring := shard.NewMap(8)
 	for id := 0; id < rbShards; id++ {
@@ -134,7 +137,7 @@ func RunRebalance(cfg sim.Config) *sim.Result {
 				}
 				// The publish verb: parked, so the drain/flip can land while
 				// this job is in flight.
-				err := qp.WriteCtx(nil, rbCellRKey, mem.Addr(owner*8), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+				err := qp.WriteCtx(nil, cells.RKey, mem.Addr(owner*8), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 				w.mu.Lock()
 				st := w.shards[owner]
 				if err != nil || st.removed || st.draining {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rdx/internal/clock"
 )
 
 // ErrAborted reports a verb or sleep cut short because the scheduler
@@ -112,7 +114,7 @@ type Result struct {
 type Scheduler struct {
 	cfg   Config
 	clock *VirtualClock
-	rng   Rand
+	rng   clock.Rand
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -137,7 +139,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 4096
 	}
-	s := &Scheduler{cfg: cfg, rng: NewRand(cfg.Seed)}
+	s := &Scheduler{cfg: cfg, rng: clock.NewRand(cfg.Seed)}
 	s.cond = sync.NewCond(&s.mu)
 	s.clock = NewVirtualClock(cfg.Start)
 	s.clock.sched = s
@@ -147,10 +149,6 @@ func New(cfg Config) *Scheduler {
 // Clock returns the run's virtual clock; inject it into every component
 // under test so time only moves on schedule steps.
 func (s *Scheduler) Clock() *VirtualClock { return s.clock }
-
-// Rng returns a payload-randomness stream derived from the run's seed
-// (distinct from the schedule-choice stream).
-func (s *Scheduler) Rng() Rand { return NewRand(s.cfg.Seed ^ 0x5deece66d) }
 
 // AddAction registers a fault the scheduler may fire as a step, at most
 // budget times, whenever enabled() (nil = always) reports true. Fire runs

@@ -10,51 +10,46 @@ import (
 	"rdx/internal/rdma"
 )
 
-// Net is the step-controlled in-memory fabric: named hosts expose an
-// arena plus a live MR-table view, and every verb issued through a QP
-// parks as a schedule step. Ops validate their rkey against the table as
-// it is when the step FIRES, not when it was posted — so an MR rotation
-// (the takeover fencing primitive) revokes in-flight stale verbs exactly
-// like ibv_rereg_mr does on real hardware.
+// Net is the step-controlled in-memory fabric: named hosts are real
+// rdma.Endpoints, and every verb issued through a QP parks as a schedule
+// step. What a verb DOES when its step fires is the endpoint's own
+// executor (rdma.Endpoint.Local) — rkey resolution against the MR table as
+// it is at fire time (so a rotation revokes in-flight stale verbs exactly
+// like ibv_rereg_mr does on real hardware), permission and bounds checks,
+// atomics, batch flush, chain stepping, doorbells and the typed-error
+// taxonomy are the shipped ones, not a model of them. The simulator adds
+// only scheduling and faults.
 //
 // Faults reuse faultnet's vocabulary: a cut or severed link fails verbs
-// with an error wrapping faultnet.ErrInjected (a net.Error, Temporary), a
-// rotated-away rkey fails with rdma.ErrAccess, bounds violations with
-// rdma.ErrBounds — so the typed-error classification in the code under
-// test behaves exactly as it does over the TCP transport.
+// with an error wrapping faultnet.ErrInjected (a net.Error, Temporary) —
+// so the typed-error classification in the code under test behaves exactly
+// as it does over the TCP transport.
 type Net struct {
 	s *Scheduler
 
 	mu      sync.Mutex
-	hosts   map[string]*netHost
+	hosts   map[string]rdma.Verbs
 	cuts    map[string]bool // "initiator|host" → link partitioned
 	severed map[string]bool // initiator killed (permanent)
 	dupNext map[string]bool // "initiator|host" → duplicate the next WRITE delivery
-}
-
-type netHost struct {
-	arena  *mem.Arena
-	mrs    func() []rdma.MR
-	rotate func(name string) (uint32, error) // remote OpRotateMR handler, see BindRotator
 }
 
 // NewNet builds a fabric bound to s.
 func NewNet(s *Scheduler) *Net {
 	return &Net{
 		s:       s,
-		hosts:   map[string]*netHost{},
+		hosts:   map[string]rdma.Verbs{},
 		cuts:    map[string]bool{},
 		severed: map[string]bool{},
 		dupNext: map[string]bool{},
 	}
 }
 
-// AddHost registers a named host: its arena and a function returning the
-// CURRENT MR table (re-evaluated at every fire, so registrations and
-// rotations propagate mid-run).
-func (n *Net) AddHost(name string, arena *mem.Arena, mrs func() []rdma.MR) {
+// AddHost registers ep as the named host. The endpoint needs no listener:
+// fired verbs run on it in-process.
+func (n *Net) AddHost(name string, ep *rdma.Endpoint) {
 	n.mu.Lock()
-	n.hosts[name] = &netHost{arena: arena, mrs: mrs}
+	n.hosts[name] = ep.Local()
 	n.mu.Unlock()
 }
 
@@ -116,8 +111,8 @@ type QP struct {
 
 var _ rdma.Verbs = (*QP)(nil)
 
-// gate returns the host entry after fault checks, at fire time.
-func (q *QP) gate() (*netHost, error) {
+// gate returns the host's issuer after fault checks, at fire time.
+func (q *QP) gate() (rdma.Verbs, error) {
 	n := q.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -134,176 +129,118 @@ func (q *QP) gate() (*netHost, error) {
 	return h, nil
 }
 
-// resolve finds the MR for rkey in the host's CURRENT table and checks
-// permissions and bounds, mirroring Endpoint.exec's status taxonomy.
-func resolve(h *netHost, rkey uint32, need rdma.Perm, addr mem.Addr, n uint64) (rdma.MR, error) {
-	for _, mr := range h.mrs() {
-		if mr.RKey != rkey {
-			continue
-		}
-		if mr.Perm&need == 0 {
-			return rdma.MR{}, fmt.Errorf("sim: rkey %#x lacks permission: %w", rkey, rdma.ErrAccess)
-		}
-		if !(addr >= mr.Addr && n <= mr.Len && addr-mr.Addr <= mr.Len-n) {
-			return rdma.MR{}, fmt.Errorf("sim: [%#x,+%d) outside MR %q: %w", addr, n, mr.Name, rdma.ErrBounds)
-		}
-		return mr, nil
-	}
-	return rdma.MR{}, fmt.Errorf("sim: unknown rkey %#x: %w", rkey, rdma.ErrAccess)
-}
-
-// do parks one verb step; fn runs when the scheduler fires it.
-func (q *QP) do(op string, addr mem.Addr, fn func() error) error {
+// do parks one verb as a schedule step; when the scheduler fires it, fn
+// runs against the host's issuer unless a fault gates it.
+func (q *QP) do(op string, addr mem.Addr, fn func(h rdma.Verbs) error) error {
 	label := fmt.Sprintf("%s→%s %s@%#x", q.initiator, q.host, op, addr)
 	var err error
-	if !q.net.s.parkVerb(label, func() { err = fn() }) {
+	fire := func() {
+		var h rdma.Verbs
+		if h, err = q.gate(); err == nil {
+			err = fn(h)
+		}
+	}
+	if !q.net.s.parkVerb(label, fire) {
 		return fmt.Errorf("sim: %s: %w", label, ErrAborted)
 	}
 	return err
 }
 
+// write parks one WRITE-class verb, honoring the duplicate-delivery fault:
+// a delivery that landed consumes a pending duplicate and lands again.
+func (q *QP) write(op string, addr mem.Addr, fn func(h rdma.Verbs) error) error {
+	return q.do(op, addr, func(h rdma.Verbs) error {
+		err := fn(h)
+		if err != nil {
+			return err
+		}
+		n, key := q.net, linkKey(q.initiator, q.host)
+		n.mu.Lock()
+		dup := n.dupNext[key]
+		delete(n.dupNext, key)
+		n.mu.Unlock()
+		if dup {
+			err = fn(h)
+		}
+		return err
+	})
+}
+
 // ReadCtx implements rdma.Verbs.
-func (q *QP) ReadCtx(_ context.Context, rkey uint32, addr mem.Addr, n int) ([]byte, error) {
-	var out []byte
-	err := q.do("READ", addr, func() error {
-		h, err := q.gate()
-		if err != nil {
-			return err
-		}
-		if _, err := resolve(h, rkey, rdma.PermRead, addr, uint64(n)); err != nil {
-			return err
-		}
-		b, err := h.arena.Read(addr, n)
-		if err != nil {
-			return fmt.Errorf("sim: %v: %w", err, rdma.ErrBounds)
-		}
-		out = b
-		return nil
+func (q *QP) ReadCtx(ctx context.Context, rkey uint32, addr mem.Addr, n int) (out []byte, err error) {
+	err = q.do("READ", addr, func(h rdma.Verbs) (err error) {
+		out, err = h.ReadCtx(ctx, rkey, addr, n)
+		return err
 	})
 	return out, err
 }
 
-// write applies one WRITE, honoring the duplicate-delivery fault.
-func (q *QP) write(h *netHost, rkey uint32, addr mem.Addr, data []byte) error {
-	if _, err := resolve(h, rkey, rdma.PermWrite, addr, uint64(len(data))); err != nil {
-		return err
-	}
-	n := q.net
-	n.mu.Lock()
-	dup := n.dupNext[linkKey(q.initiator, q.host)]
-	if dup {
-		delete(n.dupNext, linkKey(q.initiator, q.host))
-	}
-	n.mu.Unlock()
-	times := 1
-	if dup {
-		times = 2
-	}
-	for i := 0; i < times; i++ {
-		if err := h.arena.Write(addr, data); err != nil {
-			return fmt.Errorf("sim: %v: %w", err, rdma.ErrBounds)
-		}
-	}
-	return nil
-}
-
 // WriteCtx implements rdma.Verbs.
-func (q *QP) WriteCtx(_ context.Context, rkey uint32, addr mem.Addr, data []byte) error {
-	return q.do("WRITE", addr, func() error {
-		h, err := q.gate()
-		if err != nil {
-			return err
-		}
-		return q.write(h, rkey, addr, data)
-	})
+func (q *QP) WriteCtx(ctx context.Context, rkey uint32, addr mem.Addr, data []byte) error {
+	return q.write("WRITE", addr, func(h rdma.Verbs) error { return h.WriteCtx(ctx, rkey, addr, data) })
 }
 
-// WriteImmCtx implements rdma.Verbs (doorbells are not modeled; the
-// write lands like a plain WRITE).
-func (q *QP) WriteImmCtx(_ context.Context, rkey uint32, addr mem.Addr, _ uint32, data []byte) error {
-	return q.do("WRITE_IMM", addr, func() error {
-		h, err := q.gate()
-		if err != nil {
-			return err
-		}
-		return q.write(h, rkey, addr, data)
-	})
+// WriteImmCtx implements rdma.Verbs.
+func (q *QP) WriteImmCtx(ctx context.Context, rkey uint32, addr mem.Addr, imm uint32, data []byte) error {
+	return q.write("WRITE_IMM", addr, func(h rdma.Verbs) error { return h.WriteImmCtx(ctx, rkey, addr, imm, data) })
 }
 
 // WriteBatchCtx implements rdma.Verbs: the chain fires as ONE step (one
-// doorbell ring moves the whole chain), sub-ops applying in posted order
-// with first-failure-flushes semantics.
-func (q *QP) WriteBatchCtx(_ context.Context, ops []rdma.BatchOp) error {
+// doorbell ring moves the whole chain).
+func (q *QP) WriteBatchCtx(ctx context.Context, ops []rdma.BatchOp) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return q.do(fmt.Sprintf("BATCH[%d]", len(ops)), ops[0].Addr, func() error {
-		h, err := q.gate()
-		if err != nil {
-			return err
-		}
-		for i := range ops {
-			if err := q.write(h, ops[i].RKey, ops[i].Addr, ops[i].Data); err != nil {
-				return fmt.Errorf("sim: batch op %d: %w", i, err)
-			}
-		}
-		return nil
-	})
+	return q.write(fmt.Sprintf("BATCH[%d]", len(ops)), ops[0].Addr, func(h rdma.Verbs) error { return h.WriteBatchCtx(ctx, ops) })
 }
 
 // CompareAndSwapCtx implements rdma.Verbs.
-func (q *QP) CompareAndSwapCtx(_ context.Context, rkey uint32, addr mem.Addr, old, new uint64) (uint64, error) {
-	var prev uint64
-	err := q.do("CAS", addr, func() error {
-		h, err := q.gate()
-		if err != nil {
-			return err
-		}
-		if _, err := resolve(h, rkey, rdma.PermAtomic, addr, 8); err != nil {
-			return err
-		}
-		p, _, err := h.arena.CompareAndSwap(addr, old, new)
-		if err != nil {
-			return fmt.Errorf("sim: %v: %w", err, rdma.ErrBounds)
-		}
-		prev = p
-		return nil
+func (q *QP) CompareAndSwapCtx(ctx context.Context, rkey uint32, addr mem.Addr, old, new uint64) (prev uint64, err error) {
+	err = q.do("CAS", addr, func(h rdma.Verbs) (err error) {
+		prev, err = h.CompareAndSwapCtx(ctx, rkey, addr, old, new)
+		return err
 	})
 	return prev, err
 }
 
 // FetchAddCtx implements rdma.Verbs.
-func (q *QP) FetchAddCtx(_ context.Context, rkey uint32, addr mem.Addr, delta uint64) (uint64, error) {
-	var prev uint64
-	err := q.do("FETCH_ADD", addr, func() error {
-		h, err := q.gate()
-		if err != nil {
-			return err
-		}
-		if _, err := resolve(h, rkey, rdma.PermAtomic, addr, 8); err != nil {
-			return err
-		}
-		p, err := h.arena.FetchAdd(addr, delta)
-		if err != nil {
-			return fmt.Errorf("sim: %v: %w", err, rdma.ErrBounds)
-		}
-		prev = p
-		return nil
+func (q *QP) FetchAddCtx(ctx context.Context, rkey uint32, addr mem.Addr, delta uint64) (prev uint64, err error) {
+	err = q.do("FETCH_ADD", addr, func(h rdma.Verbs) (err error) {
+		prev, err = h.FetchAddCtx(ctx, rkey, addr, delta)
+		return err
 	})
 	return prev, err
 }
 
+// ChainTriggerCtx implements rdma.Verbs: the whole resident program fires
+// as ONE schedule step — between trigger and effect there are no initiator
+// round trips for the scheduler to interleave with. WAITs see a frozen
+// world, so an unsatisfied WAIT deterministically exhausts its bounded spin
+// budget and faults; schedules that need one satisfied must order the
+// satisfying write before the trigger.
+func (q *QP) ChainTriggerCtx(ctx context.Context, rkey uint32, addr mem.Addr, arg uint64) (out rdma.ChainResult, err error) {
+	err = q.do("CHAIN_TRIGGER", addr, func(h rdma.Verbs) (err error) {
+		out, err = h.ChainTriggerCtx(ctx, rkey, addr, arg)
+		return err
+	})
+	return out, err
+}
+
+// RotateMRCtx implements rdma.Verbs: remote re-keying parks as a step.
+func (q *QP) RotateMRCtx(ctx context.Context, name string) (rkey uint32, err error) {
+	err = q.do("ROTATE_MR", 0, func(h rdma.Verbs) (err error) {
+		rkey, err = h.RotateMRCtx(ctx, name)
+		return err
+	})
+	return rkey, err
+}
+
 // QueryMRs implements rdma.Verbs: MR discovery is a wire round trip, so
 // it parks as a step too.
-func (q *QP) QueryMRs() ([]rdma.MR, error) {
-	var out []rdma.MR
-	err := q.do("QUERY_MRS", 0, func() error {
-		h, err := q.gate()
-		if err != nil {
-			return err
-		}
-		out = append([]rdma.MR(nil), h.mrs()...)
-		return nil
+func (q *QP) QueryMRs() (out []rdma.MR, err error) {
+	err = q.do("QUERY_MRS", 0, func(h rdma.Verbs) (err error) {
+		out, err = h.QueryMRs()
+		return err
 	})
 	return out, err
 }

@@ -9,57 +9,47 @@ import (
 	"rdx/internal/rdma"
 )
 
-// transportFixture wires one host with a mutable MR table and runs fn as
-// a single proc under a deterministic schedule.
-func transportFixture(t *testing.T, mrs *[]rdma.MR, fn func(s *Scheduler, n *Net, qp *QP)) {
+// transportFixture wires one endpoint host exposing a 128-byte PermAll MR
+// and runs fn as a single proc under a deterministic schedule. What verbs
+// DO is the endpoint's business (conformance_test.go); these tests cover
+// what the simulator adds — faults and step accounting.
+func transportFixture(t *testing.T, fn func(n *Net, qp *QP, rkey uint32)) *Result {
 	t.Helper()
 	s := New(Config{Det: true})
 	n := NewNet(s)
-	arena := mem.NewArena(128)
-	n.AddHost("h", arena, func() []rdma.MR { return *mrs })
+	ep := rdma.NewEndpoint(mem.NewArena(128), nil)
+	defer ep.Close()
+	mr, err := ep.RegisterMR("m", 0, 128, rdma.PermAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AddHost("h", ep)
 	qp := n.QP("c", "h")
 	done := false
 	s.Spawn("proc", func() {
-		fn(s, n, qp)
+		fn(n, qp, mr.RKey)
 		done = true
 	})
-	if res := s.Run(); res.Violation != nil {
+	res := s.Run()
+	if res.Violation != nil {
 		t.Fatalf("unexpected violation: %v", res.Violation)
 	}
 	if !done {
 		t.Fatal("proc did not run to completion")
 	}
-}
-
-func defaultMRs() []rdma.MR {
-	return []rdma.MR{{Name: "m", RKey: 3, Addr: 0, Len: 128, Perm: rdma.PermAll}}
-}
-
-// TestTransportRoundTrip: WRITE then READ through parked steps.
-func TestTransportRoundTrip(t *testing.T) {
-	mrs := defaultMRs()
-	transportFixture(t, &mrs, func(s *Scheduler, n *Net, qp *QP) {
-		if err := qp.WriteCtx(nil, 3, 8, []byte("abcdefgh")); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		b, err := qp.ReadCtx(nil, 3, 8, 8)
-		if err != nil || string(b) != "abcdefgh" {
-			t.Errorf("read back %q, %v", b, err)
-		}
-	})
+	return res
 }
 
 // TestTransportCutHeal: a cut link fails verbs with faultnet.ErrInjected;
 // healing restores it.
 func TestTransportCutHeal(t *testing.T) {
-	mrs := defaultMRs()
-	transportFixture(t, &mrs, func(s *Scheduler, n *Net, qp *QP) {
+	transportFixture(t, func(n *Net, qp *QP, rkey uint32) {
 		n.Cut("c", "h")
-		if err := qp.WriteCtx(nil, 3, 0, []byte{1}); !errors.Is(err, faultnet.ErrInjected) {
+		if err := qp.WriteCtx(nil, rkey, 0, []byte{1}); !errors.Is(err, faultnet.ErrInjected) {
 			t.Errorf("cut write: got %v, want ErrInjected", err)
 		}
 		n.Heal("c", "h")
-		if err := qp.WriteCtx(nil, 3, 0, []byte{1}); err != nil {
+		if err := qp.WriteCtx(nil, rkey, 0, []byte{1}); err != nil {
 			t.Errorf("healed write: %v", err)
 		}
 	})
@@ -68,59 +58,17 @@ func TestTransportCutHeal(t *testing.T) {
 // TestTransportSever: a severed initiator fails permanently — Heal does
 // not resurrect it.
 func TestTransportSever(t *testing.T) {
-	mrs := defaultMRs()
-	transportFixture(t, &mrs, func(s *Scheduler, n *Net, qp *QP) {
+	transportFixture(t, func(n *Net, qp *QP, rkey uint32) {
 		n.Sever("c")
 		if !n.Severed("c") {
 			t.Error("Severed not reported")
 		}
-		if _, err := qp.ReadCtx(nil, 3, 0, 8); !errors.Is(err, faultnet.ErrInjected) {
+		if _, err := qp.ReadCtx(nil, rkey, 0, 8); !errors.Is(err, faultnet.ErrInjected) {
 			t.Errorf("severed read: got %v, want ErrInjected", err)
 		}
 		n.Heal("c", "h")
-		if _, err := qp.FetchAddCtx(nil, 3, 0, 1); !errors.Is(err, faultnet.ErrInjected) {
+		if _, err := qp.FetchAddCtx(nil, rkey, 0, 1); !errors.Is(err, faultnet.ErrInjected) {
 			t.Errorf("severed fetch-add after heal: got %v, want ErrInjected", err)
-		}
-	})
-}
-
-// TestTransportRotationRevokesInflight: the rkey is resolved against the
-// CURRENT MR table when the step fires, so swapping the table between
-// post and fire fails the verb with rdma.ErrAccess — the fencing
-// primitive the takeover path relies on.
-func TestTransportRotationRevokesInflight(t *testing.T) {
-	mrs := defaultMRs()
-	transportFixture(t, &mrs, func(s *Scheduler, n *Net, qp *QP) {
-		// First verb: a rotation action is registered to run before any
-		// pending step via Det choice order — instead, rotate inline from an
-		// action fired between this proc's steps.
-		if err := qp.WriteCtx(nil, 3, 0, []byte{1}); err != nil {
-			t.Errorf("pre-rotation write: %v", err)
-		}
-		// Rotate: same region, new rkey. The next verb still posts rkey 3.
-		mrs = []rdma.MR{{Name: "m", RKey: 4, Addr: 0, Len: 128, Perm: rdma.PermAll}}
-		if err := qp.WriteCtx(nil, 3, 0, []byte{1}); !errors.Is(err, rdma.ErrAccess) {
-			t.Errorf("stale-rkey write: got %v, want ErrAccess", err)
-		}
-		if err := qp.WriteCtx(nil, 4, 0, []byte{1}); err != nil {
-			t.Errorf("fresh-rkey write: %v", err)
-		}
-	})
-}
-
-// TestTransportBoundsAndPerm: out-of-range and permission-less ops fail
-// with the rdma error taxonomy.
-func TestTransportBoundsAndPerm(t *testing.T) {
-	mrs := []rdma.MR{{Name: "ro", RKey: 5, Addr: 0, Len: 16, Perm: rdma.PermRead}}
-	transportFixture(t, &mrs, func(s *Scheduler, n *Net, qp *QP) {
-		if _, err := qp.ReadCtx(nil, 5, 8, 16); !errors.Is(err, rdma.ErrBounds) {
-			t.Errorf("oob read: got %v, want ErrBounds", err)
-		}
-		if err := qp.WriteCtx(nil, 5, 0, []byte{1}); !errors.Is(err, rdma.ErrAccess) {
-			t.Errorf("write to read-only MR: got %v, want ErrAccess", err)
-		}
-		if _, err := qp.CompareAndSwapCtx(nil, 9, 0, 0, 1); !errors.Is(err, rdma.ErrAccess) {
-			t.Errorf("unknown rkey: got %v, want ErrAccess", err)
 		}
 	})
 }
@@ -129,13 +77,12 @@ func TestTransportBoundsAndPerm(t *testing.T) {
 // next WRITE twice and is then consumed; plain WRITEs are idempotent so
 // memory is unchanged, and subsequent writes are delivered once.
 func TestTransportDuplicateWrite(t *testing.T) {
-	mrs := defaultMRs()
-	transportFixture(t, &mrs, func(s *Scheduler, n *Net, qp *QP) {
+	transportFixture(t, func(n *Net, qp *QP, rkey uint32) {
 		n.DuplicateNextWrite("c", "h")
-		if err := qp.WriteCtx(nil, 3, 0, []byte{0xAA}); err != nil {
+		if err := qp.WriteCtx(nil, rkey, 0, []byte{0xAA}); err != nil {
 			t.Errorf("duplicated write: %v", err)
 		}
-		b, err := qp.ReadCtx(nil, 3, 0, 1)
+		b, err := qp.ReadCtx(nil, rkey, 0, 1)
 		if err != nil || b[0] != 0xAA {
 			t.Errorf("read back %v, %v", b, err)
 		}
@@ -150,23 +97,16 @@ func TestTransportDuplicateWrite(t *testing.T) {
 
 // TestTransportBatchSingleStep: a WriteBatch fires as one schedule step.
 func TestTransportBatchSingleStep(t *testing.T) {
-	s := New(Config{Det: true})
-	n := NewNet(s)
-	arena := mem.NewArena(128)
-	mrs := defaultMRs()
-	n.AddHost("h", arena, func() []rdma.MR { return mrs })
-	qp := n.QP("c", "h")
-	s.Spawn("proc", func() {
+	res := transportFixture(t, func(n *Net, qp *QP, rkey uint32) {
 		err := qp.WriteBatchCtx(nil, []rdma.BatchOp{
-			{RKey: 3, Addr: 0, Data: []byte{1}},
-			{RKey: 3, Addr: 8, Data: []byte{2}},
-			{RKey: 3, Addr: 16, Data: []byte{3}},
+			{RKey: rkey, Addr: 0, Data: []byte{1}},
+			{RKey: rkey, Addr: 8, Data: []byte{2}},
+			{RKey: rkey, Addr: 16, Data: []byte{3}},
 		})
 		if err != nil {
 			t.Errorf("batch: %v", err)
 		}
 	})
-	res := s.Run()
 	if res.Steps != 1 {
 		t.Fatalf("3-op batch took %d steps, want 1", res.Steps)
 	}

@@ -14,9 +14,9 @@
 // registered regions the compiler was given, unaligned qwords.
 //
 // The package is deliberately pure — no dependency on the rdma transport.
-// The rdma endpoint and the deterministic simulator both drive the same
-// interpreter (Execute) through the Env interface, so chain semantics
-// cannot drift between the wire and the model checker.
+// The rdma endpoint is the one caller of the interpreter (Execute), which
+// reaches memory through the Env interface; the deterministic simulator
+// fires chains through that same endpoint code (rdma.Endpoint.Local).
 package verbchain
 
 import (

@@ -2,7 +2,7 @@
 # verify.sh — the repo's tier-1 verification gate, runnable locally and in
 # CI. Fails fast on the first broken stage.
 #
-#   ./verify.sh          full gate: vet, build, tests, alloc gates, race, simulation
+#   ./verify.sh          full gate: vet, build, bench build, import boundary, tests, alloc gates, race, simulation
 #   ./verify.sh quick    skip the -race pass (slowest stage) for inner loops
 set -eu
 cd "$(dirname "$0")"
@@ -12,6 +12,18 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+# bench/ is a module of its own, so ./... never compiles it: an API rename
+# that breaks the benchmark must fail here, not after the PR.
+echo "== bench module vet + build =="
+(cd bench && go vet ./... && go build -o /dev/null ./...)
+
+# Production packages must not link the model checker.
+echo "== import boundary (no production package imports internal/sim) =="
+if go list -deps ./cmd/rdxd ./cmd/rdxctl . ./internal/controlha ./internal/shard ./internal/core ./internal/rdma | grep -x 'rdx/internal/sim'; then
+    echo "verify: a production package depends on rdx/internal/sim" >&2
+    exit 1
+fi
 
 echo "== go test =="
 go test -timeout 120s ./...
