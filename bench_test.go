@@ -22,7 +22,6 @@ import (
 	"rdx/internal/ebpf/jit"
 	"rdx/internal/ebpf/progen"
 	"rdx/internal/ebpf/verifier"
-	"rdx/internal/experiments"
 	"rdx/internal/ext"
 	"rdx/internal/native"
 	"rdx/internal/node"
@@ -466,10 +465,6 @@ func BenchmarkVerifierThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(95000), "insns/op")
 }
-
-// experimentsQuickSanity keeps the experiment drivers compiling against the
-// bench build; it is not a benchmark.
-var _ = experiments.Options{}
 
 // BenchmarkPipelineInjection rolls one extension out to 8 nodes per
 // iteration, comparing the seed path — a sequential per-node

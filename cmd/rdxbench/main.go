@@ -5,9 +5,9 @@
 //
 //	rdxbench [-quick] [experiment ...]
 //
-// Experiments: fig2a fig2b fig2c fig4a fig4b fig5 redis mesh pipeline cache
-// ha shard rebalance serve sim all (default: all). -quick shrinks sizes and
-// durations.
+// Experiments: fig2a fig2b fig2c fig4a fig4b fig5 redis mesh all (default:
+// all). -quick shrinks sizes and durations. Control-plane numbers (publish,
+// rollout, failover) come from bench/run.sh, not from here.
 package main
 
 import (
@@ -23,35 +23,16 @@ import (
 var registry = []struct {
 	name string
 	desc string
-	run  func(experiments.Options) ([]*telemetry.Table, error)
+	run  func(experiments.Options) (*telemetry.Table, error)
 }{
-	{"fig2a", "agent injection latency vs program size", single(experiments.Fig2a)},
-	{"fig2b", "update inconsistency during rollouts", single(experiments.Fig2b)},
-	{"fig2c", "control/data-path contention on a KV app", single(experiments.Fig2c)},
-	{"fig4a", "agent vs RDX load completion time", single(experiments.Fig4a)},
-	{"fig4b", "injection time breakdown", single(experiments.Fig4b)},
-	{"fig5", "RNIC→CPU incoherence: vanilla vs cc_event", single(experiments.Fig5)},
-	{"redis", "KV throughput under extension churn (§6)", single(experiments.Redis)},
-	{"mesh", "microservice completion under Wasm churn (§6)", single(experiments.Mesh)},
-	{"pipeline", "fleet rollout: sequential vs batched scheduler", experiments.PipelineWithStats},
-	{"cache", "artifact cache warm path + delta vs full injection", experiments.Cache},
-	{"ha", "control-plane failover: fencing, journal replay, re-drive", single(experiments.HA)},
-	{"shard", "sharded control plane: throughput scaling, per-shard fencing, admission", single(experiments.Shard)},
-	{"rebalance", "elastic rebalancing: live shard scale-in/out with journal-replay state migration", single(experiments.Rebalance)},
-	{"serve", "fleet under sustained traffic during continuous rollouts (wire hot path)", single(experiments.Serve)},
-	{"sim", "deterministic simulation soak: failover/rebalance model checking", single(experiments.Sim)},
-	{"chain", "verb-chain offload: NIC-resident barriers/renewal/heartbeats vs RPC under CPU saturation", single(experiments.Chain)},
-}
-
-// single adapts a one-table experiment to the registry signature.
-func single(f func(experiments.Options) (*telemetry.Table, error)) func(experiments.Options) ([]*telemetry.Table, error) {
-	return func(o experiments.Options) ([]*telemetry.Table, error) {
-		tbl, err := f(o)
-		if err != nil {
-			return nil, err
-		}
-		return []*telemetry.Table{tbl}, nil
-	}
+	{"fig2a", "agent injection latency vs program size", experiments.Fig2a},
+	{"fig2b", "update inconsistency during rollouts", experiments.Fig2b},
+	{"fig2c", "control/data-path contention on a KV app", experiments.Fig2c},
+	{"fig4a", "agent vs RDX load completion time", experiments.Fig4a},
+	{"fig4b", "injection time breakdown", experiments.Fig4b},
+	{"fig5", "RNIC→CPU incoherence: vanilla vs cc_event", experiments.Fig5},
+	{"redis", "KV throughput under extension churn (§6)", experiments.Redis},
+	{"mesh", "microservice completion under Wasm churn (§6)", experiments.Mesh},
 }
 
 func main() {
@@ -92,15 +73,13 @@ func main() {
 			found = true
 			fmt.Printf("== %s: %s ==\n", e.name, e.desc)
 			start := time.Now()
-			tbls, err := e.run(opts)
+			tbl, err := e.run(opts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 				exit = 1
 				break
 			}
-			for _, tbl := range tbls {
-				fmt.Println(tbl.String())
-			}
+			fmt.Println(tbl.String())
 			fmt.Printf("(%s in %s)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 		}
 		if !found {

@@ -15,6 +15,7 @@ import (
 	"rdx/internal/core"
 	"rdx/internal/ext"
 	"rdx/internal/node"
+	"rdx/internal/pipeline"
 	"rdx/internal/rdma"
 	"rdx/internal/telemetry"
 	"rdx/internal/xabi"
@@ -309,6 +310,82 @@ func TestFailoverChaosUnderBroadcast(t *testing.T) {
 	if lat := rig.reg.Histogram("controlha.takeover.latency").Median(); lat == 0 {
 		t.Error("takeover latency histogram empty")
 	}
+}
+
+// TestTakeOverAtPublishBarrier deposes the leader at the worst moment: the
+// publish barrier of an atomic job, every blob staged and journaled, no
+// pointer flipped. The BeforePublish hook is the barrier, so the case is
+// deterministic: every publish the deposed leader then attempts is fenced,
+// no node leaves the old generation, replay hands the successor exactly one
+// open intent per node, and its re-drive converges without a recompile.
+func TestTakeOverAtPublishBarrier(t *testing.T) {
+	rig := newHARig(t, 3)
+	cp1, g1, _ := rig.controller(t)
+	if _, err := controlha.AttachLeader(cp1, rig.hostQP(t), 1, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	gen1 := cluster.GenerationExt(ext.KindEBPF, 1, 200)
+	gen2 := cluster.GenerationExt(ext.KindEBPF, 2, 200)
+	if _, err := g1.Broadcast(gen1, core.BroadcastOptions{Hook: "ingress"}); err != nil {
+		t.Fatal(err)
+	}
+	serves := func(gen uint64) {
+		t.Helper()
+		for _, nd := range rig.nodes {
+			res, err := nd.ExecHook("ingress", make([]byte, xabi.CtxSize), nil)
+			if err != nil || res.Verdict != 100+gen {
+				t.Errorf("node %s: verdict %d err %v, want generation %d", nd.ID, res.Verdict, err, gen)
+			}
+		}
+	}
+
+	cp2, g2, flows2 := rig.controller(t)
+	targets := make([]pipeline.Target, len(g1))
+	for i, cf := range g1 {
+		targets[i] = cf
+	}
+	hqp := rig.hostQP(t)
+	var state *controlha.State
+	var takeoverErr error
+	res, err := cp1.Scheduler().Inject(pipeline.Request{
+		Ext: gen2, Hook: "ingress", Targets: targets, Atomic: true,
+		BeforePublish: func() error {
+			_, state, takeoverErr = controlha.TakeOver(cp2, rig.host, hqp, 2, time.Minute, flows2)
+			return nil // the deposed leader carries on into the publish fan-out
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if takeoverErr != nil {
+		t.Fatalf("takeover: %v", takeoverErr)
+	}
+	if len(res.Outcomes) != len(rig.nodes) {
+		t.Fatalf("%d outcomes, want %d", len(res.Outcomes), len(rig.nodes))
+	}
+	for _, o := range res.Outcomes {
+		if !errors.Is(o.Err, core.ErrFenced) {
+			t.Errorf("node %s: deposed publish returned %v, want ErrFenced", o.Node, o.Err)
+		}
+	}
+	serves(1)
+	if len(state.Open) != len(rig.nodes) {
+		t.Fatalf("replay found %d open intents, want one per node: %+v", len(state.Open), state.Open)
+	}
+	for _, cf := range g2 {
+		if open := state.OpenFor(cf.NodeKey()); len(open) != 1 || open[0].Hook != "ingress" {
+			t.Errorf("node %s: open intents %+v, want one on ingress", cf.NodeKey(), open)
+		}
+	}
+
+	compiles := rig.reg.Counter("artifact.compile.invocations").Value()
+	if _, err := g2.Broadcast(gen2, core.BroadcastOptions{Hook: "ingress"}); err != nil {
+		t.Fatalf("re-driven broadcast: %v", err)
+	}
+	if got := rig.reg.Counter("artifact.compile.invocations").Value(); got != compiles {
+		t.Errorf("re-drive recompiled: %d -> %d", compiles, got)
+	}
+	serves(2)
 }
 
 // TestJournalLagAcrossTakeover is the regression for the lag gauge going

@@ -207,13 +207,14 @@ func Redis(opts Options) (*telemetry.Table, error) {
 	}
 
 	run := func(churn string) (*RedisRow, error) {
-		n, err := node.New(node.Config{
+		rig, err := newNodeRigOn(core.NewControlPlane(), node.Config{
 			ID: "redis-" + churn, Hooks: []string{"kv"}, Cores: 2, Latency: rdma.DefaultLatency(),
 		})
 		if err != nil {
 			return nil, err
 		}
-		defer n.Close()
+		defer rig.close()
+		n, cf := rig.node, rig.cf
 		srv := kvstore.NewServer(n, "")
 		srv.BaseCost = 4 * time.Millisecond // 2 cores / 4ms ≈ 500 req/s capacity
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -261,22 +262,6 @@ func Redis(opts Options) (*telemetry.Table, error) {
 				}
 			}()
 		case "rdx":
-			fab := rdma.NewFabric()
-			ln, err := fab.Listen(n.ID)
-			if err != nil {
-				return nil, err
-			}
-			go n.Serve(ln)
-			conn, err := fab.Dial(n.ID)
-			if err != nil {
-				return nil, err
-			}
-			cp := core.NewControlPlane()
-			cf, err := cp.CreateCodeFlow(conn)
-			if err != nil {
-				return nil, err
-			}
-			defer cf.Close()
 			go func() {
 				for {
 					select {

@@ -35,7 +35,7 @@ type nodeRig struct {
 }
 
 func newNodeRig(id string, cores int, cpki float64, lat *rdma.LatencyModel) (*nodeRig, error) {
-	n, err := node.New(node.Config{
+	return newNodeRigOn(core.NewControlPlane(), node.Config{
 		ID:      id,
 		Hooks:   []string{"ingress"},
 		Cores:   cores,
@@ -43,22 +43,27 @@ func newNodeRig(id string, cores int, cpki float64, lat *rdma.LatencyModel) (*no
 		CPKI:    cpki,
 		Seed:    1,
 	})
+}
+
+// newNodeRigOn serves a node built from cfg on a fabric of its own and binds
+// it to cp, so several rigs can share one control plane's registry.
+func newNodeRigOn(cp *core.ControlPlane, cfg node.Config) (*nodeRig, error) {
+	n, err := node.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	fab := rdma.NewFabric()
-	l, err := fab.Listen(id)
+	l, err := fab.Listen(cfg.ID)
 	if err != nil {
 		n.Close()
 		return nil, err
 	}
 	go n.Serve(l)
-	conn, err := fab.Dial(id)
+	conn, err := fab.Dial(cfg.ID)
 	if err != nil {
 		n.Close()
 		return nil, err
 	}
-	cp := core.NewControlPlane()
 	cf, err := cp.CreateCodeFlow(conn)
 	if err != nil {
 		n.Close()
@@ -234,30 +239,15 @@ func Fig4b(opts Options) (*telemetry.Table, error) {
 
 	// Registry hit: a second node bound to the SAME control plane. The
 	// deploy reuses the compiled artifact — link + write + commit only.
-	n2, err := node.New(node.Config{
+	rig2, err := newNodeRigOn(rdxRig.cp, node.Config{
 		ID: "fig4b-rdx2", Hooks: []string{"ingress"}, Cores: 4,
 		Latency: rdma.DefaultLatency(), Seed: 2,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer n2.Close()
-	fab2 := rdma.NewFabric()
-	l2, err := fab2.Listen("fig4b-rdx2")
-	if err != nil {
-		return nil, err
-	}
-	go n2.Serve(l2)
-	conn2, err := fab2.Dial("fig4b-rdx2")
-	if err != nil {
-		return nil, err
-	}
-	cf2, err := rdxRig.cp.CreateCodeFlow(conn2)
-	if err != nil {
-		return nil, err
-	}
-	defer cf2.Close()
-	hitRep, err := cf2.InjectExtension(e, "ingress")
+	defer rig2.close()
+	hitRep, err := rig2.cf.InjectExtension(e, "ingress")
 	if err != nil {
 		return nil, err
 	}

@@ -82,38 +82,6 @@ func TestRedisQuick(t *testing.T) {
 	t.Logf("\n%s", tbl)
 }
 
-func TestCacheQuick(t *testing.T) {
-	tbls, err := Cache(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbls) != 2 {
-		t.Fatalf("tables = %d, want warm + delta", len(tbls))
-	}
-	for _, tbl := range tbls {
-		t.Logf("\n%s", tbl)
-	}
-}
-
-func TestShardQuick(t *testing.T) {
-	tbl, err := Shard(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", tbl)
-}
-
-func TestServeQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet experiment")
-	}
-	tbl, err := Serve(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", tbl)
-}
-
 func TestMeshQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster experiment")

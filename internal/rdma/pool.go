@@ -10,12 +10,6 @@ import (
 // frameHdr is the 4-byte big-endian length prefix preceding every frame.
 const frameHdr = 4
 
-// RaceEnabled reports whether the race detector is compiled in. Exported
-// because sync.Pool deliberately drops a fraction of puts under the race
-// detector, so pool hit-rate assertions (rdxbench serve, the alloc gates)
-// must relax themselves in race builds.
-const RaceEnabled = raceEnabled
-
 // classSizes are the frame-pool size classes. A borrow is served from the
 // smallest class that fits; the top class covers a MaxFrame payload plus
 // its length prefix so even writeFrame's assembled [hdr|payload] image is

@@ -114,3 +114,45 @@ func TestAutoscalerLoopVirtualTicker(t *testing.T) {
 		t.Fatalf("%d shards after virtual-tick scale-in, want 1", got)
 	}
 }
+
+// TestAutoscalerScaleOutHysteresis drives the scale-out half tick by tick:
+// queue-wait pressure must persist HighTicks consecutive ticks before a
+// shard is provisioned (one quiet tick resets the streak), the newcomer
+// joins at max(ID)+1, and Max caps the fleet whatever the signal says.
+func TestAutoscalerScaleOutHysteresis(t *testing.T) {
+	r := NewRouter(Config{Workers: 1})
+	defer r.Close()
+	r.AddShard(0, okExec(nil))
+	clk := sim.NewVirtualClock(time.Now())
+	var provisioned []int
+	a := NewAutoscaler(r, AutoscalerConfig{
+		Min: 1, Max: 2, HighTicks: 2, LowTicks: 100,
+		Clock: clk,
+		Provision: func(id int) (Executor, error) {
+			provisioned = append(provisioned, id)
+			return okExec(nil), nil
+		},
+	})
+	// A tick is high when its shard recorded new waits past HighWait.
+	wait := r.Registry().Histogram("shard.0.queue.wait")
+	pressured := func() {
+		wait.RecordDuration(time.Second)
+		a.tick()
+	}
+	pressured()
+	a.tick() // quiet: the streak starts over
+	pressured()
+	if len(provisioned) != 0 {
+		t.Fatalf("scaled out after a broken streak: provisioned %v", provisioned)
+	}
+	pressured()
+	if len(provisioned) != 1 || provisioned[0] != 1 || len(r.Status()) != 2 {
+		t.Fatalf("after two consecutive high ticks: provisioned %v, %d shards; want [1], 2", provisioned, len(r.Status()))
+	}
+	clk.Advance(time.Minute) // past any cooldown: only Max holds the line now
+	pressured()
+	pressured()
+	if v := a.scaleOuts.Value(); v != 1 || len(r.Status()) != 2 {
+		t.Fatalf("scale_outs = %d, %d shards; want 1, 2 (Max reached)", v, len(r.Status()))
+	}
+}

@@ -143,6 +143,14 @@ func TestShardFailoverChaos(t *testing.T) {
 		}
 	}
 
+	// The artifact cache is process-wide: warm-up compiled each digest
+	// once, and nothing from here on — chaos load, steal, takeover,
+	// reinstate, re-drive, on any shard — may compile again.
+	compiles := reg.Counter("artifact.compile.invocations").Value()
+	if compiles != 2 {
+		t.Errorf("warm-up compiled %d times across %d shards, want once per digest (2)", compiles, shardsN)
+	}
+
 	victim, _ := r.ShardFor(tenants[0].name, tenants[0].hook)
 	owner := make([]int, len(tenants))
 	for i, tn := range tenants {
@@ -271,6 +279,9 @@ func TestShardFailoverChaos(t *testing.T) {
 		if res.Verdict != 102 {
 			t.Fatalf("tenant %s verdict %d, want 102 (did not converge)", tn.name, res.Verdict)
 		}
+	}
+	if got := reg.Counter("artifact.compile.invocations").Value(); got != compiles {
+		t.Errorf("artifact.compile.invocations %d -> %d across shard failover, want flat (one compile per digest fleet-wide)", compiles, got)
 	}
 }
 

@@ -457,8 +457,8 @@ func TestRebalanceChaos(t *testing.T) {
 		}
 		return cp, byName, byKey
 	}
-	rigs := make([]*rig, shardsN)
-	for s := 0; s < shardsN; s++ {
+	// newRig gives shard s its own standby host, control plane and leader.
+	newRig := func(s int) *rig {
 		host, err := controlha.NewHost(1 << 20)
 		if err != nil {
 			t.Fatal(err)
@@ -477,15 +477,22 @@ func TestRebalanceChaos(t *testing.T) {
 		if _, err := controlha.AttachLeader(cp, rdma.NewQP(conn), uint64(1+s), ttl); err != nil {
 			t.Fatalf("shard %d: attach leader: %v", s, err)
 		}
-		rigs[s] = &rig{host: host, cp: cp, flowsName: byName, flowsKey: byKey}
+		return &rig{host: host, cp: cp, flowsName: byName, flowsKey: byKey}
+	}
+	rigs := make([]*rig, shardsN)
+	for s := range rigs {
+		rigs[s] = newRig(s)
 	}
 
 	probe := newOwnerProbe()
 	r := NewRouter(Config{Registry: reg})
 	hostSrc := func(s int) func() ([]byte, error) { return rigs[s].host.JournalSource() }
-	for s := 0; s < shardsN; s++ {
+	probed := func(s int) *probedExec {
 		ex := NewCPExecutorHA(rigs[s].cp, rigs[s].flowsName, hostSrc(s))
-		if err := r.AddShard(s, &probedExec{CPExecutor: ex, id: s, probe: probe}); err != nil {
+		return &probedExec{CPExecutor: ex, id: s, probe: probe}
+	}
+	for s := 0; s < shardsN; s++ {
+		if err := r.AddShard(s, probed(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -501,7 +508,45 @@ func TestRebalanceChaos(t *testing.T) {
 			}
 		}
 	}
-	victim, _ := r.ShardFor(tenants[0].name, tenants[0].hook)
+
+	// Cold keys (the last hook's tenants) are never republished by the
+	// chaos load, so what their current owner's control plane records must
+	// survive every hop verbatim — digest, version, blob — and, the cache
+	// being shared, no hop may compile.
+	var hot, cold []tenantRef
+	for _, tn := range tenants {
+		if tn.hook == hookNames[hooksN-1] {
+			cold = append(cold, tn)
+		} else {
+			hot = append(hot, tn)
+		}
+	}
+	coldVersion := func(tn tenantRef) core.DeployedVersion {
+		t.Helper()
+		id, _ := r.ShardFor(tn.name, tn.hook)
+		dv, ok := rigs[id].cp.DeployedVersion(rigs[id].flowsName[tn.nodeName].NodeKey(), tn.hook)
+		if !ok {
+			t.Fatalf("cold key %s has no deployed version on its owner, shard %d", tn.name, id)
+		}
+		return dv
+	}
+	pinned := map[string]core.DeployedVersion{}
+	for _, tn := range cold {
+		pinned[tn.name] = coldVersion(tn)
+	}
+	compiles := reg.Counter("artifact.compile.invocations").Value()
+	checkCold := func(when string) {
+		t.Helper()
+		for _, tn := range cold {
+			if got := coldVersion(tn); got != pinned[tn.name] {
+				t.Errorf("%s: cold key %s migrated as %+v, want %+v", when, tn.name, got, pinned[tn.name])
+			}
+		}
+		if got := reg.Counter("artifact.compile.invocations").Value(); got != compiles {
+			t.Errorf("%s: artifact.compile.invocations %d -> %d, want flat", when, compiles, got)
+		}
+	}
+	victim, _ := r.ShardFor(cold[0].name, cold[0].hook)
 
 	// Chaos load: every failure must be typed — ErrRebalancing during a
 	// drain window, ErrShardUnavailable while the victim's leader is dead.
@@ -520,7 +565,7 @@ func TestRebalanceChaos(t *testing.T) {
 					return
 				default:
 				}
-				tn := tenants[(iter*4+w)%len(tenants)]
+				tn := hot[(iter*4+w)%len(hot)]
 				err := r.Publish(context.Background(), &Job{
 					Tenant: tn.name, Hook: tn.hook, Ext: gens[iter%2],
 					Nodes: []string{tn.nodeName}, Bytes: 128,
@@ -601,6 +646,20 @@ func TestRebalanceChaos(t *testing.T) {
 	if rep.RingEpoch != epochBefore+1 {
 		t.Errorf("ring epoch %d -> %d across rebalance, want one bump", epochBefore, rep.RingEpoch)
 	}
+	checkCold("after scale-in")
+
+	// Second hop, still under load: a fresh shard joins. Keys it takes from
+	// a receiver of the first hop migrate out of that receiver's
+	// re-journaled absorb records.
+	rigs = append(rigs, newRig(shardsN))
+	rep, err = r.RebalanceAdd(context.Background(), shardsN, probed(shardsN))
+	if err != nil {
+		t.Fatalf("scale-out: %v", err)
+	}
+	if rep.RingEpoch != epochBefore+2 {
+		t.Errorf("ring epoch %d -> %d across scale-in + scale-out, want two bumps", epochBefore, rep.RingEpoch)
+	}
+	checkCold("after scale-out")
 	close(stop)
 	wg.Wait()
 	if t.Failed() {

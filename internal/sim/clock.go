@@ -8,8 +8,8 @@
 // and choice list, then greedily shrunk to a minimal trace.
 //
 // The package deliberately depends only on clock, mem, rdma and faultnet,
-// and nothing outside tests, experiments and sim/scenario imports it:
-// production code takes its time seam from internal/clock, verbs fired
+// and nothing outside tests and sim/scenario imports it — no binary links
+// it: production code takes its time seam from internal/clock, verbs fired
 // here run the endpoint's own executor (rdma.Endpoint.Local), and the
 // scenarios that wire real protocol code under the scheduler live one
 // level down in sim/scenario.

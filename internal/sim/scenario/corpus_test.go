@@ -9,13 +9,6 @@ import (
 	"rdx/internal/sim"
 )
 
-// runners maps corpus scenario names to their Runner.
-var runners = map[string]sim.Runner{
-	"failover":  RunFailover,
-	"rebalance": RunRebalance,
-	"chain":     RunChainOffload,
-}
-
 // TestCorpusReplaysClean replays every checked-in schedule from
 // internal/sim/testdata/schedules against the FIXED code. Each corpus
 // file is a schedule that violated an invariant on the historical

@@ -104,7 +104,8 @@ type Result struct {
 	Violation *Violation
 	Steps     int
 	Choices   []int
-	Counts    []int // enabled-step count at each choice (systematic explorer input)
+	Counts    []int    // enabled-step count at each choice (systematic explorer input)
+	Trace     []string // label of every fired step and fault, in order
 	Truncated bool
 }
 
@@ -172,7 +173,11 @@ func (s *Scheduler) AddInvariant(name string, check func() error) {
 // Spawn starts fn as a managed proc. fn runs real protocol code; every
 // sim-transport verb and virtual-clock sleep inside it parks as a step.
 // Procs must terminate (bounded loops, bail out on errors) — the run ends
-// only when every proc has finished or been aborted.
+// only when every proc has finished or been aborted. Spawn returns once the
+// new proc has parked its first step (or finished), so steps enter pending
+// in Spawn order, not goroutine-start order, and one (seed, choices) names
+// one interleaving on every run. Call it from the harness goroutine only,
+// never from inside a proc.
 func (s *Scheduler) Spawn(name string, fn func()) {
 	s.mu.Lock()
 	s.live++
@@ -196,6 +201,9 @@ func (s *Scheduler) Spawn(name string, fn func()) {
 		}()
 		fn()
 	}()
+	s.mu.Lock()
+	s.waitQuiesceLocked()
+	s.mu.Unlock()
 }
 
 // Setup runs fn to completion as the only proc, firing its steps in
@@ -268,6 +276,7 @@ func (s *Scheduler) Run() *Result {
 		Steps:     len(s.trace),
 		Choices:   append([]int(nil), s.choices...),
 		Counts:    append([]int(nil), s.counts...),
+		Trace:     append([]string(nil), s.trace...),
 		Truncated: truncated,
 	}
 	panicMsg := s.panicMsg

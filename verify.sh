@@ -18,10 +18,11 @@ go build ./...
 echo "== bench module vet + build =="
 (cd bench && go vet ./... && go build -o /dev/null ./...)
 
-# Production packages must not link the model checker.
-echo "== import boundary (no production package imports internal/sim) =="
-if go list -deps ./cmd/rdxd ./cmd/rdxctl . ./internal/controlha ./internal/shard ./internal/core ./internal/rdma | grep -x 'rdx/internal/sim'; then
-    echo "verify: a production package depends on rdx/internal/sim" >&2
+# No binary and no non-test package outside internal/sim/... links the
+# model checker.
+echo "== import boundary (nothing outside internal/sim links it) =="
+if go list -deps ./cmd/rdxd ./cmd/rdxctl ./cmd/rdxbench . ./internal/experiments ./internal/controlha ./internal/shard ./internal/core ./internal/rdma | grep -x 'rdx/internal/sim'; then
+    echo "verify: a non-test package depends on rdx/internal/sim" >&2
     exit 1
 fi
 
@@ -39,9 +40,11 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 120s -count=10 -run 'TestLink|TestConcurrentWritersShareConn' ./internal/rdma/
 fi
 
-# The simregression build re-seeds two historical bugs (pre-rotation
-# takeover fencing, the PR 8 refund-on-failure leak) and asserts the
-# model checker FINDS both and shrinks each to a short replayable trace.
+# The simregression build re-seeds three historical bugs (pre-rotation
+# takeover fencing, the PR 8 refund-on-failure leak, unguarded resident
+# chains) and asserts the model checker FINDS each and shrinks it to a short
+# replayable trace. TestReplayByteIdentical carries no build tag, so replay
+# determinism is checked here and in `go test` above.
 echo "== simulation regression (historical bugs must be found) =="
 go test -tags simregression -timeout 120s ./internal/sim/...
 
