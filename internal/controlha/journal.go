@@ -267,19 +267,19 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 }
 
 // Journal is the leader-side deployment journal: an append-only encoded
-// log plus the decoded entries, implementing core.JournalSink. Appends are
+// log, implementing core.JournalSink. Appends are
 // serialized, stamped with a contiguous sequence number and the current
 // fencing epoch, and (when a Replicator is attached) pushed to the standby
 // ring before the append returns — so on the publish path, a record is
 // remote before the publish is reported done.
 type Journal struct {
-	mu      sync.Mutex
-	entries []Entry
-	buf     []byte
-	seq     uint64
-	fence   func() uint64
-	rep     *Replicator
-	reg     *telemetry.Registry
+	mu    sync.Mutex
+	buf   []byte
+	n     int // entries in buf
+	seq   uint64
+	fence func() uint64
+	rep   *Replicator
+	reg   *telemetry.Registry
 }
 
 // NewJournal creates an empty journal registering its instruments in reg.
@@ -335,8 +335,8 @@ func (j *Journal) appendChecked(e Entry) error {
 		e.Fence = j.fence()
 	}
 	enc := e.Encode()
-	j.entries = append(j.entries, e)
 	j.buf = append(j.buf, enc...)
+	j.n++
 	j.reg.Counter("controlha.journal.appended").Inc()
 	if j.rep == nil {
 		return nil
@@ -366,18 +366,26 @@ func (j *Journal) Bytes() []byte {
 	return append([]byte(nil), j.buf...)
 }
 
-// Entries snapshots the decoded entries.
+// Entries decodes a snapshot of the journal, for tests and the simulator.
 func (j *Journal) Entries() []Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]Entry(nil), j.entries...)
+	out := make([]Entry, 0, j.n)
+	for b := j.buf; len(b) > 0; {
+		e, n, err := DecodeEntry(b)
+		if err != nil {
+			panic("controlha: journal cannot decode its own log: " + err.Error())
+		}
+		out, b = append(out, e), b[n:]
+	}
+	return out
 }
 
 // Len returns the number of appended entries.
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.entries)
+	return j.n
 }
 
 // core.JournalSink implementation.

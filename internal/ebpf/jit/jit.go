@@ -40,8 +40,8 @@ func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
 	}
 
 	// Pass 1: eBPF slot index → native op index.
-	nativeIdx := make([]int, len(insns)+1)
-	n := 0
+	nativeIdx := make([]int32, len(insns)+1)
+	var n int32
 	for i := 0; i < len(insns); i++ {
 		nativeIdx[i] = n
 		n++
@@ -56,7 +56,7 @@ func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
 	nativeIdx[len(insns)] = n
 
 	// Pass 2: emit.
-	asm := native.NewAssembler(arch)
+	asm := native.NewAssembler(arch, int(n))
 	for i := 0; i < len(insns); i++ {
 		ins := insns[i]
 		switch ins.Class() {
@@ -102,7 +102,7 @@ func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
 				if t < 0 || t > len(insns) {
 					return nil, fmt.Errorf("jit: insn %d: jump target %d out of range", i, t)
 				}
-				asm.Emit(native.Inst{Op: native.OpJmp, C: native.CondAlways, Imm: int32(nativeIdx[t])})
+				asm.Emit(native.Inst{Op: native.OpJmp, C: native.CondAlways, Imm: nativeIdx[t]})
 			default:
 				c, err := condFor(ins.JmpOp())
 				if err != nil {
@@ -114,10 +114,10 @@ func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
 				}
 				if ins.UsesX() {
 					asm.Emit(native.Inst{Op: native.OpJmp, A: ins.Dst, B: ins.Src,
-						C: c, Imm: int32(nativeIdx[t])})
+						C: c, Imm: nativeIdx[t]})
 				} else {
 					asm.Emit(native.Inst{Op: native.OpJmpI, A: ins.Dst, C: c,
-						Imm: int32(nativeIdx[t]), Ext: uint64(int64(ins.Imm))})
+						Imm: nativeIdx[t], Ext: uint64(int64(ins.Imm))})
 				}
 			}
 

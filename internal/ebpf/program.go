@@ -165,7 +165,16 @@ func (p *Program) Bytecode() []byte { return Encode(p.Insns) }
 // compile-once/deploy-anywhere cache is keyed on it.
 func (p *Program) Digest() string {
 	h := sha256.New()
-	h.Write(Encode(p.Insns))
+	// Feed the hash Encode's layout a buffer at a time: a digest is taken on
+	// every publish and must not cost a copy of the program.
+	var buf [64 * InsnSize]byte
+	for insns := p.Insns; len(insns) > 0; {
+		chunk := buf[:0]
+		for ; len(insns) > 0 && len(chunk) < len(buf); insns = insns[1:] {
+			chunk = insns[0].Encode(chunk)
+		}
+		h.Write(chunk)
+	}
 	var tb [4]byte
 	binary.LittleEndian.PutUint32(tb[:], uint32(p.Type))
 	h.Write(tb[:])

@@ -5,60 +5,56 @@ import (
 	"rdx/internal/xabi"
 )
 
-// dataflow runs the abstract interpretation: a worklist over per-instruction
-// states with join at merge points and branch-sensitive refinement of
-// map-value null checks.
+// dataflow runs the abstract interpretation in one pass: buildCFG proved the
+// CFG acyclic and fully reachable, so in topological order each instruction is
+// stepped once, on the join of all its predecessors' outputs.
 func (v *vstate) dataflow() error {
 	insns := v.prog.Insns
-	n := len(insns)
-
-	states := make([]*absState, n)
-	entry := &absState{}
+	v.states = sized(v.states, len(insns))
+	entry := v.newState()
+	*entry = absState{}
 	entry.regs[ebpf.R1] = regState{typ: tCtxPtr}
 	entry.regs[ebpf.R10] = regState{typ: tStackPtr}
-	states[0] = entry
+	v.states[0] = entry
 
-	work := []int{0}
-	visits := 0
-	for len(work) > 0 {
-		idx := work[len(work)-1]
-		work = work[:len(work)-1]
-		visits++
-		if visits > v.cfg.MaxVisits {
-			return errAt(idx, insns[idx], "state-visit budget exhausted (program too complex)")
-		}
+	for k := len(v.order) - 1; k >= 0; k-- {
+		idx := v.order[k]
+		st := v.states[idx] // joined over every predecessor: they all precede idx
 
-		cur := *states[idx] // value copy: simulation mutates it
-		ins := insns[idx]
-
-		// Simulate, producing per-successor output states.
-		outs, err := v.step(idx, ins, &cur)
+		// Simulate in place, producing per-successor output states.
+		outs, err := v.step(int(idx), insns[idx], st)
 		if err != nil {
 			return err
 		}
-		for e := 0; e < 2; e++ {
-			succ := v.succs[idx][e]
-			if succ < 0 {
-				continue
+		if target := v.succs[idx][1]; target >= 0 {
+			taken := outs[1]
+			if taken == nil {
+				taken = v.newState()
+				*taken = *st
 			}
-			out := outs[e]
-			if out == nil {
-				out = outs[0]
-			}
-			if states[succ] == nil {
-				cp := *out
-				states[succ] = &cp
-				work = append(work, succ)
-			} else if join(states[succ], out) {
-				work = append(work, succ)
-			}
+			v.flow(target, taken)
+		}
+		if fall := v.succs[idx][0]; fall >= 0 {
+			v.flow(fall, st)
+		} else {
+			v.free = append(v.free, st)
 		}
 	}
 	return nil
 }
 
-// step simulates one instruction over st, returning output states for the
-// fallthrough edge (index 0) and branch-taken edge (index 1, nil to reuse).
+// flow folds out into succ's input state, or becomes it; either way it owns out.
+func (v *vstate) flow(succ int32, out *absState) {
+	if v.states[succ] == nil {
+		v.states[succ] = out
+		return
+	}
+	join(v.states[succ], out)
+	v.free = append(v.free, out)
+}
+
+// step simulates one instruction over st in place, returning output states for
+// the fallthrough edge (index 0, st itself) and branch-taken edge (index 1, nil to reuse).
 func (v *vstate) step(idx int, ins ebpf.Instruction, st *absState) ([2]*absState, error) {
 	var outs [2]*absState
 	outs[0] = st
@@ -226,14 +222,29 @@ func (v *vstate) stepALU(idx int, ins ebpf.Instruction, st *absState) error {
 }
 
 func aluOpName(op uint8) string {
-	names := map[uint8]string{
-		ebpf.AluAdd: "ADD", ebpf.AluSub: "SUB", ebpf.AluMul: "MUL",
-		ebpf.AluDiv: "DIV", ebpf.AluOr: "OR", ebpf.AluAnd: "AND",
-		ebpf.AluLsh: "LSH", ebpf.AluRsh: "RSH", ebpf.AluMod: "MOD",
-		ebpf.AluXor: "XOR", ebpf.AluArsh: "ARSH",
-	}
-	if n, ok := names[op]; ok {
-		return n
+	switch op {
+	case ebpf.AluAdd:
+		return "ADD"
+	case ebpf.AluSub:
+		return "SUB"
+	case ebpf.AluMul:
+		return "MUL"
+	case ebpf.AluDiv:
+		return "DIV"
+	case ebpf.AluOr:
+		return "OR"
+	case ebpf.AluAnd:
+		return "AND"
+	case ebpf.AluLsh:
+		return "LSH"
+	case ebpf.AluRsh:
+		return "RSH"
+	case ebpf.AluMod:
+		return "MOD"
+	case ebpf.AluXor:
+		return "XOR"
+	case ebpf.AluArsh:
+		return "ARSH"
 	}
 	return "ALU"
 }
@@ -470,8 +481,8 @@ func (v *vstate) stepBranch(idx int, ins ebpf.Instruction, st *absState) ([2]*ab
 	isNullCheck := dst.typ == tMapValueOrNull && !ins.UsesX() && ins.Imm == 0 &&
 		(ins.JmpOp() == ebpf.JmpJEQ || ins.JmpOp() == ebpf.JmpJNE)
 	if isNullCheck {
-		fall := *st
-		taken := *st
+		fall, taken := st, v.newState()
+		*taken = *st
 		nonNull := regState{typ: tMapValue, mapIdx: dst.mapIdx}
 		null := constScalar(0)
 		if ins.JmpOp() == ebpf.JmpJEQ {
@@ -482,7 +493,7 @@ func (v *vstate) stepBranch(idx int, ins ebpf.Instruction, st *absState) ([2]*ab
 			taken.regs[ins.Dst] = nonNull
 			fall.regs[ins.Dst] = null
 		}
-		outs[0], outs[1] = &fall, &taken
+		outs[0], outs[1] = fall, taken
 		return outs, nil
 	}
 

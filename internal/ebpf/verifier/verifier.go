@@ -11,14 +11,17 @@
 //   - helper discipline: arguments match helper signatures, caller-saved
 //     registers are clobbered, R0 is defined before exit.
 //
-// The analysis is a worklist dataflow over per-instruction abstract states
-// with branch-sensitive null-pointer refinement. Cost is deliberately real:
-// it scales linearly with instruction count, which is exactly the CPU tax
-// the paper's agent baseline pays on every node (Fig 2a / Fig 4b).
+// The analysis is one dataflow pass over the acyclic CFG in topological
+// order: each instruction is stepped once, on the join of its predecessors'
+// abstract states, with branch-sensitive null-pointer refinement. Cost is
+// deliberately real (though pooled memory keeps it analysis, not allocation):
+// linear in instruction count, exactly the CPU tax the paper's agent baseline
+// pays on every node (Fig 2a / Fig 4b).
 package verifier
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"rdx/internal/ebpf"
@@ -28,10 +31,8 @@ import (
 // Config bounds the verifier's work.
 type Config struct {
 	// MaxInsns rejects programs longer than this many slots (default 1M,
-	// like modern kernels).
+	// like modern kernels); the analysis visits each slot once.
 	MaxInsns int
-	// MaxVisits bounds total dataflow state visits (default 4*MaxInsns).
-	MaxVisits int
 }
 
 // DefaultConfig returns kernel-like limits.
@@ -42,9 +43,6 @@ func DefaultConfig() Config {
 func (c Config) withDefaults() Config {
 	if c.MaxInsns == 0 {
 		c.MaxInsns = 1 << 20
-	}
-	if c.MaxVisits == 0 {
-		c.MaxVisits = 4 * c.MaxInsns
 	}
 	return c
 }
@@ -131,19 +129,29 @@ type absState struct {
 	stack [xabi.StackSize / 8]uint8 // per-byte init bitmap, 64 words of 8 flags
 }
 
+// stackMask is the flags of the n bytes of [off, off+size) that fall in off's
+// bitmap word. Loads and stores are aligned and at most a word wide, so one
+// mask covers them; only helper key/value buffers span words.
+func stackMask(off, size int) (mask uint8, n int) {
+	n = min(size, 8-off%8)
+	return uint8(1<<n-1) << (off % 8), n
+}
+
 func (s *absState) stackInit(off int, size int) {
-	for i := 0; i < size; i++ {
-		b := off + i
-		s.stack[b/8] |= 1 << (b % 8)
+	for size > 0 {
+		mask, n := stackMask(off, size)
+		s.stack[off/8] |= mask
+		off, size = off+n, size-n
 	}
 }
 
 func (s *absState) stackAllInit(off int, size int) bool {
-	for i := 0; i < size; i++ {
-		b := off + i
-		if s.stack[b/8]&(1<<(b%8)) == 0 {
+	for size > 0 {
+		mask, n := stackMask(off, size)
+		if s.stack[off/8]&mask != mask {
 			return false
 		}
+		off, size = off+n, size-n
 	}
 	return true
 }
@@ -200,7 +208,9 @@ func Verify(p *ebpf.Program, cfg Config) (*Result, error) {
 		}
 	}
 
-	v := &vstate{prog: p, cfg: cfg, res: res}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	v := &vstate{prog: p, res: res, scratch: sc}
 	if err := v.structural(); err != nil {
 		return nil, err
 	}
@@ -217,18 +227,51 @@ func Verify(p *ebpf.Program, cfg Config) (*Result, error) {
 
 type vstate struct {
 	prog *ebpf.Program
-	cfg  Config
 	res  *Result
+	*scratch
+}
 
-	isCont []bool   // slot is the second half of an LDDW
-	succs  [][2]int // up to two successors per insn; -1 = none
+// scratch is Verify's working memory, carried between calls by scratchPool
+// and grown to the largest program seen.
+type scratch struct {
+	isCont []bool      // slot is the second half of an LDDW
+	succs  [][2]int32  // up to two successors per insn; -1 = none
+	color  []uint8     // buildCFG's DFS colours
+	frames []dfsFrame  // buildCFG's DFS stack
+	order  []int32     // insns in DFS postorder: reversed, a topological order
+	states []*absState // an insn's joined input, from its first incoming edge to its own visit
+	free   []*absState // states whose insn has been stepped, for reuse
+}
+
+type dfsFrame struct{ node, edge int32 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// sized returns s zeroed at length n, reallocating only when n outgrows it.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// newState returns a state holding stale contents, for the caller to overwrite.
+func (sc *scratch) newState() *absState {
+	if n := len(sc.free); n > 0 {
+		st := sc.free[n-1]
+		sc.free = sc.free[:n-1]
+		return st
+	}
+	return new(absState)
 }
 
 // structural validates opcodes, registers, LDDW pairing, and immediate
 // constraints that need no dataflow.
 func (v *vstate) structural() error {
 	insns := v.prog.Insns
-	v.isCont = make([]bool, len(insns))
+	v.isCont = sized(v.isCont, len(insns))
 	for i := 0; i < len(insns); i++ {
 		ins := insns[i]
 		if ins.Dst >= ebpf.NumRegs || ins.Src >= ebpf.NumRegs {
@@ -302,22 +345,22 @@ func (v *vstate) structural() error {
 func (v *vstate) buildCFG() error {
 	insns := v.prog.Insns
 	n := len(insns)
-	v.succs = make([][2]int, n)
+	v.succs = sized(v.succs, n)
 	for i := 0; i < n; i++ {
-		v.succs[i] = [2]int{-1, -1}
+		v.succs[i] = [2]int32{-1, -1}
 		if v.isCont[i] {
 			// Control flows through the pair; treat the continuation
 			// slot as falling through.
 			if i+1 >= n {
 				return errAt(i, insns[i], "control falls off program end after LDDW")
 			}
-			v.succs[i][0] = i + 1
+			v.succs[i][0] = int32(i + 1)
 			continue
 		}
 		ins := insns[i]
 		fall := i + 1
 		if ins.IsLDDW() {
-			v.succs[i][0] = fall // into the continuation slot
+			v.succs[i][0] = int32(fall) // into the continuation slot
 			continue
 		}
 		isJmp := ins.Class() == ebpf.ClassJMP
@@ -329,7 +372,7 @@ func (v *vstate) buildCFG() error {
 			if t < 0 || t >= n || v.isCont[t] {
 				return errAt(i, ins, "jump target %d invalid", t)
 			}
-			v.succs[i][0] = t
+			v.succs[i][0] = int32(t)
 			continue
 		}
 		if isJmp && ins.JmpOp() != ebpf.JmpCall {
@@ -340,7 +383,7 @@ func (v *vstate) buildCFG() error {
 			if fall >= n {
 				return errAt(i, ins, "branch falls off program end")
 			}
-			v.succs[i] = [2]int{fall, t}
+			v.succs[i] = [2]int32{int32(fall), int32(t)}
 			v.res.Branches++
 			continue
 		}
@@ -348,7 +391,7 @@ func (v *vstate) buildCFG() error {
 		if fall >= n {
 			return errAt(i, ins, "control falls off program end")
 		}
-		v.succs[i][0] = fall
+		v.succs[i][0] = int32(fall)
 	}
 
 	// Iterative DFS: back-edge (cycle) detection + reachability.
@@ -357,9 +400,9 @@ func (v *vstate) buildCFG() error {
 		gray  = 1
 		black = 2
 	)
-	color := make([]uint8, n)
-	type frame struct{ node, edge int }
-	stack := []frame{{0, 0}}
+	v.color, v.order = sized(v.color, n), v.order[:0]
+	color := v.color
+	stack := append(v.frames[:0], dfsFrame{})
 	color[0] = gray
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -371,11 +414,11 @@ func (v *vstate) buildCFG() error {
 			}
 			switch color[s] {
 			case gray:
-				return errAt(f.node, insns[f.node], "back edge to insn %d: loops are forbidden", s)
+				return errAt(int(f.node), insns[f.node], "back edge to insn %d: loops are forbidden", s)
 			case white:
 				color[s] = gray
 				f.edge++
-				stack = append(stack, frame{s, 0})
+				stack = append(stack, dfsFrame{node: s})
 				advanced = true
 			}
 			if advanced {
@@ -384,9 +427,11 @@ func (v *vstate) buildCFG() error {
 		}
 		if !advanced {
 			color[f.node] = black
+			v.order = append(v.order, f.node)
 			stack = stack[:len(stack)-1]
 		}
 	}
+	v.frames = stack
 	for i := 0; i < n; i++ {
 		if color[i] == white && !v.isCont[i] {
 			return errAt(i, insns[i], "unreachable instruction")

@@ -25,7 +25,7 @@ func TestEncodingRoundTripBothArches(t *testing.T) {
 		{Op: OpRet},
 	}
 	for _, arch := range []Arch{ArchX64, ArchA64} {
-		asm := NewAssembler(arch)
+		asm := NewAssembler(arch, 0)
 		for _, i := range insts {
 			asm.Emit(i)
 		}
@@ -48,7 +48,7 @@ func TestEncodingRoundTripBothArches(t *testing.T) {
 func TestEncodingsDiffer(t *testing.T) {
 	// The whole point of two arches: same semantics, different bytes.
 	emit := func(arch Arch) []byte {
-		asm := NewAssembler(arch)
+		asm := NewAssembler(arch, 0)
 		asm.Emit(Inst{Op: OpMovRI, A: 0, Ext: 5})
 		asm.Emit(Inst{Op: OpRet})
 		return asm.Finish("t", "d", 0).Code
@@ -61,7 +61,7 @@ func TestEncodingsDiffer(t *testing.T) {
 
 func TestRelocOffsetsArchSpecific(t *testing.T) {
 	build := func(arch Arch) *Binary {
-		asm := NewAssembler(arch)
+		asm := NewAssembler(arch, 0)
 		asm.Emit(Inst{Op: OpMovRR, A: 1, B: 2})
 		asm.EmitReloc(Inst{Op: OpCall}, RelocHelper, "helper:ktime_get_ns")
 		asm.Emit(Inst{Op: OpRet})
@@ -86,7 +86,7 @@ func TestRelocOffsetsArchSpecific(t *testing.T) {
 }
 
 func TestLink(t *testing.T) {
-	asm := NewAssembler(ArchA64)
+	asm := NewAssembler(ArchA64, 0)
 	asm.EmitReloc(Inst{Op: OpCall}, RelocHelper, "helper:ktime_get_ns")
 	asm.EmitReloc(Inst{Op: OpMovRI, A: 1}, RelocMap, "map:flows")
 	asm.Emit(Inst{Op: OpRet})
@@ -114,7 +114,7 @@ func TestLink(t *testing.T) {
 }
 
 func TestLinkUnresolvedSymbol(t *testing.T) {
-	asm := NewAssembler(ArchX64)
+	asm := NewAssembler(ArchX64, 0)
 	asm.EmitReloc(Inst{Op: OpCall}, RelocHelper, "helper:nope")
 	asm.Emit(Inst{Op: OpRet})
 	bin := asm.Finish("t", "d", 0)
@@ -125,7 +125,7 @@ func TestLinkUnresolvedSymbol(t *testing.T) {
 }
 
 func TestRunUnlinkedTraps(t *testing.T) {
-	asm := NewAssembler(ArchA64)
+	asm := NewAssembler(ArchA64, 0)
 	asm.EmitReloc(Inst{Op: OpCall}, RelocHelper, "helper:ktime_get_ns")
 	asm.Emit(Inst{Op: OpRet})
 	bin := asm.Finish("t", "d", 0)
@@ -141,7 +141,7 @@ func TestRunUnlinkedTraps(t *testing.T) {
 
 func TestEngineBasicProgram(t *testing.T) {
 	// r0 = (5 + 7) * 2 computed through the stack.
-	asm := NewAssembler(ArchX64)
+	asm := NewAssembler(ArchX64, 0)
 	asm.Emit(Inst{Op: OpMovRI, A: 0, Ext: 5})
 	asm.Emit(Inst{Op: OpAluRI, A: 0, C: AluAdd, Imm: 7})
 	asm.Emit(Inst{Op: OpStore, A: 0, B: 10, C: 8, Imm: -8})
@@ -161,7 +161,7 @@ func TestEngineBasicProgram(t *testing.T) {
 
 func TestEngineHelperByAddress(t *testing.T) {
 	const addr = 0xC0FFEE00
-	asm := NewAssembler(ArchA64)
+	asm := NewAssembler(ArchA64, 0)
 	asm.Emit(Inst{Op: OpMovRI, A: 1, Ext: 21})
 	asm.Emit(Inst{Op: OpCall, Ext: addr})
 	asm.Emit(Inst{Op: OpRet})
@@ -186,7 +186,7 @@ func TestEngineHelperByAddress(t *testing.T) {
 }
 
 func TestEngineFuel(t *testing.T) {
-	asm := NewAssembler(ArchX64)
+	asm := NewAssembler(ArchX64, 0)
 	asm.Emit(Inst{Op: OpJmp, C: CondAlways, Imm: 0}) // spin
 	bin := asm.Finish("t", "d", 0)
 	p, _ := DecodeProgram(bin.Arch, bin.Code)
@@ -199,7 +199,7 @@ func TestEngineFuel(t *testing.T) {
 func TestEngineCtxAccess(t *testing.T) {
 	ctx := make([]byte, xabi.CtxSize)
 	ctx[0] = 0x2A
-	asm := NewAssembler(ArchA64)
+	asm := NewAssembler(ArchA64, 0)
 	asm.Emit(Inst{Op: OpLoad, A: 0, B: 1, C: 1, Imm: 0}) // r0 = ctx[0]
 	asm.Emit(Inst{Op: OpStoreI, B: 1, C: 4, Imm: int32(xabi.CtxOffVerdict), Ext: 7})
 	asm.Emit(Inst{Op: OpRet})
@@ -218,7 +218,7 @@ func TestEngineCtxAccess(t *testing.T) {
 }
 
 func TestEngineFaults(t *testing.T) {
-	asm := NewAssembler(ArchX64)
+	asm := NewAssembler(ArchX64, 0)
 	asm.Emit(Inst{Op: OpMovRI, A: 1, Ext: 0x40})
 	asm.Emit(Inst{Op: OpLoad, A: 0, B: 1, C: 8, Imm: 0})
 	asm.Emit(Inst{Op: OpRet})
@@ -271,7 +271,7 @@ func TestAluProperty(t *testing.T) {
 }
 
 func TestBinaryClone(t *testing.T) {
-	asm := NewAssembler(ArchX64)
+	asm := NewAssembler(ArchX64, 0)
 	asm.EmitReloc(Inst{Op: OpCall}, RelocHelper, "helper:x")
 	asm.Emit(Inst{Op: OpRet})
 	bin := asm.Finish("t", "d", 0)
@@ -285,7 +285,7 @@ func TestBinaryClone(t *testing.T) {
 
 func TestPatchImm(t *testing.T) {
 	for _, arch := range []Arch{ArchX64, ArchA64} {
-		asm := NewAssembler(arch)
+		asm := NewAssembler(arch, 0)
 		asm.Emit(Inst{Op: OpMovRI, A: 0, Ext: 1})
 		idx := asm.Emit(Inst{Op: OpJmp, C: CondAlways, Imm: -1}) // placeholder target
 		asm.Emit(Inst{Op: OpRet})

@@ -41,7 +41,7 @@ func (p *Program) Digest() string {
 // helper call can clobber it), r9 is an operand-stack pointer into the
 // native 512-byte frame, r2-r4 are scratch.
 func (p *Program) Compile(arch native.Arch) (*native.Binary, error) {
-	c := &compiler{asm: native.NewAssembler(arch)}
+	c := &compiler{asm: native.NewAssembler(arch, 0)}
 	// Prologue.
 	c.emit(native.Inst{Op: native.OpMovRR, A: 6, B: 1})  // r6 = ctx
 	c.emit(native.Inst{Op: native.OpMovRR, A: 9, B: 10}) // r9 = frame top

@@ -32,7 +32,7 @@ func Compile(m *Module, arch native.Arch) (*native.Binary, error) {
 	f := &m.Funcs[0]
 	c := &compiler{
 		m:      m,
-		asm:    native.NewAssembler(arch),
+		asm:    native.NewAssembler(arch, 0),
 		locals: res.Locals,
 	}
 	c.prologue()

@@ -29,9 +29,10 @@ fi
 echo "== go test =="
 go test -timeout 120s ./...
 
-# The 0 allocs/op gates skip under -race; named here as in CI.
-echo "== wire hot-path alloc gates =="
+# The allocs/op gates skip under -race; named here as in CI.
+echo "== hot-path alloc gates =="
 go test -count=1 -timeout 120s -run 'HotPathZeroAllocs$' ./internal/rdma/
+go test -count=1 -run 'TestVerifySteadyStateAllocs$' ./internal/ebpf/verifier/
 
 if [ "${1:-}" != "quick" ]; then
     echo "== go test -race =="
