@@ -267,11 +267,12 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 }
 
 // Journal is the leader-side deployment journal: an append-only encoded
-// log, implementing core.JournalSink. Appends are
-// serialized, stamped with a contiguous sequence number and the current
-// fencing epoch, and (when a Replicator is attached) pushed to the standby
-// ring before the append returns — so on the publish path, a record is
-// remote before the publish is reported done.
+// log, implementing core.JournalSink. Appends are stamped under mu with a
+// contiguous sequence number and the current fencing epoch and land in buf
+// at once; when a Replicator is attached they are group-committed to the
+// standby ring (see flight), and each append returns only after the flight
+// carrying its entry has committed or failed — so on the publish path, a
+// record is remote before the publish is reported done.
 type Journal struct {
 	mu    sync.Mutex
 	buf   []byte
@@ -279,7 +280,30 @@ type Journal struct {
 	seq   uint64
 	fence func() uint64
 	rep   *Replicator
-	reg   *telemetry.Registry
+	tail  *flight // newest batch that has not landed; nil when the wire is idle
+
+	appended, replicated, repErrors, flights *telemetry.Counter
+	flightEntries                            *telemetry.Histogram
+	lag                                      *telemetry.Gauge
+}
+
+// flight is one group commit: a contiguous run of buf that crosses the wire
+// behind a single Replicator.Append, flown by the appender that opened it.
+// At most one is in the air, so ring order = buf order = seq order. An append
+// that finds the wire idle flies alone at once; appends that arrive during a
+// flight join the one open batch behind it, which is sealed the moment its
+// predecessor lands (or earlier, at the replicator's flightBound). Arrivals
+// after the seal open the next batch — a batch never grows while its leader
+// waits to be scheduled, so two closed-loop appenders always see one-entry
+// flights. mu is not held while a flight is on the wire.
+type flight struct {
+	rep  *Replicator // the stream the batch was opened on
+	off  int         // buf[off:] holds the batch
+	n    int         // entries aboard
+	b    []byte      // set when sealed: the bytes that fly; nothing joins after
+	next *flight
+	done chan struct{} // closed on landing; err is valid after
+	err  error
 }
 
 // NewJournal creates an empty journal registering its instruments in reg.
@@ -287,7 +311,14 @@ func NewJournal(reg *telemetry.Registry) *Journal {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	return &Journal{reg: reg}
+	return &Journal{
+		appended:      reg.Counter("controlha.journal.appended"),
+		replicated:    reg.Counter("controlha.journal.replicated"),
+		repErrors:     reg.Counter("controlha.journal.replication_errors"),
+		flights:       reg.Counter("controlha.journal.flights"),
+		flightEntries: reg.Histogram("controlha.journal.flight_entries"),
+		lag:           reg.Gauge("controlha.journal.lag"),
+	}
 }
 
 // SetFenceSource installs the fencing-epoch source stamped into every
@@ -298,7 +329,8 @@ func (j *Journal) SetFenceSource(f func() uint64) {
 	j.mu.Unlock()
 }
 
-// SetReplicator attaches the standby replication stream.
+// SetReplicator attaches the standby replication stream. A batch already
+// opened keeps the stream it was opened on.
 func (j *Journal) SetReplicator(r *Replicator) {
 	j.mu.Lock()
 	j.rep = r
@@ -325,29 +357,65 @@ func (j *Journal) append(e Entry) {
 // durability on the standby gates a protocol step (the rebalance handoff
 // marker) must know whether the ring took the bytes — a fenced append means
 // a successor owns the ring and this term must stop, not proceed on a
-// local-only record.
+// local-only record. Every member of a flight gets that flight's error.
 func (j *Journal) appendChecked(e Entry) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.seq++
 	e.Seq = j.seq
 	if j.fence != nil {
 		e.Fence = j.fence()
 	}
-	enc := e.Encode()
-	j.buf = append(j.buf, enc...)
+	off := len(j.buf)
+	j.buf = append(j.buf, e.Encode()...)
 	j.n++
-	j.reg.Counter("controlha.journal.appended").Inc()
+	j.appended.Inc()
 	if j.rep == nil {
+		j.mu.Unlock()
 		return nil
 	}
-	err := j.rep.Append(enc)
-	if err != nil {
-		j.reg.Counter("controlha.journal.replication_errors").Inc()
-	} else {
-		j.reg.Counter("controlha.journal.replicated").Inc()
+	prev := j.tail
+	if prev != nil && prev.b == nil && len(j.buf)-prev.off > prev.rep.flightBound() {
+		prev.b = j.buf[prev.off:off] // full: this entry waits for the next flight
 	}
-	j.reg.Gauge("controlha.journal.lag").Set(int64(uint64(len(j.buf)) - j.rep.Replicated()))
+	f, lead := prev, prev == nil || prev.b != nil
+	if lead {
+		f = &flight{rep: j.rep, off: off, done: make(chan struct{})}
+		if prev == nil {
+			f.b = j.buf[off:] // wire idle: fly alone, now
+		} else {
+			prev.next = f
+		}
+		j.tail = f
+	}
+	f.n++
+	j.mu.Unlock()
+
+	if !lead {
+		<-f.done
+		return f.err
+	}
+	if prev != nil {
+		<-prev.done // its landing sealed f
+	}
+	err := f.rep.Append(f.b)
+
+	j.mu.Lock()
+	if f.next == nil {
+		j.tail = nil
+	} else if f.next.b == nil {
+		f.next.b = j.buf[f.next.off:]
+	}
+	j.lag.Set(int64(uint64(len(j.buf)) - f.rep.Replicated()))
+	j.mu.Unlock()
+	if err != nil {
+		j.repErrors.Add(uint64(f.n))
+	} else {
+		j.replicated.Add(uint64(f.n))
+	}
+	j.flights.Inc()
+	j.flightEntries.Record(int64(f.n))
+	f.err = err
+	close(f.done)
 	return err
 }
 

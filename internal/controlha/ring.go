@@ -53,7 +53,8 @@ var (
 
 // Replicator is the leader-side half of journal replication: it appends
 // encoded entries into a standby's ring MR using only one-sided verbs.
-// Appends are serialized by the owning Journal, so the tail reservation
+// Appends are serialized by the owning Journal (one flight of one or more
+// whole entries in the air at a time), so the tail reservation
 // and the high-watermark commit advance in lockstep; a hwm CAS that still
 // fails means a second writer — split brain — and is surfaced as a typed
 // error rather than retried.
@@ -116,6 +117,13 @@ func (r *Replicator) classifyAppendErr(stage string, err error) error {
 	return fmt.Errorf("controlha: ring %s: %w", stage, err)
 }
 
+// flightBound is the size past which the owning Journal stops adding
+// entries to one group-committed Append: well under the ring's capacity, so
+// ErrRingOverrun below can still only be caused by a single oversized entry.
+func (r *Replicator) flightBound() int {
+	return int(min(r.cap/2, 256<<10))
+}
+
 // Replicated returns the bytes this term has committed to the standby. It
 // counts from the term's own start, like the owning Journal's buffer — not
 // from the ring's absolute offsets, which carry every earlier term's bytes.
@@ -125,12 +133,13 @@ func (r *Replicator) Replicated() uint64 {
 	return r.replicated
 }
 
-// Append pushes one encoded entry: verify the ring still belongs to this
-// term (a no-op CAS of the epoch word — like the wrappedSince guard it
-// narrows, not closes, the deposal window; the hwm CAS below closes the
-// torn-commit case), reserve [off, off+n) with FETCH_ADD on the tail,
-// WRITE the bytes (split across the ring's wrap boundary), then commit by
-// CASing the high-watermark from off to off+n.
+// Append pushes one encoded entry, or a flight of them back to back; the
+// standby sees the whole of b or none of it. Verify the ring still belongs
+// to this term (a no-op CAS of the epoch word — like the wrappedSince guard
+// it narrows, not closes, the deposal window; the hwm CAS below closes the
+// torn-commit case), reserve [off, off+n) with FETCH_ADD on the tail, WRITE
+// the bytes (split across the ring's wrap boundary), then commit by CASing
+// the high-watermark from off to off+n.
 func (r *Replicator) Append(b []byte) error {
 	n := uint64(len(b))
 	if n == 0 {

@@ -39,13 +39,19 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 300s ./...
     echo "== fabric link conformance (race, x10) =="
     go test -race -timeout 120s -count=10 -run 'TestLink|TestConcurrentWritersShareConn' ./internal/rdma/
+    # The journal's group commit is hand-rolled hand-off between appenders:
+    # its deterministic group tests repeat under -race.
+    echo "== journal group commit (race, x20) =="
+    go test -race -timeout 300s -count=20 -run 'TestFlight|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight' ./internal/controlha/
 fi
 
 # The simregression build re-seeds three historical bugs (pre-rotation
 # takeover fencing, the PR 8 refund-on-failure leak, unguarded resident
 # chains) and asserts the model checker FINDS each and shrinks it to a short
 # replayable trace. TestReplayByteIdentical carries no build tag, so replay
-# determinism is checked here and in `go test` above.
+# determinism is checked here and in `go test` above. Sim scenarios drive one
+# appender per journal, so every flight there is one entry and the corpus
+# under internal/sim/testdata/schedules replays unchanged.
 echo "== simulation regression (historical bugs must be found) =="
 go test -tags simregression -timeout 120s ./internal/sim/...
 
