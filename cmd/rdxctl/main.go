@@ -500,7 +500,7 @@ func runFailover(standbyAddr, nodeList string, id uint64, ttl, timeout time.Dura
 			flows[name] = cf
 		}
 	}
-	ldr, state, err := controlha.TakeOverRemote(cp, qp, id, ttl, flows, nil)
+	ldr, state, err := controlha.TakeOverRemote(cp, qp, id, ttl, flows)
 	if err != nil {
 		log.Fatalf("rdxctl: failover: %v", err)
 	}

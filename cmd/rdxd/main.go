@@ -186,7 +186,7 @@ func runStandby(id, listen string, shards int, ringCap uint64, httpAddr string, 
 	hosts := make([]*controlha.Host, 0, shards)
 	listeners := make([]net.Listener, 0, shards)
 	for i, addr := range addrs {
-		h, err := controlha.NewHost(ringCap)
+		h, err := controlha.NewHostWith(ringCap, nil)
 		if err != nil {
 			log.Fatalf("rdxd: standby: %v", err)
 		}

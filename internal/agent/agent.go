@@ -191,17 +191,3 @@ func (a *Agent) PollState(ctx context.Context) (entries int, err error) {
 	})
 	return entries, err
 }
-
-// PollLoop runs PollState every interval until the context ends.
-func (a *Agent) PollLoop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			a.PollState(ctx)
-		}
-	}
-}

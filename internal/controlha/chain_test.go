@@ -38,7 +38,7 @@ func armedLease(t *testing.T, rig *hostRig, clk clock.Clock, reg *telemetry.Regi
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLeaseClock(mem, w.Addr, 1, time.Minute, reg, clk)
+	l := NewLease(mem, w.Addr, 1, time.Minute, reg, clk)
 	if err := l.Acquire(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestChainRenewRevokedBySteal(t *testing.T) {
 
 	mem2, mrs2 := rig.connectChain(t)
 	w, _ := findMR(mrs2, WitnessMRName)
-	l2 := NewLease(mem2, w.Addr, 2, time.Minute, reg)
+	l2 := NewLease(mem2, w.Addr, 2, time.Minute, reg, nil)
 	if err := l2.Steal(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestTakeOverRemoteFencesStaleAppend(t *testing.T) {
 	w, _ := findMR(mrs1, WitnessMRName)
 	ring, _ := findMR(mrs1, RingMRName)
 
-	l1 := NewLease(mem1, w.Addr, 1, time.Minute, reg)
+	l1 := NewLease(mem1, w.Addr, 1, time.Minute, reg, nil)
 	if err := l1.Acquire(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestTakeOverRemoteFencesStaleAppend(t *testing.T) {
 
 	// Remote takeover from a controller with no host handle: only verbs.
 	cp := core.NewControlPlane()
-	_, _, err := TakeOverRemote(cp, rig.hostQP(t), 2, time.Minute, nil, nil)
+	_, _, err := TakeOverRemote(cp, rig.hostQP(t), 2, time.Minute, nil)
 	if err != nil {
 		t.Fatalf("TakeOverRemote: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestTakeOverRemoteFencesStaleAppend(t *testing.T) {
 // model checker — its ring fence is a ROTATE_MR schedule step fired on the
 // host endpoint, and its lease is stamped in virtual time.
 func TestTakeOverRemoteUnderScheduler(t *testing.T) {
-	host, err := NewHost(1 << 14)
+	host, err := NewHostWith(1<<14, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,9 @@ func TestTakeOverRemoteUnderScheduler(t *testing.T) {
 	net.AddHost("standby", host.Endpoint())
 	var ldr *Leader
 	s.Spawn("takeover", func() {
-		ldr, _, err = TakeOverRemote(core.NewControlPlane(), net.QP("ctrl", "standby"), 2, time.Minute, nil, s.Clock())
+		cp := core.NewControlPlane()
+		cp.Clock = s.Clock()
+		ldr, _, err = TakeOverRemote(cp, net.QP("ctrl", "standby"), 2, time.Minute, nil)
 	})
 	if res := s.Run(); res.Violation != nil {
 		t.Fatal(res.Violation)

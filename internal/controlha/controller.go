@@ -37,14 +37,8 @@ func findMR(mrs []rdma.MR, name string) (rdma.MR, error) {
 // journal ring with the new fencing epoch, and wire a replicated journal
 // plus the lease fence into cp's publish paths. The returned Leader's
 // lease is NOT auto-renewed; call Leader.Lease.StartRenewal for
-// long-running deployments.
+// long-running deployments. The lease's TTL arithmetic runs on cp.Clock.
 func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration) (*Leader, error) {
-	return AttachLeaderClock(cp, qp, id, ttl, nil)
-}
-
-// AttachLeaderClock is AttachLeader with an injected clock for the lease's
-// TTL arithmetic (the simulator's seam; nil is the wall clock).
-func AttachLeaderClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, clk clock.Clock) (*Leader, error) {
 	mrs, err := qp.QueryMRs()
 	if err != nil {
 		return nil, fmt.Errorf("controlha: MR discovery: %w", err)
@@ -58,7 +52,7 @@ func AttachLeaderClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time
 	if err != nil {
 		return nil, err
 	}
-	lease := NewLeaseClock(mem, witness.Addr, id, ttl, cp.Registry, clk)
+	lease := NewLease(mem, witness.Addr, id, ttl, cp.Registry, cp.Clock)
 	if err := lease.Acquire(); err != nil {
 		return nil, err
 	}
@@ -87,18 +81,15 @@ func AttachLeaderClock(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time
 //
 // Returns the new leadership term and the replayed state; State.Open lists
 // the interrupted jobs the caller should re-drive. Takeover latency lands
-// in the controlha.takeover.latency histogram.
+// in the controlha.takeover.latency histogram, measured like the lease's TTL
+// on cp.Clock.
+//
+// The successor owns the standby host, so it fences the ring with a
+// host-handle call (no verb) and takes the journal from the host's pumped
+// copy — which, unlike the ring, holds the whole history even after the
+// ring has wrapped.
 func TakeOver(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
-	return TakeOverClock(cp, host, qp, id, ttl, flows, nil)
-}
-
-// TakeOverClock is TakeOver with an injected clock (the simulator's seam;
-// nil is the wall clock). The successor owns the standby host, so it fences
-// the ring with a host-handle call (no verb) and takes the journal from the
-// host's pumped copy — which, unlike the ring, holds the whole history even
-// after the ring has wrapped.
-func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, clk clock.Clock) (*Leader, *State, error) {
-	return takeOver(cp, qp, id, ttl, flows, clk, host.FenceRing,
+	return takeOver(cp, qp, id, ttl, flows, host.FenceRing,
 		func(*core.RemoteMemory, uint64) (rdma.FrameView, error) {
 			if _, err := host.Pump(); err != nil {
 				return rdma.FrameView{}, fmt.Errorf("controlha: final pump: %w", err)
@@ -112,8 +103,8 @@ func TakeOverClock(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, 
 // OpRotateMR verb and the journal is fetched over one-sided READs from the
 // ring MR instead of pumped locally. Requires an unwrapped ring; a
 // continuously pumping standby should promote itself with TakeOver instead.
-func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, clk clock.Clock) (*Leader, *State, error) {
-	return takeOver(cp, qp, id, ttl, flows, clk,
+func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
+	return takeOver(cp, qp, id, ttl, flows,
 		func() error {
 			_, err := qp.RotateMRCtx(context.Background(), RingMRName)
 			return err
@@ -138,8 +129,9 @@ func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Du
 // then fails, the old leader is fenced off its ring without a successor —
 // acceptable for this administrative failover path, where the operator
 // retries.
-func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow, clk clock.Clock,
+func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow,
 	fenceRing func() error, journal func(mem *core.RemoteMemory, ringBase uint64) (rdma.FrameView, error)) (*Leader, *State, error) {
+	clk := cp.Clock
 	if clk == nil {
 		clk = clock.Real{}
 	}
@@ -162,7 +154,7 @@ func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration
 	if err != nil {
 		return nil, nil, err
 	}
-	lease := NewLeaseClock(mem, witness.Addr, id, ttl, cp.Registry, clk)
+	lease := NewLease(mem, witness.Addr, id, ttl, cp.Registry, clk)
 	if err := lease.Steal(); err != nil {
 		return nil, nil, err
 	}
@@ -193,15 +185,6 @@ func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration
 	cp.SetFence(lease.Check)
 	cp.Registry.Histogram("controlha.takeover.latency").RecordDuration(clk.Since(start))
 	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}, state, nil
-}
-
-// Detach removes the term's hooks from the control plane and stops lease
-// renewal, without vacating the lease word (a successor Steals it, or the
-// TTL lapses).
-func (l *Leader) Detach() {
-	l.Lease.StopRenewal()
-	l.CP.SetFence(nil)
-	l.CP.SetJournal(nil)
 }
 
 // FetchJournalView reads the committed journal prefix out of a ring MR

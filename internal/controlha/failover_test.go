@@ -34,7 +34,7 @@ func newHARig(t *testing.T, n int) *haRig {
 	t.Helper()
 	r := &haRig{fab: rdma.NewFabric(), reg: telemetry.NewRegistry()}
 	r.arts = artifact.NewCache(artifact.Config{Registry: r.reg})
-	h, err := controlha.NewHost(0)
+	h, err := controlha.NewHostWith(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func newHARig(t *testing.T, n int) *haRig {
 // keyed by NodeKey for journal replay.
 func (r *haRig) controller(t *testing.T) (*core.ControlPlane, core.Group, map[string]*core.CodeFlow) {
 	t.Helper()
-	cp := core.NewControlPlaneWith(r.arts, r.reg)
+	cp := core.NewControlPlaneLabeled(r.arts, r.reg, "")
 	flows := map[string]*core.CodeFlow{}
 	var g core.Group
 	for _, nd := range r.nodes {

@@ -77,7 +77,7 @@ func FuzzJournalPumpThroughSim(f *testing.F) {
 		if len(data) > 1<<13 {
 			return // beyond ring capacity by construction; Append refuses
 		}
-		host, err := NewHost(1 << 14)
+		host, err := NewHostWith(1<<14, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func FuzzJournalPumpThroughSim(f *testing.F) {
 				return
 			}
 			rm := core.NewRemoteMemory(qp, mrs)
-			lease := NewLeaseClock(rm, witness.Addr, 1, time.Minute, nil, s.Clock())
+			lease := NewLease(rm, witness.Addr, 1, time.Minute, nil, s.Clock())
 			if err := lease.Acquire(); err != nil {
 				t.Errorf("sim lease acquire: %v", err)
 				return

@@ -60,18 +60,14 @@ type Host struct {
 	pumpDone chan struct{}
 }
 
-// NewHost creates a standby host with a journal ring of ringCap data bytes
-// (DefaultRingCap if zero) and registers the witness and ring MRs.
-func NewHost(ringCap uint64) (*Host, error) {
-	return NewHostWith(ringCap, nil)
-}
-
-// NewHostWith is NewHost with a latency model on the host's endpoint, so
-// simulated deployments pay a realistic per-verb cost on the replication
-// and election paths (nil injects no delay). The journal ring and the
-// lease words are the one serialization every publish of a control plane
-// crosses — modeling their latency is what makes shard-scaling experiments
-// honest about what sharding actually buys.
+// NewHostWith creates a standby host with a journal ring of ringCap data
+// bytes (DefaultRingCap if zero) and registers the witness and ring MRs.
+// lat is the latency model on the host's endpoint, so simulated deployments
+// pay a realistic per-verb cost on the replication and election paths (nil
+// injects no delay). The journal ring and the lease words are the one
+// serialization every publish of a control plane crosses — modeling their
+// latency is what makes shard-scaling experiments honest about what
+// sharding actually buys.
 func NewHostWith(ringCap uint64, lat *rdma.LatencyModel) (*Host, error) {
 	if ringCap == 0 {
 		ringCap = DefaultRingCap
@@ -108,11 +104,6 @@ func (h *Host) Close() {
 	h.StopPump()
 	h.ep.Close()
 }
-
-// WitnessBase and RingBase return the arena addresses of the two MRs, as
-// remote controllers will see them in the MR table.
-func (h *Host) WitnessBase() uint64 { return hostWitnessBase }
-func (h *Host) RingBase() uint64    { return hostRingBase }
 
 // RingCap returns the ring's data capacity in bytes.
 func (h *Host) RingCap() uint64 { return h.ringCap }

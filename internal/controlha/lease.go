@@ -57,17 +57,12 @@ type Lease struct {
 	chain  *ChainOffload
 }
 
-// NewLease binds a lease view over the witness MR at base, on the wall
-// clock.
-func NewLease(mem *core.RemoteMemory, base uint64, id uint64, ttl time.Duration, reg *telemetry.Registry) *Lease {
-	return NewLeaseClock(mem, base, id, ttl, reg, clock.Real{})
-}
-
-// NewLeaseClock is NewLease with an injected clock — the simulator binds a
-// virtual clock here so TTL expiry is a schedule step, not a wall-clock
-// race. All leases sharing a witness must share one clock: expiry
+// NewLease binds a lease view over the witness MR at base. clk is the
+// timeline of the TTL arithmetic (nil = the wall clock) — the simulator
+// binds a virtual clock here so TTL expiry is a schedule step, not a
+// wall-clock race. All leases sharing a witness must share one clock: expiry
 // comparisons only mean anything on a common timeline.
-func NewLeaseClock(mem *core.RemoteMemory, base uint64, id uint64, ttl time.Duration, reg *telemetry.Registry, clk clock.Clock) *Lease {
+func NewLease(mem *core.RemoteMemory, base uint64, id uint64, ttl time.Duration, reg *telemetry.Registry, clk clock.Clock) *Lease {
 	if ttl <= 0 {
 		ttl = 2 * time.Second
 	}

@@ -22,7 +22,7 @@ type hostRig struct {
 
 func newHostRig(t *testing.T, ringCap uint64) *hostRig {
 	t.Helper()
-	h, err := NewHost(ringCap)
+	h, err := NewHostWith(ringCap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestLeaseAcquireStealAndFence(t *testing.T) {
 	mem2, _, _ := rig.connect(t)
 	reg := telemetry.NewRegistry()
 
-	l1 := NewLease(mem1, w.Addr, 1, time.Minute, reg)
+	l1 := NewLease(mem1, w.Addr, 1, time.Minute, reg, nil)
 	if err := l1.Acquire(); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestLeaseAcquireStealAndFence(t *testing.T) {
 	}
 
 	// A second controller cannot acquire a live lease...
-	l2 := NewLease(mem2, w.Addr, 2, time.Minute, reg)
+	l2 := NewLease(mem2, w.Addr, 2, time.Minute, reg, nil)
 	if err := l2.Acquire(); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("acquire of live lease: %v, want ErrLeaseHeld", err)
 	}
@@ -118,13 +118,13 @@ func TestLeaseExpiredTakeover(t *testing.T) {
 	// A virtual clock shared by both leases makes the expiry a single
 	// deterministic jump instead of a real sleep racing a 1ms TTL.
 	clk := sim.NewVirtualClock(time.Now())
-	l1 := NewLeaseClock(mem1, w.Addr, 1, time.Millisecond, nil, clk)
+	l1 := NewLease(mem1, w.Addr, 1, time.Millisecond, nil, clk)
 	if err := l1.Acquire(); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(5 * time.Millisecond)
 	// The TTL lapsed: a standby acquires without stealing.
-	l2 := NewLeaseClock(mem2, w.Addr, 2, time.Minute, nil, clk)
+	l2 := NewLease(mem2, w.Addr, 2, time.Minute, nil, clk)
 	if err := l2.Acquire(); err != nil {
 		t.Fatalf("acquire of expired lease: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestReplicationPumpAndWrap(t *testing.T) {
 	rig := newHostRig(t, 160)
 	mem, w, ring := rig.connect(t)
 
-	lease := NewLease(mem, w.Addr, 1, time.Minute, nil)
+	lease := NewLease(mem, w.Addr, 1, time.Minute, nil, nil)
 	if err := lease.Acquire(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestReplicatorFencedAppend(t *testing.T) {
 	mem2, _, _ := rig.connect(t)
 	reg := telemetry.NewRegistry()
 
-	l1 := NewLease(mem1, w.Addr, 1, time.Minute, reg)
+	l1 := NewLease(mem1, w.Addr, 1, time.Minute, reg, nil)
 	if err := l1.Acquire(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestReplicatorFencedAppend(t *testing.T) {
 	}
 
 	// A successor steals and re-stamps the ring epoch.
-	l2 := NewLease(mem2, w.Addr, 2, time.Minute, reg)
+	l2 := NewLease(mem2, w.Addr, 2, time.Minute, reg, nil)
 	if err := l2.Steal(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,6 @@ type BroadcastOptions struct {
 	Hook string
 	// DrainTimeout bounds the BBU in-flight drain (default 2s).
 	DrainTimeout time.Duration
-	// Barrier, if set, is an armed offloaded publish barrier
-	// (ArmChainBarrier with parties = group size): every node's staging
-	// goroutine fires one arrival, and the final arrival's NIC-resident
-	// chain flips the group-commit word — a fleet-visible "all staged"
-	// signal that costs no controller round trips beyond the triggers
-	// themselves.
-	Barrier *ChainBarrier
 }
 
 // BroadcastReport summarizes one collective update.
@@ -66,17 +59,12 @@ func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastRepo
 		targets[i] = cf
 	}
 
-	var arrive func(context.Context) (bool, error)
-	if opts.Barrier != nil {
-		arrive = opts.Barrier.Arrive
-	}
 	var prepareEnd, gateStart time.Time
 	res, err := g[0].cp.Scheduler().Inject(pipeline.Request{
 		Ext:     e,
 		Hook:    opts.Hook,
 		Targets: targets,
 		Atomic:  true,
-		Arrive:  arrive,
 		BeforePublish: func() error {
 			prepareEnd = time.Now()
 			if !opts.BBU {

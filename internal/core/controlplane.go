@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"rdx/internal/artifact"
+	"rdx/internal/clock"
 	"rdx/internal/ext"
 	"rdx/internal/native"
 	"rdx/internal/pipeline"
@@ -44,13 +45,6 @@ type ControlPlane struct {
 	// DisableDelta forces full-image staging even when a standby blob could
 	// absorb a page-granular delta (the "no delta" ablation).
 	DisableDelta bool
-	// DeltaPageSize is the delta granularity in bytes (default
-	// artifact.DefaultPageSize).
-	DeltaPageSize int
-	// DeltaMaxRatio is the fallback-to-full threshold: a delta whose bytes
-	// exceed this fraction of the full image is not worth the scatter
-	// chain, so the stage writes the full image instead. Default 0.5.
-	DeltaMaxRatio float64
 
 	// versions tracks, per (node, hook), the digest/version/blob the
 	// control plane most recently published there — the deployed-version
@@ -78,6 +72,12 @@ type ControlPlane struct {
 	// sched is the lazily created injection scheduler (see Scheduler).
 	schedOnce sync.Once
 	sched     *pipeline.Scheduler
+
+	// Clock is the timeline a leadership term attached to this control plane
+	// runs on: lease TTL arithmetic and takeover latency (nil = clock.Real{}).
+	// Set it before controlha.AttachLeader / TakeOver, which read it once;
+	// the simulator binds its virtual clock here.
+	Clock clock.Clock
 
 	// ha holds the replication hooks (ha.go): the leadership fence checked
 	// before every dispatch CAS and the deployment-journal sink. Both are
@@ -107,13 +107,8 @@ type RegistryStats struct {
 
 // NewControlPlane creates an empty control plane.
 func NewControlPlane() *ControlPlane {
-	return NewControlPlaneWith(nil, nil)
+	return NewControlPlaneLabeled(nil, nil, "")
 }
-
-// Artifacts exposes the content-addressed artifact store (test and
-// diagnostic surface; injection paths reach it through ValidateCode /
-// JITCompileCode).
-func (cp *ControlPlane) Artifacts() *artifact.Cache { return cp.artifacts }
 
 // ValidateCode is rdx_validate_code: run the extension's validator on the
 // control plane (not on any data-plane node), memoized by digest in the
@@ -223,21 +218,6 @@ func (cp *ControlPlane) recordDeployed(nodeKey, hook string, dv DeployedVersion,
 		return
 	}
 	cp.versions[k] = dv
-}
-
-// deltaPageSize / deltaMaxRatio resolve the delta knobs with defaults.
-func (cp *ControlPlane) deltaPageSize() int {
-	if cp.DeltaPageSize > 0 {
-		return cp.DeltaPageSize
-	}
-	return artifact.DefaultPageSize
-}
-
-func (cp *ControlPlane) deltaMaxRatio() float64 {
-	if cp.DeltaMaxRatio > 0 {
-		return cp.DeltaMaxRatio
-	}
-	return 0.5
 }
 
 // Precompile validates and compiles for every architecture in Targets,

@@ -112,22 +112,19 @@ func (cp *ControlPlane) JournalHandoff(ringEpoch uint64) error {
 	return j.JournalHandoff(ringEpoch)
 }
 
-// NewControlPlaneWith creates a control plane sharing an existing artifact
-// store and registry — the standby-controller constructor. Failover hands
-// the leader's content-addressed cache to the successor, so re-driven jobs
-// after takeover hit the same (digest, arch) artifacts and
-// artifact.compile.invocations stays flat. Nil arguments fall back to
-// fresh instances (NewControlPlane is NewControlPlaneWith(nil, nil)).
-func NewControlPlaneWith(arts *artifact.Cache, reg *telemetry.Registry) *ControlPlane {
-	return NewControlPlaneLabeled(arts, reg, "")
-}
-
-// NewControlPlaneLabeled is NewControlPlaneWith with a wire-series prefix:
-// the control plane's QP instruments register as "<wirePrefix>.*" instead
-// of the default "rdma.qp.*". N control-plane shards sharing one registry
-// (internal/shard) each pass a distinct prefix — "rdma.qp.shard3" and so
-// on — so per-shard wire traffic stays distinguishable in one snapshot.
-// An empty prefix keeps the default series name.
+// NewControlPlaneLabeled creates a control plane sharing an existing
+// artifact store and registry — the standby-controller constructor. Failover
+// hands the leader's content-addressed cache to the successor, so re-driven
+// jobs after takeover hit the same (digest, arch) artifacts and
+// artifact.compile.invocations stays flat. Nil arguments fall back to fresh
+// instances.
+//
+// wirePrefix names the wire series: the control plane's QP instruments
+// register as "<wirePrefix>.*" instead of the default "rdma.qp.*". N
+// control-plane shards sharing one registry (internal/shard) each pass a
+// distinct prefix — "rdma.qp.shard3" and so on — so per-shard wire traffic
+// stays distinguishable in one snapshot. An empty prefix keeps the default
+// series name.
 func NewControlPlaneLabeled(arts *artifact.Cache, reg *telemetry.Registry, wirePrefix string) *ControlPlane {
 	if reg == nil {
 		reg = telemetry.NewRegistry()

@@ -55,7 +55,7 @@ type StagedDeploy struct {
 // at page granularity and scatter-writes only the changed runs into that
 // blob — delta injection. The delta never targets the dispatched blob, so
 // a connection killed mid-delta cannot tear the live version; if the delta
-// exceeds the control plane's DeltaMaxRatio it degrades to a full write of
+// exceeds deltaMaxRatio of the full image it degrades to a full write of
 // the claimed slot. Every remote verb issues under ctx, so the whole
 // staging sequence shares one deadline and (when ctx carries one) one
 // trace ID.
@@ -127,6 +127,11 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	return sd, nil
 }
 
+// deltaMaxRatio is the fallback-to-full threshold: a delta whose bytes
+// exceed this fraction of the full image is not worth the scatter chain, so
+// the stage writes the full image instead.
+const deltaMaxRatio = 0.5
+
 // stageIntoSlot writes payload into a claimed standby blob, as a scatter
 // chain of changed-page runs when the delta pays for itself, else as a
 // full rewrite. The slot's shadow image is nil while writes are in flight:
@@ -141,8 +146,8 @@ func (cf *CodeFlow) stageIntoSlot(ctx context.Context, rem *RemoteMemory, sd *St
 	if cf.wrappedSince(sd.epoch) {
 		return fmt.Errorf("core: delta stage of %q on %q: %w", sd.name, sd.hook, ErrRingWrapped)
 	}
-	d := artifact.Compute(slot.image, payload, cp.deltaPageSize())
-	if d.Ratio() > cp.deltaMaxRatio() {
+	d := artifact.Compute(slot.image, payload, artifact.DefaultPageSize)
+	if d.Ratio() > deltaMaxRatio {
 		// The diff wouldn't pay for itself (or the slot is torn): full
 		// rewrite of the claimed blob, no fresh ring allocation needed.
 		cp.Registry.Counter("artifact.delta.fallback").Inc()

@@ -35,11 +35,6 @@ type Config struct {
 	MaxInsns int
 }
 
-// DefaultConfig returns kernel-like limits.
-func DefaultConfig() Config {
-	return Config{MaxInsns: 1 << 20}
-}
-
 func (c Config) withDefaults() Config {
 	if c.MaxInsns == 0 {
 		c.MaxInsns = 1 << 20

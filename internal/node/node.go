@@ -589,13 +589,6 @@ func (r *arenaMapResolver) ResolveMap(handle uint64) (xabi.Map, bool) {
 	return v, true
 }
 
-// InvalidateMapCache drops attached views (after XState teardown).
-func (n *Node) InvalidateMapCache() {
-	n.resolver.mu.Lock()
-	n.resolver.att = nil
-	n.resolver.mu.Unlock()
-}
-
 // EnterRequest admits one request into the hook's update bubble: the
 // in-flight counter is raised before the BBU gate is checked, so a
 // concurrent drain either counts this request or finds it parked at the

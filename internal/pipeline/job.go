@@ -50,14 +50,6 @@ type Request struct {
 	// is partial completion: healthy nodes publish, dead nodes report.
 	Atomic bool
 
-	// Arrive, if set, is an offloaded stage-completion barrier (the
-	// core.ChainBarrier fan-in): each target's staging goroutine fires it
-	// once right after its Stage succeeds, so arrivals fan in concurrently
-	// as stages finish rather than after a central join. The callback
-	// returns whether this arrival completed the barrier (the NIC-resident
-	// commit fired); an error fails the node's outcome like a stage error.
-	Arrive func(ctx context.Context) (bool, error)
-
 	// BeforePublish, if set, runs after all staging completes and before
 	// the first publish — the BBU gate-raise + drain barrier slots here.
 	// An error withholds every publish.

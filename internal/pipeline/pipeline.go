@@ -219,14 +219,6 @@ func (s *Scheduler) Inject(req Request) (*Result, error) {
 				st, err = tgt.Stage(ctx, req.Ext, req.Hook)
 				return err
 			})
-			if o.Err == nil && req.Arrive != nil {
-				// Offloaded barrier fan-in: this node's arrival is part of
-				// its staging work, so later stages of other nodes overlap
-				// with it instead of waiting behind a central join.
-				if _, aerr := req.Arrive(ctx); aerr != nil {
-					o.Err = fmt.Errorf("pipeline: barrier arrive: %w", aerr)
-				}
-			}
 			if o.Err == nil {
 				staged[i] = st
 				o.Version = st.Version()

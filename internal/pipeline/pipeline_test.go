@@ -30,11 +30,11 @@ type fakeTarget struct {
 	stageDelay time.Duration
 	publishErr error
 
-	mu         sync.Mutex
-	stageErrs  []error
-	attempts   int
-	published  int
-	nextVer    uint64
+	mu        sync.Mutex
+	stageErrs []error
+	attempts  int
+	published int
+	nextVer   uint64
 }
 
 func (f *fakeTarget) NodeKey() string { return f.key }

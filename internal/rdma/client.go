@@ -301,31 +301,33 @@ func (qp *QP) post(q request) (*pendingVerb, error) {
 	return pv, nil
 }
 
+// writevMin is the WRITE payload size from which the data slice is chained
+// onto the frame with net.Buffers instead of being copied into it. 64 KiB is
+// where a second vector element stops costing more than the memcpy it saves
+// on every transport measured in-tree (DESIGN.md §12).
+const writevMin = 64 << 10
+
 // writeRequest assembles and emits one request frame while holding sendMu.
 // Small frames are assembled [hdr|payload] in a pooled buffer and emitted
 // as a single conn.Write — one syscall per verb, zero steady-state
-// allocations. Write payloads above the tuner's adaptive threshold (see
-// wireTuner; fixed 256 KiB before any samples arrive) skip the copy: the
+// allocations. Write payloads of writevMin bytes or more skip the copy: the
 // header+meta prefix rides in the pooled buffer and the caller's data
 // slice is chained on via net.Buffers (writev on real sockets; the
 // in-process fabric's link has no writev, so there Buffers degrades to
 // sequential Writes into its ring, safe only because sendMu is held across
-// the whole emission). Each emission's wall time feeds the tuner. Returns
-// the encoded payload size.
+// the whole emission). Returns the encoded payload size.
 func (qp *QP) writeRequest(q *request) (int, error) {
 	size := q.encodedSize() // exact for the hot opcodes, upper bound otherwise
 	if size > MaxFrame {
 		return 0, fmt.Errorf("rdma: frame of %d bytes exceeds max %d", size, MaxFrame)
 	}
-	if (q.op == OpWrite || q.op == OpWriteImm) && len(q.data) >= tuner.writevThreshold() {
+	if (q.op == OpWrite || q.op == OpWriteImm) && len(q.data) >= writevMin {
 		f := getFrame(frameHdr + size - len(q.data))
 		b := f.b[:0]
 		b = binary.BigEndian.AppendUint32(b, uint32(size))
 		b = q.appendMeta(b)
 		bufs := net.Buffers{b, q.data}
-		start := time.Now()
 		_, err := bufs.WriteTo(qp.conn)
-		tuner.observe(size, time.Since(start).Nanoseconds())
 		f.Release()
 		return size, err
 	}
@@ -335,9 +337,7 @@ func (qp *QP) writeRequest(q *request) (int, error) {
 	// Back-patch the prefix with the true length: encodedSize may
 	// overestimate for cold opcodes.
 	binary.BigEndian.PutUint32(b[:frameHdr], uint32(len(b)-frameHdr))
-	start := time.Now()
 	_, err := qp.conn.Write(b)
-	tuner.observe(len(b)-frameHdr, time.Since(start).Nanoseconds())
 	f.Release()
 	return len(b) - frameHdr, err
 }
@@ -672,15 +672,6 @@ func (qp *QP) PostWrite(rkey uint32, addr mem.Addr, data []byte) (<-chan Complet
 		return nil, fmt.Errorf("rdma: PostWrite payload %d too large; segment first", len(data))
 	}
 	pv, err := qp.post(request{op: OpWrite, rkey: rkey, addr: addr, data: data})
-	if err != nil {
-		return nil, err
-	}
-	return pv.ch, nil
-}
-
-// PostCAS posts an asynchronous CAS.
-func (qp *QP) PostCAS(rkey uint32, addr mem.Addr, old, new uint64) (<-chan Completion, error) {
-	pv, err := qp.post(request{op: OpCAS, rkey: rkey, addr: addr, cmp: old, swap: new})
 	if err != nil {
 		return nil, err
 	}

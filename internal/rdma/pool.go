@@ -127,8 +127,8 @@ var wireInstr atomic.Pointer[wireInstruments]
 // BindWireInstruments attaches the process-wide wire-path instruments
 // (frame-pool hits/misses, frames-per-poll) to reg. The frame arena is
 // shared by every QP and endpoint in the process, so the binding is global;
-// the last binder wins. The package-level counters keep counting whether or
-// not a registry is bound (see SnapshotPoolStats).
+// the last binder wins. The package-level counters (poolHits, poolMisses,
+// poolBorrows) keep counting whether or not a registry is bound.
 func BindWireInstruments(reg *telemetry.Registry) {
 	wireInstr.Store(&wireInstruments{
 		hits:          reg.Counter("rdma.wire.pool.hits"),
@@ -136,46 +136,11 @@ func BindWireInstruments(reg *telemetry.Registry) {
 		framesPerPoll: reg.Histogram("rdma.wire.frames_per_poll"),
 	})
 	bindChainInstruments(reg)
-	bindTunerGauge(reg)
 }
 
 // recordPoll accounts one poll pass that drained n frames.
 func recordPoll(n int) {
 	if wi := wireInstr.Load(); wi != nil {
 		wi.framesPerPoll.Record(int64(n))
-	}
-}
-
-// PoolStats is a snapshot of the frame arena's counters.
-type PoolStats struct {
-	Hits        uint64 // borrows served from a size-class pool
-	Misses      uint64 // borrows that had to allocate
-	Outstanding int64  // buffers currently borrowed (0 at quiesce)
-}
-
-// HitRate is hits / (hits + misses), or 1 when nothing was borrowed.
-func (s PoolStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 1
-	}
-	return float64(s.Hits) / float64(total)
-}
-
-// Delta returns the stats accumulated since an earlier snapshot.
-func (s PoolStats) Delta(since PoolStats) PoolStats {
-	return PoolStats{
-		Hits:        s.Hits - since.Hits,
-		Misses:      s.Misses - since.Misses,
-		Outstanding: s.Outstanding,
-	}
-}
-
-// SnapshotPoolStats reads the process-wide frame-arena counters.
-func SnapshotPoolStats() PoolStats {
-	return PoolStats{
-		Hits:        poolHits.Load(),
-		Misses:      poolMisses.Load(),
-		Outstanding: poolBorrows.Load(),
 	}
 }

@@ -41,12 +41,6 @@ func NewCPExecutor(cp *core.ControlPlane, flows map[string]*core.CodeFlow) *CPEx
 	return &CPExecutor{CP: cp, Flows: flows}
 }
 
-// NewCPExecutorHA builds a Migrator-capable executor: src feeds
-// HandoffSnapshot the journal bytes a rebalance replays on the way out.
-func NewCPExecutorHA(cp *core.ControlPlane, flows map[string]*core.CodeFlow, src func() ([]byte, error)) *CPExecutor {
-	return &CPExecutor{CP: cp, Flows: flows, JournalSource: src}
-}
-
 // Execute implements Executor.
 func (x *CPExecutor) Execute(ctx context.Context, j *Job) error {
 	flows, err := x.resolve(j.Nodes)

@@ -103,7 +103,7 @@ func TestShardFailoverChaos(t *testing.T) {
 	}
 	rigs := make([]*rig, shardsN)
 	for s := 0; s < shardsN; s++ {
-		host, err := controlha.NewHost(1 << 20)
+		host, err := controlha.NewHostWith(1<<20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

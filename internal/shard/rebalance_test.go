@@ -24,7 +24,7 @@ import (
 type fakeMig struct {
 	mu        sync.Mutex
 	executed  int
-	snapshots []uint64       // ring epochs HandoffSnapshot saw
+	snapshots []uint64 // ring epochs HandoffSnapshot saw
 	absorbed  [][]MigratedKey
 	snapErr   error
 }
@@ -459,7 +459,7 @@ func TestRebalanceChaos(t *testing.T) {
 	}
 	// newRig gives shard s its own standby host, control plane and leader.
 	newRig := func(s int) *rig {
-		host, err := controlha.NewHost(1 << 20)
+		host, err := controlha.NewHostWith(1<<20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,7 +488,7 @@ func TestRebalanceChaos(t *testing.T) {
 	r := NewRouter(Config{Registry: reg})
 	hostSrc := func(s int) func() ([]byte, error) { return rigs[s].host.JournalSource() }
 	probed := func(s int) *probedExec {
-		ex := NewCPExecutorHA(rigs[s].cp, rigs[s].flowsName, hostSrc(s))
+		ex := &CPExecutor{CP: rigs[s].cp, Flows: rigs[s].flowsName, JournalSource: hostSrc(s)}
 		return &probedExec{CPExecutor: ex, id: s, probe: probe}
 	}
 	for s := 0; s < shardsN; s++ {
@@ -592,7 +592,7 @@ func TestRebalanceChaos(t *testing.T) {
 	var succName map[string]*core.CodeFlow
 	epochBefore := r.RingEpoch()
 	sab := &sabotagedMig{
-		CPExecutor: NewCPExecutorHA(rigs[victim].cp, rigs[victim].flowsName, hostSrc(victim)),
+		CPExecutor: &CPExecutor{CP: rigs[victim].cp, Flows: rigs[victim].flowsName, JournalSource: hostSrc(victim)},
 		steal: func() {
 			cp, byName, byKey := buildCP(fmt.Sprintf("rdma.qp.reb%d succ", victim))
 			sconn, err := fab.Dial(fmt.Sprintf("reb-stby-%d", victim))
@@ -631,7 +631,7 @@ func TestRebalanceChaos(t *testing.T) {
 	// the shard's journal), then retry. This time the handoff succeeds:
 	// the successor's journal marker replicates under its own epoch.
 	if err := r.Reinstate(victim, &probedExec{
-		CPExecutor: NewCPExecutorHA(succCP, succName, hostSrc(victim)),
+		CPExecutor: &CPExecutor{CP: succCP, Flows: succName, JournalSource: hostSrc(victim)},
 		id:         victim, probe: probe,
 	}); err != nil {
 		t.Fatal(err)

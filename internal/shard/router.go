@@ -112,9 +112,6 @@ func NewRouter(cfg Config) *Router {
 	}
 }
 
-// Registry exposes the router's instrument registry.
-func (r *Router) Registry() *telemetry.Registry { return r.reg }
-
 // AddShard registers a shard and inserts it into the hash ring, starting
 // its worker pool. Adding an existing ID replaces the front (the old one
 // is stopped) without moving the ring. A closed router refuses with typed

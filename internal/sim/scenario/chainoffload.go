@@ -64,7 +64,7 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 	net := sim.NewNet(s)
 	w := &chainWorld{}
 
-	host, err := controlha.NewHost(chRingCap)
+	host, err := controlha.NewHostWith(chRingCap, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -77,7 +77,8 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 	var coA *controlha.ChainOffload
 	s.Setup("attach-A", func() {
 		cp := core.NewControlPlane()
-		ldrA, err = controlha.AttachLeaderClock(cp, net.QP(chCtrlA, chStandby), chLeaderA, chTTL, s.Clock())
+		cp.Clock = s.Clock()
+		ldrA, err = controlha.AttachLeader(cp, net.QP(chCtrlA, chStandby), chLeaderA, chTTL)
 		if err != nil {
 			panic(fmt.Sprintf("scenario: leader A attach: %v", err))
 		}
@@ -205,7 +206,7 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 		}
 	})
 	s.Spawn("B-takeover", func() {
-		// Fence the ring explicitly before the takeover. TakeOverClock does
+		// Fence the ring explicitly before the takeover. TakeOver does
 		// this itself on fixed builds, but the simregression tag re-opens the
 		// historical pre-rotation-fencing bug, and its acked-durable violation
 		// would otherwise mask the unguarded-chain bug this scenario exists to
@@ -216,7 +217,8 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 			return
 		}
 		cp := core.NewControlPlane()
-		ldrB, state, err := controlha.TakeOverClock(cp, host, net.QP(chCtrlB, chStandby), chLeaderB, chTTL, nil, s.Clock())
+		cp.Clock = s.Clock()
+		ldrB, state, err := controlha.TakeOver(cp, host, net.QP(chCtrlB, chStandby), chLeaderB, chTTL, nil)
 		if err != nil {
 			return // raced or partitioned; nothing to assert
 		}

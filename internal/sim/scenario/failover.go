@@ -99,7 +99,7 @@ func RunFailover(cfg sim.Config) *sim.Result {
 	net := sim.NewNet(s)
 	w := &failoverWorld{}
 
-	host, err := controlha.NewHost(foRingCap)
+	host, err := controlha.NewHostWith(foRingCap, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -112,7 +112,8 @@ func RunFailover(cfg sim.Config) *sim.Result {
 	var ldrA *controlha.Leader
 	s.Setup("attach-A", func() {
 		cp := core.NewControlPlane()
-		ldrA, err = controlha.AttachLeaderClock(cp, net.QP(foInitiatorA, foStandby), foLeaderA, foTTL, s.Clock())
+		cp.Clock = s.Clock()
+		ldrA, err = controlha.AttachLeader(cp, net.QP(foInitiatorA, foStandby), foLeaderA, foTTL)
 		if err != nil {
 			panic(fmt.Sprintf("scenario: leader A attach: %v", err))
 		}
@@ -179,7 +180,8 @@ func RunFailover(cfg sim.Config) *sim.Result {
 	})
 	s.Spawn("B-takeover", func() {
 		cp := core.NewControlPlane()
-		ldrB, state, err := controlha.TakeOverClock(cp, host, net.QP(foInitiatorB, foStandby), foLeaderB, foTTL, nil, s.Clock())
+		cp.Clock = s.Clock()
+		ldrB, state, err := controlha.TakeOver(cp, host, net.QP(foInitiatorB, foStandby), foLeaderB, foTTL, nil)
 		if err != nil {
 			return // aborted or raced; nothing to assert
 		}

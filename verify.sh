@@ -2,10 +2,13 @@
 # verify.sh — the repo's tier-1 verification gate, runnable locally and in
 # CI. Fails fast on the first broken stage.
 #
-#   ./verify.sh          full gate: vet, build, bench build, import boundary, tests, alloc gates, race, simulation
+#   ./verify.sh          full gate: gofmt, vet, build, bench build, import boundary, tests, alloc gates, race, simulation
 #   ./verify.sh quick    skip the -race pass (slowest stage) for inner loops
 set -eu
 cd "$(dirname "$0")"
+
+echo "== gofmt =="
+test -z "$(gofmt -l . | tee /dev/stderr)"
 
 echo "== go vet =="
 go vet ./...
@@ -29,7 +32,8 @@ fi
 echo "== go test =="
 go test -timeout 120s ./...
 
-# The allocs/op gates skip under -race; named here as in CI.
+# The allocs/op gates skip under -race (instrumentation allocates, sync.Pool
+# drops items), so they get their own non-race run.
 echo "== hot-path alloc gates =="
 go test -count=1 -timeout 120s -run 'HotPathZeroAllocs$' ./internal/rdma/
 go test -count=1 -run 'TestVerifySteadyStateAllocs$' ./internal/ebpf/verifier/
@@ -37,8 +41,10 @@ go test -count=1 -run 'TestVerifySteadyStateAllocs$' ./internal/ebpf/verifier/
 if [ "${1:-}" != "quick" ]; then
     echo "== go test -race =="
     go test -race -timeout 300s ./...
+    # The in-process fabric link is hand-rolled synchronisation: its
+    # conformance tests and the shared-QP poster tests repeat under -race.
     echo "== fabric link conformance (race, x10) =="
-    go test -race -timeout 120s -count=10 -run 'TestLink|TestConcurrentWritersShareConn' ./internal/rdma/
+    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteAcrossWritevBoundary' ./internal/rdma/
     # The journal's group commit is hand-rolled hand-off between appenders:
     # its deterministic group tests repeat under -race.
     echo "== journal group commit (race, x20) =="
