@@ -209,11 +209,11 @@ func runStandby(id, listen string, shards int, ringCap uint64, httpAddr string, 
 	}
 
 	if httpAddr != "" {
-		// Standby observability: each scrape pumps the rings, replays each
-		// shard's journal copy, and snapshots per-shard gauges — journal
-		// size and sequence, deployment count, and the rebalance handoff
-		// markers (count + departing ring epoch). The replay is pure local
-		// CPU over the pumped bytes; the rings are only read, never grown.
+		// Standby observability: each scrape pumps the rings and snapshots
+		// per-shard gauges from the state each host folds as it pumps —
+		// journal size and sequence, deployment count, and the rebalance
+		// handoff markers (count + departing ring epoch). A scrape costs the
+		// unpumped tail, not the history; the rings are only read, never grown.
 		sreg := telemetry.NewRegistry()
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -224,9 +224,8 @@ func runStandby(id, listen string, shards int, ringCap uint64, httpAddr string, 
 					sreg.Gauge(pfx + "journal.unreadable").Set(1)
 					continue
 				}
-				data := h.JournalBytes()
-				sreg.Gauge(pfx + "journal.bytes").Set(int64(len(data)))
-				st, err := controlha.Replay(data)
+				sreg.Gauge(pfx + "journal.bytes").Set(int64(h.Consumed()))
+				st, err := h.State()
 				if err != nil {
 					sreg.Gauge(pfx + "journal.unreplayable").Set(1)
 					continue

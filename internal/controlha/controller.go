@@ -85,36 +85,45 @@ func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Dura
 // on cp.Clock.
 //
 // The successor owns the standby host, so it fences the ring with a
-// host-handle call (no verb) and takes the journal from the host's pumped
-// copy — which, unlike the ring, holds the whole history even after the
-// ring has wrapped.
+// host-handle call (no verb) and takes the state the host has been folding
+// as it pumped — which, unlike the ring, covers the whole history even
+// after the ring has wrapped. Only the tail the final pump brings in is
+// replayed inside the outage.
 func TakeOver(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
 	return takeOver(cp, qp, id, ttl, flows, host.FenceRing,
-		func(*core.RemoteMemory, uint64) (rdma.FrameView, error) {
-			if _, err := host.Pump(); err != nil {
-				return rdma.FrameView{}, fmt.Errorf("controlha: final pump: %w", err)
-			}
-			return rdma.ViewOf(host.JournalBytes()), nil
-		})
+		func(*core.RemoteMemory, uint64) (*State, int, error) { return host.pumpState() })
 }
 
 // TakeOverRemote is TakeOver for a controller that does not own the standby
 // host's arena (rdxctl failover): the ring is fenced by the remote
 // OpRotateMR verb and the journal is fetched over one-sided READs from the
-// ring MR instead of pumped locally. Requires an unwrapped ring; a
-// continuously pumping standby should promote itself with TakeOver instead.
+// ring MR and replayed whole instead of folded as it was pumped. Requires
+// an unwrapped ring; a continuously pumping standby should promote itself
+// with TakeOver instead.
 func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
 	return takeOver(cp, qp, id, ttl, flows,
 		func() error {
 			_, err := qp.RotateMRCtx(context.Background(), RingMRName)
 			return err
 		},
-		FetchJournalView)
+		func(mem *core.RemoteMemory, ringBase uint64) (*State, int, error) {
+			view, err := FetchJournalView(mem, ringBase)
+			if err != nil {
+				return nil, 0, err
+			}
+			defer view.Release() // Replay copies everything it keeps
+			st, err := Replay(view.Bytes())
+			if err != nil {
+				return nil, 0, fmt.Errorf("controlha: journal replay: %w", err)
+			}
+			return st, st.Entries, nil
+		})
 }
 
 // takeOver is the one takeover body; its callers differ only in how the
-// ring is fenced and where the journal bytes come from (journal receives
-// the successor's RemoteMemory and the ring MR's base).
+// ring is fenced and where the replayed state comes from (replayed receives
+// the successor's RemoteMemory and the ring MR's base, and also returns how
+// many entries it had to fold inside the takeover).
 //
 // The FIRST act of a takeover is fenceRing: rotating the ring MR's rkey on
 // the standby's endpoint. The epoch-word CAS check inside Append narrows
@@ -130,7 +139,7 @@ func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Du
 // acceptable for this administrative failover path, where the operator
 // retries.
 func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow,
-	fenceRing func() error, journal func(mem *core.RemoteMemory, ringBase uint64) (rdma.FrameView, error)) (*Leader, *State, error) {
+	fenceRing func() error, replayed func(mem *core.RemoteMemory, ringBase uint64) (*State, int, error)) (*Leader, *State, error) {
 	clk := cp.Clock
 	if clk == nil {
 		clk = clock.Real{}
@@ -167,15 +176,11 @@ func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration
 			return nil, nil, err
 		}
 	}
-	view, err := journal(mem, ring.Addr)
+	state, folded, err := replayed(mem, ring.Addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	state, err := Replay(view.Bytes())
-	view.Release() // Replay copies everything it keeps
-	if err != nil {
-		return nil, nil, fmt.Errorf("controlha: journal replay: %w", err)
-	}
+	cp.Registry.Histogram("controlha.takeover.replayed_entries").Record(int64(folded))
 	state.ApplyTo(cp, flows)
 	j := NewJournal(cp.Registry)
 	j.SeedSeq(state.LastSeq)

@@ -11,20 +11,12 @@ import (
 	"rdx/internal/sim"
 )
 
-// FuzzJournalReplay feeds arbitrary byte streams to Replay. The contract
-// under attack: corrupted, truncated, or reordered journals must produce a
-// typed error (ErrCorrupt / ErrTruncated / ErrBadSequence) — never a panic
-// — and any stream that does replay must replay deterministically.
-func FuzzJournalReplay(f *testing.F) {
+// replayCorpus is the seed set of the journal fuzzers: valid, empty,
+// garbage, truncated, misaligned, bit-flipped and reordered journals.
+func replayCorpus() [][]byte {
 	valid := sampleJournal().Bytes()
-	f.Add([]byte{})
-	f.Add([]byte("not a journal at all"))
-	f.Add(valid)
-	f.Add(valid[:len(valid)-5])           // truncated mid-entry
-	f.Add(append([]byte{0xff}, valid...)) // misaligned prefix
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/2] ^= 0x80
-	f.Add(corrupt)
 	// Two entries swapped: decodes cleanly, fails the sequence check.
 	entries := sampleJournal().Entries()
 	entries[0], entries[1] = entries[1], entries[0]
@@ -32,7 +24,25 @@ func FuzzJournalReplay(f *testing.F) {
 	for i := range entries {
 		swapped = append(swapped, entries[i].Encode()...)
 	}
-	f.Add(swapped)
+	return [][]byte{
+		{},
+		[]byte("not a journal at all"),
+		valid,
+		valid[:len(valid)-5],           // truncated mid-entry
+		append([]byte{0xff}, valid...), // misaligned prefix
+		corrupt,
+		swapped,
+	}
+}
+
+// FuzzJournalReplay feeds arbitrary byte streams to Replay. The contract
+// under attack: corrupted, truncated, or reordered journals must produce a
+// typed error (ErrCorrupt / ErrTruncated / ErrBadSequence) — never a panic
+// — and any stream that does replay must replay deterministically.
+func FuzzJournalReplay(f *testing.F) {
+	for _, seed := range replayCorpus() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s1, err1 := Replay(data)

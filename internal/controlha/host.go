@@ -1,6 +1,7 @@
 package controlha
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -46,6 +47,9 @@ const (
 // from whichever controller currently leads, so the host doubles as the
 // election witness: no standby-side logic can disagree with the CAS
 // outcomes in its own arena.
+//
+// The standby is hot: every pump folds what it copied into a running State,
+// so a promotion replays the final pump's tail, not the history.
 type Host struct {
 	arena   *mem.Arena
 	ep      *rdma.Endpoint
@@ -54,6 +58,9 @@ type Host struct {
 	mu       sync.Mutex
 	consumed uint64
 	journal  []byte
+	state    *State // fold of journal[:folded]
+	folded   int
+	foldErr  error // why the fold stopped at folded; latched unless ErrTruncated
 
 	pumpMu   sync.Mutex
 	pumpStop chan struct{}
@@ -90,7 +97,7 @@ func NewHostWith(ringCap uint64, lat *rdma.LatencyModel) (*Host, error) {
 	if err := arena.WriteQword(hostRingBase+ringOffCap, ringCap); err != nil {
 		return nil, err
 	}
-	return &Host{arena: arena, ep: ep, ringCap: ringCap}, nil
+	return &Host{arena: arena, ep: ep, ringCap: ringCap, state: NewState()}, nil
 }
 
 // Endpoint exposes the host's RNIC (for Serve / instrument wiring).
@@ -226,24 +233,32 @@ func (h *Host) CommittedBytes() ([]byte, error) {
 }
 
 // Pump consumes newly committed ring bytes into the host's local journal
-// copy, returning how many bytes it advanced. Only bytes at or below the
-// CAS-committed high-watermark are trusted; a gap larger than the ring's
-// capacity means the oldest unconsumed bytes were overwritten before this
-// standby read them — ErrRingOverrun, unrecoverable without a full
-// journal transfer.
+// copy and folds them into the host's State, returning how many bytes it
+// advanced. Only bytes at or below the CAS-committed high-watermark are
+// trusted; a gap larger than the ring's capacity means the oldest
+// unconsumed bytes were overwritten before this standby read them —
+// ErrRingOverrun, unrecoverable without a full journal transfer. A journal
+// that does not replay is not a pump error: the bytes still accumulate, and
+// State reports why.
 func (h *Host) Pump() (uint64, error) {
-	hwm, err := h.arena.ReadQword(hostRingBase + ringOffHwm)
-	if err != nil {
-		return 0, err
-	}
+	n, _, err := h.pump()
+	return n, err
+}
+
+// pump is Pump, also counting the journal entries this call folded.
+func (h *Host) pump() (n uint64, entries int, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if hwm <= h.consumed {
-		return 0, nil
+	hwm, err := h.arena.ReadQword(hostRingBase + ringOffHwm)
+	if err != nil {
+		return 0, 0, err
 	}
-	n := hwm - h.consumed
+	if hwm <= h.consumed {
+		return 0, 0, nil
+	}
+	n = hwm - h.consumed
 	if n > h.ringCap {
-		return 0, fmt.Errorf("%w: %d committed bytes beyond consumption, capacity %d",
+		return 0, 0, fmt.Errorf("%w: %d committed bytes beyond consumption, capacity %d",
 			ErrRingOverrun, n, h.ringCap)
 	}
 	pos := h.consumed % h.ringCap
@@ -253,18 +268,28 @@ func (h *Host) Pump() (uint64, error) {
 	}
 	chunk, err := h.arena.Read(hostRingBase+RingHdrSize+pos, int(first))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	h.journal = append(h.journal, chunk...)
 	if first < n {
 		rest, err := h.arena.Read(hostRingBase+RingHdrSize, int(n-first))
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		h.journal = append(h.journal, rest...)
 	}
 	h.consumed = hwm
-	return n, nil
+	// Each entry is decoded, checksummed and sequence-checked once, here. A
+	// tail ending mid-entry waits for the next pump; any other failure
+	// latches, so State and every later takeover keep returning the error a
+	// replay of JournalBytes would.
+	if h.foldErr == nil || errors.Is(h.foldErr, ErrTruncated) {
+		before := h.state.Entries
+		took, ferr := h.state.Feed(h.journal[h.folded:])
+		h.folded, h.foldErr = h.folded+took, ferr
+		entries = h.state.Entries - before
+	}
+	return n, entries, nil
 }
 
 // JournalBytes snapshots the pumped journal copy.
@@ -274,16 +299,36 @@ func (h *Host) JournalBytes() []byte {
 	return append([]byte(nil), h.journal...)
 }
 
-// JournalSource returns a snapshot function that pumps any freshly
-// committed ring bytes and returns the full journal copy — the shape
-// shard.CPExecutor wants for handoff replay (a leader co-located with its
-// standby host; remote deployments use FetchJournal over a QP instead).
-func (h *Host) JournalSource() func() ([]byte, error) {
-	return func() ([]byte, error) {
-		if _, err := h.Pump(); err != nil {
-			return nil, err
-		}
-		return h.JournalBytes(), nil
+// State returns a deep copy of the state folded from everything pumped so
+// far: what Replay(JournalBytes()) would return, error class included,
+// without touching the history again.
+func (h *Host) State() (*State, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.foldErr != nil {
+		return nil, fmt.Errorf("controlha: journal replay: %w", h.foldErr)
+	}
+	return h.state.clone(), nil
+}
+
+// pumpState pumps any freshly committed ring bytes, then snapshots the
+// state; entries is how many journal entries that pump had to fold.
+func (h *Host) pumpState() (*State, int, error) {
+	_, entries, err := h.pump()
+	if err != nil {
+		return nil, 0, fmt.Errorf("controlha: standby pump: %w", err)
+	}
+	st, err := h.State()
+	return st, entries, err
+}
+
+// StateSource returns pumpState in the shape shard.CPExecutor wants for a
+// handoff snapshot (a leader co-located with its standby host; remote
+// deployments use FetchJournal over a QP instead).
+func (h *Host) StateSource() func() (*State, error) {
+	return func() (*State, error) {
+		st, _, err := h.pumpState()
+		return st, err
 	}
 }
 

@@ -2,6 +2,8 @@ package controlha
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"rdx/internal/core"
 )
@@ -27,14 +29,15 @@ type Intent struct {
 
 // State is the deterministic result of replaying a journal: exactly the
 // bookkeeping a leader accumulated in core — the deployed-version map,
-// per-hook rollback stacks (with reclamation tombstones), the set of
-// validated/compiled digests, and the open (staged, unpublished) intents.
+// per-hook rollback stacks (bounded at core.RollbackDepth, with reclamation
+// tombstones), and the open (staged, unpublished) intents. Validate and
+// compile entries are sequence- and checksum-checked like any other but
+// leave no state: a successor's compiled artifacts come from the shared
+// artifact.Cache, not from the journal.
 type State struct {
 	Versions  map[Key]core.DeployedVersion
 	History   map[Key][]core.Deployed
 	Open      []Intent
-	Validated map[string]bool
-	Compiled  map[string]bool // digest@arch
 	Entries   int
 	LastSeq   uint64
 	LastFence uint64
@@ -46,38 +49,55 @@ type State struct {
 	LastHandoffEpoch uint64
 }
 
-// Replay decodes and applies every entry in data, in order. Replay is
-// strict: sequence numbers must be contiguous from 1 and fencing epochs
-// monotone non-decreasing, so a truncated, corrupted, spliced, or
-// reordered journal fails with a typed error (ErrTruncated / ErrCorrupt /
-// ErrBadSequence) instead of reconstructing divergent state. Replay of the
-// same bytes always yields the same State.
-func Replay(data []byte) (*State, error) {
-	s := &State{
-		Versions:  map[Key]core.DeployedVersion{},
-		History:   map[Key][]core.Deployed{},
-		Validated: map[string]bool{},
-		Compiled:  map[string]bool{},
+// NewState returns the state of an empty journal, ready to Feed.
+func NewState() *State {
+	return &State{
+		Versions: map[Key]core.DeployedVersion{},
+		History:  map[Key][]core.Deployed{},
 	}
-	off := 0
-	for off < len(data) {
-		e, n, err := DecodeEntry(data[off:])
+}
+
+// Feed decodes and applies, in order, every whole entry at the front of
+// data, and returns how many bytes it folded in. It is the one replay body:
+// Replay runs it once over a whole journal, a standby Host runs it over
+// each pumped chunk. The fold is strict — sequence numbers must be
+// contiguous from 1 and fencing epochs monotone non-decreasing — so a
+// corrupted, spliced or reordered journal stops it with a typed error
+// (ErrCorrupt / ErrBadSequence) instead of reconstructing divergent state.
+// data ending mid-entry is ErrTruncated: everything before the partial
+// entry is applied, and a caller that expects more bytes feeds
+// data[consumed:] again once they arrive. Feeding the same bytes, however
+// split, always yields the same State.
+func (s *State) Feed(data []byte) (consumed int, err error) {
+	for consumed < len(data) {
+		e, n, err := DecodeEntry(data[consumed:])
 		if err != nil {
-			return nil, fmt.Errorf("entry %d at offset %d: %w", s.Entries+1, off, err)
+			return consumed, fmt.Errorf("entry %d: %w", s.Entries+1, err)
 		}
-		off += n
 		if e.Seq != s.LastSeq+1 {
-			return nil, fmt.Errorf("%w: entry %d has seq %d, want %d",
+			return consumed, fmt.Errorf("%w: entry %d has seq %d, want %d",
 				ErrBadSequence, s.Entries+1, e.Seq, s.LastSeq+1)
 		}
 		if e.Fence < s.LastFence {
-			return nil, fmt.Errorf("%w: entry %d fence %d regresses from %d",
+			return consumed, fmt.Errorf("%w: entry %d fence %d regresses from %d",
 				ErrBadSequence, s.Entries+1, e.Fence, s.LastFence)
 		}
+		consumed += n
 		s.LastSeq = e.Seq
 		s.LastFence = e.Fence
 		s.apply(e)
 		s.Entries++
+	}
+	return consumed, nil
+}
+
+// Replay folds a whole journal: Feed on a fresh State, required to consume
+// every byte, so a truncated journal fails (ErrTruncated) like a corrupted
+// one.
+func Replay(data []byte) (*State, error) {
+	s := NewState()
+	if _, err := s.Feed(data); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -87,17 +107,13 @@ func Replay(data []byte) (*State, error) {
 func (s *State) apply(e Entry) {
 	k := Key{Node: e.Node, Hook: e.Hook}
 	switch e.Type {
-	case EntryValidate:
-		s.Validated[e.Digest] = true
-	case EntryCompile:
-		s.Compiled[fmt.Sprintf("%s@%d", e.Digest, e.Arch)] = true
 	case EntryStage:
 		s.Open = append(s.Open, Intent{Node: e.Node, Hook: e.Hook, Name: e.Name,
 			Digest: e.Digest, Version: e.Version, Blob: e.Blob})
 	case EntryPublish:
 		d := core.Deployed{Blob: e.Blob, Version: e.Version, Name: e.Name,
 			Digest: e.Digest, Reclaimed: e.Flags&1 != 0}
-		s.History[k] = append(s.History[k], d)
+		s.History[k] = core.PushDeployed(s.History[k], d)
 		// Same last-writer-wins guard as ControlPlane.recordDeployed:
 		// versions come from the node's epoch FETCH_ADD, so the highest
 		// wins regardless of journal interleaving across hooks.
@@ -154,46 +170,28 @@ func (s *State) closeIntent(e Entry) {
 	}
 }
 
-// Filter projects the state onto the (node, hook) keys keep accepts: the
-// sub-state a rebalance migrates into one receiving shard. Versions,
-// History, and Open intents are filtered per key; the Validated and
-// Compiled digest sets travel whole (they are properties of the shared
-// artifact cache, not of any key, and carrying them is what keeps
-// re-driven intents recompile-free on the receiver). Maps are deep-copied
-// down to the history slices so the receiver can mutate its copy freely.
-func (s *State) Filter(keep func(node, hook string) bool) *State {
-	out := &State{
-		Versions:         map[Key]core.DeployedVersion{},
-		History:          map[Key][]core.Deployed{},
-		Validated:        map[string]bool{},
-		Compiled:         map[string]bool{},
-		Entries:          s.Entries,
-		LastSeq:          s.LastSeq,
-		LastFence:        s.LastFence,
-		Handoffs:         s.Handoffs,
-		LastHandoffEpoch: s.LastHandoffEpoch,
-	}
-	for k, dv := range s.Versions {
-		if keep(k.Node, k.Hook) {
-			out.Versions[k] = dv
-		}
-	}
+// clone deep-copies the state down to the history slices, so the running
+// fold and a snapshot handed out can each be mutated freely.
+func (s *State) clone() *State {
+	out := *s
+	out.Versions = maps.Clone(s.Versions)
+	out.History = make(map[Key][]core.Deployed, len(s.History))
 	for k, hist := range s.History {
-		if keep(k.Node, k.Hook) {
-			out.History[k] = append([]core.Deployed(nil), hist...)
-		}
+		out.History[k] = slices.Clone(hist)
 	}
-	for _, in := range s.Open {
-		if keep(in.Node, in.Hook) {
-			out.Open = append(out.Open, in)
-		}
-	}
-	for d := range s.Validated {
-		out.Validated[d] = true
-	}
-	for d := range s.Compiled {
-		out.Compiled[d] = true
-	}
+	out.Open = slices.Clone(s.Open)
+	return &out
+}
+
+// Filter projects a deep copy of the state onto the (node, hook) keys keep
+// accepts: the sub-state a rebalance migrates into one receiving shard.
+// Re-driven intents stay recompile-free on the receiver because the shards
+// share one artifact.Cache, not because of anything the journal carries.
+func (s *State) Filter(keep func(node, hook string) bool) *State {
+	out := s.clone()
+	maps.DeleteFunc(out.Versions, func(k Key, _ core.DeployedVersion) bool { return !keep(k.Node, k.Hook) })
+	maps.DeleteFunc(out.History, func(k Key, _ []core.Deployed) bool { return !keep(k.Node, k.Hook) })
+	out.Open = slices.DeleteFunc(out.Open, func(in Intent) bool { return !keep(in.Node, in.Hook) })
 	return out
 }
 

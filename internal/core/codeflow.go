@@ -81,6 +81,20 @@ type Deployed struct {
 	Reclaimed bool
 }
 
+// RollbackDepth bounds every per-hook rollback stack: Rollback needs two
+// entries, and a stack is copied per takeover and scanned per standby claim.
+const RollbackDepth = 16
+
+// PushDeployed pushes d onto the rollback stack h, dropping the oldest
+// entry of a full stack in place. Every push — the leader's bookkeeping and
+// journal replay alike — goes through it, so the two forget the same entries.
+func PushDeployed(h []Deployed, d Deployed) []Deployed {
+	if len(h) >= RollbackDepth {
+		h = h[:copy(h, h[len(h)-RollbackDepth+1:])]
+	}
+	return append(h, d)
+}
+
 // CreateCodeFlow is rdx_create_codeflow: bind a handle to a remote node.
 // It dials nothing itself — the caller supplies a connected transport (an
 // in-process fabric pipe or a TCP connection to rdxd) — then performs the
@@ -802,7 +816,7 @@ func (cf *CodeFlow) tryResidentInject(e *ext.Extension, hook string, digest stri
 	rep.Blob = res.blob
 	rep.Total = time.Since(start)
 	cf.mu.Lock()
-	cf.history[hook] = append(cf.history[hook], Deployed{Blob: res.blob, Version: version, Name: e.Name(), Digest: digest})
+	cf.history[hook] = PushDeployed(cf.history[hook], Deployed{Blob: res.blob, Version: version, Name: e.Name(), Digest: digest})
 	cf.switchDispatch(hook, res.blob)
 	cf.mu.Unlock()
 	cf.cp.recordDeployed(cf.NodeKey(), hook,

@@ -116,7 +116,7 @@ func (cf *CodeFlow) claimStandby(hook string, need int) (*slotImage, uint64) {
 // deployed-version map.
 func (cf *CodeFlow) installPublished(hook string, slot *slotImage, d Deployed) {
 	cf.mu.Lock()
-	cf.history[hook] = append(cf.history[hook], d)
+	cf.history[hook] = PushDeployed(cf.history[hook], d)
 	cf.dispatch[hook] = d.Blob
 	if slot != nil {
 		hs := cf.slots[hook]

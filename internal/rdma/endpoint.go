@@ -227,7 +227,18 @@ func (e *Endpoint) Serve(l net.Listener) error {
 				return err
 			}
 		}
+		// Close and Drain close e.closed under connMu, so either this Add is
+		// ordered before their wg.Wait or the accept lost and is dropped.
+		e.connMu.Lock()
+		select {
+		case <-e.closed:
+			e.connMu.Unlock()
+			conn.Close()
+			return nil
+		default:
+		}
 		e.wg.Add(1)
+		e.connMu.Unlock()
 		go func() {
 			defer e.wg.Done()
 			e.ServeConn(conn)
@@ -239,8 +250,8 @@ func (e *Endpoint) Serve(l net.Listener) error {
 // are closed, then connection handlers are drained.
 func (e *Endpoint) Close() {
 	e.closeMu.Do(func() {
-		close(e.closed)
 		e.connMu.Lock()
+		close(e.closed)
 		for c := range e.conns {
 			c.Close()
 		}
@@ -259,11 +270,11 @@ func (e *Endpoint) Close() {
 // buffered frames are served and flushed first).
 func (e *Endpoint) Drain(grace time.Duration) {
 	e.closeMu.Do(func() {
-		close(e.closed)
 		// A handler blocked in readFrame holds no request: unblock it by
 		// expiring the read rather than severing the transport, so a frame
 		// already being serviced still gets its reply flushed.
 		e.connMu.Lock()
+		close(e.closed)
 		for c := range e.conns {
 			c.SetReadDeadline(time.Now().Add(grace))
 		}

@@ -28,11 +28,12 @@ type CPExecutor struct {
 	CP    *core.ControlPlane
 	Flows map[string]*core.CodeFlow
 
-	// JournalSource reads back the shard's authoritative journal bytes
-	// (typically controlha.Host.JournalSource, which pumps the standby
-	// first). Nil leaves the executor working but not Migrator-capable:
-	// rebalances still move its keys, deployed state stays behind.
-	JournalSource func() ([]byte, error)
+	// StateSource reads back the replayed state of the shard's
+	// authoritative journal (typically controlha.Host.StateSource, which
+	// pumps the standby first). Nil leaves the executor working but not
+	// Migrator-capable: rebalances still move its keys, deployed state
+	// stays behind.
+	StateSource func() (*controlha.State, error)
 }
 
 // NewCPExecutor builds an executor over a shard's control plane and its
@@ -107,23 +108,19 @@ func (x *CPExecutor) resolve(nodes []string) ([]*core.CodeFlow, error) {
 // marker stamped with ringEpoch, confirm it replicated (a fenced append
 // means this leader was deposed mid-rebalance — the typed error aborts
 // the migration before any state leaves a shard it no longer owns), then
-// replay the full journal and verify the snapshot closes with exactly our
-// marker. The replay is deterministic, so two calls over the same journal
-// yield byte-identical state.
+// read back the journal's replayed state and verify the snapshot closes
+// with exactly our marker. The replay is deterministic, so two calls over
+// the same journal yield identical state.
 func (x *CPExecutor) HandoffSnapshot(ringEpoch uint64) (*RebalanceState, error) {
-	if x.JournalSource == nil {
-		return nil, fmt.Errorf("shard: executor has no journal source for handoff")
+	if x.StateSource == nil {
+		return nil, fmt.Errorf("shard: executor has no state source for handoff")
 	}
 	if err := x.CP.JournalHandoff(ringEpoch); err != nil {
 		return nil, fmt.Errorf("handoff marker: %w", err)
 	}
-	data, err := x.JournalSource()
+	st, err := x.StateSource()
 	if err != nil {
-		return nil, fmt.Errorf("handoff journal read: %w", err)
-	}
-	st, err := controlha.Replay(data)
-	if err != nil {
-		return nil, fmt.Errorf("handoff replay: %w", err)
+		return nil, fmt.Errorf("handoff snapshot: %w", err)
 	}
 	if st.LastHandoffEpoch != ringEpoch {
 		// The journal we read back does not end at our marker: either a

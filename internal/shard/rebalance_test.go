@@ -486,9 +486,9 @@ func TestRebalanceChaos(t *testing.T) {
 
 	probe := newOwnerProbe()
 	r := NewRouter(Config{Registry: reg})
-	hostSrc := func(s int) func() ([]byte, error) { return rigs[s].host.JournalSource() }
+	hostSrc := func(s int) func() (*controlha.State, error) { return rigs[s].host.StateSource() }
 	probed := func(s int) *probedExec {
-		ex := &CPExecutor{CP: rigs[s].cp, Flows: rigs[s].flowsName, JournalSource: hostSrc(s)}
+		ex := &CPExecutor{CP: rigs[s].cp, Flows: rigs[s].flowsName, StateSource: hostSrc(s)}
 		return &probedExec{CPExecutor: ex, id: s, probe: probe}
 	}
 	for s := 0; s < shardsN; s++ {
@@ -592,7 +592,7 @@ func TestRebalanceChaos(t *testing.T) {
 	var succName map[string]*core.CodeFlow
 	epochBefore := r.RingEpoch()
 	sab := &sabotagedMig{
-		CPExecutor: &CPExecutor{CP: rigs[victim].cp, Flows: rigs[victim].flowsName, JournalSource: hostSrc(victim)},
+		CPExecutor: &CPExecutor{CP: rigs[victim].cp, Flows: rigs[victim].flowsName, StateSource: hostSrc(victim)},
 		steal: func() {
 			cp, byName, byKey := buildCP(fmt.Sprintf("rdma.qp.reb%d succ", victim))
 			sconn, err := fab.Dial(fmt.Sprintf("reb-stby-%d", victim))
@@ -631,7 +631,7 @@ func TestRebalanceChaos(t *testing.T) {
 	// the shard's journal), then retry. This time the handoff succeeds:
 	// the successor's journal marker replicates under its own epoch.
 	if err := r.Reinstate(victim, &probedExec{
-		CPExecutor: &CPExecutor{CP: succCP, Flows: succName, JournalSource: hostSrc(victim)},
+		CPExecutor: &CPExecutor{CP: succCP, Flows: succName, StateSource: hostSrc(victim)},
 		id:         victim, probe: probe,
 	}); err != nil {
 		t.Fatal(err)

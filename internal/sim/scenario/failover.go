@@ -9,6 +9,7 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -126,8 +127,19 @@ func RunFailover(cfg sim.Config) *sim.Result {
 		if err != nil {
 			return err
 		}
-		_, err = controlha.Replay(b)
-		return err
+		want, err := controlha.Replay(b)
+		if err != nil {
+			return err
+		}
+		// The standby folds as it pumps (local reads: no verb, no schedule
+		// step): its running state must be exactly that replay.
+		if _, err := host.Pump(); err != nil {
+			return err
+		}
+		if got, err := host.State(); err != nil || !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("standby's folded state diverged from a replay of its %d committed bytes (%v)", len(b), err)
+		}
+		return nil
 	})
 	s.AddInvariant("acked-durable", func() error {
 		w.mu.Lock()

@@ -49,6 +49,11 @@ if [ "${1:-}" != "quick" ]; then
     # its deterministic group tests repeat under -race.
     echo "== journal group commit (race, x20) =="
     go test -race -timeout 300s -count=20 -run 'TestFlight|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight' ./internal/controlha/
+    # The standby folds the journal as it pumps: the background pump, a
+    # takeover's final pump and State() snapshots share one host, and the
+    # rollback-stack bound must hold on leader, replay and fold alike.
+    echo "== hot standby fold + rollback bound (race, x20) =="
+    go test -race -timeout 300s -count=20 -run 'TestHostFold|TestTakeOverFlat|TestRollbackDepth' ./internal/controlha ./internal/core
 fi
 
 # The simregression build re-seeds three historical bugs (pre-rotation
