@@ -1,8 +1,11 @@
 package controlha_test
 
 import (
+	"net"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,7 +13,10 @@ import (
 	"rdx/internal/controlha"
 	"rdx/internal/core"
 	"rdx/internal/ext"
+	"rdx/internal/faultnet"
 	"rdx/internal/pipeline"
+	"rdx/internal/rdma"
+	"rdx/internal/xabi"
 )
 
 // TestRollbackDepthBound: the leader's rollback stack, a replay of its
@@ -128,5 +134,100 @@ func TestRollbackDepthBound(t *testing.T) {
 	}
 	if tombstones < core.RollbackDepth/2-1 {
 		t.Fatalf("claim tombstoned %d retained entries, want every one of the claimed blob's (≥ %d)", tombstones, core.RollbackDepth/2-1)
+	}
+}
+
+// TestRollbackFailedCommitKeepsStack: a rollback whose commit dies on the
+// wire leaves the rollback stack, the deployed-version map and the journal
+// as they were — the pop and the journal entry follow the flip, never
+// precede it — so a replay of the journal still gives the leader's stack,
+// and a healthy rollback afterwards lands on v1.
+func TestRollbackFailedCommitKeepsStack(t *testing.T) {
+	rig := newHARig(t, 1)
+	cp := core.NewControlPlaneLabeled(rig.arts, rig.reg, "")
+	ld, err := controlha.AttachLeader(cp, rig.hostQP(t), 1, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The node link is a ReconnQP over faultnet connections; while down is
+	// set it cannot redial, so a killed connection fails the verb in flight.
+	var (
+		mu   sync.Mutex
+		live *faultnet.Conn
+		down atomic.Bool
+	)
+	rq, err := rdma.NewReconnQP(rdma.ReconnConfig{
+		Dial: func() (net.Conn, error) {
+			if down.Load() {
+				return nil, faultnet.ErrInjected
+			}
+			c, err := rig.fab.Dial(rig.nodes[0].ID)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			live = faultnet.Wrap(c, faultnet.Options{})
+			return live, nil
+		},
+		MaxRedials: 2,
+		Logf:       func(string, ...interface{}) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := cp.CreateCodeFlowQP(rq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cf.Close() })
+
+	v1, v2 := cluster.GenerationExt(ext.KindEBPF, 1, 200), cluster.GenerationExt(ext.KindEBPF, 2, 200)
+	for _, e := range []*ext.Extension{v1, v2} {
+		if _, err := cf.InjectExtension(e, "ingress"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	onV2, _ := cp.DeployedVersion(cf.NodeKey(), "ingress")
+	entries := ld.Journal.Len()
+
+	down.Store(true)
+	mu.Lock()
+	live.SetFailAfterOps(live.Ops() + 1)
+	mu.Unlock()
+	if to, err := cf.Rollback("ingress"); err == nil {
+		t.Fatalf("rollback over a killed link landed on %+v", to)
+	}
+
+	stack := cf.History("ingress")
+	if len(stack) != 2 {
+		t.Fatalf("failed rollback left %d stack entries, want 2", len(stack))
+	}
+	if dv, _ := cp.DeployedVersion(cf.NodeKey(), "ingress"); dv != onV2 {
+		t.Fatalf("failed rollback moved the deployed-version map: %+v, want %+v", dv, onV2)
+	}
+	if n := ld.Journal.Len(); n != entries {
+		t.Fatalf("failed rollback journaled %d entries", n-entries)
+	}
+	for _, e := range ld.Journal.Entries() {
+		if e.Type == controlha.EntryRollback {
+			t.Fatalf("journal holds a rollback entry for a rollback that never flipped: %+v", e)
+		}
+	}
+	replayed, err := controlha.Replay(ld.Journal.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed.History[controlha.Key{Node: cf.NodeKey(), Hook: "ingress"}]; !reflect.DeepEqual(got, stack) {
+		t.Fatalf("replayed stack diverged from the leader's:\n replayed %+v\n leader   %+v", got, stack)
+	}
+
+	down.Store(false)
+	to, err := cf.Rollback("ingress")
+	if err != nil || to != stack[0] {
+		t.Fatalf("healthy rollback after the failure: %+v, %v; want %+v", to, err, stack[0])
+	}
+	if out, err := rig.nodes[0].ExecHook("ingress", make([]byte, xabi.CtxSize), nil); err != nil || out.Verdict != 101 {
+		t.Fatalf("node after the healthy rollback: %+v, %v; want v1's verdict 101", out, err)
 	}
 }

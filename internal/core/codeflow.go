@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -431,48 +429,24 @@ func (cf *CodeFlow) deployProgOnce(bin *native.Binary, hook string, hookAddr uin
 	if err != nil {
 		return Deployed{}, err
 	}
-	blob, epoch, err := cf.allocCode(cf.Remote, node.BlobHdrSize+len(bin.Code))
+	payload := blobImage(bin, p, version)
+	blob, epoch, err := cf.allocCode(cf.Remote, len(payload))
 	if err != nil {
 		return Deployed{}, err
 	}
-	hdr := node.EncodeBlobHeader(bin.Arch, node.BlobParams{
-		Kind: p.Kind, Version: version, MemBase: p.MemBase, GlobBase: p.GlobBase,
-	}, len(bin.Code))
-	payload := append(hdr, bin.Code...)
 	if err := cf.Remote.WriteBytes(blob, payload); err != nil {
 		return Deployed{}, err
 	}
 
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
-	// The blob write was a remote round trip: if the ring wrapped under
-	// it, the address may already belong to a fresh allocation, and the
-	// CAS below would dispatch someone else's bytes.
-	if cf.wrappedSince(epoch) {
-		return Deployed{}, fmt.Errorf("core: deploy of %q on %q: %w", bin.Name, hook, ErrRingWrapped)
-	}
-	// Leadership fence: a deposed controller must not flip the dispatch
-	// pointer, no matter how far the stage got (see FenceCheck).
-	if err := cf.cp.checkFence(); err != nil {
+	if err := cf.flip(cf.Remote, hookAddr, epoch, blob,
+		TxWrite{Addr: hookAddr + node.HookOffStaged, Qword: blob},
+		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: version},
+	); err != nil {
 		return Deployed{}, fmt.Errorf("core: deploy of %q on %q: %w", bin.Name, hook, err)
 	}
-	if err := cf.Tx(
-		[]TxWrite{
-			{Addr: hookAddr + node.HookOffStaged, Qword: blob},
-			{Addr: hookAddr + node.HookOffVersion, Qword: version},
-		},
-		QwordSwap{Addr: hookAddr + node.HookOffDispatch, New: blob},
-	); err != nil {
-		return Deployed{}, err
-	}
-	// Expose the flipped pointer to a possibly-stale CPU cache.
-	cf.CCEvent(hookAddr + node.HookOffDispatch)
-
-	codeSum := sha256.Sum256(bin.Code)
-	cf.mu.Lock()
-	cf.codeHashes[blob] = hex.EncodeToString(codeSum[:])
-	cf.mu.Unlock()
-
+	cf.recordCodeHash(blob, bin.Code)
 	d := Deployed{Blob: blob, Version: version, Name: bin.Name, Digest: p.Digest}
 	cf.installPublished(hook, &slotImage{
 		blob:   blob,
@@ -484,6 +458,40 @@ func (cf *CodeFlow) deployProgOnce(bin *native.Binary, hook string, hookAddr uin
 	return d, nil
 }
 
+// blobImage frames bin's code behind its blob header: the exact bytes a
+// deploy or stage writes into the code ring.
+func blobImage(bin *native.Binary, p DeployParams, version uint64) []byte {
+	hdr := node.EncodeBlobHeader(bin.Arch, node.BlobParams{
+		Kind: p.Kind, Version: version, MemBase: p.MemBase, GlobBase: p.GlobBase,
+	}, len(bin.Code))
+	return append(hdr, bin.Code...)
+}
+
+// flip is the one dispatch-pointer commit every publish path shares — cold
+// deploy, resident fast path, staged Publish and Rollback: rdx_tx's writes,
+// the dispatch swap to blob, then rdx_cc_event, behind the code-ring wrap
+// guard and the leadership fence. Caller holds pubMu, so the flip and the
+// bookkeeping the caller does after it land in the same order across
+// concurrent publishes. A wrap since epoch returns bare ErrRingWrapped and
+// touches nothing: blob's range may already belong to a fresh allocation.
+func (cf *CodeFlow) flip(rem *RemoteMemory, hookAddr, epoch, blob uint64, writes ...TxWrite) error {
+	if cf.wrappedSince(epoch) {
+		return ErrRingWrapped
+	}
+	// A deposed controller must not flip the pointer, no matter how far
+	// its stage got (see FenceCheck).
+	if err := cf.cp.checkFence(); err != nil {
+		return err
+	}
+	if err := cf.txOn(rem, writes, QwordSwap{Addr: hookAddr + node.HookOffDispatch, New: blob}); err != nil {
+		return err
+	}
+	// Expose the flipped pointer to a possibly-stale CPU cache. The swap
+	// has landed, so a failed doorbell must not undo the bookkeeping.
+	cf.ccEventOn(rem, hookAddr+node.HookOffDispatch)
+	return nil
+}
+
 // TxWrite is one staged write of a remote transaction.
 type TxWrite struct {
 	Addr  uint64
@@ -492,13 +500,11 @@ type TxWrite struct {
 }
 
 // QwordSwap is the transaction's commit point: a CAS that publishes the
-// staged state. Old of zero means "swap from whatever is there" (the CAS
-// retries with the observed value).
+// staged state, swapping from whatever is there (the CAS retries with the
+// observed value).
 type QwordSwap struct {
-	Addr    uint64
-	Old     uint64
-	New     uint64
-	Stealth bool // skip the swap (write-only transactions)
+	Addr uint64
+	New  uint64
 }
 
 // Tx is rdx_tx: apply all staged writes, then commit with a single atomic
@@ -519,19 +525,6 @@ func (cf *CodeFlow) txOn(rem *RemoteMemory, writes []TxWrite, swap QwordSwap) er
 		if err := rem.WriteMem(w.Addr, 8, w.Qword); err != nil {
 			return err
 		}
-	}
-	if swap.Stealth {
-		return nil
-	}
-	if swap.Old != 0 {
-		prev, ok, err := rem.CompareAndSwapMem(swap.Addr, swap.Old, swap.New)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("core: tx commit conflict: expected %#x, found %#x", swap.Old, prev)
-		}
-		return nil
 	}
 	for {
 		cur, err := rem.ReadMem(swap.Addr, 8)
@@ -646,44 +639,40 @@ func (cf *CodeFlow) Rollback(hook string) (Deployed, error) {
 	if err != nil {
 		return Deployed{}, err
 	}
+	if err := cf.authorize(nil, hook); err != nil {
+		return Deployed{}, err
+	}
 	// pubMu is held from the history snapshot through the dispatch CAS:
 	// claimStandby also takes pubMu, so the previous version's blob cannot
 	// be claimed — and delta-overwritten — between this read and the
-	// pointer flip.
+	// pointer flip. A ring wrap can still reclaim it; the epoch snapshot
+	// makes flip refuse that.
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
-	// Check the fence before touching the rollback stack: a deposed
-	// controller must neither flip the pointer nor mutate its bookkeeping.
-	if err := cf.cp.checkFence(); err != nil {
-		return Deployed{}, fmt.Errorf("core: rollback of %q: %w", hook, err)
-	}
 	cf.mu.Lock()
-	h := cf.history[hook]
+	h, epoch := cf.history[hook], cf.wrapEpoch
 	if len(h) < 2 {
 		cf.mu.Unlock()
 		return Deployed{}, fmt.Errorf("core: no prior version to roll back to on %q", hook)
 	}
 	prev := h[len(h)-2]
+	cf.mu.Unlock()
 	if prev.Reclaimed {
 		// The blob's bytes are gone (claimed as a delta target, or the
 		// ring wrapped past it): flipping the pointer back would dispatch
 		// whatever overwrote them. Leave history intact and tell the
 		// caller why; recovering the old version needs a full redeploy.
-		cf.mu.Unlock()
 		return Deployed{}, fmt.Errorf("core: cannot roll back %q to version %d (%s): its blob was reclaimed for delta staging; redeploy it instead",
 			hook, prev.Version, prev.Name)
 	}
-	cf.history[hook] = h[:len(h)-1]
-	cf.mu.Unlock()
-
-	if err := cf.Tx(
-		[]TxWrite{{Addr: hookAddr + node.HookOffVersion, Qword: prev.Version}},
-		QwordSwap{Addr: hookAddr + node.HookOffDispatch, New: prev.Blob},
-	); err != nil {
-		return Deployed{}, err
+	if err := cf.flip(cf.Remote, hookAddr, epoch, prev.Blob,
+		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: prev.Version}); err != nil {
+		// Fenced, wrapped or failed on the wire: the stack, the version
+		// map and the journal stay as they were.
+		return Deployed{}, fmt.Errorf("core: rollback of %q: %w", hook, err)
 	}
-	cf.CCEvent(hookAddr + node.HookOffDispatch)
 	cf.mu.Lock()
+	cf.history[hook] = h[:len(h)-1]
 	cf.switchDispatch(hook, prev.Blob)
 	cf.mu.Unlock()
 	// Rolling back intentionally regresses the version: force the
@@ -766,13 +755,13 @@ func (cf *CodeFlow) InjectExtension(e *ext.Extension, hook string) (Report, erro
 
 // tryResidentInject attempts the repeat-deployment fast path: if the
 // extension's digest is already resident in the node's code region, the
-// inject reduces to a commit-only transaction. The resident lookup and the
-// dispatch CAS happen under ONE pubMu hold: claimStandby also takes pubMu
-// and purges the resident index before releasing it, so a blob observed
-// here cannot be claimed — and delta-overwritten — before the CAS
-// dispatches it. Returns handled=false when the digest is not resident (or
-// a concurrent ring wrap invalidated the index mid-path) and the caller
-// must run the full pipeline.
+// inject reduces to a commit-only flip plus installPublished's
+// bookkeeping. The resident lookup and the flip happen under ONE pubMu
+// hold: claimStandby also takes pubMu and purges the resident index before
+// releasing it, so a blob observed here cannot be claimed — and
+// delta-overwritten — before the CAS dispatches it. Returns handled=false
+// when the digest is not resident (or a concurrent ring wrap invalidated
+// the index mid-path) and the caller must run the full pipeline.
 func (cf *CodeFlow) tryResidentInject(e *ext.Extension, hook string, digest string, start time.Time, rep *Report) (handled bool, err error) {
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
@@ -791,40 +780,24 @@ func (cf *CodeFlow) tryResidentInject(e *ext.Extension, hook string, digest stri
 	if err != nil {
 		return true, err
 	}
-	// The version FETCH_ADD was a remote round trip; a concurrent stage
-	// may have wrapped the code ring under it, reclaiming res.blob. The
-	// wrap cleared the resident index, so fall back to the full pipeline.
-	if cf.wrappedSince(epoch) {
+	t0 := time.Now()
+	err = cf.flip(cf.Remote, hookAddr, epoch, res.blob,
+		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: version})
+	if errors.Is(err, ErrRingWrapped) {
+		// A concurrent stage wrapped the code ring under the version
+		// FETCH_ADD, reclaiming res.blob and clearing the resident index:
+		// run the full pipeline instead.
 		return false, nil
 	}
-	// Commit-only path or not, the fast-path CAS is still a dispatch flip:
-	// a deposed controller fails here instead of republishing stale code.
-	if err := cf.cp.checkFence(); err != nil {
+	if err != nil {
 		return true, fmt.Errorf("core: inject of %q on %q: %w", e.Name(), hook, err)
 	}
-	t0 := time.Now()
-	if err := cf.Tx(
-		[]TxWrite{{Addr: hookAddr + node.HookOffVersion, Qword: version}},
-		QwordSwap{Addr: hookAddr + node.HookOffDispatch, New: res.blob},
-	); err != nil {
-		return true, err
-	}
-	cf.CCEvent(hookAddr + node.HookOffDispatch)
 	rep.Commit = time.Since(t0)
 	rep.CacheHit = true
 	rep.Version = version
 	rep.Blob = res.blob
 	rep.Total = time.Since(start)
-	cf.mu.Lock()
-	cf.history[hook] = PushDeployed(cf.history[hook], Deployed{Blob: res.blob, Version: version, Name: e.Name(), Digest: digest})
-	cf.switchDispatch(hook, res.blob)
-	cf.mu.Unlock()
-	cf.cp.recordDeployed(cf.NodeKey(), hook,
-		DeployedVersion{Digest: digest, Version: version, Blob: res.blob}, false)
-	if j := cf.cp.journal(); j != nil {
-		j.JournalPublish(cf.NodeKey(), hook,
-			Deployed{Blob: res.blob, Version: version, Name: e.Name(), Digest: digest})
-	}
+	cf.installPublished(hook, nil, Deployed{Blob: res.blob, Version: version, Name: e.Name(), Digest: digest})
 	return true, nil
 }
 

@@ -19,8 +19,8 @@ import (
 var ErrFenced = errors.New("core: control plane fenced (leadership lease lost)")
 
 // FenceCheck verifies that the control plane may still act as leader. It is
-// consulted under pubMu immediately before every dispatch CAS (publish,
-// resident fast path, rollback) and before a standby-blob claim, extending
+// consulted under pubMu inside CodeFlow.flip, immediately before every
+// dispatch CAS, and before a standby-blob claim, extending
 // the wrapEpoch pattern: the check narrows the window between deposal and a
 // stale pointer flip to a single in-flight verb. Implementations should
 // return an error wrapping ErrFenced when the lease is lost, and fail

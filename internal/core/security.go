@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"time"
 
 	"rdx/internal/ext"
@@ -26,7 +27,9 @@ type Privilege struct {
 	Kinds []ext.Kind
 	// MaxOps caps the validated size of deployable extensions (0 = none).
 	MaxOps int
-	// CanRollback permits Rollback and Broadcast operations.
+	// CanRollback permits Rollback (and so Quarantine) on the role's
+	// hooks. Broadcasts need no extra privilege: every node's stage passes
+	// the deploy check above.
 	CanRollback bool
 }
 
@@ -39,47 +42,30 @@ type AccessPolicy struct {
 // ErrDenied is returned when the policy rejects an operation.
 var ErrDenied = fmt.Errorf("core: operation denied by access policy")
 
-// check validates a deployment request against the policy.
+// check validates a request against the policy: deploying e to hook, or —
+// with e nil — rolling hook back.
 func (p *AccessPolicy) check(role Role, e *ext.Extension, hook string, info ext.Info) error {
-	if p == nil {
-		return nil
-	}
 	priv, ok := p.Roles[role]
-	if !ok {
+	switch {
+	case !ok:
 		return fmt.Errorf("%w: unknown role %q", ErrDenied, role)
-	}
-	if len(priv.Hooks) > 0 {
-		allowed := false
-		for _, h := range priv.Hooks {
-			if h == hook {
-				allowed = true
-				break
-			}
-		}
-		if !allowed {
-			return fmt.Errorf("%w: role %q may not deploy to hook %q", ErrDenied, role, hook)
-		}
-	}
-	if len(priv.Kinds) > 0 {
-		allowed := false
-		for _, k := range priv.Kinds {
-			if k == e.Kind {
-				allowed = true
-				break
-			}
-		}
-		if !allowed {
-			return fmt.Errorf("%w: role %q may not deploy %v extensions", ErrDenied, role, e.Kind)
-		}
-	}
-	if priv.MaxOps > 0 && info.Ops > priv.MaxOps {
+	case len(priv.Hooks) > 0 && !slices.Contains(priv.Hooks, hook):
+		return fmt.Errorf("%w: role %q may not deploy to hook %q", ErrDenied, role, hook)
+	case e == nil && !priv.CanRollback:
+		return fmt.Errorf("%w: role %q may not roll back hook %q", ErrDenied, role, hook)
+	case e == nil:
+		return nil
+	case len(priv.Kinds) > 0 && !slices.Contains(priv.Kinds, e.Kind):
+		return fmt.Errorf("%w: role %q may not deploy %v extensions", ErrDenied, role, e.Kind)
+	case priv.MaxOps > 0 && info.Ops > priv.MaxOps:
 		return fmt.Errorf("%w: extension of %d ops exceeds role %q limit %d", ErrDenied, info.Ops, role, priv.MaxOps)
 	}
 	return nil
 }
 
 // SetPolicy installs (or clears, with nil) the control plane's access
-// policy. Deployments through CodeFlows bound to a role are checked.
+// policy. Deployments — direct or staged by the scheduler — and rollbacks
+// through CodeFlows bound to a role are checked.
 func (cp *ControlPlane) SetPolicy(p *AccessPolicy) {
 	cp.mu.Lock()
 	cp.policy = p
@@ -87,14 +73,15 @@ func (cp *ControlPlane) SetPolicy(p *AccessPolicy) {
 }
 
 // Bind assigns a principal role to this CodeFlow; subsequent deployments
-// are checked against the control plane's policy.
+// and rollbacks are checked against the control plane's policy.
 func (cf *CodeFlow) Bind(role Role) {
 	cf.mu.Lock()
 	cf.role = role
 	cf.mu.Unlock()
 }
 
-// authorize runs the policy check for a deployment on this handle.
+// authorize runs the policy check on this handle for deploying e to hook,
+// or for rolling hook back when e is nil.
 func (cf *CodeFlow) authorize(e *ext.Extension, hook string) error {
 	cf.cp.mu.Lock()
 	policy := cf.cp.policy
@@ -105,11 +92,23 @@ func (cf *CodeFlow) authorize(e *ext.Extension, hook string) error {
 	cf.mu.Lock()
 	role := cf.role
 	cf.mu.Unlock()
-	info, err := cf.cp.ValidateCode(e)
-	if err != nil {
-		return err
+	var info ext.Info
+	if e != nil {
+		var err error
+		if info, err = cf.cp.ValidateCode(e); err != nil {
+			return err
+		}
 	}
 	return policy.check(role, e, hook, info)
+}
+
+// recordCodeHash fingerprints the code published at blob, for
+// VerifyIntegrity to compare against what it reads back.
+func (cf *CodeFlow) recordCodeHash(blob uint64, code []byte) {
+	sum := sha256.Sum256(code)
+	cf.mu.Lock()
+	cf.codeHashes[blob] = hex.EncodeToString(sum[:])
+	cf.mu.Unlock()
 }
 
 // SetRuntimeLimit caps the instructions any single execution of the hook's

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"rdx/internal/ext"
 	"rdx/internal/node"
+	"rdx/internal/pipeline"
 	"rdx/internal/wasm"
 	"rdx/internal/xabi"
 )
@@ -33,6 +35,86 @@ func TestAccessPolicyHookRestriction(t *testing.T) {
 	r.cp.SetPolicy(nil)
 	if _, err := cf.InjectExtension(constProg("open", 2), "egress"); err != nil {
 		t.Errorf("open access after clearing policy: %v", err)
+	}
+}
+
+// TestPolicyCoversSchedulerPath: the scheduler's stage — behind every
+// Broadcast and every multi-node shard job — passes the same policy gate
+// as InjectExtension, per node and before any verb: a role limited to
+// ingress reaches egress on no node and moves no dispatch pointer.
+func TestPolicyCoversSchedulerPath(t *testing.T) {
+	r := newRig(t, 3, "ingress", "egress")
+	r.cp.SetPolicy(&AccessPolicy{Roles: map[Role]Privilege{
+		"edge-team": {Hooks: []string{"ingress"}},
+	}})
+	targets := make([]pipeline.Target, len(r.cfs))
+	for i, cf := range r.cfs {
+		cf.Bind("edge-team")
+		targets[i] = cf
+	}
+
+	res, err := r.cp.Scheduler().Inject(pipeline.Request{
+		Ext: constProg("sneak", 7), Hook: "egress", Targets: targets, Deadline: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range res.Outcomes {
+		if !errors.Is(o.Err, ErrDenied) {
+			t.Errorf("node %d: scheduler outcome %v, want ErrDenied", i, o.Err)
+		}
+	}
+	if _, err := Group(r.cfs).Broadcast(constProg("sneak", 7), BroadcastOptions{Hook: "egress"}); !errors.Is(err, ErrDenied) {
+		t.Errorf("broadcast to a forbidden hook: %v, want ErrDenied", err)
+	}
+	for i, cf := range r.cfs {
+		hookAddr, _ := cf.HookAddr("egress")
+		if blob, err := cf.Remote.ReadMem(hookAddr+node.HookOffDispatch, 8); err != nil || blob != 0 {
+			t.Errorf("node %d: egress dispatch pointer = %#x (err %v), want untouched", i, blob, err)
+		}
+	}
+
+	// The allowed hook still broadcasts, and each node's stage is audited.
+	before := r.cp.AuditLen()
+	if _, err := Group(r.cfs).Broadcast(constProg("fine", 3), BroadcastOptions{Hook: "ingress"}); err != nil {
+		t.Fatalf("broadcast to an allowed hook: %v", err)
+	}
+	if got := r.cp.AuditLen() - before; got != len(r.cfs) {
+		t.Errorf("audit entries for a %d-node broadcast = %d, want one stage per node", len(r.cfs), got)
+	}
+}
+
+// TestRollbackNeedsCanRollback: with a policy installed, Rollback — and so
+// Quarantine — needs Privilege.CanRollback; a refused rollback moves
+// nothing.
+func TestRollbackNeedsCanRollback(t *testing.T) {
+	r := newRig(t, 1)
+	cf := r.cfs[0]
+	r.cp.SetPolicy(&AccessPolicy{Roles: map[Role]Privilege{
+		"deployer": {},
+		"operator": {CanRollback: true},
+	}})
+	cf.Bind("deployer")
+	for i, e := range []*ext.Extension{constProg("good", 1), constProg("bad", 2)} {
+		if _, err := cf.InjectExtension(e, "ingress"); err != nil {
+			t.Fatalf("inject %d: %v", i, err)
+		}
+	}
+	if _, err := cf.Rollback("ingress"); !errors.Is(err, ErrDenied) {
+		t.Errorf("rollback without CanRollback: %v, want ErrDenied", err)
+	}
+	if _, err := cf.Quarantine("ingress", 5000); !errors.Is(err, ErrDenied) {
+		t.Errorf("quarantine without CanRollback: %v, want ErrDenied", err)
+	}
+	res, err := r.nodes[0].ExecHook("ingress", make([]byte, xabi.CtxSize), nil)
+	if err != nil || res.Verdict != 2 || len(cf.History("ingress")) != 2 {
+		t.Fatalf("after refused rollbacks: verdict %d err %v, %d history entries; want 2, nil, 2",
+			res.Verdict, err, len(cf.History("ingress")))
+	}
+
+	cf.Bind("operator")
+	if prev, err := cf.Rollback("ingress"); err != nil || prev.Name != "good" {
+		t.Fatalf("rollback with CanRollback: %+v, %v", prev, err)
 	}
 }
 

@@ -111,14 +111,18 @@ func (cf *CodeFlow) claimStandby(hook string, need int) (*slotImage, uint64) {
 }
 
 // installPublished records one successful publish: history, the dispatch
-// shadow, slot double-buffering (the displaced active becomes the new
-// standby), the resident fast-path index, and the control plane's
-// deployed-version map.
+// shadow, the control plane's deployed-version map and the journal entry.
+// A freshly written slot also installs as the hook's active — the displaced
+// active becomes the new standby — and enters the resident fast-path
+// index; a nil slot (the resident fast path re-targeting an already
+// written blob) moves the dispatch shadow with switchDispatch instead.
 func (cf *CodeFlow) installPublished(hook string, slot *slotImage, d Deployed) {
 	cf.mu.Lock()
 	cf.history[hook] = PushDeployed(cf.history[hook], d)
-	cf.dispatch[hook] = d.Blob
-	if slot != nil {
+	if slot == nil {
+		cf.switchDispatch(hook, d.Blob)
+	} else {
+		cf.dispatch[hook] = d.Blob
 		hs := cf.slots[hook]
 		if hs == nil {
 			hs = &hookSlots{}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -65,6 +63,12 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	if err != nil {
 		return nil, err
 	}
+	// The scheduler path (Broadcast, multi-node shard jobs) passes the same
+	// policy gate as InjectExtension, per node, before any verb.
+	if err := cf.authorize(e, hook); err != nil {
+		return nil, err
+	}
+	cf.cp.audit(cf.NodeID, "stage", hook, e.Name())
 	linkStart := time.Now()
 	bin, err := cf.JITCompileCode(e)
 	if err != nil {
@@ -85,11 +89,7 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	link := time.Since(linkStart)
 
 	writeStart := time.Now()
-	hdr := node.EncodeBlobHeader(bin.Arch, node.BlobParams{
-		Kind: params.Kind, Version: version, MemBase: params.MemBase, GlobBase: params.GlobBase,
-	}, len(bin.Code))
-	payload := append(hdr, bin.Code...)
-
+	payload := blobImage(bin, params, version)
 	sd := &StagedDeploy{
 		cf: cf, hook: hook, name: e.Name(), digest: e.Digest(),
 		hookAddr: hookAddr, version: version, link: link,
@@ -116,11 +116,7 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	}
 	sd.slot.kind = params.Kind
 	sd.write = time.Since(writeStart)
-
-	codeSum := sha256.Sum256(bin.Code)
-	cf.mu.Lock()
-	cf.codeHashes[sd.blob] = hex.EncodeToString(codeSum[:])
-	cf.mu.Unlock()
+	cf.recordCodeHash(sd.blob, bin.Code)
 	if j := cf.cp.journal(); j != nil {
 		j.JournalStage(cf.NodeKey(), hook, sd.name, sd.digest, sd.version, sd.blob)
 	}
@@ -218,38 +214,21 @@ func (cf *CodeFlow) stageFull(rem *RemoteMemory, sd *StagedDeploy, slot *slotIma
 	return nil
 }
 
-// Publish implements pipeline.Staged: version write + dispatch CAS +
-// cc_event, the commit-only transaction, issued under ctx. On success the
-// slot bookkeeping flips: the published blob becomes the hook's active,
-// the displaced active becomes the standby (the next delta target), and
-// the control plane's deployed-version map records the new version.
+// Publish implements pipeline.Staged: the version write plus the flip,
+// issued under ctx. On success the slot bookkeeping flips: the published
+// blob becomes the hook's active, the displaced active becomes the standby
+// (the next delta target), and the control plane's deployed-version map
+// records the new version. A ring wrap since the stage fails retryably (a
+// re-driven stage allocates post-wrap space); ErrFenced is permanent, so
+// the scheduler does not retry it.
 func (s *StagedDeploy) Publish(ctx context.Context) error {
 	cf := s.cf
-	rem := cf.remote(ctx)
-	// pubMu keeps the commit CAS and the shadow bookkeeping in the same
-	// order across concurrent publishes (see CodeFlow.pubMu).
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
-	// A ring wrap since this stage claimed/allocated its blob may have
-	// handed the address range to a fresh allocation: the CAS would point
-	// the hook at someone else's (or garbage) code. Fail retryably — a
-	// re-driven stage allocates post-wrap space.
-	if cf.wrappedSince(s.epoch) {
-		return fmt.Errorf("core: publish of %q on %q: %w", s.name, s.hook, ErrRingWrapped)
-	}
-	// Leadership fence: checked after the wrap guard and immediately before
-	// the commit CAS, so a controller deposed mid-broadcast cannot flip the
-	// hook pointer (ErrFenced is permanent — the scheduler won't retry it).
-	if err := cf.cp.checkFence(); err != nil {
+	if err := cf.flip(cf.remote(ctx), s.hookAddr, s.epoch, s.blob,
+		TxWrite{Addr: s.hookAddr + node.HookOffVersion, Qword: s.version}); err != nil {
 		return fmt.Errorf("core: publish of %q on %q: %w", s.name, s.hook, err)
 	}
-	if err := cf.txOn(rem,
-		[]TxWrite{{Addr: s.hookAddr + node.HookOffVersion, Qword: s.version}},
-		QwordSwap{Addr: s.hookAddr + node.HookOffDispatch, New: s.blob},
-	); err != nil {
-		return err
-	}
-	cf.ccEventOn(rem, s.hookAddr+node.HookOffDispatch)
 	cf.installPublished(s.hook, s.slot,
 		Deployed{Blob: s.blob, Version: s.version, Name: s.name, Digest: s.digest})
 	return nil

@@ -1,21 +1,14 @@
 package shard
 
-import (
-	"container/heap"
-	"sync"
-)
+import "sync"
 
-// strideScale is the stride numerator: a tenant of weight w advances its
-// virtual-time pass by strideScale/w per dispatched job, so long-run
-// dispatch shares converge to weights regardless of queue depths.
-const strideScale = 1 << 20
-
-// fairQueue schedules queued jobs across tenants within one shard by
-// stride scheduling: every push lands in the tenant's FIFO, every pop
-// takes the head of the tenant with the minimum pass value and advances
-// that tenant's pass by its stride. A tenant entering (or re-entering)
-// the queue starts at the current minimum pass, so idleness banks no
-// credit and a burst from a heavy tenant cannot starve light ones.
+// fairQueue schedules queued jobs across tenants within one shard by round
+// robin: every push lands in the tenant's FIFO, every pop takes the head of
+// the tenant at the front of the ring and, if that tenant still has jobs,
+// moves it to the back. A tenant joins the ring when its FIFO goes
+// non-empty and is forgotten — ring and map alike — when it drains, so
+// idleness banks no credit, a burst from one tenant cannot starve the
+// others, and the queue's state is bounded by its backlog.
 //
 // push blocks while the queue is at capacity; pop blocks while it is
 // empty. close(err) unblocks everything: queued jobs complete with err,
@@ -27,24 +20,16 @@ type fairQueue struct {
 
 	cap       int
 	depth     int
-	executing int                 // popped but not yet acknowledged done (drain barrier)
-	active    tenantHeap          // non-empty tenants, min-pass at the root
-	tenants   map[string]*tenantQ // every tenant ever seen (pass retained while idle)
+	executing int               // popped but not yet acknowledged done (drain barrier)
+	fifos     map[string][]*Job // backlogged tenants' FIFOs
+	ring      []string          // backlogged tenants in service order from ring[head]
+	head      int
 	closed    bool
 	err       error
 }
 
-// tenantQ is one tenant's FIFO plus its stride-scheduling state.
-type tenantQ struct {
-	name   string
-	jobs   []*Job
-	pass   uint64
-	stride uint64
-	idx    int // heap index, -1 when idle
-}
-
 func newFairQueue(capacity int) *fairQueue {
-	q := &fairQueue{cap: capacity, tenants: map[string]*tenantQ{}}
+	q := &fairQueue{cap: capacity, fifos: map[string][]*Job{}}
 	q.full = sync.NewCond(&q.mu)
 	q.work = sync.NewCond(&q.mu)
 	return q
@@ -62,16 +47,13 @@ func (q *fairQueue) push(j *Job) error {
 	if q.closed {
 		return q.closeErr()
 	}
-	tq := q.tenant(j.Tenant, j.weight)
-	tq.jobs = append(tq.jobs, j)
-	if tq.idx == -1 {
-		// (Re-)activation: start at the current minimum pass so the tenant
-		// competes from now, not from banked history.
-		if len(q.active) > 0 && q.active[0].pass > tq.pass {
-			tq.pass = q.active[0].pass
-		}
-		heap.Push(&q.active, tq)
+	fifo, backlogged := q.fifos[j.Tenant]
+	if !backlogged {
+		// (Re-)activation: the tenant takes its turn after every tenant
+		// already backlogged, not from banked history.
+		q.enqueue(j.Tenant)
 	}
+	q.fifos[j.Tenant] = append(fifo, j)
 	q.depth++
 	q.work.Signal()
 	return nil
@@ -89,20 +71,34 @@ func (q *fairQueue) pop() (*Job, bool) {
 	if q.depth == 0 {
 		return nil, false
 	}
-	tq := q.active[0]
-	j := tq.jobs[0]
-	tq.jobs = tq.jobs[1:]
-	tq.pass += tq.stride
-	if len(tq.jobs) == 0 {
-		heap.Pop(&q.active)
-		tq.idx = -1
+	tenant := q.ring[q.head]
+	q.ring[q.head] = ""
+	q.head++
+	fifo := q.fifos[tenant]
+	j := fifo[0]
+	fifo[0] = nil
+	if len(fifo) > 1 {
+		q.fifos[tenant] = fifo[1:]
+		q.enqueue(tenant)
 	} else {
-		heap.Fix(&q.active, 0)
+		delete(q.fifos, tenant)
 	}
 	q.depth--
 	q.executing++
 	q.full.Signal()
 	return j, true
+}
+
+// enqueue appends tenant to the ring's tail. A full backing array first
+// slides the live tenants down over the served prefix, so the ring reuses
+// its array instead of growing with every turn.
+func (q *fairQueue) enqueue(tenant string) {
+	if q.head > 0 && len(q.ring) == cap(q.ring) {
+		n := copy(q.ring, q.ring[q.head:])
+		clear(q.ring[n:])
+		q.ring, q.head = q.ring[:n], 0
+	}
+	q.ring = append(q.ring, tenant)
 }
 
 // jobDone acknowledges that a popped job delivered its outcome. Pops and
@@ -132,13 +128,13 @@ func (q *fairQueue) close(err error) {
 	}
 	q.closed = true
 	q.err = err
-	for _, tq := range q.active {
-		for _, j := range tq.jobs {
+	for _, fifo := range q.fifos {
+		for _, j := range fifo {
 			j.finish(q.closeErr())
 		}
-		tq.jobs = nil
 	}
-	q.active = nil
+	clear(q.fifos)
+	q.ring, q.head = nil, 0
 	q.depth = 0
 	q.full.Broadcast()
 	q.work.Broadcast()
@@ -151,41 +147,9 @@ func (q *fairQueue) closeErr() error {
 	return ErrShardUnavailable
 }
 
-// tenant returns (lazily creating) the tenant's queue state with the
-// given weight (minimum 1). Weight changes take effect on the tenant's
-// next dispatch.
-func (q *fairQueue) tenant(name string, weight int) *tenantQ {
-	if weight < 1 {
-		weight = 1
-	}
-	tq, ok := q.tenants[name]
-	if !ok {
-		tq = &tenantQ{name: name, idx: -1}
-		q.tenants[name] = tq
-	}
-	tq.stride = strideScale / uint64(weight)
-	return tq
-}
-
 // len reports the current queue depth.
 func (q *fairQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.depth
-}
-
-// tenantHeap is a min-heap of active tenants by pass value.
-type tenantHeap []*tenantQ
-
-func (h tenantHeap) Len() int            { return len(h) }
-func (h tenantHeap) Less(i, j int) bool  { return h[i].pass < h[j].pass }
-func (h tenantHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
-func (h *tenantHeap) Push(x interface{}) { tq := x.(*tenantQ); tq.idx = len(*h); *h = append(*h, tq) }
-func (h *tenantHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	tq := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return tq
 }

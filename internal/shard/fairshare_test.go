@@ -7,38 +7,66 @@ import (
 	"testing"
 )
 
-func job(tenant string, weight int) *Job {
-	return &Job{Tenant: tenant, weight: weight, done: make(chan error, 1)}
+func job(tenant string) *Job {
+	return &Job{Tenant: tenant, done: make(chan error, 1)}
 }
 
-// TestFairShareWeights: with three backlogged tenants of weights 3/2/1,
-// dispatch counts over a long run converge to the weight ratio.
+// TestFairShareWeights: there are no weights — three backlogged tenants
+// share dispatch exactly equally, one job each per round, whatever their
+// queue depths.
 func TestFairShareWeights(t *testing.T) {
 	q := newFairQueue(10000)
-	weights := map[string]int{"a": 3, "b": 2, "c": 1}
-	const per = 600
-	for tn, w := range weights {
-		for i := 0; i < per; i++ {
-			if err := q.push(job(tn, w)); err != nil {
+	depths := map[string]int{"a": 900, "b": 600, "c": 300}
+	for tn, n := range depths {
+		for i := 0; i < n; i++ {
+			if err := q.push(job(tn)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	counts := map[string]int{}
-	const draws = 600 // all tenants stay backlogged throughout
+	const draws = 900 // all tenants stay backlogged throughout
 	for i := 0; i < draws; i++ {
 		j, ok := q.pop()
 		if !ok {
 			t.Fatal("pop failed with jobs queued")
 		}
 		counts[j.Tenant]++
-	}
-	// Exact stride shares: 300/200/100 of 600. Allow ±2 for heap tie-breaks.
-	want := map[string]int{"a": 300, "b": 200, "c": 100}
-	for tn, w := range want {
-		if d := counts[tn] - w; d < -2 || d > 2 {
-			t.Errorf("tenant %s dispatched %d of %d, want ~%d (weights 3:2:1)", tn, counts[tn], draws, w)
+		for tn, c := range counts {
+			if c > (i+3)/3 {
+				t.Fatalf("after %d draws tenant %s has %d: ahead of its round", i+1, tn, c)
+			}
 		}
+	}
+	for tn := range depths {
+		if counts[tn] != draws/3 {
+			t.Errorf("tenant %s dispatched %d of %d, want exactly %d", tn, counts[tn], draws, draws/3)
+		}
+	}
+}
+
+// TestFairQueueForgetsDrainedTenants: the queue's tenant state is bounded
+// by its backlog — 10 000 one-job tenants, served in arrival order, leave
+// an empty tenant map and ring once drained.
+func TestFairQueueForgetsDrainedTenants(t *testing.T) {
+	const tenants = 10000
+	q := newFairQueue(tenants)
+	for i := 0; i < tenants; i++ {
+		if err := q.push(job(fmt.Sprintf("t%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(q.fifos); got != tenants {
+		t.Fatalf("%d tenants backlogged, want %d", got, tenants)
+	}
+	for i := 0; i < tenants; i++ {
+		j, ok := q.pop()
+		if !ok || j.Tenant != fmt.Sprintf("t%d", i) {
+			t.Fatalf("pop %d = %v, want tenant t%d in arrival order", i, j, i)
+		}
+	}
+	if n := len(q.ring) - q.head; len(q.fifos) != 0 || n != 0 {
+		t.Fatalf("after draining: %d tenants in the map, %d in the ring, want 0 and 0", len(q.fifos), n)
 	}
 }
 
@@ -47,7 +75,7 @@ func TestFairShareFIFOWithinTenant(t *testing.T) {
 	q := newFairQueue(100)
 	var jobs []*Job
 	for i := 0; i < 10; i++ {
-		j := job("tn", 1)
+		j := job("tn")
 		j.Hook = fmt.Sprintf("h%d", i)
 		jobs = append(jobs, j)
 		if err := q.push(j); err != nil {
@@ -63,22 +91,21 @@ func TestFairShareFIFOWithinTenant(t *testing.T) {
 }
 
 // TestFairShareNoBankedCredit: a tenant idle while another drains the
-// queue re-enters at the current minimum pass — it does not get a
-// monopolizing run from "saved up" virtual time.
+// queue re-enters behind the tenants already backlogged — it does not get
+// a monopolizing run from time spent idle.
 func TestFairShareNoBankedCredit(t *testing.T) {
 	q := newFairQueue(1000)
-	// Busy tenant runs alone for a while, advancing its pass far ahead.
+	// Busy tenant runs alone for a while.
 	for i := 0; i < 50; i++ {
-		q.push(job("busy", 1))
+		q.push(job("busy"))
 	}
 	for i := 0; i < 50; i++ {
 		q.pop()
 	}
-	// Now both queue up. The idler must not win every draw until it
-	// "catches up" 50 strides — shares should be ~even from here on.
+	// Now both queue up: shares should be ~even from here on.
 	for i := 0; i < 40; i++ {
-		q.push(job("busy", 1))
-		q.push(job("idler", 1))
+		q.push(job("busy"))
+		q.push(job("idler"))
 	}
 	counts := map[string]int{}
 	for i := 0; i < 40; i++ {
@@ -97,10 +124,10 @@ func TestFairShareNoBankedCredit(t *testing.T) {
 // after a pop frees a slot.
 func TestFairQueueBlockingBackpressure(t *testing.T) {
 	q := newFairQueue(2)
-	q.push(job("tn", 1))
-	q.push(job("tn", 1))
+	q.push(job("tn"))
+	q.push(job("tn"))
 	released := make(chan error, 1)
-	go func() { released <- q.push(job("tn", 1)) }()
+	go func() { released <- q.push(job("tn")) }()
 	select {
 	case err := <-released:
 		t.Fatalf("push returned (%v) with the queue at capacity", err)
@@ -121,11 +148,11 @@ func TestFairQueueBlockingBackpressure(t *testing.T) {
 // wakes blocked pushers, and makes pop return !ok.
 func TestFairQueueClose(t *testing.T) {
 	q := newFairQueue(2)
-	j1, j2 := job("a", 1), job("b", 1)
+	j1, j2 := job("a"), job("b")
 	q.push(j1)
 	q.push(j2)
 	blockedPush := make(chan error, 1)
-	go func() { blockedPush <- q.push(job("c", 1)) }()
+	go func() { blockedPush <- q.push(job("c")) }()
 
 	cause := fmt.Errorf("%w: leader deposed", ErrShardUnavailable)
 	q.close(cause)
@@ -160,7 +187,7 @@ func TestFairQueueConcurrent(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perPusher; i++ {
-				if err := q.push(job(fmt.Sprintf("t%d", p), 1+p%3)); err != nil {
+				if err := q.push(job(fmt.Sprintf("t%d", p))); err != nil {
 					t.Errorf("push: %v", err)
 					return
 				}

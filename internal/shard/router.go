@@ -27,9 +27,6 @@ type Config struct {
 	// DefaultQuota admits tenants with no explicit quota. The zero value
 	// is unlimited.
 	DefaultQuota TenantQuota
-	// DefaultWeight is the fair-share weight of tenants with no explicit
-	// weight (default 1).
-	DefaultWeight int
 	// Registry receives every shard.* instrument; nil creates a private
 	// registry.
 	Registry *telemetry.Registry
@@ -44,9 +41,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
-	}
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
@@ -68,10 +62,9 @@ type Router struct {
 	ring *Map
 	adm  *Admission
 
-	mu      sync.RWMutex
-	shards  map[int]*Shard
-	weights map[string]int
-	closed  bool
+	mu     sync.RWMutex
+	shards map[int]*Shard
+	closed bool
 
 	// keyMu guards the published-key table feeding rebalance planning: for
 	// every key that ever published successfully, which executor nodes its
@@ -102,13 +95,12 @@ type keyInfo struct {
 func NewRouter(cfg Config) *Router {
 	cfg.fillDefaults()
 	return &Router{
-		cfg:     cfg,
-		reg:     cfg.Registry,
-		ring:    NewMap(cfg.VNodes),
-		adm:     NewAdmission(cfg.DefaultQuota, cfg.Registry).WithClock(cfg.Clock),
-		shards:  map[int]*Shard{},
-		weights: map[string]int{},
-		keys:    map[string]*keyInfo{},
+		cfg:    cfg,
+		reg:    cfg.Registry,
+		ring:   NewMap(cfg.VNodes),
+		adm:    NewAdmission(cfg.DefaultQuota, cfg.Registry).WithClock(cfg.Clock),
+		shards: map[int]*Shard{},
+		keys:   map[string]*keyInfo{},
 	}
 }
 
@@ -176,13 +168,6 @@ func (r *Router) RemoveShard(id int) {
 // SetQuota overrides a tenant's admission quota.
 func (r *Router) SetQuota(tenant string, q TenantQuota) { r.adm.SetQuota(tenant, q) }
 
-// SetWeight overrides a tenant's fair-share weight (minimum 1).
-func (r *Router) SetWeight(tenant string, w int) {
-	r.mu.Lock()
-	r.weights[tenant] = w
-	r.mu.Unlock()
-}
-
 // ShardFor reveals which shard owns (tenant, hook) — the bench and the
 // stats surface use it; Publish routes internally.
 func (r *Router) ShardFor(tenant, hook string) (int, bool) {
@@ -221,16 +206,11 @@ func (r *Router) Publish(ctx context.Context, j *Job) error {
 	}
 	r.mu.RLock()
 	s := r.shards[id]
-	w, okw := r.weights[j.Tenant]
 	r.mu.RUnlock()
 	if s == nil {
 		r.adm.Refund(j.Tenant, j.Bytes)
 		return fmt.Errorf("%w: shard %d absent", ErrShardUnavailable, id)
 	}
-	if !okw {
-		w = r.cfg.DefaultWeight
-	}
-	j.weight = w
 	j.routedEpoch = epoch
 	j.done = make(chan error, 1)
 	if err := s.submit(j); err != nil {

@@ -27,7 +27,6 @@ type Job struct {
 	// bytes quota; 0 charges only a publish token.
 	Bytes int
 
-	weight      int
 	routedEpoch uint64
 	done        chan error
 	once        sync.Once

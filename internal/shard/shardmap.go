@@ -6,7 +6,7 @@
 //
 // In front of the shards sits a thin Router keyed by consistent hashing
 // over (tenant, hook): per-tenant token-bucket admission control (publish
-// rate and staged bytes), weighted fair-share scheduling of queued jobs
+// rate and staged bytes), round-robin fair-share scheduling of queued jobs
 // across tenants within each shard, and per-shard telemetry wired into the
 // fleet registry. The deployment model gives each tenant a disjoint hook
 // namespace, so the shard owning a (tenant, hook) key exclusively owns the

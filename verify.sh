@@ -54,6 +54,12 @@ if [ "${1:-}" != "quick" ]; then
     # rollback-stack bound must hold on leader, replay and fold alike.
     echo "== hot standby fold + rollback bound (race, x20) =="
     go test -race -timeout 300s -count=20 -run 'TestHostFold|TestTakeOverFlat|TestRollbackDepth' ./internal/controlha ./internal/core
+    # Every publish path commits through one CodeFlow.flip (wrap guard,
+    # fence, rdx_tx, cc_event) and passes one policy gate: the claim races,
+    # the wrap guard, rollback's flip-then-pop order and the per-path verb
+    # pins repeat under -race.
+    echo "== publish paths (race, x20) =="
+    go test -race -timeout 300s -count=20 -run 'TestResidentFastPathVsDeltaClaimRace|TestConcurrentBroadcastLastWriterWins|TestPublishAfterRingWrapFails|TestRollback|TestPublishPath|TestPolicy' ./internal/core ./internal/controlha
 fi
 
 # The simregression build re-seeds three historical bugs (pre-rotation
