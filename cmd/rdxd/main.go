@@ -24,8 +24,9 @@
 // election logic — leadership is decided by CAS in its own memory.
 // -standby -shards N serves N independent hosts on consecutive ports from
 // -listen, one witness+ring per control-plane shard (see internal/shard).
-// -http also works in standby mode: /metrics replays each shard's pumped
-// journal copy and reports per-shard gauges — journal bytes/entries/seq,
+// -http also works in standby mode: /metrics pumps each shard's ring and
+// reads the state the host folds as it pumps (Host.State — no replay of the
+// journal copy), reporting per-shard gauges — journal bytes/entries/seq,
 // deployments, open intents, and rebalance handoff markers.
 //
 // On SIGINT/SIGTERM rdxd shuts down gracefully: it stops accepting QPs,

@@ -23,7 +23,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"sync"
+	"time"
 
 	"rdx/internal/core"
 	"rdx/internal/native"
@@ -306,6 +308,26 @@ type flight struct {
 	err  error
 }
 
+// landingSpin bounds how long the next flight's leader polls for the landing
+// of the flight ahead before it parks. That wait is about one flight's
+// verbs; parked, the leader needs a thread wake-up once the flight lands,
+// which on a virtualised host can take longer than the flight — with the
+// wire idle and every entry of the next batch waiting the whole time.
+const landingSpin = 50 * time.Microsecond
+
+// await returns once f has landed: it polls, yielding the processor between
+// polls, for up to landingSpin, then parks.
+func (f *flight) await() {
+	for end := time.Now().Add(landingSpin); time.Now().Before(end); runtime.Gosched() {
+		select {
+		case <-f.done:
+			return
+		default:
+		}
+	}
+	<-f.done
+}
+
 // NewJournal creates an empty journal registering its instruments in reg.
 func NewJournal(reg *telemetry.Registry) *Journal {
 	if reg == nil {
@@ -395,7 +417,7 @@ func (j *Journal) appendChecked(e Entry) error {
 		return f.err
 	}
 	if prev != nil {
-		<-prev.done // its landing sealed f
+		prev.await() // its landing sealed f
 	}
 	err := f.rep.Append(f.b)
 

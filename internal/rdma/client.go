@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,9 @@ type Completion struct {
 	// for the consumer, who must Release it. Ordinary verbs copy Data out
 	// of the frame and leave View nil.
 	View *FrameBuf
+
+	at time.Time // when the caller may have it: max(arrival, modeled due)
+	n  int       // response payload bytes
 }
 
 // Verbs is the initiator-side verb surface shared by a raw QP and the
@@ -71,6 +75,10 @@ type QP struct {
 	err     error // sticky transport error
 	done    chan struct{}
 
+	// lastDue is the modeled due time of the QP's latest completion; only
+	// readLoop touches it.
+	lastDue time.Time
+
 	// instr is the optional observability binding (metrics + tracer +
 	// node label), swappable at runtime so ReconnQP can instrument each
 	// generation while verbs are in flight on others.
@@ -84,10 +92,9 @@ type QP struct {
 // pendingVerbs are pooled: wait recycles one only when its channel is
 // provably empty and no sender can still hold the pointer — either the
 // completion was received, or the abandon removed the entry from the
-// pending map before any completer saw it. Every other path (post-write
-// failure after a concurrent drain, an in-flight send racing a timeout)
-// leaks the verb to the GC rather than risk a recycled channel receiving a
-// stale completion.
+// pending map before any completer saw it. The one other path, a post-write
+// failure after a concurrent drain, leaks the verb to the GC rather than
+// risk a recycled channel receiving a stale completion.
 type pendingVerb struct {
 	ch    chan Completion
 	id    uint64
@@ -187,7 +194,7 @@ func (qp *QP) readLoop() {
 			// failure. resp.data aliases the pooled frame, so it is copied
 			// out; plain write completions carry no data, and atomics
 			// decode theirs into OldVal, so both stay allocation-free.
-			c := Completion{ID: resp.id, Err: statusErr(resp.status)}
+			c := Completion{ID: resp.id, Err: statusErr(resp.status), n: len(resp.data)}
 			switch {
 			case pv.op == OpCAS || pv.op == OpFetchAdd:
 				if c.Err == nil && len(resp.data) == 8 {
@@ -204,7 +211,12 @@ func (qp *QP) readLoop() {
 			default:
 				c.Data = append([]byte(nil), resp.data...)
 			}
-			qp.completed(pv, len(resp.data), c.Err)
+			// The QP's verbs occupy the modeled fabric one after another:
+			// this one is due its charge after its post or the previous
+			// verb's due time, whichever is later — and is complete at
+			// that due time or on arrival, whichever is later.
+			qp.lastDue = later(pv.start, qp.lastDue).Add(resp.modeled)
+			c.at = later(time.Now(), qp.lastDue)
 			pv.ch <- c
 		}
 		f.Release()
@@ -218,20 +230,8 @@ func (qp *QP) readLoop() {
 	}
 }
 
-// completed accounts one finished verb: per-opcode count, completion
-// latency, inbound payload, and a wire-layer trace span.
-func (qp *QP) completed(pv *pendingVerb, bytesIn int, err error) {
-	in := qp.instruments()
-	in.m.verbDone(pv.op, time.Since(pv.start).Nanoseconds(), bytesIn, err)
-	if in.tr != nil {
-		bytes := pv.bytes
-		if pv.op == OpRead {
-			bytes = bytesIn
-		}
-		in.tr.Span(pv.trace, "wire", OpName(pv.op), in.node, pv.start, bytes, err)
-	}
-}
-
+// failAll fails every pending verb with err, which also sticks: later posts
+// are refused with ErrUnposted.
 func (qp *QP) failAll(err error) {
 	qp.pendMu.Lock()
 	qp.err = err
@@ -241,12 +241,9 @@ func (qp *QP) failAll(err error) {
 		drained = append(drained, pv)
 	}
 	qp.pendMu.Unlock()
-	// Account BEFORE sending, outside pendMu: the moment the completion is
-	// sent, the waiter may recycle pv into the pool, so pv must not be
-	// touched after the send (same ordering readLoop follows).
+	now := time.Now()
 	for _, pv := range drained {
-		qp.completed(pv, 0, err)
-		pv.ch <- Completion{ID: pv.id, Err: err}
+		pv.ch <- Completion{ID: pv.id, Err: err, at: now}
 	}
 }
 
@@ -371,54 +368,116 @@ func (qp *QP) abandon(id uint64) bool {
 	return ok
 }
 
-// wait blocks for the completion of posted verb pv, bounded by ctx and the
-// QP's default timeout. On timeout or cancellation the verb completes as
-// ErrTimeout and its pending entry is abandoned — the caller never blocks
-// on a dead fabric link. Note the verb may still execute remotely; only
+// wait blocks for the completion of posted verb pv and hands it to the
+// caller no earlier than its modeled due time, bounded by ctx and the QP's
+// default timeout. A verb not due by then — its completion not arrived, or
+// arrived but modeled to finish past the deadline — fails ErrTimeout and
+// its completion is dropped. Note the verb may still execute remotely; only
 // the completion is lost (real RC-QP semantics).
 //
 // wait owns pv's recycling; see pendingVerb for the rules.
 func (qp *QP) wait(ctx context.Context, pv *pendingVerb) (Completion, error) {
 	var timeout <-chan time.Time
+	var deadline time.Time
 	if d := time.Duration(qp.tmo.Load()); d > 0 {
 		t := time.NewTimer(d)
 		defer t.Stop()
-		timeout = t.C
+		timeout, deadline = t.C, pv.start.Add(d)
 	}
 	select {
 	case c := <-pv.ch:
-		pvPool.Put(pv)
-		return c, c.Err
+		if hold(ctx, timeout, deadline, c.at) {
+			return qp.deliver(pv, c)
+		}
+		return qp.expire(ctx, pv, c)
 	case <-timeout:
 	case <-ctx.Done():
 	}
-	id := pv.id
-	won := qp.abandon(id)
-	// The completion may have raced the deadline; prefer it if present.
-	// (The completion path accounts a raced completion itself — won is
-	// false then.)
-	select {
-	case c := <-pv.ch:
-		pvPool.Put(pv)
-		return c, c.Err
-	default:
+	// A completer that took the entry before the abandon sends at once; its
+	// completion is kept only if it is already due.
+	var c Completion
+	if !qp.abandon(pv.id) {
+		if c = <-pv.ch; !c.at.After(time.Now()) {
+			return qp.deliver(pv, c)
+		}
+	}
+	return qp.expire(ctx, pv, c)
+}
+
+// spinTail is the part of a modeled wait that is spun rather than slept:
+// long enough to absorb timer overshoot, short enough that a waiter spends
+// most of a long wait parked.
+const spinTail = 50 * time.Microsecond
+
+// hold returns true once due has passed: it sleeps until spinTail is left,
+// then yield-spins. It returns false if ctx ends first, or — once the
+// deadline fires — if due lies past the deadline.
+func hold(ctx context.Context, timeout <-chan time.Time, deadline, due time.Time) bool {
+	if !deadline.IsZero() && due.After(deadline) {
+		select {
+		case <-timeout:
+		case <-ctx.Done():
+		}
+		return false
+	}
+	for now := time.Now(); now.Before(due); now = time.Now() {
+		if d := due.Sub(now) - spinTail; d > 0 {
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return false
+			}
+		} else {
+			runtime.Gosched()
+		}
+	}
+	return true
+}
+
+// later returns the later of a and b.
+func later(a, b time.Time) time.Time {
+	if b.After(a) {
+		return b
+	}
+	return a
+}
+
+// deliver accounts pv's completion c — latency and "wire" span run from
+// the post to c.at, the full modeled round trip — and recycles pv.
+func (qp *QP) deliver(pv *pendingVerb, c Completion) (Completion, error) {
+	in := qp.instruments()
+	lat := c.at.Sub(pv.start)
+	in.m.verbDone(pv.op, lat.Nanoseconds(), c.n, c.Err)
+	if in.tr != nil {
+		bytes := pv.bytes
+		if pv.op == OpRead {
+			bytes = c.n
+		}
+		in.tr.SpanFor(pv.trace, "wire", OpName(pv.op), in.node, pv.start, lat, bytes, c.Err)
+	}
+	pvPool.Put(pv)
+	return c, c.Err
+}
+
+// expire fails pv with ErrTimeout and recycles it; dropped is the completion
+// it lost, if any, whose view frame goes back to the pool.
+func (qp *QP) expire(ctx context.Context, pv *pendingVerb, dropped Completion) (Completion, error) {
+	if dropped.View != nil {
+		dropped.View.Release()
 	}
 	err := error(ErrTimeout)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		err = fmt.Errorf("%w: %w", ErrTimeout, ctxErr)
 	}
-	if won {
-		in := qp.instruments()
-		in.m.timedOut()
-		if in.tr != nil {
-			in.tr.Span(pv.trace, "wire", OpName(pv.op), in.node, pv.start, pv.bytes, err)
-		}
-		// We removed the entry before any completer saw it: nothing can
-		// ever send on pv.ch, so it is safe to recycle. If abandon lost
-		// (won == false) and the recheck above was empty, a send is in
-		// flight — pv must leak to the GC.
-		pvPool.Put(pv)
+	in := qp.instruments()
+	in.m.timedOut()
+	if in.tr != nil {
+		in.tr.Span(pv.trace, "wire", OpName(pv.op), in.node, pv.start, pv.bytes, err)
 	}
+	id := pv.id
+	pvPool.Put(pv)
 	return Completion{ID: id, Err: err}, err
 }
 
@@ -516,17 +575,6 @@ func (op BatchOp) request() request {
 		q.imm = op.Imm
 	}
 	return q
-}
-
-// PostBatch posts one OpBatch chain asynchronously. The endpoint executes
-// the sub-verbs in order, charges the latency model once for the coalesced
-// payload, and returns a single completion for the chain.
-func (qp *QP) PostBatch(ops []BatchOp) (<-chan Completion, error) {
-	pv, err := qp.postBatch(context.Background(), ops)
-	if err != nil {
-		return nil, err
-	}
-	return pv.ch, nil
 }
 
 func (qp *QP) postBatch(ctx context.Context, ops []BatchOp) (*pendingVerb, error) {
@@ -663,19 +711,6 @@ func (qp *QP) WriteImm(rkey uint32, addr mem.Addr, imm uint32, data []byte) erro
 func (qp *QP) WriteImmCtx(ctx context.Context, rkey uint32, addr mem.Addr, imm uint32, data []byte) error {
 	_, err := qp.callCtx(ctx, request{op: OpWriteImm, rkey: rkey, addr: addr, imm: imm, data: data})
 	return err
-}
-
-// PostWrite posts an asynchronous WRITE and returns its completion channel;
-// used to pipeline many writes on one QP. data must fit one frame.
-func (qp *QP) PostWrite(rkey uint32, addr mem.Addr, data []byte) (<-chan Completion, error) {
-	if len(data) > MaxFrame-64 {
-		return nil, fmt.Errorf("rdma: PostWrite payload %d too large; segment first", len(data))
-	}
-	pv, err := qp.post(request{op: OpWrite, rkey: rkey, addr: addr, data: data})
-	if err != nil {
-		return nil, err
-	}
-	return pv.ch, nil
 }
 
 // QueryMRs fetches the endpoint's registered-region table. This is control

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -408,19 +407,19 @@ func (e *Endpoint) serveFrame(bw *bufio.Writer, cs *connScratch, f *FrameBuf, co
 	if q.op == OpBatch {
 		cs.subs = q.subs[:0] // keep the grown sub-verb capacity for reuse
 	}
-	st, data := e.handle(&q, cs)
+	st, data, modeled := e.handle(&q, cs)
 	f.Release()
-	return e.respond(bw, cs, q.id, st, data)
+	return e.respond(bw, cs, q.id, st, modeled, data)
 }
 
 // respond assembles [hdr|response] in the connection scratch and stages it
 // into bw with a single Write.
-func (e *Endpoint) respond(bw *bufio.Writer, cs *connScratch, id uint64, status uint8, data []byte) bool {
+func (e *Endpoint) respond(bw *bufio.Writer, cs *connScratch, id uint64, status uint8, modeled time.Duration, data []byte) bool {
 	if respHdr+len(data) > MaxFrame {
 		return false // unframeable response: drop the QP, as writeFrame did
 	}
 	b := append(cs.resp[:0], 0, 0, 0, 0)
-	b = appendResponse(b, id, status, data)
+	b = appendResponse(b, id, status, modeled, data)
 	binary.BigEndian.PutUint32(b[:frameHdr], uint32(len(b)-frameHdr))
 	if cap(b) <= scratchKeep {
 		cs.resp = b[:0]
@@ -439,76 +438,70 @@ func isCleanTeardown(err error) bool {
 		errors.Is(err, io.ErrClosedPipe)
 }
 
-// handle executes one decoded request against the arena and returns the
-// response status and data. Returned data must never alias the request's
-// frame (the caller releases it before responding): arena reads copy,
-// atomics return cs.qword, batches return cs.statuses.
-func (e *Endpoint) handle(q *request, cs *connScratch) (uint8, []byte) {
-	if q.op == OpQueryMRs {
-		return StatusOK, e.encodeMRTable()
-	}
-	if q.op == OpRotateMR {
+// handle executes one decoded request against the arena at once and returns
+// the response status and data plus the latency model's charge for the
+// verb, which the initiator waits out (the endpoint never sleeps). Returned
+// data must never alias the request's frame (the caller releases it before
+// responding): arena reads copy, atomics return cs.qword, batches return
+// cs.statuses.
+func (e *Endpoint) handle(q *request, cs *connScratch) (uint8, []byte, time.Duration) {
+	switch q.op {
+	case OpQueryMRs:
+		return StatusOK, e.encodeMRTable(), 0
+	case OpRotateMR:
 		// Control-plane op, like QueryMRs: no latency charge, no arena work.
 		mr, err := e.RotateMR(string(q.data))
 		if err != nil {
-			return StatusOpErr, nil
+			return StatusOpErr, nil, 0
 		}
 		binary.BigEndian.PutUint32(cs.qword[:4], mr.RKey)
-		return StatusOK, cs.qword[:4]
-	}
-	if q.op == OpBatch {
-		return e.handleBatch(q, cs)
-	}
-	if q.op == OpChainTrigger {
-		// One trigger doorbell moves the whole resident program: the fabric
-		// is charged for the 8-byte trigger write only — that is the point
-		// of the offload.
-		start := time.Now()
-		e.latency.Wait(8)
-		st, data := e.execChain(q, cs.chain[:])
-		e.observe(q, st, 8, len(data), 8, start)
-		return st, data
-	}
-
-	// Model fabric + RNIC processing latency for the verb.
-	size := len(q.data)
-	if q.op == OpRead {
-		size = int(q.len)
+		return StatusOK, cs.qword[:4], 0
 	}
 	start := time.Now()
-	e.latency.Wait(size)
-	st, data := e.exec(q, cs)
-	e.observe(q, st, len(q.data), len(data), size, start)
-	return st, data
+	var (
+		st       uint8
+		data     []byte
+		in, size int
+	)
+	switch q.op {
+	case OpBatch:
+		// One doorbell ring moves the whole chain: the model is charged
+		// ONCE for the coalesced payload.
+		for i := range q.subs {
+			size += len(q.subs[i].data)
+		}
+		in = size
+		st, data = e.execBatch(q.subs, cs)
+	case OpChainTrigger:
+		// The fabric is charged for the 8-byte trigger write only — that is
+		// the point of the offload.
+		in, size = 8, 8
+		st, data = e.execChain(q, cs.chain[:])
+	default:
+		// An atomic carries no payload: it is charged the model's Base.
+		in, size = len(q.data), len(q.data)
+		if q.op == OpRead {
+			size = int(q.len)
+		}
+		st, data = e.exec(q, cs)
+	}
+	modeled := e.latency.Duration(size)
+	e.observe(q, st, in, len(data), size, start, modeled)
+	return st, data, modeled
 }
 
 // observe accounts one served verb and, when the request carries a trace
-// ID, records the service span under the initiator's trace.
-func (e *Endpoint) observe(q *request, st uint8, in, out, traceBytes int, start time.Time) {
+// ID, records the service span under the initiator's trace. Both cover the
+// latency-model charge plus the arena work.
+func (e *Endpoint) observe(q *request, st uint8, in, out, traceBytes int, start time.Time, modeled time.Duration) {
 	ins := e.instruments()
 	if ins.m == nil && ins.tr == nil {
 		return
 	}
 	err := statusErr(st)
-	ins.m.served(q.op, time.Since(start).Nanoseconds(), in, out, err)
-	if ins.tr != nil {
-		ins.tr.Span(telemetry.TraceID(q.trace), "endpoint", OpName(q.op), ins.node, start, traceBytes, err)
-	}
-}
-
-// handleBatch serves an OpBatch frame: the latency model is charged ONCE
-// for the coalesced payload (one doorbell ring moves the whole chain), then
-// execBatch applies the sub-verbs.
-func (e *Endpoint) handleBatch(q *request, cs *connScratch) (uint8, []byte) {
-	total := 0
-	for i := range q.subs {
-		total += len(q.subs[i].data)
-	}
-	start := time.Now()
-	e.latency.Wait(total)
-	overall, statuses := e.execBatch(q.subs, cs)
-	e.observe(q, overall, total, len(statuses), total, start)
-	return overall, statuses
+	dur := time.Since(start) + modeled
+	ins.m.served(q.op, dur.Nanoseconds(), in, out, err)
+	ins.tr.SpanFor(telemetry.TraceID(q.trace), "endpoint", OpName(q.op), ins.node, start, dur, traceBytes, err)
 }
 
 // execBatch applies a chain's sub-verbs in posted order. The first failure
@@ -699,27 +692,13 @@ func decodeMRTable(b []byte) ([]MR, error) {
 	return out, nil
 }
 
-// LatencyModel injects per-operation fabric latency: a fixed base cost plus
-// a bandwidth term. Waits sleep for the bulk of the duration and spin only
-// a short tail (yielding to the scheduler each iteration), so microsecond
-// fidelity survives OS sleep granularity without burning a host core per
-// endpoint goroutine.
+// LatencyModel is the fabric's per-verb cost: a fixed base plus a bandwidth
+// term. The endpoint charges it per served frame and the initiator's QP
+// waits it out (see QP.wait); nothing else sleeps on it.
 type LatencyModel struct {
 	Base        time.Duration // per-operation cost (propagation + RNIC processing)
 	BytesPerSec float64       // link bandwidth; 0 disables the size term
-
-	// SpinTail bounds the busy-wait portion of Wait: the wait sleeps until
-	// SpinTail remains, then spins (with runtime.Gosched) to the deadline.
-	// Zero selects DefaultSpinTail; negative disables spinning entirely
-	// (pure sleep, coarser but cheapest — right for latency-insensitive
-	// tests and high-fan-out fleets).
-	SpinTail time.Duration
 }
-
-// DefaultSpinTail is the spin budget used when SpinTail is zero: long
-// enough to absorb typical timer overshoot, short enough that an endpoint
-// goroutine spends most of a modeled microsecond-scale wait parked.
-const DefaultSpinTail = 50 * time.Microsecond
 
 // DefaultLatency approximates a CX-4-class RNIC on a 25 Gb/s rack fabric:
 // ~1.8 µs per small verb, ~3.1 GB/s of payload bandwidth.
@@ -737,31 +716,4 @@ func (m *LatencyModel) Duration(n int) time.Duration {
 		d += time.Duration(float64(n) / m.BytesPerSec * float64(time.Second))
 	}
 	return d
-}
-
-// Wait blocks for the modeled latency of an n-byte operation: sleep for all
-// but the spin tail, then yield-spin to the deadline. The old behavior —
-// hard-spinning every wait under 300µs — burned one host core per in-flight
-// verb and starved co-scheduled goroutines under -race; the Gosched in the
-// tail keeps the runtime scheduler fed even when every worker is waiting.
-func (m *LatencyModel) Wait(n int) {
-	d := m.Duration(n)
-	if d <= 0 {
-		return
-	}
-	end := time.Now().Add(d)
-	tail := m.SpinTail
-	if tail == 0 {
-		tail = DefaultSpinTail
-	}
-	if tail < 0 {
-		time.Sleep(d)
-		return
-	}
-	if d > tail {
-		time.Sleep(d - tail)
-	}
-	for time.Now().Before(end) {
-		runtime.Gosched()
-	}
 }

@@ -88,13 +88,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Response leg: id/status/data survive the trip.
-		r := response{id: id, status: uint8(a % 5), data: data}
+		// Response leg: id/status/modeled/data survive the trip.
+		r := response{id: id, status: uint8(a % 5), modeled: time.Duration(uint32(b)), data: data}
 		gr, err := decodeResponse(r.encode())
 		if err != nil {
 			t.Fatalf("decode of encoded response: %v", err)
 		}
-		if gr.id != r.id || gr.status != r.status || !bytes.Equal(gr.data, r.data) {
+		if gr.id != r.id || gr.status != r.status || gr.modeled != r.modeled || !bytes.Equal(gr.data, r.data) {
 			t.Fatalf("response mismatch: got %+v, want %+v", gr, r)
 		}
 	})
@@ -102,7 +102,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 // FuzzEndpointFrame throws arbitrary frames at a live endpoint. The
 // invariants: the endpoint never panics; a decodable request gets exactly
-// one well-formed response carrying the request's id; a malformed frame
+// one well-formed response carrying the request's id and its modeled
+// charge (none for the metadata ops, at least Base otherwise); a malformed frame
 // tears the QP down (connection closed, serving goroutine exits) and never
 // produces a reply.
 func FuzzEndpointFrame(f *testing.F) {
@@ -120,7 +121,8 @@ func FuzzEndpointFrame(f *testing.F) {
 			payload = payload[:1<<16]
 		}
 		arena := mem.NewArena(1 << 16)
-		ep := NewEndpoint(arena, NoLatency())
+		lat := DefaultLatency()
+		ep := NewEndpoint(arena, lat)
 		ep.SetLogf(nil) // malformed frames log by design; keep fuzzing quiet
 		if _, err := ep.RegisterMR("all", 0, 1<<16, PermAll); err != nil {
 			t.Fatal(err)
@@ -133,9 +135,10 @@ func FuzzEndpointFrame(f *testing.F) {
 		}()
 		cli.SetDeadline(time.Now().Add(10 * time.Second))
 
-		wantID, wantResp := uint64(0), false
+		wantID, wantResp, charged := uint64(0), false, false
 		if q, err := decodeRequest(payload); err == nil {
 			wantResp, wantID = true, q.id
+			charged = q.op != OpQueryMRs && q.op != OpRotateMR
 		}
 		// The write itself may fail if the endpoint already tore down —
 		// only possible for malformed input, where no reply is expected
@@ -159,6 +162,9 @@ func FuzzEndpointFrame(f *testing.F) {
 			}
 			if r.id != wantID {
 				t.Fatalf("reply id %d for request id %d", r.id, wantID)
+			}
+			if charged && r.modeled < lat.Base || !charged && r.modeled != 0 {
+				t.Fatalf("reply to %x charged %v (charged verb: %v)", payload, r.modeled, charged)
 			}
 		} else if rerr == nil {
 			t.Fatalf("malformed frame %x drew a reply instead of a QP teardown", payload)

@@ -59,35 +59,35 @@ func TestPostCloseRaceNeverLosesCompletion(t *testing.T) {
 		qp := NewQP(client)
 
 		const writers = 4
-		chans := make(chan (<-chan Completion), writers*8)
+		pvs := make(chan *pendingVerb, writers*8)
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 8; i++ {
-					ch, err := qp.PostWrite(1, 0, []byte{1})
+					pv, err := qp.post(request{op: OpWrite, rkey: 1, data: []byte{1}})
 					if err != nil {
 						return // refused before the wire: nothing to wait on
 					}
-					chans <- ch
+					pvs <- pv
 				}
 			}()
 		}
 		go qp.Close()
 		wg.Wait()
 		server.Close()
-		close(chans)
+		close(pvs)
 
 		// Every successfully posted verb MUST complete: a lost completion
 		// here is exactly the hang this test pins down.
-		for ch := range chans {
-			select {
-			case <-ch:
-			case <-time.After(5 * time.Second):
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		for pv := range pvs {
+			if _, err := qp.wait(ctx, pv); errors.Is(err, ErrTimeout) {
 				t.Fatalf("iter %d: completion lost to the post/failAll race", iter)
 			}
 		}
+		cancel()
 	}
 }
 

@@ -2,6 +2,8 @@ package rdma
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -122,11 +124,16 @@ func TestFramePoolNoLeakMalformedTeardown(t *testing.T) {
 }
 
 // TestFramePoolNoLeakDrain: frames in flight when the endpoint drains are
-// all returned once the handlers exit.
+// all returned once the handlers exit. The endpoint serves a frame as soon
+// as it reads it, so the frames are kept in flight by volume instead: the
+// posts carry 16× the link's capacity, each blocks until the endpoint has
+// read room free, and when the last returns a link's worth of frames is
+// still unread — some served before the handler exits, the rest failed
+// when it drops the connection.
 func TestFramePoolNoLeakDrain(t *testing.T) {
 	base := poolBorrows.Load()
 	arena := mem.NewArena(1 << 16)
-	ep := NewEndpoint(arena, &LatencyModel{Base: 200 * time.Microsecond, SpinTail: -1})
+	ep := NewEndpoint(arena, nil)
 	mr, _ := ep.RegisterMR("all", 0, arena.Size(), PermAll)
 	fab := NewFabric()
 	l, _ := fab.Listen("n")
@@ -137,19 +144,18 @@ func TestFramePoolNoLeakDrain(t *testing.T) {
 	}
 	qp.SetTimeout(2 * time.Second)
 
-	var chans []<-chan Completion
-	for i := 0; i < 16; i++ {
-		ch, err := qp.PostWrite(mr.RKey, mem.Addr(i*64), bytes.Repeat([]byte{byte(i)}, 48))
+	const size = 4 << 10
+	var pvs []*pendingVerb
+	for i := 0; i < 16*linkCap/size; i++ {
+		pv, err := qp.post(request{op: OpWrite, rkey: mr.RKey, addr: mem.Addr(i % 16 * size), data: bytes.Repeat([]byte{byte(i)}, size)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, ch)
+		pvs = append(pvs, pv)
 	}
 	ep.Drain(500 * time.Millisecond)
-	for _, ch := range chans {
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
+	for _, pv := range pvs {
+		if _, err := qp.wait(context.Background(), pv); errors.Is(err, ErrTimeout) {
 			t.Fatal("completion lost across Drain")
 		}
 	}
@@ -162,7 +168,7 @@ func TestFramePoolNoLeakDrain(t *testing.T) {
 func TestFramePoolNoLeakCloseConns(t *testing.T) {
 	base := poolBorrows.Load()
 	arena := mem.NewArena(1 << 16)
-	ep := NewEndpoint(arena, &LatencyModel{Base: 100 * time.Microsecond, SpinTail: -1})
+	ep := NewEndpoint(arena, &LatencyModel{Base: 100 * time.Microsecond})
 	mr, _ := ep.RegisterMR("all", 0, arena.Size(), PermAll)
 	fab := NewFabric()
 	l, _ := fab.Listen("n")

@@ -3,7 +3,9 @@ package rdma
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"runtime"
 	"strings"
@@ -76,16 +78,20 @@ func TestWireRejectsGarbage(t *testing.T) {
 	if _, err := decodeResponse([]byte{OpResp}); err == nil {
 		t.Error("short response should fail")
 	}
+	if _, err := decodeResponse(append([]byte{OpResp}, make([]byte, respHdr-2)...)); err == nil {
+		t.Error("response one byte short of the header should fail")
+	}
 	if _, err := decodeResponse((&request{op: OpRead, id: 1}).encode()); err == nil {
 		t.Error("response with wrong opcode should fail")
 	}
 }
 
 func TestWireResponseRoundTripProperty(t *testing.T) {
-	f := func(id uint64, status uint8, data []byte) bool {
-		r := response{id: id, status: status, data: data}
+	f := func(id uint64, status uint8, modeled uint32, data []byte) bool {
+		r := response{id: id, status: status, modeled: time.Duration(modeled), data: data}
 		got, err := decodeResponse(r.encode())
-		return err == nil && got.id == id && got.status == status && bytes.Equal(got.data, data)
+		return err == nil && got.id == id && got.status == status &&
+			got.modeled == r.modeled && bytes.Equal(got.data, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -363,17 +369,17 @@ func TestPipelinedAsyncWrites(t *testing.T) {
 	arena, ep, qp := newTestRig(t, 1<<16, nil)
 	mr, _ := ep.RegisterMR("all", 0, arena.Size(), PermAll)
 
-	var chans []<-chan Completion
+	var pvs []*pendingVerb
 	for i := 0; i < 50; i++ {
-		ch, err := qp.PostWrite(mr.RKey, mem.Addr(i*8), binary.LittleEndian.AppendUint64(nil, uint64(i)))
+		pv, err := qp.post(request{op: OpWrite, rkey: mr.RKey, addr: mem.Addr(i * 8), data: binary.LittleEndian.AppendUint64(nil, uint64(i))})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, ch)
+		pvs = append(pvs, pv)
 	}
-	for i, ch := range chans {
-		if c := <-ch; c.Err != nil {
-			t.Fatalf("write %d: %v", i, c.Err)
+	for i, pv := range pvs {
+		if _, err := qp.wait(context.Background(), pv); err != nil {
+			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 50; i++ {
@@ -411,6 +417,150 @@ func TestLatencyModelApplied(t *testing.T) {
 	el := time.Since(start)
 	if el < ops*200*time.Microsecond {
 		t.Errorf("10 ops with 200us base took %v, want >= 2ms", el)
+	}
+}
+
+// TestModeledLatencyFloor pins the timing contract: a verb completes no
+// earlier than its modeled charge, a QP's verbs occupy the modeled fabric
+// one after another, and separate QPs do not wait for each other.
+func TestModeledLatencyFloor(t *testing.T) {
+	lat := &LatencyModel{Base: 200 * time.Microsecond, BytesPerSec: 1e9}
+	arena, ep, qp := newTestRig(t, 1<<16, lat)
+	mr, _ := ep.RegisterMR("all", 0, arena.Size(), PermAll)
+
+	payload := make([]byte, 4096)
+	verbs := []struct {
+		name string
+		n    int
+		do   func() error
+	}{
+		{"read", 4096, func() error { _, err := qp.Read(mr.RKey, 0, 4096); return err }},
+		{"write", 4096, func() error { return qp.Write(mr.RKey, 0, payload) }},
+		{"write_imm", 4096, func() error { return qp.WriteImm(mr.RKey, 0, 1, payload) }},
+		{"cas", 0, func() error { _, err := qp.CompareAndSwap(mr.RKey, 0, 0, 0); return err }},
+		{"fetch_add", 0, func() error { _, err := qp.FetchAdd(mr.RKey, 0, 0); return err }},
+		{"batch", 8192, func() error {
+			return qp.WriteBatch([]BatchOp{{RKey: mr.RKey, Data: payload}, {RKey: mr.RKey, Addr: 4096, Data: payload}})
+		}},
+	}
+	for _, v := range verbs {
+		start := time.Now()
+		if err := v.do(); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if el, want := time.Since(start), lat.Duration(v.n); el < want {
+			t.Errorf("%s completed in %v, under its modeled %v", v.name, el, want)
+		}
+	}
+
+	const pipelined = 8
+	start := time.Now()
+	pvs := make([]*pendingVerb, pipelined)
+	for i := range pvs {
+		pv, err := qp.post(request{op: OpWrite, rkey: mr.RKey, addr: mem.Addr(8 * i), data: []byte{byte(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pvs[i] = pv
+	}
+	for _, pv := range pvs {
+		if _, err := qp.wait(context.Background(), pv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if el := time.Since(start); el < pipelined*lat.Base {
+		t.Errorf("%d writes pipelined on one QP took %v, want >= %v (serial occupancy)", pipelined, el, pipelined*lat.Base)
+	}
+
+	// One write on each of two QPs at once. A sub-millisecond sleep may
+	// overshoot by the timer's granularity, which would hide a serial wait,
+	// so this endpoint's base is far above it.
+	slow := NewEndpoint(mem.NewArena(64), &LatencyModel{Base: 20 * time.Millisecond})
+	smr, _ := slow.RegisterMR("all", 0, 64, PermAll)
+	fab := NewFabric()
+	l, _ := fab.Listen("slow")
+	go slow.Serve(l)
+	defer slow.Close()
+	start = time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		qp, err := fab.DialQP("slow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer qp.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := qp.Write(smr.RKey, mem.Addr(8*i), []byte{1}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if el := time.Since(start); el >= 40*time.Millisecond {
+		t.Errorf("one 20ms write on each of two QPs took %v, want < 40ms (occupancy is per QP)", el)
+	}
+}
+
+// TestModeledLatencyPastDeadline: a verb whose modeled completion lies past
+// the QP deadline, or past a ctx cancelled mid-window, fails ErrTimeout
+// without waiting the model out.
+func TestModeledLatencyPastDeadline(t *testing.T) {
+	lat := &LatencyModel{Base: 50 * time.Millisecond}
+	_, ep, qp := newTestRig(t, 4096, lat)
+	mr, _ := ep.RegisterMR("all", 0, 4096, PermAll)
+
+	qp.SetTimeout(5 * time.Millisecond)
+	start := time.Now()
+	if err := qp.Write(mr.RKey, 0, []byte{1}); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("write due past the deadline: %v, want ErrTimeout", err)
+	}
+	if el := time.Since(start); el >= lat.Base {
+		t.Errorf("deadline fired after %v, past the modeled %v", el, lat.Base)
+	}
+
+	// A fresh QP: the timed-out write still occupies the first one.
+	_, ep, qp = newTestRig(t, 4096, lat)
+	mr, _ = ep.RegisterMR("all", 0, 4096, PermAll)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(5*time.Millisecond, cancel)
+	start = time.Now()
+	_, err := qp.ReadCtx(ctx, mr.RKey, 0, 8)
+	if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("read cancelled mid-window: %v, want ErrTimeout wrapping context.Canceled", err)
+	}
+	if el := time.Since(start); el >= lat.Base {
+		t.Errorf("cancellation took %v, past the modeled %v", el, lat.Base)
+	}
+}
+
+// TestWritePlacedBeforeCompletion: a WRITE's bytes are in the target arena
+// while its completion is still modeled to be in flight, as on hardware.
+func TestWritePlacedBeforeCompletion(t *testing.T) {
+	lat := &LatencyModel{Base: 50 * time.Millisecond}
+	arena, ep, qp := newTestRig(t, 4096, lat)
+	mr, _ := ep.RegisterMR("all", 0, 4096, PermAll)
+
+	done := make(chan error, 1)
+	go func() { done <- qp.Write(mr.RKey, 64, []byte("placed")) }()
+	deadline := time.Now().Add(lat.Base / 2)
+	for {
+		if b, _ := arena.Read(64, 6); bytes.Equal(b, []byte("placed")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("write not placed within half its modeled latency")
+		}
+		runtime.Gosched()
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("write completed (%v) as soon as it was placed; want its modeled %v first", err, lat.Base)
+	default:
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -537,12 +687,12 @@ func TestBatchExecutesInOrderWithDoorbell(t *testing.T) {
 		{RKey: mr.RKey, Addr: 100, Data: []byte("second")},
 		{RKey: mr.RKey, Addr: 200, Data: []byte{0xAA}, Imm: 0xD00B, HasImm: true},
 	}
-	ch, err := qp.PostBatch(ops)
+	pv, err := qp.postBatch(context.Background(), ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := <-ch; c.Err != nil {
-		t.Fatal(c.Err)
+	if _, err := qp.wait(context.Background(), pv); err != nil {
+		t.Fatal(err)
 	}
 	if b, _ := arena.Read(0, 5); !bytes.Equal(b, []byte("first")) {
 		t.Error("sub-verb 0 not applied")
@@ -566,13 +716,13 @@ func TestBatchFirstFailureFlushesRest(t *testing.T) {
 		{RKey: mr.RKey, Addr: 4096, Data: []byte{2}}, // out of MR bounds
 		{RKey: mr.RKey, Addr: 8, Data: []byte{3}},    // must be flushed
 	}
-	ch, err := qp.PostBatch(ops)
+	pv, err := qp.postBatch(context.Background(), ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := <-ch
-	if c.Err != ErrBounds {
-		t.Fatalf("batch err = %v, want ErrBounds", c.Err)
+	c, err := qp.wait(context.Background(), pv)
+	if err != ErrBounds {
+		t.Fatalf("batch err = %v, want ErrBounds", err)
 	}
 	if !bytes.Equal(c.Data, []byte{StatusOK, StatusBoundsErr, StatusFlushed}) {
 		t.Errorf("per-sub statuses = %v", c.Data)
@@ -654,31 +804,31 @@ func TestFailAllDeliversToEveryWaiter(t *testing.T) {
 	qp := NewQP(client)
 
 	const inflight = 16
-	var chans []<-chan Completion
+	var pvs []*pendingVerb
 	for i := 0; i < inflight; i++ {
-		ch, err := qp.PostWrite(1, mem.Addr(i*8), []byte{byte(i)})
+		pv, err := qp.post(request{op: OpWrite, rkey: 1, addr: mem.Addr(i * 8), data: []byte{byte(i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, ch)
+		pvs = append(pvs, pv)
 	}
 	qp.Close()
 	server.Close()
 
 	// Drain: every waiter must receive exactly one error completion.
-	for i, ch := range chans {
-		select {
-		case c := <-ch:
-			if c.Err == nil {
-				t.Errorf("post %d completed OK after close", i)
-			}
-		case <-time.After(5 * time.Second):
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i, pv := range pvs {
+		_, err := qp.wait(ctx, pv)
+		if err == nil {
+			t.Errorf("post %d completed OK after close", i)
+		} else if errors.Is(err, ErrTimeout) {
 			t.Fatalf("post %d never completed; failAll dropped a waiter", i)
 		}
 	}
 	// A post after teardown fails immediately with the sticky error.
-	if _, err := qp.PostWrite(1, 0, []byte{1}); err == nil {
-		t.Error("post on failed QP succeeded")
+	if _, err := qp.post(request{op: OpWrite, rkey: 1, data: []byte{1}}); !errors.Is(err, ErrUnposted) {
+		t.Errorf("post on failed QP: %v, want ErrUnposted", err)
 	}
 
 	// The read loop and helper goroutines must be gone.

@@ -18,11 +18,15 @@
 // service-side events with the initiator's trace, so one injection can be
 // followed across machines) and responses are
 //
-//	[1B OpResp][8B request id][1B status][response body]
+//	[1B OpResp][8B request id][1B status][4B modeled ns][response body]
 //
 // A connection models one queue pair (QP): the endpoint executes its
 // requests in arrival order, matching RDMA's per-QP ordering guarantee.
 // Clients open multiple QPs for parallelism, exactly like real initiators.
+//
+// The endpoint places a verb's effect when it serves the frame and returns
+// the LatencyModel's charge in the modeled field; the initiator's QP hands
+// the completion over no earlier than the verb's modeled due time (QP.wait).
 package rdma
 
 import (
@@ -31,7 +35,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"time"
 )
 
 // Opcodes.
@@ -441,33 +447,38 @@ func (q *request) decodeInto(p []byte, subsScratch []request) error {
 
 // response is a decoded verb response.
 type response struct {
-	id     uint64
-	status uint8
-	data   []byte
+	id      uint64
+	status  uint8
+	modeled time.Duration // the LatencyModel's charge for the verb
+	data    []byte
 }
 
-// respHdr is the fixed response header: OpResp, request id, status.
-const respHdr = 1 + 8 + 1
+// respHdr is the fixed response header: OpResp, request id, status,
+// modeled nanoseconds.
+const respHdr = 1 + 8 + 1 + 4
 
-// appendResponse appends an encoded response payload to b.
-func appendResponse(b []byte, id uint64, status uint8, data []byte) []byte {
+// appendResponse appends an encoded response payload to b. A charge past
+// the 4-byte field (≈ 4.3 s) is clamped to it.
+func appendResponse(b []byte, id uint64, status uint8, modeled time.Duration, data []byte) []byte {
 	b = append(b, OpResp)
 	b = binary.BigEndian.AppendUint64(b, id)
 	b = append(b, status)
+	b = binary.BigEndian.AppendUint32(b, uint32(min(modeled, math.MaxUint32)))
 	return append(b, data...)
 }
 
 func (r *response) encode() []byte {
-	return appendResponse(make([]byte, 0, respHdr+len(r.data)), r.id, r.status, r.data)
+	return appendResponse(make([]byte, 0, respHdr+len(r.data)), r.id, r.status, r.modeled, r.data)
 }
 
 func decodeResponse(p []byte) (response, error) {
 	var r response
-	if len(p) < 10 || p[0] != OpResp {
+	if len(p) < respHdr || p[0] != OpResp {
 		return r, fmt.Errorf("rdma: malformed response (%d bytes)", len(p))
 	}
 	r.id = binary.BigEndian.Uint64(p[1:9])
 	r.status = p[9]
-	r.data = p[10:]
+	r.modeled = time.Duration(binary.BigEndian.Uint32(p[10:14]))
+	r.data = p[respHdr:]
 	return r, nil
 }

@@ -93,12 +93,19 @@ func (t *TraceRecorder) Record(ev TraceEvent) {
 
 // Span records one completed span ending now.
 func (t *TraceRecorder) Span(id TraceID, layer, name, node string, start time.Time, bytes int, err error) {
+	if t != nil && id != 0 {
+		t.SpanFor(id, layer, name, node, start, time.Since(start), bytes, err)
+	}
+}
+
+// SpanFor records one completed span that lasted dur from start.
+func (t *TraceRecorder) SpanFor(id TraceID, layer, name, node string, start time.Time, dur time.Duration, bytes int, err error) {
 	if t == nil || id == 0 {
 		return
 	}
 	ev := TraceEvent{
 		Trace: id, Layer: layer, Name: name, Node: node,
-		Start: start, Dur: time.Since(start), Bytes: bytes,
+		Start: start, Dur: dur, Bytes: bytes,
 	}
 	if err != nil {
 		ev.Err = err.Error()

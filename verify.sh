@@ -42,9 +42,11 @@ if [ "${1:-}" != "quick" ]; then
     echo "== go test -race =="
     go test -race -timeout 300s ./...
     # The in-process fabric link is hand-rolled synchronisation: its
-    # conformance tests and the shared-QP poster tests repeat under -race.
+    # conformance tests, the shared-QP poster tests and the modeled-latency
+    # contract (completion at the due time, effect placed before it) repeat
+    # under -race.
     echo "== fabric link conformance (race, x10) =="
-    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteAcrossWritevBoundary' ./internal/rdma/
+    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteAcrossWritevBoundary|TestModeledLatency|TestWritePlacedBeforeCompletion' ./internal/rdma/
     # The journal's group commit is hand-rolled hand-off between appenders:
     # its deterministic group tests repeat under -race.
     echo "== journal group commit (race, x20) =="
