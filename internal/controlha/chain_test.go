@@ -1,7 +1,6 @@
 package controlha
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"rdx/internal/rdma"
 	"rdx/internal/sim"
 	"rdx/internal/telemetry"
+	"rdx/internal/verbchain"
 )
 
 // connectChain dials the rig's standby and returns the remote-memory view
@@ -137,75 +137,54 @@ func TestChainRenewFencedByRotation(t *testing.T) {
 	}
 }
 
-// TestChainHeartbeatAndDeadman exercises the liveness offload end to end:
-// each trigger advances the beat sequence and stamps the deadman qword
-// NIC-side, the standby's deadman watcher stays quiet while beats flow, and
-// fires exactly once after they stop.
-func TestChainHeartbeatAndDeadman(t *testing.T) {
+// TestChainRenewUnguardedFencedByOwnerCAS pins why an unguarded renew
+// chain is still safe: Steal CASes the owner word before it bumps the epoch,
+// so even with no witness-epoch guard the stale leader's resident program
+// loses its leading owner CAS and aborts (ErrChainFault, surfaced as a
+// deposal) before its expiry write — neither witness word moves.
+func TestChainRenewUnguardedFencedByOwnerCAS(t *testing.T) {
 	rig := newHostRig(t, 0)
-	reg := telemetry.NewRegistry()
-	_, co := armedLease(t, rig, nil, reg)
-	if err := co.ArmHeartbeat(); err != nil {
-		t.Fatalf("arm heartbeat: %v", err)
-	}
-
-	for i := 0; i < 3; i++ {
-		if _, err := co.TriggerHeartbeat(context.Background()); err != nil {
-			t.Fatalf("beat %d: %v", i, err)
-		}
-	}
-	if seq, _ := rig.host.HeartbeatSeq(); seq != 3 {
-		t.Fatalf("heartbeat seq = %d, want 3", seq)
-	}
-	if dm, _ := rig.host.Deadman(); dm != 3 {
-		t.Fatalf("deadman word = %d, want trigger count 3", dm)
-	}
-	if n := reg.Counter("controlha.chain.heartbeats").Value(); n != 3 {
-		t.Errorf("chain.heartbeats = %d, want 3", n)
-	}
-
-	// Standby-side detection: the watcher polls the seq word locally — no
-	// verbs — and fires once the beats stall past the timeout.
-	dead := make(chan struct{})
-	stop := rig.host.StartDeadman(time.Millisecond, 20*time.Millisecond, func() { close(dead) })
-	defer stop()
-
-	co.StartHeartbeat(nil, time.Millisecond)
-	select {
-	case <-dead:
-		t.Fatal("deadman fired while heartbeats were flowing")
-	case <-time.After(60 * time.Millisecond):
-	}
-	co.StopHeartbeat()
-	select {
-	case <-dead:
-	case <-time.After(5 * time.Second):
-		t.Fatal("deadman never fired after heartbeats stopped")
-	}
-}
-
-// TestChainHeartbeatFenced pins FenceHeartbeats: bumping the liveness epoch
-// word makes the resident chain's leading CAS lose, the chain aborts
-// (ErrChainFault) before touching the sequence, and the beat loop exits on
-// its own.
-func TestChainHeartbeatFenced(t *testing.T) {
-	rig := newHostRig(t, 0)
-	_, co := armedLease(t, rig, nil, nil)
-	if err := co.ArmHeartbeat(); err != nil {
+	mem, mrs := rig.connectChain(t)
+	w, err := findMR(mrs, WitnessMRName)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := co.TriggerHeartbeat(context.Background()); err != nil {
+	l1 := NewLease(mem, w.Addr, 1, time.Minute, nil, nil)
+	if err := l1.Acquire(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rig.host.FenceHeartbeats(); err != nil {
+	co, err := NewChainOffload(mem, mrs, 1, l1.Epoch(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := co.TriggerHeartbeat(context.Background())
-	if !errors.Is(err, rdma.ErrChainFault) {
-		t.Fatalf("fenced beat: %v, want rdma.ErrChainFault", err)
+	prog, err := co.renewProgram(verbchain.Guard{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if seq, _ := rig.host.HeartbeatSeq(); seq != 1 {
-		t.Fatalf("fenced beat advanced seq to %d", seq)
+	if err := co.arm(prog); err != nil {
+		t.Fatalf("arm unguarded renew: %v", err)
+	}
+	l1.UseChain(co)
+
+	mem2, _ := rig.connectChain(t)
+	if err := NewLease(mem2, w.Addr, 2, time.Minute, nil, nil).Steal(); err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := rig.host.arena.ReadQword(hostWitnessBase + witnessOffOwner)
+	expiry, _ := rig.host.arena.ReadQword(hostWitnessBase + witnessOffExpiry)
+
+	err = l1.Renew()
+	if !errors.Is(err, core.ErrFenced) || !errors.Is(err, rdma.ErrChainFault) {
+		t.Fatalf("stale unguarded renew: %v, want core.ErrFenced via rdma.ErrChainFault", err)
+	}
+	if l1.Held() {
+		t.Error("stale leader still believes it holds the lease")
+	}
+	if now, _ := rig.host.arena.ReadQword(hostWitnessBase + witnessOffOwner); now != owner {
+		t.Errorf("owner word %d -> %d after stale renew", owner, now)
+	}
+	if now, _ := rig.host.arena.ReadQword(hostWitnessBase + witnessOffExpiry); now != expiry {
+		t.Errorf("expiry word %d -> %d after stale renew", expiry, now)
 	}
 }
 

@@ -13,31 +13,17 @@ import (
 
 // Arena layout of a standby host: the witness region first (8-aligned,
 // padded to 64), then the replication ring (header + data), then the
-// ha-chain region (pre-posted control chains + deadman words).
+// ha-chain region (the pre-posted lease-renew chain).
 const hostWitnessBase = 0
 const hostRingBase = 64
 
-// Ha-chain MR layout (offsets within the ChainMRName region). Two chain
-// slots hold the pre-posted lease-renew and heartbeat programs; the words
-// after them are the heartbeat state the standby polls locally.
-//
-//	+0     lease-renew chain region (trigger/status/regs/program)
-//	+1024  heartbeat chain region
-//	+2048  heartbeat liveness epoch — the heartbeat chain CASes it
-//	       against the arming epoch; the standby bumps it to fence
-//	       resident heartbeats without touching the witness
-//	+2056  heartbeat sequence — FETCH-ADDed once per beat
-//	+2064  deadman qword — last beat's trigger count, written by the chain
+// Ha-chain MR layout (offsets within the ChainMRName region): one slot
+// holding the lease-renew chain region (trigger/status/regs/program).
 const (
 	ChainMRName = "ha-chain"
 
-	ChainRenewOff     = 0
-	ChainHeartbeatOff = 1024
-	ChainHBEpochOff   = 2048
-	ChainHBSeqOff     = 2056
-	ChainDeadmanOff   = 2064
-
-	ChainMRSize = 2112
+	ChainRenewOff = 0
+	ChainMRSize   = 1024
 )
 
 // Host is the standby-owned memory a leader replicates into: one arena
@@ -129,86 +115,14 @@ func (h *Host) FenceRing() error {
 	return err
 }
 
-// ChainBase returns the arena address of the ha-chain MR, as remote
-// controllers will see it in the MR table.
-func (h *Host) ChainBase() uint64 { return hostRingBase + RingHdrSize + h.ringCap }
-
 // FenceChains rotates the ha-chain MR's rkey: a stale leader's pre-posted
-// renew and heartbeat chains become untriggerable — the trigger verb itself
-// fails with an access error before any resident step runs. The successor's
-// takeover applies this alongside FenceRing.
+// renew chain becomes untriggerable — the trigger verb itself fails with an
+// access error before any resident step runs. TakeOver does not need it:
+// once the successor's Steal lands, the stale chain's owner CAS and its
+// witness-epoch guard both refuse.
 func (h *Host) FenceChains() error {
 	_, err := h.ep.RotateMR(ChainMRName)
 	return err
-}
-
-// HeartbeatSeq reads the heartbeat sequence word locally — the standby's
-// failure-detection signal, polled with plain arena reads (zero verbs, zero
-// dependence on the leader's CPU).
-func (h *Host) HeartbeatSeq() (uint64, error) {
-	return h.arena.ReadQword(h.ChainBase() + ChainHBSeqOff)
-}
-
-// Deadman reads the deadman qword locally: the trigger count of the last
-// heartbeat firing, written by the resident chain's final WRITE.
-func (h *Host) Deadman() (uint64, error) {
-	return h.arena.ReadQword(h.ChainBase() + ChainDeadmanOff)
-}
-
-// FenceHeartbeats bumps the heartbeat liveness epoch locally: the resident
-// heartbeat chain's epoch CAS loses on its next firing and the chain aborts,
-// so a standby that has decided to take over stops accepting beats from the
-// old leader without touching the witness.
-func (h *Host) FenceHeartbeats() error {
-	_, err := h.arena.FetchAdd(h.ChainBase()+ChainHBEpochOff, 1)
-	return err
-}
-
-// StartDeadman watches the heartbeat sequence: every interval it re-reads
-// the word locally, and if the sequence fails to advance for longer than
-// timeout, onDead fires once and the watcher exits. This is the standby's
-// failure detector — it costs zero verbs and keeps working regardless of
-// how saturated the leader's cores are, because the beats it watches are
-// executed by the leader's single trigger verb on THIS host's endpoint.
-// The returned stop function is idempotent and waits for the watcher to
-// exit.
-func (h *Host) StartDeadman(interval, timeout time.Duration, onDead func()) (stop func()) {
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	stopCh := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		lastSeq, _ := h.HeartbeatSeq()
-		lastBeat := time.Now()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-t.C:
-				seq, err := h.HeartbeatSeq()
-				if err != nil {
-					continue
-				}
-				if seq != lastSeq {
-					lastSeq, lastBeat = seq, time.Now()
-					continue
-				}
-				if time.Since(lastBeat) > timeout {
-					onDead()
-					return
-				}
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(stopCh) })
-		<-done
-	}
 }
 
 // WitnessEpoch reads the fencing epoch word locally (invariant checkers;

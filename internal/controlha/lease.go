@@ -193,7 +193,7 @@ func (l *Lease) RenewChain() error {
 		if errors.Is(err, rdma.ErrChainRevoked) || errors.Is(err, rdma.ErrChainFault) ||
 			errors.Is(err, rdma.ErrAccess) {
 			l.depose()
-			return fmt.Errorf("controlha: renew chain refused (%v): %w", err, core.ErrFenced)
+			return fmt.Errorf("controlha: renew chain refused (%w): %w", err, core.ErrFenced)
 		}
 		return fmt.Errorf("controlha: renew chain: %w", err)
 	}

@@ -40,8 +40,9 @@ func TestFig5Quick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The comparison is on wall clock; under -race it is logged, not judged.
 	for _, p := range points {
-		if p.RDX >= p.Vanilla {
+		if p.RDX >= p.Vanilla && !raceEnabled {
 			t.Errorf("CPKI %v: RDX %v not faster than vanilla %v", p.CPKI, p.RDX, p.Vanilla)
 		}
 	}

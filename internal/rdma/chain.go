@@ -269,16 +269,11 @@ func decodeChainResult(data []byte) (ChainResult, error) {
 	}
 }
 
-// ChainTrigger fires the chain resident at (rkey, addr); arg lands in the
-// chain's argument register (verbchain.ArgReg) before the program runs.
-func (qp *QP) ChainTrigger(rkey uint32, addr mem.Addr, arg uint64) (ChainResult, error) {
-	return qp.ChainTriggerCtx(context.Background(), rkey, addr, arg)
-}
-
-// ChainTriggerCtx is ChainTrigger bounded by ctx. A rotated chain-region
-// rkey fails with ErrAccess; a chain stopped by fencing mid-flight returns
-// ErrChainRevoked; a failing step returns ErrChainFault. The ChainResult
-// is meaningful whenever the trigger itself completed.
+// ChainTriggerCtx fires the chain resident at (rkey, addr); arg lands in the
+// chain's argument register (verbchain.ArgReg) before the program runs. A
+// rotated chain-region rkey fails with ErrAccess; a chain stopped by fencing
+// mid-flight returns ErrChainRevoked; a failing step returns ErrChainFault.
+// The ChainResult is meaningful whenever the trigger itself completed.
 func (qp *QP) ChainTriggerCtx(ctx context.Context, rkey uint32, addr mem.Addr, arg uint64) (ChainResult, error) {
 	c, err := qp.callCtx(ctx, request{op: OpChainTrigger, rkey: rkey, addr: addr, delta: arg})
 	if err != nil {
@@ -287,14 +282,9 @@ func (qp *QP) ChainTriggerCtx(ctx context.Context, rkey uint32, addr mem.Addr, a
 	return decodeChainResult(c.Data)
 }
 
-// RotateMR remotely re-keys the named region on the target endpoint,
+// RotateMRCtx remotely re-keys the named region on the target endpoint,
 // returning the new rkey. The old rkey — held by anyone, including a
 // pre-posted chain's ops — fails StatusAccessErr from this point on.
-func (qp *QP) RotateMR(name string) (uint32, error) {
-	return qp.RotateMRCtx(context.Background(), name)
-}
-
-// RotateMRCtx is RotateMR bounded by ctx.
 func (qp *QP) RotateMRCtx(ctx context.Context, name string) (uint32, error) {
 	c, err := qp.callCtx(ctx, request{op: OpRotateMR, data: []byte(name)})
 	if err != nil {
@@ -311,22 +301,13 @@ func (qp *QP) RotateMRCtx(ctx context.Context, name string) (uint32, error) {
 // atomic replay rules: replayed only when provably unposted, ErrUncertain
 // when its completion is lost after posting.
 func (r *ReconnQP) ChainTriggerCtx(ctx context.Context, rkey uint32, addr mem.Addr, arg uint64) (res ChainResult, err error) {
-	err = r.doCtx(ctx, false, func(qp *QP, rk func(uint32) uint32) error {
+	err = r.do(ctx, false, func(qp *QP, rk func(uint32) uint32) error {
 		var err error
+		// A chain outcome is not a transport error, so do never redials on it.
 		res, err = qp.ChainTriggerCtx(ctx, rk(rkey), addr, arg)
-		if err != nil && (errors.Is(err, ErrChainFault) || errors.Is(err, ErrChainRevoked)) {
-			// Deterministic chain outcomes are not transport errors; they
-			// must not trigger a redial.
-			return err
-		}
 		return err
 	})
 	return res, err
-}
-
-// ChainTrigger is ChainTriggerCtx without a bounding context.
-func (r *ReconnQP) ChainTrigger(rkey uint32, addr mem.Addr, arg uint64) (ChainResult, error) {
-	return r.ChainTriggerCtx(context.Background(), rkey, addr, arg)
 }
 
 // RotateMRCtx implements Verbs. Rotation is not idempotent (a replayed
@@ -337,7 +318,7 @@ func (r *ReconnQP) ChainTrigger(rkey uint32, addr mem.Addr, arg uint64) (ChainRe
 // working, while any peer holding the old real rkey is fenced.
 func (r *ReconnQP) RotateMRCtx(ctx context.Context, name string) (uint32, error) {
 	var newKey uint32
-	err := r.doCtx(ctx, false, func(qp *QP, _ func(uint32) uint32) error {
+	err := r.do(ctx, false, func(qp *QP, _ func(uint32) uint32) error {
 		var err error
 		newKey, err = qp.RotateMRCtx(ctx, name)
 		return err
@@ -350,9 +331,4 @@ func (r *ReconnQP) RotateMRCtx(ctx context.Context, name string) (uint32, error)
 	r.current[name] = newKey
 	r.mu.Unlock()
 	return virt, nil
-}
-
-// RotateMR is RotateMRCtx without a bounding context.
-func (r *ReconnQP) RotateMR(name string) (uint32, error) {
-	return r.RotateMRCtx(context.Background(), name)
 }

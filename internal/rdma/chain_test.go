@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -49,7 +50,7 @@ func TestChainTriggerExecutes(t *testing.T) {
 	}}
 	armChain(t, qp, mr.RKey, chainBase, prog, []verbchain.Region{regionOf(mr)})
 
-	res, err := qp.ChainTrigger(mr.RKey, chainBase, 0xDEAD)
+	res, err := qp.ChainTriggerCtx(context.Background(), mr.RKey, chainBase, 0xDEAD)
 	if err != nil {
 		t.Fatalf("trigger: %v", err)
 	}
@@ -89,7 +90,7 @@ func TestChainRotatedRegionFailsTyped(t *testing.T) {
 	if _, err := ep.RotateMR("chain"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = qp.ChainTrigger(mr.RKey, 0x1000, 0)
+	_, err = qp.ChainTriggerCtx(context.Background(), mr.RKey, 0x1000, 0)
 	if !errors.Is(err, ErrAccess) {
 		t.Fatalf("trigger on rotated region: err = %v, want ErrAccess", err)
 	}
@@ -123,7 +124,7 @@ func TestChainStepRevokedByRotation(t *testing.T) {
 	if _, err := ep.RotateMR("data"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := qp.ChainTrigger(mr.RKey, 0x1000, 0)
+	res, err := qp.ChainTriggerCtx(context.Background(), mr.RKey, 0x1000, 0)
 	if !errors.Is(err, ErrChainRevoked) {
 		t.Fatalf("err = %v, want ErrChainRevoked", err)
 	}
@@ -154,14 +155,14 @@ func TestChainGuardRevokes(t *testing.T) {
 	}
 	armChain(t, qp, mr.RKey, chainBase, prog, []verbchain.Region{regionOf(mr)})
 
-	if _, err := qp.ChainTrigger(mr.RKey, chainBase, 0); err != nil {
+	if _, err := qp.ChainTriggerCtx(context.Background(), mr.RKey, chainBase, 0); err != nil {
 		t.Fatalf("guarded trigger: %v", err)
 	}
 	// Epoch bump = fencing: the same resident chain now revokes.
-	if _, err := qp.FetchAdd(mr.RKey, epochW, 1); err != nil {
+	if _, err := qp.FetchAddCtx(context.Background(), mr.RKey, epochW, 1); err != nil {
 		t.Fatal(err)
 	}
-	_, err = qp.ChainTrigger(mr.RKey, chainBase, 0)
+	_, err = qp.ChainTriggerCtx(context.Background(), mr.RKey, chainBase, 0)
 	if !errors.Is(err, ErrChainRevoked) {
 		t.Fatalf("post-bump trigger: err = %v, want ErrChainRevoked", err)
 	}
@@ -193,7 +194,7 @@ func TestChainBarrierFanIn(t *testing.T) {
 	armChain(t, qp, mr.RKey, chainBase, prog, []verbchain.Region{regionOf(mr)})
 
 	for i := 1; i <= parties; i++ {
-		res, err := qp.ChainTrigger(mr.RKey, chainBase, 0)
+		res, err := qp.ChainTriggerCtx(context.Background(), mr.RKey, chainBase, 0)
 		if err != nil {
 			t.Fatalf("arrival %d: %v", i, err)
 		}
@@ -238,7 +239,7 @@ func TestChainWaitAndLoop(t *testing.T) {
 	}}
 	armChain(t, qp, mr.RKey, chainBase, prog, []verbchain.Region{regionOf(mr)})
 
-	res, err := qp.ChainTrigger(mr.RKey, chainBase, 0)
+	res, err := qp.ChainTriggerCtx(context.Background(), mr.RKey, chainBase, 0)
 	if err != nil {
 		t.Fatalf("trigger: %v", err)
 	}
@@ -260,7 +261,7 @@ func TestRemoteRotateMR(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldKey := mr.RKey
-	newKey, err := qp.RotateMR("r")
+	newKey, err := qp.RotateMRCtx(context.Background(), "r")
 	if err != nil {
 		t.Fatalf("rotate: %v", err)
 	}
@@ -273,7 +274,7 @@ func TestRemoteRotateMR(t *testing.T) {
 	if err := qp.Write(newKey, 0, []byte{1}); err != nil {
 		t.Errorf("new rkey write: %v", err)
 	}
-	if _, err := qp.RotateMR("nonesuch"); !errors.Is(err, ErrOp) {
+	if _, err := qp.RotateMRCtx(context.Background(), "nonesuch"); !errors.Is(err, ErrOp) {
 		t.Errorf("rotate unknown region: err = %v, want ErrOp", err)
 	}
 }
@@ -294,10 +295,10 @@ func TestReconnChainVerbs(t *testing.T) {
 	if err := prog.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Write(virt, 0x1000, verbchain.EncodeRegion(prog)); err != nil {
+	if err := r.WriteCtx(context.Background(), virt, 0x1000, verbchain.EncodeRegion(prog)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ChainTrigger(virt, 0x1000, 11); err != nil {
+	if _, err := r.ChainTriggerCtx(context.Background(), virt, 0x1000, 11); err != nil {
 		t.Fatalf("trigger via reconn: %v", err)
 	}
 	if v, _ := arena.ReadQword(0x1800); v != 11 {
@@ -307,14 +308,19 @@ func TestReconnChainVerbs(t *testing.T) {
 	// the region (so the trigger verb itself still completes), but the
 	// REAL rkey baked into the resident program's step is now fenced — the
 	// chain revokes at fire time, exactly like a stale single verb.
-	if _, err := r.RotateMR("all"); err != nil {
+	if _, err := r.RotateMRCtx(context.Background(), "all"); err != nil {
 		t.Fatalf("rotate via reconn: %v", err)
 	}
-	_, err = r.ChainTrigger(virt, 0x1000, 12)
+	_, err = r.ChainTriggerCtx(context.Background(), virt, 0x1000, 12)
 	if !errors.Is(err, ErrChainRevoked) {
 		t.Fatalf("trigger after rotate: err = %v, want ErrChainRevoked", err)
 	}
 	if v, _ := arena.ReadQword(0x1800); v != 11 {
 		t.Errorf("revoked chain wrote: arg = %d, want 11 still", v)
+	}
+	// A chain outcome is not a transport error: the wrapper never redials
+	// on it.
+	if g := r.Generation(); g != 1 {
+		t.Errorf("generation = %d after a revoked trigger, want 1", g)
 	}
 }

@@ -37,12 +37,11 @@ type Completion struct {
 // fault-tolerant ReconnQP wrapper, so higher layers (core.RemoteMemory,
 // CodeFlow) run unchanged over either.
 //
-// The surface is context-first: every data verb takes a ctx that bounds the
-// wait for its completion and carries the operation's trace ID
-// (telemetry.WithTraceID) down to the wire, where it is stamped into the
-// request header for the target endpoint to correlate. Both implementations
-// also provide ctx-free convenience wrappers (Read, Write, ...) for callers
-// with no deadline or trace to propagate.
+// The surface is context-first, and the ctx-first methods are the whole of
+// it: every data verb takes a ctx that bounds the wait for its completion and
+// carries the operation's trace ID (telemetry.WithTraceID) down to the wire,
+// where it is stamped into the request header for the target endpoint to
+// correlate. Callers with no deadline or trace pass context.Background().
 type Verbs interface {
 	ReadCtx(ctx context.Context, rkey uint32, addr mem.Addr, n int) ([]byte, error)
 	WriteCtx(ctx context.Context, rkey uint32, addr mem.Addr, data []byte) error
@@ -481,10 +480,6 @@ func (qp *QP) expire(ctx context.Context, pv *pendingVerb, dropped Completion) (
 	return Completion{ID: id, Err: err}, err
 }
 
-func (qp *QP) call(q request) (Completion, error) {
-	return qp.callCtx(context.Background(), q)
-}
-
 // callCtx posts one verb and waits for its completion under ctx plus the
 // QP's default deadline. The ctx's trace ID (if any) is stamped into the
 // request header so the target endpoint can correlate its service events.
@@ -497,27 +492,14 @@ func (qp *QP) callCtx(ctx context.Context, q request) (Completion, error) {
 	return qp.wait(ctx, pv)
 }
 
-// Read performs a one-sided READ of n bytes at addr within the region rkey.
-func (qp *QP) Read(rkey uint32, addr mem.Addr, n int) ([]byte, error) {
-	return qp.ReadCtx(context.Background(), rkey, addr, n)
-}
-
-// ReadCtx is Read bounded by ctx (in addition to the QP deadline).
+// ReadCtx performs a one-sided READ of n bytes at addr within the region
+// rkey, bounded by ctx (in addition to the QP deadline).
 func (qp *QP) ReadCtx(ctx context.Context, rkey uint32, addr mem.Addr, n int) ([]byte, error) {
 	c, err := qp.callCtx(ctx, request{op: OpRead, rkey: rkey, addr: addr, len: uint32(n)})
 	if err != nil {
 		return nil, err
 	}
 	return c.Data, nil
-}
-
-// ReadQword reads one 8-byte little-endian word (arena layout) at addr.
-func (qp *QP) ReadQword(rkey uint32, addr mem.Addr) (uint64, error) {
-	b, err := qp.Read(rkey, addr, 8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
 }
 
 // WriteSeg is the transparent segmentation unit for large WRITEs.
@@ -528,17 +510,19 @@ const WriteSeg = 1 << 20
 // across several segments.
 const batchBudget = 4 << 20
 
-// Write performs a one-sided WRITE of data at addr. Writes larger than the
-// frame budget are segmented transparently and coalesced into OpBatch
-// chains posted back-to-back in flight — the initiator never stalls on a
-// per-segment round trip. Segments apply in order (but, as on hardware, the
-// overall write is not atomic — use CAS-based commit protocols for
-// atomicity).
+// Write is WriteCtx without a bounding context. It is kept only because the
+// benchmark module's calibration calls it, and goes once that caller moves
+// to WriteCtx.
 func (qp *QP) Write(rkey uint32, addr mem.Addr, data []byte) error {
 	return qp.WriteCtx(context.Background(), rkey, addr, data)
 }
 
-// WriteCtx is Write bounded by ctx (in addition to the QP deadline).
+// WriteCtx performs a one-sided WRITE of data at addr, bounded by ctx (in
+// addition to the QP deadline). Writes larger than the frame budget are
+// segmented transparently and coalesced into OpBatch chains posted
+// back-to-back in flight — the initiator never stalls on a per-segment round
+// trip. Segments apply in order (but, as on hardware, the overall write is
+// not atomic — use CAS-based commit protocols for atomicity).
 func (qp *QP) WriteCtx(ctx context.Context, rkey uint32, addr mem.Addr, data []byte) error {
 	if len(data) <= WriteSeg {
 		_, err := qp.callCtx(ctx, request{op: OpWrite, rkey: rkey, addr: addr, data: data})
@@ -599,17 +583,12 @@ func (qp *QP) postBatch(ctx context.Context, ops []BatchOp) (*pendingVerb, error
 	return qp.post(request{op: OpBatch, trace: uint64(telemetry.TraceIDFrom(ctx)), subs: subs})
 }
 
-// WriteBatch coalesces ops into OpBatch frames of at most batchBudget
+// WriteBatchCtx coalesces ops into OpBatch frames of at most batchBudget
 // payload each, posts them all without waiting, then drains completions —
-// the pipelined bulk path QP.Write and the injection scheduler share. On
-// failure the error identifies the first failed sub-verb.
-func (qp *QP) WriteBatch(ops []BatchOp) error {
-	return qp.WriteBatchCtx(context.Background(), ops)
-}
-
-// WriteBatchCtx is WriteBatch bounded by ctx; every chain's drain also
-// honors the QP deadline, so a dead link fails the batch instead of
-// wedging it.
+// the pipelined bulk path WriteCtx and the injection scheduler share. On
+// failure the error identifies the first failed sub-verb. Every chain's
+// drain is bounded by ctx and by the QP deadline, so a dead link fails the
+// batch instead of wedging it.
 func (qp *QP) WriteBatchCtx(ctx context.Context, ops []BatchOp) error {
 	var chains []*pendingVerb
 	start, size := 0, 0
@@ -662,21 +641,8 @@ func batchErr(c Completion) error {
 	return c.Err
 }
 
-// WriteQword writes one 8-byte little-endian word at addr. Note this is a
-// plain WRITE, not an atomic; pair with CAS when publishing pointers.
-func (qp *QP) WriteQword(rkey uint32, addr mem.Addr, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return qp.Write(rkey, addr, b[:])
-}
-
-// CompareAndSwap atomically swaps the qword at addr from old to new,
+// CompareAndSwapCtx atomically swaps the qword at addr from old to new,
 // returning the value found there (swap happened iff prev == old).
-func (qp *QP) CompareAndSwap(rkey uint32, addr mem.Addr, old, new uint64) (prev uint64, err error) {
-	return qp.CompareAndSwapCtx(context.Background(), rkey, addr, old, new)
-}
-
-// CompareAndSwapCtx is CompareAndSwap bounded by ctx.
 func (qp *QP) CompareAndSwapCtx(ctx context.Context, rkey uint32, addr mem.Addr, old, new uint64) (prev uint64, err error) {
 	c, err := qp.callCtx(ctx, request{op: OpCAS, rkey: rkey, addr: addr, cmp: old, swap: new})
 	if err != nil {
@@ -685,13 +651,8 @@ func (qp *QP) CompareAndSwapCtx(ctx context.Context, rkey uint32, addr mem.Addr,
 	return c.OldVal, nil
 }
 
-// FetchAdd atomically adds delta to the qword at addr, returning the prior
+// FetchAddCtx atomically adds delta to the qword at addr, returning the prior
 // value.
-func (qp *QP) FetchAdd(rkey uint32, addr mem.Addr, delta uint64) (prev uint64, err error) {
-	return qp.FetchAddCtx(context.Background(), rkey, addr, delta)
-}
-
-// FetchAddCtx is FetchAdd bounded by ctx.
 func (qp *QP) FetchAddCtx(ctx context.Context, rkey uint32, addr mem.Addr, delta uint64) (prev uint64, err error) {
 	c, err := qp.callCtx(ctx, request{op: OpFetchAdd, rkey: rkey, addr: addr, delta: delta})
 	if err != nil {
@@ -700,14 +661,9 @@ func (qp *QP) FetchAddCtx(ctx context.Context, rkey uint32, addr mem.Addr, delta
 	return c.OldVal, nil
 }
 
-// WriteImm performs a WRITE_WITH_IMMEDIATE: data lands at addr, then the
+// WriteImmCtx performs a WRITE_WITH_IMMEDIATE: data lands at addr, then the
 // endpoint's doorbell handlers fire with imm. RDX uses this for
 // rdx_cc_event cacheline flushes.
-func (qp *QP) WriteImm(rkey uint32, addr mem.Addr, imm uint32, data []byte) error {
-	return qp.WriteImmCtx(context.Background(), rkey, addr, imm, data)
-}
-
-// WriteImmCtx is WriteImm bounded by ctx (in addition to the QP deadline).
 func (qp *QP) WriteImmCtx(ctx context.Context, rkey uint32, addr mem.Addr, imm uint32, data []byte) error {
 	_, err := qp.callCtx(ctx, request{op: OpWriteImm, rkey: rkey, addr: addr, imm: imm, data: data})
 	return err
@@ -718,7 +674,7 @@ func (qp *QP) WriteImmCtx(ctx context.Context, rkey uint32, addr mem.Addr, imm u
 // a CodeFlow is created and again by ReconnQP after every redial (rkeys may
 // change across endpoint restarts).
 func (qp *QP) QueryMRs() ([]MR, error) {
-	c, err := qp.call(request{op: OpQueryMRs})
+	c, err := qp.callCtx(context.Background(), request{op: OpQueryMRs})
 	if err != nil {
 		return nil, err
 	}

@@ -127,7 +127,7 @@ func TestWriteBatchHonorsDeadline(t *testing.T) {
 		{RKey: 1, Addr: 0, Data: []byte("a")},
 		{RKey: 1, Addr: 8, Data: []byte("b")},
 	}
-	if err := qp.WriteBatch(ops); !errors.Is(err, ErrTimeout) {
+	if err := qp.WriteBatchCtx(context.Background(), ops); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("batch err = %v, want ErrTimeout", err)
 	}
 }
@@ -188,7 +188,7 @@ func TestWriteImmStraddlingDoorbellBoundaryFires(t *testing.T) {
 	fired := make(chan struct{}, 1)
 	ep.RegisterDoorbell(128, 64, func(uint32, mem.Addr, []byte) { fired <- struct{}{} })
 	// Payload [120, 136) enters the [128, 192) window from below.
-	if err := qp.WriteImm(mr.RKey, 120, 7, make([]byte, 16)); err != nil {
+	if err := qp.WriteImmCtx(context.Background(), mr.RKey, 120, 7, make([]byte, 16)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -380,11 +380,11 @@ func reconnRig(t *testing.T, arenaSize int) (*mem.Arena, *MR, *chaosDialer, *Rec
 func TestReconnQPReplaysWriteAfterMidStreamKill(t *testing.T) {
 	arena, mr, d, r := reconnRig(t, 1<<16)
 
-	if err := r.Write(mr.RKey, 0, []byte("before")); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 0, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	d.last().Kill()
-	if err := r.Write(mr.RKey, 100, []byte("after")); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 100, []byte("after")); err != nil {
 		t.Fatalf("write after kill not replayed: %v", err)
 	}
 	if g := r.Generation(); g != 2 {
@@ -398,7 +398,7 @@ func TestReconnQPReplaysWriteAfterMidStreamKill(t *testing.T) {
 func TestReconnQPWriteBatchSurvivesTruncatedFrame(t *testing.T) {
 	arena, mr, d, r := reconnRig(t, 1<<16)
 
-	if err := r.Write(mr.RKey, 0, []byte{1}); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	// Arm a byte-triggered kill landing mid-frame of the upcoming batch:
@@ -411,7 +411,7 @@ func TestReconnQPWriteBatchSurvivesTruncatedFrame(t *testing.T) {
 		{RKey: mr.RKey, Addr: 1024, Data: payload},
 		{RKey: mr.RKey, Addr: 8192, Data: []byte("tail")},
 	}
-	if err := r.WriteBatch(ops); err != nil {
+	if err := r.WriteBatchCtx(context.Background(), ops); err != nil {
 		t.Fatalf("batch not replayed after truncated frame: %v", err)
 	}
 	if g := r.Generation(); g != 2 {
@@ -482,7 +482,7 @@ func TestReconnQPRemapsRkeysAcrossRestart(t *testing.T) {
 
 	// The caller still holds the generation-1 rkey; the replay must
 	// translate it to the restarted endpoint's rkey for the same region.
-	if err := r.Write(mrA.RKey, 64, []byte("remapped")); err != nil {
+	if err := r.WriteCtx(context.Background(), mrA.RKey, 64, []byte("remapped")); err != nil {
 		t.Fatalf("write with stale rkey: %v", err)
 	}
 	if b, _ := arenaB.Read(64, 8); !bytes.Equal(b, []byte("remapped")) {
@@ -538,12 +538,12 @@ func TestReconnQPAtomicUncertain(t *testing.T) {
 	if err != nil || len(mrs) != 1 {
 		t.Fatalf("QueryMRs: %v (%d MRs)", err, len(mrs))
 	}
-	_, err = r.FetchAdd(mrs[0].RKey, 0, 1)
+	_, err = r.FetchAddCtx(context.Background(), mrs[0].RKey, 0, 1)
 	if !errors.Is(err, ErrUncertain) {
 		t.Fatalf("lost atomic completion = %v, want ErrUncertain", err)
 	}
 	// Idempotent verbs keep working: the wrapper redials transparently.
-	if err := r.Write(mrs[0].RKey, 0, []byte{1}); err != nil {
+	if err := r.WriteCtx(context.Background(), mrs[0].RKey, 0, []byte{1}); err != nil {
 		t.Fatalf("write after uncertain atomic: %v", err)
 	}
 }
@@ -554,7 +554,7 @@ func TestReconnQPAtomicUncertain(t *testing.T) {
 func TestReconnQPReplaysAtomicWhenProvablyUnposted(t *testing.T) {
 	arena, mr, d, r := reconnRig(t, 4096)
 
-	prev, err := r.FetchAdd(mr.RKey, 0, 1)
+	prev, err := r.FetchAddCtx(context.Background(), mr.RKey, 0, 1)
 	if err != nil || prev != 0 {
 		t.Fatalf("prime FetchAdd = %d, %v", prev, err)
 	}
@@ -579,7 +579,7 @@ func TestReconnQPReplaysAtomicWhenProvablyUnposted(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	prev, err = r.FetchAdd(mr.RKey, 0, 1)
+	prev, err = r.FetchAddCtx(context.Background(), mr.RKey, 0, 1)
 	if err != nil {
 		t.Fatalf("provably-unposted atomic not replayed: %v", err)
 	}
@@ -594,10 +594,10 @@ func TestReconnQPReplaysAtomicWhenProvablyUnposted(t *testing.T) {
 func TestReconnQPCloseStopsRedial(t *testing.T) {
 	_, mr, _, r := reconnRig(t, 4096)
 	r.Close()
-	if err := r.Write(mr.RKey, 0, []byte{1}); !errors.Is(err, ErrClosed) {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 0, []byte{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after Close = %v, want ErrClosed", err)
 	}
-	if _, err := r.FetchAdd(mr.RKey, 0, 1); !errors.Is(err, ErrClosed) {
+	if _, err := r.FetchAddCtx(context.Background(), mr.RKey, 0, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("atomic after Close = %v, want ErrClosed", err)
 	}
 }

@@ -48,14 +48,14 @@ func TestWireMetricsAccumulateAcrossReconnect(t *testing.T) {
 	_, mr, d, r := reconnRig(t, 1<<16)
 	r.SetInstruments(m, nil, "n")
 
-	if err := r.Write(mr.RKey, 0, []byte("one")); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 0, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
 	d.last().Kill()
-	if err := r.Write(mr.RKey, 64, []byte("two")); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 64, []byte("two")); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Write(mr.RKey, 128, []byte("three")); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 128, []byte("three")); err != nil {
 		t.Fatal(err)
 	}
 	if g := r.Generation(); g != 2 {

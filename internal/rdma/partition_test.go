@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"sync"
 	"testing"
@@ -58,12 +59,12 @@ func TestReconnQPPartitionHeal(t *testing.T) {
 	}
 	defer r.Close()
 
-	if err := r.Write(mr.RKey, 0, []byte("pre")); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 0, []byte("pre")); err != nil {
 		t.Fatal(err)
 	}
 
 	d.gate.Cut()
-	if err := r.Write(mr.RKey, 100, []byte("during")); err == nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 100, []byte("during")); err == nil {
 		t.Fatal("write into a partition succeeded")
 	}
 	// The partitioned write never reached the endpoint.
@@ -72,7 +73,7 @@ func TestReconnQPPartitionHeal(t *testing.T) {
 	}
 
 	d.gate.Heal()
-	if err := r.Write(mr.RKey, 100, []byte("after")); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 100, []byte("after")); err != nil {
 		t.Fatalf("write after heal: %v", err)
 	}
 	if b, _ := arena.Read(100, 5); !bytes.Equal(b, []byte("after")) {
@@ -164,7 +165,7 @@ func TestReconnQPDuplicateWriteDeliveryIdempotent(t *testing.T) {
 	srv.SetKillAfterBytes(kill)
 
 	payload := []byte("duplicated-delivery")
-	if err := r.Write(mr.RKey, 64, payload); err != nil {
+	if err := r.WriteCtx(context.Background(), mr.RKey, 64, payload); err != nil {
 		t.Fatalf("write with lost completion not replayed: %v", err)
 	}
 	if g := r.Generation(); g != 2 {

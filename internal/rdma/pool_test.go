@@ -306,7 +306,7 @@ func TestWriteAcrossWritevBoundary(t *testing.T) {
 							t.Errorf("poster %d write %d: %v", w, n, err)
 							return
 						}
-						if got, err := qp.Read(mr.RKey, addr, n); err != nil || !bytes.Equal(got, payload) {
+						if got, err := qp.ReadCtx(context.Background(), mr.RKey, addr, n); err != nil || !bytes.Equal(got, payload) {
 							t.Errorf("poster %d: %d-byte write read back corrupted (err=%v)", w, n, err)
 							return
 						}
@@ -370,12 +370,12 @@ func TestBatchHotPathZeroAllocs(t *testing.T) {
 		ops[i] = BatchOp{RKey: mr.RKey, Addr: mem.Addr(i * 256), Data: bytes.Repeat([]byte{byte(i)}, 128)}
 	}
 	for i := 0; i < 100; i++ {
-		if err := qp.WriteBatch(ops); err != nil {
+		if err := qp.WriteBatchCtx(context.Background(), ops); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(300, func() {
-		if err := qp.WriteBatch(ops); err != nil {
+		if err := qp.WriteBatchCtx(context.Background(), ops); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -401,11 +401,11 @@ func TestAtomicHotPathZeroAllocs(t *testing.T) {
 	}
 	var want uint64
 	atomics := func() {
-		prev, err := qp.FetchAdd(mr.RKey, 64, 1)
+		prev, err := qp.FetchAddCtx(context.Background(), mr.RKey, 64, 1)
 		if err != nil || prev != want {
 			t.Fatalf("FETCH_ADD returned %d, %v; want %d", prev, err, want)
 		}
-		prev, err = qp.CompareAndSwap(mr.RKey, 64, want+1, want+2)
+		prev, err = qp.CompareAndSwapCtx(context.Background(), mr.RKey, 64, want+1, want+2)
 		if err != nil || prev != want+1 {
 			t.Fatalf("CAS returned %d, %v; want %d", prev, err, want+1)
 		}
@@ -455,7 +455,7 @@ func BenchmarkVerbRoundTrip(b *testing.B) {
 		b.SetBytes(128)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := qp.Read(mr.RKey, 0, 128); err != nil {
+			if _, err := qp.ReadCtx(context.Background(), mr.RKey, 0, 128); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -463,7 +463,7 @@ func BenchmarkVerbRoundTrip(b *testing.B) {
 	b.Run("cas", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := qp.CompareAndSwap(mr.RKey, 64, uint64(i), uint64(i+1)); err != nil {
+			if _, err := qp.CompareAndSwapCtx(context.Background(), mr.RKey, 64, uint64(i), uint64(i+1)); err != nil {
 				b.Fatal(err)
 			}
 		}

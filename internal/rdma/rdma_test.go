@@ -40,6 +40,23 @@ func newTestRig(t *testing.T, arenaSize int, lat *LatencyModel) (*mem.Arena, *En
 	return arena, ep, qp
 }
 
+// readQword READs one 8-byte little-endian word (arena layout) at addr.
+func readQword(qp *QP, rkey uint32, addr mem.Addr) (uint64, error) {
+	b, err := qp.ReadCtx(context.Background(), rkey, addr, 8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// writeQword WRITEs one 8-byte little-endian word at addr (a plain WRITE,
+// not an atomic).
+func writeQword(qp *QP, rkey uint32, addr mem.Addr, v uint64) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return qp.WriteCtx(context.Background(), rkey, addr, b[:])
+}
+
 func TestWireRequestRoundTrip(t *testing.T) {
 	cases := []request{
 		{op: OpRead, id: 1, rkey: 7, addr: 0x100, len: 64},
@@ -120,7 +137,7 @@ func TestReadWriteOverFabric(t *testing.T) {
 	if err := qp.Write(mr.RKey, 1000, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := qp.Read(mr.RKey, 1000, 300)
+	got, err := qp.ReadCtx(context.Background(), mr.RKey, 1000, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,30 +155,30 @@ func TestQwordAndAtomicsOverFabric(t *testing.T) {
 	_, ep, qp := newTestRig(t, 4096, nil)
 	mr, _ := ep.RegisterMR("all", 0, 4096, PermAll)
 
-	if err := qp.WriteQword(mr.RKey, 64, 42); err != nil {
+	if err := writeQword(qp, mr.RKey, 64, 42); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := qp.ReadQword(mr.RKey, 64); err != nil || v != 42 {
+	if v, err := readQword(qp, mr.RKey, 64); err != nil || v != 42 {
 		t.Fatalf("qword = %d err=%v", v, err)
 	}
 
-	prev, err := qp.CompareAndSwap(mr.RKey, 64, 42, 43)
+	prev, err := qp.CompareAndSwapCtx(context.Background(), mr.RKey, 64, 42, 43)
 	if err != nil || prev != 42 {
 		t.Fatalf("CAS prev = %d err=%v", prev, err)
 	}
-	prev, err = qp.CompareAndSwap(mr.RKey, 64, 42, 99)
+	prev, err = qp.CompareAndSwapCtx(context.Background(), mr.RKey, 64, 42, 99)
 	if err != nil || prev != 43 {
 		t.Fatalf("failed CAS prev = %d err=%v, want 43", prev, err)
 	}
-	if v, _ := qp.ReadQword(mr.RKey, 64); v != 43 {
+	if v, _ := readQword(qp, mr.RKey, 64); v != 43 {
 		t.Errorf("value after failed CAS = %d", v)
 	}
 
-	prev, err = qp.FetchAdd(mr.RKey, 64, 7)
+	prev, err = qp.FetchAddCtx(context.Background(), mr.RKey, 64, 7)
 	if err != nil || prev != 43 {
 		t.Fatalf("FetchAdd prev = %d err=%v", prev, err)
 	}
-	if v, _ := qp.ReadQword(mr.RKey, 64); v != 50 {
+	if v, _ := readQword(qp, mr.RKey, 64); v != 50 {
 		t.Errorf("value after FetchAdd = %d", v)
 	}
 }
@@ -175,16 +192,16 @@ func TestPermissionEnforcement(t *testing.T) {
 	if err := qp.Write(ro.RKey, 0, []byte{1}); err != ErrAccess {
 		t.Errorf("write to read-only MR: %v, want ErrAccess", err)
 	}
-	if _, err := qp.Read(wo.RKey, 1024, 1); err != ErrAccess {
+	if _, err := qp.ReadCtx(context.Background(), wo.RKey, 1024, 1); err != ErrAccess {
 		t.Errorf("read of write-only MR: %v, want ErrAccess", err)
 	}
-	if _, err := qp.CompareAndSwap(na.RKey, 2048, 0, 1); err != ErrAccess {
+	if _, err := qp.CompareAndSwapCtx(context.Background(), na.RKey, 2048, 0, 1); err != ErrAccess {
 		t.Errorf("atomic on non-atomic MR: %v, want ErrAccess", err)
 	}
-	if _, err := qp.FetchAdd(na.RKey, 2048, 1); err != ErrAccess {
+	if _, err := qp.FetchAddCtx(context.Background(), na.RKey, 2048, 1); err != ErrAccess {
 		t.Errorf("fetchadd on non-atomic MR: %v, want ErrAccess", err)
 	}
-	if _, err := qp.Read(0xDEAD, 0, 1); err != ErrAccess {
+	if _, err := qp.ReadCtx(context.Background(), 0xDEAD, 0, 1); err != ErrAccess {
 		t.Errorf("unknown rkey: %v, want ErrAccess", err)
 	}
 }
@@ -193,20 +210,20 @@ func TestBoundsEnforcement(t *testing.T) {
 	_, ep, qp := newTestRig(t, 4096, nil)
 	mr, _ := ep.RegisterMR("mid", 1024, 512, PermAll)
 
-	if _, err := qp.Read(mr.RKey, 1023, 1); err != ErrBounds {
+	if _, err := qp.ReadCtx(context.Background(), mr.RKey, 1023, 1); err != ErrBounds {
 		t.Errorf("read below MR: %v", err)
 	}
-	if _, err := qp.Read(mr.RKey, 1024+512, 1); err != ErrBounds {
+	if _, err := qp.ReadCtx(context.Background(), mr.RKey, 1024+512, 1); err != ErrBounds {
 		t.Errorf("read past MR: %v", err)
 	}
 	if err := qp.Write(mr.RKey, 1534, []byte{1, 2, 3}); err != ErrBounds {
 		t.Errorf("write straddling MR end: %v", err)
 	}
-	if _, err := qp.Read(mr.RKey, 1024, 512); err != nil {
+	if _, err := qp.ReadCtx(context.Background(), mr.RKey, 1024, 512); err != nil {
 		t.Errorf("full-region read should pass: %v", err)
 	}
 	// Overflow-probing address.
-	if _, err := qp.Read(mr.RKey, ^uint64(0)-3, 8); err != ErrBounds {
+	if _, err := qp.ReadCtx(context.Background(), mr.RKey, ^uint64(0)-3, 8); err != ErrBounds {
 		t.Errorf("overflow address: %v", err)
 	}
 }
@@ -277,7 +294,7 @@ func TestWriteImmFiresDoorbell(t *testing.T) {
 		fired <- struct{}{}
 	})
 
-	if err := qp.WriteImm(mr.RKey, 128, 0xFEED, []byte{9, 9}); err != nil {
+	if err := qp.WriteImmCtx(context.Background(), mr.RKey, 128, 0xFEED, []byte{9, 9}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -297,7 +314,7 @@ func TestDoorbellOutsideRangeNotFired(t *testing.T) {
 	mr, _ := ep.RegisterMR("all", 0, 4096, PermAll)
 	fired := make(chan struct{}, 1)
 	ep.RegisterDoorbell(0, 64, func(uint32, mem.Addr, []byte) { fired <- struct{}{} })
-	if err := qp.WriteImm(mr.RKey, 2048, 1, []byte{1}); err != nil {
+	if err := qp.WriteImmCtx(context.Background(), mr.RKey, 2048, 1, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -317,7 +334,7 @@ func TestLargeWriteSegmentation(t *testing.T) {
 	if err := qp.Write(mr.RKey, 0, big); err != nil {
 		t.Fatal(err)
 	}
-	got, err := qp.Read(mr.RKey, 0, 1<<20)
+	got, err := qp.ReadCtx(context.Background(), mr.RKey, 0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +369,7 @@ func TestConcurrentQPs(t *testing.T) {
 			}
 			defer qp.Close()
 			for j := 0; j < opsPer; j++ {
-				if _, err := qp.FetchAdd(mr.RKey, 0, 1); err != nil {
+				if _, err := qp.FetchAddCtx(context.Background(), mr.RKey, 0, 1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -393,7 +410,7 @@ func TestQPCloseFailsPending(t *testing.T) {
 	_, ep, qp := newTestRig(t, 4096, NoLatency())
 	mr, _ := ep.RegisterMR("all", 0, 4096, PermAll)
 	// Issue a valid op first to confirm liveness, then close and verify error.
-	if err := qp.WriteQword(mr.RKey, 0, 1); err != nil {
+	if err := writeQword(qp, mr.RKey, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	qp.Close()
@@ -410,7 +427,7 @@ func TestLatencyModelApplied(t *testing.T) {
 	start := time.Now()
 	const ops = 10
 	for i := 0; i < ops; i++ {
-		if _, err := qp.ReadQword(mr.RKey, 0); err != nil {
+		if _, err := readQword(qp, mr.RKey, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -434,13 +451,13 @@ func TestModeledLatencyFloor(t *testing.T) {
 		n    int
 		do   func() error
 	}{
-		{"read", 4096, func() error { _, err := qp.Read(mr.RKey, 0, 4096); return err }},
+		{"read", 4096, func() error { _, err := qp.ReadCtx(context.Background(), mr.RKey, 0, 4096); return err }},
 		{"write", 4096, func() error { return qp.Write(mr.RKey, 0, payload) }},
-		{"write_imm", 4096, func() error { return qp.WriteImm(mr.RKey, 0, 1, payload) }},
-		{"cas", 0, func() error { _, err := qp.CompareAndSwap(mr.RKey, 0, 0, 0); return err }},
-		{"fetch_add", 0, func() error { _, err := qp.FetchAdd(mr.RKey, 0, 0); return err }},
+		{"write_imm", 4096, func() error { return qp.WriteImmCtx(context.Background(), mr.RKey, 0, 1, payload) }},
+		{"cas", 0, func() error { _, err := qp.CompareAndSwapCtx(context.Background(), mr.RKey, 0, 0, 0); return err }},
+		{"fetch_add", 0, func() error { _, err := qp.FetchAddCtx(context.Background(), mr.RKey, 0, 0); return err }},
 		{"batch", 8192, func() error {
-			return qp.WriteBatch([]BatchOp{{RKey: mr.RKey, Data: payload}, {RKey: mr.RKey, Addr: 4096, Data: payload}})
+			return qp.WriteBatchCtx(context.Background(), []BatchOp{{RKey: mr.RKey, Data: payload}, {RKey: mr.RKey, Addr: 4096, Data: payload}})
 		}},
 	}
 	for _, v := range verbs {
@@ -624,7 +641,7 @@ func TestOverTCP(t *testing.T) {
 	if err := qp.Write(mr.RKey, 100, []byte("over tcp")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := qp.Read(mr.RKey, 100, 8)
+	got, err := qp.ReadCtx(context.Background(), mr.RKey, 100, 8)
 	if err != nil || !bytes.Equal(got, []byte("over tcp")) {
 		t.Fatalf("got %q err=%v", got, err)
 	}
@@ -731,7 +748,7 @@ func TestBatchFirstFailureFlushesRest(t *testing.T) {
 		t.Error("flushed sub-verb applied")
 	}
 	// WriteBatch surfaces the failing index.
-	if err := qp.WriteBatch(ops); err == nil || !strings.Contains(err.Error(), "sub-verb 1") {
+	if err := qp.WriteBatchCtx(context.Background(), ops); err == nil || !strings.Contains(err.Error(), "sub-verb 1") {
 		t.Errorf("WriteBatch err = %v, want sub-verb 1 identified", err)
 	}
 }

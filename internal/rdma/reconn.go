@@ -172,8 +172,6 @@ func (r *ReconnQP) adoptLocked(name string, rkey uint32) uint32 {
 	return v
 }
 
-// Generation reports how many connections have been established; it starts
-// at 1 and grows by one per successful redial.
 // SetInstruments attaches wire metrics, a trace recorder, and a node label
 // to this connection — the live QP immediately, and every future generation
 // via the stored config — mirroring (*QP).SetInstruments so callers can
@@ -188,6 +186,8 @@ func (r *ReconnQP) SetInstruments(m *WireMetrics, tr *telemetry.TraceRecorder, n
 	}
 }
 
+// Generation reports how many connections have been established; it starts
+// at 1 and grows by one per successful redial.
 func (r *ReconnQP) Generation() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -246,24 +246,19 @@ func (r *ReconnQP) resolver() func(uint32) uint32 {
 }
 
 // do drives one verb with redial-and-replay. idempotent marks verbs safe to
-// replay even if a previous attempt executed remotely.
-func (r *ReconnQP) do(idempotent bool, op func(qp *QP, rkey func(uint32) uint32) error) error {
-	return r.doCtx(context.Background(), idempotent, op)
-}
-
-// doCtx is do bounded by ctx: a cancellation fires during the redial
-// backoff sleeps (the verb itself honors ctx through the QP wait path).
-func (r *ReconnQP) doCtx(ctx context.Context, idempotent bool, op func(qp *QP, rkey func(uint32) uint32) error) error {
+// replay even if a previous attempt executed remotely. Only transport errors
+// redial. ctx bounds the redial backoff sleeps (the verb itself honors ctx
+// through the QP wait path).
+func (r *ReconnQP) do(ctx context.Context, idempotent bool, op func(qp *QP, rkey func(uint32) uint32) error) error {
 	backoff := r.cfg.RedialBackoff
 	for attempt := 0; ; attempt++ {
 		qp, gen, err := r.acquire()
 		if err == nil {
-			posted := false
 			err = op(qp, r.resolver())
 			if err == nil || !IsTransportErr(err) {
 				return err
 			}
-			posted = !errors.Is(err, ErrUnposted)
+			posted := !errors.Is(err, ErrUnposted)
 			r.invalidate(gen, qp)
 			if !idempotent && posted {
 				// The verb reached the wire but its completion was lost:
@@ -300,7 +295,7 @@ func (r *ReconnQP) isClosed() bool {
 // ReadCtx implements Verbs with transparent redial and replay.
 func (r *ReconnQP) ReadCtx(ctx context.Context, rkey uint32, addr mem.Addr, n int) ([]byte, error) {
 	var out []byte
-	err := r.doCtx(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
+	err := r.do(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
 		var err error
 		out, err = qp.ReadCtx(ctx, rk(rkey), addr, n)
 		return err
@@ -308,34 +303,19 @@ func (r *ReconnQP) ReadCtx(ctx context.Context, rkey uint32, addr mem.Addr, n in
 	return out, err
 }
 
-// Read is ReadCtx without a bounding context.
-func (r *ReconnQP) Read(rkey uint32, addr mem.Addr, n int) ([]byte, error) {
-	return r.ReadCtx(context.Background(), rkey, addr, n)
-}
-
 // WriteCtx implements Verbs with transparent redial and replay.
 func (r *ReconnQP) WriteCtx(ctx context.Context, rkey uint32, addr mem.Addr, data []byte) error {
-	return r.doCtx(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
+	return r.do(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
 		return qp.WriteCtx(ctx, rk(rkey), addr, data)
 	})
-}
-
-// Write is WriteCtx without a bounding context.
-func (r *ReconnQP) Write(rkey uint32, addr mem.Addr, data []byte) error {
-	return r.WriteCtx(context.Background(), rkey, addr, data)
 }
 
 // WriteImmCtx implements Verbs with transparent redial and replay; a replay
 // re-fires the doorbell.
 func (r *ReconnQP) WriteImmCtx(ctx context.Context, rkey uint32, addr mem.Addr, imm uint32, data []byte) error {
-	return r.doCtx(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
+	return r.do(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
 		return qp.WriteImmCtx(ctx, rk(rkey), addr, imm, data)
 	})
-}
-
-// WriteImm is WriteImmCtx without a bounding context.
-func (r *ReconnQP) WriteImm(rkey uint32, addr mem.Addr, imm uint32, data []byte) error {
-	return r.WriteImmCtx(context.Background(), rkey, addr, imm, data)
 }
 
 // WriteBatchCtx implements Verbs: on transport failure the WHOLE batch is
@@ -343,7 +323,7 @@ func (r *ReconnQP) WriteImm(rkey uint32, addr mem.Addr, imm uint32, data []byte)
 // replay converges to the same memory image regardless of how far the dead
 // connection got).
 func (r *ReconnQP) WriteBatchCtx(ctx context.Context, ops []BatchOp) error {
-	return r.doCtx(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
+	return r.do(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
 		translated := make([]BatchOp, len(ops))
 		for i, op := range ops {
 			op.RKey = rk(op.RKey)
@@ -353,15 +333,10 @@ func (r *ReconnQP) WriteBatchCtx(ctx context.Context, ops []BatchOp) error {
 	})
 }
 
-// WriteBatch is WriteBatchCtx without a bounding context.
-func (r *ReconnQP) WriteBatch(ops []BatchOp) error {
-	return r.WriteBatchCtx(context.Background(), ops)
-}
-
 // CompareAndSwapCtx implements Verbs. It is replayed only when provably
 // unexecuted; a completion lost after posting surfaces as ErrUncertain.
 func (r *ReconnQP) CompareAndSwapCtx(ctx context.Context, rkey uint32, addr mem.Addr, old, new uint64) (prev uint64, err error) {
-	err = r.doCtx(ctx, false, func(qp *QP, rk func(uint32) uint32) error {
+	err = r.do(ctx, false, func(qp *QP, rk func(uint32) uint32) error {
 		var err error
 		prev, err = qp.CompareAndSwapCtx(ctx, rk(rkey), addr, old, new)
 		return err
@@ -369,14 +344,9 @@ func (r *ReconnQP) CompareAndSwapCtx(ctx context.Context, rkey uint32, addr mem.
 	return prev, err
 }
 
-// CompareAndSwap is CompareAndSwapCtx without a bounding context.
-func (r *ReconnQP) CompareAndSwap(rkey uint32, addr mem.Addr, old, new uint64) (prev uint64, err error) {
-	return r.CompareAndSwapCtx(context.Background(), rkey, addr, old, new)
-}
-
 // FetchAddCtx implements Verbs. Same replay rules as CompareAndSwapCtx.
 func (r *ReconnQP) FetchAddCtx(ctx context.Context, rkey uint32, addr mem.Addr, delta uint64) (prev uint64, err error) {
-	err = r.doCtx(ctx, false, func(qp *QP, rk func(uint32) uint32) error {
+	err = r.do(ctx, false, func(qp *QP, rk func(uint32) uint32) error {
 		var err error
 		prev, err = qp.FetchAddCtx(ctx, rk(rkey), addr, delta)
 		return err
@@ -384,17 +354,12 @@ func (r *ReconnQP) FetchAddCtx(ctx context.Context, rkey uint32, addr mem.Addr, 
 	return prev, err
 }
 
-// FetchAdd is FetchAddCtx without a bounding context.
-func (r *ReconnQP) FetchAdd(rkey uint32, addr mem.Addr, delta uint64) (prev uint64, err error) {
-	return r.FetchAddCtx(context.Background(), rkey, addr, delta)
-}
-
 // QueryMRs implements Verbs. The returned table carries each region's
 // stable virtual rkey, so handles built on it survive reconnects even when
 // the endpoint renumbers its regions.
 func (r *ReconnQP) QueryMRs() ([]MR, error) {
 	var out []MR
-	err := r.do(true, func(qp *QP, _ func(uint32) uint32) error {
+	err := r.do(context.Background(), true, func(qp *QP, _ func(uint32) uint32) error {
 		var err error
 		out, err = qp.QueryMRs()
 		return err

@@ -40,11 +40,6 @@ type FrameReader interface {
 	ReadFrameCtx(ctx context.Context, rkey uint32, addr mem.Addr, n int) (FrameView, error)
 }
 
-// ReadFrame is ReadFrameCtx without a bounding context.
-func (qp *QP) ReadFrame(rkey uint32, addr mem.Addr, n int) (FrameView, error) {
-	return qp.ReadFrameCtx(context.Background(), rkey, addr, n)
-}
-
 // ReadFrameCtx performs a one-sided READ and delivers the payload as a
 // zero-copy view of the pooled response frame instead of a heap copy — the
 // bulk-read twin of the writev send path. The caller must Release the view.
@@ -69,17 +64,12 @@ func (qp *QP) ReadFrameCtx(ctx context.Context, rkey uint32, addr mem.Addr, n in
 // (READs are idempotent).
 func (r *ReconnQP) ReadFrameCtx(ctx context.Context, rkey uint32, addr mem.Addr, n int) (FrameView, error) {
 	var out FrameView
-	err := r.doCtx(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
+	err := r.do(ctx, true, func(qp *QP, rk func(uint32) uint32) error {
 		var err error
 		out, err = qp.ReadFrameCtx(ctx, rk(rkey), addr, n)
 		return err
 	})
 	return out, err
-}
-
-// ReadFrame is ReadFrameCtx without a bounding context.
-func (r *ReconnQP) ReadFrame(rkey uint32, addr mem.Addr, n int) (FrameView, error) {
-	return r.ReadFrameCtx(context.Background(), rkey, addr, n)
 }
 
 var (

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func TestReadFrameView(t *testing.T) {
 	if err := qp.Write(mr.RKey, 0x100, want); err != nil {
 		t.Fatal(err)
 	}
-	v, err := qp.ReadFrame(mr.RKey, 0x100, len(want))
+	v, err := qp.ReadFrameCtx(context.Background(), mr.RKey, 0x100, len(want))
 	if err != nil {
 		t.Fatalf("view read: %v", err)
 	}
@@ -28,7 +29,7 @@ func TestReadFrameView(t *testing.T) {
 	v.Release()
 	// The pool may hand the released frame straight back; a second read
 	// must still see correct bytes, not a recycled buffer's garbage.
-	v2, err := qp.ReadFrame(mr.RKey, 0x100, len(want))
+	v2, err := qp.ReadFrameCtx(context.Background(), mr.RKey, 0x100, len(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +71,14 @@ func TestReadHotPathZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ { // warm the pools and the pending map
-		v, err := qp.ReadFrame(mr.RKey, 0, 4096)
+		v, err := qp.ReadFrameCtx(context.Background(), mr.RKey, 0, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v.Release()
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		v, err := qp.ReadFrame(mr.RKey, 0, 4096)
+		v, err := qp.ReadFrameCtx(context.Background(), mr.RKey, 0, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -26,8 +25,7 @@ const (
 // success can be convicted as stale) and the first conviction.
 type chainWorld struct {
 	failoverWorld
-	chainsFenced bool // ha-chain MR rotated: every resident chain's region rkey is dead
-	hbFenced     bool // liveness epoch bumped: the heartbeat chain's CAS must lose
+	chainsFenced bool // ha-chain MR rotated: the resident chain's region rkey is dead
 	staleErr     error
 }
 
@@ -40,13 +38,13 @@ func (w *chainWorld) convict(err error) {
 }
 
 // RunChainOffload is the verb-chain offload scenario: leader A attaches,
-// arms the renew and heartbeat chains, and journals a prologue in Setup;
-// then A's publishes, A's chained renewals, A's heartbeats, and B's
-// takeover (which re-arms chains for its own term and renews through them)
-// interleave under the scheduler, with chain-MR rotation, heartbeat
-// fencing, lease expiry, and partitions available as schedule steps. Every
-// chain trigger is ONE step — the semantics under test: between trigger
-// and effect there is nothing for the scheduler to interleave.
+// arms the renew chain, and journals a prologue in Setup; then A's
+// publishes, A's chained renewals, and B's takeover (which re-arms the renew
+// chain for its own term and renews through it) interleave under the
+// scheduler, with chain-MR rotation, lease expiry, and partitions available
+// as schedule steps. Every chain trigger is ONE step — the semantics under
+// test: between trigger and effect there is nothing for the scheduler to
+// interleave.
 //
 // Invariants:
 //   - single-leader: at most one controller holds the lease at the
@@ -54,11 +52,11 @@ func (w *chainWorld) convict(err error) {
 //   - acked-durable: no publish acked under a superseded fence escapes
 //     the successor's replay.
 //   - stale-chain-rejected: the instant the witness epoch moves past A's
-//     arming epoch (B's Steal bumps it mid-takeover) or a fence fires, a
-//     trigger by A must NOT succeed — a deposed leader certifying liveness
-//     through a resident program is exactly what the witness-epoch guard
-//     revokes, step by step, before the successor has re-armed anything.
-//     The simregression build arms chains unguarded and trips this.
+//     arming epoch (B's Steal bumps it mid-takeover) or the chain MR is
+//     rotated, a renewal by A must NOT succeed — a deposed leader extending
+//     its lease through a resident program is what the witness-epoch guard
+//     and the program's own owner CAS refuse, before the successor has
+//     re-armed anything.
 func RunChainOffload(cfg sim.Config) *sim.Result {
 	s := sim.New(cfg)
 	net := sim.NewNet(s)
@@ -71,10 +69,9 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 	defer host.Close()
 	net.AddHost(chStandby, host.Endpoint())
 
-	// Prologue: A becomes leader, arms both chains, and journals two
+	// Prologue: A becomes leader, arms the renew chain, and journals two
 	// publishes — unrecorded, so schedules start at the interesting part.
 	var ldrA *controlha.Leader
-	var coA *controlha.ChainOffload
 	s.Setup("attach-A", func() {
 		cp := core.NewControlPlane()
 		cp.Clock = s.Clock()
@@ -82,7 +79,7 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 		if err != nil {
 			panic(fmt.Sprintf("scenario: leader A attach: %v", err))
 		}
-		coA, err = controlha.AttachChain(ldrA, net.QP(chCtrlA, chStandby))
+		_, err = controlha.AttachChain(ldrA, net.QP(chCtrlA, chStandby))
 		if err != nil {
 			panic(fmt.Sprintf("scenario: chain attach: %v", err))
 		}
@@ -143,19 +140,12 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 			w.mu.Unlock()
 		}
 	})
-	s.AddAction("bump heartbeat fence", 1, nil, func() {
-		if err := host.FenceHeartbeats(); err == nil {
-			w.mu.Lock()
-			w.hbFenced = true
-			w.mu.Unlock()
-		}
-	})
 	s.AddAction("advance clock past TTL", 1, nil, func() { s.Clock().Advance(chTTL + time.Millisecond) })
 	s.AddAction("cut A↔standby", 1, nil, func() { net.Cut(chCtrlA, chStandby) })
 	s.AddAction("heal A↔standby", 1, nil, func() { net.Heal(chCtrlA, chStandby) })
 
-	// A's arming epoch: every chain A pre-posted carries (or, under
-	// simregression, should carry) a guard on this witness-epoch value.
+	// A's arming epoch: the renew chain A pre-posted is guarded on this
+	// witness-epoch value.
 	epochA := ldrA.Lease.Epoch()
 
 	s.Spawn("A-append", func() {
@@ -182,40 +172,7 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 			}
 		}
 	})
-	s.Spawn("A-heartbeat", func() {
-		for i := 0; i < 3; i++ {
-			_, err := coA.TriggerHeartbeat(context.Background())
-			// Judge the beat against the state it executed under: steps are
-			// serialized, so reading the witness and fence flags right after
-			// the trigger sees exactly the world the chain ran in. The epoch
-			// word is the revocation point — the moment B's Steal bumps it,
-			// a guarded chain must refuse every later trigger, long before B
-			// gets around to re-arming the slots for its own term.
-			ep, eperr := host.WitnessEpoch()
-			w.mu.Lock()
-			rot, hbf := w.chainsFenced, w.hbFenced
-			w.mu.Unlock()
-			deposed := eperr == nil && ep != epochA
-			if err == nil && (deposed || rot || hbf) {
-				w.convict(fmt.Errorf("deposed leader A certified liveness through a resident chain after fencing (epoch %d→%d rotate=%v hb-fence=%v)",
-					epochA, ep, rot, hbf))
-			}
-			if err != nil {
-				return
-			}
-		}
-	})
 	s.Spawn("B-takeover", func() {
-		// Fence the ring explicitly before the takeover. TakeOver does
-		// this itself on fixed builds, but the simregression tag re-opens the
-		// historical pre-rotation-fencing bug, and its acked-durable violation
-		// would otherwise mask the unguarded-chain bug this scenario exists to
-		// catch (the explorer stops at the first violation of any invariant).
-		// The failover scenario owns that regression; here we pin it closed so
-		// stale-chain-rejected is the only simregression-visible violation.
-		if err := host.FenceRing(); err != nil {
-			return
-		}
 		cp := core.NewControlPlane()
 		cp.Clock = s.Clock()
 		ldrB, state, err := controlha.TakeOver(cp, host, net.QP(chCtrlB, chStandby), chLeaderB, chTTL, nil)
@@ -228,9 +185,9 @@ func RunChainOffload(cfg sim.Config) *sim.Result {
 		w.curEpoch = ldrB.Lease.Epoch()
 		w.replayedSeq = state.LastSeq
 		w.mu.Unlock()
-		// The successor arms chains for its OWN term (fresh MR discovery
-		// picks up any rotated rkey) and renews through them: fencing the
-		// predecessor must not cost the successor the offload.
+		// The successor arms the renew chain for its OWN term (fresh MR
+		// discovery picks up any rotated rkey) and renews through it:
+		// fencing the predecessor must not cost the successor the offload.
 		if _, err := controlha.AttachChain(ldrB, net.QP(chCtrlB, chStandby)); err == nil {
 			_ = ldrB.Lease.Renew()
 		}

@@ -10,16 +10,13 @@ import (
 	"rdx/internal/sim"
 )
 
-// The simregression build tag re-seeds three historical bugs:
+// The simregression build tag re-seeds two historical bugs:
 //
 //   - controlha: pre-rotation takeover fencing (epoch CAS only, no ring
 //     rkey rotation), letting a stale leader with a live tail reservation
 //     commit past the successor's replay point.
 //   - shard: the PR 8 refund-on-failure bug — a publish that lost its
 //     owner to a drain returned without refunding the admission charge.
-//   - controlha: unguarded resident chains (guardChains off) — pre-posted
-//     renew/heartbeat programs carried no witness-epoch guard, so a
-//     successor's epoch bump did not revoke a deposed leader's chains.
 //
 // These tests assert the simulator FINDS each within a few thousand
 // schedules and shrinks each to a short, replayable trace. Set
@@ -83,37 +80,5 @@ func TestRefundRegression(t *testing.T) {
 		Choices:  v.Choices,
 		MaxSteps: 300,
 		Note:     "PR 8 refund-on-failure: drained-owner publish path skipped Refund, leaking tenant quota (token-conservation)",
-	})
-}
-
-// TestChainGuardRegression: unguarded resident chains — the witness-epoch
-// bump no longer revokes pre-posted programs, so a deposed leader's
-// heartbeat chain keeps certifying liveness after takeover. The
-// stale-chain-rejected invariant must catch it. The shrunk trace is longer
-// than the other regressions' because the violation needs B's whole
-// takeover sequence ordered before A's beat.
-func TestChainGuardRegression(t *testing.T) {
-	// The regression build also re-opens the ring-fencing bug (the const
-	// gates share the build tag), but the chain scenario pins that one
-	// closed with an explicit FenceRing before the takeover, so the chain
-	// invariant is the only one in play here.
-	rep := sim.ExploreRandom(RunChainOffload, 1, regressionBudget, 300)
-	if rep.Violation == nil {
-		t.Fatalf("unguarded-chain bug not found in %d schedules", rep.Runs)
-	}
-	v := rep.Violation
-	if v.Invariant != "stale-chain-rejected" {
-		t.Fatalf("unexpected invariant %q", v.Invariant)
-	}
-	t.Logf("found after %d runs, shrunk to %d steps:\n%v", rep.Runs, len(v.Trace), v)
-	if len(v.Trace) > 40 {
-		t.Fatalf("shrunk trace has %d steps, want <= 40", len(v.Trace))
-	}
-	writeCorpus(t, "chain-unguarded-heartbeat.json", &sim.Schedule{
-		Scenario: "chain",
-		Seed:     v.Seed,
-		Choices:  v.Choices,
-		MaxSteps: 300,
-		Note:     "unguarded resident chains: deposed leader's heartbeat program kept certifying liveness after the successor's epoch bump (stale-chain-rejected)",
 	})
 }

@@ -69,10 +69,9 @@ func TestRebalanceSystematic(t *testing.T) {
 }
 
 // TestChainOffloadSoak random-explores the verb-chain offload scenario:
-// chained renewals and heartbeats interleaved with takeover, chain-MR
-// rotation, heartbeat fencing, expiry, and partitions. Every trigger is
-// one schedule step; the guard must keep every post-fence trigger from
-// succeeding in every interleaving.
+// chained renewals interleaved with publishes, takeover, chain-MR rotation,
+// expiry, and partitions. Every trigger is one schedule step; the guard must
+// keep every post-fence renewal from succeeding in every interleaving.
 func TestChainOffloadSoak(t *testing.T) {
 	start := time.Now()
 	rep := sim.ExploreRandom(RunChainOffload, 1, soakChainRuns, soakMaxSteps)

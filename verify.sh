@@ -64,10 +64,9 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 300s -count=20 -run 'TestResidentFastPathVsDeltaClaimRace|TestConcurrentBroadcastLastWriterWins|TestPublishAfterRingWrapFails|TestRollback|TestPublishPath|TestPolicy' ./internal/core ./internal/controlha
 fi
 
-# The simregression build re-seeds three historical bugs (pre-rotation
-# takeover fencing, the PR 8 refund-on-failure leak, unguarded resident
-# chains) and asserts the model checker FINDS each and shrinks it to a short
-# replayable trace. TestReplayByteIdentical carries no build tag, so replay
+# The simregression build re-seeds two historical bugs (pre-rotation
+# takeover fencing, the PR 8 refund-on-failure leak) and asserts the model
+# checker FINDS each and shrinks it to a short replayable trace. TestReplayByteIdentical carries no build tag, so replay
 # determinism is checked here and in `go test` above. Sim scenarios drive one
 # appender per journal, so every flight there is one entry and the corpus
 # under internal/sim/testdata/schedules replays unchanged.
