@@ -427,44 +427,47 @@ func runShardStats(standbyAddr string, shards int, timeout time.Duration) {
 	}
 	tbl := telemetry.NewTable(
 		fmt.Sprintf("sharded control plane — %d shard hosts from %s", shards, standbyAddr),
-		"shard", "addr", "lease", "epoch", "ring hwm/cap", "journal", "deployments", "handoffs")
+		"shard", "addr", "lease", "epoch", "ring hwm/cap", "journal", "deployments")
 	for i, addr := range addrs {
 		qp, err := dialVerbs(addr, false, timeout)
 		if err != nil {
-			tbl.AddRowf(fmt.Sprintf("%d", i), addr, "UNREACHABLE: "+err.Error(), "-", "-", "-", "-", "-")
+			tbl.AddRowf(fmt.Sprintf("%d", i), addr, "UNREACHABLE: "+err.Error(), "-", "-", "-", "-")
 			continue
 		}
 		st, err := controlha.Inspect(qp)
 		if err != nil {
-			tbl.AddRowf(fmt.Sprintf("%d", i), addr, "INSPECT FAILED: "+err.Error(), "-", "-", "-", "-", "-")
+			tbl.AddRowf(fmt.Sprintf("%d", i), addr, "INSPECT FAILED: "+err.Error(), "-", "-", "-", "-")
 			continue
 		}
-		lease := "vacant"
-		if st.Owner != 0 {
-			lease = fmt.Sprintf("held by %#x", st.Owner)
-			if !st.Expiry.IsZero() && time.Now().After(st.Expiry) {
-				lease += " (expired)"
-			}
+		tbl.AddRow(shardRow(i, addr, st)...)
+	}
+	fmt.Println(tbl.String())
+}
+
+// shardRow renders one inspected shard host as a stats -shards row. A
+// journal that cannot be replayed (a wrapped ring, corrupt bytes) leaves
+// st.State nil, so its row reports the replay error and "-" for
+// deployments instead of reading the missing state.
+func shardRow(i int, addr string, st *controlha.HAStatus) []string {
+	lease := "vacant"
+	if st.Owner != 0 {
+		lease = fmt.Sprintf("held by %#x", st.Owner)
+		if !st.Expiry.IsZero() && time.Now().After(st.Expiry) {
+			lease += " (expired)"
 		}
-		journal := fmt.Sprintf("%d entries, seq %d", st.State.Entries, st.State.LastSeq)
-		if st.ReplayErr != nil {
-			journal = "unreplayable: " + st.ReplayErr.Error()
-		}
-		deploys := fmt.Sprintf("%d", len(st.State.Versions))
+	}
+	var journal, deploys string
+	if st.ReplayErr != nil || st.State == nil {
+		journal, deploys = fmt.Sprintf("unreplayable: %v", st.ReplayErr), "-"
+	} else {
+		journal = fmt.Sprintf("%d entries, seq %d", st.State.Entries, st.State.LastSeq)
+		deploys = fmt.Sprintf("%d", len(st.State.Versions))
 		if n := len(st.State.Open); n > 0 {
 			deploys += fmt.Sprintf(" (+%d open intents)", n)
 		}
-		// Rebalance barrier markers in this shard's journal: how many times
-		// the shard handed its key range off, and the ring epoch the most
-		// recent handoff departed at.
-		handoffs := "none"
-		if st.State != nil && st.State.Handoffs > 0 {
-			handoffs = fmt.Sprintf("%d (last ring epoch %d)", st.State.Handoffs, st.State.LastHandoffEpoch)
-		}
-		tbl.AddRowf(fmt.Sprintf("%d", i), addr, lease, fmt.Sprintf("%d", st.Epoch),
-			fmt.Sprintf("%d/%d", st.RingHwm, st.RingCap), journal, deploys, handoffs)
 	}
-	fmt.Println(tbl.String())
+	return []string{fmt.Sprintf("%d", i), addr, lease, fmt.Sprintf("%d", st.Epoch),
+		fmt.Sprintf("%d/%d", st.RingHwm, st.RingCap), journal, deploys}
 }
 
 // runFailover promotes this rdxctl invocation to fleet leader: steal the

@@ -27,7 +27,7 @@
 // -http also works in standby mode: /metrics pumps each shard's ring and
 // reads the state the host folds as it pumps (Host.State — no replay of the
 // journal copy), reporting per-shard gauges — journal bytes/entries/seq,
-// deployments, open intents, and rebalance handoff markers.
+// deployments, and open intents.
 //
 // On SIGINT/SIGTERM rdxd shuts down gracefully: it stops accepting QPs,
 // drains in-flight endpoint frames (bounded by -drain), flushes a final
@@ -212,9 +212,9 @@ func runStandby(id, listen string, shards int, ringCap uint64, httpAddr string, 
 	if httpAddr != "" {
 		// Standby observability: each scrape pumps the rings and snapshots
 		// per-shard gauges from the state each host folds as it pumps —
-		// journal size and sequence, deployment count, and the rebalance
-		// handoff markers (count + departing ring epoch). A scrape costs the
-		// unpumped tail, not the history; the rings are only read, never grown.
+		// journal size and sequence, deployment count, and open intents. A
+		// scrape costs the unpumped tail, not the history; the rings are only
+		// read, never grown.
 		sreg := telemetry.NewRegistry()
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -236,8 +236,6 @@ func runStandby(id, listen string, shards int, ringCap uint64, httpAddr string, 
 				sreg.Gauge(pfx + "journal.fence").Set(int64(st.LastFence))
 				sreg.Gauge(pfx + "deployments").Set(int64(len(st.Versions)))
 				sreg.Gauge(pfx + "open_intents").Set(int64(len(st.Open)))
-				sreg.Gauge(pfx + "handoffs").Set(int64(st.Handoffs))
-				sreg.Gauge(pfx + "handoff.last_ring_epoch").Set(int64(st.LastHandoffEpoch))
 			}
 			w.Header().Set("Content-Type", "application/json")
 			sreg.WriteJSON(w)

@@ -308,10 +308,10 @@ func TestTwoClosedLoopAppendersNeverGroup(t *testing.T) {
 }
 
 // TestFlightFailureReachesEveryMember: a flight that fails hands its typed
-// error to every entry aboard — a JournalHandoff among them, which is the
-// caller that acts on it — and the flight after it is flown on its own.
+// error to every checked append aboard, and the flight after it is flown
+// on its own.
 func TestFlightFailureReachesEveryMember(t *testing.T) {
-	const members = 5 // four appends and the handoff marker
+	const members = 5
 
 	// group parks a lone flight, queues members behind it and returns their
 	// results plus the lone flight's, all still pending.
@@ -319,13 +319,9 @@ func TestFlightFailureReachesEveryMember(t *testing.T) {
 		parked, release := rig.gate.hold(ringEpochWord)
 		first = rig.appendAll(0, 1)
 		<-parked
-		errs := make(chan error, members)
-		go func() { errs <- rig.j.JournalHandoff(7) }()
-		for i := 1; i < members; i++ {
-			go func() { errs <- rig.j.Append(probe(i)) }()
-		}
+		rest = rig.appendAll(1, members)
 		rig.awaitLen(t, 1+members)
-		return first, errs, release
+		return first, rest, release
 	}
 
 	t.Run("split brain", func(t *testing.T) {
@@ -382,7 +378,7 @@ func TestFlightFailureReachesEveryMember(t *testing.T) {
 				t.Errorf("member %d: %v, want ErrFencedAppend", i, err)
 			}
 		}
-		if err := rig.j.JournalHandoff(8); !errors.Is(err, ErrFencedAppend) {
+		if err := rig.j.Append(probe(99)); !errors.Is(err, ErrFencedAppend) {
 			t.Errorf("flight after the fenced ones: %v, want ErrFencedAppend", err)
 		}
 		rig.expectFlights(t, 3, 0, 2+members, members)

@@ -236,16 +236,6 @@ func (h *Host) pumpState() (*State, int, error) {
 	return st, entries, err
 }
 
-// StateSource returns pumpState in the shape shard.CPExecutor wants for a
-// handoff snapshot (a leader co-located with its standby host; remote
-// deployments use FetchJournal over a QP instead).
-func (h *Host) StateSource() func() (*State, error) {
-	return func() (*State, error) {
-		st, _, err := h.pumpState()
-		return st, err
-	}
-}
-
 // Consumed returns how many replicated bytes this standby has pumped.
 func (h *Host) Consumed() uint64 {
 	h.mu.Lock()

@@ -59,7 +59,6 @@ const (
 	EntryRollback           // hook reverted to a prior version
 	EntryClaim              // standby blob claimed as a delta target on Node
 	EntryReclaim            // Node's code ring wrapped; Epoch = new wrap epoch
-	EntryHandoff            // shard rebalance barrier; Epoch = departing ring epoch
 )
 
 func (t EntryType) String() string {
@@ -78,8 +77,6 @@ func (t EntryType) String() string {
 		return "claim"
 	case EntryReclaim:
 		return "reclaim"
-	case EntryHandoff:
-		return "handoff"
 	}
 	return fmt.Sprintf("entry(%d)", uint8(t))
 }
@@ -100,7 +97,7 @@ type Entry struct {
 	Arch    uint32
 	Version uint64
 	Blob    uint64
-	Epoch   uint64 // wrap epoch (EntryReclaim) / departing ring epoch (EntryHandoff)
+	Epoch   uint64 // wrap epoch (EntryReclaim)
 	Flags   uint8  // bit 0: the referenced version was already Reclaimed
 }
 
@@ -228,7 +225,7 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 	if len(b) < total {
 		return Entry{}, 0, fmt.Errorf("%w: entry needs %d bytes, have %d", ErrTruncated, total, len(b))
 	}
-	if e.Type == EntryInvalid || e.Type > EntryHandoff {
+	if e.Type == EntryInvalid || e.Type > EntryReclaim {
 		return Entry{}, 0, fmt.Errorf("%w: unknown entry type %d", ErrCorrupt, e.Type)
 	}
 	body := b[:entryHdrLen+int(plen)]
@@ -375,11 +372,11 @@ func (j *Journal) append(e Entry) {
 	j.appendChecked(e) //nolint:errcheck // replication outcome surfaced via instruments
 }
 
-// appendChecked is append surfacing the replication outcome: entries whose
-// durability on the standby gates a protocol step (the rebalance handoff
-// marker) must know whether the ring took the bytes — a fenced append means
-// a successor owns the ring and this term must stop, not proceed on a
-// local-only record. Every member of a flight gets that flight's error.
+// appendChecked is append surfacing the replication outcome: a caller that
+// acts only once the standby holds its entry must know whether the ring
+// took the bytes — a fenced append means a successor owns the ring and this
+// term must stop, not proceed on a local-only record. Every member of a
+// flight gets that flight's error.
 func (j *Journal) appendChecked(e Entry) error {
 	j.mu.Lock()
 	j.seq++
@@ -442,9 +439,9 @@ func (j *Journal) appendChecked(e Entry) error {
 }
 
 // Append journals an arbitrary entry and surfaces the replication
-// outcome, like JournalHandoff: callers that acknowledge work only after
-// the standby holds it (and the simulator's acked-publish scenarios)
-// append through here and treat an error as "not acked".
+// outcome: callers that acknowledge work only after the standby holds it
+// (and the simulator's acked-publish scenarios) append through here and
+// treat an error as "not acked".
 func (j *Journal) Append(e Entry) error {
 	return j.appendChecked(e)
 }
@@ -522,15 +519,9 @@ func (j *Journal) JournalReclaim(node string, wrapEpoch uint64) {
 	j.append(Entry{Type: EntryReclaim, Node: node, Epoch: wrapEpoch})
 }
 
-// JournalHandoff records a shard-rebalance barrier stamped with the
-// departing ring epoch. Unlike the other sinks it fails on a replication
-// error: the marker is the fence between "this shard still owns its keys"
-// and "the replayed state below is complete and migratable" — a leader
-// that cannot land it on the standby ring (typed ErrFencedAppend when a
-// successor stamped the ring) has been deposed and must abort the handoff
-// instead of migrating state it no longer owns.
-func (j *Journal) JournalHandoff(ringEpoch uint64) error {
-	return j.appendChecked(Entry{Type: EntryHandoff, Epoch: ringEpoch})
-}
+// JournalHandoff journals nothing: the journal has no handoff entry, and
+// the method exists only to satisfy core.JournalSink until the benchmark's
+// traced sink stops forwarding it.
+func (j *Journal) JournalHandoff(uint64) error { return nil }
 
 var _ core.JournalSink = (*Journal)(nil)

@@ -39,6 +39,14 @@ func TestEntryEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil || got != min {
 		t.Errorf("minimal entry round trip: %+v, %v", got, err)
 	}
+	// The valid types end at EntryReclaim: a well-checksummed entry of any
+	// other type is corruption, not a record replay may skip.
+	for _, ty := range []EntryType{EntryInvalid, EntryReclaim + 1} {
+		e := fullEntry(ty, 42)
+		if _, _, err := DecodeEntry(e.Encode()); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%v: decode = %v, want ErrCorrupt", ty, err)
+		}
+	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {

@@ -41,12 +41,6 @@ type State struct {
 	Entries   int
 	LastSeq   uint64
 	LastFence uint64
-	// Handoffs counts rebalance barrier markers; LastHandoffEpoch is the
-	// departing ring epoch the most recent marker carried. A snapshot taken
-	// for a handoff is complete exactly when LastHandoffEpoch matches the
-	// epoch the migrating router journaled.
-	Handoffs         int
-	LastHandoffEpoch uint64
 }
 
 // NewState returns the state of an empty journal, ready to Feed.
@@ -151,11 +145,6 @@ func (s *State) apply(e Entry) {
 				hist[i].Reclaimed = true
 			}
 		}
-	case EntryHandoff:
-		// Rebalance barrier: everything before this marker is the complete
-		// state of the shard as of the carried ring epoch.
-		s.Handoffs++
-		s.LastHandoffEpoch = e.Epoch
 	}
 }
 
@@ -181,18 +170,6 @@ func (s *State) clone() *State {
 	}
 	out.Open = slices.Clone(s.Open)
 	return &out
-}
-
-// Filter projects a deep copy of the state onto the (node, hook) keys keep
-// accepts: the sub-state a rebalance migrates into one receiving shard.
-// Re-driven intents stay recompile-free on the receiver because the shards
-// share one artifact.Cache, not because of anything the journal carries.
-func (s *State) Filter(keep func(node, hook string) bool) *State {
-	out := s.clone()
-	maps.DeleteFunc(out.Versions, func(k Key, _ core.DeployedVersion) bool { return !keep(k.Node, k.Hook) })
-	maps.DeleteFunc(out.History, func(k Key, _ []core.Deployed) bool { return !keep(k.Node, k.Hook) })
-	out.Open = slices.DeleteFunc(out.Open, func(in Intent) bool { return !keep(in.Node, in.Hook) })
-	return out
 }
 
 // OpenFor returns the open intents targeting one node.

@@ -43,11 +43,10 @@ type JournalSink interface {
 	JournalRollback(node, hook string, to Deployed)
 	JournalClaim(node string, blob uint64)
 	JournalReclaim(node string, wrapEpoch uint64)
-	// JournalHandoff records a shard-rebalance barrier carrying the
-	// departing ring epoch. Alone among the sinks it returns an error: the
-	// marker gates state migration, so the implementation must confirm the
-	// record is durable (replicated) — or report that this term was fenced
-	// — before the rebalance proceeds.
+	// JournalHandoff has no caller left in this module: the handoff entry
+	// went with live rebalancing, and *controlha.Journal implements it as a
+	// no-op. It stays on the interface only because the benchmark's traced
+	// sink forwards it, and goes with the next change to the benchmark.
 	JournalHandoff(ringEpoch uint64) error
 }
 
@@ -92,25 +91,10 @@ func (cp *ControlPlane) journal() JournalSink {
 	return cp.ha.sink
 }
 
-// Journal exposes the installed sink (nil on a standalone controller) —
-// for callers that append records outside the publish path, like a
-// rebalance receiver re-journaling the state it absorbed.
+// Journal exposes the installed sink (nil on a standalone controller). No
+// caller in this module needs it; the benchmark pins it, wrapping the sink
+// in its tracer.
 func (cp *ControlPlane) Journal() JournalSink { return cp.journal() }
-
-// ErrNoJournal reports a handoff attempted on a control plane with no
-// journal sink installed — there is no replicated record to migrate from.
-var ErrNoJournal = errors.New("core: control plane has no journal sink")
-
-// JournalHandoff appends the rebalance barrier through the installed sink,
-// confirming durability. A control plane without a journal cannot hand its
-// state off (typed ErrNoJournal).
-func (cp *ControlPlane) JournalHandoff(ringEpoch uint64) error {
-	j := cp.journal()
-	if j == nil {
-		return ErrNoJournal
-	}
-	return j.JournalHandoff(ringEpoch)
-}
 
 // NewControlPlaneLabeled creates a control plane sharing an existing
 // artifact store and registry — the standby-controller constructor. Failover

@@ -17,8 +17,8 @@ import (
 var ErrQuotaExceeded = errors.New("shard: tenant quota exceeded")
 
 // ErrShardUnavailable reports that the shard owning the job's (tenant,
-// hook) key cannot take work: its leader is fenced or deposed, it is
-// draining after a failure, or no shard owns the key yet. Only that
+// hook) key cannot take work: its leader is fenced or deposed, its front
+// was stopped, or no shard owns the key yet. Only that
 // shard's key range is affected — the router keeps dispatching to every
 // other shard.
 var ErrShardUnavailable = errors.New("shard: shard unavailable")

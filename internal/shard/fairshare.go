@@ -18,14 +18,13 @@ type fairQueue struct {
 	full *sync.Cond
 	work *sync.Cond
 
-	cap       int
-	depth     int
-	executing int               // popped but not yet acknowledged done (drain barrier)
-	fifos     map[string][]*Job // backlogged tenants' FIFOs
-	ring      []string          // backlogged tenants in service order from ring[head]
-	head      int
-	closed    bool
-	err       error
+	cap    int
+	depth  int
+	fifos  map[string][]*Job // backlogged tenants' FIFOs
+	ring   []string          // backlogged tenants in service order from ring[head]
+	head   int
+	closed bool
+	err    error
 }
 
 func newFairQueue(capacity int) *fairQueue {
@@ -84,7 +83,6 @@ func (q *fairQueue) pop() (*Job, bool) {
 		delete(q.fifos, tenant)
 	}
 	q.depth--
-	q.executing++
 	q.full.Signal()
 	return j, true
 }
@@ -99,23 +97,6 @@ func (q *fairQueue) enqueue(tenant string) {
 		q.ring, q.head = q.ring[:n], 0
 	}
 	q.ring = append(q.ring, tenant)
-}
-
-// jobDone acknowledges that a popped job delivered its outcome. Pops and
-// acks pair under the queue mutex so the quiescent predicate can never
-// observe a job that is neither queued nor executing.
-func (q *fairQueue) jobDone() {
-	q.mu.Lock()
-	q.executing--
-	q.mu.Unlock()
-}
-
-// quiescent reports an empty queue with no popped job still executing —
-// the drain barrier's termination predicate.
-func (q *fairQueue) quiescent() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.depth == 0 && q.executing == 0
 }
 
 // close marks the queue dead and fails every queued job with err, waking

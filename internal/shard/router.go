@@ -30,8 +30,8 @@ type Config struct {
 	// Registry receives every shard.* instrument; nil creates a private
 	// registry.
 	Registry *telemetry.Registry
-	// Clock is the time source for admission refill, queue-wait stamps, and
-	// rebalance latency (wall clock if nil — the simulator's seam).
+	// Clock is the time source for admission refill and the queue-wait and
+	// publish-latency stamps (wall clock if nil — the simulator's seam).
 	Clock clock.Clock
 }
 
@@ -55,41 +55,25 @@ func (c *Config) fillDefaults() {
 // and waits for the shard's fair-share workers to execute it. A fenced
 // shard fails only its own key range — Publish keeps succeeding for every
 // other shard's tenants, which is the whole point of sharding the control
-// plane.
+// plane. Membership is fixed once set-up is done: AddShard builds the ring,
+// and after a takeover Reinstate swaps a shard's executor in place, its
+// state moved by journal replay alone.
 type Router struct {
 	cfg  Config
 	reg  *telemetry.Registry
 	ring *Map
 	adm  *Admission
 
+	// mu guards the shard fronts against AddShard, Reinstate and Close.
 	mu     sync.RWMutex
 	shards map[int]*Shard
 	closed bool
-
-	// keyMu guards the published-key table feeding rebalance planning: for
-	// every key that ever published successfully, which executor nodes its
-	// jobs targeted. Separate from mu — Publish appends here on its success
-	// path and must not contend with shard membership reads.
-	keyMu sync.Mutex
-	keys  map[string]*keyInfo
-
-	// rebMu serializes rebalances: one membership change migrates state at
-	// a time, so two concurrent Rebalance calls cannot drain each other's
-	// receivers mid-handoff.
-	rebMu sync.Mutex
 }
 
 // ErrRouterClosed reports an operation on a router after Close. Installing
 // a shard front past Close would start a worker pool nothing ever stops —
 // the Close-vs-Reinstate race this error fails instead.
 var ErrRouterClosed = errors.New("shard: router closed")
-
-// keyInfo is one published (tenant, hook) key's routing footprint.
-type keyInfo struct {
-	tenant, hook string
-	nodes        map[string]struct{} // executor node names jobs named
-	all          bool                // some job targeted every node
-}
 
 // NewRouter builds an empty router; add shards with AddShard.
 func NewRouter(cfg Config) *Router {
@@ -100,7 +84,6 @@ func NewRouter(cfg Config) *Router {
 		ring:   NewMap(cfg.VNodes),
 		adm:    NewAdmission(cfg.DefaultQuota, cfg.Registry).WithClock(cfg.Clock),
 		shards: map[int]*Shard{},
-		keys:   map[string]*keyInfo{},
 	}
 }
 
@@ -149,22 +132,6 @@ func (r *Router) Reinstate(id int, ex Executor) error {
 	return nil
 }
 
-// RemoveShard takes a shard out of the ring and stops it; its key range
-// redistributes to the remaining shards but its deployed state does NOT
-// move — the abrupt-departure path (a shard lost for good). For elastic
-// scale-in use Rebalance, which drains the front, journals the handoff
-// marker, and replays the departing keys' state into the receivers first.
-func (r *Router) RemoveShard(id int) {
-	r.ring.Remove(id)
-	r.mu.Lock()
-	s := r.shards[id]
-	delete(r.shards, id)
-	r.mu.Unlock()
-	if s != nil {
-		s.stop()
-	}
-}
-
 // SetQuota overrides a tenant's admission quota.
 func (r *Router) SetQuota(tenant string, q TenantQuota) { r.adm.SetQuota(tenant, q) }
 
@@ -186,12 +153,11 @@ func (r *Router) ShardDown(id int) bool {
 // Publish admits, routes, schedules, and executes one job, blocking until
 // the owning shard finishes it (or ctx expires). Errors are typed:
 // ErrQuotaExceeded from admission, ErrShardUnavailable when the owning
-// shard is fenced or absent, ErrRebalancing while the owner is mid-drain,
-// executor errors otherwise. A job that never reaches a shard's queue
-// refunds its admission tokens: the quota charges work the control plane
-// might do, and without the refund a tenant retrying against a downed
-// shard would watch ErrShardUnavailable mutate into ErrQuotaExceeded as
-// the failed attempts drained its buckets.
+// shard is fenced or absent, executor errors otherwise. A job that never
+// reaches a shard's queue refunds its admission tokens: the quota charges
+// work the control plane might do, and without the refund a tenant
+// retrying against a downed shard would watch ErrShardUnavailable mutate
+// into ErrQuotaExceeded as the failed attempts drained its buckets.
 func (r *Router) Publish(ctx context.Context, j *Job) error {
 	if j.Tenant == "" || j.Hook == "" || j.Ext == nil {
 		return fmt.Errorf("shard: job needs tenant, hook, and extension")
@@ -199,7 +165,7 @@ func (r *Router) Publish(ctx context.Context, j *Job) error {
 	if err := r.adm.Admit(j.Tenant, j.Bytes); err != nil {
 		return err
 	}
-	id, epoch, ok := r.ring.LookupEpoch(j.Tenant, j.Hook)
+	id, ok := r.ring.Lookup(j.Tenant, j.Hook)
 	if !ok {
 		r.adm.Refund(j.Tenant, j.Bytes)
 		return fmt.Errorf("%w: no shards registered", ErrShardUnavailable)
@@ -211,7 +177,6 @@ func (r *Router) Publish(ctx context.Context, j *Job) error {
 		r.adm.Refund(j.Tenant, j.Bytes)
 		return fmt.Errorf("%w: shard %d absent", ErrShardUnavailable, id)
 	}
-	j.routedEpoch = epoch
 	j.done = make(chan error, 1)
 	if err := s.submit(j); err != nil {
 		r.adm.Refund(j.Tenant, j.Bytes)
@@ -219,9 +184,6 @@ func (r *Router) Publish(ctx context.Context, j *Job) error {
 	}
 	select {
 	case err := <-j.done:
-		if err == nil {
-			r.recordKey(j)
-		}
 		return err
 	case <-ctx.Done():
 		// The job may still execute; its buffered done channel absorbs the
@@ -229,35 +191,6 @@ func (r *Router) Publish(ctx context.Context, j *Job) error {
 		return fmt.Errorf("shard: publish wait: %w", ctx.Err())
 	}
 }
-
-// recordKey notes a successfully published key's routing footprint — the
-// table Rebalance plans state migration from. Tracking is by observed
-// publishes: a key that never published through this router has no
-// deployed state to migrate. (A publish whose caller abandoned the wait is
-// the one best-effort gap; its next successful publish re-records it.)
-func (r *Router) recordKey(j *Job) {
-	r.keyMu.Lock()
-	defer r.keyMu.Unlock()
-	k := Key(j.Tenant, j.Hook)
-	ki := r.keys[k]
-	if ki == nil {
-		ki = &keyInfo{tenant: j.Tenant, hook: j.Hook}
-		r.keys[k] = ki
-	}
-	if len(j.Nodes) == 0 {
-		ki.all = true
-		return
-	}
-	if ki.nodes == nil {
-		ki.nodes = map[string]struct{}{}
-	}
-	for _, n := range j.Nodes {
-		ki.nodes[n] = struct{}{}
-	}
-}
-
-// RingEpoch returns the current ring membership epoch (see Map.Epoch).
-func (r *Router) RingEpoch() uint64 { return r.ring.Epoch() }
 
 // Close stops every shard front; queued jobs fail with ErrShardUnavailable.
 func (r *Router) Close() {

@@ -259,40 +259,3 @@ func TestRouterContextCancel(t *testing.T) {
 	}
 	close(block)
 }
-
-// TestRouterRemoveShardRebalances: removing a shard redistributes its keys
-// to survivors and leaves the survivors' assignments alone.
-func TestRouterRemoveShardRebalances(t *testing.T) {
-	r := NewRouter(Config{})
-	defer r.Close()
-	r.AddShard(0, okExec(nil))
-	r.AddShard(1, okExec(nil))
-	r.AddShard(2, okExec(nil))
-	before := map[string]int{}
-	for i := 0; i < 300; i++ {
-		tn := fmt.Sprintf("t%d", i)
-		before[tn], _ = r.ShardFor(tn, "h")
-	}
-	r.RemoveShard(1)
-	for tn, was := range before {
-		now, ok := r.ShardFor(tn, "h")
-		if !ok {
-			t.Fatal("lookup failed after remove")
-		}
-		if was != 1 && now != was {
-			t.Errorf("tenant %s moved %d -> %d though shard 1's removal should not touch it", tn, was, now)
-		}
-		if was == 1 && now == 1 {
-			t.Errorf("tenant %s still on removed shard", tn)
-		}
-	}
-	// Publishing to a removed shard's old range lands on its new owner.
-	for tn, was := range before {
-		if was == 1 {
-			if err := r.Publish(context.Background(), testJob(tn, "h")); err != nil {
-				t.Fatalf("publish to rebalanced tenant: %v", err)
-			}
-			break
-		}
-	}
-}

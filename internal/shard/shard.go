@@ -27,18 +27,10 @@ type Job struct {
 	// bytes quota; 0 charges only a publish token.
 	Bytes int
 
-	routedEpoch uint64
-	done        chan error
-	once        sync.Once
-	enq         time.Time
+	done chan error
+	once sync.Once
+	enq  time.Time
 }
-
-// RoutedEpoch reveals the ring epoch the router resolved this job's owner
-// under (0 before Publish routes it). The epoch and the owner are read
-// atomically, so for any (tenant, hook) key, jobs stamped with the same
-// epoch always resolved to the same shard — the bench's double-ownership
-// probe keys on exactly this.
-func (j *Job) RoutedEpoch() uint64 { return j.routedEpoch }
 
 // finish delivers the job's outcome exactly once.
 func (j *Job) finish(err error) {
@@ -70,16 +62,15 @@ func (f ExecFunc) Execute(ctx context.Context, j *Job) error { return f(ctx, j) 
 type Shard struct {
 	ID int
 
-	q        *fairQueue
-	exec     Executor
-	workers  int
-	clock    clock.Clock
-	down     atomic.Bool
-	draining atomic.Bool
-	cause    atomic.Pointer[error]
-	wg       sync.WaitGroup
-	ctx      context.Context
-	cancel   context.CancelFunc
+	q       *fairQueue
+	exec    Executor
+	workers int
+	clock   clock.Clock
+	down    atomic.Bool
+	cause   atomic.Pointer[error]
+	wg      sync.WaitGroup
+	ctx     context.Context
+	cancel  context.CancelFunc
 
 	depth     *telemetry.Gauge
 	queueWait *telemetry.Histogram
@@ -120,15 +111,10 @@ func newShard(id, workers, queueCap int, ex Executor, clk clock.Clock, reg *tele
 }
 
 // submit queues a job (blocking on a full queue). The shard may go down
-// while the caller is blocked; the queue's close error is returned then. A
-// draining shard (mid-rebalance) refuses new work typed ErrRebalancing —
-// already queued jobs still complete behind the drain barrier.
+// while the caller is blocked; the queue's close error is returned then.
 func (s *Shard) submit(j *Job) error {
 	if s.down.Load() {
 		return s.unavailable()
-	}
-	if s.draining.Load() {
-		return fmt.Errorf("%w: shard %d draining", ErrRebalancing, s.ID)
 	}
 	j.enq = s.clock.Now()
 	if err := s.q.push(j); err != nil {
@@ -150,7 +136,6 @@ func (s *Shard) run() {
 			return
 		}
 		s.runOne(j)
-		s.q.jobDone()
 	}
 }
 
@@ -205,40 +190,6 @@ func (s *Shard) unavailable() error {
 
 // Down reports whether the shard is fenced or stopped.
 func (s *Shard) Down() bool { return s.down.Load() }
-
-// beginDrain flips the shard into the draining state: new submits fail
-// typed ErrRebalancing while already queued jobs keep executing. Reports
-// whether the flip happened (false if already draining).
-func (s *Shard) beginDrain() bool { return !s.draining.Swap(true) }
-
-// endDrain reopens a draining shard (rebalance aborted, or a scale-out
-// source resuming after its snapshot was taken).
-func (s *Shard) endDrain() { s.draining.Store(false) }
-
-// awaitDrain blocks until the shard is quiescent — queue empty and no
-// worker mid-Execute — or ctx expires. With submits refused since
-// beginDrain, quiescence is the typed barrier: every job admitted before
-// the drain has delivered its outcome, so the journal now holds the
-// shard's complete, final state. A shard that went down mid-drain is
-// already quiescent for migration purposes (its queue failed everything
-// typed), so the barrier returns instead of spinning on a dead front.
-func (s *Shard) awaitDrain(ctx context.Context) error {
-	// Deliberately on the wall clock, not s.clock: this is a spin-wait on
-	// worker-goroutine progress (which the simulator does not schedule),
-	// not timing logic — a virtual ticker here would never fire.
-	tick := time.NewTicker(500 * time.Microsecond)
-	defer tick.Stop()
-	for {
-		if s.q.quiescent() || s.down.Load() {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("%w: drain barrier: %w", ErrRebalancing, ctx.Err())
-		case <-tick.C:
-		}
-	}
-}
 
 // stop tears the shard front down (router Close / Reinstate): queued jobs
 // fail with ErrShardUnavailable, workers drain and exit.

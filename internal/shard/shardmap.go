@@ -111,36 +111,6 @@ func (m *Map) Remove(id int) {
 	m.epoch++
 }
 
-// Epoch returns the ring's membership epoch: it advances on every Add and
-// Remove, so an ownership decision can be pinned to the exact ring it was
-// made against. Two lookups of the same key under the same epoch always
-// resolve to the same shard — the no-double-owner invariant the rebalance
-// bench asserts.
-func (m *Map) Epoch() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.epoch
-}
-
-// lookupLocked resolves the owner of hash h among points, skipping shard
-// skip (none if < 0). Caller holds m.mu.
-func lookupLocked(points []point, h uint64, skip int) (int, bool) {
-	n := len(points)
-	if n == 0 {
-		return 0, false
-	}
-	i := sort.Search(n, func(i int) bool { return points[i].hash >= h })
-	// The modulo wraps i == n to the first point clockwise from the top of
-	// the ring; further probes keep walking clockwise past skipped points.
-	for probes := 0; probes < n; probes++ {
-		p := points[(i+probes)%n]
-		if p.id != skip {
-			return p.id, true
-		}
-	}
-	return 0, false
-}
-
 // Lookup returns the shard owning (tenant, hook); ok is false on an empty
 // ring.
 func (m *Map) Lookup(tenant, hook string) (id int, ok bool) {
@@ -148,40 +118,20 @@ func (m *Map) Lookup(tenant, hook string) (id int, ok bool) {
 	return id, ok
 }
 
-// LookupEpoch is Lookup returning, atomically with the owner, the ring
-// epoch the decision was made under.
+// LookupEpoch is Lookup returning, atomically with the owner, the ring's
+// membership epoch — it advances on every Add and Remove, so two lookups
+// of one key under the same epoch always resolve to the same shard.
 func (m *Map) LookupEpoch(tenant, hook string) (id int, epoch uint64, ok bool) {
 	h := hash64(Key(tenant, hook))
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	id, ok = lookupLocked(m.points, h, -1)
-	return id, m.epoch, ok
-}
-
-// LookupExcluding resolves (tenant, hook) as if shard exclude had already
-// left the ring — the receiver a rebalance will migrate the key to. The
-// ring itself is unchanged.
-func (m *Map) LookupExcluding(exclude int, tenant, hook string) (id int, ok bool) {
-	h := hash64(Key(tenant, hook))
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return lookupLocked(m.points, h, exclude)
-}
-
-// LookupWith resolves (tenant, hook) as if shard extra had already joined
-// the ring — the owner a scale-out rebalance will hand the key to. The
-// ring itself is unchanged. A key whose hypothetical owner differs from
-// its current owner is exactly a key the join migrates.
-func (m *Map) LookupWith(extra int, tenant, hook string) (id int, ok bool) {
-	h := hash64(Key(tenant, hook))
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if _, ok := m.shards[extra]; ok {
-		return lookupLocked(m.points, h, -1)
+	n := len(m.points)
+	if n == 0 {
+		return 0, m.epoch, false
 	}
-	merged := append(append([]point(nil), m.points...), m.pointsFor(extra)...)
-	sort.Slice(merged, func(i, j int) bool { return merged[i].hash < merged[j].hash })
-	return lookupLocked(merged, h, -1)
+	// The first point clockwise from h; i == n wraps to the top of the ring.
+	i := sort.Search(n, func(i int) bool { return m.points[i].hash >= h })
+	return m.points[i%n].id, m.epoch, true
 }
 
 // Shards lists the member shard IDs, sorted.

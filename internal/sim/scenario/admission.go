@@ -13,7 +13,7 @@ import (
 	"rdx/internal/telemetry"
 )
 
-// rebalance scenario constants.
+// admission scenario constants.
 const (
 	rbShards     = 2
 	rbPubsPerTen = 3
@@ -26,16 +26,17 @@ var rbTenants = []string{"acme", "globex"}
 
 // rbShardState is the scenario-local shard front: the real Router's
 // worker pools block on channels the scheduler cannot see, so the
-// scenario models the draining/removed lifecycle itself while exercising
-// the REAL ring (shard.Map) and the REAL admission controller.
+// scenario models the lifecycle itself — a shard that refuses work
+// (draining) and then leaves the ring (removed) — while exercising the
+// REAL ring (shard.Map) and the REAL admission controller.
 type rbShardState struct {
 	draining bool
 	removed  bool
 }
 
-// rebalanceWorld is the shared observation state; see failoverWorld for
+// admissionWorld is the shared observation state; see failoverWorld for
 // why it carries its own mutex.
-type rebalanceWorld struct {
+type admissionWorld struct {
 	mu            sync.Mutex
 	shards        [rbShards]rbShardState
 	acked         int
@@ -45,24 +46,25 @@ type rebalanceWorld struct {
 	crashReb      bool
 }
 
-// RunRebalance is the rebalance scenario: publishers admit against real
+// RunAdmission is the admission scenario: publishers admit against real
 // token buckets, route through the real consistent-hash ring, and land
-// one WRITE per publish on a per-shard cell; a rebalancer drains shard 1
-// mid-stream and flips the ring. Faults: mid-rebalance crash (the drain
-// never lifts) and clock advances (bucket refill, so quota rejects and
-// refills interleave with the flip).
+// one WRITE per publish on a per-shard cell. Mid-stream, shard 1 starts
+// refusing work and then leaves the ring, so publishes race an owner that
+// refuses them and a ring whose epoch moves. Faults: a crash that leaves
+// shard 1 refusing for good, and clock advances (bucket refill, so quota
+// rejects and refills interleave with the ring change).
 //
 // Invariants:
 //   - token-conservation: admitted == acked + refunded + inflight at every
-//     quiescent point. The PR 8 refund-on-failure bug — skipping Refund
-//     when the owner is draining — breaks exactly this.
+//     quiescent point. The historical refund-on-failure bug — skipping
+//     Refund when the owner refuses the job — breaks exactly this.
 //   - single-owner-per-epoch: no (tenant, hook) key is ever acked on two
 //     different shards under the same ring epoch.
-func RunRebalance(cfg sim.Config) *sim.Result {
+func RunAdmission(cfg sim.Config) *sim.Result {
 	s := sim.New(cfg)
 	net := sim.NewNet(s)
 	reg := telemetry.NewRegistry()
-	w := &rebalanceWorld{owners: map[string]map[uint64]int{}}
+	w := &admissionWorld{owners: map[string]map[uint64]int{}}
 
 	// One cell per shard; a publish is one WRITE to its owner's cell.
 	fleet := rdma.NewEndpoint(mem.NewArena(64), nil)
@@ -135,15 +137,15 @@ func RunRebalance(cfg sim.Config) *sim.Result {
 					w.mu.Unlock()
 					continue
 				}
-				// The publish verb: parked, so the drain/flip can land while
-				// this job is in flight.
+				// The publish verb: parked, so the refusal and the ring change
+				// can land while this job is in flight.
 				err := qp.WriteCtx(nil, cells.RKey, mem.Addr(owner*8), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 				w.mu.Lock()
 				st := w.shards[owner]
 				if err != nil || st.removed || st.draining {
 					// The job never reached a live owner: undo the admission
-					// charge. Forgetting this on the draining path is the
-					// historical PR 8 refund-on-failure bug, re-seeded by the
+					// charge. Forgetting this when the owner refuses work is
+					// the historical refund-on-failure bug, re-seeded by the
 					// simregression build.
 					if !(st.draining && skipRefundOnDrain) {
 						adm.Refund(tenant, 0)
@@ -172,12 +174,12 @@ func RunRebalance(cfg sim.Config) *sim.Result {
 		w.mu.Lock()
 		w.shards[1].draining = true
 		w.mu.Unlock()
-		s.Clock().Sleep(10 * time.Millisecond) // the drain window, as a park point
+		s.Clock().Sleep(10 * time.Millisecond) // the refusal window, as a park point
 		w.mu.Lock()
 		crashed := w.crashReb
 		w.mu.Unlock()
 		if crashed {
-			return // mid-rebalance crash: the drain never lifts
+			return // crashed: shard 1 refuses work and never leaves the ring
 		}
 		ring.Remove(1)
 		w.mu.Lock()

@@ -2,8 +2,9 @@
 
 package scenario
 
-// skipRefundOnDrain re-seeds the PR 8 refund-on-failure router race when
-// true: a publish that lost its owner to a drain returned without
-// refunding the admission charge, leaking tenant quota on every
-// rebalance. The normal build keeps the fixed behavior.
+// skipRefundOnDrain re-seeds the historical refund-on-failure router race
+// when true: a publish whose owner refused work (a draining shard, in the
+// admission scenario) returned without refunding the admission charge,
+// leaking tenant quota on every refusal. The normal build keeps the fixed
+// behavior.
 const skipRefundOnDrain = false

@@ -2,7 +2,7 @@
 
 package scenario
 
-// Regression build: the drained-shard publish path skips its admission
-// refund, reproducing the historical PR 8 bug for the simulator's
-// token-conservation invariant to find.
+// Regression build: the publish path skips its admission refund when the
+// owner refuses work, reproducing the historical refund-on-failure bug for
+// the simulator's token-conservation invariant to find.
 const skipRefundOnDrain = true

@@ -15,8 +15,8 @@ import (
 //   - controlha: pre-rotation takeover fencing (epoch CAS only, no ring
 //     rkey rotation), letting a stale leader with a live tail reservation
 //     commit past the successor's replay point.
-//   - shard: the PR 8 refund-on-failure bug — a publish that lost its
-//     owner to a drain returned without refunding the admission charge.
+//   - shard: the refund-on-failure bug — a publish whose owner refused
+//     work returned without refunding the admission charge.
 //
 // These tests assert the simulator FINDS each within a few thousand
 // schedules and shrinks each to a short, replayable trace. Set
@@ -60,9 +60,9 @@ func TestFencingRegression(t *testing.T) {
 }
 
 // TestRefundRegression: token conservation must catch the skipped refund
-// on the draining-owner publish path.
+// on the refusing-owner publish path.
 func TestRefundRegression(t *testing.T) {
-	rep := sim.ExploreRandom(RunRebalance, 1, regressionBudget, 300)
+	rep := sim.ExploreRandom(RunAdmission, 1, regressionBudget, 300)
 	if rep.Violation == nil {
 		t.Fatalf("refund bug not found in %d schedules", rep.Runs)
 	}
@@ -74,11 +74,11 @@ func TestRefundRegression(t *testing.T) {
 	if len(v.Trace) > 20 {
 		t.Fatalf("shrunk trace has %d steps, want <= 20", len(v.Trace))
 	}
-	writeCorpus(t, "rebalance-refund-leak.json", &sim.Schedule{
-		Scenario: "rebalance",
+	writeCorpus(t, "admission-refund-leak.json", &sim.Schedule{
+		Scenario: "admission",
 		Seed:     v.Seed,
 		Choices:  v.Choices,
 		MaxSteps: 300,
-		Note:     "PR 8 refund-on-failure: drained-owner publish path skipped Refund, leaking tenant quota (token-conservation)",
+		Note:     "refund-on-failure: a publish whose owner refused work skipped Refund, leaking tenant quota (token-conservation)",
 	})
 }

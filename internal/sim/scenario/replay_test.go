@@ -10,7 +10,7 @@ import (
 // runners maps corpus scenario names to their Runner.
 var runners = map[string]sim.Runner{
 	"failover":  RunFailover,
-	"rebalance": RunRebalance,
+	"admission": RunAdmission,
 	"chain":     RunChainOffload,
 }
 

@@ -13,7 +13,7 @@ import (
 // bar well inside a minute (empirically they run in single-digit seconds).
 const (
 	soakFailoverRuns  = 6000
-	soakRebalanceRuns = 5000
+	soakAdmissionRuns = 5000
 	soakChainRuns     = 4000
 	soakMaxSteps      = 300
 )
@@ -33,17 +33,18 @@ func TestFailoverSoak(t *testing.T) {
 		float64(rep.Runs)/elapsed.Seconds())
 }
 
-// TestRebalanceSoak random-explores the rebalance scenario: admission,
-// ring flips, drains, mid-rebalance crashes, and clock-driven bucket
-// refills, with token conservation checked at every step.
-func TestRebalanceSoak(t *testing.T) {
+// TestAdmissionSoak random-explores the admission scenario: admission,
+// an owner that refuses work and then leaves the ring, crashes that leave
+// it refusing, and clock-driven bucket refills, with token conservation
+// checked at every step.
+func TestAdmissionSoak(t *testing.T) {
 	start := time.Now()
-	rep := sim.ExploreRandom(RunRebalance, 1, soakRebalanceRuns, soakMaxSteps)
+	rep := sim.ExploreRandom(RunAdmission, 1, soakAdmissionRuns, soakMaxSteps)
 	if rep.Violation != nil {
-		t.Fatalf("rebalance soak found a violation:\n%v", rep.Violation)
+		t.Fatalf("admission soak found a violation:\n%v", rep.Violation)
 	}
 	elapsed := time.Since(start)
-	t.Logf("rebalance: %d schedules in %v (%.0f/s)", rep.Runs, elapsed,
+	t.Logf("admission: %d schedules in %v (%.0f/s)", rep.Runs, elapsed,
 		float64(rep.Runs)/elapsed.Seconds())
 }
 
@@ -59,13 +60,13 @@ func TestFailoverSystematic(t *testing.T) {
 	t.Logf("failover systematic: %d schedules within deviation budget 2", rep.Runs)
 }
 
-// TestRebalanceSystematic is the rebalance counterpart.
-func TestRebalanceSystematic(t *testing.T) {
-	rep := sim.ExploreSystematic(RunRebalance, 2, soakMaxSteps, 800)
+// TestAdmissionSystematic is the admission counterpart.
+func TestAdmissionSystematic(t *testing.T) {
+	rep := sim.ExploreSystematic(RunAdmission, 2, soakMaxSteps, 800)
 	if rep.Violation != nil {
-		t.Fatalf("rebalance systematic found a violation:\n%v", rep.Violation)
+		t.Fatalf("admission systematic found a violation:\n%v", rep.Violation)
 	}
-	t.Logf("rebalance systematic: %d schedules within deviation budget 2", rep.Runs)
+	t.Logf("admission systematic: %d schedules within deviation budget 2", rep.Runs)
 }
 
 // TestChainOffloadSoak random-explores the verb-chain offload scenario:

@@ -65,8 +65,9 @@ if [ "${1:-}" != "quick" ]; then
 fi
 
 # The simregression build re-seeds two historical bugs (pre-rotation
-# takeover fencing, the PR 8 refund-on-failure leak) and asserts the model
-# checker FINDS each and shrinks it to a short replayable trace. TestReplayByteIdentical carries no build tag, so replay
+# takeover fencing in the failover scenario, the refund-on-failure leak in
+# the admission scenario) and asserts the model checker FINDS each and
+# shrinks it to a short replayable trace. TestReplayByteIdentical carries no build tag, so replay
 # determinism is checked here and in `go test` above. Sim scenarios drive one
 # appender per journal, so every flight there is one entry and the corpus
 # under internal/sim/testdata/schedules replays unchanged.
