@@ -22,15 +22,16 @@ type Key struct {
 	Arch   native.Arch
 }
 
-// Artifact is one validated + compiled unit. The master binary never leaves
-// the cache; Binary returns clones because linking patches code in place.
+// Artifact is one validated + compiled unit.
 type Artifact struct {
 	Info ext.Info
 	bin  *native.Binary
 }
 
-// Binary returns a private clone of the compiled code, safe to link.
-func (a *Artifact) Binary() *native.Binary { return a.bin.Clone() }
+// Master returns the cached binary itself, shared by every caller. It is
+// read-only: linking patches code in place, so a caller that links copies
+// the code first (native.Binary.Clone, or into a blob image).
+func (a *Artifact) Master() *native.Binary { return a.bin }
 
 // Config shapes a Cache.
 type Config struct {

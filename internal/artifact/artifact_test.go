@@ -41,11 +41,9 @@ func TestGetOrBuildCachesByKey(t *testing.T) {
 	if a1.Info.Ops != 7 || a2.Info.Ops != 7 {
 		t.Fatal("cached info lost")
 	}
-	// Clones: mutating one caller's binary must not leak into the master.
-	b := a1.Binary()
-	b.Code[0] = 0xff
-	if c2 := a2.Binary(); c2.Code[0] != 1 {
-		t.Fatal("Binary() does not isolate callers from the cached master")
+	// A hit lends out the one cached master, not a copy.
+	if a1.Master() != a2.Master() || a2.Master().Code[0] != 1 {
+		t.Fatal("Master() does not return the cached binary")
 	}
 	if got := reg.Counter("artifact.cache.hit").Value(); got != 1 {
 		t.Fatalf("hit counter = %d, want 1", got)

@@ -30,6 +30,8 @@ type CodeFlow struct {
 	NodeID uint64 // node identity hash from the control block
 	Arch   native.Arch
 
+	nodeKey string // NodeID formatted once, for outcomes, journal and spans
+
 	got map[string]uint64
 
 	mu         sync.Mutex
@@ -124,6 +126,7 @@ func (cp *ControlPlane) CreateCodeFlowQP(qp rdma.Verbs) (*CodeFlow, error) {
 	}
 	arch := native.Arch(magicArch >> 32)
 	nodeHash, _ := remote.ReadMem(node.CtrlBase+node.CtrlOffNodeHash, 8)
+	nodeKey := fmt.Sprintf("%#x", nodeHash)
 
 	// Wire the issuer into the control plane's registry and tracer, labeled
 	// with the node's identity. Both QP and ReconnQP implement this; the
@@ -132,7 +135,7 @@ func (cp *ControlPlane) CreateCodeFlowQP(qp rdma.Verbs) (*CodeFlow, error) {
 	if ins, ok := qp.(interface {
 		SetInstruments(*rdma.WireMetrics, *telemetry.TraceRecorder, string)
 	}); ok {
-		ins.SetInstruments(cp.wire, cp.Tracer, fmt.Sprintf("%#x", nodeHash))
+		ins.SetInstruments(cp.wire, cp.Tracer, nodeKey)
 	}
 
 	gotRaw, err := remote.ReadBytes(node.GOTBase, node.GOTSize)
@@ -152,6 +155,7 @@ func (cp *ControlPlane) CreateCodeFlowQP(qp rdma.Verbs) (*CodeFlow, error) {
 		Remote:     remote,
 		NodeID:     nodeHash,
 		Arch:       arch,
+		nodeKey:    nodeKey,
 		got:        got,
 		history:    map[string][]Deployed{},
 		resident:   map[string]residentBlob{},
@@ -459,12 +463,17 @@ func (cf *CodeFlow) deployProgOnce(bin *native.Binary, hook string, hookAddr uin
 }
 
 // blobImage frames bin's code behind its blob header: the exact bytes a
-// deploy or stage writes into the code ring.
+// deploy writes into the code ring.
 func blobImage(bin *native.Binary, p DeployParams, version uint64) []byte {
-	hdr := node.EncodeBlobHeader(bin.Arch, node.BlobParams{
+	return append(blobHeader(bin.Arch, p, version, len(bin.Code)), bin.Code...)
+}
+
+// blobHeader encodes the header that precedes codeLen bytes of code in a
+// deployed or staged blob.
+func blobHeader(arch native.Arch, p DeployParams, version uint64, codeLen int) []byte {
+	return node.EncodeBlobHeader(arch, node.BlobParams{
 		Kind: p.Kind, Version: version, MemBase: p.MemBase, GlobBase: p.GlobBase,
-	}, len(bin.Code))
-	return append(hdr, bin.Code...)
+	}, codeLen)
 }
 
 // flip is the one dispatch-pointer commit every publish path shares — cold

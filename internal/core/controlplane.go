@@ -140,11 +140,22 @@ func (cp *ControlPlane) ValidateCode(e *ext.Extension) (ext.Info, error) {
 }
 
 // JITCompileCode is rdx_JIT_compile_code: cross-architecture compilation on
-// the control plane, producing an instrumented relocatable binary. Results
-// live in the artifact store keyed by (digest, arch); callers receive
-// clones because linking mutates code. Concurrent first-time compiles of
-// one key are single-flight: one build, shared result.
+// the control plane, producing an instrumented relocatable binary. The
+// caller receives a private clone, free to link.
 func (cp *ControlPlane) JITCompileCode(e *ext.Extension, arch native.Arch) (*native.Binary, error) {
+	bin, err := cp.compiled(e, arch)
+	if err != nil {
+		return nil, err
+	}
+	return bin.Clone(), nil
+}
+
+// compiled is JITCompileCode's body, shared with staging: it returns the
+// artifact store's master binary for (digest, arch), which is read-only —
+// a caller that links copies the code first. Concurrent first-time compiles
+// of one key are single-flight: one build, shared result. With the cache
+// disabled every call compiles afresh.
+func (cp *ControlPlane) compiled(e *ext.Extension, arch native.Arch) (*native.Binary, error) {
 	if cp.DisableCache {
 		cp.mu.Lock()
 		cp.Stats.CompileMisses++
@@ -182,7 +193,7 @@ func (cp *ControlPlane) JITCompileCode(e *ext.Extension, arch native.Arch) (*nat
 			j.JournalCompile(e.Digest(), arch)
 		}
 	}
-	return art.Binary(), nil
+	return art.Master(), nil
 }
 
 // compiledHit reports whether (digest, arch) is already resident, without
@@ -228,7 +239,7 @@ func (cp *ControlPlane) Precompile(e *ext.Extension, targets ...native.Arch) err
 		targets = []native.Arch{native.ArchX64, native.ArchA64}
 	}
 	for _, arch := range targets {
-		if _, err := cp.JITCompileCode(e, arch); err != nil {
+		if _, err := cp.compiled(e, arch); err != nil {
 			return fmt.Errorf("core: precompile %v: %w", arch, err)
 		}
 	}

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
 
+	"rdx/internal/artifact"
 	"rdx/internal/ebpf"
 	"rdx/internal/ebpf/maps"
 	"rdx/internal/ext"
 	"rdx/internal/mem"
+	"rdx/internal/native"
 	"rdx/internal/node"
 	"rdx/internal/rdma"
 	"rdx/internal/udf"
@@ -268,6 +271,90 @@ func TestInjectEBPFWithXState(t *testing.T) {
 	laddr, _, _ := lv.Lookup([]byte{6, 0, 0, 0})
 	if got, _ := r.nodes[0].Memory().ReadMem(laddr, 8); got != 100 {
 		t.Errorf("local view after remote update = %d", got)
+	}
+}
+
+// TestStageLinksIntoOwnImage pins the stage's single copy of the code: each
+// node links the cached master's bytes into its own blob image, so two
+// nodes whose XState lands at different addresses each stage their own
+// linked bytes, while the master keeps its placeholders and JITCompileCode
+// still hands out a private, unlinked clone.
+func TestStageLinksIntoOwnImage(t *testing.T) {
+	r := newRig(t, 2)
+	spec := ebpf.MapSpec{Name: "hits", Type: xabi.MapTypeHash, KeySize: 4, ValueSize: 8, MaxEntries: 32}
+	insns := []ebpf.Instruction{ebpf.StoreImm(ebpf.SizeW, ebpf.R10, -4, 0)}
+	insns = append(insns, ebpf.LoadMapPtr(ebpf.R1, 0)...)
+	insns = append(insns,
+		ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
+		ebpf.Alu64Imm(ebpf.AluAdd, ebpf.R2, -4),
+		ebpf.Call(xabi.HelperMapLookup),
+		ebpf.Mov64Imm(ebpf.R0, int32(xabi.VerdictPass)),
+		ebpf.Exit(),
+	)
+	e := ext.FromEBPF(ebpf.NewProgram("lookup", ebpf.ProgTypeSocketFilter, insns, spec))
+	// An extra XState on node 1 moves its scratch allocator, so the
+	// extension's map lands at a different address there.
+	if _, err := r.cfs[1].DeployXState(spec); err != nil {
+		t.Fatal(err)
+	}
+
+	mapAddr := make([]uint64, 2)
+	code := make([][]byte, 2)
+	for i, cf := range r.cfs {
+		sd, err := cf.StageExtension(context.Background(), e, "ingress")
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, err := cf.ListXStates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapAddr[i] = xs[len(xs)-1]
+		n, err := cf.Remote.ReadMem(sd.blob+node.BlobOffLen, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code[i], err = cf.Remote.ReadBytes(sd.blob+node.BlobHdrSize, int(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if mapAddr[0] == mapAddr[1] {
+		t.Fatalf("both nodes placed the map at %#x: the test needs them apart", mapAddr[0])
+	}
+
+	art, ok := r.cp.artifacts.Peek(artifact.Key{Digest: e.Digest(), Arch: r.cfs[0].Arch})
+	if !ok {
+		t.Fatal("stage left no artifact in the cache")
+	}
+	master := art.Master()
+	mapRelocs := 0
+	for _, rel := range master.Relocs {
+		if got := binary.LittleEndian.Uint64(master.Code[rel.Offset:]); got != native.PlaceholderValue {
+			t.Errorf("master reloc %q at %d = %#x: staging linked the cached master", rel.Symbol, rel.Offset, got)
+		}
+		if rel.Symbol != "map:"+spec.Name {
+			continue
+		}
+		mapRelocs++
+		for i := range code {
+			if got := binary.LittleEndian.Uint64(code[i][rel.Offset:]); got != mapAddr[i] {
+				t.Errorf("node %d staged map reloc at %d = %#x, want its own map %#x", i, rel.Offset, got, mapAddr[i])
+			}
+		}
+	}
+	if mapRelocs == 0 {
+		t.Fatal("the extension compiled without a map relocation")
+	}
+
+	bin, err := r.cp.JITCompileCode(e, r.cfs[0].Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bin == master || &bin.Code[0] == &master.Code[0] {
+		t.Error("JITCompileCode returned the cached master, not a clone")
+	}
+	if bin.Linked() {
+		t.Error("JITCompileCode returned linked code")
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 	"rdx/internal/telemetry"
 )
 
-// NodeKey implements pipeline.Target.
-func (cf *CodeFlow) NodeKey() string { return fmt.Sprintf("%#x", cf.NodeID) }
+// NodeKey implements pipeline.Target: NodeID in hex, formatted once when
+// the handle is created.
+func (cf *CodeFlow) NodeKey() string { return cf.nodeKey }
 
 // Stage implements pipeline.Target by staging without publishing.
 func (cf *CodeFlow) Stage(ctx context.Context, e *ext.Extension, hook string) (pipeline.Staged, error) {
@@ -70,7 +71,7 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	}
 	cf.cp.audit(cf.NodeID, "stage", hook, e.Name())
 	linkStart := time.Now()
-	bin, err := cf.JITCompileCode(e)
+	master, err := cf.cp.compiled(e, cf.Arch)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +80,12 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	if err := cf.setupState(rem, e, extra, &params); err != nil {
 		return nil, err
 	}
-	if err := cf.LinkCode(bin, extra); err != nil {
+	// The stage's one copy of the code: the read-only master's bytes go
+	// straight into the blob image (header ‖ code) and are linked there.
+	payload := make([]byte, node.BlobHdrSize+len(master.Code))
+	code := payload[node.BlobHdrSize:]
+	copy(code, master.Code)
+	if err := cf.LinkCode(&native.Binary{Code: code, Relocs: master.Relocs}, extra); err != nil {
 		return nil, err
 	}
 	version, err := cf.nextVersion(rem)
@@ -89,7 +95,7 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	link := time.Since(linkStart)
 
 	writeStart := time.Now()
-	payload := blobImage(bin, params, version)
+	copy(payload, blobHeader(master.Arch, params, version, len(code)))
 	sd := &StagedDeploy{
 		cf: cf, hook: hook, name: e.Name(), digest: e.Digest(),
 		hookAddr: hookAddr, version: version, link: link,
@@ -116,7 +122,7 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	}
 	sd.slot.kind = params.Kind
 	sd.write = time.Since(writeStart)
-	cf.recordCodeHash(sd.blob, bin.Code)
+	cf.recordCodeHash(sd.blob, code)
 	if j := cf.cp.journal(); j != nil {
 		j.JournalStage(cf.NodeKey(), hook, sd.name, sd.digest, sd.version, sd.blob)
 	}
@@ -269,7 +275,7 @@ func (cp *ControlPlane) Scheduler() *pipeline.Scheduler {
 						continue
 					}
 					seen[cf.Arch] = true
-					if _, err := cp.JITCompileCode(e, cf.Arch); err != nil {
+					if _, err := cp.compiled(e, cf.Arch); err != nil {
 						return err
 					}
 				}

@@ -7,11 +7,14 @@
 // scheduler, not a sequential loop. Scheduler accepts injection jobs on a
 // bounded work queue, runs validation and JIT once per extension (the
 // prepare cache is content-addressed by blob digest, so concurrent jobs for
-// the same code share one compile), then fans link+write+publish out to all
-// target nodes concurrently under a bounded worker pool. Per-node writes
-// are coalesced by the targets into OpBatch chains ending in a single
-// doorbell WriteImm, so a fleet-wide rollout costs one latency-model charge
-// per node instead of one per segment.
+// the same code share one compile), then carries every target node from
+// link+write to publish on one worker set owned by the job:
+// min(len(Targets), FanOut) goroutines, the job's own among them, pull node
+// indices and stage them, meet at one publish barrier where the job decides
+// (Atomic, BeforePublish), then pull indices again and publish. Per-node
+// writes are coalesced by the targets into OpBatch chains ending in a
+// single doorbell WriteImm, so a fleet-wide rollout costs one latency-model
+// charge per node instead of one per segment.
 //
 // Robustness: every job carries a deadline, transient fabric errors retry
 // with exponential backoff, and failures are reported per node — a dead
@@ -38,7 +41,10 @@ import (
 type Config struct {
 	// Workers bounds concurrently executing jobs (the work-queue width).
 	Workers int
-	// FanOut bounds concurrent per-node operations across all jobs.
+	// FanOut bounds concurrent per-node operations (Stage or Publish calls)
+	// across all jobs: each takes one token of a shared semaphore. It also
+	// sizes each job's worker set, min(len(Targets), FanOut) goroutines
+	// that stage every node, wait at the publish barrier, then publish.
 	FanOut int
 	// Retries is how many times a transient per-node failure is retried
 	// beyond the first attempt.
@@ -151,8 +157,9 @@ func New(cfg Config) *Scheduler {
 	}
 }
 
-// Inject runs one job synchronously: admission, prepare, staged fan-out,
-// commit. The error covers job-level failures (bad request, queue deadline,
+// Inject runs one job synchronously: admission, prepare, then the job's
+// worker set stages every node, waits at the publish barrier and commits.
+// The error covers job-level failures (bad request, queue deadline,
 // validation); per-node failures live in Result.Outcomes.
 func (s *Scheduler) Inject(req Request) (*Result, error) {
 	if req.Ext == nil {
@@ -199,128 +206,9 @@ func (s *Scheduler) Inject(req Request) (*Result, error) {
 		return nil, err
 	}
 
-	// Stage fan-out: link + batched write on every node concurrently.
-	stageStart := time.Now()
-	staged := make([]Staged, len(req.Targets))
 	res.Outcomes = make([]Outcome, len(req.Targets))
-	var wg sync.WaitGroup
-	for i, tgt := range req.Targets {
-		wg.Add(1)
-		go func(i int, tgt Target) {
-			defer wg.Done()
-			s.nodeSem <- struct{}{}
-			defer func() { <-s.nodeSem }()
-			nodeStart := time.Now()
-			o := &res.Outcomes[i]
-			o.Node = tgt.NodeKey()
-			var st Staged
-			o.Attempts, o.Err = s.withRetry(ctx, func() error {
-				var err error
-				st, err = tgt.Stage(ctx, req.Ext, req.Hook)
-				return err
-			})
-			if o.Err == nil {
-				staged[i] = st
-				o.Version = st.Version()
-				s.m.spanLink.RecordDuration(st.LinkDuration())
-				s.m.spanWrite.RecordDuration(st.WriteDuration())
-				if s.tr != nil {
-					// Approximate sub-spans: link leads the node's staging
-					// work, the batched write follows it.
-					s.tr.Record(telemetry.TraceEvent{Trace: trace, Layer: "pipeline", Name: "link",
-						Node: o.Node, Start: nodeStart, Dur: st.LinkDuration()})
-					s.tr.Record(telemetry.TraceEvent{Trace: trace, Layer: "pipeline", Name: "write",
-						Node: o.Node, Start: nodeStart.Add(st.LinkDuration()), Dur: st.WriteDuration()})
-				}
-			}
-			o.Latency = time.Since(nodeStart)
-		}(i, tgt)
-	}
-	wg.Wait()
-	res.StageAll = time.Since(stageStart)
-	s.m.spanStage.RecordDuration(res.StageAll)
-
-	s.finishJob(ctx, req, res, staged, start)
-	return res, nil
-}
-
-// finishJob runs the commit phase (barrier, publish fan-out, gate clear)
-// and final accounting.
-func (s *Scheduler) finishJob(ctx context.Context, req Request, res *Result, staged []Staged, start time.Time) {
-	anyStageFailed := false
-	for i := range res.Outcomes {
-		if res.Outcomes[i].Err != nil {
-			anyStageFailed = true
-			break
-		}
-	}
-
-	publishStart := time.Now()
-	switch {
-	case req.Atomic && anyStageFailed:
-		// Transactional job: withhold every publish. Staged blobs are
-		// unreferenced garbage in the nodes' ring allocators.
-	default:
-		if req.BeforePublish != nil {
-			if err := req.BeforePublish(); err != nil {
-				for i := range res.Outcomes {
-					if res.Outcomes[i].Err == nil {
-						res.Outcomes[i].Err = fmt.Errorf("pipeline: publish barrier: %w", err)
-					}
-				}
-				s.m.spanPublish.RecordDuration(time.Since(publishStart))
-				break
-			}
-		}
-		var wg sync.WaitGroup
-		var pubOK atomic.Int64
-		// For atomic jobs, the first permanently failed publish (a fenced
-		// controller, a deterministic remote fault — anything retries can't
-		// fix) aborts the publishes that haven't started: a half-published
-		// atomic rollout is exactly what Atomic exists to avoid, and a
-		// deposed leader discovering the fence on node 1 should not keep
-		// hammering nodes 2..N with CASes that will each be refused.
-		// The aborted outcomes wrap the triggering error so callers can
-		// errors.Is the real cause (e.g. core.ErrFenced) on any outcome.
-		var abort atomic.Pointer[error]
-		for i := range staged {
-			if staged[i] == nil {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				s.nodeSem <- struct{}{}
-				defer func() { <-s.nodeSem }()
-				pubStart := time.Now()
-				o := &res.Outcomes[i]
-				if cause := abort.Load(); req.Atomic && cause != nil {
-					o.Err = fmt.Errorf("pipeline: publish on %s aborted, atomic job already failed permanently: %w", o.Node, *cause)
-					o.Latency += time.Since(pubStart)
-					return
-				}
-				attempts, err := s.withRetry(ctx, func() error { return staged[i].Publish(ctx) })
-				o.Attempts += attempts - 1
-				if err != nil {
-					o.Err = err
-					if req.Atomic && !s.cfg.Transient(err) {
-						abort.CompareAndSwap(nil, &err)
-					}
-				} else {
-					pubOK.Add(1)
-				}
-				o.Latency += time.Since(pubStart)
-				s.m.spanPublish.RecordDuration(time.Since(pubStart))
-				s.tr.Span(res.Trace, "pipeline", "publish", o.Node, pubStart, 0, err)
-			}(i)
-		}
-		wg.Wait()
-		res.Published = pubOK.Load() > 0
-		if req.AfterPublish != nil {
-			req.AfterPublish()
-		}
-	}
-	res.Publish = time.Since(publishStart)
+	j := &job{s: s, ctx: ctx, req: req, res: res, staged: make([]Staged, len(req.Targets))}
+	j.run()
 
 	res.Total = time.Since(start)
 	s.m.spanTotal.RecordDuration(res.Total)
@@ -334,23 +222,198 @@ func (s *Scheduler) finishJob(ctx context.Context, req Request, res *Result, sta
 	if res.FirstErr() != nil {
 		s.m.jobsFailed.Inc()
 	}
+	return res, nil
 }
 
-// Submit enqueues a job asynchronously; the result arrives on the returned
-// channel once the scheduler admits and completes it.
-func (s *Scheduler) Submit(req Request) <-chan JobDone {
-	ch := make(chan JobDone, 1)
-	go func() {
-		res, err := s.Inject(req)
-		ch <- JobDone{Result: res, Err: err}
-	}()
-	return ch
+// job is one admitted, prepared job's per-node work. A worker set of
+// min(len(Targets), FanOut) goroutines carries every node from stage to
+// publish: the job's own goroutine is worker 0 and spawns the rest. Workers
+// pull node indices off the stage counter until it runs dry, then wait at
+// one barrier, where worker 0 alone makes the Atomic / BeforePublish
+// decision; if it says publish, the same workers pull indices off the
+// publish counter. Every item takes a nodeSem token, so FanOut bounds
+// per-node operations across all jobs. No worker outlives run.
+type job struct {
+	s      *Scheduler
+	ctx    context.Context
+	req    Request
+	res    *Result
+	staged []Staged // nil where the node failed to stage
+
+	nextStage, nextPublish atomic.Int64
+	staging                sync.WaitGroup // spawned workers still staging
+	done                   sync.WaitGroup // spawned workers not yet exited
+	release                chan struct{}  // closed once worker 0 has decided
+	publish                bool           // the decision, written before release closes
+
+	pubOK atomic.Int64
+	// For atomic jobs, the first permanently failed publish (a fenced
+	// controller, a deterministic remote fault — anything retries can't
+	// fix) aborts the publishes that haven't started: a half-published
+	// atomic rollout is exactly what Atomic exists to avoid, and a deposed
+	// leader discovering the fence on node 1 should not keep hammering
+	// nodes 2..N with CASes that will each be refused. The aborted
+	// outcomes wrap the triggering error so callers can errors.Is the real
+	// cause (e.g. core.ErrFenced) on any outcome.
+	abort atomic.Pointer[error]
 }
 
-// JobDone is an asynchronous job completion.
-type JobDone struct {
-	Result *Result
-	Err    error
+// run is worker 0: it spawns the other workers, stages alongside them,
+// decides at the barrier, publishes alongside them, and returns once every
+// worker has exited.
+func (j *job) run() {
+	s, req, res := j.s, j.req, j.res
+	stageStart := time.Now()
+	spawn := min(len(req.Targets), s.cfg.FanOut) - 1
+	j.release = make(chan struct{})
+	j.staging.Add(spawn)
+	j.done.Add(spawn)
+	for w := 0; w < spawn; w++ {
+		go j.worker()
+	}
+	j.stageItems()
+	j.staging.Wait()
+	res.StageAll = time.Since(stageStart)
+	s.m.spanStage.RecordDuration(res.StageAll)
+
+	publishStart := time.Now()
+	j.publish = j.decide(publishStart)
+	close(j.release)
+	if j.publish {
+		j.publishItems()
+	}
+	j.done.Wait()
+	if j.publish {
+		res.Published = j.pubOK.Load() > 0
+		if req.AfterPublish != nil {
+			req.AfterPublish()
+		}
+	}
+	res.Publish = time.Since(publishStart)
+}
+
+// worker is every worker but worker 0.
+func (j *job) worker() {
+	defer j.done.Done()
+	j.stageItems()
+	j.staging.Done()
+	<-j.release
+	if j.publish {
+		j.publishItems()
+	}
+}
+
+// decide is the publish barrier, run by worker 0 once every node has
+// staged or failed: an atomic job with a failed stage withholds every
+// publish (its staged blobs are unreferenced garbage in the nodes' ring
+// allocators), and a failing BeforePublish withholds them all with its
+// error on every staged node's outcome.
+func (j *job) decide(publishStart time.Time) bool {
+	if j.req.Atomic {
+		for i := range j.res.Outcomes {
+			if j.res.Outcomes[i].Err != nil {
+				return false
+			}
+		}
+	}
+	if j.req.BeforePublish != nil {
+		if err := j.req.BeforePublish(); err != nil {
+			for i := range j.res.Outcomes {
+				if j.res.Outcomes[i].Err == nil {
+					j.res.Outcomes[i].Err = fmt.Errorf("pipeline: publish barrier: %w", err)
+				}
+			}
+			j.s.m.spanPublish.RecordDuration(time.Since(publishStart))
+			return false
+		}
+	}
+	return true
+}
+
+// stageItems stages nodes until the stage counter runs dry, each under one
+// nodeSem token.
+func (j *job) stageItems() {
+	for {
+		i := int(j.nextStage.Add(1) - 1)
+		if i >= len(j.staged) {
+			return
+		}
+		j.s.nodeSem <- struct{}{}
+		j.stageOne(i)
+		<-j.s.nodeSem
+	}
+}
+
+// publishItems publishes staged nodes until the publish counter runs dry,
+// each under one nodeSem token; nodes that failed to stage are skipped.
+func (j *job) publishItems() {
+	for {
+		i := int(j.nextPublish.Add(1) - 1)
+		if i >= len(j.staged) {
+			return
+		}
+		if j.staged[i] == nil {
+			continue
+		}
+		j.s.nodeSem <- struct{}{}
+		j.publishOne(i)
+		<-j.s.nodeSem
+	}
+}
+
+// stageOne links and writes node i, with retries.
+func (j *job) stageOne(i int) {
+	s, tgt := j.s, j.req.Targets[i]
+	nodeStart := time.Now()
+	o := &j.res.Outcomes[i]
+	o.Node = tgt.NodeKey()
+	var st Staged
+	o.Attempts, o.Err = s.withRetry(j.ctx, func() error {
+		var err error
+		st, err = tgt.Stage(j.ctx, j.req.Ext, j.req.Hook)
+		return err
+	})
+	if o.Err == nil {
+		j.staged[i] = st
+		o.Version = st.Version()
+		s.m.spanLink.RecordDuration(st.LinkDuration())
+		s.m.spanWrite.RecordDuration(st.WriteDuration())
+		if s.tr != nil {
+			// Approximate sub-spans: link leads the node's staging work,
+			// the batched write follows it.
+			s.tr.Record(telemetry.TraceEvent{Trace: j.res.Trace, Layer: "pipeline", Name: "link",
+				Node: o.Node, Start: nodeStart, Dur: st.LinkDuration()})
+			s.tr.Record(telemetry.TraceEvent{Trace: j.res.Trace, Layer: "pipeline", Name: "write",
+				Node: o.Node, Start: nodeStart.Add(st.LinkDuration()), Dur: st.WriteDuration()})
+		}
+	}
+	o.Latency = time.Since(nodeStart)
+}
+
+// publishOne commits node i, with retries, unless an atomic job has
+// already aborted.
+func (j *job) publishOne(i int) {
+	s := j.s
+	pubStart := time.Now()
+	o := &j.res.Outcomes[i]
+	if cause := j.abort.Load(); j.req.Atomic && cause != nil {
+		o.Err = fmt.Errorf("pipeline: publish on %s aborted, atomic job already failed permanently: %w", o.Node, *cause)
+		o.Latency += time.Since(pubStart)
+		return
+	}
+	attempts, err := s.withRetry(j.ctx, func() error { return j.staged[i].Publish(j.ctx) })
+	o.Attempts += attempts - 1
+	if err != nil {
+		o.Err = err
+		if j.req.Atomic && !s.cfg.Transient(err) {
+			j.abort.CompareAndSwap(nil, &err)
+		}
+	} else {
+		j.pubOK.Add(1)
+	}
+	o.Latency += time.Since(pubStart)
+	s.m.spanPublish.RecordDuration(time.Since(pubStart))
+	s.tr.Span(j.res.Trace, "pipeline", "publish", o.Node, pubStart, 0, err)
 }
 
 // prepare runs Validate and Compile once per extension digest. Concurrent

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -252,7 +253,11 @@ func TestQueueAdmissionRejectsOnDeadline(t *testing.T) {
 	slow := &fakeTarget{key: "slow"}
 	s := New(Config{Workers: 1})
 	// Occupy the single worker slot with a job whose stage blocks.
-	slowDone := s.Submit(Request{Ext: constExt(7), Hook: "h", Targets: []Target{blockingTarget{block}}})
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		s.Inject(Request{Ext: constExt(7), Hook: "h", Targets: []Target{blockingTarget{block}}})
+	}()
 	time.Sleep(10 * time.Millisecond) // let it be admitted
 	_, err := s.Inject(Request{Ext: constExt(8), Hook: "h", Targets: targetsOf(slow), Deadline: 20 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "admission") {
@@ -431,6 +436,126 @@ func TestPublishBarrierHooks(t *testing.T) {
 	}
 	if tgt.published != 1 {
 		t.Error("publish did not run between barriers")
+	}
+}
+
+// probeTarget runs stage inside every Stage call and publish inside every
+// Publish call, so a test can watch what the scheduler has in flight.
+type probeTarget struct {
+	key            string
+	stage, publish func()
+}
+
+func (p *probeTarget) NodeKey() string { return p.key }
+
+func (p *probeTarget) Stage(context.Context, *ext.Extension, string) (Staged, error) {
+	p.stage()
+	return probeStaged{p}, nil
+}
+
+type probeStaged struct{ p *probeTarget }
+
+func (s probeStaged) Publish(context.Context) error { s.p.publish(); return nil }
+func (s probeStaged) Version() uint64               { return 1 }
+func (s probeStaged) LinkDuration() time.Duration   { return 0 }
+func (s probeStaged) WriteDuration() time.Duration  { return 0 }
+
+// TestInjectWorkersBounded pins the worker set: a 64-node job with FanOut 4
+// never has more than 4 Stage or Publish calls in flight, never runs more
+// than 4 goroutines beyond those alive before it (the caller is one of
+// them), and leaves none behind.
+func TestInjectWorkersBounded(t *testing.T) {
+	const fanOut, nodes, slack = 4, 64, 2
+	base := runtime.NumGoroutine()
+	var inflight, maxInflight, maxGoroutines atomic.Int64
+	raise := func(m *atomic.Int64, v int64) {
+		for cur := m.Load(); v > cur && !m.CompareAndSwap(cur, v); cur = m.Load() {
+		}
+	}
+	call := func() {
+		raise(&maxInflight, inflight.Add(1))
+		raise(&maxGoroutines, int64(runtime.NumGoroutine()))
+		time.Sleep(100 * time.Microsecond)
+		inflight.Add(-1)
+	}
+	targets := make([]Target, nodes)
+	for i := range targets {
+		targets[i] = &probeTarget{key: fmt.Sprintf("n%d", i), stage: call, publish: call}
+	}
+	s := New(Config{FanOut: fanOut})
+	res, err := s.Inject(Request{Ext: constExt(13), Hook: "h", Targets: targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FirstErr() != nil || !res.Published {
+		t.Fatalf("job failed: %v", res.FirstErr())
+	}
+	if got := maxInflight.Load(); got > fanOut {
+		t.Errorf("%d Stage/Publish calls in flight, FanOut is %d", got, fanOut)
+	}
+	if got := maxGoroutines.Load(); got > int64(base+fanOut+slack) {
+		t.Errorf("%d goroutines during the job, %d before it: the worker set exceeds FanOut %d", got, base, fanOut)
+	}
+	// A worker's last act is to mark itself done, so it may still be
+	// unwinding for an instant after Inject returns.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the job, %d before it: a worker outlived its job", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInjectStagesBeforeAnyPublish pins the barrier: every Stage returns
+// before BeforePublish runs, and BeforePublish returns before any Publish
+// starts, however the workers interleave.
+func TestInjectStagesBeforeAnyPublish(t *testing.T) {
+	const nodes = 16
+	var mu sync.Mutex
+	var events []string
+	note := func(ev string) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}
+	targets := make([]Target, nodes)
+	for i := range targets {
+		// Uneven stage times let fast workers run dry while slow ones are
+		// still staging.
+		delay := time.Duration(i%4) * 200 * time.Microsecond
+		targets[i] = &probeTarget{
+			key:     fmt.Sprintf("n%d", i),
+			stage:   func() { time.Sleep(delay); note("staged") },
+			publish: func() { note("publish") },
+		}
+	}
+	s := New(Config{FanOut: 4})
+	res, err := s.Inject(Request{
+		Ext: constExt(14), Hook: "h", Targets: targets,
+		BeforePublish: func() error { note("before"); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FirstErr() != nil || !res.Published {
+		t.Fatalf("job failed: %v", res.FirstErr())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != 2*nodes+1 {
+		t.Fatalf("events = %v", events)
+	}
+	for i, ev := range events {
+		want := "staged"
+		switch {
+		case i == nodes:
+			want = "before"
+		case i > nodes:
+			want = "publish"
+		}
+		if ev != want {
+			t.Fatalf("event %d = %q, want %q: %v", i, ev, want, events)
+		}
 	}
 }
 
