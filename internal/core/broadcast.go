@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -43,11 +44,13 @@ type BroadcastReport struct {
 
 // Broadcast is rdx_broadcast: transactionally deploy one extension to every
 // node in the group (the write set spans all target hooks, §4). It runs as
-// one Atomic job on the control plane's injection scheduler: staging (link +
-// batched write) fans out to all nodes in parallel and publishes only if
-// every node staged — the abort path leaves staged blobs as unreferenced
-// garbage in the ring allocators, never exposed by any pointer. BBU gates
-// slot into the scheduler's publish barrier.
+// one Atomic job on the control plane's injection scheduler: staging
+// (validate/JIT through the artifact cache, link, batched write) fans out to
+// all nodes in parallel and publishes only if every node staged — the abort
+// path leaves staged blobs as unreferenced garbage in the ring allocators,
+// never exposed by any pointer. BBU gates slot into the scheduler's publish
+// barrier. Of several failed nodes the error reports a fenced one first:
+// callers key on errors.Is(err, ErrFenced) to stand down.
 func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastReport, error) {
 	var rep BroadcastReport
 	if len(g) == 0 {
@@ -119,24 +122,44 @@ func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastRepo
 	if err != nil {
 		return rep, fmt.Errorf("core: broadcast: %w", err)
 	}
+	failed := reportedFailure(res.Outcomes)
 	if !res.Published {
 		// Atomic abort: a stage (or the barrier) failed; no node changed.
-		if ferr := res.FirstErr(); ferr != nil {
-			return rep, fmt.Errorf("core: broadcast aborted: %w", ferr)
+		if failed != nil {
+			return rep, fmt.Errorf("core: broadcast aborted: node %s: %w", failed.Node, failed.Err)
 		}
 		return rep, fmt.Errorf("core: broadcast aborted")
 	}
 	rep.Prepare = prepareEnd.Sub(start)
 	rep.Commit = time.Since(prepareEnd)
 	rep.Total = time.Since(start)
-	var commitErr error
-	for i, o := range res.Outcomes {
+	for _, o := range res.Outcomes {
 		rep.Versions = append(rep.Versions, o.Version)
-		if o.Err != nil && commitErr == nil {
-			commitErr = fmt.Errorf("core: broadcast commit on node %d: %w", i, o.Err)
+	}
+	if failed != nil {
+		return rep, fmt.Errorf("core: broadcast commit on node %s: %w", failed.Node, failed.Err)
+	}
+	return rep, nil
+}
+
+// reportedFailure picks the failed outcome a broadcast reports: a fenced
+// one over any other, since it means this controller is deposed and every
+// node it touches will refuse it, else the first. Nil if none failed.
+func reportedFailure(outs []pipeline.Outcome) *pipeline.Outcome {
+	var first *pipeline.Outcome
+	for i := range outs {
+		o := &outs[i]
+		if o.Err == nil {
+			continue
+		}
+		if errors.Is(o.Err, ErrFenced) {
+			return o
+		}
+		if first == nil {
+			first = o
 		}
 	}
-	return rep, commitErr
+	return first
 }
 
 // drainInflight polls every node's in-flight counter until all are zero.

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
 	"rdx/internal/artifact"
 	"rdx/internal/ebpf"
 	"rdx/internal/ebpf/maps"
+	"rdx/internal/ebpf/verifier"
 	"rdx/internal/ext"
 	"rdx/internal/mem"
 	"rdx/internal/native"
@@ -569,6 +571,62 @@ func TestBroadcastBBUGatesLifted(t *testing.T) {
 func TestBroadcastEmptyGroup(t *testing.T) {
 	if _, err := (Group{}).Broadcast(constProg("x", 1), BroadcastOptions{Hook: "h"}); err == nil {
 		t.Error("empty group broadcast succeeded")
+	}
+}
+
+// TestBroadcastCompilesOncePerDigest pins the one validate/JIT of a fleet
+// job: every node's stage asks the artifact cache, which validates and
+// compiles a never-seen digest once for the whole group and not again for
+// a repeat broadcast of it.
+func TestBroadcastCompilesOncePerDigest(t *testing.T) {
+	r := newRig(t, 8)
+	compiles := r.cp.Registry.Counter("artifact.compile.invocations")
+	validates := r.cp.Registry.Counter("artifact.validate.invocations")
+	e := bigProg("once", 21)
+	for round, want := range []uint64{1, 0} {
+		c0, v0 := compiles.Value(), validates.Value()
+		if _, err := Group(r.cfs).Broadcast(e, BroadcastOptions{Hook: "ingress"}); err != nil {
+			t.Fatalf("broadcast %d: %v", round, err)
+		}
+		if c, v := compiles.Value()-c0, validates.Value()-v0; c != want || v != want {
+			t.Errorf("broadcast %d: %d compiles, %d validations, want %d of each", round, c, v, want)
+		}
+	}
+}
+
+// TestBroadcastRejectedProgram pins where a fleet job rejects a program:
+// in the artifact lookup, before the stage's first node verb, so no node
+// sees a verb and no dispatch pointer moves.
+func TestBroadcastRejectedProgram(t *testing.T) {
+	r := newRig(t, 4)
+	if _, err := Group(r.cfs).Broadcast(constProg("base", 5), BroadcastOptions{Hook: "ingress"}); err != nil {
+		t.Fatal(err)
+	}
+	dispatch := func() []uint64 {
+		out := make([]uint64, len(r.nodes))
+		for i, n := range r.nodes {
+			slot, _ := n.HookSlot("ingress")
+			out[i], _ = n.Arena.ReadQword(node.HookAddr(slot) + node.HookOffDispatch)
+		}
+		return out
+	}
+	before := dispatch()
+	bad := ext.FromEBPF(ebpf.NewProgram("bad", ebpf.ProgTypeSocketFilter, []ebpf.Instruction{
+		ebpf.Mov64Reg(ebpf.R0, ebpf.R5), // uninit read
+		ebpf.Exit(),
+	}))
+	var err error
+	if verbs := verbsDuring(r.cp.Registry, func() {
+		_, err = Group(r.cfs).Broadcast(bad, BroadcastOptions{Hook: "ingress"})
+	}); len(verbs) != 0 {
+		t.Errorf("rejected program issued node verbs %v", verbs)
+	}
+	var verr *verifier.Error
+	if !errors.As(err, &verr) {
+		t.Fatalf("broadcast error = %v, want the verifier's", err)
+	}
+	if after := dispatch(); !reflect.DeepEqual(after, before) {
+		t.Errorf("dispatch pointers %#x -> %#x after a rejected program", before, after)
 	}
 }
 

@@ -41,11 +41,11 @@ func TestInjectTracedEndToEnd(t *testing.T) {
 	for _, ev := range evs {
 		byLayerName[ev.Layer+"/"+ev.Name]++
 	}
-	// All six pipeline stages, once per job (link/write/publish: per node).
-	for _, stage := range []string{"queue", "validate", "jit"} {
-		if byLayerName["pipeline/"+stage] != 1 {
-			t.Errorf("pipeline stage %q spans = %d, want 1 (trace: %v)", stage, byLayerName["pipeline/"+stage], byLayerName)
-		}
+	// All four pipeline stages: queue once per job, link/write/publish once
+	// per node. Validation and JIT run inside the stage, in the artifact
+	// cache, and have no span of their own.
+	if byLayerName["pipeline/queue"] != 1 {
+		t.Errorf("pipeline stage \"queue\" spans = %d, want 1 (trace: %v)", byLayerName["pipeline/queue"], byLayerName)
 	}
 	for _, stage := range []string{"link", "write", "publish"} {
 		if byLayerName["pipeline/"+stage] != len(targets) {

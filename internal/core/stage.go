@@ -250,9 +250,11 @@ func (s *StagedDeploy) LinkDuration() time.Duration { return s.link }
 func (s *StagedDeploy) WriteDuration() time.Duration { return s.write }
 
 // Scheduler returns the control plane's injection scheduler, created on
-// first use. Validation and compilation are wired to the registry, so a
-// fleet-wide job validates once and JITs once per distinct architecture
-// among the targets, regardless of fleet size.
+// first use. It does no validation or JIT of its own: every node's Stage
+// asks the artifact cache (compiled), which validates and compiles once
+// per (digest, architecture) and shares one flight among concurrent
+// stagers, so a fleet-wide job validates once and JITs once per distinct
+// architecture among the targets, regardless of fleet size.
 func (cp *ControlPlane) Scheduler() *pipeline.Scheduler {
 	cp.schedOnce.Do(func() {
 		cp.sched = pipeline.New(pipeline.Config{
@@ -263,24 +265,6 @@ func (cp *ControlPlane) Scheduler() *pipeline.Scheduler {
 			// lost atomic completions behind a ReconnQP) are retryable:
 			// staging is re-driveable end to end.
 			Transient: Retryable,
-			Validate: func(e *ext.Extension) error {
-				_, err := cp.ValidateCode(e)
-				return err
-			},
-			Compile: func(e *ext.Extension, targets []pipeline.Target) error {
-				seen := map[native.Arch]bool{}
-				for _, t := range targets {
-					cf, ok := t.(*CodeFlow)
-					if !ok || seen[cf.Arch] {
-						continue
-					}
-					seen[cf.Arch] = true
-					if _, err := cp.compiled(e, cf.Arch); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
 		})
 	})
 	return cp.sched

@@ -10,7 +10,8 @@ import (
 )
 
 // Target is one node's injection surface, implemented by core.CodeFlow.
-// Stage must do everything except publication — link against the node's
+// Stage must do everything except publication — validate and compile
+// (core asks its artifact cache, once per digest), link against the node's
 // GOT, allocate remote memory, and write the blob (batched) — so the
 // scheduler can drive the commit point of every node from one place.
 type Target interface {
@@ -82,11 +83,11 @@ type Result struct {
 	// version.
 	Published bool
 
-	// Per-stage wall-clock spans for this job.
+	// Per-stage wall-clock spans for this job. Validation and JIT have no
+	// span of their own: a target runs them inside Stage on an artifact
+	// cache miss, so they land in StageAll.
 	Queue    time.Duration // submit → admission by the work queue
-	Validate time.Duration // zero on prepare-cache hits
-	Compile  time.Duration // zero on prepare-cache hits
-	StageAll time.Duration // parallel link+write fan-out, slowest node
+	StageAll time.Duration // parallel stage fan-out, slowest node
 	Publish  time.Duration // barrier + parallel commit fan-out
 	Total    time.Duration
 }

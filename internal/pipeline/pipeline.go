@@ -5,21 +5,22 @@
 // The paper's claim is that one-sided injection makes extension deployment
 // a data-plane-speed operation; what the claim needs at fleet scale is a
 // scheduler, not a sequential loop. Scheduler accepts injection jobs on a
-// bounded work queue, runs validation and JIT once per extension (the
-// prepare cache is content-addressed by blob digest, so concurrent jobs for
-// the same code share one compile), then carries every target node from
-// link+write to publish on one worker set owned by the job:
+// bounded work queue, then carries every target node from stage to publish
+// on one worker set owned by the job:
 // min(len(Targets), FanOut) goroutines, the job's own among them, pull node
 // indices and stage them, meet at one publish barrier where the job decides
 // (Atomic, BeforePublish), then pull indices again and publish. Per-node
 // writes are coalesced by the targets into OpBatch chains ending in a
 // single doorbell WriteImm, so a fleet-wide rollout costs one latency-model
-// charge per node instead of one per segment.
+// charge per node instead of one per segment. Validation and JIT are the
+// targets' business: core's Stage looks the artifact up in the control
+// plane's content-addressed cache, so a fleet job validates and compiles
+// once per digest however many nodes it spans.
 //
 // Robustness: every job carries a deadline, transient fabric errors retry
 // with exponential backoff, and failures are reported per node — a dead
 // node yields a failed Outcome, never a wedged rollout. Observability:
-// every stage (queue → validate → jit → link → write → publish) records
+// every stage (queue → link → write → publish) records
 // into telemetry histograms surfaced by Stats.
 package pipeline
 
@@ -31,8 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rdx/internal/artifact"
-	"rdx/internal/ext"
 	"rdx/internal/telemetry"
 )
 
@@ -56,21 +55,8 @@ type Config struct {
 	// Deadline bounds a job when the request does not carry its own.
 	Deadline time.Duration
 
-	// Validate and Compile run once per extension digest before fan-out
-	// (rdx_validate_code / rdx_JIT_compile_code on the control plane).
-	// Either may be nil when the targets handle preparation themselves.
-	Validate func(*ext.Extension) error
-	Compile  func(*ext.Extension, []Target) error
-
 	// Transient classifies retryable errors; nil uses DefaultTransient.
 	Transient func(error) bool
-
-	// PrepareCap bounds the per-digest prepare memo: completed digests
-	// beyond the cap evict least-recently-injected. An evicted digest
-	// re-runs Validate/Compile on its next job — cheap when those route
-	// into the control plane's artifact cache, a deliberate re-prepare
-	// when they don't. 0 means DefaultPrepareCap.
-	PrepareCap int
 
 	// Registry supplies the scheduler's named instruments ("pipeline.*").
 	// Sharing one registry with the wire layer gives a single /metrics
@@ -109,13 +95,7 @@ func (c *Config) fillDefaults() {
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
 	}
-	if c.PrepareCap <= 0 {
-		c.PrepareCap = DefaultPrepareCap
-	}
 }
-
-// DefaultPrepareCap is the prepare-memo bound when Config.PrepareCap is 0.
-const DefaultPrepareCap = 256
 
 // Scheduler is the asynchronous batched injection pipeline. All methods
 // are safe for concurrent use; the scheduler owns no long-lived goroutines,
@@ -125,42 +105,26 @@ type Scheduler struct {
 	jobSem  chan struct{} // work-queue admission
 	nodeSem chan struct{} // global per-node fan-out bound
 
-	// prepMu guards both prepare structures: inflight single-flights
-	// concurrent preparations of one digest, prepDone memoizes completed
-	// digests in a bounded LRU (PR 1's memo grew without bound; a
-	// long-lived scheduler serving many distinct extensions no longer
-	// does).
-	prepMu   sync.Mutex
-	inflight map[string]*prepEntry
-	prepDone *artifact.LRU[string, struct{}]
-
 	m  metrics
 	tr *telemetry.TraceRecorder // nil when tracing is off
-}
-
-type prepEntry struct {
-	done chan struct{}
-	err  error
 }
 
 // New builds a scheduler from cfg (zero-value fields get defaults).
 func New(cfg Config) *Scheduler {
 	cfg.fillDefaults()
 	return &Scheduler{
-		cfg:      cfg,
-		jobSem:   make(chan struct{}, cfg.Workers),
-		nodeSem:  make(chan struct{}, cfg.FanOut),
-		inflight: make(map[string]*prepEntry),
-		prepDone: artifact.NewLRU[string, struct{}](cfg.PrepareCap, nil),
-		m:        newMetrics(cfg.Registry),
-		tr:       cfg.Tracer,
+		cfg:     cfg,
+		jobSem:  make(chan struct{}, cfg.Workers),
+		nodeSem: make(chan struct{}, cfg.FanOut),
+		m:       newMetrics(cfg.Registry),
+		tr:      cfg.Tracer,
 	}
 }
 
-// Inject runs one job synchronously: admission, prepare, then the job's
-// worker set stages every node, waits at the publish barrier and commits.
-// The error covers job-level failures (bad request, queue deadline,
-// validation); per-node failures live in Result.Outcomes.
+// Inject runs one job synchronously: admission, then the job's worker set
+// stages every node, waits at the publish barrier and commits. The error
+// covers job-level failures (bad request, queue deadline); per-node
+// failures, a rejected program among them, live in Result.Outcomes.
 func (s *Scheduler) Inject(req Request) (*Result, error) {
 	if req.Ext == nil {
 		return nil, fmt.Errorf("pipeline: nil extension")
@@ -200,12 +164,6 @@ func (s *Scheduler) Inject(req Request) (*Result, error) {
 	s.tr.Span(trace, "pipeline", "queue", "", start, 0, nil)
 	s.m.jobs.Inc()
 
-	// Prepare: validate + JIT once per extension digest.
-	if err := s.prepare(ctx, req.Ext, req.Targets, res); err != nil {
-		s.m.jobsFailed.Inc()
-		return nil, err
-	}
-
 	res.Outcomes = make([]Outcome, len(req.Targets))
 	j := &job{s: s, ctx: ctx, req: req, res: res, staged: make([]Staged, len(req.Targets))}
 	j.run()
@@ -225,7 +183,7 @@ func (s *Scheduler) Inject(req Request) (*Result, error) {
 	return res, nil
 }
 
-// job is one admitted, prepared job's per-node work. A worker set of
+// job is one admitted job's per-node work. A worker set of
 // min(len(Targets), FanOut) goroutines carries every node from stage to
 // publish: the job's own goroutine is worker 0 and spawns the rest. Workers
 // pull node indices off the stage counter until it runs dry, then wait at
@@ -247,7 +205,11 @@ type job struct {
 	publish                bool           // the decision, written before release closes
 
 	pubOK atomic.Int64
-	// For atomic jobs, the first permanently failed publish (a fenced
+	// For atomic jobs, the first stage that still fails after its retries
+	// aborts the stages that haven't started: decide withholds every
+	// publish once any stage has failed, so a later stage would only write
+	// garbage (and re-run the verifier on a rejected program, node after
+	// node). Likewise the first permanently failed publish (a fenced
 	// controller, a deterministic remote fault — anything retries can't
 	// fix) aborts the publishes that haven't started: a half-published
 	// atomic rollout is exactly what Atomic exists to avoid, and a deposed
@@ -331,12 +293,19 @@ func (j *job) decide(publishStart time.Time) bool {
 }
 
 // stageItems stages nodes until the stage counter runs dry, each under one
-// nodeSem token.
+// nodeSem token; once an atomic job has aborted, the nodes left get the
+// cause instead.
 func (j *job) stageItems() {
 	for {
 		i := int(j.nextStage.Add(1) - 1)
 		if i >= len(j.staged) {
 			return
+		}
+		if cause := j.abort.Load(); cause != nil {
+			o := &j.res.Outcomes[i]
+			o.Node = j.req.Targets[i].NodeKey()
+			o.Err = fmt.Errorf("pipeline: stage on %s skipped, atomic job already failed: %w", o.Node, *cause)
+			continue
 		}
 		j.s.nodeSem <- struct{}{}
 		j.stageOne(i)
@@ -361,7 +330,8 @@ func (j *job) publishItems() {
 	}
 }
 
-// stageOne links and writes node i, with retries.
+// stageOne links and writes node i, with retries; in an atomic job a
+// failure aborts the stages that haven't started.
 func (j *job) stageOne(i int) {
 	s, tgt := j.s, j.req.Targets[i]
 	nodeStart := time.Now()
@@ -386,6 +356,9 @@ func (j *job) stageOne(i int) {
 			s.tr.Record(telemetry.TraceEvent{Trace: j.res.Trace, Layer: "pipeline", Name: "write",
 				Node: o.Node, Start: nodeStart.Add(st.LinkDuration()), Dur: st.WriteDuration()})
 		}
+	} else if j.req.Atomic {
+		err := o.Err
+		j.abort.CompareAndSwap(nil, &err)
 	}
 	o.Latency = time.Since(nodeStart)
 }
@@ -396,7 +369,7 @@ func (j *job) publishOne(i int) {
 	s := j.s
 	pubStart := time.Now()
 	o := &j.res.Outcomes[i]
-	if cause := j.abort.Load(); j.req.Atomic && cause != nil {
+	if cause := j.abort.Load(); cause != nil {
 		o.Err = fmt.Errorf("pipeline: publish on %s aborted, atomic job already failed permanently: %w", o.Node, *cause)
 		o.Latency += time.Since(pubStart)
 		return
@@ -414,75 +387,6 @@ func (j *job) publishOne(i int) {
 	o.Latency += time.Since(pubStart)
 	s.m.spanPublish.RecordDuration(time.Since(pubStart))
 	s.tr.Span(j.res.Trace, "pipeline", "publish", o.Node, pubStart, 0, err)
-}
-
-// prepare runs Validate and Compile once per extension digest. Concurrent
-// jobs for the same digest share one flight; completed digests memoize in
-// a bounded LRU; failures are not cached, so a later job retries
-// preparation.
-func (s *Scheduler) prepare(ctx context.Context, e *ext.Extension, targets []Target, res *Result) error {
-	if s.cfg.Validate == nil && s.cfg.Compile == nil {
-		return nil
-	}
-	digest := e.Digest()
-	s.prepMu.Lock()
-	if _, ok := s.prepDone.Get(digest); ok {
-		s.prepMu.Unlock()
-		s.m.prepareHits.Inc()
-		return nil
-	}
-	if ent, ok := s.inflight[digest]; ok {
-		s.prepMu.Unlock()
-		select {
-		case <-ent.done:
-			if ent.err == nil {
-				s.m.prepareHits.Inc()
-			}
-			return ent.err
-		case <-ctx.Done():
-			return fmt.Errorf("pipeline: prepare wait: %w", ctx.Err())
-		}
-	}
-	ent := &prepEntry{done: make(chan struct{})}
-	s.inflight[digest] = ent
-	s.prepMu.Unlock()
-
-	s.m.prepareMisses.Inc()
-	trace := telemetry.TraceIDFrom(ctx)
-	if s.cfg.Validate != nil {
-		t0 := time.Now()
-		ent.err = s.cfg.Validate(e)
-		res.Validate = time.Since(t0)
-		s.m.spanValidate.RecordDuration(res.Validate)
-		s.tr.Span(trace, "pipeline", "validate", "", t0, 0, ent.err)
-	}
-	if ent.err == nil && s.cfg.Compile != nil {
-		t0 := time.Now()
-		ent.err = s.cfg.Compile(e, targets)
-		res.Compile = time.Since(t0)
-		s.m.spanCompile.RecordDuration(res.Compile)
-		s.tr.Span(trace, "pipeline", "jit", "", t0, 0, ent.err)
-	}
-	s.prepMu.Lock()
-	delete(s.inflight, digest)
-	if ent.err == nil {
-		s.prepDone.Put(digest, struct{}{})
-	}
-	s.prepMu.Unlock()
-	if ent.err != nil {
-		// The failure may be environmental; memoizing it would poison
-		// every future job for this extension.
-		ent.err = fmt.Errorf("pipeline: prepare: %w", ent.err)
-	}
-	close(ent.done)
-	return ent.err
-}
-
-// preparedLen reports the memoized-digest count (test surface).
-func (s *Scheduler) preparedLen() int {
-	s.prepMu.Lock()
-	defer s.prepMu.Unlock()
-	return s.prepDone.Len()
 }
 
 // Stats returns a snapshot of the scheduler's counters and per-stage spans.

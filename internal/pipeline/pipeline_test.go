@@ -89,11 +89,7 @@ func TestInjectFleetHappyPath(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		fakes = append(fakes, &fakeTarget{key: fmt.Sprintf("n%d", i)})
 	}
-	var validated, compiled atomic.Int32
-	s := New(Config{
-		Validate: func(*ext.Extension) error { validated.Add(1); return nil },
-		Compile:  func(*ext.Extension, []Target) error { compiled.Add(1); return nil },
-	})
+	s := New(Config{})
 	res, err := s.Inject(Request{Ext: constExt(1), Hook: "h", Targets: targetsOf(fakes...)})
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +104,6 @@ func TestInjectFleetHappyPath(t *testing.T) {
 		if res.Outcomes[i].Version == 0 || res.Outcomes[i].Attempts != 1 {
 			t.Errorf("outcome %d = %+v", i, res.Outcomes[i])
 		}
-	}
-	if validated.Load() != 1 || compiled.Load() != 1 {
-		t.Errorf("validate/compile ran %d/%d times, want 1/1", validated.Load(), compiled.Load())
 	}
 	st := s.Stats()
 	if st.Jobs != 1 || st.NodesInjected != 8 || st.NodesFailed != 0 {
@@ -187,6 +180,42 @@ func TestInjectAtomicAbort(t *testing.T) {
 	}
 	if res.FirstErr() == nil {
 		t.Error("no error surfaced for the dead node")
+	}
+}
+
+// TestInjectAtomicStopsStaging pins the stage abort: once a stage of an
+// atomic job has failed for good no publish can happen, so the nodes not
+// yet staged are skipped with the cause on their outcome instead of being
+// written garbage.
+func TestInjectAtomicStopsStaging(t *testing.T) {
+	cause := errors.New("verifier: program rejected")
+	var fakes []*fakeTarget
+	for i := 0; i < 16; i++ {
+		fakes = append(fakes, &fakeTarget{key: fmt.Sprintf("n%d", i)})
+	}
+	fakes[0].stageErrs = []error{cause}
+	s := New(Config{FanOut: 1})
+	res, err := s.Inject(Request{Ext: constExt(15), Hook: "h", Targets: targetsOf(fakes...), Atomic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Published {
+		t.Error("atomic job published despite a stage failure")
+	}
+	calls := 0
+	for _, f := range fakes {
+		calls += f.attempts
+	}
+	if calls != 1 {
+		t.Errorf("%d Stage calls, want 1: the job kept staging after it had failed", calls)
+	}
+	for i, o := range res.Outcomes {
+		if !errors.Is(o.Err, cause) {
+			t.Errorf("outcome %d = %v, want the stage failure's cause", i, o.Err)
+		}
+		if o.Node != fakes[i].key {
+			t.Errorf("outcome %d names node %q, want %q", i, o.Node, fakes[i].key)
+		}
 	}
 }
 
@@ -276,101 +305,6 @@ func (b blockingTarget) NodeKey() string { return "blocker" }
 func (b blockingTarget) Stage(context.Context, *ext.Extension, string) (Staged, error) {
 	<-b.ch
 	return nil, errors.New("unblocked")
-}
-
-func TestPrepareSingleFlightPerDigest(t *testing.T) {
-	var compiles atomic.Int32
-	s := New(Config{
-		Compile: func(*ext.Extension, []Target) error {
-			compiles.Add(1)
-			time.Sleep(5 * time.Millisecond) // widen the race window
-			return nil
-		},
-	})
-	e := constExt(9)
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tgt := &fakeTarget{key: "n"}
-			if _, err := s.Inject(Request{Ext: e, Hook: "h", Targets: targetsOf(tgt)}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if compiles.Load() != 1 {
-		t.Errorf("compile ran %d times for one digest", compiles.Load())
-	}
-	// A different extension compiles separately.
-	if _, err := s.Inject(Request{Ext: constExt(10), Hook: "h", Targets: targetsOf(&fakeTarget{key: "n"})}); err != nil {
-		t.Fatal(err)
-	}
-	if compiles.Load() != 2 {
-		t.Errorf("compile ran %d times for two digests", compiles.Load())
-	}
-	st := s.Stats()
-	if st.PrepareMisses != 2 || st.PrepareHits != 5 {
-		t.Errorf("prepare hit/miss = %d/%d, want 5/2", st.PrepareHits, st.PrepareMisses)
-	}
-}
-
-func TestPrepareFailureNotCached(t *testing.T) {
-	calls := 0
-	s := New(Config{Validate: func(*ext.Extension) error {
-		calls++
-		if calls == 1 {
-			return errors.New("transient validator outage")
-		}
-		return nil
-	}})
-	e := constExt(11)
-	if _, err := s.Inject(Request{Ext: e, Hook: "h", Targets: targetsOf(&fakeTarget{key: "n"})}); err == nil {
-		t.Fatal("first job should fail prepare")
-	}
-	if _, err := s.Inject(Request{Ext: e, Hook: "h", Targets: targetsOf(&fakeTarget{key: "n"})}); err != nil {
-		t.Fatalf("second job hit a poisoned prepare cache: %v", err)
-	}
-}
-
-// TestPrepareMemoBounded pins the PrepareCap contract: the per-digest memo
-// is an LRU, so a long-lived scheduler churning through unique digests
-// holds at most PrepareCap of them, and an evicted digest re-prepares on
-// its next job (cheaply — the artifact cache still holds the compiled
-// binary; only the memo entry is gone).
-func TestPrepareMemoBounded(t *testing.T) {
-	var compiles atomic.Int32
-	s := New(Config{
-		PrepareCap: 2,
-		Compile:    func(*ext.Extension, []Target) error { compiles.Add(1); return nil },
-	})
-	inject := func(v int32) {
-		t.Helper()
-		if _, err := s.Inject(Request{Ext: constExt(v), Hook: "h", Targets: targetsOf(&fakeTarget{key: "n"})}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inject(30)
-	inject(31)
-	inject(32) // evicts digest 30 from the memo
-	if got := s.preparedLen(); got != 2 {
-		t.Fatalf("memo holds %d digests, want PrepareCap=2", got)
-	}
-	if compiles.Load() != 3 {
-		t.Fatalf("compile ran %d times for three digests", compiles.Load())
-	}
-	inject(30) // evicted: must re-prepare
-	if compiles.Load() != 4 {
-		t.Fatalf("evicted digest did not re-prepare: %d compiles", compiles.Load())
-	}
-	inject(32) // still memoized: no extra compile
-	if compiles.Load() != 4 {
-		t.Fatalf("memoized digest recompiled: %d compiles", compiles.Load())
-	}
-	if got := s.preparedLen(); got != 2 {
-		t.Fatalf("memo grew past its cap: %d", got)
-	}
 }
 
 // TestPublishedReflectsPublishOutcomes pins the Result.Published contract:

@@ -19,17 +19,13 @@ type metrics struct {
 	nodesInjected *telemetry.Counter
 	nodesFailed   *telemetry.Counter
 	retries       *telemetry.Counter
-	prepareHits   *telemetry.Counter
-	prepareMisses *telemetry.Counter
 
-	spanQueue    *telemetry.Histogram
-	spanValidate *telemetry.Histogram
-	spanCompile  *telemetry.Histogram
-	spanLink     *telemetry.Histogram
-	spanWrite    *telemetry.Histogram
-	spanStage    *telemetry.Histogram // whole stage fan-out, slowest node
-	spanPublish  *telemetry.Histogram
-	spanTotal    *telemetry.Histogram
+	spanQueue   *telemetry.Histogram
+	spanLink    *telemetry.Histogram
+	spanWrite   *telemetry.Histogram
+	spanStage   *telemetry.Histogram // whole stage fan-out, slowest node
+	spanPublish *telemetry.Histogram
+	spanTotal   *telemetry.Histogram
 }
 
 func newMetrics(reg *telemetry.Registry) metrics {
@@ -40,11 +36,7 @@ func newMetrics(reg *telemetry.Registry) metrics {
 		nodesInjected: reg.Counter("pipeline.nodes_injected"),
 		nodesFailed:   reg.Counter("pipeline.nodes_failed"),
 		retries:       reg.Counter("pipeline.retries"),
-		prepareHits:   reg.Counter("pipeline.prepare_hits"),
-		prepareMisses: reg.Counter("pipeline.prepare_misses"),
 		spanQueue:     reg.Histogram("pipeline.span.queue"),
-		spanValidate:  reg.Histogram("pipeline.span.validate"),
-		spanCompile:   reg.Histogram("pipeline.span.jit"),
 		spanLink:      reg.Histogram("pipeline.span.link"),
 		spanWrite:     reg.Histogram("pipeline.span.write"),
 		spanStage:     reg.Histogram("pipeline.span.stage_fanout"),
@@ -80,17 +72,13 @@ type Stats struct {
 	NodesInjected uint64
 	NodesFailed   uint64
 	Retries       uint64
-	PrepareHits   uint64 // jobs that reused a prepared (validated+compiled) extension
-	PrepareMisses uint64
 
-	Queue    StageStats
-	Validate StageStats
-	Compile  StageStats
-	Link     StageStats
-	Write    StageStats
-	Stage    StageStats
-	Publish  StageStats
-	Total    StageStats
+	Queue   StageStats
+	Link    StageStats
+	Write   StageStats
+	Stage   StageStats
+	Publish StageStats
+	Total   StageStats
 }
 
 func (m *metrics) snapshot() Stats {
@@ -101,11 +89,7 @@ func (m *metrics) snapshot() Stats {
 		NodesInjected: m.nodesInjected.Value(),
 		NodesFailed:   m.nodesFailed.Value(),
 		Retries:       m.retries.Value(),
-		PrepareHits:   m.prepareHits.Value(),
-		PrepareMisses: m.prepareMisses.Value(),
 		Queue:         stageStats(m.spanQueue),
-		Validate:      stageStats(m.spanValidate),
-		Compile:       stageStats(m.spanCompile),
 		Link:          stageStats(m.spanLink),
 		Write:         stageStats(m.spanWrite),
 		Stage:         stageStats(m.spanStage),
@@ -118,16 +102,14 @@ func (m *metrics) snapshot() Stats {
 // summary line, in the repo's standard experiment format.
 func (s Stats) Table() *telemetry.Table {
 	t := telemetry.NewTable(
-		fmt.Sprintf("injection pipeline: jobs=%d (failed=%d rejected=%d) nodes=%d (failed=%d) retries=%d prepare hit/miss=%d/%d",
-			s.Jobs, s.JobsFailed, s.Rejected, s.NodesInjected, s.NodesFailed, s.Retries, s.PrepareHits, s.PrepareMisses),
+		fmt.Sprintf("injection pipeline: jobs=%d (failed=%d rejected=%d) nodes=%d (failed=%d) retries=%d",
+			s.Jobs, s.JobsFailed, s.Rejected, s.NodesInjected, s.NodesFailed, s.Retries),
 		"stage", "count", "mean", "p50", "p99", "max")
 	for _, row := range []struct {
 		name string
 		st   StageStats
 	}{
 		{"queue", s.Queue},
-		{"validate", s.Validate},
-		{"jit", s.Compile},
 		{"link", s.Link},
 		{"write", s.Write},
 		{"stage-fanout", s.Stage},

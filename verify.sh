@@ -64,10 +64,11 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 300s -count=20 -run 'TestResidentFastPathVsDeltaClaimRace|TestConcurrentBroadcastLastWriterWins|TestPublishAfterRingWrapFails|TestRollback|TestPublishPath|TestPolicy' ./internal/core ./internal/controlha
     # A job's per-node work runs on one worker set that meets at a publish
     # barrier, and each stage links its own copy of the cached master: the
-    # worker bound, the stage-before-publish order, atomic abort and the
-    # per-node link repeat under -race.
+    # worker bound, the stage-before-publish order, atomic abort, the
+    # per-node link, the one compile per digest and the shard's atomic
+    # N-node broadcast repeat under -race.
     echo "== fleet job workers (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestInject|TestPublishBarrierHooks|TestStageLinksIntoOwnImage' ./internal/pipeline ./internal/core
+    go test -race -timeout 300s -count=20 -run 'TestInject|TestPublishBarrierHooks|TestStageLinksIntoOwnImage|TestBroadcast|TestCPExecutor' ./internal/pipeline ./internal/core ./internal/shard
 fi
 
 # The simregression build re-seeds two historical bugs (pre-rotation
