@@ -189,11 +189,10 @@ func TestLRUBasics(t *testing.T) {
 	if v, _ := l.Get("a"); v != 10 {
 		t.Fatalf("Put replace: got %d", v)
 	}
-	l.Remove("c")
-	if l.Len() != 2 {
-		t.Fatalf("len = %d, want 2", l.Len())
+	if l.Len() != 3 {
+		t.Fatalf("len = %d, want 3", l.Len())
 	}
 	if len(evicted) != 1 {
-		t.Fatalf("Remove must not fire the eviction callback: %v", evicted)
+		t.Fatalf("replacing a resident key must not evict: %v", evicted)
 	}
 }

@@ -58,9 +58,6 @@ func Compute(old, new []byte, pageSize int) Delta {
 // Bytes is the total payload a delta injection writes.
 func (d *Delta) Bytes() int { return d.changed }
 
-// Empty reports a no-op delta (identical images of equal length).
-func (d *Delta) Empty() bool { return len(d.Runs) == 0 }
-
 // Ratio is delta bytes over full-image bytes: the quantity compared against
 // the fallback-to-full threshold. An empty new image ratios to 0.
 func (d *Delta) Ratio() float64 {

@@ -67,14 +67,5 @@ func (l *LRU[K, V]) Put(k K, v V) {
 	}
 }
 
-// Remove deletes k if present (no eviction callback — removal is the
-// caller's intent, not capacity pressure).
-func (l *LRU[K, V]) Remove(k K) {
-	if el, ok := l.idx[k]; ok {
-		l.ll.Remove(el)
-		delete(l.idx, k)
-	}
-}
-
 // Len returns the number of resident entries.
 func (l *LRU[K, V]) Len() int { return l.ll.Len() }

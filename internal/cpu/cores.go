@@ -15,7 +15,6 @@ package cpu
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -23,18 +22,11 @@ import (
 // ErrStopped is returned when work is submitted to a stopped core pool.
 var ErrStopped = errors.New("cpu: core pool stopped")
 
-// Cores is a fixed-size pool of simulated CPU cores.
+// Cores is a fixed-size pool of simulated CPU cores. Work runs
+// synchronously on the caller's goroutine once Run has taken a core.
 type Cores struct {
-	n   int
-	sem chan struct{}
-
+	sem     chan struct{}
 	stopped atomic.Bool
-	wg      sync.WaitGroup
-
-	busyNanos  atomic.Int64 // cumulative time cores spent executing tasks
-	tasks      atomic.Int64 // tasks completed
-	queueNanos atomic.Int64 // cumulative time tasks waited for a core
-	started    time.Time
 }
 
 // New creates a pool with n cores. n must be positive.
@@ -42,107 +34,37 @@ func New(n int) *Cores {
 	if n <= 0 {
 		panic("cpu: core count must be positive")
 	}
-	return &Cores{
-		n:       n,
-		sem:     make(chan struct{}, n),
-		started: time.Now(),
-	}
+	return &Cores{sem: make(chan struct{}, n)}
 }
-
-// N returns the number of cores.
-func (c *Cores) N() int { return c.n }
 
 // Run executes fn on a core, blocking until a core is free and fn returns.
 // It returns ErrStopped if the pool has been stopped, or ctx.Err() if the
-// context is cancelled while waiting for a core.
+// context is cancelled while waiting for a core. Work admitted before Stop
+// still runs.
 func (c *Cores) Run(ctx context.Context, fn func()) error {
 	if c.stopped.Load() {
 		return ErrStopped
 	}
-	return c.exec(ctx, fn)
-}
-
-// exec acquires a core and runs fn. Admission control (the stopped check)
-// is the caller's job: work already admitted must complete even if Stop
-// lands while it is queued.
-func (c *Cores) exec(ctx context.Context, fn func()) error {
-	wait := time.Now()
 	select {
 	case c.sem <- struct{}{}:
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	c.queueNanos.Add(int64(time.Since(wait)))
-	start := time.Now()
-	defer func() {
-		c.busyNanos.Add(int64(time.Since(start)))
-		c.tasks.Add(1)
-		<-c.sem
-	}()
+	defer func() { <-c.sem }()
 	fn()
 	return nil
 }
 
-// Go schedules fn asynchronously on a core and returns immediately; fn runs
-// once a core frees up. Returns ErrStopped if the pool is stopped. Work
-// admitted before Stop is guaranteed to run; Stop waits for it.
-func (c *Cores) Go(fn func()) error {
-	if c.stopped.Load() {
-		return ErrStopped
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		_ = c.exec(context.Background(), fn)
-	}()
-	return nil
-}
-
-// Stop prevents new work and waits for in-flight tasks to finish.
-func (c *Cores) Stop() {
-	c.stopped.Store(true)
-	c.wg.Wait()
-	// Drain any cores still held by synchronous Run callers: they finish
-	// on their own; nothing to do here beyond the flag.
-}
-
-// Stats is a snapshot of pool accounting.
-type Stats struct {
-	Cores          int
-	TasksCompleted int64
-	BusyTime       time.Duration // summed across cores
-	QueueTime      time.Duration // summed across tasks
-	WallTime       time.Duration
-	Utilization    float64 // BusyTime / (Cores * WallTime), in [0,1]
-}
-
-// Stats returns a snapshot of the pool's accounting counters.
-func (c *Cores) Stats() Stats {
-	wall := time.Since(c.started)
-	busy := time.Duration(c.busyNanos.Load())
-	util := 0.0
-	if wall > 0 {
-		util = float64(busy) / (float64(c.n) * float64(wall))
-		if util > 1 {
-			util = 1
-		}
-	}
-	return Stats{
-		Cores:          c.n,
-		TasksCompleted: c.tasks.Load(),
-		BusyTime:       busy,
-		QueueTime:      time.Duration(c.queueNanos.Load()),
-		WallTime:       wall,
-		Utilization:    util,
-	}
-}
+// Stop prevents new work. Tasks already admitted by Run finish on their
+// callers' goroutines.
+func (c *Cores) Stop() { c.stopped.Store(true) }
 
 // Burn occupies the calling core for approximately d of simulated CPU work.
 // The core's semaphore slot stays held for the duration, which is what makes
 // contention visible to other tasks. Long burns sleep (cheap and accurate at
 // millisecond scale); sub-millisecond burns spin, because OS sleep
 // granularity would otherwise quantize microsecond-scale request costs. Use
-// it inside a Run/Go callback to model fixed-cost request handling.
+// it inside a Run callback to model fixed-cost request handling.
 func Burn(d time.Duration) {
 	if d <= 0 {
 		return

@@ -17,10 +17,6 @@ func TestRunExecutes(t *testing.T) {
 	if !ran {
 		t.Error("task did not run")
 	}
-	st := c.Stats()
-	if st.TasksCompleted != 1 {
-		t.Errorf("tasks = %d, want 1", st.TasksCompleted)
-	}
 }
 
 func TestConcurrencyBoundedByCores(t *testing.T) {
@@ -54,27 +50,6 @@ func TestConcurrencyBoundedByCores(t *testing.T) {
 	}
 }
 
-func TestQueueTimeAccountedUnderContention(t *testing.T) {
-	c := New(1)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c.Run(context.Background(), func() { time.Sleep(5 * time.Millisecond) })
-		}()
-	}
-	wg.Wait()
-	st := c.Stats()
-	// 4 serialized 5ms tasks on 1 core: later tasks waited.
-	if st.QueueTime < 10*time.Millisecond {
-		t.Errorf("queue time = %v, want >= 10ms", st.QueueTime)
-	}
-	if st.BusyTime < 18*time.Millisecond {
-		t.Errorf("busy time = %v, want ~20ms", st.BusyTime)
-	}
-}
-
 func TestRunContextCancelledWhileQueued(t *testing.T) {
 	c := New(1)
 	release := make(chan struct{})
@@ -95,35 +70,6 @@ func TestStopRejectsNewWork(t *testing.T) {
 	c.Stop()
 	if err := c.Run(context.Background(), func() {}); err != ErrStopped {
 		t.Errorf("Run after stop = %v, want ErrStopped", err)
-	}
-	if err := c.Go(func() {}); err != ErrStopped {
-		t.Errorf("Go after stop = %v, want ErrStopped", err)
-	}
-}
-
-func TestStopWaitsForAsyncTasks(t *testing.T) {
-	c := New(2)
-	var done atomic.Int64
-	for i := 0; i < 5; i++ {
-		if err := c.Go(func() {
-			time.Sleep(2 * time.Millisecond)
-			done.Add(1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Stop()
-	if done.Load() != 5 {
-		t.Errorf("Stop returned before async tasks finished: %d/5", done.Load())
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	c := New(1)
-	c.Run(context.Background(), func() { time.Sleep(20 * time.Millisecond) })
-	st := c.Stats()
-	if st.Utilization <= 0 || st.Utilization > 1 {
-		t.Errorf("utilization = %v out of (0,1]", st.Utilization)
 	}
 }
 

@@ -220,20 +220,3 @@ func condFor(op uint8) (uint8, error) {
 		return 0, fmt.Errorf("unknown JMP op %#x", op)
 	}
 }
-
-// Targets lists the architectures the control plane compiles for by
-// default ("cross-architecture JIT", §3.2).
-var Targets = []native.Arch{native.ArchX64, native.ArchA64}
-
-// CompileAll compiles p for every target architecture.
-func CompileAll(p *ebpf.Program) (map[native.Arch]*native.Binary, error) {
-	out := make(map[native.Arch]*native.Binary, len(Targets))
-	for _, arch := range Targets {
-		b, err := Compile(p, arch)
-		if err != nil {
-			return nil, fmt.Errorf("jit: %v: %w", arch, err)
-		}
-		out[arch] = b
-	}
-	return out, nil
-}

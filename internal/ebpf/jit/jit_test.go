@@ -70,12 +70,15 @@ func compileLinkRun(t *testing.T, p *ebpf.Program, arch native.Arch, env *xabi.E
 	return eng.Run(prog, env, ctx)
 }
 
+// targets is every architecture the JIT emits.
+var targets = []native.Arch{native.ArchX64, native.ArchA64}
+
 func TestCompileMinimal(t *testing.T) {
 	p := ebpf.NewProgram("min", ebpf.ProgTypeSocketFilter, []ebpf.Instruction{
 		ebpf.Mov64Imm(ebpf.R0, 77),
 		ebpf.Exit(),
 	})
-	for _, arch := range Targets {
+	for _, arch := range targets {
 		r0, err := compileLinkRun(t, p, arch, &xabi.Env{}, nil, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
@@ -109,7 +112,7 @@ func TestCompileJumpTargetsRemapAcrossLDDW(t *testing.T) {
 	if _, err := verifier.Verify(p, verifier.Config{}); err != nil {
 		t.Fatalf("fixture must verify: %v", err)
 	}
-	for _, arch := range Targets {
+	for _, arch := range targets {
 		r0, err := compileLinkRun(t, p, arch, &xabi.Env{}, nil, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
@@ -176,7 +179,7 @@ func TestCompileMapReloc(t *testing.T) {
 		Mem:  memory,
 		Maps: xabi.HandleMapResolver{mapBase: view},
 	}
-	for _, arch := range Targets {
+	for _, arch := range targets {
 		r0, err := compileLinkRun(t, p, arch, env, nil, map[string]uint64{"flows": mapBase})
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
@@ -191,14 +194,11 @@ func TestCompileAll(t *testing.T) {
 	p := ebpf.NewProgram("all", ebpf.ProgTypeSocketFilter, []ebpf.Instruction{
 		ebpf.Mov64Imm(ebpf.R0, 3), ebpf.Exit(),
 	})
-	bins, err := CompileAll(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 2 {
-		t.Fatalf("compiled %d arches", len(bins))
-	}
-	for arch, b := range bins {
+	for _, arch := range targets {
+		b, err := Compile(p, arch)
+		if err != nil {
+			t.Fatalf("%v: %v", arch, err)
+		}
 		if b.Arch != arch {
 			t.Errorf("binary arch mismatch: %v vs %v", b.Arch, arch)
 		}
@@ -242,7 +242,7 @@ func TestDifferentialVMvsJIT(t *testing.T) {
 				t.Fatalf("seed %d size %d: interpreter: %v", seed, size, err)
 			}
 
-			for _, arch := range Targets {
+			for _, arch := range targets {
 				ctxN := append([]byte(nil), ctxTemplate...)
 				r0, err := compileLinkRun(t, p, arch, mkEnv(), ctxN, nil)
 				if err != nil {
@@ -317,7 +317,7 @@ func TestDifferentialWithMaps(t *testing.T) {
 			return err
 		}, memVM, viewVM)
 
-		for _, arch := range Targets {
+		for _, arch := range targets {
 			memN, viewN := mkMap()
 			bin, err := Compile(p, arch)
 			if err != nil {

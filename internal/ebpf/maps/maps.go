@@ -193,9 +193,6 @@ func Attach(mem xabi.Memory, base uint64) (*View, error) {
 	return v, nil
 }
 
-// Base returns the map's base address (its runtime handle).
-func (v *View) Base() uint64 { return v.base }
-
 // Type implements xabi.Map.
 func (v *View) Type() xabi.MapType { return v.typ }
 

@@ -371,7 +371,6 @@ const (
 	argMapHandle
 	argKeyPtr   // stack pointer to an initialized key
 	argValuePtr // stack pointer to an initialized value
-	argAny
 )
 
 type retKind uint8

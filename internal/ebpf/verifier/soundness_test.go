@@ -130,7 +130,7 @@ func runAccepted(t *testing.T, rng *rand.Rand, p *ebpf.Program, round int) {
 		pVM.Insns[ref.InsnIdx].Src = 0
 	}
 	ctx := make([]byte, xabi.CtxSize)
-	rng.Read(ctx[xabi.CtxOffPayload:])
+	rng.Read(ctx[64:]) // the payload bytes of xabi's context layout
 	ctxVM := append([]byte(nil), ctx...)
 
 	want, err := vm.New(vm.Options{Env: env, Fuel: 1 << 20}).Run(pVM, ctxVM)

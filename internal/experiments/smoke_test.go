@@ -19,6 +19,12 @@ func TestFig4aQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
+		if r.AgentMedian <= 0 || r.RDXCold <= 0 {
+			t.Errorf("size %d: empty column: agent %v, rdx cold %v", r.Size, r.AgentMedian, r.RDXCold)
+		}
+		if r.RDXWarm >= r.RDXCold {
+			t.Errorf("size %d: rdx warm %v not below cold %v; the registry should skip validate and JIT", r.Size, r.RDXWarm, r.RDXCold)
+		}
 		if r.Speedup < 2 {
 			t.Errorf("size %d: speedup only %.1fx; RDX should beat agent by a wide margin", r.Size, r.Speedup)
 		}

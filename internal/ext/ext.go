@@ -165,58 +165,3 @@ func (e *Extension) WasmGlobalInits() []int64 {
 	}
 	return out
 }
-
-// Marshal serializes the extension IR for network transport:
-// [1B kind][payload].
-func Marshal(e *Extension) ([]byte, error) {
-	switch e.Kind {
-	case KindEBPF:
-		return append([]byte{byte(KindEBPF)}, ebpf.Marshal(e.EBPF)...), nil
-	case KindWasm:
-		return append([]byte{byte(KindWasm)}, wasm.Encode(e.Wasm)...), nil
-	case KindUDF:
-		payload := append([]byte{byte(KindUDF)}, []byte(e.UDF.Name)...)
-		payload = append(payload, 0)
-		return append(payload, e.UDF.Source...), nil
-	}
-	return nil, fmt.Errorf("ext: unknown kind %v", e.Kind)
-}
-
-// Unmarshal parses the wire form.
-func Unmarshal(b []byte) (*Extension, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("ext: empty payload")
-	}
-	switch Kind(b[0]) {
-	case KindEBPF:
-		p, err := ebpf.Unmarshal(b[1:])
-		if err != nil {
-			return nil, err
-		}
-		return FromEBPF(p), nil
-	case KindWasm:
-		m, err := wasm.Decode(b[1:])
-		if err != nil {
-			return nil, err
-		}
-		return FromWasm(m), nil
-	case KindUDF:
-		rest := b[1:]
-		sep := -1
-		for i, c := range rest {
-			if c == 0 {
-				sep = i
-				break
-			}
-		}
-		if sep < 0 {
-			return nil, fmt.Errorf("ext: malformed UDF payload")
-		}
-		p, err := udf.New(string(rest[:sep]), string(rest[sep+1:]))
-		if err != nil {
-			return nil, err
-		}
-		return FromUDF(p), nil
-	}
-	return nil, fmt.Errorf("ext: unknown kind byte %d", b[0])
-}

@@ -100,37 +100,6 @@ func TestWasmRegions(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTripPreservesDigest(t *testing.T) {
-	for _, e := range []*Extension{sampleEBPF(), sampleWasm(), sampleUDF(t)} {
-		b, err := Marshal(e)
-		if err != nil {
-			t.Fatalf("%v: %v", e.Kind, err)
-		}
-		got, err := Unmarshal(b)
-		if err != nil {
-			t.Fatalf("%v: %v", e.Kind, err)
-		}
-		if got.Digest() != e.Digest() || got.Name() != e.Name() {
-			t.Errorf("%v: round trip changed identity", e.Kind)
-		}
-	}
-}
-
-func TestUnmarshalRejections(t *testing.T) {
-	if _, err := Unmarshal(nil); err == nil {
-		t.Error("nil accepted")
-	}
-	if _, err := Unmarshal([]byte{0xFF}); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if _, err := Unmarshal([]byte{byte(KindUDF), 'n', 'a', 'm', 'e'}); err == nil {
-		t.Error("UDF without separator accepted")
-	}
-	if _, err := Unmarshal([]byte{byte(KindEBPF), 1, 2}); err == nil {
-		t.Error("truncated eBPF accepted")
-	}
-}
-
 func TestValidateRejectsBadPrograms(t *testing.T) {
 	bad := FromEBPF(ebpf.NewProgram("b", ebpf.ProgTypeSocketFilter, []ebpf.Instruction{ebpf.Ja(-1)}))
 	if _, err := bad.Validate(); err == nil {

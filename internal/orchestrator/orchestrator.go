@@ -75,7 +75,6 @@ const (
 	StepDeploy StepKind = iota + 1
 	StepLimit
 	StepRollback
-	StepDetachLimit
 	StepStatus
 )
 

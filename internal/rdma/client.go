@@ -141,15 +141,6 @@ func NewQP(conn net.Conn) *QP {
 	return qp
 }
 
-// Dial connects a new QP to an endpoint over the given network address.
-func Dial(network, addr string) (*QP, error) {
-	conn, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewQP(conn), nil
-}
-
 // Close tears the QP down; outstanding posts complete with ErrClosed.
 func (qp *QP) Close() error {
 	err := qp.conn.Close()

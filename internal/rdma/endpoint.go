@@ -173,20 +173,6 @@ func (e *Endpoint) RotateMR(name string) (*MR, error) {
 	return mr, nil
 }
 
-// DeregisterMR removes a region; in-flight operations on it may still race
-// to completion, as on real hardware.
-func (e *Endpoint) DeregisterMR(rkey uint32) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	mr, ok := e.mrs[rkey]
-	if !ok {
-		return fmt.Errorf("rdma: unknown rkey %#x", rkey)
-	}
-	delete(e.mrs, rkey)
-	delete(e.mrsByName, mr.Name)
-	return nil
-}
-
 // MRByName returns the registered region with the given name, if any.
 func (e *Endpoint) MRByName(name string) (*MR, bool) {
 	e.mu.RLock()

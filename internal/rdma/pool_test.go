@@ -270,7 +270,13 @@ func TestWriteAcrossWritevBoundary(t *testing.T) {
 		{"fabric", func() (net.Listener, error) { return fab.Listen("n") },
 			func(net.Listener) (*QP, error) { return fab.DialQP("n") }},
 		{"tcp", func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") },
-			func(l net.Listener) (*QP, error) { return Dial("tcp", l.Addr().String()) }},
+			func(l net.Listener) (*QP, error) {
+				conn, err := net.Dial("tcp", l.Addr().String())
+				if err != nil {
+					return nil, err
+				}
+				return NewQP(conn), nil
+			}},
 	}
 	for _, link := range links {
 		t.Run(link.name, func(t *testing.T) {

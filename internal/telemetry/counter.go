@@ -1,14 +1,11 @@
 package telemetry
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Counter is a monotonic event counter safe for hot paths: Add is a single
 // atomic increment, no locks. It fills the gap next to Histogram (latency
-// distributions) and Meter (windowed rates) for plain occurrence counts —
-// jobs admitted, verbs batched, retries, failures.
+// distributions) for plain occurrence counts — jobs admitted, verbs batched,
+// retries, failures.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -24,24 +21,3 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// CounterSnapshot is a point-in-time reading of a Counter.
-type CounterSnapshot struct {
-	Value uint64
-	At    time.Time
-}
-
-// Snapshot captures the current count with a timestamp, so two snapshots
-// can be differenced into a rate.
-func (c *Counter) Snapshot() CounterSnapshot {
-	return CounterSnapshot{Value: c.v.Load(), At: time.Now()}
-}
-
-// RateSince returns events/second between an earlier snapshot and this one.
-func (s CounterSnapshot) RateSince(prev CounterSnapshot) float64 {
-	el := s.At.Sub(prev.At).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(s.Value-prev.Value) / el
-}

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -34,23 +33,5 @@ func TestCounterConcurrentAdds(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
-	}
-}
-
-func TestCounterSnapshotRate(t *testing.T) {
-	c := NewCounter()
-	s0 := c.Snapshot()
-	if s0.Value != 0 || s0.At.IsZero() {
-		t.Fatalf("snapshot = %+v", s0)
-	}
-	c.Add(100)
-	s1 := c.Snapshot()
-	s1.At = s0.At.Add(2 * time.Second) // pin the interval for a exact rate
-	if got := s1.RateSince(s0); got != 50 {
-		t.Errorf("rate = %v, want 50", got)
-	}
-	// Degenerate interval must not divide by zero.
-	if got := s0.RateSince(s0); got != 0 {
-		t.Errorf("zero-interval rate = %v", got)
 	}
 }

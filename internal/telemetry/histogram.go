@@ -1,6 +1,6 @@
 // Package telemetry provides the measurement plumbing used by every RDX
-// experiment: low-overhead latency histograms with log-spaced buckets,
-// throughput meters, and a fixed-width table printer for paper-shaped output.
+// experiment: low-overhead latency histograms with log-spaced buckets and a
+// fixed-width table printer for paper-shaped output.
 //
 // The histogram design follows the HDR histogram idea: values are bucketed by
 // (exponent, sub-bucket) so that relative error is bounded (~1/2^subBits)
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -225,49 +224,6 @@ func (h *Histogram) Summary() string {
 		float64(h.Max())/1e3)
 }
 
-// Meter measures event throughput over a wall-clock interval.
-type Meter struct {
-	mu    sync.Mutex
-	n     uint64
-	start time.Time
-}
-
-// NewMeter returns a meter whose clock starts now.
-func NewMeter() *Meter { return &Meter{start: time.Now()} }
-
-// Add records n events.
-func (m *Meter) Add(n uint64) {
-	m.mu.Lock()
-	m.n += n
-	m.mu.Unlock()
-}
-
-// Count returns the number of events recorded so far.
-func (m *Meter) Count() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.n
-}
-
-// Rate returns events per second since the meter started.
-func (m *Meter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el := time.Since(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.n) / el
-}
-
-// Reset zeroes the meter and restarts its clock.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.n = 0
-	m.start = time.Now()
-	m.mu.Unlock()
-}
-
 // Table accumulates rows of experiment output and renders them with aligned
 // columns, the format every rdxbench experiment prints.
 type Table struct {
@@ -362,25 +318,4 @@ func FormatDuration(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.3fs", d.Seconds())
 	}
-}
-
-// Series is a labelled sequence of (x, y) points, used to express a figure's
-// line series (e.g., Fig 5: incoherence vs CPKI for two systems).
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is one (x, y) sample in a Series.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Add appends one point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
-// SortByX orders points by ascending x.
-func (s *Series) SortByX() {
-	sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].X < s.Points[j].X })
 }

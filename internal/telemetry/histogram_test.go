@@ -269,23 +269,6 @@ func TestBucketIndexMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	m := NewMeter()
-	m.Add(10)
-	m.Add(5)
-	if m.Count() != 15 {
-		t.Errorf("count = %d, want 15", m.Count())
-	}
-	time.Sleep(10 * time.Millisecond)
-	if r := m.Rate(); r <= 0 || r > 15/0.01 {
-		t.Errorf("rate = %v out of plausible range", r)
-	}
-	m.Reset()
-	if m.Count() != 0 {
-		t.Error("reset did not zero meter")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Fig X", "size", "latency")
 	tb.AddRow("1.3K", "12us")
@@ -338,18 +321,6 @@ func TestFormatDuration(t *testing.T) {
 		if got := FormatDuration(c.d); got != c.want {
 			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
 		}
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "rdx"
-	s.Add(30, 2)
-	s.Add(10, 746)
-	s.Add(20, 300)
-	s.SortByX()
-	if s.Points[0].X != 10 || s.Points[2].X != 30 {
-		t.Errorf("series not sorted: %+v", s.Points)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Registry is a named collection of counters, histograms, and meters — the
+// Registry is a named collection of counters, histograms, and gauges — the
 // fleet observability surface. Components reach their instruments by name
 // (get-or-create), so independent layers (wire, scheduler, endpoint) share
 // one export point, and a re-created component (a redialed QP, a restarted
@@ -22,7 +22,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	histograms map[string]*Histogram
-	meters     map[string]*Meter
 	gauges     map[string]*Gauge
 }
 
@@ -31,7 +30,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		histograms: make(map[string]*Histogram),
-		meters:     make(map[string]*Meter),
 		gauges:     make(map[string]*Gauge),
 	}
 }
@@ -60,18 +58,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Meter returns the named meter, creating it on first use.
-func (r *Registry) Meter(name string) *Meter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.meters[name]
-	if !ok {
-		m = NewMeter()
-		r.meters[name] = m
-	}
-	return m
-}
-
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
@@ -96,19 +82,12 @@ type HistogramSummary struct {
 	Max   int64   `json:"max_ns"`
 }
 
-// MeterSummary is the exported shape of one meter.
-type MeterSummary struct {
-	Count uint64  `json:"count"`
-	Rate  float64 `json:"rate_per_sec"`
-}
-
 // RegistrySnapshot is a point-in-time reading of every instrument, shaped
 // for JSON export (the /metrics payload).
 type RegistrySnapshot struct {
 	At         time.Time                   `json:"at"`
 	Counters   map[string]uint64           `json:"counters"`
 	Histograms map[string]HistogramSummary `json:"histograms"`
-	Meters     map[string]MeterSummary     `json:"meters"`
 	Gauges     map[string]int64            `json:"gauges,omitempty"`
 }
 
@@ -125,10 +104,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	for k, v := range r.histograms {
 		hists[k] = v
 	}
-	meters := make(map[string]*Meter, len(r.meters))
-	for k, v := range r.meters {
-		meters[k] = v
-	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
@@ -139,7 +114,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		At:         time.Now(),
 		Counters:   make(map[string]uint64, len(counters)),
 		Histograms: make(map[string]HistogramSummary, len(hists)),
-		Meters:     make(map[string]MeterSummary, len(meters)),
 		Gauges:     make(map[string]int64, len(gauges)),
 	}
 	for name, c := range counters {
@@ -155,9 +129,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 			P99:   h.Percentile(99),
 			Max:   h.Max(),
 		}
-	}
-	for name, m := range meters {
-		snap.Meters[name] = MeterSummary{Count: m.Count(), Rate: m.Rate()}
 	}
 	for name, g := range gauges {
 		snap.Gauges[name] = g.Value()

@@ -33,18 +33,15 @@ const StackSize = 512
 // fixed for every extension kind (offsets below).
 const CtxSize = 256
 
-// Context structure layout (little-endian fields at fixed offsets).
+// Context structure layout (little-endian fields at fixed offsets). Bytes
+// 64 up to CtxSize hold the request payload.
 const (
 	CtxOffDataLen  = 0  // u32: payload length
 	CtxOffProtocol = 4  // u32: protocol / request kind
 	CtxOffVerdict  = 8  // u32: extension-writable verdict slot
 	CtxOffFlowID   = 16 // u64: request / flow identifier
 	CtxOffTenant   = 24 // u64: tenant identifier
-	CtxOffPayload  = 64 // payload bytes (up to CtxSize-CtxOffPayload)
 )
-
-// CtxPayloadMax is the payload capacity of a context structure.
-const CtxPayloadMax = CtxSize - CtxOffPayload
 
 // Verdicts an extension returns (and writes to CtxOffVerdict).
 const (

@@ -2,7 +2,7 @@
 # verify.sh — the repo's tier-1 verification gate, runnable locally and in
 # CI. Fails fast on the first broken stage.
 #
-#   ./verify.sh          full gate: gofmt, vet, build, bench build, import boundary, tests, alloc gates, race, simulation
+#   ./verify.sh          full gate: gofmt, vet, build, bench build, import boundary, export ratchet, tests, alloc gates, race, simulation
 #   ./verify.sh quick    skip the -race pass (slowest stage) for inner loops
 set -eu
 cd "$(dirname "$0")"
@@ -28,6 +28,11 @@ if go list -deps ./cmd/rdxd ./cmd/rdxctl ./cmd/rdxbench . ./internal/experiments
     echo "verify: a non-test package depends on rdx/internal/sim" >&2
     exit 1
 fi
+
+# Exported identifiers that only _test.go files use: the count may only go
+# down, and every allowlisted one says why it stays.
+echo "== exported code only tests call (ratchet) =="
+go test -count=1 -run TestExportsOnlyTestsUse .
 
 echo "== go test =="
 go test -timeout 120s ./...
