@@ -52,6 +52,51 @@ func TestAgentInjectEBPF(t *testing.T) {
 	}
 }
 
+// fillerExt returns ret after n Mov64Imm fillers: a program whose blob
+// grows with n.
+func fillerExt(n int, ret int32) *ext.Extension {
+	insns := make([]ebpf.Instruction, 0, n+2)
+	for i := 0; i < n; i++ {
+		insns = append(insns, ebpf.Mov64Imm(ebpf.R1, int32(i)))
+	}
+	insns = append(insns, ebpf.Mov64Imm(ebpf.R0, ret), ebpf.Exit())
+	return ext.FromEBPF(ebpf.NewProgram("filler", ebpf.ProgTypeSocketFilter, insns))
+}
+
+// TestAgentAllocNeverOverwritesDispatchedBlob loads ever larger programs
+// on ingress until the code region has been filled twice over: egress's
+// blob, loaded first at the region's base, is dispatched the whole time, so
+// the node-local allocator must step over it when it restarts at the base.
+func TestAgentAllocNeverOverwritesDispatchedBlob(t *testing.T) {
+	n, err := node.New(node.Config{
+		ID: "agentnode", Hooks: []string{"ingress", "egress"},
+		Latency: rdma.NoLatency(), Cores: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	a := New(n)
+	if _, err := a.Inject(context.Background(), "egress", fillerExt(512, 9)); err != nil {
+		t.Fatal(err)
+	}
+	for i, loaded := 0, 0; loaded < 2*node.CodeSize; i++ {
+		rep, err := a.Inject(context.Background(), "ingress", fillerExt(4000+500*i, 5))
+		if err != nil {
+			t.Fatalf("load %d: %v", i, err)
+		}
+		codeLen, err := n.Arena.ReadU32(rep.Blob + node.BlobOffLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded += node.BlobHdrSize + int(codeLen)
+		res, err := n.ExecHook("egress", make([]byte, xabi.CtxSize), nil)
+		if err != nil || res.Verdict != 9 {
+			t.Fatalf("after ingress load %d: egress verdict %d err=%v, want 9", i, res.Verdict, err)
+		}
+	}
+}
+
 // holdCores occupies all n cores of c until the returned release is called.
 func holdCores(c *cpu.Cores, n int) (release func()) {
 	held, done := make(chan struct{}), make(chan struct{})

@@ -81,9 +81,7 @@ func texturedAppends(t *testing.T, h *Host, j *Journal, base, n int) {
 		case 7:
 			j.JournalClaim(node, blob)
 		case 9:
-			if i%4 == 1 {
-				j.JournalReclaim(node, uint64(i))
-			} else if err := j.Append(Entry{Type: EntryPublish, Node: node, Hook: hook,
+			if err := j.Append(Entry{Type: EntryPublish, Node: node, Hook: hook,
 				Name: d.Name, Digest: d.Digest, Version: ver, Blob: blob}); err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@
 //     reads only;
 //   - leader election (Lease) via a CAS lease word in a witness MR, with a
 //     monotonically increasing fencing epoch threaded into core's publish
-//     paths as a core.FenceCheck — the HA analogue of the wrapEpoch guard.
+//     paths as a core.FenceCheck.
 package controlha
 
 import (
@@ -58,7 +58,7 @@ const (
 	EntryPublish            // dispatch CAS landed on (Node, Hook)
 	EntryRollback           // hook reverted to a prior version
 	EntryClaim              // standby blob claimed as a delta target on Node
-	EntryReclaim            // Node's code ring wrapped; Epoch = new wrap epoch
+	EntryReclaim            // no longer written: the code region stopped wrapping
 )
 
 func (t EntryType) String() string {
@@ -97,7 +97,7 @@ type Entry struct {
 	Arch    uint32
 	Version uint64
 	Blob    uint64
-	Epoch   uint64 // wrap epoch (EntryReclaim)
+	Epoch   uint64 // wrap epoch of an EntryReclaim; no longer written
 	Flags   uint8  // bit 0: the referenced version was already Reclaimed
 }
 
@@ -514,14 +514,13 @@ func (j *Journal) JournalClaim(node string, blob uint64) {
 	j.append(Entry{Type: EntryClaim, Node: node, Blob: blob})
 }
 
-// JournalReclaim records a code-ring wrap.
-func (j *Journal) JournalReclaim(node string, wrapEpoch uint64) {
-	j.append(Entry{Type: EntryReclaim, Node: node, Epoch: wrapEpoch})
-}
+// JournalReclaim and JournalHandoff journal nothing: the code region no
+// longer wraps, and the journal has no handoff entry. They exist only to
+// satisfy core.JournalSink until the benchmark's traced sink stops
+// forwarding them.
+func (j *Journal) JournalReclaim(string, uint64) {}
 
-// JournalHandoff journals nothing: the journal has no handoff entry, and
-// the method exists only to satisfy core.JournalSink until the benchmark's
-// traced sink stops forwarding it.
+// JournalHandoff: see JournalReclaim.
 func (j *Journal) JournalHandoff(uint64) error { return nil }
 
 var _ core.JournalSink = (*Journal)(nil)

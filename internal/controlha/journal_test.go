@@ -99,7 +99,6 @@ func sampleJournal() *Journal {
 	fence = 2
 	j.JournalRollback("0x1", "ingress", core.Deployed{Blob: 0x100, Version: 1, Name: "v1", Digest: "sha256:aaaa"})
 	j.JournalClaim("0x1", 0x100)
-	j.JournalReclaim("0x1", 5)
 	return j
 }
 
@@ -121,7 +120,7 @@ func TestReplayReconstructsState(t *testing.T) {
 	if len(s.Open) != 0 {
 		t.Errorf("open intents = %+v", s.Open)
 	}
-	// Claim + ring reclaim tombstoned the remaining history.
+	// The claim tombstoned the remaining history.
 	for i, d := range s.History[k] {
 		if !d.Reclaimed {
 			t.Errorf("history[%d] = %+v not tombstoned", i, d)

@@ -255,10 +255,10 @@ func (l *Lease) depose() {
 // remotely, the witness epoch word must still equal the held epoch (one
 // READ — cheap enough to sit in front of every dispatch CAS). Everything
 // fails closed: an unreadable witness refuses the publish rather than
-// risking a split-brain pointer flip. Like wrappedSince, the check cannot
-// close the window completely — a deposal can land between the READ and
-// the CAS — but it narrows it to a single in-flight verb, and the replay
-// path makes any such lost publish converge by last-writer-wins.
+// risking a split-brain pointer flip. The check cannot close the window
+// completely — a deposal can land between the READ and the CAS — but it
+// narrows it to a single in-flight verb, and the replay path makes any
+// such lost publish converge by last-writer-wins.
 func (l *Lease) Check() error {
 	l.mu.Lock()
 	held, epoch, expiry := l.held, l.epoch, l.expiry

@@ -135,16 +135,6 @@ func (s *State) apply(e Entry) {
 				}
 			}
 		}
-	case EntryReclaim:
-		// A ring wrap reclaims the node's whole code region history.
-		for hk, hist := range s.History {
-			if hk.Node != e.Node {
-				continue
-			}
-			for i := range hist {
-				hist[i].Reclaimed = true
-			}
-		}
 	}
 }
 

@@ -135,11 +135,11 @@ func (r *Replicator) Replicated() uint64 {
 
 // Append pushes one encoded entry, or a flight of them back to back; the
 // standby sees the whole of b or none of it. Verify the ring still belongs
-// to this term (a no-op CAS of the epoch word — like the wrappedSince guard
-// it narrows, not closes, the deposal window; the hwm CAS below closes the
-// torn-commit case), reserve [off, off+n) with FETCH_ADD on the tail, WRITE
-// the bytes (split across the ring's wrap boundary), then commit by CASing
-// the high-watermark from off to off+n.
+// to this term (a no-op CAS of the epoch word — it narrows, not closes,
+// the deposal window; the hwm CAS below closes the torn-commit case),
+// reserve [off, off+n) with FETCH_ADD on the tail, WRITE the bytes (split
+// across the ring's wrap boundary), then commit by CASing the
+// high-watermark from off to off+n.
 func (r *Replicator) Append(b []byte) error {
 	n := uint64(len(b))
 	if n == 0 {

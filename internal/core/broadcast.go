@@ -46,10 +46,11 @@ type BroadcastReport struct {
 // node in the group (the write set spans all target hooks, §4). It runs as
 // one Atomic job on the control plane's injection scheduler: staging
 // (validate/JIT through the artifact cache, link, batched write) fans out to
-// all nodes in parallel and publishes only if every node staged — the abort
-// path leaves staged blobs as unreferenced garbage in the ring allocators,
-// never exposed by any pointer. BBU gates slot into the scheduler's publish
-// barrier. Of several failed nodes the error reports a fenced one first:
+// all nodes in parallel and publishes only if every node staged. The
+// scheduler aborts every staged deployment it does not publish: unless a
+// failed publish left the blob in doubt, no pointer exposes it, and it
+// leaves pending, so the node's code-region allocator may reuse the space. BBU gates slot into the scheduler's
+// publish barrier. Of several failed nodes the error reports a fenced one first:
 // callers key on errors.Is(err, ErrFenced) to stand down.
 func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastReport, error) {
 	var rep BroadcastReport

@@ -3,10 +3,10 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rdx/internal/ebpf"
@@ -34,38 +34,34 @@ type CodeFlow struct {
 
 	got map[string]uint64
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// history is each hook's rollback stack. Its entries that are not
+	// Reclaimed are also the resident set: a repeat deployment of a digest
+	// found there reduces to a commit-only transaction (the paper's
+	// repeated-deploy fast path and the mechanism behind µs-scale
+	// rollback/hot-patching).
+	history    map[string][]Deployed
 	role       Role
-	history    map[string][]Deployed // hook → past deployments (rollback stack)
-	codeHashes map[uint64]string     // blob addr → SHA-256 of published code
-	// resident caches deployed blob addresses by extension digest: a
-	// repeat deployment of code already resident on the node reduces to a
-	// commit-only transaction (the paper's repeated-deploy fast path and
-	// the mechanism behind µs-scale rollback/hot-patching).
-	resident map[string]residentBlob
-	// slots double-buffers blobs per hook for delta injection (slots.go);
-	// dispatch shadows each hook's currently dispatched blob so a standby
-	// is never delta-overwritten while live on another hook.
-	slots    map[string]*hookSlots
-	dispatch map[string]uint64
-	// wrapEpoch counts code-ring wraps (allocCode). A stage records the
-	// epoch when it claims or allocates blob space and re-checks it before
-	// trusting the address again: a wrap in between means fresh
-	// allocations may already overlap that range, so the write must not be
-	// trusted and the publish must not dispatch it.
-	wrapEpoch uint64
+	codeHashes map[uint64]string // blob addr → SHA-256 of published code
+	// slots double-buffers blobs per hook for delta injection (slots.go).
+	slots map[string]*hookSlots
+	// pending holds the blobs a stage or DeployProg owns, by size: allocated
+	// or claimed, not yet installed, released or aborted.
+	pending map[uint64]uint64
 
 	// pubMu serializes publish transactions on this node: the dispatch CAS
-	// and the shadow bookkeeping (slots/dispatch/version map) must land in
+	// and the shadow bookkeeping (slots/history/version map) must land in
 	// the same order, or a concurrent publish pair could leave the shadow
 	// believing a blob is dead while the node still dispatches it — and a
-	// later delta would overwrite live code.
-	pubMu sync.Mutex
-}
-
-type residentBlob struct {
-	blob uint64
-	kind uint8
+	// later delta would overwrite live code. It also guards the code-region
+	// allocator's free list and the pending blobs in doubt (region.go).
+	pubMu   sync.Mutex
+	free    []codeSpan
+	inDoubt map[uint64]doubt
+	// freshMu is read-held by each fresh allocation (region.go) until its
+	// blob is pending, and write-held by a sweep as a barrier.
+	freshMu   sync.RWMutex
+	exhausted atomic.Bool
 }
 
 // Deployed records one published extension version on a hook.
@@ -75,9 +71,9 @@ type Deployed struct {
 	Name    string
 	Digest  string // content digest of the extension IR, "" when unknown
 	// Reclaimed marks a version whose blob space was reclaimed — claimed
-	// as a delta-staging target, or invalidated by a code-ring wrap. Its
-	// bytes are gone from the node, so the entry can no longer be
-	// re-dispatched; Rollback refuses it with a cause.
+	// as a delta-staging target, or carved by an allocation under
+	// pressure. Its bytes are gone from the node, so the entry can no longer
+	// be re-dispatched; Rollback refuses it with a cause.
 	Reclaimed bool
 }
 
@@ -158,10 +154,10 @@ func (cp *ControlPlane) CreateCodeFlowQP(qp rdma.Verbs) (*CodeFlow, error) {
 		nodeKey:    nodeKey,
 		got:        got,
 		history:    map[string][]Deployed{},
-		resident:   map[string]residentBlob{},
 		codeHashes: map[uint64]string{},
 		slots:      map[string]*hookSlots{},
-		dispatch:   map[string]uint64{},
+		pending:    map[uint64]uint64{},
+		inDoubt:    map[uint64]doubt{},
 	}, nil
 }
 
@@ -203,81 +199,6 @@ func (cf *CodeFlow) nextVersion(rem *RemoteMemory) (uint64, error) {
 		return 0, err
 	}
 	return prev + 1, nil
-}
-
-// ErrRingWrapped reports that the code ring wrapped between a stage's
-// allocation (or standby claim) and the moment the blob address was about
-// to be trusted — written into or dispatched. Post-wrap allocations may
-// overlap the old range, so the stage must be re-driven from a fresh
-// allocation; the error is classified retryable (Retryable) so the
-// scheduler does exactly that.
-var ErrRingWrapped = errors.New("core: code ring wrapped during staging")
-
-// wrappedSince reports whether the code ring wrapped after epoch was
-// observed — i.e. whether blob addresses reserved back then may since have
-// been handed out again.
-func (cf *CodeFlow) wrappedSince(epoch uint64) bool {
-	cf.mu.Lock()
-	defer cf.mu.Unlock()
-	return cf.wrapEpoch != epoch
-}
-
-// AllocCode reserves code-region space with a remote FETCH_ADD. Like the
-// local allocator, the region is a ring: exhaustion wraps the bump pointer
-// back to the base (remote CAS), reclaiming the oldest dead blobs.
-func (cf *CodeFlow) AllocCode(size int) (uint64, error) {
-	addr, _, err := cf.allocCode(cf.Remote, size)
-	return addr, err
-}
-
-// allocCode returns the reserved address plus the wrap epoch sampled
-// before the reservation: if cf.wrapEpoch still equals it later, no wrap
-// has reclaimed the address in between. Sampling before the FETCH_ADD is
-// deliberately conservative — a wrap racing the reservation shows up as an
-// epoch change even when the address is actually post-wrap and fine,
-// costing at worst a spurious retry.
-func (cf *CodeFlow) allocCode(rem *RemoteMemory, size int) (uint64, uint64, error) {
-	sz := uint64((size + 7) &^ 7)
-	if sz > node.CodeSize/2 {
-		return 0, 0, fmt.Errorf("core: blob of %d bytes exceeds half the code region", size)
-	}
-	for {
-		cf.mu.Lock()
-		epoch := cf.wrapEpoch
-		cf.mu.Unlock()
-		prev, err := rem.FetchAddMem(node.CtrlBase+node.CtrlOffCodeBrk, sz)
-		if err != nil {
-			return 0, 0, err
-		}
-		if prev+sz <= node.CodeBase+node.CodeSize {
-			return prev, epoch, nil
-		}
-		if _, _, err := rem.CompareAndSwapMem(node.CtrlBase+node.CtrlOffCodeBrk, prev+sz, node.CodeBase); err != nil {
-			return 0, 0, err
-		}
-		// The wrap may reclaim space under previously deployed blobs:
-		// forget them so the redeploy fast path never flips a hook to
-		// potentially overwritten code, drop the slot shadows so delta
-		// staging never diffs against a possibly-reclaimed standby,
-		// tombstone history so rollback never re-dispatches a reclaimed
-		// address, and bump the epoch so in-flight stages that claimed or
-		// allocated before the wrap fail instead of publishing into the
-		// reclaimed range.
-		cf.mu.Lock()
-		cf.resident = map[string]residentBlob{}
-		cf.slots = map[string]*hookSlots{}
-		for _, hist := range cf.history {
-			for i := range hist {
-				hist[i].Reclaimed = true
-			}
-		}
-		cf.wrapEpoch++
-		wrapped := cf.wrapEpoch
-		cf.mu.Unlock()
-		if j := cf.cp.journal(); j != nil {
-			j.JournalReclaim(cf.NodeKey(), wrapped)
-		}
-	}
 }
 
 // AllocScratch reserves XState scratchpad space with a remote FETCH_ADD.
@@ -350,7 +271,7 @@ func (cf *CodeFlow) deployXState(rem *RemoteMemory, spec ebpfMapSpec) (*XState, 
 		return nil, err
 	}
 	// Publish in the Meta-XState index: FETCH_ADD the count, WRITE the
-	// entry, refresh the control-block mirror.
+	// entry.
 	idx, err := rem.FetchAddMem(node.MetaBase, 1)
 	if err != nil {
 		return nil, err
@@ -361,7 +282,6 @@ func (cf *CodeFlow) deployXState(rem *RemoteMemory, spec ebpfMapSpec) (*XState, 
 	if err := rem.WriteMem(node.MetaBase+8+idx*8, 8, addr); err != nil {
 		return nil, err
 	}
-	rem.WriteMem(node.CtrlBase+node.CtrlOffMetaCount, 8, idx+1)
 	return &XState{Spec: spec, Addr: addr, View: view}, nil
 }
 
@@ -397,8 +317,8 @@ type DeployParams struct {
 	MemBase  uint64
 	GlobBase uint64
 	// Digest is the extension IR's content digest; when set, the publish
-	// is recorded in the resident index and the control plane's
-	// deployed-version map.
+	// is recorded in history under it, which makes it resident, and in the
+	// control plane's deployed-version map.
 	Digest string
 }
 
@@ -415,55 +335,41 @@ func (cf *CodeFlow) DeployProg(bin *native.Binary, hook string, p DeployParams) 
 	if err != nil {
 		return Deployed{}, err
 	}
-	// A concurrent stage can wrap the code ring between this deploy's
-	// allocation and its publish, reclaiming the blob's range; the whole
-	// sequence is re-driveable, so retry from a fresh (post-wrap)
-	// allocation rather than surfacing the transient.
-	var d Deployed
-	for attempt := 0; ; attempt++ {
-		d, err = cf.deployProgOnce(bin, hook, hookAddr, p)
-		if err == nil || !errors.Is(err, ErrRingWrapped) || attempt >= 2 {
-			return d, err
-		}
-	}
-}
-
-func (cf *CodeFlow) deployProgOnce(bin *native.Binary, hook string, hookAddr uint64, p DeployParams) (Deployed, error) {
 	version, err := cf.NextVersion()
 	if err != nil {
 		return Deployed{}, err
 	}
 	payload := blobImage(bin, p, version)
-	blob, epoch, err := cf.allocCode(cf.Remote, len(payload))
+	// The blob is written inside the flip, after its fence check: that
+	// check is the one a carve of reused space needs, so allocCode skips
+	// its own.
+	blob, err := cf.allocCode(cf.Remote, blobCap(len(payload)), nil)
 	if err != nil {
 		return Deployed{}, err
 	}
-	if err := cf.Remote.WriteBytes(blob, payload); err != nil {
-		return Deployed{}, err
-	}
-
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
-	if err := cf.flip(cf.Remote, hookAddr, epoch, blob,
+	if posted, err := cf.flip(cf.Remote, hookAddr, blob,
+		TxWrite{Addr: blob, Bytes: payload},
 		TxWrite{Addr: hookAddr + node.HookOffStaged, Qword: blob},
 		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: version},
 	); err != nil {
+		// A CAS never posted dispatched nothing; one posted may have.
+		if posted {
+			cf.inDoubt[blob] = doubt{hookAddr, nil}
+		} else {
+			cf.release(blob)
+		}
 		return Deployed{}, fmt.Errorf("core: deploy of %q on %q: %w", bin.Name, hook, err)
 	}
 	cf.recordCodeHash(blob, bin.Code)
 	d := Deployed{Blob: blob, Version: version, Name: bin.Name, Digest: p.Digest}
-	cf.installPublished(hook, &slotImage{
-		blob:   blob,
-		cap:    (uint64(len(payload)) + 7) &^ 7,
-		image:  payload,
-		digest: p.Digest,
-		kind:   p.Kind,
-	}, d)
+	cf.installPublished(hook, &slotImage{blob: blob, cap: blobCap(len(payload)), image: payload}, d)
 	return d, nil
 }
 
 // blobImage frames bin's code behind its blob header: the exact bytes a
-// deploy writes into the code ring.
+// deploy writes into the code region.
 func blobImage(bin *native.Binary, p DeployParams, version uint64) []byte {
 	return append(blobHeader(bin.Arch, p, version, len(bin.Code)), bin.Code...)
 }
@@ -478,27 +384,24 @@ func blobHeader(arch native.Arch, p DeployParams, version uint64, codeLen int) [
 
 // flip is the one dispatch-pointer commit every publish path shares — cold
 // deploy, resident fast path, staged Publish and Rollback: rdx_tx's writes,
-// the dispatch swap to blob, then rdx_cc_event, behind the code-ring wrap
-// guard and the leadership fence. Caller holds pubMu, so the flip and the
-// bookkeeping the caller does after it land in the same order across
-// concurrent publishes. A wrap since epoch returns bare ErrRingWrapped and
-// touches nothing: blob's range may already belong to a fresh allocation.
-func (cf *CodeFlow) flip(rem *RemoteMemory, hookAddr, epoch, blob uint64, writes ...TxWrite) error {
-	if cf.wrappedSince(epoch) {
-		return ErrRingWrapped
-	}
+// the dispatch swap to blob, then rdx_cc_event, behind the leadership
+// fence. Caller holds pubMu, so the flip and the bookkeeping the caller
+// does after it land in the same order across concurrent publishes. A
+// failed flip reports whether it posted the CAS, which may have landed.
+func (cf *CodeFlow) flip(rem *RemoteMemory, hookAddr, blob uint64, writes ...TxWrite) (posted bool, err error) {
 	// A deposed controller must not flip the pointer, no matter how far
 	// its stage got (see FenceCheck).
 	if err := cf.cp.checkFence(); err != nil {
-		return err
+		return false, err
 	}
-	if err := cf.txOn(rem, writes, QwordSwap{Addr: hookAddr + node.HookOffDispatch, New: blob}); err != nil {
-		return err
+	if posted, err := cf.txOn(rem, writes, QwordSwap{Addr: hookAddr + node.HookOffDispatch, New: blob}); err != nil {
+		return posted, err
 	}
+	cf.landed(hookAddr, blob)
 	// Expose the flipped pointer to a possibly-stale CPU cache. The swap
 	// has landed, so a failed doorbell must not undo the bookkeeping.
 	cf.ccEventOn(rem, hookAddr+node.HookOffDispatch)
-	return nil
+	return true, nil
 }
 
 // TxWrite is one staged write of a remote transaction.
@@ -520,30 +423,30 @@ type QwordSwap struct {
 // qword swap. Readers polling the swapped word never observe the staged
 // writes before the commit lands.
 func (cf *CodeFlow) Tx(writes []TxWrite, swap QwordSwap) error {
-	return cf.txOn(cf.Remote, writes, swap)
+	_, err := cf.txOn(cf.Remote, writes, swap)
+	return err
 }
 
-func (cf *CodeFlow) txOn(rem *RemoteMemory, writes []TxWrite, swap QwordSwap) error {
+// txOn reports whether it posted a CAS that may have landed.
+func (cf *CodeFlow) txOn(rem *RemoteMemory, writes []TxWrite, swap QwordSwap) (posted bool, err error) {
 	for _, w := range writes {
 		if w.Bytes != nil {
 			if err := rem.WriteBytes(w.Addr, w.Bytes); err != nil {
-				return err
+				return false, err
 			}
 			continue
 		}
 		if err := rem.WriteMem(w.Addr, 8, w.Qword); err != nil {
-			return err
+			return false, err
 		}
 	}
 	for {
 		cur, err := rem.ReadMem(swap.Addr, 8)
 		if err != nil {
-			return err
+			return false, err // every CAS before this one missed
 		}
-		if _, ok, err := rem.CompareAndSwapMem(swap.Addr, cur, swap.New); err != nil {
-			return err
-		} else if ok {
-			return nil
+		if _, ok, err := rem.CompareAndSwapMem(swap.Addr, cur, swap.New); err != nil || ok {
+			return true, err
 		}
 	}
 }
@@ -652,14 +555,13 @@ func (cf *CodeFlow) Rollback(hook string) (Deployed, error) {
 		return Deployed{}, err
 	}
 	// pubMu is held from the history snapshot through the dispatch CAS:
-	// claimStandby also takes pubMu, so the previous version's blob cannot
-	// be claimed — and delta-overwritten — between this read and the
-	// pointer flip. A ring wrap can still reclaim it; the epoch snapshot
-	// makes flip refuse that.
+	// claimStandby and the allocator's carve also take pubMu, so the
+	// previous version's blob cannot be claimed or carved — and
+	// overwritten — between this read and the pointer flip.
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
 	cf.mu.Lock()
-	h, epoch := cf.history[hook], cf.wrapEpoch
+	h := cf.history[hook]
 	if len(h) < 2 {
 		cf.mu.Unlock()
 		return Deployed{}, fmt.Errorf("core: no prior version to roll back to on %q", hook)
@@ -667,17 +569,17 @@ func (cf *CodeFlow) Rollback(hook string) (Deployed, error) {
 	prev := h[len(h)-2]
 	cf.mu.Unlock()
 	if prev.Reclaimed {
-		// The blob's bytes are gone (claimed as a delta target, or the
-		// ring wrapped past it): flipping the pointer back would dispatch
+		// The blob's bytes are gone (claimed as a delta target, or carved
+		// under pressure): flipping the pointer back would dispatch
 		// whatever overwrote them. Leave history intact and tell the
 		// caller why; recovering the old version needs a full redeploy.
 		return Deployed{}, fmt.Errorf("core: cannot roll back %q to version %d (%s): its blob was reclaimed for delta staging; redeploy it instead",
 			hook, prev.Version, prev.Name)
 	}
-	if err := cf.flip(cf.Remote, hookAddr, epoch, prev.Blob,
+	if _, err := cf.flip(cf.Remote, hookAddr, prev.Blob,
 		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: prev.Version}); err != nil {
-		// Fenced, wrapped or failed on the wire: the stack, the version
-		// map and the journal stay as they were.
+		// Fenced or failed on the wire: the stack, the version map and the
+		// journal stay as they were.
 		return Deployed{}, fmt.Errorf("core: rollback of %q: %w", hook, err)
 	}
 	cf.mu.Lock()
@@ -757,27 +659,24 @@ func (cf *CodeFlow) InjectExtension(e *ext.Extension, hook string) (Report, erro
 	rep.Version = d.Version
 	rep.Blob = d.Blob
 	rep.Total = time.Since(start)
-	// DeployProg's installPublished recorded the resident index entry and
-	// the deployed-version map via params.Digest.
+	// DeployProg's installPublished recorded history and the
+	// deployed-version map via params.Digest.
 	return rep, nil
 }
 
 // tryResidentInject attempts the repeat-deployment fast path: if the
-// extension's digest is already resident in the node's code region, the
-// inject reduces to a commit-only flip plus installPublished's
-// bookkeeping. The resident lookup and the flip happen under ONE pubMu
-// hold: claimStandby also takes pubMu and purges the resident index before
-// releasing it, so a blob observed here cannot be claimed — and
-// delta-overwritten — before the CAS dispatches it. Returns handled=false
-// when the digest is not resident (or a concurrent ring wrap invalidated
-// the index mid-path) and the caller must run the full pipeline.
+// extension's digest is resident — in a live entry of this node's history —
+// the inject reduces to a commit-only flip plus installPublished's
+// bookkeeping. The lookup and the flip happen under ONE pubMu hold:
+// claimStandby and the allocator's carve also take pubMu and tombstone the
+// history entries of every blob they reuse before releasing it, so a blob
+// found here cannot be overwritten before the CAS dispatches it. Returns
+// handled=false when the digest is not resident and the caller must run the
+// full pipeline.
 func (cf *CodeFlow) tryResidentInject(e *ext.Extension, hook string, digest string, start time.Time, rep *Report) (handled bool, err error) {
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
-	cf.mu.Lock()
-	res, isResident := cf.resident[digest]
-	epoch := cf.wrapEpoch
-	cf.mu.Unlock()
+	blob, isResident := cf.resident(digest)
 	if !isResident {
 		return false, nil
 	}
@@ -790,24 +689,32 @@ func (cf *CodeFlow) tryResidentInject(e *ext.Extension, hook string, digest stri
 		return true, err
 	}
 	t0 := time.Now()
-	err = cf.flip(cf.Remote, hookAddr, epoch, res.blob,
-		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: version})
-	if errors.Is(err, ErrRingWrapped) {
-		// A concurrent stage wrapped the code ring under the version
-		// FETCH_ADD, reclaiming res.blob and clearing the resident index:
-		// run the full pipeline instead.
-		return false, nil
-	}
-	if err != nil {
+	if _, err := cf.flip(cf.Remote, hookAddr, blob,
+		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: version}); err != nil {
 		return true, fmt.Errorf("core: inject of %q on %q: %w", e.Name(), hook, err)
 	}
 	rep.Commit = time.Since(t0)
 	rep.CacheHit = true
 	rep.Version = version
-	rep.Blob = res.blob
+	rep.Blob = blob
 	rep.Total = time.Since(start)
-	cf.installPublished(hook, nil, Deployed{Blob: res.blob, Version: version, Name: e.Name(), Digest: digest})
+	cf.installPublished(hook, nil, Deployed{Blob: blob, Version: version, Name: e.Name(), Digest: digest})
 	return true, nil
+}
+
+// resident finds digest's blob in a live history entry of any hook on
+// this node: at most hooks × RollbackDepth entries.
+func (cf *CodeFlow) resident(digest string) (uint64, bool) {
+	cf.mu.Lock()
+	defer cf.mu.Unlock()
+	for _, hist := range cf.history {
+		for i := len(hist) - 1; i >= 0; i-- {
+			if d := hist[i]; d.Digest == digest && !d.Reclaimed {
+				return d.Blob, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // setupState provisions remote XState maps and wasm regions for one

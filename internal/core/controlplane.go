@@ -8,7 +8,9 @@
 // verbs — allocation via remote FETCH_ADD on the node's bump pointers, code
 // injection via WRITE, publication via CAS of the hook dispatch pointer,
 // and cache exposure via WRITE_WITH_IMM doorbells. No code on the target
-// node's CPUs participates in any of it.
+// node's CPUs participates in any of it. Once a node's code region is
+// exhausted, the CodeFlow reuses only space no live blob occupies
+// (region.go): a publish never overwrites code a hook may be running.
 package core
 
 import (

@@ -12,24 +12,26 @@ import (
 
 // ErrFenced reports that this control plane no longer holds the leadership
 // lease — a standby bumped the fencing epoch — so publish and rollback
-// transactions must not flip any hook pointer. Unlike ErrRingWrapped it is
-// permanent for this controller instance: re-driving the operation cannot
-// succeed until a new lease is acquired, so Retryable deliberately excludes
-// it and the scheduler surfaces it instead of spinning.
+// transactions must not flip any hook pointer. It is permanent for this
+// controller instance: re-driving the operation cannot succeed until a new
+// lease is acquired, so the scheduler does not retry it and surfaces it
+// instead of spinning.
 var ErrFenced = errors.New("core: control plane fenced (leadership lease lost)")
 
 // FenceCheck verifies that the control plane may still act as leader. It is
 // consulted under pubMu inside CodeFlow.flip, immediately before every
-// dispatch CAS, and before a standby-blob claim, extending
-// the wrapEpoch pattern: the check narrows the window between deposal and a
-// stale pointer flip to a single in-flight verb. Implementations should
-// return an error wrapping ErrFenced when the lease is lost, and fail
-// closed (non-nil) when leadership cannot be confirmed.
+// dispatch CAS, and before a stage claims a standby blob or carves reused
+// code-region space (one check covers both; DeployProg writes its blob
+// inside the flip, after that check): the check narrows the window between
+// deposal and a stale pointer flip or overwrite to a few in-flight verbs.
+// Implementations should return an error wrapping ErrFenced when the lease
+// is lost, and fail closed (non-nil) when leadership cannot be confirmed.
 type FenceCheck func() error
 
 // JournalSink receives every control-plane intent and outcome as it
 // happens: validations and compilations by artifact digest, stages,
-// publishes, rollbacks, standby-blob claims, and ring-wrap reclamations.
+// publishes, rollbacks, and blob claims — a standby claimed as a delta
+// target, or a soft-live blob carved under pressure.
 // internal/controlha implements it with an append-only checksummed journal
 // replicated to standbys; replaying the entries reconstructs the
 // deployed-version map and per-hook rollback stacks on a fresh control
@@ -42,11 +44,12 @@ type JournalSink interface {
 	JournalPublish(node, hook string, d Deployed)
 	JournalRollback(node, hook string, to Deployed)
 	JournalClaim(node string, blob uint64)
-	JournalReclaim(node string, wrapEpoch uint64)
-	// JournalHandoff has no caller left in this module: the handoff entry
-	// went with live rebalancing, and *controlha.Journal implements it as a
-	// no-op. It stays on the interface only because the benchmark's traced
-	// sink forwards it, and goes with the next change to the benchmark.
+	// JournalReclaim and JournalHandoff have no caller left in this module:
+	// the code region no longer wraps, the handoff entry went with live
+	// rebalancing, and *controlha.Journal implements both as no-ops. They
+	// stay on the interface only because the benchmark's traced sink
+	// forwards them, and go with the next change to the benchmark.
+	JournalReclaim(node string, epoch uint64)
 	JournalHandoff(ringEpoch uint64) error
 }
 
@@ -156,28 +159,21 @@ func (cp *ControlPlane) RestoreDeployed(nodeKey, hook string, dv DeployedVersion
 }
 
 // RestoreHistory installs a replayed rollback stack on a re-attached
-// CodeFlow. The stack's top (when live) also seeds the dispatch shadow and
-// the resident fast-path index; the hook's slot shadow is rebuilt with
-// unknown contents (nil image — the torn marker), so the first post-failover
-// delta stage conservatively falls back to a full rewrite instead of
-// diffing against bytes this controller never wrote.
+// CodeFlow; its live entries are the hook's resident set from then on. The
+// hook's slot shadow is rebuilt from the stack's top (when live) with
+// unknown contents and size (nil image — the torn marker), so the first
+// post-failover delta stage conservatively falls back to a fresh allocation
+// instead of trusting bytes this controller never wrote. Another term may
+// have reused any space, so the allocator's free list is dropped too.
 func (cf *CodeFlow) RestoreHistory(hook string, stack []Deployed) {
+	cf.pubMu.Lock()
+	defer cf.pubMu.Unlock()
+	cf.free = nil
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
 	cf.history[hook] = append([]Deployed(nil), stack...)
-	if len(stack) == 0 {
-		return
+	delete(cf.slots, hook)
+	if n := len(stack); n > 0 && !stack[n-1].Reclaimed {
+		cf.slots[hook] = &hookSlots{active: &slotImage{blob: stack[n-1].Blob}}
 	}
-	top := stack[len(stack)-1]
-	if top.Reclaimed {
-		return
-	}
-	cf.dispatch[hook] = top.Blob
-	if top.Digest != "" {
-		cf.resident[top.Digest] = residentBlob{blob: top.Blob}
-	}
-	cf.slots[hook] = &hookSlots{active: &slotImage{
-		blob:   top.Blob,
-		digest: top.Digest,
-	}}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -10,22 +9,6 @@ import (
 	"rdx/internal/verbchain"
 	"rdx/internal/xabi"
 )
-
-// Retryable classifies an error from a remote-memory or CodeFlow operation
-// as worth re-driving: transport teardown (QP death, verb timeout, refused
-// post) and lost atomic completions. RDX control-plane sequences are
-// re-driveable end to end — staging writes are idempotent, a duplicated
-// FETCH_ADD only burns ring space, and publish CASes re-read the slot — so
-// even ErrUncertain is safe to retry at this layer. Remote status errors
-// (bounds, access) are deterministic and are not retryable. A code-ring
-// wrap racing a stage (ErrRingWrapped) is transient for the same reason:
-// re-driving the stage allocates fresh, post-wrap ring space. ErrFenced is
-// deliberately NOT retryable: a deposed controller stays deposed until a
-// new lease is acquired, so re-driving the publish would only spin.
-func Retryable(err error) bool {
-	return rdma.IsTransportErr(err) || errors.Is(err, rdma.ErrUncertain) ||
-		errors.Is(err, ErrRingWrapped)
-}
 
 // RemoteMemory adapts a verb issuer (a raw *rdma.QP or a reconnecting
 // rdma.ReconnQP) plus the target's MR table to the extension ABI, so

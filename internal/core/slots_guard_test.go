@@ -2,53 +2,15 @@ package core
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rdx/internal/ext"
-	"rdx/internal/node"
 	"rdx/internal/pipeline"
 	"rdx/internal/xabi"
 )
-
-// TestPublishAfterRingWrapFails pins the wrap-epoch guard: a deploy staged
-// before a code-ring wrap must refuse to publish, because post-wrap
-// allocations may already overlap its blob — the CAS would dispatch
-// someone else's bytes. The failure must classify as retryable so the
-// scheduler re-drives the stage into fresh ring space.
-func TestPublishAfterRingWrapFails(t *testing.T) {
-	r := newRig(t, 1)
-	cf := r.cfs[0]
-
-	sd, err := cf.StageExtension(context.Background(), bigProg("wrap-v1", 1), "ingress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wrap the ring under the staged-but-unpublished deploy.
-	for i := 0; i < 3; i++ {
-		if _, err := cf.AllocCode(int(node.CodeSize / 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = sd.Publish(context.Background())
-	if !errors.Is(err, ErrRingWrapped) {
-		t.Fatalf("publish after ring wrap = %v, want ErrRingWrapped", err)
-	}
-	if !Retryable(err) {
-		t.Fatal("ErrRingWrapped must be retryable so the scheduler restages")
-	}
-	// The hook must still run nothing new — the stale blob was never
-	// dispatched — and a fresh inject must succeed end to end.
-	injectOn(t, r.cp, cf, bigProg("wrap-v2", 2))
-	out, execErr := r.nodes[0].ExecHook("ingress", make([]byte, xabi.CtxSize), nil)
-	if execErr != nil || out.Verdict != 2 {
-		t.Fatalf("post-wrap inject: %+v err=%v", out, execErr)
-	}
-}
 
 // TestRollbackRefusesReclaimedVersion pins the history-tombstone behavior:
 // when a delta stage claims a blob that sits in another hook's rollback

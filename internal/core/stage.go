@@ -36,13 +36,9 @@ type StagedDeploy struct {
 	blob     uint64
 	version  uint64
 	slot     *slotImage
-	delta    bool // staged as a page delta rather than a full image
-	// epoch is the code-ring wrap epoch at claim/allocation time; the
-	// write and publish steps re-check it (wrappedSince) so a wrap racing
-	// the stage fails it retryably instead of touching reclaimed space.
-	epoch uint64
-	link  time.Duration
-	write time.Duration
+	link     time.Duration
+	write    time.Duration
+	inDoubt  bool // a Publish posted its CAS and failed
 }
 
 // StageExtension runs everything except publication for one node: JIT (via
@@ -100,27 +96,20 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 		cf: cf, hook: hook, name: e.Name(), digest: e.Digest(),
 		hookAddr: hookAddr, version: version, link: link,
 	}
-	slot, epoch := cf.claimStandby(hook, len(payload))
-	sd.epoch = epoch
-	if slot != nil {
-		if err := cf.stageIntoSlot(ctx, rem, sd, slot, payload); err != nil {
-			return nil, err
-		}
-	} else {
-		blob, allocEpoch, err := cf.allocCode(rem, len(payload))
-		if err != nil {
-			return nil, err
-		}
-		sd.epoch = allocEpoch
-		fresh := &slotImage{
-			blob: blob, cap: (uint64(len(payload)) + 7) &^ 7,
-			digest: e.Digest(), kind: params.Kind,
-		}
-		if err := cf.stageFull(rem, sd, fresh, payload); err != nil {
-			return nil, err
-		}
+	slot, claimed, err := cf.reserve(rem, hook, len(payload))
+	if err != nil {
+		return nil, err
 	}
-	sd.slot.kind = params.Kind
+	if claimed {
+		err = cf.stageIntoSlot(ctx, rem, sd, slot, payload)
+	} else {
+		err = cf.stageFull(rem, sd, slot, payload)
+	}
+	if err != nil {
+		cf.release(slot.blob)
+		return nil, err
+	}
+	sd.blob, sd.slot = slot.blob, slot
 	sd.write = time.Since(writeStart)
 	cf.recordCodeHash(sd.blob, code)
 	if j := cf.cp.journal(); j != nil {
@@ -141,17 +130,10 @@ const deltaMaxRatio = 0.5
 // claim falls back to a full rewrite instead of trusting stale bytes.
 func (cf *CodeFlow) stageIntoSlot(ctx context.Context, rem *RemoteMemory, sd *StagedDeploy, slot *slotImage, payload []byte) error {
 	cp := cf.cp
-	// A ring wrap after the claim means fresh allocations may already
-	// overlap the claimed blob: writing there could corrupt them. The
-	// check narrows the race window; the post-write check below closes
-	// this stage's publish path for wraps that land mid-flight.
-	if cf.wrappedSince(sd.epoch) {
-		return fmt.Errorf("core: delta stage of %q on %q: %w", sd.name, sd.hook, ErrRingWrapped)
-	}
 	d := artifact.Compute(slot.image, payload, artifact.DefaultPageSize)
 	if d.Ratio() > deltaMaxRatio {
 		// The diff wouldn't pay for itself (or the slot is torn): full
-		// rewrite of the claimed blob, no fresh ring allocation needed.
+		// rewrite of the claimed blob, no fresh allocation needed.
 		cp.Registry.Counter("artifact.delta.fallback").Inc()
 		return cf.stageFull(rem, sd, slot, payload)
 	}
@@ -174,29 +156,15 @@ func (cf *CodeFlow) stageIntoSlot(ctx context.Context, rem *RemoteMemory, sd *St
 	if err != nil {
 		return err
 	}
-	// The scatter was a remote round trip: if the ring wrapped under it,
-	// the blob's range may since have been handed out again, so neither
-	// the write nor the shadow image can be trusted. slot.image stays nil
-	// (torn marker) and the stage fails retryably.
-	if cf.wrappedSince(sd.epoch) {
-		return fmt.Errorf("core: delta stage of %q on %q: %w", sd.name, sd.hook, ErrRingWrapped)
-	}
 	slot.image = payload
-	slot.digest = sd.digest
 	cp.Registry.Counter("artifact.delta.bytes_written").Add(uint64(d.Bytes()))
 	cp.Registry.Counter("artifact.delta.bytes_saved").Add(uint64(len(payload) - d.Bytes()))
-	sd.blob = slot.blob
-	sd.slot = slot
-	sd.delta = true
 	return nil
 }
 
 // stageFull writes the complete image plus the staged record as one chain
 // into slot's blob (freshly allocated or a claimed standby).
 func (cf *CodeFlow) stageFull(rem *RemoteMemory, sd *StagedDeploy, slot *slotImage, payload []byte) error {
-	if cf.wrappedSince(sd.epoch) {
-		return fmt.Errorf("core: stage of %q on %q: %w", sd.name, sd.hook, ErrRingWrapped)
-	}
 	var stagedRec [8]byte
 	binary.LittleEndian.PutUint64(stagedRec[:], slot.blob)
 	slot.image = nil
@@ -209,14 +177,7 @@ func (cf *CodeFlow) stageFull(rem *RemoteMemory, sd *StagedDeploy, slot *slotIma
 	}); err != nil {
 		return err
 	}
-	// As in stageIntoSlot: a wrap during the write invalidates the blob.
-	if cf.wrappedSince(sd.epoch) {
-		return fmt.Errorf("core: stage of %q on %q: %w", sd.name, sd.hook, ErrRingWrapped)
-	}
 	slot.image = payload
-	slot.digest = sd.digest
-	sd.blob = slot.blob
-	sd.slot = slot
 	return nil
 }
 
@@ -224,20 +185,40 @@ func (cf *CodeFlow) stageFull(rem *RemoteMemory, sd *StagedDeploy, slot *slotIma
 // issued under ctx. On success the slot bookkeeping flips: the published
 // blob becomes the hook's active, the displaced active becomes the standby
 // (the next delta target), and the control plane's deployed-version map
-// records the new version. A ring wrap since the stage fails retryably (a
-// re-driven stage allocates post-wrap space); ErrFenced is permanent, so
-// the scheduler does not retry it.
+// records the new version. A failure leaves the blob pending, so a retry
+// may still publish it; a caller that gives up calls Abort. A failure
+// after the CAS was posted puts the blob in doubt (it may be dispatched);
+// once a later flip on the hook lands, that flip releases the blob and
+// Publish refuses to dispatch it again.
 func (s *StagedDeploy) Publish(ctx context.Context) error {
 	cf := s.cf
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
-	if err := cf.flip(cf.remote(ctx), s.hookAddr, s.epoch, s.blob,
+	if s.inDoubt && cf.inDoubt[s.blob].owner != s {
+		return fmt.Errorf("core: publish of %q on %q: a later publish on the hook released its blob", s.name, s.hook)
+	}
+	if posted, err := cf.flip(cf.remote(ctx), s.hookAddr, s.blob,
 		TxWrite{Addr: s.hookAddr + node.HookOffVersion, Qword: s.version}); err != nil {
+		if posted {
+			s.inDoubt = true
+			cf.inDoubt[s.blob] = doubt{s.hookAddr, s}
+		}
 		return fmt.Errorf("core: publish of %q on %q: %w", s.name, s.hook, err)
 	}
 	cf.installPublished(s.hook, s.slot,
 		Deployed{Blob: s.blob, Version: s.version, Name: s.name, Digest: s.digest})
 	return nil
+}
+
+// Abort implements pipeline.Staged: the scheduler calls it once for every
+// staged deploy it does not publish, failed publishes included. The blob
+// leaves pending, so a later sweep may reuse its space, unless it is in
+// doubt: then it stays pending until a later flip on the hook lands. The
+// deploy must not be published afterwards.
+func (s *StagedDeploy) Abort() {
+	if !s.inDoubt {
+		s.cf.release(s.blob)
+	}
 }
 
 // Version implements pipeline.Staged.
@@ -261,10 +242,9 @@ func (cp *ControlPlane) Scheduler() *pipeline.Scheduler {
 			Retries:  2,
 			Registry: cp.Registry,
 			Tracer:   cp.Tracer,
-			// Reconnectable transport failures (QP death, verb timeouts,
-			// lost atomic completions behind a ReconnQP) are retryable:
-			// staging is re-driveable end to end.
-			Transient: Retryable,
+			// Transient is pipeline.DefaultTransient: transport failures and
+			// lost atomic completions retry, since staging is re-driveable
+			// end to end; ErrFenced and ErrCodeRegionFull do not.
 		})
 	})
 	return cp.sched

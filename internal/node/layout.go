@@ -61,7 +61,6 @@ const (
 	CtrlOffEpoch      = 0x08 // global update epoch
 	CtrlOffCodeBrk    = 0x10 // code region bump pointer (absolute addr)
 	CtrlOffScratchBrk = 0x18 // scratchpad bump pointer (absolute addr)
-	CtrlOffMetaCount  = 0x20 // Meta-XState entry count (mirrors MetaBase count)
 	CtrlOffBootNS     = 0x28
 	CtrlOffNodeHash   = 0x30
 )

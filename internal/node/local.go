@@ -15,27 +15,47 @@ import (
 // paths therefore interoperate on the same arena layout.
 
 // AllocCode reserves size bytes (8-aligned) in the code region and returns
-// the blob base address. The region is a ring: when the bump pointer would
-// run off the end it wraps to the base, reclaiming the oldest (long-dead)
-// blobs. Active blobs are always the most recently allocated, so a wrap
-// never lands on one unless a single blob exceeds half the region.
+// the blob base address. The bump pointer runs to the region's end; on an
+// overrun allocation restarts at the base and steps over every blob a hook
+// dispatches, read from the node's own hook table and blob headers. When
+// no gap between them fits, AllocCode fails: it never overwrites code a
+// hook may run.
 func (n *Node) AllocCode(size int) (mem.Addr, error) {
 	sz := uint64((size + 7) &^ 7)
 	if sz > CodeSize/2 {
 		return 0, fmt.Errorf("node %s: blob of %d bytes exceeds half the code region", n.ID, size)
 	}
-	for {
-		prev, err := n.Arena.FetchAdd(CtrlBase+CtrlOffCodeBrk, sz)
+	const brk = CtrlBase + CtrlOffCodeBrk
+	for wraps := 0; wraps < 2; {
+		prev, err := n.Arena.FetchAdd(brk, sz)
 		if err != nil {
 			return 0, err
 		}
-		if prev+sz <= CodeBase+CodeSize {
+		if prev+sz > CodeBase+CodeSize {
+			// Competing allocators race via CAS on the over-run value.
+			n.Arena.CompareAndSwap(brk, prev+sz, CodeBase)
+			wraps++
+		} else if end := n.dispatchedEnd(prev, prev+sz); end != 0 {
+			n.Arena.CompareAndSwap(brk, prev+sz, end)
+		} else {
 			return prev, nil
 		}
-		// Wrap: move the bump pointer back to the base. Competing
-		// allocators race via CAS on the over-run value.
-		n.Arena.CompareAndSwap(CtrlBase+CtrlOffCodeBrk, prev+sz, CodeBase)
 	}
+	return 0, fmt.Errorf("node %s: code region full: no gap of %d bytes between dispatched blobs", n.ID, sz)
+}
+
+// dispatchedEnd returns the furthest 8-aligned end of a dispatched blob
+// overlapping [lo, hi), or 0 if none does.
+func (n *Node) dispatchedEnd(lo, hi uint64) uint64 {
+	var end uint64
+	for _, slot := range n.hooks {
+		blob, _ := n.Arena.ReadQword(HookAddr(slot) + HookOffDispatch) // in the arena: cannot fail
+		codeLen, err := n.Arena.ReadU32(blob + BlobOffLen)
+		if blobEnd := (blob + BlobHdrSize + uint64(codeLen) + 7) &^ 7; err == nil && blob != 0 && blob < hi && lo < blobEnd {
+			end = max(end, blobEnd)
+		}
+	}
+	return end
 }
 
 // AllocScratch reserves size bytes (64-aligned) in the XState scratchpad.
@@ -146,7 +166,6 @@ func (n *Node) RegisterMetaXState(hdrAddr mem.Addr) (int, error) {
 	if err := n.Arena.WriteQword(MetaBase+8+mem.Addr(idx)*8, uint64(hdrAddr)); err != nil {
 		return 0, err
 	}
-	n.Arena.WriteQword(CtrlBase+CtrlOffMetaCount, idx+1)
 	return int(idx), nil
 }
 

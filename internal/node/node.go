@@ -128,7 +128,6 @@ func (n *Node) ctxInit(hooks []string) error {
 	a.WriteQword(CtrlBase+CtrlOffEpoch, 0)
 	a.WriteQword(CtrlBase+CtrlOffCodeBrk, CodeBase)
 	a.WriteQword(CtrlBase+CtrlOffScratchBrk, ScratchBase)
-	a.WriteQword(CtrlBase+CtrlOffMetaCount, 0)
 	a.WriteQword(CtrlBase+CtrlOffBootNS, uint64(time.Now().UnixNano()))
 	h := fnv.New64a()
 	h.Write([]byte(n.ID))

@@ -29,6 +29,13 @@ type Staged interface {
 	// Publish flips the staged blob live (CAS + doorbell). ctx bounds the
 	// commit and carries the job's trace ID.
 	Publish(ctx context.Context) error
+	// Abort gives up a deployment that will not be published, so the
+	// target may reuse what staging reserved. The scheduler calls it once
+	// for every staged node it does not publish: an atomic abort, a failed
+	// BeforePublish, a job aborted before that node's turn, or a Publish
+	// that failed or never ran before the deadline. It never follows a
+	// successful Publish.
+	Abort()
 	// Version is the node-local version the publish will install.
 	Version() uint64
 	// LinkDuration and WriteDuration split the staging cost for tracing.

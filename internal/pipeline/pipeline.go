@@ -243,6 +243,12 @@ func (j *job) run() {
 	close(j.release)
 	if j.publish {
 		j.publishItems()
+	} else {
+		for _, st := range j.staged {
+			if st != nil {
+				st.Abort()
+			}
+		}
 	}
 	j.done.Wait()
 	if j.publish {
@@ -267,9 +273,8 @@ func (j *job) worker() {
 
 // decide is the publish barrier, run by worker 0 once every node has
 // staged or failed: an atomic job with a failed stage withholds every
-// publish (its staged blobs are unreferenced garbage in the nodes' ring
-// allocators), and a failing BeforePublish withholds them all with its
-// error on every staged node's outcome.
+// publish, and a failing BeforePublish withholds them all with its error on
+// every staged node's outcome. Either way run aborts every staged node.
 func (j *job) decide(publishStart time.Time) bool {
 	if j.req.Atomic {
 		for i := range j.res.Outcomes {
@@ -364,12 +369,15 @@ func (j *job) stageOne(i int) {
 }
 
 // publishOne commits node i, with retries, unless an atomic job has
-// already aborted.
+// already aborted. Node i's staged deployment is aborted unless it was
+// published: on that abort, when its retries run out, or when the
+// deadline passed before its turn.
 func (j *job) publishOne(i int) {
 	s := j.s
 	pubStart := time.Now()
 	o := &j.res.Outcomes[i]
 	if cause := j.abort.Load(); cause != nil {
+		j.staged[i].Abort()
 		o.Err = fmt.Errorf("pipeline: publish on %s aborted, atomic job already failed permanently: %w", o.Node, *cause)
 		o.Latency += time.Since(pubStart)
 		return
@@ -377,6 +385,7 @@ func (j *job) publishOne(i int) {
 	attempts, err := s.withRetry(j.ctx, func() error { return j.staged[i].Publish(j.ctx) })
 	o.Attempts += attempts - 1
 	if err != nil {
+		j.staged[i].Abort()
 		o.Err = err
 		if j.req.Atomic && !s.cfg.Transient(err) {
 			j.abort.CompareAndSwap(nil, &err)

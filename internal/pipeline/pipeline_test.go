@@ -35,6 +35,7 @@ type fakeTarget struct {
 	stageErrs []error
 	attempts  int
 	published int
+	aborted   int
 	nextVer   uint64
 }
 
@@ -71,6 +72,11 @@ func (s *fakeStaged) Publish(context.Context) error {
 	s.t.published++
 	s.t.mu.Unlock()
 	return nil
+}
+func (s *fakeStaged) Abort() {
+	s.t.mu.Lock()
+	s.t.aborted++
+	s.t.mu.Unlock()
 }
 func (s *fakeStaged) Version() uint64              { return s.ver }
 func (s *fakeStaged) LinkDuration() time.Duration  { return time.Microsecond }
@@ -217,6 +223,53 @@ func TestInjectAtomicStopsStaging(t *testing.T) {
 			t.Errorf("outcome %d names node %q, want %q", i, o.Node, fakes[i].key)
 		}
 	}
+}
+
+// TestAbortEveryUnpublishedStage pins Staged.Abort's contract: the
+// scheduler aborts, once, every staged node it does not publish — on an
+// atomic abort, a failed BeforePublish, a job aborted before that node's
+// publish turn, a failed Publish, and a deadline that passes before the
+// publish turn — and never a node it published.
+func TestAbortEveryUnpublishedStage(t *testing.T) {
+	s := New(Config{FanOut: 1})
+	run := func(name string, req Request, fakes []*fakeTarget, wantAborted []int) {
+		t.Helper()
+		req.Ext, req.Hook, req.Targets = constExt(30), "h", targetsOf(fakes...)
+		if _, err := s.Inject(req); err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range fakes {
+			if f.aborted != wantAborted[i] {
+				t.Errorf("%s: node %d aborted %d times, want %d", name, i, f.aborted, wantAborted[i])
+			}
+			if f.aborted > 0 && f.published > 0 {
+				t.Errorf("%s: node %d both published and aborted", name, i)
+			}
+		}
+	}
+	run("atomic stage failure",
+		Request{Atomic: true},
+		[]*fakeTarget{{key: "n0"}, {key: "n1", stageErrs: []error{errors.New("rejected")}}},
+		[]int{1, 0})
+	run("failed barrier",
+		Request{BeforePublish: func() error { return errors.New("gate stuck") }},
+		[]*fakeTarget{{key: "n0"}, {key: "n1"}},
+		[]int{1, 1})
+	run("atomic publish failure",
+		Request{Atomic: true},
+		[]*fakeTarget{{key: "n0", publishErr: errors.New("fenced")}, {key: "n1"}, {key: "n2"}},
+		[]int{1, 1, 1})
+	run("publish failure",
+		Request{},
+		[]*fakeTarget{{key: "n0"}, {key: "n1", publishErr: errors.New("lost")}},
+		[]int{0, 1})
+	run("deadline before publish",
+		Request{Deadline: 20 * time.Millisecond, BeforePublish: func() error {
+			time.Sleep(40 * time.Millisecond)
+			return nil
+		}},
+		[]*fakeTarget{{key: "n0"}, {key: "n1"}},
+		[]int{1, 1})
 }
 
 func TestRetryBackoffRecovers(t *testing.T) {
@@ -390,6 +443,7 @@ func (p *probeTarget) Stage(context.Context, *ext.Extension, string) (Staged, er
 type probeStaged struct{ p *probeTarget }
 
 func (s probeStaged) Publish(context.Context) error { s.p.publish(); return nil }
+func (s probeStaged) Abort()                        {}
 func (s probeStaged) Version() uint64               { return 1 }
 func (s probeStaged) LinkDuration() time.Duration   { return 0 }
 func (s probeStaged) WriteDuration() time.Duration  { return 0 }

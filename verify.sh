@@ -2,7 +2,7 @@
 # verify.sh — the repo's tier-1 verification gate, runnable locally and in
 # CI. Fails fast on the first broken stage.
 #
-#   ./verify.sh          full gate: gofmt, vet, build, bench build, import boundary, export ratchet, tests, alloc gates, race, simulation
+#   ./verify.sh          full gate: gofmt, vet, build, bench build, import boundary, export ratchet, tests, alloc gates, race, code region, simulation
 #   ./verify.sh quick    skip the -race pass (slowest stage) for inner loops
 set -eu
 cd "$(dirname "$0")"
@@ -61,12 +61,18 @@ if [ "${1:-}" != "quick" ]; then
     # rollback-stack bound must hold on leader, replay and fold alike.
     echo "== hot standby fold + rollback bound (race, x20) =="
     go test -race -timeout 300s -count=20 -run 'TestHostFold|TestTakeOverFlat|TestRollbackDepth' ./internal/controlha ./internal/core
-    # Every publish path commits through one CodeFlow.flip (wrap guard,
-    # fence, rdx_tx, cc_event) and passes one policy gate: the claim races,
-    # the wrap guard, rollback's flip-then-pop order and the per-path verb
-    # pins repeat under -race.
+    # Every publish path commits through one CodeFlow.flip (fence, rdx_tx,
+    # cc_event) and passes one policy gate: the claim races, rollback's
+    # flip-then-pop order and the per-path verb pins repeat under -race.
     echo "== publish paths (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestResidentFastPathVsDeltaClaimRace|TestConcurrentBroadcastLastWriterWins|TestPublishAfterRingWrapFails|TestRollback|TestPublishPath|TestPolicy' ./internal/core ./internal/controlha
+    go test -race -timeout 300s -count=20 -run 'TestResidentFastPathVsDeltaClaimRace|TestConcurrentBroadcastLastWriterWins|TestRollback|TestPublishPath|TestPolicy' ./internal/core ./internal/controlha
+    # The code region never wraps: an allocation reuses only space no
+    # dispatched, pending or (short of pressure) historic blob holds. The
+    # repros of overwritten and mis-dispatched code, the pending, abort and
+    # in-doubt contracts, the pressure path, the sweep's wait for fresh
+    # allocations and the carve-versus-dispatch race repeat under -race.
+    echo "== code region: no live blob reused (race, x20) =="
+    go test -race -timeout 300s -count=20 -run 'TestGrowingPublishesKeepOtherHooksCode|TestAllocCodeFillThenPublish|TestRepublishAfterOtherTermReusesOnlyLiveHistory|TestStagedBlobSurvivesExhaustingAllocation|TestAbortedBroadcastsReleaseTheirBlobs|TestDispatchedBlobsFillRegion|TestPressureReclaimsOnlySoftLiveBlobs|TestCarveRacesCommitOnlyDispatch|TestSweepWaitsOutFreshAllocations|TestDeadlinePassedBeforePublishReleasesBlob|TestInDoubt|TestResidentFastPathVsDeltaClaimRace' ./internal/core
     # A job's per-node work runs on one worker set that meets at a publish
     # barrier, and each stage links its own copy of the cached master: the
     # worker bound, the stage-before-publish order, atomic abort, the
