@@ -154,8 +154,8 @@ func TestPublicAPIBroadcastGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Versions) != 3 {
-		t.Fatalf("versions = %v", rep.Versions)
+	if len(rep.Outcomes) != 3 {
+		t.Fatalf("outcomes = %+v", rep.Outcomes)
 	}
 	for i, n := range nodes {
 		res, err := n.ExecHook("h", make([]byte, rdx.CtxSize), nil)

@@ -25,7 +25,6 @@ import (
 	"rdx/internal/ext"
 	"rdx/internal/native"
 	"rdx/internal/node"
-	"rdx/internal/pipeline"
 	"rdx/internal/rdma"
 	"rdx/internal/xabi"
 )
@@ -468,11 +467,12 @@ func BenchmarkVerifierThroughput(b *testing.B) {
 
 // BenchmarkPipelineInjection rolls one extension out to 8 nodes per
 // iteration, comparing the seed path — a sequential per-node
-// InjectExtension loop — against the injection scheduler's batched fan-out
-// (OpBatch chains, coalesced doorbells, parallel nodes). The fabric is
-// latency-bound (500 µs per verb) so sequential round trips cost wall-clock
-// time, as they do on a real link; the registry is warmed outside the
-// timer, isolating the injection path itself.
+// InjectExtension loop — against Group.Broadcast, the injection
+// scheduler's batched fan-out (OpBatch chains, coalesced doorbells,
+// parallel nodes). The fabric is latency-bound (500 µs per verb) so
+// sequential round trips cost wall-clock time, as they do on a real link;
+// the registry is warmed outside the timer, isolating the injection path
+// itself.
 func BenchmarkPipelineInjection(b *testing.B) {
 	const nodes = 8
 	lat := &rdma.LatencyModel{Base: 500 * time.Microsecond, BytesPerSec: 3.125e9}
@@ -529,19 +529,11 @@ func BenchmarkPipelineInjection(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		cp, cfs := fleet(b, "bat")
 		exts := pool(b, cp, cfs[0].Arch)
-		sched := cp.Scheduler()
-		targets := make([]pipeline.Target, len(cfs))
-		for i, cf := range cfs {
-			targets[i] = cf
-		}
+		group := core.Group(cfs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := sched.Inject(pipeline.Request{Ext: exts[i], Hook: "ingress", Targets: targets})
-			if err != nil {
+			if _, err := group.Broadcast(exts[i], core.BroadcastOptions{Hook: "ingress"}); err != nil {
 				b.Fatal(err)
-			}
-			if ferr := res.FirstErr(); ferr != nil {
-				b.Fatal(ferr)
 			}
 		}
 	})

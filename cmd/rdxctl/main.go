@@ -35,7 +35,6 @@ import (
 	"rdx/internal/ext"
 	"rdx/internal/node"
 	"rdx/internal/orchestrator"
-	"rdx/internal/pipeline"
 	"rdx/internal/rdma"
 	"rdx/internal/shard"
 	"rdx/internal/telemetry"
@@ -55,7 +54,7 @@ commands:
   detach   clear a hook's dispatch pointer (remote teardown)
   bench    deploy repeatedly and report injection latency
   apply    execute a declarative orchestration plan across nodes
-  broadcast  deploy to a fleet through the injection scheduler
+  broadcast  deploy to a fleet, all nodes or none (rdx_broadcast)
              (-trace 1 dumps the job's end-to-end trace afterwards)
   failover promote this controller: steal the HA lease on a standby host,
            replay the replicated deployment journal, and re-attach the fleet
@@ -77,7 +76,6 @@ func main() {
 		n         = fs.Int("n", 20, "bench repetitions")
 		planFile  = fs.String("plan", "", "orchestration plan file (apply)")
 		nodeList  = fs.String("nodes", "", "name=addr pairs for apply/broadcast, comma-separated")
-		atomic    = fs.Bool("atomic", false, "broadcast: withhold every publish if any node fails to stage")
 		reconnect = fs.Bool("reconnect", false, "redial on transport failure and replay idempotent verbs")
 		timeout   = fs.Duration("timeout", 2*time.Second, "per-verb deadline (0 disables)")
 		httpAddr  = fs.String("http", "", "stats: scrape a node's observability endpoint instead of its RNIC")
@@ -107,7 +105,7 @@ func main() {
 		return
 	}
 	if cmd == "broadcast" {
-		runBroadcast(*nodeList, *hook, buildExtension(*udfSrc, *synthetic), *atomic, *reconnect, *timeout, *traceSpec)
+		runBroadcast(*nodeList, *hook, buildExtension(*udfSrc, *synthetic), *reconnect, *timeout, *traceSpec)
 		return
 	}
 	if cmd == "stats" && *httpAddr != "" {
@@ -306,17 +304,17 @@ func runBench(cf *core.CodeFlow, hook string, e *ext.Extension, n int) {
 	fmt.Printf("%d deploys of %s: %s (registry hits: %d)\n", n, e.Name(), hist.Summary(), cacheHits)
 }
 
-// runBroadcast deploys one extension to every listed node through the
-// control plane's injection scheduler and prints the per-node outcomes plus
-// the scheduler's per-stage span table. With trace, it also dumps the job's
+// runBroadcast deploys one extension to every listed node with
+// Group.Broadcast, all nodes or none, and prints the per-node outcomes plus
+// the control plane's registry table. With trace, it also dumps the job's
 // end-to-end span trace — every pipeline stage and every wire verb the job
 // issued, correlated under the job's trace ID.
-func runBroadcast(nodeList, hook string, e *ext.Extension, atomic, reconnect bool, timeout time.Duration, trace bool) {
+func runBroadcast(nodeList, hook string, e *ext.Extension, reconnect bool, timeout time.Duration, trace bool) {
 	if nodeList == "" {
 		log.Fatal("rdxctl: broadcast requires -nodes")
 	}
 	cp := core.NewControlPlane()
-	var targets []pipeline.Target
+	var group core.Group
 	var names []string
 	for _, pair := range strings.Split(nodeList, ",") {
 		name, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
@@ -332,17 +330,12 @@ func runBroadcast(nodeList, hook string, e *ext.Extension, atomic, reconnect boo
 			log.Fatalf("rdxctl: codeflow %s: %v", name, err)
 		}
 		defer cf.Close()
-		targets = append(targets, cf)
+		group = append(group, cf)
 		names = append(names, name)
 	}
 
-	res, err := cp.Scheduler().Inject(pipeline.Request{
-		Ext: e, Hook: hook, Targets: targets, Atomic: atomic,
-	})
-	if err != nil {
-		log.Fatalf("rdxctl: broadcast: %v", err)
-	}
-	for i, o := range res.Outcomes {
+	rep, err := group.Broadcast(e, core.BroadcastOptions{Hook: hook})
+	for i, o := range rep.Outcomes {
 		status := fmt.Sprintf("version=%d", o.Version)
 		if o.Err != nil {
 			status = "FAILED: " + o.Err.Error()
@@ -350,14 +343,15 @@ func runBroadcast(nodeList, hook string, e *ext.Extension, atomic, reconnect boo
 		fmt.Printf("%-16s attempts=%d latency=%s %s\n",
 			names[i], o.Attempts, telemetry.FormatDuration(o.Latency), status)
 	}
-	fmt.Printf("published=%v failed=%d total=%s\n", res.Published, len(res.Failed()), telemetry.FormatDuration(res.Total))
-	fmt.Println(cp.Scheduler().Stats().String())
+	fmt.Println(cp.Registry.Snapshot().Table("broadcast registry").String())
 	if trace {
-		fmt.Println(telemetry.TraceTable(res.Trace, cp.Tracer.Trace(res.Trace)).String())
+		fmt.Println(telemetry.TraceTable(rep.Trace, cp.Tracer.Trace(rep.Trace)).String())
 	}
-	if !res.Published || res.FirstErr() != nil {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rdxctl: %v\n", err)
 		os.Exit(1)
 	}
+	fmt.Printf("published total=%s\n", telemetry.FormatDuration(rep.Total))
 }
 
 // runHAStats reads a standby host's witness word and journal ring with

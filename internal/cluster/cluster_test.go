@@ -87,8 +87,8 @@ func TestRDXRolloutStampsAllServices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Versions) != 4 {
-		t.Fatalf("versions = %v", rep.Versions)
+	if len(rep.Outcomes) != 4 {
+		t.Fatalf("outcomes = %+v", rep.Outcomes)
 	}
 	res := app.DoRequest(context.Background(), 7)
 	if res.Err != nil {

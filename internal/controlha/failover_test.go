@@ -347,8 +347,10 @@ func TestTakeOverAtPublishBarrier(t *testing.T) {
 	hqp := rig.hostQP(t)
 	var state *controlha.State
 	var takeoverErr error
-	res, err := cp1.Scheduler().Inject(pipeline.Request{
-		Ext: gen2, Hook: "ingress", Targets: targets, Atomic: true,
+	// A scheduler of the test's own: Group.Broadcast has no hook that runs
+	// between the stage and the publish.
+	res, err := pipeline.New(cp1.Registry, cp1.Tracer).Inject(pipeline.Request{
+		Ext: gen2, Hook: "ingress", Targets: targets,
 		BeforePublish: func() error {
 			_, state, takeoverErr = controlha.TakeOver(cp2, rig.host, hqp, 2, time.Minute, flows2)
 			return nil // the deposed leader carries on into the publish fan-out

@@ -14,7 +14,6 @@ import (
 	"rdx/internal/core"
 	"rdx/internal/ext"
 	"rdx/internal/faultnet"
-	"rdx/internal/pipeline"
 	"rdx/internal/rdma"
 	"rdx/internal/xabi"
 )
@@ -60,9 +59,8 @@ func TestRollbackDepthBound(t *testing.T) {
 	// the hook's blobs and claims the standby one as a delta target.
 	stage := func(e *ext.Extension) {
 		t.Helper()
-		res, err := cp.Scheduler().Inject(pipeline.Request{Ext: e, Hook: "ingress", Targets: []pipeline.Target{cf}})
-		if err != nil || res.Outcomes[0].Err != nil {
-			t.Fatalf("stage %s: %v %+v", e.Name(), err, res)
+		if _, err := (core.Group{cf}).Broadcast(e, core.BroadcastOptions{Hook: "ingress"}); err != nil {
+			t.Fatalf("stage %s: %v", e.Name(), err)
 		}
 	}
 	// Two resident generations, republished alternately: every publish

@@ -10,6 +10,7 @@ import (
 	"rdx/internal/ext"
 	"rdx/internal/node"
 	"rdx/internal/pipeline"
+	"rdx/internal/telemetry"
 )
 
 // Group is a collective CodeFlow: a set of node handles updated as one.
@@ -39,19 +40,26 @@ type BroadcastReport struct {
 	// GateHeld is how long request buffering lasted (BBU only).
 	GateHeld time.Duration
 	Total    time.Duration
-	Versions []uint64
+	// Outcomes holds each node's fate in group order: the version it
+	// published (or staged, if the update aborted), its attempts, and the
+	// error that stopped it. It is filled on failure too.
+	Outcomes []pipeline.Outcome
+	// Trace is the update's trace ID: the control plane's Tracer holds its
+	// pipeline-stage and wire spans under it.
+	Trace telemetry.TraceID
 }
 
 // Broadcast is rdx_broadcast: transactionally deploy one extension to every
-// node in the group (the write set spans all target hooks, §4). It runs as
-// one Atomic job on the control plane's injection scheduler: staging
-// (validate/JIT through the artifact cache, link, batched write) fans out to
-// all nodes in parallel and publishes only if every node staged. The
-// scheduler aborts every staged deployment it does not publish: unless a
-// failed publish left the blob in doubt, no pointer exposes it, and it
-// leaves pending, so the node's code-region allocator may reuse the space. BBU gates slot into the scheduler's
-// publish barrier. Of several failed nodes the error reports a fenced one first:
-// callers key on errors.Is(err, ErrFenced) to stand down.
+// node in the group (the write set spans all target hooks, §4). It is the
+// one way into the control plane's injection scheduler, and runs as one
+// all-or-none job there: staging (validate/JIT through the artifact cache,
+// link, batched write) fans out to all nodes in parallel and publishes only
+// if every node staged. The scheduler aborts every staged deployment it
+// does not publish: unless a failed publish left the blob in doubt, no
+// pointer exposes it, and it leaves pending, so the node's code-region
+// allocator may reuse the space. BBU gates slot into the scheduler's
+// publish barrier. Of several failed nodes the error reports a fenced one
+// first: callers key on errors.Is(err, ErrFenced) to stand down.
 func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastReport, error) {
 	var rep BroadcastReport
 	if len(g) == 0 {
@@ -64,11 +72,10 @@ func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastRepo
 	}
 
 	var prepareEnd, gateStart time.Time
-	res, err := g[0].cp.Scheduler().Inject(pipeline.Request{
+	res, err := g[0].cp.sched.Inject(pipeline.Request{
 		Ext:     e,
 		Hook:    opts.Hook,
 		Targets: targets,
-		Atomic:  true,
 		BeforePublish: func() error {
 			prepareEnd = time.Now()
 			if !opts.BBU {
@@ -123,9 +130,10 @@ func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastRepo
 	if err != nil {
 		return rep, fmt.Errorf("core: broadcast: %w", err)
 	}
+	rep.Outcomes, rep.Trace = res.Outcomes, res.Trace
 	failed := reportedFailure(res.Outcomes)
 	if !res.Published {
-		// Atomic abort: a stage (or the barrier) failed; no node changed.
+		// Abort: a stage (or the barrier) failed; no node changed.
 		if failed != nil {
 			return rep, fmt.Errorf("core: broadcast aborted: node %s: %w", failed.Node, failed.Err)
 		}
@@ -134,9 +142,6 @@ func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastRepo
 	rep.Prepare = prepareEnd.Sub(start)
 	rep.Commit = time.Since(prepareEnd)
 	rep.Total = time.Since(start)
-	for _, o := range res.Outcomes {
-		rep.Versions = append(rep.Versions, o.Version)
-	}
 	if failed != nil {
 		return rep, fmt.Errorf("core: broadcast commit on node %s: %w", failed.Node, failed.Err)
 	}

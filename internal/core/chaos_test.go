@@ -261,11 +261,10 @@ func TestChaosReconnQPBroadcastSurvivesKills(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, injErr = r.cp.Scheduler().Inject(pipeline.Request{
-			Ext:      constProg("chaos-bcast", 77),
-			Hook:     "ingress",
-			Targets:  targets,
-			Deadline: 20 * time.Second,
+		res, injErr = r.cp.sched.Inject(pipeline.Request{
+			Ext:     constProg("chaos-bcast", 77),
+			Hook:    "ingress",
+			Targets: targets,
 		})
 	}()
 	select {

@@ -30,7 +30,7 @@ import (
 // ControlPlane is the remote control plane: validation, the
 // compile-once/deploy-anywhere registry, and CodeFlow creation.
 type ControlPlane struct {
-	mu sync.Mutex
+	mu sync.Mutex // guards policy and auditLog
 
 	// artifacts is the content-addressed store behind ValidateCode and
 	// JITCompileCode: bounded LRUs of validation facts and compiled
@@ -38,8 +38,6 @@ type ControlPlane struct {
 	// jobs over one digest validate once and compile once per arch.
 	artifacts *artifact.Cache
 
-	// Stats counts registry effectiveness (ablation: disable the cache).
-	Stats RegistryStats
 	// DisableCache forces re-validation and re-compilation on every call
 	// (the "no registry" ablation).
 	DisableCache bool
@@ -71,9 +69,12 @@ type ControlPlane struct {
 	// regenerations behind a ReconnQP keep accumulating into the same series.
 	wire *rdma.WireMetrics
 
-	// sched is the lazily created injection scheduler (see Scheduler).
-	schedOnce sync.Once
-	sched     *pipeline.Scheduler
+	// sched is the injection scheduler behind Group.Broadcast. It does no
+	// validation or JIT of its own: every node's Stage asks the artifact
+	// cache (compiled), which validates and compiles once per (digest,
+	// architecture), so a fleet-wide job validates once and JITs once per
+	// distinct architecture among the targets, regardless of fleet size.
+	sched *pipeline.Scheduler
 
 	// Clock is the timeline a leadership term attached to this control plane
 	// runs on: lease TTL arithmetic and takeover latency (nil = clock.Real{}).
@@ -99,14 +100,6 @@ type DeployedVersion struct {
 	Blob    uint64
 }
 
-// RegistryStats counts cache behavior.
-type RegistryStats struct {
-	ValidateHits   uint64
-	ValidateMisses uint64
-	CompileHits    uint64
-	CompileMisses  uint64
-}
-
 // NewControlPlane creates an empty control plane.
 func NewControlPlane() *ControlPlane {
 	return NewControlPlaneLabeled(nil, nil, "")
@@ -117,20 +110,10 @@ func NewControlPlane() *ControlPlane {
 // artifact store.
 func (cp *ControlPlane) ValidateCode(e *ext.Extension) (ext.Info, error) {
 	if cp.DisableCache {
-		cp.mu.Lock()
-		cp.Stats.ValidateMisses++
-		cp.mu.Unlock()
 		cp.artifacts.CountValidate()
 		return e.Validate()
 	}
 	info, hit, err := cp.artifacts.Validate(e.Digest(), e.Validate)
-	cp.mu.Lock()
-	if hit {
-		cp.Stats.ValidateHits++
-	} else {
-		cp.Stats.ValidateMisses++
-	}
-	cp.mu.Unlock()
 	// Only actual validator runs are journaled: replaying a hit would make
 	// the standby's replayed intent log diverge from the work done.
 	if !hit && err == nil {
@@ -159,9 +142,6 @@ func (cp *ControlPlane) JITCompileCode(e *ext.Extension, arch native.Arch) (*nat
 // disabled every call compiles afresh.
 func (cp *ControlPlane) compiled(e *ext.Extension, arch native.Arch) (*native.Binary, error) {
 	if cp.DisableCache {
-		cp.mu.Lock()
-		cp.Stats.CompileMisses++
-		cp.mu.Unlock()
 		// Validation gates compilation, as in the kernel pipeline.
 		if _, err := cp.ValidateCode(e); err != nil {
 			return nil, err
@@ -183,13 +163,6 @@ func (cp *ControlPlane) compiled(e *ext.Extension, arch native.Arch) (*native.Bi
 	if err != nil {
 		return nil, err
 	}
-	cp.mu.Lock()
-	if hit {
-		cp.Stats.CompileHits++
-	} else {
-		cp.Stats.CompileMisses++
-	}
-	cp.mu.Unlock()
 	if !hit {
 		if j := cp.journal(); j != nil {
 			j.JournalCompile(e.Digest(), arch)
@@ -199,7 +172,7 @@ func (cp *ControlPlane) compiled(e *ext.Extension, arch native.Arch) (*native.Bi
 }
 
 // compiledHit reports whether (digest, arch) is already resident, without
-// touching recency or stats (Report.CacheHit classification).
+// touching recency or counters (Report.CacheHit classification).
 func (cp *ControlPlane) compiledHit(digest string, arch native.Arch) bool {
 	if cp.DisableCache {
 		return false

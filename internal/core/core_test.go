@@ -191,8 +191,8 @@ func TestRegistryCompileOnceDeployAnywhere(t *testing.T) {
 			t.Errorf("deploy %d missed the registry", i)
 		}
 	}
-	if r.cp.Stats.CompileMisses != 1 || r.cp.Stats.CompileHits != 2 {
-		t.Errorf("registry stats = %+v", r.cp.Stats)
+	if got := r.cp.Registry.Counter("artifact.compile.invocations").Value(); got != 1 {
+		t.Errorf("artifact.compile.invocations = %d, want 1", got)
 	}
 	for i, n := range r.nodes {
 		res, err := n.ExecHook("ingress", make([]byte, xabi.CtxSize), nil)
@@ -211,8 +211,8 @@ func TestDisableCacheAblation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.cp.Stats.CompileMisses != 2 {
-		t.Errorf("expected 2 compile misses with cache disabled, got %+v", r.cp.Stats)
+	if got := r.cp.Registry.Counter("artifact.compile.invocations").Value(); got != 2 {
+		t.Errorf("artifact.compile.invocations = %d with the cache disabled, want 2", got)
 	}
 }
 
@@ -556,8 +556,8 @@ func TestBroadcastAtomicVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Versions) != 4 {
-		t.Fatalf("versions = %v", rep.Versions)
+	if len(rep.Outcomes) != 4 {
+		t.Fatalf("outcomes = %+v", rep.Outcomes)
 	}
 	for i, n := range r.nodes {
 		res, err := n.ExecHook("ingress", make([]byte, xabi.CtxSize), nil)

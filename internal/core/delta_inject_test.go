@@ -37,8 +37,8 @@ func bigProg(name string, ret int32) *ext.Extension {
 // test on any per-node error.
 func injectOn(t *testing.T, cp *ControlPlane, target pipeline.Target, e *ext.Extension) *pipeline.Result {
 	t.Helper()
-	res, err := cp.Scheduler().Inject(pipeline.Request{
-		Ext: e, Hook: "ingress", Targets: []pipeline.Target{target}, Deadline: 10 * time.Second,
+	res, err := cp.sched.Inject(pipeline.Request{
+		Ext: e, Hook: "ingress", Targets: []pipeline.Target{target},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,14 +183,14 @@ func TestChaosKillMidDeltaNeverTearsLiveVersion(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, injErr = r.cp.Scheduler().Inject(pipeline.Request{
+		res, injErr = r.cp.sched.Inject(pipeline.Request{
 			Ext: bigProg("chaos-d3", 13), Hook: "ingress",
-			Targets: []pipeline.Target{flaky}, Deadline: 10 * time.Second,
+			Targets: []pipeline.Target{flaky},
 		})
 	}()
 	select {
 	case <-done:
-	case <-time.After(30 * time.Second):
+	case <-time.After(60 * time.Second):
 		t.Fatal("inject over a connection killed mid-delta hung")
 	}
 	if injErr != nil {
@@ -276,8 +276,8 @@ func TestChaosReconnQPRecoversMidDeltaKill(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		res, injErr = r.cp.Scheduler().Inject(pipeline.Request{
-			Ext: v3, Hook: "ingress", Targets: []pipeline.Target{cf}, Deadline: 20 * time.Second,
+		res, injErr = r.cp.sched.Inject(pipeline.Request{
+			Ext: v3, Hook: "ingress", Targets: []pipeline.Target{cf},
 		})
 	}()
 	select {
@@ -370,9 +370,9 @@ func TestConcurrentBroadcastLastWriterWins(t *testing.T) {
 		if !ok {
 			t.Fatalf("node %d missing from the deployed-version map", i)
 		}
-		wantVer, wantDig := repA.Versions[i], vA.Digest()
-		if repB.Versions[i] > wantVer {
-			wantVer, wantDig = repB.Versions[i], vB.Digest()
+		wantVer, wantDig := repA.Outcomes[i].Version, vA.Digest()
+		if repB.Outcomes[i].Version > wantVer {
+			wantVer, wantDig = repB.Outcomes[i].Version, vB.Digest()
 		}
 		if dv.Version != wantVer || dv.Digest != wantDig {
 			t.Errorf("node %d version map = (%d,%q), want last writer (%d,%q)",

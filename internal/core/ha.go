@@ -6,6 +6,7 @@ import (
 
 	"rdx/internal/artifact"
 	"rdx/internal/native"
+	"rdx/internal/pipeline"
 	"rdx/internal/rdma"
 	"rdx/internal/telemetry"
 )
@@ -122,12 +123,14 @@ func NewControlPlaneLabeled(arts *artifact.Cache, reg *telemetry.Registry, wireP
 	if wirePrefix == "" {
 		wirePrefix = "rdma.qp"
 	}
+	tracer := telemetry.NewTraceRecorder(0)
 	return &ControlPlane{
 		artifacts: arts,
 		versions:  map[verKey]DeployedVersion{},
 		Registry:  reg,
-		Tracer:    telemetry.NewTraceRecorder(0),
+		Tracer:    tracer,
 		wire:      rdma.NewWireMetrics(reg, wirePrefix),
+		sched:     pipeline.New(reg, tracer),
 	}
 }
 

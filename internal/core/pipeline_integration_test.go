@@ -2,17 +2,18 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
-	"rdx/internal/pipeline"
 	"rdx/internal/rdma"
 	"rdx/internal/xabi"
 )
 
-// TestInjectTracedEndToEnd is the observability acceptance path: one Inject
-// must leave a complete trace — every pipeline stage from queue to publish,
-// the wire verbs the job issued, and (when the target endpoint shares the
-// recorder) the service-side spans — all under the job's single trace ID.
+// TestInjectTracedEndToEnd is the observability acceptance path: one
+// broadcast must leave a complete trace — every pipeline stage from link to
+// publish, the wire verbs the job issued, and (when the target endpoint
+// shares the recorder) the service-side spans — all under the job's single
+// trace ID.
 func TestInjectTracedEndToEnd(t *testing.T) {
 	r := newRig(t, 2)
 	// Share the control plane's recorder with the served endpoints so the
@@ -22,34 +23,28 @@ func TestInjectTracedEndToEnd(t *testing.T) {
 		n.RNIC.SetInstruments(nil, r.cp.Tracer, nodeID(i))
 	}
 
-	targets := make([]pipeline.Target, len(r.cfs))
-	for i, cf := range r.cfs {
-		targets[i] = cf
-	}
-	res, err := r.cp.Scheduler().Inject(pipeline.Request{
-		Ext: constProg("traced", 7), Hook: "ingress", Targets: targets,
-	})
+	rep, err := Group(r.cfs).Broadcast(constProg("traced", 7), BroadcastOptions{Hook: "ingress"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == 0 {
+	if rep.Trace == 0 {
 		t.Fatal("job has no trace ID")
 	}
 
-	evs := r.cp.Tracer.Trace(res.Trace)
+	evs := r.cp.Tracer.Trace(rep.Trace)
 	byLayerName := map[string]int{}
 	for _, ev := range evs {
 		byLayerName[ev.Layer+"/"+ev.Name]++
 	}
-	// All four pipeline stages: queue once per job, link/write/publish once
-	// per node. Validation and JIT run inside the stage, in the artifact
-	// cache, and have no span of their own.
-	if byLayerName["pipeline/queue"] != 1 {
-		t.Errorf("pipeline stage \"queue\" spans = %d, want 1 (trace: %v)", byLayerName["pipeline/queue"], byLayerName)
+	// The pipeline stages: link/write/publish once per node, and no queue,
+	// since jobs wait in no queue. Validation and JIT run inside the stage,
+	// in the artifact cache, and have no span of their own.
+	if n := byLayerName["pipeline/queue"]; n != 0 {
+		t.Errorf("pipeline stage \"queue\" spans = %d, want 0 (trace: %v)", n, byLayerName)
 	}
 	for _, stage := range []string{"link", "write", "publish"} {
-		if byLayerName["pipeline/"+stage] != len(targets) {
-			t.Errorf("pipeline stage %q spans = %d, want %d", stage, byLayerName["pipeline/"+stage], len(targets))
+		if byLayerName["pipeline/"+stage] != len(r.cfs) {
+			t.Errorf("pipeline stage %q spans = %d, want %d", stage, byLayerName["pipeline/"+stage], len(r.cfs))
 		}
 	}
 	// Staging writes one OpBatch chain per node; publish CASes the dispatch
@@ -57,98 +52,123 @@ func TestInjectTracedEndToEnd(t *testing.T) {
 	// the initiator ("wire") and the served ("endpoint") side.
 	for _, layer := range []string{"wire", "endpoint"} {
 		for _, verb := range []string{"batch", "cas", "write_imm"} {
-			if byLayerName[layer+"/"+verb] < len(targets) {
+			if byLayerName[layer+"/"+verb] < len(r.cfs) {
 				t.Errorf("%s %s spans = %d, want >= %d (trace: %v)",
-					layer, verb, byLayerName[layer+"/"+verb], len(targets), byLayerName)
+					layer, verb, byLayerName[layer+"/"+verb], len(r.cfs), byLayerName)
 			}
 		}
 	}
 	// A second job gets a different trace ID and its spans don't bleed in.
-	res2, err := r.cp.Scheduler().Inject(pipeline.Request{
-		Ext: constProg("traced2", 8), Hook: "ingress", Targets: targets,
-	})
+	rep2, err := Group(r.cfs).Broadcast(constProg("traced2", 8), BroadcastOptions{Hook: "ingress"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Trace == res.Trace {
+	if rep2.Trace == rep.Trace {
 		t.Fatal("two jobs shared a trace ID")
 	}
 }
 
-// TestPipelineFleetRolloutPartialFailure is the acceptance scenario: a
-// non-atomic fleet rollout through the control plane's scheduler completes
-// on every healthy node and reports the dead node's failure precisely —
-// attempts exhausted, error classified, no wedged job.
-func TestPipelineFleetRolloutPartialFailure(t *testing.T) {
-	r := newRig(t, 8)
-	dead := 3
-	r.cfs[dead].Close() // endpoint down before the rollout begins
-
-	targets := make([]pipeline.Target, len(r.cfs))
-	for i, cf := range r.cfs {
-		targets[i] = cf
-	}
-	res, err := r.cp.Scheduler().Inject(pipeline.Request{
-		Ext: constProg("rollout", 42), Hook: "ingress", Targets: targets,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Published {
-		t.Fatal("partial-failure rollout withheld publish; want partial completion")
-	}
-
-	failed := res.Failed()
-	if len(failed) != 1 {
-		t.Fatalf("failed outcomes = %+v, want exactly the dead node", failed)
-	}
-	if failed[0].Node != r.cfs[dead].NodeKey() {
-		t.Errorf("failed node = %s, want %s", failed[0].Node, r.cfs[dead].NodeKey())
-	}
-	if !errors.Is(failed[0].Err, rdma.ErrClosed) {
-		t.Errorf("failure cause = %v, want %v", failed[0].Err, rdma.ErrClosed)
-	}
-	if failed[0].Attempts != 3 { // 1 try + Retries(2)
-		t.Errorf("attempts = %d, want 3", failed[0].Attempts)
-	}
-
+// wantGeneration fails t unless every node's ingress returns verdict.
+func wantGeneration(t *testing.T, r *rig, verdict uint64) {
+	t.Helper()
 	for i, n := range r.nodes {
-		if i == dead {
-			continue
+		exec, err := n.ExecHook("ingress", make([]byte, xabi.CtxSize), nil)
+		if err != nil || exec.Verdict != verdict {
+			t.Errorf("node %d: %+v err=%v, want verdict %d", i, exec, err, verdict)
 		}
-		exec, execErr := n.ExecHook("ingress", make([]byte, xabi.CtxSize), nil)
-		if execErr != nil || exec.Verdict != 42 {
-			t.Errorf("node %d after rollout: %+v err=%v", i, exec, execErr)
-		}
-		if res.Outcomes[i].Version == 0 {
-			t.Errorf("node %d outcome missing version", i)
-		}
-	}
-
-	st := r.cp.Scheduler().Stats()
-	if st.Jobs != 1 || st.NodesInjected != 7 || st.NodesFailed != 1 {
-		t.Errorf("stats = jobs %d injected %d failed %d, want 1/7/1", st.Jobs, st.NodesInjected, st.NodesFailed)
-	}
-	if st.Retries != 2 {
-		t.Errorf("retries = %d, want 2", st.Retries)
 	}
 }
 
+// TestPipelineFleetRolloutPartialFailure is the acceptance scenario: a
+// fleet rollout through the control plane's scheduler with one dead node
+// withholds every flip — the live nodes keep the old generation — and
+// reports the dead node's failure precisely: attempts exhausted, error
+// classified, no wedged job.
+func TestPipelineFleetRolloutPartialFailure(t *testing.T) {
+	r := newRig(t, 8)
+	if _, err := Group(r.cfs).Broadcast(constProg("old", 41), BroadcastOptions{Hook: "ingress"}); err != nil {
+		t.Fatal(err)
+	}
+	dead := 3
+	r.cfs[dead].Close() // endpoint down before the rollout begins
+
+	rep, err := Group(r.cfs).Broadcast(constProg("rollout", 42), BroadcastOptions{Hook: "ingress"})
+	if !errors.Is(err, rdma.ErrClosed) {
+		t.Fatalf("rollout with a dead node: %v, want %v", err, rdma.ErrClosed)
+	}
+	o := rep.Outcomes[dead]
+	if o.Node != r.cfs[dead].NodeKey() || !errors.Is(o.Err, rdma.ErrClosed) {
+		t.Errorf("dead node's outcome = %+v, want %s failing with %v", o, r.cfs[dead].NodeKey(), rdma.ErrClosed)
+	}
+	if o.Attempts != 3 { // 1 try + 2 retries
+		t.Errorf("attempts = %d, want 3", o.Attempts)
+	}
+	wantGeneration(t, r, 41)
+
+	reg := r.cp.Registry
+	if jobs, failed := reg.Counter("pipeline.jobs").Value(), reg.Counter("pipeline.jobs_failed").Value(); jobs != 2 || failed != 1 {
+		t.Errorf("pipeline.jobs = %d, jobs_failed = %d, want 2 and 1", jobs, failed)
+	}
+	if got := reg.Counter("pipeline.retries").Value(); got != 2 {
+		t.Errorf("pipeline.retries = %d, want 2", got)
+	}
+}
+
+// TestBroadcastReportCarriesOutcomes checks what a failed broadcast
+// reports: the error names the dead node, every node has an outcome and
+// only the dead one's carries the cause, the job's trace holds a link span
+// for every node that staged, and no node left the old generation.
+func TestBroadcastReportCarriesOutcomes(t *testing.T) {
+	r := newRig(t, 3)
+	if _, err := Group(r.cfs).Broadcast(constProg("old", 1), BroadcastOptions{Hook: "ingress"}); err != nil {
+		t.Fatal(err)
+	}
+	// The closed node is last, so the nodes before it have started staging
+	// when its stage fails, and none of them is skipped.
+	closed := r.cfs[2]
+	closed.Close()
+
+	rep, err := Group(r.cfs).Broadcast(constProg("new", 2), BroadcastOptions{Hook: "ingress"})
+	if err == nil || !strings.Contains(err.Error(), closed.NodeKey()) {
+		t.Fatalf("broadcast error = %v, want one naming %s", err, closed.NodeKey())
+	}
+	if len(rep.Outcomes) != 3 {
+		t.Fatalf("outcomes = %+v, want 3", rep.Outcomes)
+	}
+	for i, o := range rep.Outcomes {
+		if want := i == 2; (o.Err != nil) != want || (want && !errors.Is(o.Err, rdma.ErrClosed)) {
+			t.Errorf("outcome %d = %+v, want the cause on the closed node only", i, o)
+		}
+	}
+	linked := map[string]bool{}
+	for _, ev := range r.cp.Tracer.Trace(rep.Trace) {
+		if ev.Layer == "pipeline" && ev.Name == "link" {
+			linked[ev.Node] = true
+		}
+	}
+	for _, cf := range r.cfs[:2] {
+		if !linked[cf.NodeKey()] {
+			t.Errorf("no link span for staged node %s in trace %d", cf.NodeKey(), rep.Trace)
+		}
+	}
+	wantGeneration(t, r, 1)
+}
+
 // TestBroadcastFeedsSchedulerStats checks that the collective path is
-// really running on the scheduler and its spans land in the stats.
+// really running on the scheduler and its spans land in the registry.
 func TestBroadcastFeedsSchedulerStats(t *testing.T) {
 	r := newRig(t, 4)
 	if _, err := Group(r.cfs).Broadcast(constProg("bstat", 5), BroadcastOptions{Hook: "ingress"}); err != nil {
 		t.Fatal(err)
 	}
-	st := r.cp.Scheduler().Stats()
-	if st.Jobs != 1 || st.NodesInjected != 4 {
-		t.Errorf("stats = jobs %d injected %d, want 1/4", st.Jobs, st.NodesInjected)
+	snap := r.cp.Registry.Snapshot()
+	if jobs, nodes := snap.Counters["pipeline.jobs"], snap.Counters["pipeline.nodes_injected"]; jobs != 1 || nodes != 4 {
+		t.Errorf("pipeline.jobs = %d, nodes_injected = %d, want 1 and 4", jobs, nodes)
 	}
-	if st.Link.Count != 4 || st.Write.Count != 4 {
-		t.Errorf("link/write span counts = %d/%d, want 4/4", st.Link.Count, st.Write.Count)
+	if link, write := snap.Histograms["pipeline.span.link"].Count, snap.Histograms["pipeline.span.write"].Count; link != 4 || write != 4 {
+		t.Errorf("link/write span counts = %d/%d, want 4/4", link, write)
 	}
-	if st.Total.Max <= 0 {
+	if snap.Histograms["pipeline.span.total"].Max <= 0 {
 		t.Error("total span not recorded")
 	}
 }

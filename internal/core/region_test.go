@@ -356,9 +356,9 @@ func TestCarveRacesCommitOnlyDispatch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			res, err := r.cp.Scheduler().Inject(pipeline.Request{
+			res, err := r.cp.sched.Inject(pipeline.Request{
 				Ext: vs[i%len(vs)], Hook: "ingress",
-				Targets: []pipeline.Target{cf}, Deadline: 10 * time.Second,
+				Targets: []pipeline.Target{cf},
 			})
 			if err != nil {
 				t.Error(err)
@@ -430,8 +430,8 @@ func TestConcurrentStagesAcrossExhaustion(t *testing.T) {
 				vs = append(vs, fillerProg(fmt.Sprintf("%s-v%d", hook, v), 8000, int32(100*g+v+1)))
 			}
 			for i := 0; i < 40; i++ {
-				res, err := r.cp.Scheduler().Inject(pipeline.Request{
-					Ext: vs[i%3], Hook: hook, Targets: []pipeline.Target{cf}, Deadline: 10 * time.Second,
+				res, err := r.cp.sched.Inject(pipeline.Request{
+					Ext: vs[i%3], Hook: hook, Targets: []pipeline.Target{cf},
 				})
 				if err == nil {
 					err = res.FirstErr()
@@ -542,10 +542,12 @@ func TestSweepWaitsOutFreshAllocations(t *testing.T) {
 	}
 }
 
-// TestDeadlinePassedBeforePublishReleasesBlob runs scheduler jobs whose
-// deadline passes in BeforePublish, after the stage, until their stages
-// have written more than the code region holds: the scheduler aborts each
-// unpublished stage, so its blob is released and the region never fills.
+// TestDeadlinePassedBeforePublishReleasesBlob stages deploys whose job
+// deadline passes after the stage, until their stages have written more
+// than the code region holds. The scheduler either never calls Publish on
+// such a deploy or calls it under the expired context, then aborts it
+// (pipeline's TestAbortEveryUnpublishedStage pins that half). Both leave
+// no CAS posted, so Abort releases the blob and the region never fills.
 func TestDeadlinePassedBeforePublishReleasesBlob(t *testing.T) {
 	r := newRig(t, 1)
 	cf := r.cfs[0]
@@ -557,16 +559,19 @@ func TestDeadlinePassedBeforePublishReleasesBlob(t *testing.T) {
 	}
 	rounds := node.CodeSize/(len(bin.Code)+node.BlobHdrSize) + 2
 	for i := 0; i < rounds; i++ {
-		res, err := r.cp.Scheduler().Inject(pipeline.Request{
-			Ext: e, Hook: "ingress", Targets: []pipeline.Target{cf}, Deadline: 50 * time.Millisecond,
-			BeforePublish: func() error { time.Sleep(60 * time.Millisecond); return nil },
-		})
+		sd, err := cf.StageExtension(context.Background(), e, "ingress")
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("round %d of %d: %v", i, rounds, err)
 		}
-		if err := res.FirstErr(); err == nil || errors.Is(err, ErrCodeRegionFull) {
-			t.Fatalf("round %d of %d: %v, want a missed deadline", i, rounds, err)
+		if i%2 == 1 {
+			expired, cancel := context.WithDeadline(context.Background(), time.Now())
+			err := sd.Publish(expired)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("round %d: publish past the deadline = %v, want DeadlineExceeded", i, err)
+			}
 		}
+		sd.Abort()
 	}
 	if _, err := cf.InjectExtension(e, "ingress"); err != nil {
 		t.Fatal(err)

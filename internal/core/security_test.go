@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"rdx/internal/ext"
 	"rdx/internal/node"
@@ -53,8 +52,8 @@ func TestPolicyCoversSchedulerPath(t *testing.T) {
 		targets[i] = cf
 	}
 
-	res, err := r.cp.Scheduler().Inject(pipeline.Request{
-		Ext: constProg("sneak", 7), Hook: "egress", Targets: targets, Deadline: 10 * time.Second,
+	res, err := r.cp.sched.Inject(pipeline.Request{
+		Ext: constProg("sneak", 7), Hook: "egress", Targets: targets,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"rdx/internal/ext"
 	"rdx/internal/pipeline"
@@ -80,9 +79,9 @@ func TestResidentFastPathVsDeltaClaimRace(t *testing.T) {
 	go func() { // stager: keeps claiming ingress standbys for delta writes
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			res, err := r.cp.Scheduler().Inject(pipeline.Request{
+			res, err := r.cp.sched.Inject(pipeline.Request{
 				Ext: vs[i%len(vs)], Hook: "ingress",
-				Targets: []pipeline.Target{cf}, Deadline: 10 * time.Second,
+				Targets: []pipeline.Target{cf},
 			})
 			if err != nil {
 				t.Error(err)

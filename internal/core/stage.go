@@ -230,26 +230,6 @@ func (s *StagedDeploy) LinkDuration() time.Duration { return s.link }
 // WriteDuration implements pipeline.Staged.
 func (s *StagedDeploy) WriteDuration() time.Duration { return s.write }
 
-// Scheduler returns the control plane's injection scheduler, created on
-// first use. It does no validation or JIT of its own: every node's Stage
-// asks the artifact cache (compiled), which validates and compiles once
-// per (digest, architecture) and shares one flight among concurrent
-// stagers, so a fleet-wide job validates once and JITs once per distinct
-// architecture among the targets, regardless of fleet size.
-func (cp *ControlPlane) Scheduler() *pipeline.Scheduler {
-	cp.schedOnce.Do(func() {
-		cp.sched = pipeline.New(pipeline.Config{
-			Retries:  2,
-			Registry: cp.Registry,
-			Tracer:   cp.Tracer,
-			// Transient is pipeline.DefaultTransient: transport failures and
-			// lost atomic completions retry, since staging is re-driveable
-			// end to end; ErrFenced and ErrCodeRegionFull do not.
-		})
-	})
-	return cp.sched
-}
-
 var (
 	_ pipeline.Target = (*CodeFlow)(nil)
 	_ pipeline.Staged = (*StagedDeploy)(nil)

@@ -395,7 +395,11 @@ func (o *Orchestrator) executeStep(plan *Plan, step Step) (sr StepResult) {
 			rep, err := core.Group(cfs).Broadcast(e, core.BroadcastOptions{
 				Hook: step.Hook, BBU: step.BBU,
 			})
-			sr.Versions = rep.Versions
+			if err == nil {
+				for _, o := range rep.Outcomes {
+					sr.Versions = append(sr.Versions, o.Version)
+				}
+			}
 			sr.Err = err
 			return sr
 		}

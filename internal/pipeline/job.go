@@ -31,10 +31,10 @@ type Staged interface {
 	Publish(ctx context.Context) error
 	// Abort gives up a deployment that will not be published, so the
 	// target may reuse what staging reserved. The scheduler calls it once
-	// for every staged node it does not publish: an atomic abort, a failed
-	// BeforePublish, a job aborted before that node's turn, or a Publish
-	// that failed or never ran before the deadline. It never follows a
-	// successful Publish.
+	// for every staged node it does not publish: another node's failed
+	// stage, a failed BeforePublish, a job aborted before that node's turn,
+	// or a Publish that failed or never ran before the deadline. It never
+	// follows a successful Publish.
 	Abort()
 	// Version is the node-local version the publish will install.
 	Version() uint64
@@ -43,20 +43,12 @@ type Staged interface {
 	WriteDuration() time.Duration
 }
 
-// Request is one injection job: deploy Ext to Hook on every target.
+// Request is one injection job: deploy Ext to Hook on every target, all
+// or none.
 type Request struct {
 	Ext     *ext.Extension
 	Hook    string
 	Targets []Target
-
-	// Deadline bounds the whole job including queueing and retries;
-	// zero uses Config.Deadline.
-	Deadline time.Duration
-
-	// Atomic withholds every publish if any node failed to stage, giving
-	// broadcast transactionality (all nodes flip or none do). The default
-	// is partial completion: healthy nodes publish, dead nodes report.
-	Atomic bool
 
 	// BeforePublish, if set, runs after all staging completes and before
 	// the first publish — the BBU gate-raise + drain barrier slots here.
@@ -69,10 +61,12 @@ type Request struct {
 
 // Outcome reports one node's fate in a job.
 type Outcome struct {
-	Node     string
-	Version  uint64
-	Attempts int           // staging attempts (1 = no retry needed)
-	Latency  time.Duration // stage + publish for this node, excluding queueing
+	Node    string
+	Version uint64
+	// Attempts counts the stage attempts plus the publish retries
+	// (1 = neither needed a retry).
+	Attempts int
+	Latency  time.Duration // stage + publish for this node
 	Err      error         // nil on success
 }
 
@@ -85,29 +79,9 @@ type Result struct {
 	// tracer), so the whole injection can be dumped end to end.
 	Trace telemetry.TraceID
 	// Published reports whether at least one node's publish succeeded;
-	// false means an atomic job aborted, BeforePublish failed, or every
-	// per-node publish errored — in all of those no node serves the new
-	// version.
+	// false means a stage or BeforePublish failed, or every per-node
+	// publish errored — in all of those no node serves the new version.
 	Published bool
-
-	// Per-stage wall-clock spans for this job. Validation and JIT have no
-	// span of their own: a target runs them inside Stage on an artifact
-	// cache miss, so they land in StageAll.
-	Queue    time.Duration // submit → admission by the work queue
-	StageAll time.Duration // parallel stage fan-out, slowest node
-	Publish  time.Duration // barrier + parallel commit fan-out
-	Total    time.Duration
-}
-
-// Failed returns the outcomes that carry errors.
-func (r *Result) Failed() []Outcome {
-	var out []Outcome
-	for _, o := range r.Outcomes {
-		if o.Err != nil {
-			out = append(out, o)
-		}
-	}
-	return out
 }
 
 // FirstErr returns the first per-node error, or nil if every node made it.

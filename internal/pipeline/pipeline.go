@@ -1,27 +1,28 @@
 // Package pipeline turns RDX injection from a blocking RPC-style loop into
-// an asynchronous, batched, observable operation — the control-plane
-// counterpart of the wire layer's OpBatch coalescing.
+// a batched, observable operation — the control-plane counterpart of the
+// wire layer's OpBatch coalescing.
 //
 // The paper's claim is that one-sided injection makes extension deployment
 // a data-plane-speed operation; what the claim needs at fleet scale is a
-// scheduler, not a sequential loop. Scheduler accepts injection jobs on a
-// bounded work queue, then carries every target node from stage to publish
-// on one worker set owned by the job:
-// min(len(Targets), FanOut) goroutines, the job's own among them, pull node
-// indices and stage them, meet at one publish barrier where the job decides
-// (Atomic, BeforePublish), then pull indices again and publish. Per-node
-// writes are coalesced by the targets into OpBatch chains ending in a
-// single doorbell WriteImm, so a fleet-wide rollout costs one latency-model
-// charge per node instead of one per segment. Validation and JIT are the
-// targets' business: core's Stage looks the artifact up in the control
-// plane's content-addressed cache, so a fleet job validates and compiles
-// once per digest however many nodes it spans.
+// scheduler, not a sequential loop. A Scheduler job carries every target
+// node from stage to publish on one worker set owned by the job:
+// min(len(Targets), fan-out) goroutines, the job's own among them, pull
+// node indices and stage them, meet at one publish barrier where the job
+// decides (every node staged, BeforePublish), then pull indices again and
+// publish. Every job is all-or-none, like the paper's rdx_broadcast: a
+// node that fails to stage withholds every publish. Per-node writes are
+// coalesced by the targets into OpBatch chains ending in a single doorbell
+// WriteImm, so a fleet-wide rollout costs one latency-model charge per
+// node instead of one per segment. Validation and JIT are the targets'
+// business: core's Stage looks the artifact up in the control plane's
+// content-addressed cache, so a fleet job validates and compiles once per
+// digest however many nodes it spans.
 //
-// Robustness: every job carries a deadline, transient fabric errors retry
-// with exponential backoff, and failures are reported per node — a dead
-// node yields a failed Outcome, never a wedged rollout. Observability:
-// every stage (queue → link → write → publish) records
-// into telemetry histograms surfaced by Stats.
+// Robustness: every job runs under a deadline, transient fabric errors
+// retry with exponential backoff, and failures are reported per node — a
+// dead node yields a failed Outcome, never a wedged rollout.
+// Observability: every stage (link → write → publish) records into
+// "pipeline.*" histograms of the registry the scheduler is built with.
 package pipeline
 
 import (
@@ -35,96 +36,54 @@ import (
 	"rdx/internal/telemetry"
 )
 
-// Config shapes a Scheduler. The zero value is usable: defaults are filled
-// by New.
-type Config struct {
-	// Workers bounds concurrently executing jobs (the work-queue width).
-	Workers int
-	// FanOut bounds concurrent per-node operations (Stage or Publish calls)
-	// across all jobs: each takes one token of a shared semaphore. It also
-	// sizes each job's worker set, min(len(Targets), FanOut) goroutines
-	// that stage every node, wait at the publish barrier, then publish.
-	FanOut int
-	// Retries is how many times a transient per-node failure is retried
+const (
+	// jobDeadline bounds a whole job, its retries and backoff sleeps
+	// included.
+	jobDeadline = 30 * time.Second
+	// maxRetries is how many times a transient per-node failure is retried
 	// beyond the first attempt.
-	Retries int
-	// Backoff is the initial retry delay, doubled per attempt up to
-	// MaxBackoff.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Deadline bounds a job when the request does not carry its own.
-	Deadline time.Duration
+	maxRetries = 2
+	// firstBackoff is the first retry delay, doubled per attempt up to
+	// maxBackoff.
+	firstBackoff = 200 * time.Microsecond
+	maxBackoff   = 10 * time.Millisecond
+)
 
-	// Transient classifies retryable errors; nil uses DefaultTransient.
-	Transient func(error) bool
-
-	// Registry supplies the scheduler's named instruments ("pipeline.*").
-	// Sharing one registry with the wire layer gives a single /metrics
-	// export covering both; nil creates a private registry (Stats still
-	// works, nothing is exported).
-	Registry *telemetry.Registry
-
-	// Tracer, if set, receives one "pipeline"-layer span per stage of every
-	// job, recorded under the job's trace ID (Result.Trace). The same ID
-	// rides the job's context into targets and down to the wire.
-	Tracer *telemetry.TraceRecorder
-}
-
-func (c *Config) fillDefaults() {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.FanOut <= 0 {
-		c.FanOut = 4 * runtime.NumCPU()
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 200 * time.Microsecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 10 * time.Millisecond
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 30 * time.Second
-	}
-	if c.Transient == nil {
-		c.Transient = DefaultTransient
-	}
-	if c.Registry == nil {
-		c.Registry = telemetry.NewRegistry()
-	}
-}
-
-// Scheduler is the asynchronous batched injection pipeline. All methods
-// are safe for concurrent use; the scheduler owns no long-lived goroutines,
-// so it needs no Close — admission control is the work queue.
+// Scheduler is the batched injection pipeline. All methods are safe for
+// concurrent use; the scheduler owns no long-lived goroutines, so it needs
+// no Close.
 type Scheduler struct {
-	cfg     Config
-	jobSem  chan struct{} // work-queue admission
-	nodeSem chan struct{} // global per-node fan-out bound
+	// nodeSem bounds concurrent per-node operations (Stage or Publish
+	// calls) across all jobs: each takes one token. Its capacity, the
+	// fan-out, also sizes each job's worker set.
+	nodeSem chan struct{}
 
 	m  metrics
 	tr *telemetry.TraceRecorder // nil when tracing is off
+
+	// New sets these from the package constants; this package's tests
+	// shrink them.
+	retries  int
+	deadline time.Duration
 }
 
-// New builds a scheduler from cfg (zero-value fields get defaults).
-func New(cfg Config) *Scheduler {
-	cfg.fillDefaults()
+// New builds a scheduler whose instruments ("pipeline.*") live in reg and
+// whose per-stage spans go to tracer (nil turns tracing off). The fan-out
+// is 4 × NumCPU.
+func New(reg *telemetry.Registry, tracer *telemetry.TraceRecorder) *Scheduler {
 	return &Scheduler{
-		cfg:     cfg,
-		jobSem:  make(chan struct{}, cfg.Workers),
-		nodeSem: make(chan struct{}, cfg.FanOut),
-		m:       newMetrics(cfg.Registry),
-		tr:      cfg.Tracer,
+		nodeSem:  make(chan struct{}, 4*runtime.NumCPU()),
+		m:        newMetrics(reg),
+		tr:       tracer,
+		retries:  maxRetries,
+		deadline: jobDeadline,
 	}
 }
 
-// Inject runs one job synchronously: admission, then the job's worker set
-// stages every node, waits at the publish barrier and commits. The error
-// covers job-level failures (bad request, queue deadline); per-node
-// failures, a rejected program among them, live in Result.Outcomes.
+// Inject runs one job synchronously: the job's worker set stages every
+// node, waits at the publish barrier and commits. The error covers a bad
+// request only; per-node failures, a rejected program among them, live in
+// Result.Outcomes.
 func (s *Scheduler) Inject(req Request) (*Result, error) {
 	if req.Ext == nil {
 		return nil, fmt.Errorf("pipeline: nil extension")
@@ -135,11 +94,7 @@ func (s *Scheduler) Inject(req Request) (*Result, error) {
 	if len(req.Targets) == 0 {
 		return nil, fmt.Errorf("pipeline: no targets")
 	}
-	deadline := req.Deadline
-	if deadline <= 0 {
-		deadline = s.cfg.Deadline
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	ctx, cancel := context.WithTimeout(context.Background(), s.deadline)
 	defer cancel()
 
 	// One trace ID per job: it labels the pipeline-stage spans recorded
@@ -149,27 +104,12 @@ func (s *Scheduler) Inject(req Request) (*Result, error) {
 	ctx = telemetry.WithTraceID(ctx, trace)
 
 	start := time.Now()
-	res := &Result{Trace: trace}
-
-	// Queue: wait for a job slot.
-	select {
-	case s.jobSem <- struct{}{}:
-	case <-ctx.Done():
-		s.m.rejected.Inc()
-		return nil, fmt.Errorf("pipeline: job queue admission: %w", ctx.Err())
-	}
-	defer func() { <-s.jobSem }()
-	res.Queue = time.Since(start)
-	s.m.spanQueue.RecordDuration(res.Queue)
-	s.tr.Span(trace, "pipeline", "queue", "", start, 0, nil)
 	s.m.jobs.Inc()
-
-	res.Outcomes = make([]Outcome, len(req.Targets))
+	res := &Result{Trace: trace, Outcomes: make([]Outcome, len(req.Targets))}
 	j := &job{s: s, ctx: ctx, req: req, res: res, staged: make([]Staged, len(req.Targets))}
 	j.run()
 
-	res.Total = time.Since(start)
-	s.m.spanTotal.RecordDuration(res.Total)
+	s.m.spanTotal.RecordDuration(time.Since(start))
 	for i := range res.Outcomes {
 		if res.Outcomes[i].Err != nil {
 			s.m.nodesFailed.Inc()
@@ -183,14 +123,14 @@ func (s *Scheduler) Inject(req Request) (*Result, error) {
 	return res, nil
 }
 
-// job is one admitted job's per-node work. A worker set of
-// min(len(Targets), FanOut) goroutines carries every node from stage to
+// job is one job's per-node work. A worker set of
+// min(len(Targets), fan-out) goroutines carries every node from stage to
 // publish: the job's own goroutine is worker 0 and spawns the rest. Workers
 // pull node indices off the stage counter until it runs dry, then wait at
-// one barrier, where worker 0 alone makes the Atomic / BeforePublish
-// decision; if it says publish, the same workers pull indices off the
-// publish counter. Every item takes a nodeSem token, so FanOut bounds
-// per-node operations across all jobs. No worker outlives run.
+// one barrier, where worker 0 alone decides whether to publish; if it does,
+// the same workers pull indices off the publish counter. Every item takes
+// a nodeSem token, so the fan-out bounds per-node operations across all
+// jobs. No worker outlives run.
 type job struct {
 	s      *Scheduler
 	ctx    context.Context
@@ -205,18 +145,17 @@ type job struct {
 	publish                bool           // the decision, written before release closes
 
 	pubOK atomic.Int64
-	// For atomic jobs, the first stage that still fails after its retries
-	// aborts the stages that haven't started: decide withholds every
-	// publish once any stage has failed, so a later stage would only write
-	// garbage (and re-run the verifier on a rejected program, node after
-	// node). Likewise the first permanently failed publish (a fenced
+	// Every job is all-or-none, so the first stage that still fails after
+	// its retries aborts the stages that haven't started: decide withholds
+	// every publish once any stage has failed, so a later stage would only
+	// write garbage (and re-run the verifier on a rejected program, node
+	// after node). Likewise the first permanently failed publish (a fenced
 	// controller, a deterministic remote fault — anything retries can't
-	// fix) aborts the publishes that haven't started: a half-published
-	// atomic rollout is exactly what Atomic exists to avoid, and a deposed
-	// leader discovering the fence on node 1 should not keep hammering
-	// nodes 2..N with CASes that will each be refused. The aborted
-	// outcomes wrap the triggering error so callers can errors.Is the real
-	// cause (e.g. core.ErrFenced) on any outcome.
+	// fix) aborts the publishes that haven't started: a deposed leader
+	// discovering the fence on node 1 should not keep hammering nodes 2..N
+	// with CASes that will each be refused. The aborted outcomes wrap the
+	// triggering error so callers can errors.Is the real cause (e.g.
+	// core.ErrFenced) on any outcome.
 	abort atomic.Pointer[error]
 }
 
@@ -226,7 +165,7 @@ type job struct {
 func (j *job) run() {
 	s, req, res := j.s, j.req, j.res
 	stageStart := time.Now()
-	spawn := min(len(req.Targets), s.cfg.FanOut) - 1
+	spawn := min(len(req.Targets), cap(s.nodeSem)) - 1
 	j.release = make(chan struct{})
 	j.staging.Add(spawn)
 	j.done.Add(spawn)
@@ -235,11 +174,9 @@ func (j *job) run() {
 	}
 	j.stageItems()
 	j.staging.Wait()
-	res.StageAll = time.Since(stageStart)
-	s.m.spanStage.RecordDuration(res.StageAll)
+	s.m.spanStage.RecordDuration(time.Since(stageStart))
 
-	publishStart := time.Now()
-	j.publish = j.decide(publishStart)
+	j.publish = j.decide()
 	close(j.release)
 	if j.publish {
 		j.publishItems()
@@ -257,7 +194,6 @@ func (j *job) run() {
 			req.AfterPublish()
 		}
 	}
-	res.Publish = time.Since(publishStart)
 }
 
 // worker is every worker but worker 0.
@@ -272,25 +208,22 @@ func (j *job) worker() {
 }
 
 // decide is the publish barrier, run by worker 0 once every node has
-// staged or failed: an atomic job with a failed stage withholds every
-// publish, and a failing BeforePublish withholds them all with its error on
-// every staged node's outcome. Either way run aborts every staged node.
-func (j *job) decide(publishStart time.Time) bool {
-	if j.req.Atomic {
-		for i := range j.res.Outcomes {
-			if j.res.Outcomes[i].Err != nil {
-				return false
-			}
-		}
+// staged or failed: a failed stage withholds every publish, and so does a
+// failing BeforePublish, with its error on every staged node's outcome.
+// Either way run aborts every staged node.
+func (j *job) decide() bool {
+	if j.abort.Load() != nil {
+		return false
 	}
 	if j.req.BeforePublish != nil {
+		start := time.Now()
 		if err := j.req.BeforePublish(); err != nil {
 			for i := range j.res.Outcomes {
 				if j.res.Outcomes[i].Err == nil {
 					j.res.Outcomes[i].Err = fmt.Errorf("pipeline: publish barrier: %w", err)
 				}
 			}
-			j.s.m.spanPublish.RecordDuration(time.Since(publishStart))
+			j.s.m.spanPublish.RecordDuration(time.Since(start))
 			return false
 		}
 	}
@@ -298,8 +231,8 @@ func (j *job) decide(publishStart time.Time) bool {
 }
 
 // stageItems stages nodes until the stage counter runs dry, each under one
-// nodeSem token; once an atomic job has aborted, the nodes left get the
-// cause instead.
+// nodeSem token; once a stage has failed, the nodes left get the cause
+// instead.
 func (j *job) stageItems() {
 	for {
 		i := int(j.nextStage.Add(1) - 1)
@@ -309,7 +242,7 @@ func (j *job) stageItems() {
 		if cause := j.abort.Load(); cause != nil {
 			o := &j.res.Outcomes[i]
 			o.Node = j.req.Targets[i].NodeKey()
-			o.Err = fmt.Errorf("pipeline: stage on %s skipped, atomic job already failed: %w", o.Node, *cause)
+			o.Err = fmt.Errorf("pipeline: stage on %s skipped, job already failed: %w", o.Node, *cause)
 			continue
 		}
 		j.s.nodeSem <- struct{}{}
@@ -319,15 +252,12 @@ func (j *job) stageItems() {
 }
 
 // publishItems publishes staged nodes until the publish counter runs dry,
-// each under one nodeSem token; nodes that failed to stage are skipped.
+// each under one nodeSem token.
 func (j *job) publishItems() {
 	for {
 		i := int(j.nextPublish.Add(1) - 1)
 		if i >= len(j.staged) {
 			return
-		}
-		if j.staged[i] == nil {
-			continue
 		}
 		j.s.nodeSem <- struct{}{}
 		j.publishOne(i)
@@ -335,8 +265,8 @@ func (j *job) publishItems() {
 	}
 }
 
-// stageOne links and writes node i, with retries; in an atomic job a
-// failure aborts the stages that haven't started.
+// stageOne links and writes node i, with retries; a failure aborts the
+// stages that haven't started.
 func (j *job) stageOne(i int) {
 	s, tgt := j.s, j.req.Targets[i]
 	nodeStart := time.Now()
@@ -361,24 +291,24 @@ func (j *job) stageOne(i int) {
 			s.tr.Record(telemetry.TraceEvent{Trace: j.res.Trace, Layer: "pipeline", Name: "write",
 				Node: o.Node, Start: nodeStart.Add(st.LinkDuration()), Dur: st.WriteDuration()})
 		}
-	} else if j.req.Atomic {
+	} else {
 		err := o.Err
 		j.abort.CompareAndSwap(nil, &err)
 	}
 	o.Latency = time.Since(nodeStart)
 }
 
-// publishOne commits node i, with retries, unless an atomic job has
-// already aborted. Node i's staged deployment is aborted unless it was
-// published: on that abort, when its retries run out, or when the
-// deadline passed before its turn.
+// publishOne commits node i, with retries, unless the job has already
+// aborted. Node i's staged deployment is aborted unless it was published:
+// on that abort, when its retries run out, or when the deadline passed
+// before its turn.
 func (j *job) publishOne(i int) {
 	s := j.s
 	pubStart := time.Now()
 	o := &j.res.Outcomes[i]
 	if cause := j.abort.Load(); cause != nil {
 		j.staged[i].Abort()
-		o.Err = fmt.Errorf("pipeline: publish on %s aborted, atomic job already failed permanently: %w", o.Node, *cause)
+		o.Err = fmt.Errorf("pipeline: publish on %s aborted, job already failed permanently: %w", o.Node, *cause)
 		o.Latency += time.Since(pubStart)
 		return
 	}
@@ -387,7 +317,7 @@ func (j *job) publishOne(i int) {
 	if err != nil {
 		j.staged[i].Abort()
 		o.Err = err
-		if j.req.Atomic && !s.cfg.Transient(err) {
+		if !DefaultTransient(err) {
 			j.abort.CompareAndSwap(nil, &err)
 		}
 	} else {
@@ -398,5 +328,35 @@ func (j *job) publishOne(i int) {
 	s.tr.Span(j.res.Trace, "pipeline", "publish", o.Node, pubStart, 0, err)
 }
 
-// Stats returns a snapshot of the scheduler's counters and per-stage spans.
-func (s *Scheduler) Stats() Stats { return s.m.snapshot() }
+// metrics is the scheduler's live instrumentation: counters for volume and
+// one histogram per pipeline stage, drawn by name from a
+// telemetry.Registry ("pipeline.*"), so a process-wide registry exports the
+// scheduler's activity alongside the wire layer's with no extra wiring.
+type metrics struct {
+	jobs          *telemetry.Counter
+	jobsFailed    *telemetry.Counter
+	nodesInjected *telemetry.Counter
+	nodesFailed   *telemetry.Counter
+	retries       *telemetry.Counter
+
+	spanLink    *telemetry.Histogram
+	spanWrite   *telemetry.Histogram
+	spanStage   *telemetry.Histogram // whole stage fan-out, slowest node
+	spanPublish *telemetry.Histogram
+	spanTotal   *telemetry.Histogram
+}
+
+func newMetrics(reg *telemetry.Registry) metrics {
+	return metrics{
+		jobs:          reg.Counter("pipeline.jobs"),
+		jobsFailed:    reg.Counter("pipeline.jobs_failed"),
+		nodesInjected: reg.Counter("pipeline.nodes_injected"),
+		nodesFailed:   reg.Counter("pipeline.nodes_failed"),
+		retries:       reg.Counter("pipeline.retries"),
+		spanLink:      reg.Histogram("pipeline.span.link"),
+		spanWrite:     reg.Histogram("pipeline.span.write"),
+		spanStage:     reg.Histogram("pipeline.span.stage_fanout"),
+		spanPublish:   reg.Histogram("pipeline.span.publish"),
+		spanTotal:     reg.Histogram("pipeline.span.total"),
+	}
+}

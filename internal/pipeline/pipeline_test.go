@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +13,31 @@ import (
 	"rdx/internal/ebpf"
 	"rdx/internal/ext"
 	"rdx/internal/rdma"
+	"rdx/internal/telemetry"
 )
+
+// newScheduler builds a scheduler on a private registry, returned with it.
+func newScheduler() (*Scheduler, *telemetry.Registry) {
+	reg := telemetry.NewRegistry()
+	return New(reg, nil), reg
+}
+
+// withFanOut shrinks s's fan-out to n.
+func withFanOut(s *Scheduler, n int) *Scheduler {
+	s.nodeSem = make(chan struct{}, n)
+	return s
+}
+
+// failed returns the outcomes that carry errors.
+func failed(res *Result) []Outcome {
+	var out []Outcome
+	for _, o := range res.Outcomes {
+		if o.Err != nil {
+			out = append(out, o)
+		}
+	}
+	return out
+}
 
 // constExt builds a tiny distinct extension per verdict value.
 func constExt(v int32) *ext.Extension {
@@ -95,7 +118,7 @@ func TestInjectFleetHappyPath(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		fakes = append(fakes, &fakeTarget{key: fmt.Sprintf("n%d", i)})
 	}
-	s := New(Config{})
+	s, reg := newScheduler()
 	res, err := s.Inject(Request{Ext: constExt(1), Hook: "h", Targets: targetsOf(fakes...)})
 	if err != nil {
 		t.Fatal(err)
@@ -111,23 +134,21 @@ func TestInjectFleetHappyPath(t *testing.T) {
 			t.Errorf("outcome %d = %+v", i, res.Outcomes[i])
 		}
 	}
-	st := s.Stats()
-	if st.Jobs != 1 || st.NodesInjected != 8 || st.NodesFailed != 0 {
-		t.Errorf("stats = %+v", st)
+	snap := reg.Snapshot()
+	if c := snap.Counters; c["pipeline.jobs"] != 1 || c["pipeline.nodes_injected"] != 8 || c["pipeline.nodes_failed"] != 0 {
+		t.Errorf("counters = %v", c)
 	}
-	if st.Link.Count != 8 || st.Write.Count != 8 || st.Publish.Count != 8 || st.Total.Count != 1 {
-		t.Errorf("span counts = link %d write %d publish %d total %d",
-			st.Link.Count, st.Write.Count, st.Publish.Count, st.Total.Count)
-	}
-	if !strings.Contains(st.String(), "stage-fanout") {
-		t.Errorf("stats table missing stages:\n%s", st)
+	for name, want := range map[string]uint64{"link": 8, "write": 8, "publish": 8, "stage_fanout": 1, "total": 1} {
+		if got := snap.Histograms["pipeline.span."+name].Count; got != want {
+			t.Errorf("span %q count = %d, want %d", name, got, want)
+		}
 	}
 }
 
 // TestInjectPartialFailure is the fleet-rollout guarantee: one dead node
-// (its QP fails every verb) must not wedge the rollout — the other seven
-// publish, and the report pins the failure to the dead node with its
-// retry count.
+// (its QP fails every verb) must not wedge the rollout, and it withholds
+// every publish — the other seven keep the old generation — while the
+// report pins the failure to the dead node with its retry count.
 func TestInjectPartialFailure(t *testing.T) {
 	var fakes []*fakeTarget
 	for i := 0; i < 8; i++ {
@@ -137,49 +158,49 @@ func TestInjectPartialFailure(t *testing.T) {
 		}
 		fakes = append(fakes, f)
 	}
-	s := New(Config{Retries: 2, Backoff: time.Microsecond})
+	s, reg := newScheduler()
 	res, err := s.Inject(Request{Ext: constExt(2), Hook: "h", Targets: targetsOf(fakes...)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Published {
-		t.Fatal("partial failure withheld all publishes")
+	if res.Published {
+		t.Fatal("a dead node did not withhold the publishes")
 	}
-	failed := res.Failed()
-	if len(failed) != 1 || failed[0].Node != "n3" {
-		t.Fatalf("failed = %+v, want exactly n3", failed)
+	dead := res.Outcomes[3]
+	if !errors.Is(dead.Err, rdma.ErrClosed) {
+		t.Errorf("dead node's cause = %v", dead.Err)
 	}
-	if !errors.Is(failed[0].Err, rdma.ErrClosed) {
-		t.Errorf("failure cause = %v", failed[0].Err)
-	}
-	if failed[0].Attempts != 3 { // initial + 2 retries
-		t.Errorf("attempts = %d, want 3", failed[0].Attempts)
+	if dead.Attempts != 3 { // initial + 2 retries
+		t.Errorf("attempts = %d, want 3", dead.Attempts)
 	}
 	for i, f := range fakes {
-		want := 1
-		if i == 3 {
-			want = 0
+		if f.published != 0 {
+			t.Errorf("node %d published %d times, want 0", i, f.published)
 		}
-		if f.published != want {
-			t.Errorf("node %d published %d times, want %d", i, f.published, want)
+		// A live node either staged, and then its stage was aborted, or
+		// was skipped with the dead node's cause.
+		if i != 3 && f.aborted != f.attempts {
+			t.Errorf("node %d staged %d times and aborted %d", i, f.attempts, f.aborted)
+		}
+		if o := res.Outcomes[i]; i != 3 && o.Err != nil && !errors.Is(o.Err, rdma.ErrClosed) {
+			t.Errorf("node %d outcome = %v, want nil or the dead node's cause", i, o.Err)
 		}
 	}
-	st := s.Stats()
-	if st.NodesInjected != 7 || st.NodesFailed != 1 || st.Retries != 2 {
-		t.Errorf("stats = injected %d failed %d retries %d", st.NodesInjected, st.NodesFailed, st.Retries)
+	if got := reg.Counter("pipeline.retries").Value(); got != 2 {
+		t.Errorf("pipeline.retries = %d, want 2", got)
 	}
 }
 
 func TestInjectAtomicAbort(t *testing.T) {
 	good := &fakeTarget{key: "good"}
-	dead := &fakeTarget{key: "dead", stageErrs: []error{rdma.ErrClosed}}
-	s := New(Config{}) // no retries
-	res, err := s.Inject(Request{Ext: constExt(3), Hook: "h", Targets: targetsOf(good, dead), Atomic: true})
+	dead := &fakeTarget{key: "dead", stageErrs: []error{rdma.ErrClosed, rdma.ErrClosed, rdma.ErrClosed}} // fails past its retries
+	s, _ := newScheduler()
+	res, err := s.Inject(Request{Ext: constExt(3), Hook: "h", Targets: targetsOf(good, dead)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Published {
-		t.Error("atomic job published despite a stage failure")
+		t.Error("job published despite a stage failure")
 	}
 	if good.published != 0 {
 		t.Error("atomic abort still published on the healthy node")
@@ -189,10 +210,10 @@ func TestInjectAtomicAbort(t *testing.T) {
 	}
 }
 
-// TestInjectAtomicStopsStaging pins the stage abort: once a stage of an
-// atomic job has failed for good no publish can happen, so the nodes not
-// yet staged are skipped with the cause on their outcome instead of being
-// written garbage.
+// TestInjectAtomicStopsStaging pins the stage abort: once a stage of a job
+// has failed for good no publish can happen, so the nodes not yet staged
+// are skipped with the cause on their outcome instead of being written
+// garbage.
 func TestInjectAtomicStopsStaging(t *testing.T) {
 	cause := errors.New("verifier: program rejected")
 	var fakes []*fakeTarget
@@ -200,13 +221,13 @@ func TestInjectAtomicStopsStaging(t *testing.T) {
 		fakes = append(fakes, &fakeTarget{key: fmt.Sprintf("n%d", i)})
 	}
 	fakes[0].stageErrs = []error{cause}
-	s := New(Config{FanOut: 1})
-	res, err := s.Inject(Request{Ext: constExt(15), Hook: "h", Targets: targetsOf(fakes...), Atomic: true})
+	s, _ := newScheduler()
+	res, err := withFanOut(s, 1).Inject(Request{Ext: constExt(15), Hook: "h", Targets: targetsOf(fakes...)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Published {
-		t.Error("atomic job published despite a stage failure")
+		t.Error("job published despite a stage failure")
 	}
 	calls := 0
 	for _, f := range fakes {
@@ -226,12 +247,13 @@ func TestInjectAtomicStopsStaging(t *testing.T) {
 }
 
 // TestAbortEveryUnpublishedStage pins Staged.Abort's contract: the
-// scheduler aborts, once, every staged node it does not publish — on an
-// atomic abort, a failed BeforePublish, a job aborted before that node's
-// publish turn, a failed Publish, and a deadline that passes before the
-// publish turn — and never a node it published.
+// scheduler aborts, once, every staged node it does not publish — on
+// another node's failed stage, a failed BeforePublish, a job aborted before
+// that node's publish turn, a failed Publish, and a deadline that passes
+// before the publish turn — and never a node it published.
 func TestAbortEveryUnpublishedStage(t *testing.T) {
-	s := New(Config{FanOut: 1})
+	s, _ := newScheduler()
+	withFanOut(s, 1)
 	run := func(name string, req Request, fakes []*fakeTarget, wantAborted []int) {
 		t.Helper()
 		req.Ext, req.Hook, req.Targets = constExt(30), "h", targetsOf(fakes...)
@@ -247,24 +269,25 @@ func TestAbortEveryUnpublishedStage(t *testing.T) {
 			}
 		}
 	}
-	run("atomic stage failure",
-		Request{Atomic: true},
+	run("stage failure",
+		Request{},
 		[]*fakeTarget{{key: "n0"}, {key: "n1", stageErrs: []error{errors.New("rejected")}}},
 		[]int{1, 0})
 	run("failed barrier",
 		Request{BeforePublish: func() error { return errors.New("gate stuck") }},
 		[]*fakeTarget{{key: "n0"}, {key: "n1"}},
 		[]int{1, 1})
-	run("atomic publish failure",
-		Request{Atomic: true},
+	run("first publish failure",
+		Request{},
 		[]*fakeTarget{{key: "n0", publishErr: errors.New("fenced")}, {key: "n1"}, {key: "n2"}},
 		[]int{1, 1, 1})
-	run("publish failure",
+	run("last publish failure",
 		Request{},
 		[]*fakeTarget{{key: "n0"}, {key: "n1", publishErr: errors.New("lost")}},
 		[]int{0, 1})
+	s.deadline = 20 * time.Millisecond
 	run("deadline before publish",
-		Request{Deadline: 20 * time.Millisecond, BeforePublish: func() error {
+		Request{BeforePublish: func() error {
 			time.Sleep(40 * time.Millisecond)
 			return nil
 		}},
@@ -274,7 +297,7 @@ func TestAbortEveryUnpublishedStage(t *testing.T) {
 
 func TestRetryBackoffRecovers(t *testing.T) {
 	flaky := &fakeTarget{key: "flaky", stageErrs: []error{rdma.ErrClosed, rdma.ErrClosed, nil}}
-	s := New(Config{Retries: 3, Backoff: time.Microsecond})
+	s, _ := newScheduler()
 	res, err := s.Inject(Request{Ext: constExt(4), Hook: "h", Targets: targetsOf(flaky)})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +315,7 @@ func TestRetryBackoffRecovers(t *testing.T) {
 
 func TestNonTransientErrorNotRetried(t *testing.T) {
 	bad := &fakeTarget{key: "bad", stageErrs: []error{errors.New("validation exploded")}}
-	s := New(Config{Retries: 5, Backoff: time.Microsecond})
+	s, _ := newScheduler()
 	res, err := s.Inject(Request{Ext: constExt(5), Hook: "h", Targets: targetsOf(bad)})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +326,7 @@ func TestNonTransientErrorNotRetried(t *testing.T) {
 }
 
 func TestJobDeadlineBoundsRetries(t *testing.T) {
-	// The target fails on every possible attempt (Retries:100 allows at
+	// The target fails on every possible attempt (100 retries allow at
 	// most 101), so the job can never succeed — the only way it ends
 	// early is the deadline. Full-jitter backoff can draw near-zero
 	// delays, so a merely-finite error list would occasionally be
@@ -313,9 +336,10 @@ func TestJobDeadlineBoundsRetries(t *testing.T) {
 		errs[i] = rdma.ErrClosed
 	}
 	dead := &fakeTarget{key: "dead", stageErrs: errs}
-	s := New(Config{Retries: 100, Backoff: 20 * time.Millisecond, MaxBackoff: 20 * time.Millisecond})
+	s, _ := newScheduler()
+	s.retries, s.deadline = 100, 50*time.Millisecond
 	start := time.Now()
-	res, err := s.Inject(Request{Ext: constExt(6), Hook: "h", Targets: targetsOf(dead), Deadline: 50 * time.Millisecond})
+	res, err := s.Inject(Request{Ext: constExt(6), Hook: "h", Targets: targetsOf(dead)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,39 +354,10 @@ func TestJobDeadlineBoundsRetries(t *testing.T) {
 	}
 }
 
-func TestQueueAdmissionRejectsOnDeadline(t *testing.T) {
-	block := make(chan struct{})
-	slow := &fakeTarget{key: "slow"}
-	s := New(Config{Workers: 1})
-	// Occupy the single worker slot with a job whose stage blocks.
-	slowDone := make(chan struct{})
-	go func() {
-		defer close(slowDone)
-		s.Inject(Request{Ext: constExt(7), Hook: "h", Targets: []Target{blockingTarget{block}}})
-	}()
-	time.Sleep(10 * time.Millisecond) // let it be admitted
-	_, err := s.Inject(Request{Ext: constExt(8), Hook: "h", Targets: targetsOf(slow), Deadline: 20 * time.Millisecond})
-	if err == nil || !strings.Contains(err.Error(), "admission") {
-		t.Errorf("expected admission rejection, got %v", err)
-	}
-	close(block)
-	<-slowDone
-	if s.Stats().Rejected != 1 {
-		t.Errorf("rejected counter = %d", s.Stats().Rejected)
-	}
-}
-
-type blockingTarget struct{ ch chan struct{} }
-
-func (b blockingTarget) NodeKey() string { return "blocker" }
-func (b blockingTarget) Stage(context.Context, *ext.Extension, string) (Staged, error) {
-	<-b.ch
-	return nil, errors.New("unblocked")
-}
-
 // TestPublishedReflectsPublishOutcomes pins the Result.Published contract:
 // true requires at least one per-node publish to succeed — a job whose
-// every publish failed must not report itself as live anywhere.
+// every publish failed must not report itself as live anywhere, and one
+// whose publish failed after another landed must not hide that node.
 func TestPublishedReflectsPublishOutcomes(t *testing.T) {
 	pubErr := errors.New("publish slot CAS lost")
 
@@ -370,7 +365,8 @@ func TestPublishedReflectsPublishOutcomes(t *testing.T) {
 		{key: "n0", publishErr: pubErr},
 		{key: "n1", publishErr: pubErr},
 	}
-	s := New(Config{})
+	s, _ := newScheduler()
+	withFanOut(s, 1) // publishes run in target order
 	res, err := s.Inject(Request{Ext: constExt(20), Hook: "h", Targets: targetsOf(allDead...)})
 	if err != nil {
 		t.Fatal(err)
@@ -378,13 +374,13 @@ func TestPublishedReflectsPublishOutcomes(t *testing.T) {
 	if res.Published {
 		t.Error("Published = true with zero successful publishes")
 	}
-	if len(res.Failed()) != 2 {
-		t.Errorf("failed = %+v, want both nodes", res.Failed())
+	if len(failed(res)) != 2 {
+		t.Errorf("failed = %+v, want both nodes", failed(res))
 	}
 
 	oneAlive := []*fakeTarget{
-		{key: "n0", publishErr: pubErr},
-		{key: "n1"},
+		{key: "n0"},
+		{key: "n1", publishErr: pubErr},
 	}
 	res, err = s.Inject(Request{Ext: constExt(21), Hook: "h", Targets: targetsOf(oneAlive...)})
 	if err != nil {
@@ -407,7 +403,7 @@ func TestPublishBarrierHooks(t *testing.T) {
 		}
 	}
 	tgt := &fakeTarget{key: "n"}
-	s := New(Config{})
+	s, _ := newScheduler()
 	_, err := s.Inject(Request{
 		Ext: constExt(12), Hook: "h", Targets: targetsOf(tgt),
 		BeforePublish: note("before"),
@@ -448,7 +444,7 @@ func (s probeStaged) Version() uint64               { return 1 }
 func (s probeStaged) LinkDuration() time.Duration   { return 0 }
 func (s probeStaged) WriteDuration() time.Duration  { return 0 }
 
-// TestInjectWorkersBounded pins the worker set: a 64-node job with FanOut 4
+// TestInjectWorkersBounded pins the worker set: a 64-node job with fan-out 4
 // never has more than 4 Stage or Publish calls in flight, never runs more
 // than 4 goroutines beyond those alive before it (the caller is one of
 // them), and leaves none behind.
@@ -470,8 +466,8 @@ func TestInjectWorkersBounded(t *testing.T) {
 	for i := range targets {
 		targets[i] = &probeTarget{key: fmt.Sprintf("n%d", i), stage: call, publish: call}
 	}
-	s := New(Config{FanOut: fanOut})
-	res, err := s.Inject(Request{Ext: constExt(13), Hook: "h", Targets: targets})
+	s, _ := newScheduler()
+	res, err := withFanOut(s, fanOut).Inject(Request{Ext: constExt(13), Hook: "h", Targets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,10 +475,10 @@ func TestInjectWorkersBounded(t *testing.T) {
 		t.Fatalf("job failed: %v", res.FirstErr())
 	}
 	if got := maxInflight.Load(); got > fanOut {
-		t.Errorf("%d Stage/Publish calls in flight, FanOut is %d", got, fanOut)
+		t.Errorf("%d Stage/Publish calls in flight, fan-out is %d", got, fanOut)
 	}
 	if got := maxGoroutines.Load(); got > int64(base+fanOut+slack) {
-		t.Errorf("%d goroutines during the job, %d before it: the worker set exceeds FanOut %d", got, base, fanOut)
+		t.Errorf("%d goroutines during the job, %d before it: the worker set exceeds fan-out %d", got, base, fanOut)
 	}
 	// A worker's last act is to mark itself done, so it may still be
 	// unwinding for an instant after Inject returns.
@@ -517,8 +513,8 @@ func TestInjectStagesBeforeAnyPublish(t *testing.T) {
 			publish: func() { note("publish") },
 		}
 	}
-	s := New(Config{FanOut: 4})
-	res, err := s.Inject(Request{
+	s, _ := newScheduler()
+	res, err := withFanOut(s, 4).Inject(Request{
 		Ext: constExt(14), Hook: "h", Targets: targets,
 		BeforePublish: func() error { note("before"); return nil },
 	})
@@ -547,12 +543,13 @@ func TestInjectStagesBeforeAnyPublish(t *testing.T) {
 	}
 }
 
-// TestStatsConcurrentWithInject hammers Stats() while jobs are in flight.
-// Run with -race: the point is that snapshotting registry instruments is
-// safe against concurrent recording, and that every reader observes
-// monotonic counters (never a torn or reset value).
+// TestStatsConcurrentWithInject hammers the registry's snapshot of the
+// scheduler's "pipeline.*" instruments while jobs are in flight. Run with
+// -race: the point is that snapshotting registry instruments is safe
+// against concurrent recording, and that every reader observes monotonic
+// counters (never a torn or reset value).
 func TestStatsConcurrentWithInject(t *testing.T) {
-	s := New(Config{Workers: 4})
+	s, reg := newScheduler()
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -566,13 +563,13 @@ func TestStatsConcurrentWithInject(t *testing.T) {
 					return
 				default:
 				}
-				st := s.Stats()
-				if st.Jobs < lastJobs {
-					t.Errorf("Jobs went backwards: %d -> %d", lastJobs, st.Jobs)
+				snap := reg.Snapshot() // percentile reads under recording
+				jobs := snap.Counters["pipeline.jobs"]
+				if jobs < lastJobs {
+					t.Errorf("pipeline.jobs went backwards: %d -> %d", lastJobs, jobs)
 					return
 				}
-				lastJobs = st.Jobs
-				_ = st.String() // exercises percentile reads under recording
+				lastJobs = jobs
 			}
 		}()
 	}
@@ -595,15 +592,15 @@ func TestStatsConcurrentWithInject(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if st := s.Stats(); st.Jobs != 40 || st.NodesInjected != 40 {
-		t.Errorf("final stats = jobs %d nodes %d, want 40/40", st.Jobs, st.NodesInjected)
+	if jobs, nodes := reg.Counter("pipeline.jobs").Value(), reg.Counter("pipeline.nodes_injected").Value(); jobs != 40 || nodes != 40 {
+		t.Errorf("final counters = jobs %d nodes %d, want 40/40", jobs, nodes)
 	}
 }
 
 // TestInjectAllocatesDistinctTraceIDs pins the Result.Trace contract: every
 // job gets a non-zero, unique trace ID whether or not a tracer is attached.
 func TestInjectAllocatesDistinctTraceIDs(t *testing.T) {
-	s := New(Config{})
+	s, _ := newScheduler()
 	seen := map[uint64]bool{}
 	for i := 0; i < 3; i++ {
 		res, err := s.Inject(Request{Ext: constExt(int32(200 + i)), Hook: "h", Targets: targetsOf(&fakeTarget{key: "n"})})
@@ -621,7 +618,7 @@ func TestInjectAllocatesDistinctTraceIDs(t *testing.T) {
 }
 
 func TestBadRequestsRejected(t *testing.T) {
-	s := New(Config{})
+	s, _ := newScheduler()
 	if _, err := s.Inject(Request{Hook: "h", Targets: targetsOf(&fakeTarget{})}); err == nil {
 		t.Error("nil extension accepted")
 	}

@@ -46,13 +46,13 @@ func fullJitter(d time.Duration) time.Duration {
 // full jitter — returning the number of attempts made. The context
 // deadline bounds both the attempts and the sleeps between them.
 func (s *Scheduler) withRetry(ctx context.Context, fn func() error) (attempts int, err error) {
-	backoff := s.cfg.Backoff
+	backoff := firstBackoff
 	for attempt := 1; ; attempt++ {
 		if ctx.Err() != nil {
 			return attempt, fmt.Errorf("pipeline: deadline: %w", ctx.Err())
 		}
 		err = fn()
-		if err == nil || attempt > s.cfg.Retries || !s.cfg.Transient(err) {
+		if err == nil || attempt > s.retries || !DefaultTransient(err) {
 			return attempt, err
 		}
 		s.m.retries.Inc()
@@ -61,9 +61,6 @@ func (s *Scheduler) withRetry(ctx context.Context, fn func() error) (attempts in
 		case <-ctx.Done():
 			return attempt, fmt.Errorf("pipeline: deadline during backoff: %w (last error: %v)", ctx.Err(), err)
 		}
-		backoff *= 2
-		if backoff > s.cfg.MaxBackoff {
-			backoff = s.cfg.MaxBackoff
-		}
+		backoff = min(2*backoff, maxBackoff)
 	}
 }

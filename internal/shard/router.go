@@ -17,8 +17,7 @@ type Config struct {
 	// VNodes is the virtual-node count per shard on the consistent-hash
 	// ring (DefaultVNodes if 0).
 	VNodes int
-	// Workers bounds concurrently executing jobs per shard (default 4 —
-	// matched to the per-shard scheduler's work-queue width).
+	// Workers bounds concurrently executing jobs per shard (default 4).
 	Workers int
 	// QueueCap bounds each shard's fair-share queue (default 1024).
 	// Submitters block (not fail) on a full queue: the token buckets are
