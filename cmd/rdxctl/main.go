@@ -468,7 +468,7 @@ func shardRow(i int, addr string, st *controlha.HAStatus) []string {
 // lease on the standby (fencing the previous controller out of every
 // dispatch CAS), fetch and replay the replicated journal, and re-attach
 // CodeFlows to the listed nodes so the reconstructed deployment state maps
-// onto live fleet members.
+// onto live fleet members. It releases the lease on exit.
 func runFailover(standbyAddr, nodeList string, id uint64, ttl, timeout time.Duration) {
 	if standbyAddr == "" {
 		log.Fatal("rdxctl: failover requires -standby")
@@ -508,7 +508,13 @@ func runFailover(standbyAddr, nodeList string, id uint64, ttl, timeout time.Dura
 		fmt.Printf("  interrupted: node=%#x hook=%s name=%s version=%d — re-drive with deploy/broadcast\n",
 			in.Node, in.Hook, in.Name, in.Version)
 	}
-	ldr.Lease.StartRenewal()
+	// Nothing renews the lease once this process exits: vacate the owner
+	// word instead of leaving it held until the TTL runs out. The bumped
+	// epoch keeps the deposed leader fenced.
+	if err := ldr.Lease.Release(); err != nil {
+		log.Fatalf("rdxctl: release lease: %v", err)
+	}
+	fmt.Printf("lease released; fencing epoch %d stays\n", ldr.Lease.Epoch())
 	fmt.Println(cp.Registry.Snapshot().Table("failover wire registry").String())
 }
 

@@ -17,13 +17,15 @@ import (
 )
 
 // exportsOnlyTestsUse is how many exported identifiers of the module no
-// non-test code uses and exportsAllowlist does not name. It only goes down:
-// delete such code, then lower the number.
-const exportsOnlyTestsUse = 25
+// non-test code uses, plus options no non-test code outside their package
+// sets, that exportsAllowlist does not name. It only goes down: delete such
+// code, then lower the number.
+const exportsOnlyTestsUse = 23
 
 // exportsAllowlist names the exported identifiers that stay although only
-// tests use them, each with the reason. A key is "<import path>.<Name>" or
-// "<import path>.<Type>.<Method>"; a key ending in "*" is a prefix.
+// tests use them, and the options that stay although only tests set them,
+// each with the reason. A key is "<import path>.<Name>" or
+// "<import path>.<Type>.<Method or Field>"; a key ending in "*" is a prefix.
 var exportsAllowlist = map[string]string{
 	// The public facade re-exports the library; its callers are users of
 	// the module, not code in it.
@@ -47,6 +49,7 @@ var exportsAllowlist = map[string]string{
 	"rdx/internal/core.CodeFlow.Quarantine":      "§5 recovery: roll back and clamp the runtime budget",
 	"rdx/internal/core.CodeFlow.RuntimeAborts":   "§5 recovery: how many runs the runtime limit killed",
 	"rdx/internal/core.CodeFlow.VerifyIntegrity": "§5 integrity: remote introspection of deployed code",
+	"rdx/internal/core.Privilege.CanRollback":    "access control: a role's right to roll back",
 
 	// Reference implementations the JIT and compilers are checked against.
 	"rdx/internal/ebpf/vm.*":              "the eBPF interpreter the JIT is differentially tested against",
@@ -71,6 +74,13 @@ var exportsAllowlist = map[string]string{
 	"rdx/internal/ebpf.SetImm64":       "the inverse of Imm64 on an LDDW pair",
 	"rdx/internal/ebpf.ProgTypeUnspec": "the zero program type of the eBPF ABI",
 
+	// Options only tests set. Each is read by library code, so it has one
+	// value in every shipped configuration; these stay settable.
+	"rdx/internal/cluster.Options.Latency":       "the simulated fabric's latency model, like node.Config.Latency",
+	"rdx/internal/ebpf/verifier.Config.MaxInsns": "it bounds outside input, and bench/ builds verifier.Config{}",
+	"rdx/internal/shard.Config.Clock":            "the simulator's clock seam",
+	"rdx/internal/shard.Config.DefaultQuota":     "tenant admission; ROADMAP 6(i) asks whether quotas stay",
+
 	// The verb-chain surface stays whole until the roadmap decides what of
 	// the chain offload remains.
 	"rdx/internal/verbchain.Trigger":       "verb-chain trigger",
@@ -86,10 +96,12 @@ var exportsAllowlist = map[string]string{
 // bench/, cmd/ and examples/ as users, and reports each exported package-level
 // object or method that only _test.go files use. Methods named by any
 // interface (the standard library's included) are skipped: a call through
-// the interface does not name the method's receiver type.
+// the interface does not name the method's receiver type. It also reports
+// each option only tests set (see unsetOptions).
 func TestExportsOnlyTestsUse(t *testing.T) {
 	l := newExportsLoader(t)
-	unused := l.unusedExports()
+	unused := append(l.unusedExports(), l.unsetOptions()...)
+	sortIdents(unused)
 
 	matched := map[string]bool{}
 	var unlisted []exportedIdent
@@ -148,8 +160,9 @@ type exportedIdent struct {
 }
 
 type loadedPkg struct {
-	pkg  *types.Package
-	info *types.Info
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
 }
 
 // exportsLoader type-checks the module's packages from their directories,
@@ -256,7 +269,7 @@ func (l *exportsLoader) load(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", path, err)
 	}
-	l.pkgs[path] = &loadedPkg{pkg: pkg, info: info}
+	l.pkgs[path] = &loadedPkg{pkg: pkg, info: info, files: files}
 	return pkg, nil
 }
 
@@ -306,14 +319,6 @@ func (l *exportsLoader) unusedExports() []exportedIdent {
 	}
 
 	var out []exportedIdent
-	report := func(name string, obj types.Object) {
-		pos := l.fset.Position(obj.Pos())
-		file, err := filepath.Rel(l.root, pos.Filename)
-		if err != nil {
-			file = pos.Filename
-		}
-		out = append(out, exportedIdent{name: name, file: filepath.ToSlash(file), line: pos.Line})
-	}
 	for path, p := range l.pkgs {
 		if p.pkg.Name() == "main" {
 			continue
@@ -322,7 +327,7 @@ func (l *exportsLoader) unusedExports() []exportedIdent {
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
 			if obj.Exported() && !used[obj] {
-				report(path+"."+name, obj)
+				out = append(out, l.ident(path+"."+name, obj))
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -335,18 +340,124 @@ func (l *exportsLoader) unusedExports() []exportedIdent {
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() && !used[m] && !ifaceMethods[m.Name()] {
-					report(path+"."+name+"."+m.Name(), m)
+					out = append(out, l.ident(path+"."+name+"."+m.Name(), m))
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].file != out[j].file {
-			return out[i].file < out[j].file
-		}
-		return out[i].line < out[j].line
-	})
 	return out
+}
+
+// unsetOptions returns the options that have one value in every shipped
+// configuration, and so should be constants: each exported field of an
+// exported "…Config" or "…Options" struct that non-test code reads but no
+// non-test code outside the struct's package sets (its package may fill a
+// default), and each exported bool field of another exported struct that
+// non-test code reads but never sets (a switch such as an ablation flag).
+// A set is a composite-literal key, an assignment or inc/dec target, or
+// the operand of &.
+func (l *exportsLoader) unsetOptions() []exportedIdent {
+	read := map[types.Object]bool{}
+	setInside, setOutside := map[types.Object]bool{}, map[types.Object]bool{}
+	for _, p := range l.pkgs {
+		set := func(obj types.Object) {
+			if obj = origin(obj); obj.Pkg() == p.pkg {
+				setInside[obj] = true
+			} else {
+				setOutside[obj] = true
+			}
+		}
+		setSels := map[*ast.SelectorExpr]bool{}
+		setSel := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s, ok := p.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+					setSels[sel] = true
+					set(s.Obj())
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								if fld, ok := p.info.Uses[key].(*types.Var); ok && fld.IsField() {
+									set(fld)
+								}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setSel(lhs)
+					}
+				case *ast.IncDecStmt:
+					setSel(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setSel(n.X)
+					}
+				}
+				return true
+			})
+		}
+		for sel, s := range p.info.Selections {
+			if s.Kind() == types.FieldVal && !setSels[sel] {
+				read[origin(s.Obj())] = true
+			}
+		}
+	}
+
+	var out []exportedIdent
+	for path, p := range l.pkgs {
+		if p.pkg.Name() == "main" {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			option := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
+			for i := 0; i < st.NumFields(); i++ {
+				fld := st.Field(i)
+				if !fld.Exported() || !read[fld] || setOutside[fld] {
+					continue
+				}
+				if b, ok := fld.Type().(*types.Basic); option || ok && b.Kind() == types.Bool && !setInside[fld] {
+					out = append(out, l.ident(path+"."+name+"."+fld.Name(), fld))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// ident locates obj, reported under name.
+func (l *exportsLoader) ident(name string, obj types.Object) exportedIdent {
+	pos := l.fset.Position(obj.Pos())
+	file, err := filepath.Rel(l.root, pos.Filename)
+	if err != nil {
+		file = pos.Filename
+	}
+	return exportedIdent{name: name, file: filepath.ToSlash(file), line: pos.Line}
+}
+
+// sortIdents orders ids by file and line.
+func sortIdents(ids []exportedIdent) {
+	sort.Slice(ids, func(i, j int) bool {
+		if ids[i].file != ids[j].file {
+			return ids[i].file < ids[j].file
+		}
+		return ids[i].line < ids[j].line
+	})
 }
 
 // origin maps an instantiated generic function, method or field to its

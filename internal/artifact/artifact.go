@@ -35,15 +35,12 @@ func (a *Artifact) Master() *native.Binary { return a.bin }
 
 // Config shapes a Cache.
 type Config struct {
-	// Capacity bounds compiled artifacts (default 128). Validation facts
-	// get 4x this, since they are small and shared across architectures.
-	Capacity int
 	// Registry receives the cache's instruments; nil creates a private one.
 	Registry *telemetry.Registry
 }
 
-// DefaultCapacity is the compiled-artifact LRU bound when Config.Capacity
-// is zero.
+// DefaultCapacity bounds the compiled artifacts a Cache holds. Validation
+// facts get 4x this, since they are small and shared across architectures.
 const DefaultCapacity = 128
 
 // Cache is the store. All lookups are single-flight: concurrent misses on
@@ -73,15 +70,12 @@ type flight struct {
 
 // NewCache builds a Cache and registers its instruments.
 func NewCache(cfg Config) *Cache {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	c := &Cache{
-		infos:     NewLRU[string, ext.Info](cfg.Capacity*4, nil),
+		infos:     NewLRU[string, ext.Info](DefaultCapacity*4, nil),
 		building:  map[Key]*flight{},
 		checking:  map[string]*flight{},
 		hits:      reg.Counter("artifact.cache.hit"),
@@ -91,7 +85,7 @@ func NewCache(cfg Config) *Cache {
 		validates: reg.Counter("artifact.validate.invocations"),
 		size:      reg.Gauge("artifact.cache.size"),
 	}
-	c.arts = NewLRU[Key, *Artifact](cfg.Capacity, func(Key, *Artifact) {
+	c.arts = NewLRU[Key, *Artifact](DefaultCapacity, func(Key, *Artifact) {
 		c.evictions.Inc()
 	})
 	return c
@@ -181,11 +175,6 @@ func (c *Cache) Validate(digest string, validate func() (ext.Info, error)) (info
 	}
 	return fl.info, false, nil
 }
-
-// CountCompile and CountValidate let ablation paths that bypass the cache
-// (ControlPlane.DisableCache) keep the invocation counters truthful.
-func (c *Cache) CountCompile()  { c.compiles.Inc() }
-func (c *Cache) CountValidate() { c.validates.Inc() }
 
 // Peek reports residency of key without touching recency or counters.
 func (c *Cache) Peek(key Key) (*Artifact, bool) {

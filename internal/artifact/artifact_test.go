@@ -114,7 +114,7 @@ func TestGetOrBuildErrorNotCached(t *testing.T) {
 
 func TestCacheEvictsLRU(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := NewCache(Config{Capacity: 2, Registry: reg})
+	c := NewCache(Config{Registry: reg})
 	mk := func(d string) (hit bool) {
 		_, hit, err := c.GetOrBuild(Key{Digest: d, Arch: native.ArchX64},
 			func() (ext.Info, *native.Binary, error) { return ext.Info{}, testBin(9), nil })
@@ -123,21 +123,25 @@ func TestCacheEvictsLRU(t *testing.T) {
 		}
 		return hit
 	}
-	mk("a")
-	mk("b")
-	mk("a")      // promote a
-	mk("c")      // evicts b
-	if mk("b") { // must rebuild
+	for i := 0; i < DefaultCapacity; i++ {
+		mk(fmt.Sprint(i))
+	}
+	mk("0")      // promote 0
+	mk("new")    // evicts 1
+	if mk("1") { // must rebuild
 		t.Fatal("evicted digest reported a hit")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want capacity 2", c.Len())
+	if !mk("0") {
+		t.Fatal("promoted digest was evicted")
+	}
+	if c.Len() != DefaultCapacity {
+		t.Fatalf("len = %d, want capacity %d", c.Len(), DefaultCapacity)
 	}
 	if got := reg.Counter("artifact.cache.evictions").Value(); got < 2 {
 		t.Fatalf("evict counter = %d, want >= 2", got)
 	}
-	if got := reg.Gauge("artifact.cache.size").Value(); got != 2 {
-		t.Fatalf("size gauge = %d, want 2", got)
+	if got := reg.Gauge("artifact.cache.size").Value(); got != DefaultCapacity {
+		t.Fatalf("size gauge = %d, want %d", got, DefaultCapacity)
 	}
 }
 

@@ -36,8 +36,9 @@ func findMR(mrs []rdma.MR, name string) (rdma.MR, error) {
 // standby host), acquire the CAS lease in the witness MR, stamp the
 // journal ring with the new fencing epoch, and wire a replicated journal
 // plus the lease fence into cp's publish paths. The returned Leader's
-// lease is NOT auto-renewed; call Leader.Lease.StartRenewal for
-// long-running deployments. The lease's TTL arithmetic runs on cp.Clock.
+// lease is NOT auto-renewed: a long-running leader calls Lease.Renew within
+// every TTL, or routes renewals through a chain (Lease.UseChain). The
+// lease's TTL arithmetic runs on cp.Clock.
 func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration) (*Leader, error) {
 	mrs, err := qp.QueryMRs()
 	if err != nil {

@@ -428,3 +428,51 @@ func TestJournalLagAcrossTakeover(t *testing.T) {
 	}
 	appendAll(second, "second")
 }
+
+// TestReleaseAfterRemoteTakeOver is what `rdxctl failover` leaves behind: a
+// remote takeover whose process releases the lease as it exits. A third
+// controller then attaches at once, well inside the TTL, and the leader
+// the takeover deposed stays fenced by the bumped epoch throughout.
+func TestReleaseAfterRemoteTakeOver(t *testing.T) {
+	rig := newHARig(t, 1)
+	cp1, g1, _ := rig.controller(t)
+	if _, err := controlha.AttachLeader(cp1, rig.hostQP(t), 1, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g1[0].InjectExtension(cluster.GenerationExt(ext.KindEBPF, 1, 200), "ingress"); err != nil {
+		t.Fatal(err)
+	}
+	deposedPublish := func(when string, gen int) {
+		t.Helper()
+		_, err := g1[0].InjectExtension(cluster.GenerationExt(ext.KindEBPF, gen, 200), "ingress")
+		if !errors.Is(err, core.ErrFenced) {
+			t.Fatalf("deposed leader's publish %s = %v, want ErrFenced", when, err)
+		}
+	}
+
+	cp2, _, flows := rig.controller(t)
+	second, _, err := controlha.TakeOverRemote(cp2, rig.hostQP(t), 2, time.Minute, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Lease.Release(); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	deposedPublish("after the release", 2)
+
+	cp3, g3, _ := rig.controller(t)
+	third, err := controlha.AttachLeader(cp3, rig.hostQP(t), 3, time.Minute)
+	if err != nil {
+		t.Fatalf("attach inside the released lease's TTL: %v", err)
+	}
+	if got := third.Lease.Epoch(); got != 3 {
+		t.Fatalf("third controller's epoch = %d, want 3", got)
+	}
+	deposedPublish("under the third leader", 3)
+	if _, err := g3[0].InjectExtension(cluster.GenerationExt(ext.KindEBPF, 4, 200), "ingress"); err != nil {
+		t.Fatalf("third leader's publish: %v", err)
+	}
+	if out, err := rig.nodes[0].ExecHook("ingress", make([]byte, xabi.CtxSize), nil); err != nil || out.Verdict != 104 {
+		t.Fatalf("node after the third leader's publish: %+v, %v; want verdict 104", out, err)
+	}
+}

@@ -53,7 +53,6 @@ type Lease struct {
 	held   bool
 	epoch  uint64
 	expiry time.Time
-	stop   chan struct{}
 	chain  *ChainOffload
 }
 
@@ -284,51 +283,10 @@ func (l *Lease) Check() error {
 	return nil
 }
 
-// StartRenewal renews the lease every ttl/3 until StopRenewal (or a failed
-// renewal, which deposes locally and stops the loop).
-func (l *Lease) StartRenewal() {
-	l.mu.Lock()
-	if l.stop != nil {
-		l.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	l.stop = stop
-	l.mu.Unlock()
-	interval := l.ttl / 3
-	if interval <= 0 {
-		interval = time.Second
-	}
-	go func() {
-		t := l.clock.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C():
-				if err := l.Renew(); err != nil {
-					return
-				}
-			}
-		}
-	}()
-}
-
-// StopRenewal stops the renewal loop, if running.
-func (l *Lease) StopRenewal() {
-	l.mu.Lock()
-	if l.stop != nil {
-		close(l.stop)
-		l.stop = nil
-	}
-	l.mu.Unlock()
-}
-
-// Release stops renewing and vacates the owner word if still held by this
-// controller (best effort; an expired lease simply lapses).
+// Release vacates the owner word if still held by this controller (best
+// effort; an expired lease simply lapses). The epoch word keeps its value,
+// so every controller deposed before this term stays fenced.
 func (l *Lease) Release() error {
-	l.StopRenewal()
 	l.mu.Lock()
 	held := l.held
 	l.held = false

@@ -168,8 +168,7 @@ func TestRollbackFailedCommitKeepsStack(t *testing.T) {
 			live = faultnet.Wrap(c, faultnet.Options{})
 			return live, nil
 		},
-		MaxRedials: 2,
-		Logf:       func(string, ...interface{}) {},
+		Logf: func(string, ...interface{}) {},
 	})
 	if err != nil {
 		t.Fatal(err)

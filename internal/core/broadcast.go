@@ -25,9 +25,10 @@ type BroadcastOptions struct {
 	BBU bool
 	// Hook names the target hook on every node.
 	Hook string
-	// DrainTimeout bounds the BBU in-flight drain (default 2s).
-	DrainTimeout time.Duration
 }
+
+// bbuDrainTimeout bounds the BBU in-flight drain.
+const bbuDrainTimeout = 2 * time.Second
 
 // BroadcastReport summarizes one collective update.
 type BroadcastReport struct {
@@ -104,11 +105,7 @@ func (g Group) Broadcast(e *ext.Extension, opts BroadcastOptions) (BroadcastRepo
 				}
 			}
 			gateStart = time.Now()
-			timeout := opts.DrainTimeout
-			if timeout == 0 {
-				timeout = 2 * time.Second
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), bbuDrainTimeout)
 			defer cancel()
 			if err := g.drainInflight(ctx, opts.Hook); err != nil {
 				for _, cf := range g {

@@ -216,7 +216,6 @@ func TestChaosReconnQPBroadcastSurvivesKills(t *testing.T) {
 		rq, err := rdma.NewReconnQP(rdma.ReconnConfig{
 			Dial:        dial,
 			VerbTimeout: 2 * time.Second,
-			MaxRedials:  5,
 			Logf:        t.Logf,
 		})
 		if err != nil {

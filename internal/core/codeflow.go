@@ -612,10 +612,8 @@ func (cf *CodeFlow) InjectExtension(e *ext.Extension, hook string) (Report, erro
 	cf.cp.audit(cf.NodeID, "inject", hook, e.Name())
 
 	digest := e.Digest()
-	if !cf.cp.DisableCache {
-		if handled, err := cf.tryResidentInject(e, hook, digest, start, &rep); handled {
-			return rep, err
-		}
+	if handled, err := cf.tryResidentInject(e, hook, digest, start, &rep); handled {
+		return rep, err
 	}
 
 	cp := cf.cp

@@ -38,14 +38,6 @@ type ControlPlane struct {
 	// jobs over one digest validate once and compile once per arch.
 	artifacts *artifact.Cache
 
-	// DisableCache forces re-validation and re-compilation on every call
-	// (the "no registry" ablation).
-	DisableCache bool
-
-	// DisableDelta forces full-image staging even when a standby blob could
-	// absorb a page-granular delta (the "no delta" ablation).
-	DisableDelta bool
-
 	// versions tracks, per (node, hook), the digest/version/blob the
 	// control plane most recently published there — the deployed-version
 	// map that delta staging diffs against and the race tests assert
@@ -109,10 +101,6 @@ func NewControlPlane() *ControlPlane {
 // control plane (not on any data-plane node), memoized by digest in the
 // artifact store.
 func (cp *ControlPlane) ValidateCode(e *ext.Extension) (ext.Info, error) {
-	if cp.DisableCache {
-		cp.artifacts.CountValidate()
-		return e.Validate()
-	}
 	info, hit, err := cp.artifacts.Validate(e.Digest(), e.Validate)
 	// Only actual validator runs are journaled: replaying a hit would make
 	// the standby's replayed intent log diverge from the work done.
@@ -138,17 +126,8 @@ func (cp *ControlPlane) JITCompileCode(e *ext.Extension, arch native.Arch) (*nat
 // compiled is JITCompileCode's body, shared with staging: it returns the
 // artifact store's master binary for (digest, arch), which is read-only —
 // a caller that links copies the code first. Concurrent first-time compiles
-// of one key are single-flight: one build, shared result. With the cache
-// disabled every call compiles afresh.
+// of one key are single-flight: one build, shared result.
 func (cp *ControlPlane) compiled(e *ext.Extension, arch native.Arch) (*native.Binary, error) {
-	if cp.DisableCache {
-		// Validation gates compilation, as in the kernel pipeline.
-		if _, err := cp.ValidateCode(e); err != nil {
-			return nil, err
-		}
-		cp.artifacts.CountCompile()
-		return e.Compile(arch)
-	}
 	art, hit, err := cp.artifacts.GetOrBuild(
 		artifact.Key{Digest: e.Digest(), Arch: arch},
 		func() (ext.Info, *native.Binary, error) {
@@ -174,9 +153,6 @@ func (cp *ControlPlane) compiled(e *ext.Extension, arch native.Arch) (*native.Bi
 // compiledHit reports whether (digest, arch) is already resident, without
 // touching recency or counters (Report.CacheHit classification).
 func (cp *ControlPlane) compiledHit(digest string, arch native.Arch) bool {
-	if cp.DisableCache {
-		return false
-	}
 	_, ok := cp.artifacts.Peek(artifact.Key{Digest: digest, Arch: arch})
 	return ok
 }

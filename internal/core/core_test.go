@@ -202,20 +202,6 @@ func TestRegistryCompileOnceDeployAnywhere(t *testing.T) {
 	}
 }
 
-func TestDisableCacheAblation(t *testing.T) {
-	r := newRig(t, 2)
-	r.cp.DisableCache = true
-	e := constProg("nc", 1)
-	for _, cf := range r.cfs {
-		if _, err := cf.InjectExtension(e, "ingress"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := r.cp.Registry.Counter("artifact.compile.invocations").Value(); got != 2 {
-		t.Errorf("artifact.compile.invocations = %d with the cache disabled, want 2", got)
-	}
-}
-
 func TestInjectEBPFWithXState(t *testing.T) {
 	r := newRig(t, 1)
 	cf := r.cfs[0]

@@ -128,22 +128,6 @@ func TestDeltaInjectionWritesOnlyChangedPages(t *testing.T) {
 	}
 }
 
-func TestDeltaDisabledAblation(t *testing.T) {
-	r := newRig(t, 1)
-	r.cp.DisableDelta = true
-	for i, e := range []*ext.Extension{bigProg("abl-1", 1), bigProg("abl-2", 2), bigProg("abl-3", 3)} {
-		injectOn(t, r.cp, r.cfs[0], e)
-		_ = i
-	}
-	if got := r.cp.Registry.Counter("artifact.delta.count").Value(); got != 0 {
-		t.Fatalf("DisableDelta still attempted %d deltas", got)
-	}
-	out, err := r.nodes[0].ExecHook("ingress", make([]byte, xabi.CtxSize), nil)
-	if err != nil || out.Verdict != 3 {
-		t.Fatalf("ablation verdict: %+v err=%v", out, err)
-	}
-}
-
 // TestChaosKillMidDeltaNeverTearsLiveVersion is the delta-injection torn-
 // update invariant: a connection killed partway through the delta's scatter
 // writes must leave the node executing the previous version in full — the
@@ -251,7 +235,7 @@ func TestChaosReconnQPRecoversMidDeltaKill(t *testing.T) {
 		return fc, nil
 	}
 	rq, err := rdma.NewReconnQP(rdma.ReconnConfig{
-		Dial: dial, VerbTimeout: 2 * time.Second, MaxRedials: 5, Logf: t.Logf,
+		Dial: dial, VerbTimeout: 2 * time.Second, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,6 +39,24 @@ func wantVerdict(t *testing.T, n *node.Node, hook string, want uint64) {
 	}
 }
 
+// wantExhausted fails the test unless cf's allocations overran the code
+// region's fresh space, so later ones carved.
+func wantExhausted(t *testing.T, cf *CodeFlow) {
+	t.Helper()
+	if !cf.exhausted.Load() {
+		t.Fatal("the code region never ran out of fresh space")
+	}
+}
+
+// wantNoStandbyClaimed fails the test if any stage claimed a hook's
+// standby blob (as a delta or a full rewrite) instead of allocating.
+func wantNoStandbyClaimed(t *testing.T, cp *ControlPlane) {
+	t.Helper()
+	if n := cp.Registry.Counter("artifact.delta.count").Value() + cp.Registry.Counter("artifact.delta.fallback").Value(); n != 0 {
+		t.Fatalf("%d stages claimed a standby blob, want every stage to allocate", n)
+	}
+}
+
 // TestGrowingPublishesKeepOtherHooksCode publishes ever larger programs on
 // ingress, each outgrowing every blob before it, far past the code
 // region's capacity: egress's blob is dispatched the whole time, so no
@@ -333,16 +351,19 @@ func TestPressureReclaimsOnlySoftLiveBlobs(t *testing.T) {
 }
 
 // TestCarveRacesCommitOnlyDispatch runs, on an exhausted region, full
-// stages that carve (delta off) on ingress against commit-only
-// republishes of the same digests on egress and Table 1 allocations that
-// drain the free list, under -race: every hook must end up dispatching one
-// complete version.
+// stages that carve on ingress against commit-only republishes on egress
+// of the digests ingress published, and Table 1 allocations that drain the
+// free list, under -race: every hook must end up dispatching one complete
+// version. Each ingress stage outgrows the one before, so its standby is
+// too small to claim and the stage allocates.
 func TestCarveRacesCommitOnlyDispatch(t *testing.T) {
 	r := newRig(t, 1, "ingress", "egress")
 	cf := r.cfs[0]
-	r.cp.DisableDelta = true
-	vs := []*ext.Extension{bigProg("carve-a", 51), bigProg("carve-b", 52), bigProg("carve-c", 53)}
-	for _, e := range vs {
+	var vs []*ext.Extension
+	for i := 0; i < 23; i++ {
+		vs = append(vs, fillerProg(fmt.Sprintf("carve-%d", i), 512+8*i, int32(51+i)))
+	}
+	for _, e := range vs[:3] {
 		injectOn(t, r.cp, cf, e)
 	}
 	for i := 0; i < 5; i++ {
@@ -357,7 +378,7 @@ func TestCarveRacesCommitOnlyDispatch(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			res, err := r.cp.sched.Inject(pipeline.Request{
-				Ext: vs[i%len(vs)], Hook: "ingress",
+				Ext: vs[3+i], Hook: "ingress",
 				Targets: []pipeline.Target{cf},
 			})
 			if err != nil {
@@ -373,7 +394,7 @@ func TestCarveRacesCommitOnlyDispatch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 40; i++ {
-			if _, err := cf.InjectExtension(vs[i%len(vs)], "egress"); err != nil {
+			if _, err := cf.InjectExtension(vs[i%3], "egress"); err != nil {
 				t.Errorf("inject %d on egress: %v", i, err)
 				return
 			}
@@ -389,6 +410,7 @@ func TestCarveRacesCommitOnlyDispatch(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	wantExhausted(t, cf)
 
 	var images [][]byte
 	for _, e := range vs {
@@ -411,27 +433,24 @@ func TestCarveRacesCommitOnlyDispatch(t *testing.T) {
 }
 
 // TestConcurrentStagesAcrossExhaustion stages and publishes on four hooks
-// at once (delta off, so every stage allocates) until the region has been
-// exhausted and swept several times: allocations racing the overrun, fresh
-// ones and carved ones alike, must never share space, so every hook runs
-// exactly what its own goroutine last published.
+// at once until the region has been exhausted and swept several times.
+// Each publish on a hook outgrows the one before, so the hook's standby is
+// too small to claim and every stage allocates: allocations racing the
+// overrun, fresh ones and carved ones alike, must never share space, so
+// every hook runs exactly what its own goroutine last published.
 func TestConcurrentStagesAcrossExhaustion(t *testing.T) {
 	hooks := []string{"h0", "h1", "h2", "h3"}
 	r := newRig(t, 1, hooks...)
 	cf := r.cfs[0]
-	r.cp.DisableDelta = true
 	var wg sync.WaitGroup
 	for g, hook := range hooks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var vs []*ext.Extension
-			for v := 0; v < 3; v++ {
-				vs = append(vs, fillerProg(fmt.Sprintf("%s-v%d", hook, v), 8000, int32(100*g+v+1)))
-			}
 			for i := 0; i < 40; i++ {
+				e := fillerProg(fmt.Sprintf("%s-v%d", hook, i), 8000+8*i, int32(100*g+i+1))
 				res, err := r.cp.sched.Inject(pipeline.Request{
-					Ext: vs[i%3], Hook: hook, Targets: []pipeline.Target{cf},
+					Ext: e, Hook: hook, Targets: []pipeline.Target{cf},
 				})
 				if err == nil {
 					err = res.FirstErr()
@@ -441,7 +460,7 @@ func TestConcurrentStagesAcrossExhaustion(t *testing.T) {
 					return
 				}
 				out, err := r.nodes[0].ExecHook(hook, make([]byte, xabi.CtxSize), nil)
-				if want := uint64(100*g + i%3 + 1); err != nil || out.Verdict != want {
+				if want := uint64(100*g + i + 1); err != nil || out.Verdict != want {
 					t.Errorf("%s after publish %d: verdict %d err=%v, want %d", hook, i, out.Verdict, err, want)
 					return
 				}
@@ -449,6 +468,8 @@ func TestConcurrentStagesAcrossExhaustion(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	wantExhausted(t, cf)
+	wantNoStandbyClaimed(t, r.cp)
 }
 
 // hookedVerbs runs a test hook after the node executes each FETCH_ADD and
@@ -548,10 +569,11 @@ func TestSweepWaitsOutFreshAllocations(t *testing.T) {
 // such a deploy or calls it under the expired context, then aborts it
 // (pipeline's TestAbortEveryUnpublishedStage pins that half). Both leave
 // no CAS posted, so Abort releases the blob and the region never fills.
+// Nothing publishes on the hook before the last inject, so it has no
+// standby to claim: every stage allocates.
 func TestDeadlinePassedBeforePublishReleasesBlob(t *testing.T) {
 	r := newRig(t, 1)
 	cf := r.cfs[0]
-	r.cp.DisableDelta = true
 	e := fillerProg("late", 40000, 6)
 	bin, err := r.cp.JITCompileCode(e, cf.Arch)
 	if err != nil {
@@ -573,6 +595,8 @@ func TestDeadlinePassedBeforePublishReleasesBlob(t *testing.T) {
 		}
 		sd.Abort()
 	}
+	wantExhausted(t, cf)
+	wantNoStandbyClaimed(t, r.cp)
 	if _, err := cf.InjectExtension(e, "ingress"); err != nil {
 		t.Fatal(err)
 	}
@@ -583,10 +607,11 @@ func TestDeadlinePassedBeforePublishReleasesBlob(t *testing.T) {
 // after the CAS landed, so the blob is in doubt: it stays pending through
 // Abort, and a later publish on the hook releases it. Repeated past the
 // region's capacity, the region never fills; the in-doubt deploy may not
-// be published once released, and the hook keeps the later version.
+// be published once released, and the hook keeps the later version. The
+// hook's standby only ever holds the later version's small blob, which the
+// staged image outgrows, so every stage allocates.
 func TestInDoubtBlobHeldUntilLaterFlip(t *testing.T) {
 	r := newRig(t, 1)
-	r.cp.DisableDelta = true
 	var lose atomic.Bool
 	cf := hookedFlow(t, r, func(verb string) error {
 		if verb == "cas" && lose.CompareAndSwap(true, false) {
@@ -619,6 +644,8 @@ func TestInDoubtBlobHeldUntilLaterFlip(t *testing.T) {
 		}
 		wantVerdict(t, r.nodes[0], "ingress", 9)
 	}
+	wantExhausted(t, cf)
+	wantNoStandbyClaimed(t, r.cp)
 }
 
 // TestInDoubtBlobSurvivesAbort loses a publish's CAS before it executes,

@@ -57,9 +57,6 @@ func (cf *CodeFlow) reserve(rem *RemoteMemory, hook string, need int) (slot *slo
 // and misses — or it CASes first and the dispatch check below sees the blob
 // live and skips it.
 func (cf *CodeFlow) claimStandby(hook string, need uint64, fence func() error) *slotImage {
-	if cf.cp.DisableDelta {
-		return nil
-	}
 	// A fenced (deposed) controller must not scatter-write into a standby:
 	// the new leader may have re-published that blob, making it live again.
 	if fence() != nil {

@@ -379,6 +379,7 @@ func reconnRig(t *testing.T, arenaSize int) (*mem.Arena, *MR, *chaosDialer, *Rec
 
 func TestReconnQPReplaysWriteAfterMidStreamKill(t *testing.T) {
 	arena, mr, d, r := reconnRig(t, 1<<16)
+	reconnects := reconnects(r)
 
 	if err := r.WriteCtx(context.Background(), mr.RKey, 0, []byte("before")); err != nil {
 		t.Fatal(err)
@@ -387,8 +388,8 @@ func TestReconnQPReplaysWriteAfterMidStreamKill(t *testing.T) {
 	if err := r.WriteCtx(context.Background(), mr.RKey, 100, []byte("after")); err != nil {
 		t.Fatalf("write after kill not replayed: %v", err)
 	}
-	if g := r.Generation(); g != 2 {
-		t.Errorf("generation = %d, want 2", g)
+	if n := reconnects(); n != 1 {
+		t.Errorf("reconnects = %d, want 1", n)
 	}
 	if b, _ := arena.Read(100, 5); !bytes.Equal(b, []byte("after")) {
 		t.Error("replayed write never landed")
@@ -397,6 +398,7 @@ func TestReconnQPReplaysWriteAfterMidStreamKill(t *testing.T) {
 
 func TestReconnQPWriteBatchSurvivesTruncatedFrame(t *testing.T) {
 	arena, mr, d, r := reconnRig(t, 1<<16)
+	reconnects := reconnects(r)
 
 	if err := r.WriteCtx(context.Background(), mr.RKey, 0, []byte{1}); err != nil {
 		t.Fatal(err)
@@ -414,8 +416,8 @@ func TestReconnQPWriteBatchSurvivesTruncatedFrame(t *testing.T) {
 	if err := r.WriteBatchCtx(context.Background(), ops); err != nil {
 		t.Fatalf("batch not replayed after truncated frame: %v", err)
 	}
-	if g := r.Generation(); g != 2 {
-		t.Errorf("generation = %d, want 2", g)
+	if n := reconnects(); n != 1 {
+		t.Errorf("reconnects = %d, want 1", n)
 	}
 	if b, _ := arena.Read(1024, len(payload)); !bytes.Equal(b, payload) {
 		t.Error("batch payload missing after replay")

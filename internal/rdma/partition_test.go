@@ -50,14 +50,12 @@ func TestReconnQPPartitionHeal(t *testing.T) {
 	defer ep.Close()
 
 	d := &gatedDialer{fab: fab, name: "n", gate: faultnet.NewGate()}
-	r, err := NewReconnQP(ReconnConfig{
-		Dial: d.dial, MaxRedials: 1, RedialBackoff: time.Millisecond,
-		VerbTimeout: 2 * time.Second, Logf: t.Logf,
-	})
+	r, err := NewReconnQP(ReconnConfig{Dial: d.dial, VerbTimeout: 2 * time.Second, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.maxRedials, r.backoff = 1, time.Millisecond
 
 	if err := r.WriteCtx(context.Background(), mr.RKey, 0, []byte("pre")); err != nil {
 		t.Fatal(err)
@@ -145,14 +143,13 @@ func TestReconnQPDuplicateWriteDeliveryIdempotent(t *testing.T) {
 	defer ep.Close()
 
 	d := &chaosDialer{fab: fab, name: "n"}
-	r, err := NewReconnQP(ReconnConfig{
-		Dial: d.dial, RedialBackoff: time.Millisecond,
-		VerbTimeout: 2 * time.Second, Logf: t.Logf,
-	})
+	r, err := NewReconnQP(ReconnConfig{Dial: d.dial, VerbTimeout: 2 * time.Second, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.backoff = time.Millisecond
+	reconnects := reconnects(r)
 
 	// Arm the lost completion: the endpoint's next response write (the
 	// completion of our upcoming WRITE) truncates after one byte and kills
@@ -168,8 +165,8 @@ func TestReconnQPDuplicateWriteDeliveryIdempotent(t *testing.T) {
 	if err := r.WriteCtx(context.Background(), mr.RKey, 64, payload); err != nil {
 		t.Fatalf("write with lost completion not replayed: %v", err)
 	}
-	if g := r.Generation(); g != 2 {
-		t.Errorf("generation = %d, want 2 (one redial)", g)
+	if n := reconnects(); n != 1 {
+		t.Errorf("reconnects = %d, want 1", n)
 	}
 	// The first delivery was applied: the killing response write proves the
 	// endpoint handled the frame (responses are staged only after handle).

@@ -13,19 +13,12 @@ import (
 	"rdx/internal/telemetry"
 )
 
-// ReconnConfig shapes a ReconnQP.
+// ReconnConfig shapes a ReconnQP. Wire metrics, the trace recorder and the
+// node label come through SetInstruments.
 type ReconnConfig struct {
 	// Dial opens a fresh transport to the endpoint. Required. It is called
 	// once eagerly by NewReconnQP and again after every transport failure.
 	Dial func() (net.Conn, error)
-
-	// MaxRedials bounds how many times one verb tolerates a transport
-	// failure (dial failures included) before giving up. Default 3.
-	MaxRedials int
-
-	// RedialBackoff is the initial delay before a redial, doubled per
-	// consecutive failure. Default 2ms.
-	RedialBackoff time.Duration
 
 	// VerbTimeout is installed on every underlying QP (QP.SetTimeout): a
 	// verb whose completion never arrives fails with ErrTimeout — treated
@@ -33,30 +26,19 @@ type ReconnConfig struct {
 	// disables the deadline.
 	VerbTimeout time.Duration
 
-	// Logf, if set, receives reconnect-path diagnostics.
+	// Logf receives reconnect-path diagnostics (log.Printf if nil).
 	Logf func(format string, args ...interface{})
-
-	// Metrics, if set, is installed on EVERY QP generation, so verb counts
-	// and latency histograms accumulate seamlessly across reconnects (the
-	// instruments are registry-owned; a fresh generation never resets
-	// them). The wrapper itself feeds the reconnects and replays counters.
-	Metrics *WireMetrics
-
-	// Tracer, if set, is installed on every QP generation so wire-level
-	// spans keep flowing after a redial.
-	Tracer *telemetry.TraceRecorder
-
-	// Node labels this connection's trace events (the target node's ID).
-	Node string
 }
 
+// One verb tolerates maxRedials transport failures (dial failures
+// included) before giving up, sleeping redialBackoff before the first
+// redial and doubling it per consecutive failure.
+const (
+	maxRedials    = 3
+	redialBackoff = 2 * time.Millisecond
+)
+
 func (c *ReconnConfig) fillDefaults() {
-	if c.MaxRedials <= 0 {
-		c.MaxRedials = 3
-	}
-	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 2 * time.Millisecond
-	}
 	if c.VerbTimeout == 0 {
 		c.VerbTimeout = 2 * time.Second
 	}
@@ -97,14 +79,25 @@ func (c *ReconnConfig) fillDefaults() {
 // All methods are safe for concurrent use.
 type ReconnQP struct {
 	cfg ReconnConfig
+	// maxRedials and backoff are the package constants; tests may shrink
+	// them before the first verb.
+	maxRedials int
+	backoff    time.Duration
 
 	mu      sync.Mutex
 	qp      *QP    // live QP, nil while disconnected
 	gen     uint64 // connection generation, bumped per successful dial
-	redials uint64
 	closed  bool
 	virt    map[string]uint32 // MR name → stable caller-visible rkey
 	current map[string]uint32 // MR name → rkey on the live connection
+	// The SetInstruments binding, installed on every QP generation so
+	// verb counts, latency histograms and wire spans accumulate across
+	// reconnects (the instruments are registry-owned; a fresh generation
+	// never resets them). The wrapper itself feeds the reconnects and
+	// replays counters.
+	metrics *WireMetrics
+	tracer  *telemetry.TraceRecorder
+	node    string
 }
 
 // NewReconnQP dials the first connection eagerly (so configuration errors
@@ -115,9 +108,11 @@ func NewReconnQP(cfg ReconnConfig) (*ReconnQP, error) {
 	}
 	cfg.fillDefaults()
 	r := &ReconnQP{
-		cfg:     cfg,
-		virt:    make(map[string]uint32),
-		current: make(map[string]uint32),
+		cfg:        cfg,
+		maxRedials: maxRedials,
+		backoff:    redialBackoff,
+		virt:       make(map[string]uint32),
+		current:    make(map[string]uint32),
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,7 +131,7 @@ func (r *ReconnQP) connectLocked() error {
 	}
 	qp := NewQP(conn)
 	qp.SetTimeout(r.cfg.VerbTimeout)
-	qp.SetInstruments(r.cfg.Metrics, r.cfg.Tracer, r.cfg.Node)
+	qp.SetInstruments(r.metrics, r.tracer, r.node)
 	mrs, err := qp.QueryMRs()
 	if err != nil {
 		qp.Close()
@@ -174,24 +169,16 @@ func (r *ReconnQP) adoptLocked(name string, rkey uint32) uint32 {
 
 // SetInstruments attaches wire metrics, a trace recorder, and a node label
 // to this connection — the live QP immediately, and every future generation
-// via the stored config — mirroring (*QP).SetInstruments so callers can
+// as it is dialed — mirroring (*QP).SetInstruments so callers can
 // instrument either issuer uniformly after construction.
 func (r *ReconnQP) SetInstruments(m *WireMetrics, tr *telemetry.TraceRecorder, node string) {
 	r.mu.Lock()
-	r.cfg.Metrics, r.cfg.Tracer, r.cfg.Node = m, tr, node
+	r.metrics, r.tracer, r.node = m, tr, node
 	qp := r.qp
 	r.mu.Unlock()
 	if qp != nil {
 		qp.SetInstruments(m, tr, node)
 	}
-}
-
-// Generation reports how many connections have been established; it starts
-// at 1 and grows by one per successful redial.
-func (r *ReconnQP) Generation() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
 }
 
 // acquire returns the live QP, dialing one if the previous generation died.
@@ -202,11 +189,10 @@ func (r *ReconnQP) acquire() (*QP, uint64, error) {
 		return nil, 0, ErrClosed
 	}
 	if r.qp == nil {
-		r.redials++
 		if err := r.connectLocked(); err != nil {
 			return nil, 0, err
 		}
-		r.cfg.Metrics.reconnected()
+		r.metrics.reconnected()
 		r.cfg.Logf("rdma: reconnected (generation %d)", r.gen)
 	}
 	return r.qp, r.gen, nil
@@ -250,7 +236,7 @@ func (r *ReconnQP) resolver() func(uint32) uint32 {
 // redial. ctx bounds the redial backoff sleeps (the verb itself honors ctx
 // through the QP wait path).
 func (r *ReconnQP) do(ctx context.Context, idempotent bool, op func(qp *QP, rkey func(uint32) uint32) error) error {
-	backoff := r.cfg.RedialBackoff
+	backoff := r.backoff
 	for attempt := 0; ; attempt++ {
 		qp, gen, err := r.acquire()
 		if err == nil {
@@ -267,16 +253,16 @@ func (r *ReconnQP) do(ctx context.Context, idempotent bool, op func(qp *QP, rkey
 			}
 			// A verb that reached the wire and will run again on a fresh
 			// connection is a replay; refused posts are plain retries.
-			if posted && attempt < r.cfg.MaxRedials {
-				r.cfg.Metrics.replayed()
+			if posted && attempt < r.maxRedials {
+				r.metrics.replayed()
 			}
 		} else if errors.Is(err, ErrClosed) && r.isClosed() {
 			return err
 		}
-		if attempt >= r.cfg.MaxRedials {
+		if attempt >= r.maxRedials {
 			return err
 		}
-		r.cfg.Logf("rdma: transport failure (attempt %d/%d): %v", attempt+1, r.cfg.MaxRedials+1, err)
+		r.cfg.Logf("rdma: transport failure (attempt %d/%d): %v", attempt+1, r.maxRedials+1, err)
 		select {
 		case <-time.After(backoff):
 		case <-ctx.Done():

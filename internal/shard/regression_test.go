@@ -20,7 +20,8 @@ import (
 // subsystem entirely.
 func TestRefundOnDownedShard(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r := NewRouter(Config{Registry: reg, Workers: 1})
+	r := NewRouter(Config{Registry: reg})
+	r.workers = 1
 	defer r.Close()
 	if err := r.AddShard(0, ExecFunc(func(ctx context.Context, j *Job) error {
 		return fmt.Errorf("lease lost: %w", core.ErrFenced)
@@ -93,7 +94,8 @@ func TestAddShardAfterClose(t *testing.T) {
 // its queue goroutines) surviving Close.
 func TestCloseReinstateRace(t *testing.T) {
 	for i := 0; i < 50; i++ {
-		r := NewRouter(Config{Workers: 2})
+		r := NewRouter(Config{})
+		r.workers = 2
 		if err := r.AddShard(0, okExec(nil)); err != nil {
 			t.Fatalf("AddShard: %v", err)
 		}
@@ -126,7 +128,8 @@ func TestCloseReinstateRace(t *testing.T) {
 // own terms), and must not count toward shard.<id>.failed.
 func TestStopMidExecuteTypedError(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r := NewRouter(Config{Registry: reg, Workers: 1})
+	r := NewRouter(Config{Registry: reg})
+	r.workers = 1
 	started := make(chan struct{})
 	if err := r.AddShard(0, ExecFunc(func(ctx context.Context, j *Job) error {
 		close(started)

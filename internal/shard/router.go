@@ -14,15 +14,6 @@ import (
 // Config shapes a Router. The zero value is usable: defaults are filled
 // by NewRouter.
 type Config struct {
-	// VNodes is the virtual-node count per shard on the consistent-hash
-	// ring (DefaultVNodes if 0).
-	VNodes int
-	// Workers bounds concurrently executing jobs per shard (default 4).
-	Workers int
-	// QueueCap bounds each shard's fair-share queue (default 1024).
-	// Submitters block (not fail) on a full queue: the token buckets are
-	// the admission verdict, the queue bound is backpressure.
-	QueueCap int
 	// DefaultQuota admits tenants with no explicit quota. The zero value
 	// is unlimited.
 	DefaultQuota TenantQuota
@@ -34,13 +25,15 @@ type Config struct {
 	Clock clock.Clock
 }
 
+// Each shard runs shardWorkers jobs at once and queues up to shardQueueCap
+// more. Submitters block (not fail) on a full queue: the token buckets are
+// the admission verdict, the queue bound is backpressure.
+const (
+	shardWorkers  = 4
+	shardQueueCap = 1024
+)
+
 func (c *Config) fillDefaults() {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1024
-	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
 	}
@@ -63,6 +56,10 @@ type Router struct {
 	ring *Map
 	adm  *Admission
 
+	// workers and queueCap size each shard front AddShard and Reinstate
+	// build: shardWorkers and shardQueueCap, which tests may shrink.
+	workers, queueCap int
+
 	// mu guards the shard fronts against AddShard, Reinstate and Close.
 	mu     sync.RWMutex
 	shards map[int]*Shard
@@ -78,11 +75,13 @@ var ErrRouterClosed = errors.New("shard: router closed")
 func NewRouter(cfg Config) *Router {
 	cfg.fillDefaults()
 	return &Router{
-		cfg:    cfg,
-		reg:    cfg.Registry,
-		ring:   NewMap(cfg.VNodes),
-		adm:    NewAdmission(cfg.DefaultQuota, cfg.Registry).WithClock(cfg.Clock),
-		shards: map[int]*Shard{},
+		cfg:      cfg,
+		reg:      cfg.Registry,
+		ring:     NewMap(DefaultVNodes),
+		adm:      NewAdmission(cfg.DefaultQuota, cfg.Registry).WithClock(cfg.Clock),
+		workers:  shardWorkers,
+		queueCap: shardQueueCap,
+		shards:   map[int]*Shard{},
 	}
 }
 
@@ -97,7 +96,7 @@ func (r *Router) AddShard(id int, ex Executor) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: cannot add shard %d", ErrRouterClosed, id)
 	}
-	s := newShard(id, r.cfg.Workers, r.cfg.QueueCap, ex, r.cfg.Clock, r.reg)
+	s := newShard(id, r.workers, r.queueCap, ex, r.cfg.Clock, r.reg)
 	old := r.shards[id]
 	r.shards[id] = s
 	r.mu.Unlock()
@@ -125,7 +124,7 @@ func (r *Router) Reinstate(id int, ex Executor) error {
 		r.mu.Unlock()
 		return fmt.Errorf("shard: reinstate of unknown shard %d", id)
 	}
-	r.shards[id] = newShard(id, r.cfg.Workers, r.cfg.QueueCap, ex, r.cfg.Clock, r.reg)
+	r.shards[id] = newShard(id, r.workers, r.queueCap, ex, r.cfg.Clock, r.reg)
 	r.mu.Unlock()
 	old.stop()
 	return nil

@@ -30,7 +30,8 @@ func testJob(tenant, hook string) *Job {
 // per-shard published counters in the shared registry reflect that split.
 func TestRouterRoutesByKey(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r := NewRouter(Config{Registry: reg, Workers: 2})
+	r := NewRouter(Config{Registry: reg})
+	r.workers = 2
 	defer r.Close()
 	var n0, n1 atomic.Int64
 	r.AddShard(0, okExec(&n0))
@@ -199,7 +200,9 @@ func TestRouterFenceIsolation(t *testing.T) {
 // TestRouterQueuedJobsFailOnFence: jobs already queued behind a fencing
 // job drain with ErrShardUnavailable instead of hanging.
 func TestRouterQueuedJobsFailOnFence(t *testing.T) {
-	r := NewRouter(Config{Workers: 1, QueueCap: 16})
+	r := NewRouter(Config{})
+	r.workers = 1
+	r.queueCap = 16
 	defer r.Close()
 	gate := make(chan struct{})
 	r.AddShard(0, ExecFunc(func(ctx context.Context, j *Job) error {
@@ -234,7 +237,8 @@ func TestRouterQueuedJobsFailOnFence(t *testing.T) {
 // TestRouterContextCancel: a publisher abandoned by its context returns
 // promptly while the job may still complete behind it.
 func TestRouterContextCancel(t *testing.T) {
-	r := NewRouter(Config{Workers: 1})
+	r := NewRouter(Config{})
+	r.workers = 1
 	defer r.Close()
 	block := make(chan struct{})
 	started := make(chan struct{})

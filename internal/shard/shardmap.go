@@ -22,8 +22,8 @@ import (
 	"sync"
 )
 
-// DefaultVNodes is the virtual-node count per shard when Config.VNodes is
-// zero. 64 points per shard keeps the maximum/mean key-share imbalance
+// DefaultVNodes is the virtual-node count per shard on a Router's ring.
+// 64 points per shard keeps the maximum/mean key-share imbalance
 // under ~30% for small shard counts without bloating the ring.
 const DefaultVNodes = 64
 

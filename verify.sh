@@ -66,6 +66,11 @@ if [ "${1:-}" != "quick" ]; then
     # flip-then-pop order and the per-path verb pins repeat under -race.
     echo "== publish paths (race, x20) =="
     go test -race -timeout 300s -count=20 -run 'TestResidentFastPathVsDeltaClaimRace|TestConcurrentBroadcastLastWriterWins|TestRollback|TestPublishPath|TestPolicy' ./internal/core ./internal/controlha
+    # A ReconnQP node link tolerates 3 redials per verb (a package
+    # constant): the connection-kill chaos tests must complete their jobs
+    # within it, repeated under -race.
+    echo "== reconnecting node links (race, x20) =="
+    go test -race -timeout 300s -count=20 -run 'TestChaosReconnQPBroadcastSurvivesKills|TestChaosReconnQPRecoversMidDeltaKill' ./internal/core
     # The code region never wraps: an allocation reuses only space no
     # dispatched, pending or (short of pressure) historic blob holds. The
     # repros of overwritten and mis-dispatched code, the pending, abort and
