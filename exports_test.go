@@ -20,7 +20,7 @@ import (
 // non-test code uses, plus options no non-test code outside their package
 // sets, that exportsAllowlist does not name. It only goes down: delete such
 // code, then lower the number.
-const exportsOnlyTestsUse = 23
+const exportsOnlyTestsUse = 20
 
 // exportsAllowlist names the exported identifiers that stay although only
 // tests use them, and the options that stay although only tests set them,
@@ -78,8 +78,6 @@ var exportsAllowlist = map[string]string{
 	// value in every shipped configuration; these stay settable.
 	"rdx/internal/cluster.Options.Latency":       "the simulated fabric's latency model, like node.Config.Latency",
 	"rdx/internal/ebpf/verifier.Config.MaxInsns": "it bounds outside input, and bench/ builds verifier.Config{}",
-	"rdx/internal/shard.Config.Clock":            "the simulator's clock seam",
-	"rdx/internal/shard.Config.DefaultQuota":     "tenant admission; ROADMAP 6(i) asks whether quotas stay",
 
 	// The verb-chain surface stays whole until the roadmap decides what of
 	// the chain offload remains.

@@ -111,7 +111,7 @@ func newFlightRig(t *testing.T, ringCap uint64) *flightRig {
 const probeLen = 72
 
 func probe(i int) Entry {
-	return Entry{Type: EntryValidate, Digest: fmt.Sprintf("d%07d", i)}
+	return Entry{Type: EntryValidate, Digest: fmt.Sprintf("d%015d", i)}
 }
 
 // appendAll starts one goroutine per entry and returns where their results

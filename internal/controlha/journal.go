@@ -58,7 +58,6 @@ const (
 	EntryPublish            // dispatch CAS landed on (Node, Hook)
 	EntryRollback           // hook reverted to a prior version
 	EntryClaim              // standby blob claimed as a delta target on Node
-	EntryReclaim            // no longer written: the code region stopped wrapping
 )
 
 func (t EntryType) String() string {
@@ -75,8 +74,6 @@ func (t EntryType) String() string {
 		return "rollback"
 	case EntryClaim:
 		return "claim"
-	case EntryReclaim:
-		return "reclaim"
 	}
 	return fmt.Sprintf("entry(%d)", uint8(t))
 }
@@ -97,8 +94,7 @@ type Entry struct {
 	Arch    uint32
 	Version uint64
 	Blob    uint64
-	Epoch   uint64 // wrap epoch of an EntryReclaim; no longer written
-	Flags   uint8  // bit 0: the referenced version was already Reclaimed
+	Flags   uint8 // bit 0: the referenced version was already Reclaimed
 }
 
 const (
@@ -129,7 +125,7 @@ func appendU64(b []byte, v uint64) []byte {
 //
 //	[magic u16][type u8][flags u8][seq u64][fence u64][payloadLen u32]
 //	[payload: node hook name digest (len-prefixed), arch u32, version u64,
-//	 blob u64, epoch u64]
+//	 blob u64]
 //	[crc32(IEEE) over header+payload u32]
 func (e *Entry) Encode() []byte {
 	payload := make([]byte, 0, 64)
@@ -140,7 +136,6 @@ func (e *Entry) Encode() []byte {
 	payload = appendU32(payload, e.Arch)
 	payload = appendU64(payload, e.Version)
 	payload = appendU64(payload, e.Blob)
-	payload = appendU64(payload, e.Epoch)
 
 	out := make([]byte, 0, entryHdrLen+len(payload)+4)
 	out = append(out, byte(entryMagic&0xff), byte(entryMagic>>8))
@@ -225,7 +220,7 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 	if len(b) < total {
 		return Entry{}, 0, fmt.Errorf("%w: entry needs %d bytes, have %d", ErrTruncated, total, len(b))
 	}
-	if e.Type == EntryInvalid || e.Type > EntryReclaim {
+	if e.Type == EntryInvalid || e.Type > EntryClaim {
 		return Entry{}, 0, fmt.Errorf("%w: unknown entry type %d", ErrCorrupt, e.Type)
 	}
 	body := b[:entryHdrLen+int(plen)]
@@ -255,9 +250,6 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 	}
 	if e.Blob, ok = pd.u64(); !ok {
 		return Entry{}, 0, fmt.Errorf("%w: blob field", ErrCorrupt)
-	}
-	if e.Epoch, ok = pd.u64(); !ok {
-		return Entry{}, 0, fmt.Errorf("%w: epoch field", ErrCorrupt)
 	}
 	if pd.off != entryHdrLen+int(plen) {
 		return Entry{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, entryHdrLen+int(plen)-pd.off)

@@ -14,12 +14,12 @@ func fullEntry(t EntryType, seq uint64) Entry {
 	return Entry{
 		Type: t, Seq: seq, Fence: 3,
 		Node: "0x1a2b", Hook: "ingress", Name: "gen-7", Digest: "sha256:abcdef0123456789",
-		Arch: 1, Version: 7, Blob: 0xdead0000, Epoch: 2, Flags: 1,
+		Arch: 1, Version: 7, Blob: 0xdead0000, Flags: 1,
 	}
 }
 
 func TestEntryEncodeDecodeRoundTrip(t *testing.T) {
-	for ty := EntryValidate; ty <= EntryReclaim; ty++ {
+	for ty := EntryValidate; ty <= EntryClaim; ty++ {
 		e := fullEntry(ty, 42)
 		enc := e.Encode()
 		got, n, err := DecodeEntry(enc)
@@ -39,9 +39,9 @@ func TestEntryEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil || got != min {
 		t.Errorf("minimal entry round trip: %+v, %v", got, err)
 	}
-	// The valid types end at EntryReclaim: a well-checksummed entry of any
+	// The valid types end at EntryClaim: a well-checksummed entry of any
 	// other type is corruption, not a record replay may skip.
-	for _, ty := range []EntryType{EntryInvalid, EntryReclaim + 1} {
+	for _, ty := range []EntryType{EntryInvalid, EntryClaim + 1} {
 		e := fullEntry(ty, 42)
 		if _, _, err := DecodeEntry(e.Encode()); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%v: decode = %v, want ErrCorrupt", ty, err)

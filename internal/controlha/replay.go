@@ -162,23 +162,13 @@ func (s *State) clone() *State {
 	return &out
 }
 
-// OpenFor returns the open intents targeting one node.
-func (s *State) OpenFor(node string) []Intent {
-	var out []Intent
-	for _, in := range s.Open {
-		if in.Node == node {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
 // ApplyTo installs the replayed state on a fresh control plane and its
 // re-attached CodeFlows (keyed by CodeFlow.NodeKey()). The version map is
-// restored verbatim; each history stack is restored on its flow, seeding
-// the dispatch shadow and resident index from the live top entry. Flows
-// the map doesn't cover keep only the version-map entries — their stacks
-// reappear when the node is re-attached and restored later.
+// restored verbatim; each history stack is restored on its flow, whose
+// live entries become the hook's resident set and whose live top entry
+// seeds the hook's slot shadow. Flows the map doesn't cover keep only the
+// version-map entries — their stacks reappear when the node is
+// re-attached and restored later.
 func (s *State) ApplyTo(cp *core.ControlPlane, flows map[string]*core.CodeFlow) {
 	for k, dv := range s.Versions {
 		cp.RestoreDeployed(k.Node, k.Hook, dv)

@@ -40,8 +40,9 @@ type ControlPlane struct {
 
 	// versions tracks, per (node, hook), the digest/version/blob the
 	// control plane most recently published there — the deployed-version
-	// map that delta staging diffs against and the race tests assert
-	// last-writer-wins on.
+	// map the orchestrator's status step reads, journal replay restores,
+	// and the race tests assert last-writer-wins on. Delta staging diffs
+	// against the hook's slot image, not this map.
 	versMu   sync.Mutex
 	versions map[verKey]DeployedVersion
 

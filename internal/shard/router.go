@@ -7,54 +7,40 @@ import (
 	"sort"
 	"sync"
 
-	"rdx/internal/clock"
 	"rdx/internal/telemetry"
 )
 
-// Config shapes a Router. The zero value is usable: defaults are filled
-// by NewRouter.
+// Config shapes a Router. The zero value is usable.
 type Config struct {
-	// DefaultQuota admits tenants with no explicit quota. The zero value
-	// is unlimited.
-	DefaultQuota TenantQuota
 	// Registry receives every shard.* instrument; nil creates a private
 	// registry.
 	Registry *telemetry.Registry
-	// Clock is the time source for admission refill and the queue-wait and
-	// publish-latency stamps (wall clock if nil — the simulator's seam).
-	Clock clock.Clock
 }
 
 // Each shard runs shardWorkers jobs at once and queues up to shardQueueCap
-// more. Submitters block (not fail) on a full queue: the token buckets are
-// the admission verdict, the queue bound is backpressure.
+// more. Submitters block (not fail) on a full queue: the queue bound is
+// backpressure, not a verdict.
 const (
 	shardWorkers  = 4
 	shardQueueCap = 1024
 )
 
-func (c *Config) fillDefaults() {
-	if c.Registry == nil {
-		c.Registry = telemetry.NewRegistry()
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Real{}
-	}
-}
+// ErrShardUnavailable reports that the shard owning the job's (tenant,
+// hook) key cannot take work: its leader is fenced or deposed, its front
+// was stopped, or no shard owns the key yet. Only that shard's key range
+// is affected — the router keeps dispatching to every other shard.
+var ErrShardUnavailable = errors.New("shard: shard unavailable")
 
-// Router fronts N control-plane shards: it admits jobs against per-tenant
-// token buckets, routes each to the shard owning its (tenant, hook) key,
-// and waits for the shard's fair-share workers to execute it. A fenced
-// shard fails only its own key range — Publish keeps succeeding for every
-// other shard's tenants, which is the whole point of sharding the control
-// plane. Membership is fixed once set-up is done: AddShard builds the ring,
+// Router fronts N control-plane shards: it routes each job to the shard
+// owning its (tenant, hook) key and waits for the shard's fair-share
+// workers to execute it. A fenced shard fails only its own key range —
+// Publish keeps succeeding for every other shard's tenants, which is the
+// whole point of sharding the control plane. Membership is fixed once set-up is done: AddShard builds the ring,
 // and after a takeover Reinstate swaps a shard's executor in place, its
 // state moved by journal replay alone.
 type Router struct {
-	cfg  Config
 	reg  *telemetry.Registry
 	ring *Map
-	adm  *Admission
 
 	// workers and queueCap size each shard front AddShard and Reinstate
 	// build: shardWorkers and shardQueueCap, which tests may shrink.
@@ -73,12 +59,13 @@ var ErrRouterClosed = errors.New("shard: router closed")
 
 // NewRouter builds an empty router; add shards with AddShard.
 func NewRouter(cfg Config) *Router {
-	cfg.fillDefaults()
+	reg := cfg.Registry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	return &Router{
-		cfg:      cfg,
-		reg:      cfg.Registry,
+		reg:      reg,
 		ring:     NewMap(DefaultVNodes),
-		adm:      NewAdmission(cfg.DefaultQuota, cfg.Registry).WithClock(cfg.Clock),
 		workers:  shardWorkers,
 		queueCap: shardQueueCap,
 		shards:   map[int]*Shard{},
@@ -96,7 +83,7 @@ func (r *Router) AddShard(id int, ex Executor) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: cannot add shard %d", ErrRouterClosed, id)
 	}
-	s := newShard(id, r.workers, r.queueCap, ex, r.cfg.Clock, r.reg)
+	s := newShard(id, r.workers, r.queueCap, ex, r.reg)
 	old := r.shards[id]
 	r.shards[id] = s
 	r.mu.Unlock()
@@ -124,14 +111,11 @@ func (r *Router) Reinstate(id int, ex Executor) error {
 		r.mu.Unlock()
 		return fmt.Errorf("shard: reinstate of unknown shard %d", id)
 	}
-	r.shards[id] = newShard(id, r.workers, r.queueCap, ex, r.cfg.Clock, r.reg)
+	r.shards[id] = newShard(id, r.workers, r.queueCap, ex, r.reg)
 	r.mu.Unlock()
 	old.stop()
 	return nil
 }
-
-// SetQuota overrides a tenant's admission quota.
-func (r *Router) SetQuota(tenant string, q TenantQuota) { r.adm.SetQuota(tenant, q) }
 
 // ShardFor reveals which shard owns (tenant, hook) — the bench and the
 // stats surface use it; Publish routes internally.
@@ -148,36 +132,26 @@ func (r *Router) ShardDown(id int) bool {
 	return s == nil || s.Down()
 }
 
-// Publish admits, routes, schedules, and executes one job, blocking until
-// the owning shard finishes it (or ctx expires). Errors are typed:
-// ErrQuotaExceeded from admission, ErrShardUnavailable when the owning
-// shard is fenced or absent, executor errors otherwise. A job that never
-// reaches a shard's queue refunds its admission tokens: the quota charges
-// work the control plane might do, and without the refund a tenant
-// retrying against a downed shard would watch ErrShardUnavailable mutate
-// into ErrQuotaExceeded as the failed attempts drained its buckets.
+// Publish routes, schedules, and executes one job, blocking until the
+// owning shard finishes it (or ctx expires). Errors are typed:
+// ErrShardUnavailable when the owning shard is fenced or absent, executor
+// errors otherwise.
 func (r *Router) Publish(ctx context.Context, j *Job) error {
 	if j.Tenant == "" || j.Hook == "" || j.Ext == nil {
 		return fmt.Errorf("shard: job needs tenant, hook, and extension")
 	}
-	if err := r.adm.Admit(j.Tenant, j.Bytes); err != nil {
-		return err
-	}
 	id, ok := r.ring.Lookup(j.Tenant, j.Hook)
 	if !ok {
-		r.adm.Refund(j.Tenant, j.Bytes)
 		return fmt.Errorf("%w: no shards registered", ErrShardUnavailable)
 	}
 	r.mu.RLock()
 	s := r.shards[id]
 	r.mu.RUnlock()
 	if s == nil {
-		r.adm.Refund(j.Tenant, j.Bytes)
 		return fmt.Errorf("%w: shard %d absent", ErrShardUnavailable, id)
 	}
 	j.done = make(chan error, 1)
 	if err := s.submit(j); err != nil {
-		r.adm.Refund(j.Tenant, j.Bytes)
 		return err
 	}
 	select {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rdx/internal/clock"
 	"rdx/internal/core"
 	"rdx/internal/ext"
 	"rdx/internal/telemetry"
@@ -23,8 +22,8 @@ type Job struct {
 	// Nodes names the target nodes (executor-defined names); empty means
 	// every node the shard's executor is bound to.
 	Nodes []string
-	// Bytes is the staged-bytes estimate charged against the tenant's
-	// bytes quota; 0 charges only a publish token.
+	// Bytes is a staged-bytes estimate that nothing reads. It stays only
+	// because the bench module's job streams set it.
 	Bytes int
 
 	done chan error
@@ -37,7 +36,7 @@ func (j *Job) finish(err error) {
 	j.once.Do(func() { j.done <- err })
 }
 
-// Executor runs one admitted, scheduled job on a shard's control plane.
+// Executor runs one scheduled job on a shard's control plane.
 // An error wrapping core.ErrFenced marks the whole shard fenced: its
 // leader lost the lease, so every queued and future job for its key range
 // fails with ErrShardUnavailable until Router.Reinstate installs a
@@ -53,8 +52,8 @@ type ExecFunc func(context.Context, *Job) error
 func (f ExecFunc) Execute(ctx context.Context, j *Job) error { return f(ctx, j) }
 
 // Shard is one control-plane shard as the router sees it: a fair-share
-// queue of admitted jobs, a bounded worker pool draining it into the
-// shard's executor, and the shard's slice of the fleet registry. The
+// queue of jobs, a bounded worker pool draining it into the shard's
+// executor, and the shard's slice of the fleet registry. The
 // executor wraps the shard's own ControlPlane — with its own lease,
 // journal, and standby from internal/controlha — so nothing here is
 // shared across shards except the process-wide artifact cache and the
@@ -62,15 +61,13 @@ func (f ExecFunc) Execute(ctx context.Context, j *Job) error { return f(ctx, j) 
 type Shard struct {
 	ID int
 
-	q       *fairQueue
-	exec    Executor
-	workers int
-	clock   clock.Clock
-	down    atomic.Bool
-	cause   atomic.Pointer[error]
-	wg      sync.WaitGroup
-	ctx     context.Context
-	cancel  context.CancelFunc
+	q      *fairQueue
+	exec   Executor
+	down   atomic.Bool
+	cause  atomic.Pointer[error]
+	wg     sync.WaitGroup
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	depth     *telemetry.Gauge
 	queueWait *telemetry.Histogram
@@ -83,17 +80,12 @@ type Shard struct {
 // newShard builds and starts a shard front: workers goroutines draining a
 // queueCap-deep fair queue into ex. Instruments are named "shard.<id>.*"
 // so N shards sharing one registry stay distinguishable.
-func newShard(id, workers, queueCap int, ex Executor, clk clock.Clock, reg *telemetry.Registry) *Shard {
-	if clk == nil {
-		clk = clock.Real{}
-	}
+func newShard(id, workers, queueCap int, ex Executor, reg *telemetry.Registry) *Shard {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Shard{
 		ID:        id,
 		q:         newFairQueue(queueCap),
 		exec:      ex,
-		workers:   workers,
-		clock:     clk,
 		ctx:       ctx,
 		cancel:    cancel,
 		depth:     reg.Gauge(fmt.Sprintf("shard.%d.queue.depth", id)),
@@ -116,7 +108,7 @@ func (s *Shard) submit(j *Job) error {
 	if s.down.Load() {
 		return s.unavailable()
 	}
-	j.enq = s.clock.Now()
+	j.enq = time.Now()
 	if err := s.q.push(j); err != nil {
 		return err
 	}
@@ -142,10 +134,10 @@ func (s *Shard) run() {
 // runOne executes one popped job and delivers its outcome.
 func (s *Shard) runOne(j *Job) {
 	s.depth.Set(int64(s.q.len()))
-	s.queueWait.RecordDuration(s.clock.Since(j.enq))
-	start := s.clock.Now()
+	s.queueWait.RecordDuration(time.Since(j.enq))
+	start := time.Now()
 	err := s.exec.Execute(s.ctx, j)
-	s.latency.RecordDuration(s.clock.Since(start))
+	s.latency.RecordDuration(time.Since(start))
 	if err == nil {
 		s.published.Inc()
 		j.finish(nil)

@@ -5,13 +5,14 @@
 // independently, and a deposed shard leader fences only its own key range.
 //
 // In front of the shards sits a thin Router keyed by consistent hashing
-// over (tenant, hook): per-tenant token-bucket admission control (publish
-// rate and staged bytes), round-robin fair-share scheduling of queued jobs
+// over (tenant, hook): round-robin fair-share scheduling of queued jobs
 // across tenants within each shard, and per-shard telemetry wired into the
-// fleet registry. The deployment model gives each tenant a disjoint hook
-// namespace, so the shard owning a (tenant, hook) key exclusively owns the
-// (node, hook) dispatch slots reachable through it — the per-shard pubMu
-// argument of DESIGN.md §11 depends on that disjointness.
+// fleet registry. Ring membership is fixed once set-up is done: a shard's
+// state moves only by journal replay on takeover. The deployment model
+// gives each tenant a disjoint hook namespace, so the shard owning a
+// (tenant, hook) key exclusively owns the (node, hook) dispatch slots
+// reachable through it — the per-shard pubMu argument of DESIGN.md §11
+// depends on that disjointness.
 package shard
 
 import (
@@ -29,17 +30,16 @@ const DefaultVNodes = 64
 
 // Map is a consistent-hash ring assigning (tenant, hook) keys to shard
 // IDs. Each shard contributes vnodes points; a key belongs to the first
-// point clockwise from its hash. Assignment is stable across Add/Remove:
-// only keys on arcs adjacent to the changed shard's points move, so a
-// shard add/remove reshuffles ~1/N of the key space instead of all of it.
-// All methods are safe for concurrent use.
+// point clockwise from its hash. Assignment is stable across Add: only
+// keys on arcs ending at the new shard's points move, so adding a shard
+// reshuffles ~1/N of the key space instead of all of it. All methods are
+// safe for concurrent use.
 type Map struct {
 	vnodes int
 
 	mu     sync.RWMutex
 	points []point // sorted by hash
 	shards map[int]struct{}
-	epoch  uint64 // bumped on every membership change
 }
 
 type point struct {
@@ -88,60 +88,19 @@ func (m *Map) Add(id int) {
 	m.shards[id] = struct{}{}
 	m.points = append(m.points, m.pointsFor(id)...)
 	sort.Slice(m.points, func(i, j int) bool { return m.points[i].hash < m.points[j].hash })
-	m.epoch++
-}
-
-// Remove deletes a shard's virtual nodes from the ring (no-op if absent).
-// Keys it owned fall to the next point clockwise; everything else stays
-// put.
-func (m *Map) Remove(id int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.shards[id]; !ok {
-		return
-	}
-	delete(m.shards, id)
-	kept := m.points[:0]
-	for _, p := range m.points {
-		if p.id != id {
-			kept = append(kept, p)
-		}
-	}
-	m.points = kept
-	m.epoch++
 }
 
 // Lookup returns the shard owning (tenant, hook); ok is false on an empty
 // ring.
 func (m *Map) Lookup(tenant, hook string) (id int, ok bool) {
-	id, _, ok = m.LookupEpoch(tenant, hook)
-	return id, ok
-}
-
-// LookupEpoch is Lookup returning, atomically with the owner, the ring's
-// membership epoch — it advances on every Add and Remove, so two lookups
-// of one key under the same epoch always resolve to the same shard.
-func (m *Map) LookupEpoch(tenant, hook string) (id int, epoch uint64, ok bool) {
 	h := hash64(Key(tenant, hook))
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	n := len(m.points)
 	if n == 0 {
-		return 0, m.epoch, false
+		return 0, false
 	}
 	// The first point clockwise from h; i == n wraps to the top of the ring.
 	i := sort.Search(n, func(i int) bool { return m.points[i].hash >= h })
-	return m.points[i%n].id, m.epoch, true
-}
-
-// Shards lists the member shard IDs, sorted.
-func (m *Map) Shards() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]int, 0, len(m.shards))
-	for id := range m.shards {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return m.points[i%n].id, true
 }

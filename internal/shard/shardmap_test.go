@@ -33,13 +33,14 @@ func TestMapBalance(t *testing.T) {
 	}
 }
 
-// TestMapStableAssignment: removing one shard moves only the keys it
-// owned; every other key keeps its shard. Adding it back restores the
-// original assignment exactly (placement is deterministic in shard ID).
+// TestMapStableAssignment: adding shard 3 to a 7-shard ring moves keys
+// only onto shard 3; every other key keeps its shard. Placement is
+// deterministic in shard ID, so building the ring in another order gives
+// the same assignment.
 func TestMapStableAssignment(t *testing.T) {
 	m := NewMap(0)
-	for i := 0; i < 8; i++ {
-		m.Add(i)
+	for _, id := range []int{0, 1, 2, 4, 5, 6, 7} {
+		m.Add(id)
 	}
 	const keys = 4000
 	before := make([]int, keys)
@@ -47,29 +48,31 @@ func TestMapStableAssignment(t *testing.T) {
 		before[i], _ = m.Lookup(fmt.Sprintf("t%d", i), "h")
 	}
 
-	m.Remove(3)
+	m.Add(3)
+	after := make([]int, keys)
 	moved := 0
 	for i := range before {
 		id, _ := m.Lookup(fmt.Sprintf("t%d", i), "h")
-		if before[i] == 3 {
-			if id == 3 {
-				t.Fatalf("key t%d still maps to removed shard 3", i)
-			}
-			moved++
+		after[i] = id
+		if id == before[i] {
 			continue
 		}
-		if id != before[i] {
-			t.Errorf("key t%d moved %d -> %d though shard 3's removal should not touch it", i, before[i], id)
+		if id != 3 {
+			t.Errorf("key t%d moved %d -> %d though only shard 3 was added", i, before[i], id)
 		}
+		moved++
 	}
 	if moved == 0 {
-		t.Fatal("shard 3 owned no keys before removal; balance test should have caught this")
+		t.Fatal("shard 3 took no keys; balance test should have caught this")
 	}
 
-	m.Add(3)
-	for i := range before {
-		if id, _ := m.Lookup(fmt.Sprintf("t%d", i), "h"); id != before[i] {
-			t.Errorf("key t%d: %d after re-add, want original %d", i, id, before[i])
+	inOrder := NewMap(0)
+	for id := 0; id < 8; id++ {
+		inOrder.Add(id)
+	}
+	for i := range after {
+		if id, _ := inOrder.Lookup(fmt.Sprintf("t%d", i), "h"); id != after[i] {
+			t.Errorf("key t%d: %d on a ring built in order, want %d", i, id, after[i])
 		}
 	}
 }
@@ -89,7 +92,8 @@ func TestMapKeyComposition(t *testing.T) {
 	if !ok || id != 1 {
 		t.Errorf("single-shard ring: got (%d, %v), want (1, true)", id, ok)
 	}
-	if got := m.Shards(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Shards() = %v", got)
+	m.Add(1)
+	if len(m.points) != 4 {
+		t.Errorf("re-adding shard 1 left %d ring points, want 4", len(m.points))
 	}
 }

@@ -1,8 +1,8 @@
 // Package sim is a deterministic simulation and model-checking harness
-// for the HA control plane. It runs the real controlha and shard code
-// under a controlled scheduler: every remote verb and every virtual-clock
-// sleep becomes a schedule step, the scheduler — not the Go runtime —
-// picks which pending step fires next (seeded random schedules, recorded
+// for the HA control plane. It runs the real controlha code under a
+// controlled scheduler: every remote verb and every virtual-clock sleep
+// becomes a schedule step, the scheduler — not the Go runtime — picks
+// which pending step fires next (seeded random schedules, recorded
 // replay, or bounded systematic exploration), invariant checkers run
 // after every step, and a violation is reproduced exactly from its seed
 // and choice list, then greedily shrunk to a minimal trace.
@@ -29,8 +29,7 @@ var simEpoch = time.Unix(1767225600, 0).UTC()
 // VirtualClock is a deterministic clock.Clock. It has two modes:
 //
 //   - standalone (sched == nil): tests drive it with Advance; Sleep blocks
-//     until some Advance moves now past the deadline, tickers deliver on
-//     buffered channels as Advance crosses their periods.
+//     until some Advance moves now past the deadline.
 //   - scheduler-bound (built by Scheduler): Sleep parks the calling proc
 //     as a pending timer step; firing that step advances now to the
 //     deadline. Time moves only when the schedule says so.
@@ -39,7 +38,6 @@ type VirtualClock struct {
 	now     time.Time
 	sched   *Scheduler
 	waiters []*vcWaiter
-	tickers []*vcTicker
 }
 
 var _ clock.Clock = (*VirtualClock)(nil)
@@ -47,14 +45,6 @@ var _ clock.Clock = (*VirtualClock)(nil)
 type vcWaiter struct {
 	deadline time.Time
 	ch       chan struct{}
-}
-
-type vcTicker struct {
-	clock  *VirtualClock
-	ch     chan time.Time
-	period time.Duration
-	next   time.Time
-	stop   bool
 }
 
 // NewVirtualClock creates a standalone virtual clock starting at start
@@ -76,8 +66,9 @@ func (c *VirtualClock) Now() time.Time {
 // Since implements Clock.
 func (c *VirtualClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 
-// Sleep implements Clock. Scheduler-bound clocks park the caller as a
-// timer step; standalone clocks block until Advance crosses the deadline.
+// Sleep parks the caller for d of virtual time. Scheduler-bound clocks
+// park it as a timer step; standalone clocks block until Advance crosses
+// the deadline.
 func (c *VirtualClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
@@ -96,30 +87,8 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	<-w.ch
 }
 
-// NewTicker implements Clock. Ticks deliver on a 1-buffered channel as the
-// clock advances past each period boundary (missed ticks coalesce, like
-// time.Ticker).
-func (c *VirtualClock) NewTicker(d time.Duration) clock.Ticker {
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &vcTicker{clock: c, ch: make(chan time.Time, 1), period: d, next: c.now.Add(d)}
-	c.tickers = append(c.tickers, t)
-	return t
-}
-
-func (t *vcTicker) C() <-chan time.Time { return t.ch }
-
-func (t *vcTicker) Stop() {
-	t.clock.mu.Lock()
-	t.stop = true
-	t.clock.mu.Unlock()
-}
-
-// Advance moves a standalone clock forward by d, waking sleepers and
-// delivering ticker ticks whose deadlines the move crosses.
+// Advance moves a standalone clock forward by d, waking sleepers whose
+// deadlines the move crosses.
 func (c *VirtualClock) Advance(d time.Duration) {
 	if d <= 0 {
 		return
@@ -138,7 +107,7 @@ func (c *VirtualClock) advanceTo(t time.Time) {
 	c.mu.Unlock()
 }
 
-// deliverLocked moves now to target and delivers everything due.
+// deliverLocked moves now to target and wakes every sleeper due.
 func (c *VirtualClock) deliverLocked(target time.Time) {
 	c.now = target
 	kept := c.waiters[:0]
@@ -150,19 +119,4 @@ func (c *VirtualClock) deliverLocked(target time.Time) {
 		kept = append(kept, w)
 	}
 	c.waiters = kept
-	liveTickers := c.tickers[:0]
-	for _, t := range c.tickers {
-		if t.stop {
-			continue
-		}
-		for !t.next.After(target) {
-			select {
-			case t.ch <- t.next:
-			default: // coalesce like time.Ticker
-			}
-			t.next = t.next.Add(t.period)
-		}
-		liveTickers = append(liveTickers, t)
-	}
-	c.tickers = liveTickers
 }

@@ -34,44 +34,6 @@ func TestVirtualClockStandaloneSleep(t *testing.T) {
 	}
 }
 
-// TestVirtualClockTickerCoalesces: a big Advance across many periods
-// delivers ticks without blocking — the 1-buffered channel coalesces.
-func TestVirtualClockTickerCoalesces(t *testing.T) {
-	c := NewVirtualClock(simEpoch)
-	tk := c.NewTicker(10 * time.Millisecond)
-	defer tk.Stop()
-	c.Advance(time.Second) // 100 periods; must not deadlock
-	select {
-	case <-tk.C():
-	default:
-		t.Fatal("no tick delivered after advancing past the period")
-	}
-	// At most one more tick can be buffered; draining twice must not block.
-	select {
-	case <-tk.C():
-	default:
-	}
-	c.Advance(10 * time.Millisecond)
-	select {
-	case <-tk.C():
-	case <-time.After(time.Second):
-		t.Fatal("ticker dead after coalescing")
-	}
-}
-
-// TestVirtualClockTickerStop: a stopped ticker receives no further ticks.
-func TestVirtualClockTickerStop(t *testing.T) {
-	c := NewVirtualClock(simEpoch)
-	tk := c.NewTicker(10 * time.Millisecond)
-	tk.Stop()
-	c.Advance(time.Second)
-	select {
-	case <-tk.C():
-		t.Fatal("tick delivered after Stop")
-	default:
-	}
-}
-
 // TestVirtualClockNeverRewinds: advanceTo with an earlier target must not
 // move Now backward (timer steps can fire out of deadline order when the
 // schedule chooses them adversarially).

@@ -1,9 +1,9 @@
-// Package scenario wires real controlha and shard protocol code under the
-// sim scheduler. Each Run* function is a sim.Runner: it builds a fresh
+// Package scenario wires real controlha protocol code under the sim
+// scheduler. Each Run* function is a sim.Runner: it builds a fresh
 // world (standby host, controllers, publishers), registers the fault
 // actions and invariants, and drives one schedule to completion. The
 // scenarios deliberately exercise the REAL implementations — Lease,
-// Replicator, Journal, Replay, TakeOver, Map, Admission — with only the
+// Replicator, Journal, Replay, TakeOver, ChainOffload — with only the
 // transport and the clock virtualized.
 package scenario
 

@@ -10,16 +10,13 @@ import (
 	"rdx/internal/sim"
 )
 
-// The simregression build tag re-seeds two historical bugs:
+// The simregression build tag re-seeds a historical bug in controlha:
+// pre-rotation takeover fencing (epoch CAS only, no ring rkey rotation),
+// which lets a stale leader with a live tail reservation commit past the
+// successor's replay point.
 //
-//   - controlha: pre-rotation takeover fencing (epoch CAS only, no ring
-//     rkey rotation), letting a stale leader with a live tail reservation
-//     commit past the successor's replay point.
-//   - shard: the refund-on-failure bug — a publish whose owner refused
-//     work returned without refunding the admission charge.
-//
-// These tests assert the simulator FINDS each within a few thousand
-// schedules and shrinks each to a short, replayable trace. Set
+// The test asserts the simulator FINDS it within a few thousand schedules
+// and shrinks it to a short, replayable trace. Set
 // SIM_WRITE_CORPUS=1 to refresh the checked-in corpus under
 // internal/sim/testdata/schedules.
 const regressionBudget = 3000
@@ -56,29 +53,5 @@ func TestFencingRegression(t *testing.T) {
 		Choices:  v.Choices,
 		MaxSteps: 300,
 		Note:     "pre-rotation takeover fencing: stale leader commits a live reservation past the successor's replay point (" + v.Invariant + ")",
-	})
-}
-
-// TestRefundRegression: token conservation must catch the skipped refund
-// on the refusing-owner publish path.
-func TestRefundRegression(t *testing.T) {
-	rep := sim.ExploreRandom(RunAdmission, 1, regressionBudget, 300)
-	if rep.Violation == nil {
-		t.Fatalf("refund bug not found in %d schedules", rep.Runs)
-	}
-	v := rep.Violation
-	t.Logf("found after %d runs, shrunk to %d steps:\n%v", rep.Runs, len(v.Trace), v)
-	if v.Invariant != "token-conservation" {
-		t.Fatalf("unexpected invariant %q", v.Invariant)
-	}
-	if len(v.Trace) > 20 {
-		t.Fatalf("shrunk trace has %d steps, want <= 20", len(v.Trace))
-	}
-	writeCorpus(t, "admission-refund-leak.json", &sim.Schedule{
-		Scenario: "admission",
-		Seed:     v.Seed,
-		Choices:  v.Choices,
-		MaxSteps: 300,
-		Note:     "refund-on-failure: a publish whose owner refused work skipped Refund, leaking tenant quota (token-conservation)",
 	})
 }

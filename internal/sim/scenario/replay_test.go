@@ -9,9 +9,8 @@ import (
 
 // runners maps corpus scenario names to their Runner.
 var runners = map[string]sim.Runner{
-	"failover":  RunFailover,
-	"admission": RunAdmission,
-	"chain":     RunChainOffload,
+	"failover": RunFailover,
+	"chain":    RunChainOffload,
 }
 
 // TestReplayByteIdentical pins run-to-run determinism: a seeded schedule,

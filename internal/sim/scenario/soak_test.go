@@ -9,13 +9,12 @@ import (
 	"rdx/internal/sim"
 )
 
-// Soak budgets: the two random soaks together must clear the 10k-schedule
-// bar well inside a minute (empirically they run in single-digit seconds).
+// Soak budgets: the random soaks together must clear the 10k-schedule bar
+// well inside a minute (empirically they run in single-digit seconds).
 const (
-	soakFailoverRuns  = 6000
-	soakAdmissionRuns = 5000
-	soakChainRuns     = 4000
-	soakMaxSteps      = 300
+	soakFailoverRuns = 6000
+	soakChainRuns    = 4000
+	soakMaxSteps     = 300
 )
 
 // TestFailoverSoak random-explores the leader-failover scenario: every
@@ -33,21 +32,6 @@ func TestFailoverSoak(t *testing.T) {
 		float64(rep.Runs)/elapsed.Seconds())
 }
 
-// TestAdmissionSoak random-explores the admission scenario: admission,
-// an owner that refuses work and then leaves the ring, crashes that leave
-// it refusing, and clock-driven bucket refills, with token conservation
-// checked at every step.
-func TestAdmissionSoak(t *testing.T) {
-	start := time.Now()
-	rep := sim.ExploreRandom(RunAdmission, 1, soakAdmissionRuns, soakMaxSteps)
-	if rep.Violation != nil {
-		t.Fatalf("admission soak found a violation:\n%v", rep.Violation)
-	}
-	elapsed := time.Since(start)
-	t.Logf("admission: %d schedules in %v (%.0f/s)", rep.Runs, elapsed,
-		float64(rep.Runs)/elapsed.Seconds())
-}
-
 // TestFailoverSystematic walks the low-deviation schedule space
 // exhaustively-ish: every run within the preemption budget from the
 // deterministic baseline. Systematic exploration catches bugs that need a
@@ -58,15 +42,6 @@ func TestFailoverSystematic(t *testing.T) {
 		t.Fatalf("failover systematic found a violation:\n%v", rep.Violation)
 	}
 	t.Logf("failover systematic: %d schedules within deviation budget 2", rep.Runs)
-}
-
-// TestAdmissionSystematic is the admission counterpart.
-func TestAdmissionSystematic(t *testing.T) {
-	rep := sim.ExploreSystematic(RunAdmission, 2, soakMaxSteps, 800)
-	if rep.Violation != nil {
-		t.Fatalf("admission systematic found a violation:\n%v", rep.Violation)
-	}
-	t.Logf("admission systematic: %d schedules within deviation budget 2", rep.Runs)
 }
 
 // TestChainOffloadSoak random-explores the verb-chain offload scenario:

@@ -3,12 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"rdx/internal/clock"
 )
 
 // ErrAborted reports a verb or sleep cut short because the scheduler
@@ -115,7 +114,7 @@ type Result struct {
 type Scheduler struct {
 	cfg   Config
 	clock *VirtualClock
-	rng   clock.Rand
+	rng   *rand.Rand
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -140,7 +139,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 4096
 	}
-	s := &Scheduler{cfg: cfg, rng: clock.NewRand(cfg.Seed)}
+	s := &Scheduler{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	s.cond = sync.NewCond(&s.mu)
 	s.clock = NewVirtualClock(cfg.Start)
 	s.clock.sched = s

@@ -87,14 +87,14 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 300s -count=20 -run 'TestInject|TestPublishBarrierHooks|TestStageLinksIntoOwnImage|TestBroadcast|TestCPExecutor' ./internal/pipeline ./internal/core ./internal/shard
 fi
 
-# The simregression build re-seeds two historical bugs (pre-rotation
-# takeover fencing in the failover scenario, the refund-on-failure leak in
-# the admission scenario) and asserts the model checker FINDS each and
-# shrinks it to a short replayable trace. TestReplayByteIdentical carries no build tag, so replay
-# determinism is checked here and in `go test` above. Sim scenarios drive one
-# appender per journal, so every flight there is one entry and the corpus
-# under internal/sim/testdata/schedules replays unchanged.
-echo "== simulation regression (historical bugs must be found) =="
+# The simregression build re-seeds one historical bug (pre-rotation
+# takeover fencing in the failover scenario) and asserts the model checker
+# FINDS it and shrinks it to a short replayable trace.
+# TestReplayByteIdentical carries no build tag, so replay determinism is
+# checked here and in `go test` above. Sim scenarios drive one appender per
+# journal, so every flight there is one entry and the corpus under
+# internal/sim/testdata/schedules replays unchanged.
+echo "== simulation regression (the historical bug must be found) =="
 go test -tags simregression -timeout 120s ./internal/sim/...
 
 echo "verify: all stages passed"
