@@ -209,10 +209,6 @@ func (a *App) RestartNode(i int) error {
 	return nil
 }
 
-// Fabric exposes the app's private fabric so HA components (a standby
-// controller host, a witness) can live on the same network as the nodes.
-func (a *App) Fabric() *rdma.Fabric { return a.fabric }
-
 // Group returns the collective CodeFlow over all services.
 func (a *App) Group() core.Group {
 	g := make(core.Group, 0, len(a.Services))

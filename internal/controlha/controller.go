@@ -32,41 +32,19 @@ func findMR(mrs []rdma.MR, name string) (rdma.MR, error) {
 	return rdma.MR{}, fmt.Errorf("controlha: peer exposes no %q MR", name)
 }
 
-// AttachLeader makes cp the fleet's leader: over qp (a connection to the
-// standby host), acquire the CAS lease in the witness MR, stamp the
-// journal ring with the new fencing epoch, and wire a replicated journal
-// plus the lease fence into cp's publish paths. The returned Leader's
-// lease is NOT auto-renewed: a long-running leader calls Lease.Renew within
-// every TTL, or routes renewals through a chain (Lease.UseChain). The
-// lease's TTL arithmetic runs on cp.Clock.
+// AttachLeader makes cp the fleet's leader over qp (a connection to the
+// standby host). It is TakeOverRemote in every respect but two: it claims
+// the lease with Lease.Acquire, so a live foreign lease fails with
+// ErrLeaseHeld before anything is fenced, and it passes no flows, so the
+// replayed state restores only cp's deployed-version map. Like every term
+// start it fences the ring, collapses a predecessor's dead reservation and
+// continues the ring's sequence; a wrapped ring fails with ErrRingOverrun.
+// The returned Leader's lease is NOT auto-renewed: a long-running leader
+// calls Lease.Renew within every TTL, or routes renewals through a chain
+// (Lease.UseChain). The lease's TTL arithmetic runs on cp.Clock.
 func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration) (*Leader, error) {
-	mrs, err := qp.QueryMRs()
-	if err != nil {
-		return nil, fmt.Errorf("controlha: MR discovery: %w", err)
-	}
-	mem := core.NewRemoteMemory(qp, mrs)
-	witness, err := findMR(mrs, WitnessMRName)
-	if err != nil {
-		return nil, err
-	}
-	ring, err := findMR(mrs, RingMRName)
-	if err != nil {
-		return nil, err
-	}
-	lease := NewLease(mem, witness.Addr, id, ttl, cp.Registry, cp.Clock)
-	if err := lease.Acquire(); err != nil {
-		return nil, err
-	}
-	rep := NewReplicator(mem, ring.Addr, 0, lease.Epoch(), cp.Registry)
-	if err := rep.Activate(); err != nil {
-		return nil, err
-	}
-	j := NewJournal(cp.Registry)
-	j.SetFenceSource(lease.Epoch)
-	j.SetReplicator(rep)
-	cp.SetJournal(j)
-	cp.SetFence(lease.Check)
-	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}, nil
+	ldr, _, err := takeOver(cp, qp, id, ttl, nil, (*Lease).Acquire, rotateRemote(qp), replayRemote)
+	return ldr, err
 }
 
 // TakeOver promotes a standby: steal the lease (the epoch bump fences the
@@ -76,8 +54,8 @@ func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Dura
 // (keyed by NodeKey). The new term continues journaling into the same
 // ring — sequence numbers carry on from the replayed tail, so the ring
 // stays replayable end to end across any number of failovers. qp must
-// reach the standby's own host endpoint (a fabric loopback works: the
-// coordination machinery is built from the fabric's own verbs, so the
+// reach the standby's own host endpoint directly (a fabric loopback works:
+// the coordination machinery is built from the fabric's own verbs, so the
 // successor uses them even against itself).
 //
 // Returns the new leadership term and the replayed state; State.Open lists
@@ -91,71 +69,72 @@ func AttachLeader(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Dura
 // after the ring has wrapped. Only the tail the final pump brings in is
 // replayed inside the outage.
 func TakeOver(cp *core.ControlPlane, host *Host, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
-	return takeOver(cp, qp, id, ttl, flows, host.FenceRing,
+	return takeOver(cp, qp, id, ttl, flows, (*Lease).Steal, host.FenceRing,
 		func(*core.RemoteMemory, uint64) (*State, int, error) { return host.pumpState() })
 }
 
 // TakeOverRemote is TakeOver for a controller that does not own the standby
 // host's arena (rdxctl failover): the ring is fenced by the remote
-// OpRotateMR verb and the journal is fetched over one-sided READs from the
-// ring MR and replayed whole instead of folded as it was pumped. Requires
-// an unwrapped ring; a continuously pumping standby should promote itself
+// OpRotateMR verb and the journal is fetched with one READ of the ring MR
+// and replayed whole instead of folded as it was pumped. Requires an
+// unwrapped ring; a continuously pumping standby should promote itself
 // with TakeOver instead.
 func TakeOverRemote(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow) (*Leader, *State, error) {
-	return takeOver(cp, qp, id, ttl, flows,
-		func() error {
-			_, err := qp.RotateMRCtx(context.Background(), RingMRName)
-			return err
-		},
-		func(mem *core.RemoteMemory, ringBase uint64) (*State, int, error) {
-			view, err := FetchJournalView(mem, ringBase)
-			if err != nil {
-				return nil, 0, err
-			}
-			defer view.Release() // Replay copies everything it keeps
-			st, err := Replay(view.Bytes())
-			if err != nil {
-				return nil, 0, fmt.Errorf("controlha: journal replay: %w", err)
-			}
-			return st, st.Entries, nil
-		})
+	return takeOver(cp, qp, id, ttl, flows, (*Lease).Steal, rotateRemote(qp), replayRemote)
 }
 
-// takeOver is the one takeover body; its callers differ only in how the
-// ring is fenced and where the replayed state comes from (replayed receives
-// the successor's RemoteMemory and the ring MR's base, and also returns how
-// many entries it had to fold inside the takeover).
+// rotateRemote fences the ring with the remote OpRotateMR verb, returning
+// the rkey qp now reaches the ring with.
+func rotateRemote(qp rdma.Verbs) func() (uint32, error) {
+	return func() (uint32, error) { return qp.RotateMRCtx(context.Background(), RingMRName) }
+}
+
+// replayRemote fetches the ring's committed journal and replays it whole;
+// every entry counts as folded inside the term start.
+func replayRemote(mem *core.RemoteMemory, ringBase uint64) (*State, int, error) {
+	journal, err := FetchJournal(mem, ringBase)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := Replay(journal)
+	if err != nil {
+		return nil, 0, fmt.Errorf("controlha: journal replay: %w", err)
+	}
+	return st, st.Entries, nil
+}
+
+// takeOver is the one body that starts a leadership term. Its three
+// callers differ only in how the lease is claimed (Acquire or Steal), how
+// the ring is fenced (fenceRing returns the ring's rkey after rotation),
+// and where the replayed state comes from (replayed receives the
+// successor's RemoteMemory and the ring MR's base, and also returns how
+// many entries it had to fold inside the term start). The order is
+// discover, claim, fence, activate, reconcile, replay, apply, seed.
 //
-// The FIRST act of a takeover is fenceRing: rotating the ring MR's rkey on
-// the standby's endpoint. The epoch-word CAS check inside Append narrows
-// but cannot close the deposal window: a stale leader that passed the check
-// and already holds a tail reservation can land its WRITE and plain hwm CAS
-// after the successor replayed and re-seeded sequence numbers, committing a
-// duplicate-seq entry into the live ring. Rotation revokes the stale
-// leader's rkey before the successor queries the fresh MR table, so no
-// pre-takeover verb can mutate the ring afterwards — which is also what
-// makes Reconcile (collapsing a dead reservation so the ring un-wedges)
-// safe to run. The rotation happens before the lease steal: if the steal
-// then fails, the old leader is fenced off its ring without a successor —
-// acceptable for this administrative failover path, where the operator
-// retries.
+// The lease comes first, so a refused claim fences nothing: a live leader
+// keeps its ring. The ring fence then rotates the ring MR's rkey on the
+// standby's endpoint. The epoch-word CAS check inside Append narrows but
+// cannot close the deposal window: a stale leader that passed the check
+// and already holds a tail reservation can land its WRITE and plain hwm
+// CAS after the successor replayed and re-seeded sequence numbers,
+// committing a duplicate-seq entry into the live ring. Rotation revokes
+// the stale leader's rkey before the successor activates, reconciles or
+// replays, so no pre-rotation verb can mutate the ring afterwards — which
+// is also what makes Reconcile (collapsing a dead reservation so the ring
+// un-wedges) safe to run. An append the stale leader commits between the
+// claim and the rotation lands before the replay and is replayed.
 func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration, flows map[string]*core.CodeFlow,
-	fenceRing func() error, replayed func(mem *core.RemoteMemory, ringBase uint64) (*State, int, error)) (*Leader, *State, error) {
+	claim func(*Lease) error, fenceRing func() (uint32, error),
+	replayed func(mem *core.RemoteMemory, ringBase uint64) (*State, int, error)) (*Leader, *State, error) {
 	clk := cp.Clock
 	if clk == nil {
 		clk = clock.Real{}
 	}
 	start := clk.Now()
-	if rotateRingOnTakeover {
-		if err := fenceRing(); err != nil {
-			return nil, nil, fmt.Errorf("controlha: ring fence: %w", err)
-		}
-	}
 	mrs, err := qp.QueryMRs()
 	if err != nil {
 		return nil, nil, fmt.Errorf("controlha: MR discovery: %w", err)
 	}
-	mem := core.NewRemoteMemory(qp, mrs)
 	witness, err := findMR(mrs, WitnessMRName)
 	if err != nil {
 		return nil, nil, err
@@ -164,9 +143,25 @@ func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration
 	if err != nil {
 		return nil, nil, err
 	}
+	mem := core.NewRemoteMemory(qp, mrs)
 	lease := NewLease(mem, witness.Addr, id, ttl, cp.Registry, clk)
-	if err := lease.Steal(); err != nil {
+	if err := claim(lease); err != nil {
 		return nil, nil, err
+	}
+	if rotateRingOnTakeover {
+		rkey, err := fenceRing()
+		if err != nil {
+			return nil, nil, fmt.Errorf("controlha: ring fence: %w", err)
+		}
+		// The rotated ring answers only to its new rkey; the witness keeps
+		// the one discovered above.
+		for i := range mrs {
+			if mrs[i].Name == RingMRName {
+				mrs[i].RKey = rkey
+			}
+		}
+		mem = core.NewRemoteMemory(qp, mrs)
+		lease.mem = mem
 	}
 	rep := NewReplicator(mem, ring.Addr, 0, lease.Epoch(), cp.Registry)
 	if err := rep.Activate(); err != nil {
@@ -193,46 +188,29 @@ func takeOver(cp *core.ControlPlane, qp rdma.Verbs, id uint64, ttl time.Duration
 	return &Leader{CP: cp, Lease: lease, Journal: j, Rep: rep}, state, nil
 }
 
-// FetchJournalView reads the committed journal prefix out of a ring MR
-// with one-sided READs, delivering the bytes as a zero-copy view of the
-// pooled response frame when the underlying issuer supports it (see
-// core.RemoteMemory.ReadBytesView). The CAS-committed high-watermark
-// bounds what is trusted, and a ring that has wrapped past its capacity no
-// longer holds its full history (ErrRingOverrun — a standby that pumped
-// continuously still has the complete copy; this path is for late readers
-// like rdxctl). The caller must Release the view; Replay copies everything
-// it keeps, so releasing right after replay is safe.
-func FetchJournalView(mem *core.RemoteMemory, base uint64) (rdma.FrameView, error) {
+// FetchJournal reads the committed journal prefix out of a ring MR with
+// one-sided READs: the two header words, then one copying READ of the
+// committed bytes. The CAS-committed high-watermark bounds what is trusted,
+// and a ring that has wrapped past its capacity no longer holds its full
+// history (ErrRingOverrun — a standby that pumped continuously still has the
+// complete copy; this path is for late readers like rdxctl).
+func FetchJournal(mem *core.RemoteMemory, base uint64) ([]byte, error) {
 	hwm, err := mem.ReadMem(base+ringOffHwm, 8)
 	if err != nil {
-		return rdma.FrameView{}, fmt.Errorf("controlha: ring read: %w", err)
+		return nil, fmt.Errorf("controlha: ring read: %w", err)
 	}
 	dataCap, err := mem.ReadMem(base+ringOffCap, 8)
 	if err != nil {
-		return rdma.FrameView{}, fmt.Errorf("controlha: ring read: %w", err)
+		return nil, fmt.Errorf("controlha: ring read: %w", err)
 	}
 	if hwm > dataCap {
-		return rdma.FrameView{}, fmt.Errorf("%w: %d committed bytes exceed ring capacity %d (oldest entries overwritten)",
+		return nil, fmt.Errorf("%w: %d committed bytes exceed ring capacity %d (oldest entries overwritten)",
 			ErrRingOverrun, hwm, dataCap)
 	}
 	if hwm == 0 {
-		return rdma.FrameView{}, nil
-	}
-	return mem.ReadBytesView(base+RingHdrSize, int(hwm))
-}
-
-// FetchJournal is FetchJournalView for callers that keep the bytes: the
-// view is copied to the heap and released.
-func FetchJournal(mem *core.RemoteMemory, base uint64) ([]byte, error) {
-	view, err := FetchJournalView(mem, base)
-	if err != nil {
-		return nil, err
-	}
-	defer view.Release()
-	if len(view.Bytes()) == 0 {
 		return nil, nil
 	}
-	return append([]byte(nil), view.Bytes()...), nil
+	return mem.ReadBytes(base+RingHdrSize, int(hwm))
 }
 
 // HAStatus is a read-only snapshot of a standby host's coordination state,
@@ -291,11 +269,6 @@ func Inspect(qp rdma.Verbs) (*HAStatus, error) {
 	if expiry != 0 {
 		st.Expiry = time.Unix(0, int64(expiry))
 	}
-	journal, err := FetchJournal(mem, ring.Addr)
-	if err != nil {
-		st.ReplayErr = err
-		return st, nil
-	}
-	st.State, st.ReplayErr = Replay(journal)
+	st.State, _, st.ReplayErr = replayRemote(mem, ring.Addr)
 	return st, nil
 }

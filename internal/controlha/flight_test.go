@@ -366,7 +366,7 @@ func TestFlightFailureReachesEveryMember(t *testing.T) {
 	t.Run("rkey rotated", func(t *testing.T) {
 		rig := newFlightRig(t, 0)
 		first, rest, release := group(t, rig)
-		if err := rig.host.FenceRing(); err != nil {
+		if _, err := rig.host.FenceRing(); err != nil {
 			t.Fatal(err)
 		}
 		release()

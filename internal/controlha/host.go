@@ -104,15 +104,19 @@ func (h *Host) RingCap() uint64 { return h.ringCap }
 // FenceRing rotates the journal ring's rkey, invalidating every rkey a
 // previous leader resolved: its in-flight and future ring verbs fail with
 // an access error (classified as ErrFencedAppend on the leader side)
-// instead of landing. This is the RDMA-native fence a successor applies
-// FIRST during takeover — unlike the epoch-word CAS check, it closes the
-// window where a stale leader's already-reserved WRITE/commit races the
+// instead of landing. It returns the ring's new rkey. This is the
+// RDMA-native fence a successor applies right after claiming the lease,
+// before it touches the ring — unlike the epoch-word CAS check, it closes
+// the window where a stale leader's already-reserved WRITE/commit races the
 // successor's replay. The witness MR is deliberately NOT rotated: deposed
 // leaders must still be able to read the epoch word to observe their own
 // deposal (core.ErrFenced via Lease.Check).
-func (h *Host) FenceRing() error {
-	_, err := h.ep.RotateMR(RingMRName)
-	return err
+func (h *Host) FenceRing() (uint32, error) {
+	mr, err := h.ep.RotateMR(RingMRName)
+	if err != nil {
+		return 0, err
+	}
+	return mr.RKey, nil
 }
 
 // FenceChains rotates the ha-chain MR's rkey: a stale leader's pre-posted

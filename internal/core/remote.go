@@ -101,27 +101,6 @@ func (m *RemoteMemory) ReadBytes(addr uint64, n int) ([]byte, error) {
 	return m.qp.ReadCtx(m.context(), rkey, addr, n)
 }
 
-// ReadBytesView is ReadBytes without the heap copy: when the underlying
-// issuer supports zero-copy completions (rdma.FrameReader — a raw QP or a
-// ReconnQP), the returned view aliases the pooled response frame and the
-// caller must Release it; otherwise it falls back to a copying read wrapped
-// in a no-op-release view. Bulk consumers (journal fetch, blob reads) use
-// this to keep large READ payloads off the heap.
-func (m *RemoteMemory) ReadBytesView(addr uint64, n int) (rdma.FrameView, error) {
-	rkey, err := m.rkeyFor(addr, n)
-	if err != nil {
-		return rdma.FrameView{}, err
-	}
-	if fr, ok := m.qp.(rdma.FrameReader); ok {
-		return fr.ReadFrameCtx(m.context(), rkey, addr, n)
-	}
-	b, err := m.qp.ReadCtx(m.context(), rkey, addr, n)
-	if err != nil {
-		return rdma.FrameView{}, err
-	}
-	return rdma.ViewOf(b), nil
-}
-
 // ChainTrigger fires the pre-posted verb chain resident at addr (see
 // internal/verbchain): one wire verb, after which the whole program runs on
 // the target's NIC. The chain's outcome comes back typed — rdma.ErrAccess

@@ -156,10 +156,6 @@ func NewProgram(name string, typ ProgramType, insns []Instruction, maps ...MapSp
 	return p
 }
 
-// Bytecode returns the serialized instruction stream — the extension IR
-// that travels from the user to the control plane.
-func (p *Program) Bytecode() []byte { return Encode(p.Insns) }
-
 // Digest returns a hex SHA-256 over everything that affects compiled
 // output: bytecode, type, and map shapes. The control plane's
 // compile-once/deploy-anywhere cache is keyed on it.

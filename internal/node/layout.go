@@ -120,5 +120,4 @@ func HookAddr(i int) mem.Addr {
 // Doorbell immediate values for WRITE_WITH_IMM operations.
 const (
 	DoorbellCCInvalidate uint32 = 1 // rdx_cc_event: invalidate cacheline at addr
-	DoorbellWake         uint32 = 2 // generic wakeup
 )

@@ -23,12 +23,6 @@ type Completion struct {
 	Data   []byte // READ payload, batch statuses, chain or control response; nil for writes and atomics
 	OldVal uint64 // the prior qword, for CAS/FETCH_ADD only
 
-	// View is non-nil only for verbs posted through the view-read path
-	// (ReadFrameCtx): it is the pooled wire frame backing Data, retained
-	// for the consumer, who must Release it. Ordinary verbs copy Data out
-	// of the frame and leave View nil.
-	View *FrameBuf
-
 	at time.Time // when the caller may have it: max(arrival, modeled due)
 	n  int       // response payload bytes
 }
@@ -98,8 +92,7 @@ type pendingVerb struct {
 	ch    chan Completion
 	id    uint64
 	op    uint8
-	bytes int  // payload bytes carried by the verb (data out, or READ length)
-	view  bool // deliver READ payload as a retained frame view, no copy
+	bytes int // payload bytes carried by the verb (data out, or READ length)
 	start time.Time
 	trace telemetry.TraceID
 }
@@ -191,13 +184,6 @@ func (qp *QP) readLoop() {
 					c.OldVal = binary.BigEndian.Uint64(resp.data)
 				}
 			case len(resp.data) == 0:
-			case pv.view:
-				// Zero-copy delivery: hand the consumer a retained
-				// reference to the pooled frame; Data aliases it. The
-				// consumer owns the extra reference (FrameView.Release).
-				f.Retain()
-				c.View = f
-				c.Data = resp.data
 			default:
 				c.Data = append([]byte(nil), resp.data...)
 			}
@@ -248,7 +234,6 @@ func (qp *QP) post(q request) (*pendingVerb, error) {
 	pv := pvPool.Get().(*pendingVerb)
 	pv.op = q.op
 	pv.bytes = q.payloadBytes()
-	pv.view = q.view
 	pv.trace = telemetry.TraceID(q.trace)
 
 	qp.sendMu.Lock()
@@ -379,19 +364,18 @@ func (qp *QP) wait(ctx context.Context, pv *pendingVerb) (Completion, error) {
 		if hold(ctx, timeout, deadline, c.at) {
 			return qp.deliver(pv, c)
 		}
-		return qp.expire(ctx, pv, c)
+		return qp.expire(ctx, pv)
 	case <-timeout:
 	case <-ctx.Done():
 	}
 	// A completer that took the entry before the abandon sends at once; its
 	// completion is kept only if it is already due.
-	var c Completion
 	if !qp.abandon(pv.id) {
-		if c = <-pv.ch; !c.at.After(time.Now()) {
+		if c := <-pv.ch; !c.at.After(time.Now()) {
 			return qp.deliver(pv, c)
 		}
 	}
-	return qp.expire(ctx, pv, c)
+	return qp.expire(ctx, pv)
 }
 
 // spinTail is the part of a modeled wait that is spun rather than slept:
@@ -451,12 +435,8 @@ func (qp *QP) deliver(pv *pendingVerb, c Completion) (Completion, error) {
 	return c, c.Err
 }
 
-// expire fails pv with ErrTimeout and recycles it; dropped is the completion
-// it lost, if any, whose view frame goes back to the pool.
-func (qp *QP) expire(ctx context.Context, pv *pendingVerb, dropped Completion) (Completion, error) {
-	if dropped.View != nil {
-		dropped.View.Release()
-	}
+// expire fails pv with ErrTimeout and recycles it.
+func (qp *QP) expire(ctx context.Context, pv *pendingVerb) (Completion, error) {
 	err := error(ErrTimeout)
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		err = fmt.Errorf("%w: %w", ErrTimeout, ctxErr)

@@ -28,40 +28,26 @@ var (
 	poolBorrows atomic.Int64
 )
 
-// FrameBuf is one borrowed, reference-counted wire buffer. The borrower
-// starts with one reference; Release returns the buffer to its size-class
-// pool when the count reaches zero. Ownership rules (DESIGN.md §12): the
-// bytes are valid only while a reference is held — any component that wants
-// to keep payload bytes past its synchronous scope must either Retain (and
-// later Release) the frame or copy out.
+// FrameBuf is one borrowed wire buffer with a single owner, the borrower,
+// whose Release returns it to its size-class pool. Ownership rules
+// (DESIGN.md §12): the bytes are valid only until that Release — any
+// component that wants to keep payload bytes past its synchronous scope
+// copies them out first.
 type FrameBuf struct {
-	b    []byte // class-size backing array
-	n    int    // live payload length
-	cls  int32  // size class, -1 for oversize one-offs (never pooled)
-	refs atomic.Int32
+	b   []byte // class-size backing array
+	n   int    // live payload length
+	cls int32  // size class, -1 for oversize one-offs (never pooled)
+	out atomic.Bool
 }
 
-// Bytes returns the live payload view. Valid until the last Release.
+// Bytes returns the live payload view. Valid until Release.
 func (f *FrameBuf) Bytes() []byte { return f.b[:f.n] }
 
-// Retain adds a reference for a component that keeps the frame beyond the
-// borrower's scope. Must be called while at least one reference is held.
-func (f *FrameBuf) Retain() {
-	if f.refs.Add(1) <= 1 {
-		panic("rdma: Retain of a released FrameBuf")
-	}
-}
-
-// Release drops one reference; the last release returns the buffer to its
-// pool. Releasing more times than retained panics — a double release means
-// two owners think they hold the frame, which is a correctness bug, not a
-// recoverable condition.
+// Release returns the buffer to its pool. Releasing twice panics — a double
+// release means two owners think they hold the frame, which is a
+// correctness bug, not a recoverable condition.
 func (f *FrameBuf) Release() {
-	r := f.refs.Add(-1)
-	if r > 0 {
-		return
-	}
-	if r < 0 {
+	if !f.out.Swap(false) {
 		panic("rdma: FrameBuf over-released")
 	}
 	poolBorrows.Add(-1)
@@ -79,8 +65,8 @@ func classFor(n int) int {
 	return -1
 }
 
-// getFrame borrows a buffer with capacity for n bytes (refcount 1, length
-// pre-set to n).
+// getFrame borrows a buffer with capacity for n bytes (length pre-set to
+// n).
 func getFrame(n int) *FrameBuf {
 	c := classFor(n)
 	var f *FrameBuf
@@ -105,7 +91,7 @@ func getFrame(n int) *FrameBuf {
 		f = &FrameBuf{b: make([]byte, size), cls: int32(c)}
 	}
 	f.n = n
-	f.refs.Store(1)
+	f.out.Store(true)
 	poolBorrows.Add(1)
 	return f
 }

@@ -61,13 +61,10 @@ func TestFrameBufReuseAndAccounting(t *testing.T) {
 	}
 }
 
-func TestFrameBufRetainRelease(t *testing.T) {
+// TestFrameBufOverReleasePanics pins the single-owner rule: a second
+// Release of one borrow panics instead of pooling the frame twice.
+func TestFrameBufOverReleasePanics(t *testing.T) {
 	f := getFrame(64)
-	f.Retain()
-	f.Release() // still one reference held
-	if got := len(f.Bytes()); got != 64 {
-		t.Fatalf("frame invalidated while retained: len = %d", got)
-	}
 	f.Release()
 
 	defer func() {

@@ -213,10 +213,6 @@ type request struct {
 	imm   uint32    // OpWriteImm
 	data  []byte    // OpWrite / OpWriteImm / OpRotateMR (region name)
 	subs  []request // OpBatch: sub-verbs, each OpWrite or OpWriteImm
-
-	// view is initiator-local (never encoded): deliver this READ's payload
-	// as a retained pooled-frame view instead of a copy.
-	view bool
 }
 
 // Batch sub-verb descriptor layout (concatenated, one per sub-verb):

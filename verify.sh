@@ -58,9 +58,11 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 300s -count=20 -run 'TestFlight|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight' ./internal/controlha/
     # The standby folds the journal as it pumps: the background pump, a
     # takeover's final pump and State() snapshots share one host, and the
-    # rollback-stack bound must hold on leader, replay and fold alike.
-    echo "== hot standby fold + rollback bound (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestHostFold|TestTakeOverFlat|TestRollbackDepth' ./internal/controlha ./internal/core
+    # rollback-stack bound must hold on leader, replay and fold alike. Every
+    # term start (AttachLeader included) claims the lease before it fences,
+    # then replays and continues the ring's sequence.
+    echo "== hot standby fold + term start + rollback bound (race, x20) =="
+    go test -race -timeout 300s -count=20 -run 'TestHostFold|TestTakeOverFlat|TestRollbackDepth|TestAttach' ./internal/controlha ./internal/core
     # Every publish path commits through one CodeFlow.flip (fence, rdx_tx,
     # cc_event) and passes one policy gate: the claim races, rollback's
     # flip-then-pop order and the per-path verb pins repeat under -race.
