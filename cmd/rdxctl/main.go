@@ -473,10 +473,6 @@ func runFailover(standbyAddr, nodeList string, id uint64, ttl, timeout time.Dura
 	if standbyAddr == "" {
 		log.Fatal("rdxctl: failover requires -standby")
 	}
-	qp, err := dialVerbs(standbyAddr, false, timeout)
-	if err != nil {
-		log.Fatalf("rdxctl: dial standby %s: %v", standbyAddr, err)
-	}
 	cp := core.NewControlPlane()
 	flows := map[string]*core.CodeFlow{}
 	if nodeList != "" {
@@ -497,7 +493,7 @@ func runFailover(standbyAddr, nodeList string, id uint64, ttl, timeout time.Dura
 			flows[name] = cf
 		}
 	}
-	ldr, state, err := controlha.TakeOverRemote(cp, qp, id, ttl, flows)
+	ldr, state, err := takeOverStandby(cp, standbyAddr, id, ttl, timeout, flows)
 	if err != nil {
 		log.Fatalf("rdxctl: failover: %v", err)
 	}
@@ -516,6 +512,18 @@ func runFailover(standbyAddr, nodeList string, id uint64, ttl, timeout time.Dura
 	}
 	fmt.Printf("lease released; fencing epoch %d stays\n", ldr.Lease.Epoch())
 	fmt.Println(cp.Registry.Snapshot().Table("failover wire registry").String())
+}
+
+// takeOverStandby dials the standby at addr and runs TakeOverRemote over
+// that link, which it binds to cp's registry and tracer under the label
+// "standby", so cp's wire series count the standby verbs beside the nodes'.
+func takeOverStandby(cp *core.ControlPlane, addr string, id uint64, ttl, timeout time.Duration, flows map[string]*core.CodeFlow) (*controlha.Leader, *controlha.State, error) {
+	qp, err := dialVerbs(addr, false, timeout)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dial standby %s: %w", addr, err)
+	}
+	qp.(*rdma.QP).SetInstruments(rdma.NewWireMetrics(cp.Registry, "rdma.qp"), cp.Tracer, "standby")
+	return controlha.TakeOverRemote(cp, qp, id, ttl, flows)
 }
 
 func runApply(planFile, nodeList string, reconnect bool, timeout time.Duration) {

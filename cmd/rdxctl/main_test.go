@@ -2,9 +2,11 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rdx/internal/controlha"
 	"rdx/internal/core"
@@ -36,5 +38,36 @@ func TestShardRowReplayed(t *testing.T) {
 	row := shardRow(0, "127.0.0.1:7800", &controlha.HAStatus{RingHwm: 128, RingCap: 4096, State: state})
 	if got := strings.Join(row, "|"); got != "0|127.0.0.1:7800|vacant|0|128/4096|5 entries, seq 5|1 (+1 open intents)" {
 		t.Fatalf("row = %s", got)
+	}
+}
+
+// TestFailoverCountsStandbyVerbs: the failover path binds its standby link
+// to the control plane's registry, so the wire table rdxctl prints counts
+// the lease CAS and the ring's ROTATE_MR.
+func TestFailoverCountsStandbyVerbs(t *testing.T) {
+	host, err := controlha.NewHostWith(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go host.Serve(l)
+
+	cp := core.NewControlPlane()
+	ldr, _, err := takeOverStandby(cp, l.Addr().String(), 0x42, time.Second, 5*time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ldr.Lease.Release(); err != nil {
+		t.Fatal(err)
+	}
+	counters := cp.Registry.Snapshot().Counters
+	for _, verb := range []string{"cas", "rotate_mr"} {
+		if n := counters["rdma.qp.verbs."+verb]; n < 1 {
+			t.Errorf("rdma.qp.verbs.%s = %d after a failover, want >= 1", verb, n)
+		}
 	}
 }

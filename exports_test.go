@@ -57,6 +57,7 @@ var exportsAllowlist = map[string]string{
 	"rdx/internal/wasm.FilterWithImports": "the Wasm builder tests assemble modules with",
 	"rdx/internal/wasm.NewLocalInstance":  "the Wasm interpreter the Wasm compiler is tested against",
 	"rdx/internal/wasm.Instance.Run":      "the Wasm interpreter the Wasm compiler is tested against",
+	"rdx/internal/udf.Eval":               "the UDF interpreter the compiler is differentially tested against",
 	// The digest hashes Encode's output; round-tripping through Decode
 	// proves that encoding is lossless, so distinct programs never share
 	// a cache entry.
@@ -261,6 +262,7 @@ func (l *exportsLoader) load(path string) (*types.Package, error) {
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
@@ -273,9 +275,26 @@ func (l *exportsLoader) load(path string) (*types.Package, error) {
 }
 
 // unusedExports returns the exported package-level objects and methods of the
-// module's library packages that no non-test code uses, in file order.
+// module's library packages that no non-test code uses, in file order. A
+// function's calls to itself are not uses.
 func (l *exportsLoader) unusedExports() []exportedIdent {
+	bodies := map[types.Object]*ast.BlockStmt{}
+	for _, p := range l.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					bodies[p.info.Defs[fd.Name]] = fd.Body
+				}
+			}
+		}
+	}
 	used := map[types.Object]bool{}
+	use := func(obj types.Object, at token.Pos) {
+		obj = origin(obj)
+		if b := bodies[obj]; b == nil || at < b.Pos() || at >= b.End() {
+			used[obj] = true
+		}
+	}
 	ifaceMethods := map[string]bool{}
 	addIface := func(typ types.Type) {
 		if it, ok := typ.Underlying().(*types.Interface); ok {
@@ -309,11 +328,11 @@ func (l *exportsLoader) unusedExports() []exportedIdent {
 				addIface(tv.Type)
 			}
 		}
-		for _, obj := range p.info.Uses {
-			used[origin(obj)] = true
+		for id, obj := range p.info.Uses {
+			use(obj, id.Pos())
 		}
-		for _, sel := range p.info.Selections {
-			used[origin(sel.Obj())] = true
+		for sel, s := range p.info.Selections {
+			use(s.Obj(), sel.Pos())
 		}
 	}
 

@@ -167,7 +167,7 @@ func Fig4aData(opts Options) ([]Fig4aRow, error) {
 			return nil, err
 		}
 		coldHist := telemetry.NewHistogram()
-		for rep := 0; rep < agentReps; rep++ {
+		for rep := 0; rep < rdxReps; rep++ {
 			fresh := ext.FromEBPF(progen.MustGenerate(progen.Options{Size: size, Seed: int64(8 + rep), WithHelpers: true}))
 			r, err := rdxRig.cf.InjectExtension(fresh, "ingress")
 			if err != nil {

@@ -55,8 +55,9 @@ type Verbs interface {
 type QP struct {
 	conn net.Conn
 
-	sendMu sync.Mutex
-	nextID uint64
+	sendMu  sync.Mutex
+	nextID  uint64
+	sendBuf []byte // request frame assembly, guarded by sendMu
 
 	// tmo is the per-verb deadline in nanoseconds (0 = none): synchronous
 	// verbs whose completion does not arrive in time fail with ErrTimeout
@@ -150,19 +151,20 @@ func (qp *QP) SetTimeout(d time.Duration) { qp.tmo.Store(int64(d)) }
 func (qp *QP) readLoop() {
 	defer close(qp.done)
 	br := bufio.NewReaderSize(qp.conn, 64<<10)
+	var buf []byte
 	frames := 0
 	for {
-		f, err := readFrame(br)
+		frame, err := readFrame(br, buf)
 		if err != nil {
 			qp.failAll(ErrClosed)
 			return
 		}
-		resp, err := decodeResponse(f.Bytes())
+		buf = reuse(frame)
+		resp, err := decodeResponse(frame)
 		if err != nil {
 			// A malformed response means the stream framing can no longer
 			// be trusted: the QP enters the error state. Wrapping ErrClosed
 			// keeps the failure in the reconnectable transport class.
-			f.Release()
 			qp.failAll(fmt.Errorf("%w: protocol error: %v", ErrClosed, err))
 			qp.conn.Close()
 			return
@@ -174,9 +176,10 @@ func (qp *QP) readLoop() {
 		if ok {
 			// Data is attached even on error completions: batch responses
 			// carry per-sub-verb statuses the initiator uses to locate the
-			// failure. resp.data aliases the pooled frame, so it is copied
-			// out; plain write completions carry no data, and atomics
-			// decode theirs into OldVal, so both stay allocation-free.
+			// failure. resp.data aliases the read buffer, which the next
+			// frame overwrites, so it is copied out; plain write
+			// completions carry no data, and atomics decode theirs into
+			// OldVal, so both stay allocation-free.
 			c := Completion{ID: resp.id, Err: statusErr(resp.status), n: len(resp.data)}
 			switch {
 			case pv.op == OpCAS || pv.op == OpFetchAdd:
@@ -195,7 +198,6 @@ func (qp *QP) readLoop() {
 			c.at = later(time.Now(), qp.lastDue)
 			pv.ch <- c
 		}
-		f.Release()
 		// Batched completion accounting: completions that arrived while we
 		// were handling this one drain in the same pass.
 		frames++
@@ -273,45 +275,21 @@ func (qp *QP) post(q request) (*pendingVerb, error) {
 	return pv, nil
 }
 
-// writevMin is the WRITE payload size from which the data slice is chained
-// onto the frame with net.Buffers instead of being copied into it. 64 KiB is
-// where a second vector element stops costing more than the memcpy it saves
-// on every transport measured in-tree (DESIGN.md §12).
-const writevMin = 64 << 10
-
-// writeRequest assembles and emits one request frame while holding sendMu.
-// Small frames are assembled [hdr|payload] in a pooled buffer and emitted
-// as a single conn.Write — one syscall per verb, zero steady-state
-// allocations. Write payloads of writevMin bytes or more skip the copy: the
-// header+meta prefix rides in the pooled buffer and the caller's data
-// slice is chained on via net.Buffers (writev on real sockets; the
-// in-process fabric's link has no writev, so there Buffers degrades to
-// sequential Writes into its ring, safe only because sendMu is held across
-// the whole emission). Returns the encoded payload size.
+// writeRequest assembles [hdr|payload] in qp.sendBuf and emits it as one
+// conn.Write while holding sendMu: one syscall per verb, a frame never
+// straddles two writes, and the steady state allocates nothing. A frame
+// past MaxFrame is refused before any byte is written. Returns the payload
+// size.
 func (qp *QP) writeRequest(q *request) (int, error) {
-	size := q.encodedSize() // exact for the hot opcodes, upper bound otherwise
-	if size > MaxFrame {
-		return 0, fmt.Errorf("rdma: frame of %d bytes exceeds max %d", size, MaxFrame)
+	b := q.appendTo(append(qp.sendBuf[:0], 0, 0, 0, 0))
+	qp.sendBuf = reuse(b)
+	n := len(b) - frameHdr
+	if n > MaxFrame {
+		return 0, fmt.Errorf("rdma: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
-	if (q.op == OpWrite || q.op == OpWriteImm) && len(q.data) >= writevMin {
-		f := getFrame(frameHdr + size - len(q.data))
-		b := f.b[:0]
-		b = binary.BigEndian.AppendUint32(b, uint32(size))
-		b = q.appendMeta(b)
-		bufs := net.Buffers{b, q.data}
-		_, err := bufs.WriteTo(qp.conn)
-		f.Release()
-		return size, err
-	}
-	f := getFrame(frameHdr + size)
-	b := append(f.b[:0], 0, 0, 0, 0)
-	b = q.appendTo(b)
-	// Back-patch the prefix with the true length: encodedSize may
-	// overestimate for cold opcodes.
-	binary.BigEndian.PutUint32(b[:frameHdr], uint32(len(b)-frameHdr))
+	binary.BigEndian.PutUint32(b[:frameHdr], uint32(n))
 	_, err := qp.conn.Write(b)
-	f.Release()
-	return len(b) - frameHdr, err
+	return n, err
 }
 
 // payloadBytes is the data volume a verb moves: outbound payload for writes

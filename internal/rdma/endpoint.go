@@ -297,16 +297,13 @@ func (e *Endpoint) CloseConns() {
 	e.connMu.Unlock()
 }
 
-// scratchKeep caps the per-connection scratch buffers retained between
-// frames: a one-off giant response or batch does not pin its buffer on an
-// idle connection forever.
-const scratchKeep = 128 << 10
-
-// connScratch is one connection's reusable working memory: the response
-// assembly buffer, the decoded batch sub-verb slice, per-sub status bytes,
-// and the 8-byte atomic-result word. One instance lives per ServeConn
-// goroutine, so the steady-state service path performs zero allocations.
+// connScratch is one connection's reusable working memory: the request
+// frame, the response assembly buffer, the decoded batch sub-verb slice,
+// per-sub status bytes, and the 8-byte atomic-result word. One instance
+// lives per ServeConn goroutine, so the steady-state service path performs
+// zero allocations.
 type connScratch struct {
+	frame    []byte
 	resp     []byte
 	read     []byte
 	subs     []request
@@ -342,7 +339,7 @@ func (e *Endpoint) ServeConn(conn net.Conn) {
 			return
 		default:
 		}
-		f, err := readFrame(br)
+		frame, err := readFrame(br, cs.frame)
 		if err != nil {
 			// Normal teardown arrives as EOF or closed-pipe; anything
 			// else (truncated frame, oversized length prefix, transport
@@ -354,12 +351,12 @@ func (e *Endpoint) ServeConn(conn net.Conn) {
 		}
 		frames, ok := 0, true
 		for {
-			ok = e.serveFrame(bw, &cs, f, conn)
+			ok = e.serveFrame(bw, &cs, frame, conn)
 			frames++
 			if !ok || !frameBuffered(br) {
 				break
 			}
-			if f, err = readFrame(br); err != nil {
+			if frame, err = readFrame(br, cs.frame); err != nil {
 				e.logFn()("rdma: endpoint read error from %v: %v", conn.RemoteAddr(), err)
 				ok = false
 				break
@@ -374,19 +371,17 @@ func (e *Endpoint) ServeConn(conn net.Conn) {
 }
 
 // serveFrame decodes and executes one request frame and stages its response
-// into bw (the caller flushes once per poll pass). The frame is released
-// here on every path; the response bytes never alias it (arena reads copy,
-// atomics and batch statuses use connScratch). Returns false when the QP
+// into bw (the caller flushes once per poll pass), then keeps the frame's
+// buffer in cs for the connection's next read. Returns false when the QP
 // must drop: malformed frame, oversize response, or write failure.
-func (e *Endpoint) serveFrame(bw *bufio.Writer, cs *connScratch, f *FrameBuf, conn net.Conn) bool {
+func (e *Endpoint) serveFrame(bw *bufio.Writer, cs *connScratch, frame []byte, conn net.Conn) bool {
 	var q request
-	if err := q.decodeInto(f.Bytes(), cs.subs); err != nil {
+	if err := q.decodeInto(frame, cs.subs); err != nil {
 		// A malformed frame means the stream is unframed garbage: a
 		// reply would carry a partially-decoded id (often 0) and the
 		// initiator's real request would never complete. Move the QP
 		// to error state instead — drop the connection so the client
 		// fails fast via failAll.
-		f.Release()
 		e.logFn()("rdma: malformed frame from %v, closing QP: %v", conn.RemoteAddr(), err)
 		return false
 	}
@@ -394,24 +389,21 @@ func (e *Endpoint) serveFrame(bw *bufio.Writer, cs *connScratch, f *FrameBuf, co
 		cs.subs = q.subs[:0] // keep the grown sub-verb capacity for reuse
 	}
 	st, data, modeled := e.handle(&q, cs)
-	f.Release()
-	return e.respond(bw, cs, q.id, st, modeled, data)
+	ok := e.respond(bw, cs, q.id, st, modeled, data)
+	cs.frame = reuse(frame)
+	return ok
 }
 
 // respond assembles [hdr|response] in the connection scratch and stages it
 // into bw with a single Write.
 func (e *Endpoint) respond(bw *bufio.Writer, cs *connScratch, id uint64, status uint8, modeled time.Duration, data []byte) bool {
 	if respHdr+len(data) > MaxFrame {
-		return false // unframeable response: drop the QP, as writeFrame did
+		return false // unframeable response: drop the QP
 	}
 	b := append(cs.resp[:0], 0, 0, 0, 0)
 	b = appendResponse(b, id, status, modeled, data)
 	binary.BigEndian.PutUint32(b[:frameHdr], uint32(len(b)-frameHdr))
-	if cap(b) <= scratchKeep {
-		cs.resp = b[:0]
-	} else {
-		cs.resp = nil
-	}
+	cs.resp = reuse(b)
 	_, err := bw.Write(b)
 	return err == nil
 }
@@ -427,9 +419,8 @@ func isCleanTeardown(err error) bool {
 // handle executes one decoded request against the arena at once and returns
 // the response status and data plus the latency model's charge for the
 // verb, which the initiator waits out (the endpoint never sleeps). Returned
-// data must never alias the request's frame (the caller releases it before
-// responding): arena reads copy, atomics return cs.qword, batches return
-// cs.statuses.
+// data never aliases the request's frame: arena reads copy into cs.read,
+// atomics return cs.qword, batches return cs.statuses.
 func (e *Endpoint) handle(q *request, cs *connScratch) (uint8, []byte, time.Duration) {
 	switch q.op {
 	case OpQueryMRs:

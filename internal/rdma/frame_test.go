@@ -1,10 +1,13 @@
 package rdma
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -13,87 +16,35 @@ import (
 	"rdx/internal/mem"
 )
 
-func TestFrameBufSizeClasses(t *testing.T) {
-	cases := []struct {
-		n       int
-		wantCap int
-	}{
-		{0, 512},
-		{1, 512},
-		{512, 512},
-		{513, 8 << 10},
-		{8 << 10, 8 << 10},
-		{100 << 10, 128 << 10},
-		{1 << 20, 1 << 20},
-		{MaxFrame, MaxFrame + frameHdr},
-		{MaxFrame + frameHdr, MaxFrame + frameHdr},
-	}
-	for _, c := range cases {
-		f := getFrame(c.n)
-		if len(f.Bytes()) != c.n {
-			t.Errorf("getFrame(%d): len = %d", c.n, len(f.Bytes()))
-		}
-		if cap(f.b) != c.wantCap {
-			t.Errorf("getFrame(%d): class cap = %d, want %d", c.n, cap(f.b), c.wantCap)
-		}
-		f.Release()
-	}
+// sendFrame writes payload as one length-prefixed frame in a single Write.
+func sendFrame(w io.Writer, payload []byte) error {
+	b := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	_, err := w.Write(append(b, payload...))
+	return err
 }
 
-func TestFrameBufReuseAndAccounting(t *testing.T) {
-	borrowed := poolHits.Load() + poolMisses.Load()
-	outstanding := poolBorrows.Load()
-	f := getFrame(100)
-	buf := &f.b[0]
-	f.Release()
-	g := getFrame(200)
-	defer g.Release()
-	// Same P, nothing else borrowing this class: the sync.Pool should hand
-	// the buffer straight back.
-	if &g.b[0] != buf {
-		t.Log("note: pool did not reuse the buffer (GC or scheduling); accounting still checked")
-	}
-	if d := poolHits.Load() + poolMisses.Load() - borrowed; d < 2 {
-		t.Errorf("borrow accounting lost borrows: %d counted, want >= 2", d)
-	}
-	if got := poolBorrows.Load(); got != outstanding+1 {
-		t.Errorf("outstanding = %d, want %d", got, outstanding+1)
-	}
+func (q *request) encode() []byte { return q.appendTo(nil) }
+
+func (r *response) encode() []byte {
+	return appendResponse(nil, r.id, r.status, r.modeled, r.data)
 }
 
-// TestFrameBufOverReleasePanics pins the single-owner rule: a second
-// Release of one borrow panics instead of pooling the frame twice.
-func TestFrameBufOverReleasePanics(t *testing.T) {
-	f := getFrame(64)
-	f.Release()
-
-	defer func() {
-		if recover() == nil {
-			t.Error("over-release did not panic")
-		}
-	}()
-	f.Release()
-}
-
-// waitOutstanding polls until the arena's outstanding-borrow count returns
-// to the baseline, failing the test if frames leaked.
-func waitOutstanding(t *testing.T, base int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if poolBorrows.Load() <= base {
+// readFrames drains and discards request frames until br fails: a peer
+// that accepts verbs but never replies.
+func readFrames(br *bufio.Reader) {
+	var buf []byte
+	for {
+		frame, err := readFrame(br, buf)
+		if err != nil {
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
+		buf = frame
 	}
-	t.Fatalf("frame buffers leaked: outstanding = %d, baseline %d",
-		poolBorrows.Load(), base)
 }
 
-// TestFramePoolNoLeakMalformedTeardown: a malformed frame tears the QP
-// down; the borrowed frame must be released on that error path.
-func TestFramePoolNoLeakMalformedTeardown(t *testing.T) {
-	base := poolBorrows.Load()
+// TestMalformedFrameClosesQP: a malformed request frame on an unbuffered
+// conn draws no reply; the endpoint closes the QP instead.
+func TestMalformedFrameClosesQP(t *testing.T) {
 	ep := NewEndpoint(mem.NewArena(4096), nil)
 	ep.SetLogf(nil)
 	ep.RegisterMR("all", 0, 4096, PermAll)
@@ -108,7 +59,7 @@ func TestFramePoolNoLeakMalformedTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, []byte{0xEE, 1, 2, 3}); err != nil { // unknown opcode
+	if err := sendFrame(conn, []byte{0xEE, 1, 2, 3}); err != nil { // unknown opcode
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -117,18 +68,16 @@ func TestFramePoolNoLeakMalformedTeardown(t *testing.T) {
 	}
 	conn.Close()
 	ep.Close()
-	waitOutstanding(t, base)
 }
 
-// TestFramePoolNoLeakDrain: frames in flight when the endpoint drains are
-// all returned once the handlers exit. The endpoint serves a frame as soon
-// as it reads it, so the frames are kept in flight by volume instead: the
-// posts carry 16× the link's capacity, each blocks until the endpoint has
-// read room free, and when the last returns a link's worth of frames is
-// still unread — some served before the handler exits, the rest failed
-// when it drops the connection.
-func TestFramePoolNoLeakDrain(t *testing.T) {
-	base := poolBorrows.Load()
+// TestDrainLosesNoCompletion: every verb in flight when the endpoint drains
+// completes, served or failed, and none times out. The endpoint serves a
+// frame as soon as it reads it, so the frames are kept in flight by volume
+// instead: the posts carry 16× the link's capacity, each blocks until the
+// endpoint has read room free, and when the last returns a link's worth of
+// frames is still unread — some served before the handler exits, the rest
+// failed when it drops the connection.
+func TestDrainLosesNoCompletion(t *testing.T) {
 	arena := mem.NewArena(1 << 16)
 	ep := NewEndpoint(arena, nil)
 	mr, _ := ep.RegisterMR("all", 0, arena.Size(), PermAll)
@@ -157,13 +106,12 @@ func TestFramePoolNoLeakDrain(t *testing.T) {
 		}
 	}
 	qp.Close()
-	waitOutstanding(t, base)
 }
 
-// TestFramePoolNoLeakCloseConns: severing every conn mid-traffic (the
-// transport-flap path) releases all borrowed frames on both sides.
-func TestFramePoolNoLeakCloseConns(t *testing.T) {
-	base := poolBorrows.Load()
+// TestCloseConnsFailsWriters: severing every conn mid-traffic (the
+// transport-flap path) fails every writer looping on its QP, so all of them
+// return.
+func TestCloseConnsFailsWriters(t *testing.T) {
 	arena := mem.NewArena(1 << 16)
 	ep := NewEndpoint(arena, &LatencyModel{Base: 100 * time.Microsecond})
 	mr, _ := ep.RegisterMR("all", 0, arena.Size(), PermAll)
@@ -199,7 +147,6 @@ func TestFramePoolNoLeakCloseConns(t *testing.T) {
 	for _, qp := range qps {
 		qp.Close()
 	}
-	waitOutstanding(t, base)
 }
 
 // TestConcurrentWritersShareConn exercises the coalesced-frame send path
@@ -249,15 +196,16 @@ func TestConcurrentWritersShareConn(t *testing.T) {
 	}
 }
 
-// TestWriteAcrossWritevBoundary pins writeRequest's two emissions either
-// side of writevMin: a payload one byte short is copied into the frame, one
-// at or above it goes out as prefix + caller's slice through net.Buffers.
-// Four posters share the QP, so two-part emissions are in flight while
-// others post. The in-process link has no writev — Buffers degrades to two
-// Writes — so frames stay whole there only because sendMu spans both.
-func TestWriteAcrossWritevBoundary(t *testing.T) {
+// TestWriteSizesAcrossScratchKeep sweeps WRITE and READ sizes across
+// scratchKeep, where a connection's buffers stop being kept between frames:
+// one byte short, exact, one byte over, and a whole 1 MiB segment. Four
+// posters share the QP, so a frame that grew sendBuf past scratchKeep is in
+// flight while others assemble theirs, and each READ's response grows the
+// QP's read buffer and the endpoint's request buffer the same way. Runs over
+// the in-process link and over TCP.
+func TestWriteSizesAcrossScratchKeep(t *testing.T) {
 	const posters, region = 4, 1 << 20
-	sizes := []int{writevMin - 1, writevMin, writevMin + 1, region}
+	sizes := []int{scratchKeep - 1, scratchKeep, scratchKeep + 1, region}
 	fab := NewFabric()
 	links := []struct {
 		name   string
@@ -277,7 +225,6 @@ func TestWriteAcrossWritevBoundary(t *testing.T) {
 	}
 	for _, link := range links {
 		t.Run(link.name, func(t *testing.T) {
-			base := poolBorrows.Load()
 			arena := mem.NewArena(posters * region)
 			ep := NewEndpoint(arena, nil)
 			mr, err := ep.RegisterMR("all", 0, arena.Size(), PermAll)
@@ -294,6 +241,7 @@ func TestWriteAcrossWritevBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer qp.Close()
 			var wg sync.WaitGroup
 			for w := 0; w < posters; w++ {
 				wg.Add(1)
@@ -317,9 +265,46 @@ func TestWriteAcrossWritevBoundary(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			qp.Close()
-			waitOutstanding(t, base)
 		})
+	}
+}
+
+// TestReadDataOutlivesReadBuffer: a READ's Completion.Data is its own copy.
+// The QP reads every later response into the same buffer — a smaller frame
+// over its first bytes, an equal one over all of them, a larger one that
+// grows it — and the first READ's bytes stay exact throughout.
+func TestReadDataOutlivesReadBuffer(t *testing.T) {
+	arena, ep, qp := newTestRig(t, 1<<16, nil)
+	mr, err := ep.RegisterMR("all", 0, arena.Size(), PermAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const first = 8 << 10
+	for i := 0; i < 4; i++ {
+		if err := qp.Write(mr.RKey, mem.Addr(i*first), bytes.Repeat([]byte{byte(0x11 * (i + 1))}, first)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := bytes.Repeat([]byte{0x11}, first)
+	got, err := qp.ReadCtx(context.Background(), mr.RKey, 0, first)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("first READ: err=%v, bytes exact=%v", err, bytes.Equal(got, want))
+	}
+	later := []struct {
+		addr mem.Addr
+		n    int
+	}{{first, 64}, {2 * first, first}, {first, 3 * first}}
+	for _, r := range later {
+		b, err := qp.ReadCtx(context.Background(), mr.RKey, r.addr, r.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &b[0] == &got[0] {
+			t.Fatalf("%d-byte READ returned the first READ's backing array", r.n)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("first READ's data changed after a later %d-byte READ", r.n)
+		}
 	}
 }
 

@@ -143,12 +143,9 @@ func FuzzEndpointFrame(f *testing.F) {
 		// The write itself may fail if the endpoint already tore down —
 		// only possible for malformed input, where no reply is expected
 		// anyway.
-		werr := writeFrame(cli, payload)
+		werr := sendFrame(cli, payload)
 
-		respFrame, rerr := readFrame(bufio.NewReader(cli))
-		if rerr == nil {
-			defer respFrame.Release()
-		}
+		respFrame, rerr := readFrame(bufio.NewReader(cli), nil)
 		if wantResp {
 			if werr != nil {
 				t.Fatalf("endpoint refused a valid request frame: %v", werr)
@@ -156,7 +153,7 @@ func FuzzEndpointFrame(f *testing.F) {
 			if rerr != nil {
 				t.Fatalf("valid request %x got no reply: %v", payload, rerr)
 			}
-			r, err := decodeResponse(respFrame.Bytes())
+			r, err := decodeResponse(respFrame)
 			if err != nil {
 				t.Fatalf("endpoint replied garbage to %x: %v", payload, err)
 			}

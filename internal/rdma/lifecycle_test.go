@@ -21,16 +21,7 @@ import (
 func swallowQP(t *testing.T) *QP {
 	t.Helper()
 	client, server := net.Pipe()
-	go func() {
-		br := bufio.NewReader(server)
-		for {
-			f, err := readFrame(br)
-			if err != nil {
-				return
-			}
-			f.Release()
-		}
-	}()
+	go readFrames(bufio.NewReader(server))
 	qp := NewQP(client)
 	t.Cleanup(func() {
 		qp.Close()
@@ -46,16 +37,7 @@ func swallowQP(t *testing.T) *QP {
 func TestPostCloseRaceNeverLosesCompletion(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		client, server := net.Pipe()
-		go func() {
-			br := bufio.NewReader(server)
-			for {
-				f, err := readFrame(br)
-				if err != nil {
-					return
-				}
-				f.Release()
-			}
-		}()
+		go readFrames(bufio.NewReader(server))
 		qp := NewQP(client)
 
 		const writers = 4
@@ -239,7 +221,7 @@ func TestMalformedFrameTearsDownConnection(t *testing.T) {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, []byte{99, 0, 0}); err != nil { // unknown op, truncated
+	if err := sendFrame(bw, []byte{99, 0, 0}); err != nil { // unknown op, truncated
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -504,12 +486,11 @@ func TestReconnQPAtomicUncertain(t *testing.T) {
 		br := bufio.NewReader(conn)
 		bw := bufio.NewWriter(conn)
 		for {
-			f, err := readFrame(br)
+			frame, err := readFrame(br, nil)
 			if err != nil {
 				return
 			}
-			q, err := decodeRequest(f.Bytes())
-			f.Release()
+			q, err := decodeRequest(frame)
 			if err != nil {
 				return
 			}
@@ -521,7 +502,7 @@ func TestReconnQPAtomicUncertain(t *testing.T) {
 			if q.op == OpQueryMRs {
 				data = table
 			}
-			writeFrame(bw, (&response{id: q.id, status: StatusOK, data: data}).encode())
+			sendFrame(bw, (&response{id: q.id, status: StatusOK, data: data}).encode())
 			bw.Flush()
 		}
 	}

@@ -1,6 +1,8 @@
 package rdma
 
 import (
+	"sync/atomic"
+
 	"rdx/internal/telemetry"
 )
 
@@ -152,5 +154,34 @@ func (m *WireMetrics) replayed() {
 func (m *WireMetrics) doorbellFired() {
 	if m != nil {
 		m.doorbells.Inc()
+	}
+}
+
+// wireInstruments is the registry binding for the process-wide wire
+// instrument:
+//
+//	rdma.wire.frames_per_poll histogram  frames drained per poll pass
+//	                                     (endpoint serve + QP completion)
+type wireInstruments struct {
+	framesPerPoll *telemetry.Histogram
+}
+
+var wireInstr atomic.Pointer[wireInstruments]
+
+// BindWireInstruments attaches the process-wide wire-path instruments
+// (frames-per-poll, and the chain instruments) to reg. Every QP and
+// endpoint in the process records into them, so the binding is global; the
+// last binder wins.
+func BindWireInstruments(reg *telemetry.Registry) {
+	wireInstr.Store(&wireInstruments{
+		framesPerPoll: reg.Histogram("rdma.wire.frames_per_poll"),
+	})
+	bindChainInstruments(reg)
+}
+
+// recordPoll accounts one poll pass that drained n frames.
+func recordPoll(n int) {
+	if wi := wireInstr.Load(); wi != nil {
+		wi.framesPerPoll.Record(int64(n))
 	}
 }

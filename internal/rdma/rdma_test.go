@@ -115,14 +115,31 @@ func TestWireResponseRoundTripProperty(t *testing.T) {
 	}
 }
 
+// writeCounter is a conn that counts the bytes written to it.
+type writeCounter struct {
+	net.Conn
+	n int
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.n += len(p)
+	return len(p), nil
+}
+
+// TestFrameTooLarge: an oversized request is refused before any byte
+// reaches the conn, and an oversized length prefix is refused on read.
 func TestFrameTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
+	conn := &writeCounter{}
+	qp := &QP{conn: conn}
+	if _, err := qp.writeRequest(&request{op: OpWriteImm, data: make([]byte, MaxFrame)}); err == nil {
 		t.Error("oversized frame accepted on write")
+	}
+	if conn.n != 0 {
+		t.Errorf("oversized frame wrote %d bytes before it was refused", conn.n)
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:]))); err == nil {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:])), nil); err == nil {
 		t.Error("oversized frame accepted on read")
 	}
 }
@@ -800,16 +817,7 @@ func TestFailAllDeliversToEveryWaiter(t *testing.T) {
 	// A server that accepts frames but never responds, so posts stay
 	// in flight until the transport dies.
 	client, server := net.Pipe()
-	go func() {
-		br := bufio.NewReader(server)
-		for {
-			f, err := readFrame(br)
-			if err != nil {
-				return
-			}
-			f.Release()
-		}
-	}()
+	go readFrames(bufio.NewReader(server))
 	qp := NewQP(client)
 
 	const inflight = 16

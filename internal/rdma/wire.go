@@ -80,6 +80,9 @@ const (
 // caller's job to segment (the client does this transparently).
 const MaxFrame = 16 << 20
 
+// frameHdr is the 4-byte big-endian length prefix preceding every frame.
+const frameHdr = 4
+
 // Errors surfaced by the client for non-OK statuses.
 var (
 	ErrAccess = errors.New("rdma: remote access error (rkey or permissions)")
@@ -138,29 +141,11 @@ func statusErr(s uint8) error {
 	}
 }
 
-// writeFrame writes one length-prefixed frame as a SINGLE w.Write call:
-// header and payload are assembled into a pooled scratch buffer first, so a
-// frame never straddles two writes (one syscall per frame, and no torn
-// frames if two writers ever race on the same conn without holding the
-// send lock across both halves).
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("rdma: frame of %d bytes exceeds max %d", len(payload), MaxFrame)
-	}
-	f := getFrame(frameHdr + len(payload))
-	b := f.b[:0]
-	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	_, err := w.Write(b)
-	f.Release()
-	return err
-}
-
-// readFrame reads one length-prefixed frame into a pooled buffer. The
-// caller owns the returned frame and must Release it (on every path,
-// including decode errors). The length prefix is consumed via Peek/Discard
-// on the bufio.Reader so the header costs no allocation.
-func readFrame(br *bufio.Reader) (*FrameBuf, error) {
+// readFrame reads one length-prefixed frame and returns its payload in buf,
+// grown when the payload does not fit. The payload is valid until the next
+// readFrame into the same buffer. The length prefix is consumed via
+// Peek/Discard on the bufio.Reader so the header costs no allocation.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	hdr, err := br.Peek(frameHdr)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -168,17 +153,32 @@ func readFrame(br *bufio.Reader) (*FrameBuf, error) {
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr)
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("rdma: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
 	br.Discard(frameHdr)
-	f := getFrame(int(n))
-	if _, err := io.ReadFull(br, f.Bytes()); err != nil {
-		f.Release()
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}
-	return f, nil
+	return buf, nil
+}
+
+// scratchKeep caps the per-connection buffers retained between frames: a
+// one-off giant frame does not pin its buffer on an idle connection forever.
+const scratchKeep = 128 << 10
+
+// reuse returns b emptied for the connection's next frame, or nil once b
+// has grown past scratchKeep.
+func reuse(b []byte) []byte {
+	if cap(b) > scratchKeep {
+		return nil
+	}
+	return b[:0]
 }
 
 // frameBuffered reports whether a complete frame is already sitting in br's
@@ -292,55 +292,6 @@ func decodeBatch(q *request, body []byte, scratch []request) error {
 	return nil
 }
 
-// encodedSize returns the exact (or, for unknown opcodes, an upper-bound)
-// encoded payload length, so the send path can borrow a right-sized pooled
-// buffer and assemble without a single reallocation. Must never
-// underestimate: appendTo growing past the borrowed capacity would
-// reallocate and defeat the zero-alloc hot path.
-func (q *request) encodedSize() int {
-	switch q.op {
-	case OpRead:
-		return reqHdr + 16
-	case OpWrite:
-		return reqHdr + 12 + len(q.data)
-	case OpWriteImm:
-		return reqHdr + 16 + len(q.data)
-	case OpCAS:
-		return reqHdr + 28
-	case OpFetchAdd, OpChainTrigger:
-		return reqHdr + 20
-	case OpRotateMR:
-		return reqHdr + 12 + len(q.data)
-	case OpBatch:
-		size := reqHdr + 2
-		for i := range q.subs {
-			size += 17 + len(q.subs[i].data)
-			if q.subs[i].op == OpWriteImm {
-				size += 4
-			}
-		}
-		return size
-	default:
-		// OpQueryMRs and anything unknown carries rkey+addr and no body.
-		return reqHdr + 28
-	}
-}
-
-// appendMeta appends everything up to but excluding the payload data. Only
-// meaningful for OpWrite/OpWriteImm; the send path uses it to emit
-// [hdr|meta] and the payload as one writev without copying the payload.
-func (q *request) appendMeta(b []byte) []byte {
-	b = append(b, q.op)
-	b = binary.BigEndian.AppendUint64(b, q.id)
-	b = binary.BigEndian.AppendUint64(b, q.trace)
-	b = binary.BigEndian.AppendUint32(b, q.rkey)
-	b = binary.BigEndian.AppendUint64(b, q.addr)
-	if q.op == OpWriteImm {
-		b = binary.BigEndian.AppendUint32(b, q.imm)
-	}
-	return b
-}
-
 // appendTo appends the encoded request payload to b.
 func (q *request) appendTo(b []byte) []byte {
 	b = append(b, q.op)
@@ -370,10 +321,6 @@ func (q *request) appendTo(b []byte) []byte {
 	return b
 }
 
-func (q *request) encode() []byte {
-	return q.appendTo(make([]byte, 0, q.encodedSize()))
-}
-
 func decodeRequest(p []byte) (request, error) {
 	var q request
 	err := q.decodeInto(p, nil)
@@ -381,8 +328,8 @@ func decodeRequest(p []byte) (request, error) {
 }
 
 // decodeInto decodes p into q, reusing subsScratch (may be nil) for batch
-// sub-verbs. Decoded data/subs alias p: they are valid only while the
-// frame that backs p is retained.
+// sub-verbs. Decoded data/subs alias p: they are valid only until the
+// connection reads its next frame into p's buffer.
 func (q *request) decodeInto(p []byte, subsScratch []request) error {
 	if len(p) < reqHdr {
 		return fmt.Errorf("rdma: short request (%d bytes)", len(p))
@@ -461,10 +408,6 @@ func appendResponse(b []byte, id uint64, status uint8, modeled time.Duration, da
 	b = append(b, status)
 	b = binary.BigEndian.AppendUint32(b, uint32(min(modeled, math.MaxUint32)))
 	return append(b, data...)
-}
-
-func (r *response) encode() []byte {
-	return appendResponse(make([]byte, 0, respHdr+len(r.data)), r.id, r.status, r.modeled, r.data)
 }
 
 func decodeResponse(p []byte) (response, error) {

@@ -37,8 +37,9 @@ go test -count=1 -run TestExportsOnlyTestsUse .
 echo "== go test =="
 go test -timeout 120s ./...
 
-# The allocs/op gates skip under -race (instrumentation allocates, sync.Pool
-# drops items), so they get their own non-race run.
+# The allocs/op gates skip under -race (instrumentation allocates, and the
+# sync.Pool of pendingVerb entries drops items), so they get their own
+# non-race run.
 echo "== hot-path alloc gates =="
 go test -count=1 -timeout 120s -run 'HotPathZeroAllocs$' ./internal/rdma/
 go test -count=1 -run 'TestVerifySteadyStateAllocs$' ./internal/ebpf/verifier/
@@ -47,11 +48,11 @@ if [ "${1:-}" != "quick" ]; then
     echo "== go test -race =="
     go test -race -timeout 300s ./...
     # The in-process fabric link is hand-rolled synchronisation: its
-    # conformance tests, the shared-QP poster tests and the modeled-latency
-    # contract (completion at the due time, effect placed before it) repeat
-    # under -race.
+    # conformance tests, the shared-QP poster tests, the per-connection
+    # buffer tests and the modeled-latency contract (completion at the due
+    # time, effect placed before it) repeat under -race.
     echo "== fabric link conformance (race, x10) =="
-    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteAcrossWritevBoundary|TestModeledLatency|TestWritePlacedBeforeCompletion' ./internal/rdma/
+    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteSizesAcrossScratchKeep|TestReadDataOutlivesReadBuffer|TestModeledLatency|TestWritePlacedBeforeCompletion' ./internal/rdma/
     # The journal's group commit is hand-rolled hand-off between appenders:
     # its deterministic group tests repeat under -race.
     echo "== journal group commit (race, x20) =="
