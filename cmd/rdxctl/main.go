@@ -238,6 +238,42 @@ func dialVerbs(addr string, reconnect bool, timeout time.Duration) (rdma.Verbs, 
 	return qp, nil
 }
 
+// dialNodes parses a -nodes list of name=addr entries and opens a CodeFlow
+// on cp to each node, returning the names and flows in list order. On error
+// it closes the flows it already opened.
+func dialNodes(cp *core.ControlPlane, nodeList string, reconnect bool, timeout time.Duration) ([]string, []*core.CodeFlow, error) {
+	var names []string
+	var flows []*core.CodeFlow
+	fail := func(err error) ([]string, []*core.CodeFlow, error) {
+		closeFlows(flows)
+		return nil, nil, err
+	}
+	for _, pair := range strings.Split(nodeList, ",") {
+		name, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
+		if !ok {
+			return fail(fmt.Errorf("bad -nodes entry %q (want name=addr)", pair))
+		}
+		qp, err := dialVerbs(addr, reconnect, timeout)
+		if err != nil {
+			return fail(fmt.Errorf("dial %s (%s): %w", addr, name, err))
+		}
+		cf, err := cp.CreateCodeFlowQP(qp)
+		if err != nil {
+			return fail(fmt.Errorf("codeflow %s: %w", name, err))
+		}
+		names = append(names, name)
+		flows = append(flows, cf)
+	}
+	return names, flows, nil
+}
+
+// closeFlows closes every flow dialNodes opened.
+func closeFlows(flows []*core.CodeFlow) {
+	for _, cf := range flows {
+		cf.Close()
+	}
+}
+
 func buildExtension(udfSrc string, synthetic int) *ext.Extension {
 	switch {
 	case udfSrc != "":
@@ -314,27 +350,13 @@ func runBroadcast(nodeList, hook string, e *ext.Extension, reconnect bool, timeo
 		log.Fatal("rdxctl: broadcast requires -nodes")
 	}
 	cp := core.NewControlPlane()
-	var group core.Group
-	var names []string
-	for _, pair := range strings.Split(nodeList, ",") {
-		name, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			log.Fatalf("rdxctl: bad -nodes entry %q (want name=addr)", pair)
-		}
-		qp, err := dialVerbs(addr, reconnect, timeout)
-		if err != nil {
-			log.Fatalf("rdxctl: dial %s (%s): %v", addr, name, err)
-		}
-		cf, err := cp.CreateCodeFlowQP(qp)
-		if err != nil {
-			log.Fatalf("rdxctl: codeflow %s: %v", name, err)
-		}
-		defer cf.Close()
-		group = append(group, cf)
-		names = append(names, name)
+	names, flows, err := dialNodes(cp, nodeList, reconnect, timeout)
+	if err != nil {
+		log.Fatalf("rdxctl: %v", err)
 	}
+	defer closeFlows(flows)
 
-	rep, err := group.Broadcast(e, core.BroadcastOptions{Hook: hook})
+	rep, err := core.Group(flows).Broadcast(e, core.BroadcastOptions{Hook: hook})
 	for i, o := range rep.Outcomes {
 		status := fmt.Sprintf("version=%d", o.Version)
 		if o.Err != nil {
@@ -476,21 +498,13 @@ func runFailover(standbyAddr, nodeList string, id uint64, ttl, timeout time.Dura
 	cp := core.NewControlPlane()
 	flows := map[string]*core.CodeFlow{}
 	if nodeList != "" {
-		for _, pair := range strings.Split(nodeList, ",") {
-			name, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok {
-				log.Fatalf("rdxctl: bad -nodes entry %q (want name=addr)", pair)
-			}
-			nqp, err := dialVerbs(addr, true, timeout)
-			if err != nil {
-				log.Fatalf("rdxctl: dial %s (%s): %v", addr, name, err)
-			}
-			cf, err := cp.CreateCodeFlowQP(nqp)
-			if err != nil {
-				log.Fatalf("rdxctl: codeflow %s: %v", name, err)
-			}
-			defer cf.Close()
-			flows[name] = cf
+		names, list, err := dialNodes(cp, nodeList, true, timeout)
+		if err != nil {
+			log.Fatalf("rdxctl: %v", err)
+		}
+		defer closeFlows(list)
+		for i, name := range names {
+			flows[name] = list[i]
 		}
 	}
 	ldr, state, err := takeOverStandby(cp, standbyAddr, id, ttl, timeout, flows)
@@ -540,21 +554,13 @@ func runApply(planFile, nodeList string, reconnect bool, timeout time.Duration) 
 	}
 	cp := core.NewControlPlane()
 	o := orchestrator.New(cp)
-	for _, pair := range strings.Split(nodeList, ",") {
-		name, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			log.Fatalf("rdxctl: bad -nodes entry %q (want name=addr)", pair)
-		}
-		qp, err := dialVerbs(addr, reconnect, timeout)
-		if err != nil {
-			log.Fatalf("rdxctl: dial %s (%s): %v", addr, name, err)
-		}
-		cf, err := cp.CreateCodeFlowQP(qp)
-		if err != nil {
-			log.Fatalf("rdxctl: codeflow %s: %v", name, err)
-		}
-		defer cf.Close()
-		o.AddNode(name, cf)
+	names, flows, err := dialNodes(cp, nodeList, reconnect, timeout)
+	if err != nil {
+		log.Fatalf("rdxctl: %v", err)
+	}
+	defer closeFlows(flows)
+	for i, name := range names {
+		o.AddNode(name, flows[i])
 	}
 	res, err := o.Execute(plan)
 	for _, sr := range res.Steps {

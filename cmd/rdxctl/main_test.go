@@ -10,6 +10,8 @@ import (
 
 	"rdx/internal/controlha"
 	"rdx/internal/core"
+	"rdx/internal/node"
+	"rdx/internal/rdma"
 )
 
 // TestShardRowUnreplayable: a shard whose journal cannot be replayed (the
@@ -69,5 +71,48 @@ func TestFailoverCountsStandbyVerbs(t *testing.T) {
 		if n := counters["rdma.qp.verbs."+verb]; n < 1 {
 			t.Errorf("rdma.qp.verbs.%s = %d after a failover, want >= 1", verb, n)
 		}
+	}
+}
+
+// TestDialNodesRejectsMalformedEntry: an entry without "=" fails the list
+// with an error that names it, and no flow comes back.
+func TestDialNodesRejectsMalformedEntry(t *testing.T) {
+	names, flows, err := dialNodes(core.NewControlPlane(), "n0 127.0.0.1:1,n1=127.0.0.1:1", false, time.Second)
+	if err == nil || !strings.Contains(err.Error(), `bad -nodes entry "n0 127.0.0.1:1"`) {
+		t.Fatalf("err = %v, want the bad entry named", err)
+	}
+	if names != nil || flows != nil {
+		t.Errorf("failed dial returned names %v, %d flows", names, len(flows))
+	}
+}
+
+// TestDialNodesInListOrder: two nodes served over TCP come back in -nodes
+// order, each flow attached to its own node.
+func TestDialNodesInListOrder(t *testing.T) {
+	var addrs []string
+	for _, id := range []string{"a", "b"} {
+		n, err := node.New(node.Config{ID: id, Hooks: []string{"ingress"}, Latency: rdma.NoLatency(), Cores: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go n.Serve(l)
+		addrs = append(addrs, l.Addr().String())
+	}
+
+	names, flows, err := dialNodes(core.NewControlPlane(), "second="+addrs[1]+", first="+addrs[0], false, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFlows(flows)
+	if !reflect.DeepEqual(names, []string{"second", "first"}) || len(flows) != 2 {
+		t.Fatalf("names %v, %d flows; want [second first] and 2 flows", names, len(flows))
+	}
+	if flows[0].NodeKey() == flows[1].NodeKey() {
+		t.Errorf("both flows attached to node %s", flows[0].NodeKey())
 	}
 }

@@ -96,7 +96,6 @@ func main() {
 	// Instrument the RNIC whether or not -http is set: the registry is cheap
 	// and a later scrape should not miss verbs served before it started.
 	reg := telemetry.NewRegistry()
-	rdma.BindWireInstruments(reg)
 	tracer := telemetry.NewTraceRecorder(0)
 	n.RNIC.SetInstruments(rdma.NewWireMetrics(reg, "endpoint"), tracer, *id)
 

@@ -20,7 +20,7 @@ import (
 // non-test code uses, plus options no non-test code outside their package
 // sets, that exportsAllowlist does not name. It only goes down: delete such
 // code, then lower the number.
-const exportsOnlyTestsUse = 17
+const exportsOnlyTestsUse = 15
 
 // exportsAllowlist names the exported identifiers that stay although only
 // tests use them, and the options that stay although only tests set them,

@@ -3,8 +3,8 @@ package artifact
 import "container/list"
 
 // LRU is a bounded least-recently-used map. It is not safe for concurrent
-// use; callers guard it with their own lock (the Cache does, and the
-// pipeline scheduler holds prepMu). A capacity <= 0 means unbounded.
+// use; callers guard it with their own lock (the Cache does). A capacity
+// <= 0 means unbounded.
 type LRU[K comparable, V any] struct {
 	cap     int
 	ll      *list.List

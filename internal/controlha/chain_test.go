@@ -251,7 +251,18 @@ func TestTakeOverRemoteUnderScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer host.Close()
-	ringKey, _ := host.Endpoint().MRByName(RingMRName)
+	ringRKey := func() uint32 {
+		mrs, err := host.Endpoint().Local().QueryMRs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := findMR(mrs, RingMRName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mr.RKey
+	}
+	ringKey := ringRKey()
 
 	s := sim.New(sim.Config{Det: true})
 	net := sim.NewNet(s)
@@ -268,10 +279,10 @@ func TestTakeOverRemoteUnderScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TakeOverRemote: %v", err)
 	}
-	if now, _ := host.Endpoint().MRByName(RingMRName); now.RKey == ringKey.RKey {
+	if ringRKey() == ringKey {
 		t.Error("ring rkey not rotated")
 	}
-	expiry, _ := host.Endpoint().Arena().ReadQword(hostWitnessBase + witnessOffExpiry)
+	expiry, _ := host.arena.ReadQword(hostWitnessBase + witnessOffExpiry)
 	if want := s.Clock().Now().Add(time.Minute).UnixNano(); int64(expiry) != want {
 		t.Errorf("lease expiry %d, want virtual now+ttl %d", expiry, want)
 	}

@@ -430,8 +430,7 @@ func TestFlightCrashWindow(t *testing.T) {
 	if got := rig.host.JournalBytes(); len(got) != probeLen {
 		t.Fatalf("standby exposes %d bytes, want only the first flight's %d", len(got), probeLen)
 	}
-	arena := rig.host.Endpoint().Arena()
-	tail, _ := arena.ReadQword(hostRingBase + ringOffTail)
+	tail, _ := rig.host.arena.ReadQword(hostRingBase + ringOffTail)
 	if want := uint64((1 + members) * probeLen); tail != want {
 		t.Fatalf("ring tail %d: the group's reservation (to %d) should be dead, not absent", tail, want)
 	}

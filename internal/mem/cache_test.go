@@ -123,29 +123,33 @@ func TestCacheIncoherenceWindowStatistics(t *testing.T) {
 	// End-to-end sanity of the Fig 5 mechanism: measure the time between a
 	// DMA write and a polling CPU observing it, with CPKI=40 (fast
 	// eviction, keeps the test quick). The median should be within 4x of
-	// the calibrated value — it is a random exponential after all.
+	// the calibrated value — it is a random exponential after all. The
+	// cache reads a test clock that each poll advances by pollStep, so the
+	// window measured is the model's, not the scheduler's.
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
 	a := NewArena(1024)
 	c := NewCacheForCPKI(a, 40, 99)
+	clock := time.Unix(0, 0)
+	c.now = func() time.Time { return clock }
 	want := time.Duration(float64(MeanEvictionInterval(40)) * 0.693)
 
+	const pollStep = time.Microsecond
 	var total time.Duration
 	const rounds = 30
 	for i := 0; i < rounds; i++ {
 		seq := uint64(i + 1)
 		c.ReadQword(0)       // ensure line cached with residual life
 		a.WriteQword(0, seq) // DMA write
-		start := time.Now()
-		// Busy-poll: sleeping would quantize the measurement far above
-		// the microsecond windows being measured.
+		start := clock
 		for {
+			clock = clock.Add(pollStep)
 			if v, _ := c.ReadQword(0); v == seq {
 				break
 			}
 		}
-		total += time.Since(start)
+		total += clock.Sub(start)
 	}
 	avg := total / rounds
 	if avg < want/4 || avg > want*4 {

@@ -72,8 +72,16 @@ func TestBootLayout(t *testing.T) {
 		t.Error("unknown hook accepted")
 	}
 	// MRs registered.
+	mrs, err := n.RNIC.Local().QueryMRs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, mr := range mrs {
+		registered[mr.Name] = true
+	}
 	for _, name := range []string{MRCtrl, MRGot, MRCode, MRScratch, MRMeta} {
-		if _, ok := n.RNIC.MRByName(name); !ok {
+		if !registered[name] {
 			t.Errorf("MR %s missing", name)
 		}
 	}

@@ -6,10 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"rdx/internal/mem"
-	"rdx/internal/telemetry"
 	"rdx/internal/verbchain"
 )
 
@@ -59,52 +57,6 @@ var (
 
 // chainRespLen is the OpChainTrigger response body: status, steps, trigger.
 const chainRespLen = 24
-
-// chainInstruments is the process-wide chain execution instrument family,
-// bound alongside the wire instruments (BindWireInstruments):
-//
-//	rdma.chain.triggers   counter    chain executions fired
-//	rdma.chain.steps      histogram  steps executed per firing
-//	rdma.chain.faults     counter    firings that ended StatusFault
-//	rdma.chain.revoked    counter    firings revoked by fencing
-//	rdma.chain.doorbells  counter    completion doorbells rung by chains
-type chainInstruments struct {
-	triggers  *telemetry.Counter
-	steps     *telemetry.Histogram
-	faults    *telemetry.Counter
-	revoked   *telemetry.Counter
-	doorbells *telemetry.Counter
-}
-
-var chainInstr atomic.Pointer[chainInstruments]
-
-func bindChainInstruments(reg *telemetry.Registry) {
-	chainInstr.Store(&chainInstruments{
-		triggers:  reg.Counter("rdma.chain.triggers"),
-		steps:     reg.Histogram("rdma.chain.steps"),
-		faults:    reg.Counter("rdma.chain.faults"),
-		revoked:   reg.Counter("rdma.chain.revoked"),
-		doorbells: reg.Counter("rdma.chain.doorbells"),
-	})
-}
-
-func recordChain(res verbchain.Result, doorbell bool) {
-	ci := chainInstr.Load()
-	if ci == nil {
-		return
-	}
-	ci.triggers.Inc()
-	ci.steps.Record(int64(res.Steps))
-	switch res.Code() {
-	case verbchain.StatusFault:
-		ci.faults.Inc()
-	case verbchain.StatusRevoked:
-		ci.revoked.Inc()
-	}
-	if doorbell {
-		ci.doorbells.Inc()
-	}
-}
 
 // endpointEnv adapts the endpoint's arena + live MR table to the verbchain
 // executor. Every access re-resolves its rkey under the MR lock, so a
@@ -196,11 +148,10 @@ func (e *Endpoint) execChain(q *request, out []byte) (uint8, []byte) {
 	}
 	trigger := prev + 1
 
-	finish := func(res verbchain.Result, rang bool) (uint8, []byte) {
+	finish := func(res verbchain.Result) (uint8, []byte) {
 		// Persist the outcome even when the program never ran: pollers of
 		// the status word see faults from malformed resident bytes too.
 		_ = e.arena.WriteQword(base+verbchain.OffStatus, res.Status)
-		recordChain(res, rang)
 		binary.BigEndian.PutUint64(out[0:8], res.Status)
 		binary.BigEndian.PutUint64(out[8:16], res.Steps)
 		binary.BigEndian.PutUint64(out[16:24], trigger)
@@ -210,21 +161,21 @@ func (e *Endpoint) execChain(q *request, out []byte) (uint8, []byte) {
 	progLen, err := e.arena.ReadQword(base + verbchain.OffProgLen)
 	if err != nil || progLen == 0 || progLen > verbchain.MaxProgBytes ||
 		uint64(verbchain.OffProg)+progLen > limit {
-		return finish(verbchain.Result{Status: verbchain.PackStatus(verbchain.StatusFault, 0)}, false)
+		return finish(verbchain.Result{Status: verbchain.PackStatus(verbchain.StatusFault, 0)})
 	}
 	progBytes, err := e.arena.Read(base+verbchain.OffProg, int(progLen))
 	if err != nil {
-		return finish(verbchain.Result{Status: verbchain.PackStatus(verbchain.StatusFault, 0)}, false)
+		return finish(verbchain.Result{Status: verbchain.PackStatus(verbchain.StatusFault, 0)})
 	}
 	prog, err := verbchain.Decode(progBytes)
 	if err != nil {
-		return finish(verbchain.Result{Status: verbchain.PackStatus(verbchain.StatusFault, 0)}, false)
+		return finish(verbchain.Result{Status: verbchain.PackStatus(verbchain.StatusFault, 0)})
 	}
 
 	var regs [verbchain.NRegs]uint64
 	for i := range regs {
 		if regs[i], err = e.arena.ReadQword(base + verbchain.OffRegs + mem.Addr(8*i)); err != nil {
-			return finish(verbchain.Result{Status: verbchain.PackStatus(verbchain.StatusFault, 0)}, false)
+			return finish(verbchain.Result{Status: verbchain.PackStatus(verbchain.StatusFault, 0)})
 		}
 	}
 	regs[verbchain.ArgReg] = q.delta
@@ -235,17 +186,15 @@ func (e *Endpoint) execChain(q *request, out []byte) (uint8, []byte) {
 		_ = e.arena.WriteQword(base+verbchain.OffRegs+mem.Addr(8*i), regs[i])
 	}
 
-	rang := false
 	if res.Code() == verbchain.StatusOK && prog.Doorbell != nil {
 		db := prog.Doorbell
 		// The doorbell target is fencing-checked like any step: a rotated
 		// rkey silently swallows the ring (the chain itself succeeded).
 		if _, derr := (endpointEnv{e}).resolve(db.RKey, mem.Addr(db.Addr), PermWrite); derr == nil {
 			e.fireDoorbells(db.Imm, mem.Addr(db.Addr), nil)
-			rang = true
 		}
 	}
-	return finish(res, rang)
+	return finish(res)
 }
 
 // decodeChainResult parses an OpChainTrigger response body and maps the

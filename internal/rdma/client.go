@@ -152,7 +152,6 @@ func (qp *QP) readLoop() {
 	defer close(qp.done)
 	br := bufio.NewReaderSize(qp.conn, 64<<10)
 	var buf []byte
-	frames := 0
 	for {
 		frame, err := readFrame(br, buf)
 		if err != nil {
@@ -197,13 +196,6 @@ func (qp *QP) readLoop() {
 			qp.lastDue = later(pv.start, qp.lastDue).Add(resp.modeled)
 			c.at = later(time.Now(), qp.lastDue)
 			pv.ch <- c
-		}
-		// Batched completion accounting: completions that arrived while we
-		// were handling this one drain in the same pass.
-		frames++
-		if !frameBuffered(br) {
-			recordPoll(frames)
-			frames = 0
 		}
 	}
 }

@@ -131,9 +131,6 @@ func NewEndpoint(arena *mem.Arena, lat *LatencyModel) *Endpoint {
 	return e
 }
 
-// Arena returns the DRAM arena this endpoint serves.
-func (e *Endpoint) Arena() *mem.Arena { return e.arena }
-
 // RegisterMR registers [addr, addr+length) for remote access under a fresh
 // rkey. Names must be unique per endpoint; they are how the control plane
 // discovers regions during CodeFlow creation.
@@ -171,14 +168,6 @@ func (e *Endpoint) RotateMR(name string) (*MR, error) {
 	e.mrs[mr.RKey] = mr
 	e.mrsByName[name] = mr
 	return mr, nil
-}
-
-// MRByName returns the registered region with the given name, if any.
-func (e *Endpoint) MRByName(name string) (*MR, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	mr, ok := e.mrsByName[name]
-	return mr, ok
 }
 
 // RegisterDoorbell attaches a handler to WRITE_WITH_IMM operations landing
@@ -250,14 +239,14 @@ func (e *Endpoint) Close() {
 // left. Unlike Close, a request mid-service gets its reply written before
 // the connection drops — peers observe a clean teardown (EOF after a
 // complete frame) instead of ErrInjected-like truncation noise. Each
-// handler's poll loop re-checks the closed channel between passes, so a
-// drained connection exits after at most one more poll pass (its already
-// buffered frames are served and flushed first).
+// handler re-checks the closed channel before it reads a frame, so a
+// drained connection exits after the frame it is serving; frames it had
+// not yet read fail at their posters with ErrClosed.
 func (e *Endpoint) Drain(grace time.Duration) {
 	e.closeMu.Do(func() {
 		// A handler blocked in readFrame holds no request: unblock it by
 		// expiring the read rather than severing the transport, so a frame
-		// already being serviced still gets its reply flushed.
+		// already being serviced still gets its reply written.
 		e.connMu.Lock()
 		close(e.closed)
 		for c := range e.conns {
@@ -313,13 +302,9 @@ type connScratch struct {
 }
 
 // ServeConn services one QP until the peer disconnects. Requests execute
-// strictly in order (RDMA per-QP ordering). Completion emission is batched
-// per poll: after the blocking read delivers a frame, every further frame
-// already sitting in the read buffer is served in the same pass and the
-// responses are flushed once — pipelined initiators cost one write syscall
-// per burst instead of one per verb. The pass never reads past the last
-// fully-buffered frame (see frameBuffered), so a non-pipelined peer waiting
-// on its reply always gets the flush before we block again.
+// strictly in order (RDMA per-QP ordering): each frame is read, served and
+// answered with one write before the next frame is read, so the endpoint
+// charges and completes verbs one at a time, as the RNIC does.
 func (e *Endpoint) ServeConn(conn net.Conn) {
 	e.connMu.Lock()
 	e.conns[conn] = struct{}{}
@@ -331,7 +316,6 @@ func (e *Endpoint) ServeConn(conn net.Conn) {
 		e.connMu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
 	var cs connScratch
 	for {
 		select {
@@ -349,32 +333,17 @@ func (e *Endpoint) ServeConn(conn net.Conn) {
 			}
 			return
 		}
-		frames, ok := 0, true
-		for {
-			ok = e.serveFrame(bw, &cs, frame, conn)
-			frames++
-			if !ok || !frameBuffered(br) {
-				break
-			}
-			if frame, err = readFrame(br, cs.frame); err != nil {
-				e.logFn()("rdma: endpoint read error from %v: %v", conn.RemoteAddr(), err)
-				ok = false
-				break
-			}
-		}
-		flushErr := bw.Flush()
-		recordPoll(frames)
-		if !ok || flushErr != nil {
+		if !e.serveFrame(&cs, frame, conn) {
 			return
 		}
 	}
 }
 
-// serveFrame decodes and executes one request frame and stages its response
-// into bw (the caller flushes once per poll pass), then keeps the frame's
-// buffer in cs for the connection's next read. Returns false when the QP
-// must drop: malformed frame, oversize response, or write failure.
-func (e *Endpoint) serveFrame(bw *bufio.Writer, cs *connScratch, frame []byte, conn net.Conn) bool {
+// serveFrame decodes and executes one request frame and writes its
+// response, then keeps the frame's buffer in cs for the connection's next
+// read. Returns false when the QP must drop: malformed frame, oversize
+// response, or write failure.
+func (e *Endpoint) serveFrame(cs *connScratch, frame []byte, conn net.Conn) bool {
 	var q request
 	if err := q.decodeInto(frame, cs.subs); err != nil {
 		// A malformed frame means the stream is unframed garbage: a
@@ -389,14 +358,14 @@ func (e *Endpoint) serveFrame(bw *bufio.Writer, cs *connScratch, frame []byte, c
 		cs.subs = q.subs[:0] // keep the grown sub-verb capacity for reuse
 	}
 	st, data, modeled := e.handle(&q, cs)
-	ok := e.respond(bw, cs, q.id, st, modeled, data)
+	ok := e.respond(conn, cs, q.id, st, modeled, data)
 	cs.frame = reuse(frame)
 	return ok
 }
 
-// respond assembles [hdr|response] in the connection scratch and stages it
-// into bw with a single Write.
-func (e *Endpoint) respond(bw *bufio.Writer, cs *connScratch, id uint64, status uint8, modeled time.Duration, data []byte) bool {
+// respond assembles [hdr|response] in the connection scratch and emits it
+// as one conn.Write, as QP.writeRequest does for requests.
+func (e *Endpoint) respond(conn net.Conn, cs *connScratch, id uint64, status uint8, modeled time.Duration, data []byte) bool {
 	if respHdr+len(data) > MaxFrame {
 		return false // unframeable response: drop the QP
 	}
@@ -404,7 +373,7 @@ func (e *Endpoint) respond(bw *bufio.Writer, cs *connScratch, id uint64, status 
 	b = appendResponse(b, id, status, modeled, data)
 	binary.BigEndian.PutUint32(b[:frameHdr], uint32(len(b)-frameHdr))
 	cs.resp = reuse(b)
-	_, err := bw.Write(b)
+	_, err := conn.Write(b)
 	return err == nil
 }
 

@@ -42,34 +42,6 @@ func readFrames(br *bufio.Reader) {
 	}
 }
 
-// TestMalformedFrameClosesQP: a malformed request frame on an unbuffered
-// conn draws no reply; the endpoint closes the QP instead.
-func TestMalformedFrameClosesQP(t *testing.T) {
-	ep := NewEndpoint(mem.NewArena(4096), nil)
-	ep.SetLogf(nil)
-	ep.RegisterMR("all", 0, 4096, PermAll)
-	fab := NewFabric()
-	l, err := fab.Listen("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go ep.Serve(l)
-
-	conn, err := fab.Dial("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sendFrame(conn, []byte{0xEE, 1, 2, 3}); err != nil { // unknown opcode
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("endpoint replied to a malformed frame")
-	}
-	conn.Close()
-	ep.Close()
-}
-
 // TestDrainLosesNoCompletion: every verb in flight when the endpoint drains
 // completes, served or failed, and none times out. The endpoint serves a
 // frame as soon as it reads it, so the frames are kept in flight by volume

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -201,12 +203,14 @@ func (lc *logCapture) snapshot() []string {
 // TestMalformedFrameTearsDownConnection: a frame that fails decodeRequest
 // must move the QP to error state (connection drop) — not produce a reply
 // with a bogus id — and the endpoint must log it and keep serving others.
+// A pipelined peer that sends a valid frame and a malformed one in a single
+// write gets the valid frame's reply, then the drop.
 func TestMalformedFrameTearsDownConnection(t *testing.T) {
 	arena := mem.NewArena(4096)
 	ep := NewEndpoint(arena, nil)
 	lc := &logCapture{}
 	ep.SetLogf(lc.logf)
-	ep.RegisterMR("all", 0, 4096, PermAll)
+	mr, _ := ep.RegisterMR("all", 0, 4096, PermAll)
 	fab := NewFabric()
 	l, err := fab.Listen("n")
 	if err != nil {
@@ -215,21 +219,47 @@ func TestMalformedFrameTearsDownConnection(t *testing.T) {
 	go ep.Serve(l)
 	defer ep.Close()
 
+	malformed := []byte{99, 0, 0} // unknown op, truncated
 	conn, err := fab.Dial("n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	if err := sendFrame(bw, []byte{99, 0, 0}); err != nil { // unknown op, truncated
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := sendFrame(conn, malformed); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 16)); err == nil {
-		t.Fatal("endpoint replied to a malformed frame instead of tearing down the QP")
+	if _, err := conn.Read(make([]byte, 16)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after a malformed frame = %v, want EOF (no reply, QP torn down)", err)
+	}
+
+	// Pipelined: [valid WRITE][malformed] land in the endpoint's read buffer
+	// together.
+	piped, err := fab.Dial("n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer piped.Close()
+	valid := (&request{op: OpWrite, id: 7, rkey: mr.RKey, addr: 64, data: []byte{0xAB}}).encode()
+	burst := append(binary.BigEndian.AppendUint32(nil, uint32(len(valid))), valid...)
+	burst = append(binary.BigEndian.AppendUint32(burst, uint32(len(malformed))), malformed...)
+	if _, err := piped.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	piped.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(piped)
+	frame, err := readFrame(br, nil)
+	if err != nil {
+		t.Fatalf("valid frame ahead of a malformed one got no reply: %v", err)
+	}
+	if resp, err := decodeResponse(frame); err != nil || resp.id != 7 || resp.status != StatusOK {
+		t.Fatalf("reply to the valid frame = %+v, %v; want id 7 StatusOK", resp, err)
+	}
+	if b, _ := arena.Read(64, 1); b[0] != 0xAB {
+		t.Errorf("valid WRITE not placed: %#x", b[0])
+	}
+	if _, err := readFrame(br, nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after the malformed frame = %v, want EOF (no second reply)", err)
 	}
 
 	// The endpoint is still healthy for other QPs.
@@ -242,14 +272,14 @@ func TestMalformedFrameTearsDownConnection(t *testing.T) {
 		t.Fatalf("endpoint unhealthy after malformed frame: %v", err)
 	}
 
-	found := false
+	found := 0
 	for _, line := range lc.snapshot() {
 		if strings.Contains(line, "malformed") {
-			found = true
+			found++
 		}
 	}
-	if !found {
-		t.Errorf("malformed frame not logged; lines: %v", lc.snapshot())
+	if found != 2 {
+		t.Errorf("%d malformed frames logged, want 2; lines: %v", found, lc.snapshot())
 	}
 }
 

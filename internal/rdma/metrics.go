@@ -1,10 +1,6 @@
 package rdma
 
-import (
-	"sync/atomic"
-
-	"rdx/internal/telemetry"
-)
+import "rdx/internal/telemetry"
 
 // opNames maps wire opcodes to the labels used in metric names and traces.
 var opNames = [...]string{
@@ -157,31 +153,7 @@ func (m *WireMetrics) doorbellFired() {
 	}
 }
 
-// wireInstruments is the registry binding for the process-wide wire
-// instrument:
-//
-//	rdma.wire.frames_per_poll histogram  frames drained per poll pass
-//	                                     (endpoint serve + QP completion)
-type wireInstruments struct {
-	framesPerPoll *telemetry.Histogram
-}
-
-var wireInstr atomic.Pointer[wireInstruments]
-
-// BindWireInstruments attaches the process-wide wire-path instruments
-// (frames-per-poll, and the chain instruments) to reg. Every QP and
-// endpoint in the process records into them, so the binding is global; the
-// last binder wins.
-func BindWireInstruments(reg *telemetry.Registry) {
-	wireInstr.Store(&wireInstruments{
-		framesPerPoll: reg.Histogram("rdma.wire.frames_per_poll"),
-	})
-	bindChainInstruments(reg)
-}
-
-// recordPoll accounts one poll pass that drained n frames.
-func recordPoll(n int) {
-	if wi := wireInstr.Load(); wi != nil {
-		wi.framesPerPoll.Record(int64(n))
-	}
-}
+// BindWireInstruments binds nothing: the endpoint serves one frame per read
+// and the rdma package keeps no process-wide instruments. It stays only
+// because the benchmark module still calls it, and is deleted with that call.
+func BindWireInstruments(reg *telemetry.Registry) {}

@@ -260,9 +260,8 @@ func TestMRRegistration(t *testing.T) {
 	if _, err := ep.RegisterMR("c", 0, 0, PermAll); err == nil {
 		t.Error("zero-length MR accepted")
 	}
-	mr, ok := ep.MRByName("a")
-	if !ok || mr.Len != 4096 {
-		t.Error("MRByName lookup failed")
+	if mr, ok := ep.mrsByName["a"]; !ok || mr.Len != 4096 {
+		t.Error("MR \"a\" not registered with its length")
 	}
 }
 

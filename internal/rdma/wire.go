@@ -181,21 +181,6 @@ func reuse(b []byte) []byte {
 	return b[:0]
 }
 
-// frameBuffered reports whether a complete frame is already sitting in br's
-// buffer, i.e. the next readFrame cannot block. Poll loops use it to drain
-// every ready frame in one pass and flush exactly once per pass — but never
-// to keep reading past the last buffered frame, which would deadlock a peer
-// that is itself waiting on our unflushed responses. Oversize prefixes
-// report true so the drain loop surfaces the protocol error immediately.
-func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < frameHdr {
-		return false
-	}
-	hdr, _ := br.Peek(frameHdr)
-	n := binary.BigEndian.Uint32(hdr)
-	return n > MaxFrame || br.Buffered() >= frameHdr+int(n)
-}
-
 // reqHdr is the fixed request header: opcode, request id, trace id.
 const reqHdr = 1 + 8 + 8
 

@@ -49,10 +49,12 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 300s ./...
     # The in-process fabric link is hand-rolled synchronisation: its
     # conformance tests, the shared-QP poster tests, the per-connection
-    # buffer tests and the modeled-latency contract (completion at the due
-    # time, effect placed before it) repeat under -race.
+    # buffer tests, the endpoint's one-frame serve loop (malformed and
+    # pipelined frames, drain, pipelined and concurrent QPs) and the
+    # modeled-latency contract (completion at the due time, effect placed
+    # before it) repeat under -race.
     echo "== fabric link conformance (race, x10) =="
-    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteSizesAcrossScratchKeep|TestReadDataOutlivesReadBuffer|TestModeledLatency|TestWritePlacedBeforeCompletion' ./internal/rdma/
+    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteSizesAcrossScratchKeep|TestReadDataOutlivesReadBuffer|TestMalformedFrameTearsDownConnection|TestDrainLosesNoCompletion|TestPipelinedAsyncWrites|TestConcurrentQPs|TestModeledLatency|TestWritePlacedBeforeCompletion' ./internal/rdma/
     # The journal's group commit is hand-rolled hand-off between appenders:
     # its deterministic group tests repeat under -race.
     echo "== journal group commit (race, x20) =="
