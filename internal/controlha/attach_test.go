@@ -11,6 +11,7 @@ import (
 	"rdx/internal/core"
 	"rdx/internal/ext"
 	"rdx/internal/rdma"
+	"rdx/internal/telemetry"
 )
 
 // ringTailWord is the ring header's reservation word: magic at +0, then the
@@ -148,5 +149,39 @@ func TestAttachAgainstLiveLeaseFencesNothing(t *testing.T) {
 	}
 	if got := rig.reg.Counter("controlha.journal.replicated").Value(); got == 0 {
 		t.Error("live leader's publish did not replicate")
+	}
+}
+
+// TestColdInjectIsOneStandbyFlight pins the standby cost of a cold publish
+// under an attached leader: the fence READ before the dispatch CAS and one
+// 4-verb flight, which carries the validate and compile entries along with
+// the publish's — not a flight for each.
+func TestColdInjectIsOneStandbyFlight(t *testing.T) {
+	rig := newHARig(t, 1)
+	cp, g, _ := rig.controller(t)
+	stby := rig.hostQP(t)
+	wire := telemetry.NewRegistry()
+	stby.(*rdma.QP).SetInstruments(rdma.NewWireMetrics(wire, "stby"), nil, "standby")
+	verbs := func() (n uint64) {
+		for _, op := range []string{"read", "write", "cas", "fetch_add", "write_imm", "batch"} {
+			n += wire.Counter("stby.verbs." + op).Value()
+		}
+		return n
+	}
+	if _, err := controlha.AttachLeader(cp, stby, 1, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	before := verbs()
+	if _, err := g[0].InjectExtension(cluster.GenerationExt(ext.KindEBPF, 1, 200), "ingress"); err != nil {
+		t.Fatal(err)
+	}
+	if got := verbs() - before; got != 5 {
+		t.Errorf("cold inject issued %d standby verbs, want 5 (fence READ + one flight)", got)
+	}
+	if got := rig.reg.Counter("controlha.journal.flights").Value(); got != 1 {
+		t.Errorf("%d journal flights, want 1", got)
+	}
+	if got := rig.reg.Counter("controlha.journal.replicated").Value(); got != 3 {
+		t.Errorf("%d entries replicated, want validate + compile + publish", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -387,6 +388,126 @@ func TestFlightFailureReachesEveryMember(t *testing.T) {
 		}
 		if _, err := rig.host.Pump(); err != nil || len(rig.host.JournalBytes()) != 0 {
 			t.Errorf("fenced flights reached the standby: %d bytes, pump err %v", len(rig.host.JournalBytes()), err)
+		}
+	})
+}
+
+// carryProbe journals probe(i)'s digest as a validate entry, which is
+// carried rather than flown: the same bytes as probe(i), but the call does
+// not wait for the wire.
+func (r *flightRig) carryProbe(i int) {
+	r.j.JournalValidate(probe(i).Digest)
+}
+
+func (r *flightRig) expectLag(t *testing.T, want int64) {
+	t.Helper()
+	if got := r.reg.Gauge("controlha.journal.lag").Value(); got != want {
+		t.Errorf("lag gauge %d B, want %d", got, want)
+	}
+}
+
+// TestFlightCarriesWriteOnlyEntries: validate and compile entries, which
+// replay ignores, wait in the journal for the next flight a waiting append
+// opens — a cold publish costs one flight, not three — unless a batch is
+// open, which they join, or their bytes pass flightBound, at which point
+// they fly on their own.
+func TestFlightCarriesWriteOnlyEntries(t *testing.T) {
+	t.Run("cold publish is one flight", func(t *testing.T) {
+		rig := newFlightRig(t, 0)
+		rig.j.JournalValidate("sha256:cold")
+		rig.j.JournalCompile("sha256:cold", 1)
+		rig.j.JournalPublish("n0", "ingress", core.Deployed{Blob: 0x100, Version: 1, Name: "v1", Digest: "sha256:cold"})
+		rig.expectFlights(t, 1, 3, 0, 3)
+		if got := rig.gate.verbs.Load(); got != 4 {
+			t.Errorf("%d standby verbs, want one flight's 4", got)
+		}
+		rig.expectStandbyMirrors(t)
+		got, err := Replay(rig.host.JournalBytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Replay(rig.j.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("standby replays %+v, leader %+v", got, want)
+		}
+	})
+
+	t.Run("carried until the next waiting append", func(t *testing.T) {
+		rig := newFlightRig(t, 0)
+		rig.carryProbe(0)
+		rig.expectFlights(t, 0, 0, 0, 0)
+		rig.expectLag(t, probeLen)
+		if got := rig.gate.verbs.Load(); got != 0 {
+			t.Errorf("%d standby verbs for a carried entry, want 0", got)
+		}
+		if err := rig.j.Append(probe(1)); err != nil {
+			t.Fatal(err)
+		}
+		rig.expectFlights(t, 1, 2, 0, 2)
+		rig.expectStandbyMirrors(t)
+	})
+
+	t.Run("joins the open batch", func(t *testing.T) {
+		rig := newFlightRig(t, 0)
+		parked, release := rig.gate.hold(ringEpochWord)
+		first := rig.appendAll(0, 1)
+		<-parked
+		rest := rig.appendAll(1, 1)
+		rig.awaitLen(t, 2)
+		carried := make(chan struct{})
+		go func() { rig.carryProbe(2); close(carried) }()
+		select {
+		case <-carried:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a validate entry waited for the flight ahead of its batch")
+		}
+		release()
+		for _, errs := range []<-chan error{first, rest} {
+			if err := <-errs; err != nil {
+				t.Errorf("append: %v", err)
+			}
+		}
+		rig.expectFlights(t, 2, 3, 0, 2)
+		rig.expectStandbyMirrors(t)
+	})
+
+	t.Run("past flightBound they fly", func(t *testing.T) {
+		// A 1024-byte ring bounds a flight at 512 bytes: seven probes are
+		// carried, and the eighth takes them all up.
+		rig := newFlightRig(t, 1024)
+		for i := 0; i < 7; i++ {
+			rig.carryProbe(i)
+		}
+		rig.expectFlights(t, 0, 0, 0, 0)
+		rig.expectLag(t, 7*probeLen)
+		rig.carryProbe(7)
+		rig.expectFlights(t, 1, 8, 0, 8)
+		rig.expectLag(t, 0)
+		rig.carryProbe(8)
+		rig.expectLag(t, probeLen)
+		if err := rig.j.Append(probe(9)); err != nil {
+			t.Fatal(err)
+		}
+		rig.expectFlights(t, 2, 10, 0, 8)
+		rig.expectStandbyMirrors(t)
+	})
+
+	t.Run("fenced flight fails its carried entries", func(t *testing.T) {
+		rig := newFlightRig(t, 0)
+		rig.j.JournalValidate("sha256:fenced")
+		rig.j.JournalCompile("sha256:fenced", 1)
+		if _, err := rig.host.FenceRing(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rig.j.Append(probe(0)); !errors.Is(err, ErrFencedAppend) {
+			t.Fatalf("append after the fence: %v, want ErrFencedAppend", err)
+		}
+		rig.expectFlights(t, 1, 0, 3, 3)
+		if _, err := rig.host.Pump(); err != nil || len(rig.host.JournalBytes()) != 0 {
+			t.Errorf("fenced flight reached the standby: %d bytes, pump err %v", len(rig.host.JournalBytes()), err)
 		}
 	})
 }

@@ -261,9 +261,13 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 // log, implementing core.JournalSink. Appends are stamped under mu with a
 // contiguous sequence number and the current fencing epoch and land in buf
 // at once; when a Replicator is attached they are group-committed to the
-// standby ring (see flight), and each append returns only after the flight
-// carrying its entry has committed or failed — so on the publish path, a
-// record is remote before the publish is reported done.
+// standby ring (see flight). Every append but two returns only after the
+// flight carrying its entry has committed or failed — so on the publish
+// path, a record is remote before the publish is reported done. The two
+// are validate and compile, whose entries replay ignores: they are carried
+// without waiting, aboard the open batch or in buf until the next waiting
+// append flies them, so they are remote no later than the publish they
+// precede, at no flight of their own.
 type Journal struct {
 	mu    sync.Mutex
 	buf   []byte
@@ -273,6 +277,11 @@ type Journal struct {
 	rep   *Replicator
 	tail  *flight // newest batch that has not landed; nil when the wire is idle
 
+	// buf[carryOff:] holds the carried entries, carried of them: entries
+	// that came with no batch open and wait for the next flight. Carried
+	// and open batch never coexist — opening a batch takes the carry along.
+	carryOff, carried int
+
 	appended, replicated, repErrors, flights *telemetry.Counter
 	flightEntries                            *telemetry.Histogram
 	lag                                      *telemetry.Gauge
@@ -281,12 +290,13 @@ type Journal struct {
 // flight is one group commit: a contiguous run of buf that crosses the wire
 // behind a single Replicator.Append, flown by the appender that opened it.
 // At most one is in the air, so ring order = buf order = seq order. An append
-// that finds the wire idle flies alone at once; appends that arrive during a
-// flight join the one open batch behind it, which is sealed the moment its
-// predecessor lands (or earlier, at the replicator's flightBound). Arrivals
-// after the seal open the next batch — a batch never grows while its leader
-// waits to be scheduled, so two closed-loop appenders always see one-entry
-// flights. mu is not held while a flight is on the wire.
+// that finds the wire idle flies at once, together with any carried
+// entries; appends that arrive during a flight join the one open batch
+// behind it, which is sealed the moment its predecessor lands (or earlier,
+// at the replicator's flightBound). Arrivals after the seal open the next
+// batch — a batch never grows while its leader waits to be scheduled, so
+// two closed-loop appenders always see one-entry flights. mu is not held
+// while a flight is on the wire.
 type flight struct {
 	rep  *Replicator // the stream the batch was opened on
 	off  int         // buf[off:] holds the batch
@@ -341,10 +351,12 @@ func (j *Journal) SetFenceSource(f func() uint64) {
 }
 
 // SetReplicator attaches the standby replication stream. A batch already
-// opened keeps the stream it was opened on.
+// opened keeps the stream it was opened on; entries carried for the old
+// stream stay local, like those appended with no stream attached.
 func (j *Journal) SetReplicator(r *Replicator) {
 	j.mu.Lock()
 	j.rep = r
+	j.carried = 0
 	j.mu.Unlock()
 }
 
@@ -356,10 +368,10 @@ func (j *Journal) SeedSeq(n uint64) {
 	j.mu.Unlock()
 }
 
-// append assigns seq + fence, encodes, appends, and replicates. Journal
-// replication failures do not fail the control-plane operation (the
-// publish already landed); they are counted and surfaced via the lag
-// gauge, which stops converging to zero.
+// append journals an entry and waits for its flight. Journal replication
+// failures do not fail the control-plane operation (the publish already
+// landed); they are counted and surfaced via the lag gauge, which stops
+// converging to zero.
 func (j *Journal) append(e Entry) {
 	j.appendChecked(e) //nolint:errcheck // replication outcome surfaced via instruments
 }
@@ -370,6 +382,22 @@ func (j *Journal) append(e Entry) {
 // term must stop, not proceed on a local-only record. Every member of a
 // flight gets that flight's error.
 func (j *Journal) appendChecked(e Entry) error {
+	return j.put(e, true)
+}
+
+// carry journals an entry the standby's replay ignores (validate, compile)
+// without waiting for the wire: it joins the open batch if there is one, and
+// otherwise waits in buf for the next flight a waiting append opens. Only
+// when the carried bytes pass flightBound does it fly them itself.
+func (j *Journal) carry(e Entry) {
+	j.put(e, false) //nolint:errcheck // replication outcome surfaced via instruments
+}
+
+// put stamps e with seq + fence, lands it in buf and puts it aboard a
+// flight: the open batch if there is one, else a new flight that starts at
+// the carried entries. A put that does not wait opens no flight until the
+// carried bytes pass flightBound.
+func (j *Journal) put(e Entry, wait bool) error {
 	j.mu.Lock()
 	j.seq++
 	e.Seq = j.seq
@@ -388,23 +416,34 @@ func (j *Journal) appendChecked(e Entry) error {
 	if prev != nil && prev.b == nil && len(j.buf)-prev.off > prev.rep.flightBound() {
 		prev.b = j.buf[prev.off:off] // full: this entry waits for the next flight
 	}
-	f, lead := prev, prev == nil || prev.b != nil
-	if lead {
-		f = &flight{rep: j.rep, off: off, done: make(chan struct{})}
-		if prev == nil {
-			f.b = j.buf[off:] // wire idle: fly alone, now
-		} else {
-			prev.next = f
+	if prev != nil && prev.b == nil { // a batch is open: join it
+		prev.n++
+		j.mu.Unlock()
+		if !wait {
+			return nil
 		}
-		j.tail = f
+		<-prev.done
+		return prev.err
 	}
-	f.n++
+	if j.carried == 0 {
+		j.carryOff = off
+	}
+	j.carried++
+	if !wait && len(j.buf)-j.carryOff <= j.rep.flightBound() {
+		j.lag.Set(int64(uint64(len(j.buf)) - j.rep.Replicated()))
+		j.mu.Unlock()
+		return nil
+	}
+	f := &flight{rep: j.rep, off: j.carryOff, n: j.carried, done: make(chan struct{})}
+	j.carried = 0
+	if prev == nil {
+		f.b = j.buf[f.off:] // wire idle: fly now
+	} else {
+		prev.next = f
+	}
+	j.tail = f
 	j.mu.Unlock()
 
-	if !lead {
-		<-f.done
-		return f.err
-	}
 	if prev != nil {
 		prev.await() // its landing sealed f
 	}
@@ -471,12 +510,12 @@ func (j *Journal) Len() int {
 
 // JournalValidate records a validator run.
 func (j *Journal) JournalValidate(digest string) {
-	j.append(Entry{Type: EntryValidate, Digest: digest})
+	j.carry(Entry{Type: EntryValidate, Digest: digest})
 }
 
 // JournalCompile records a JIT compilation.
 func (j *Journal) JournalCompile(digest string, arch native.Arch) {
-	j.append(Entry{Type: EntryCompile, Digest: digest, Arch: uint32(arch)})
+	j.carry(Entry{Type: EntryCompile, Digest: digest, Arch: uint32(arch)})
 }
 
 // JournalStage records a staged-but-unpublished blob.

@@ -118,8 +118,10 @@ func (r *Replicator) classifyAppendErr(stage string, err error) error {
 }
 
 // flightBound is the size past which the owning Journal stops adding
-// entries to one group-committed Append: well under the ring's capacity, so
-// ErrRingOverrun below can still only be caused by a single oversized entry.
+// entries to one group-committed Append, and past which its carried entries
+// fly on their own: well under the ring's capacity. A flight holds at most
+// flightBound bytes plus one entry, so ErrRingOverrun below can still only
+// be caused by an entry larger than half the ring.
 func (r *Replicator) flightBound() int {
 	return int(min(r.cap/2, 256<<10))
 }

@@ -37,7 +37,11 @@ type FenceCheck func() error
 // replicated to standbys; replaying the entries reconstructs the
 // deployed-version map and per-hook rollback stacks on a fresh control
 // plane. Sinks must not block on the fabric for long — they are called
-// with no CodeFlow locks held, but on the publish path.
+// with no CodeFlow locks held, but on the publish path. A replicating sink
+// may return from JournalValidate and JournalCompile before their records
+// are remote — replay ignores them — as long as they are remote no later
+// than the next call that does wait: controlha carries them aboard the
+// next publish's (or stage's, claim's, rollback's) flight.
 type JournalSink interface {
 	JournalValidate(digest string)
 	JournalCompile(digest string, arch native.Arch)

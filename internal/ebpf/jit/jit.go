@@ -34,6 +34,13 @@ func MapSymbol(name string) string {
 // checks it needs to translate safely and returns an error on malformed
 // input rather than re-proving safety.
 func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
+	return CompileWithDigest(p, p.Digest(), arch)
+}
+
+// CompileWithDigest is Compile for a caller that already holds p.Digest()
+// (an extension memoizes it), so a cold compile does not hash the program
+// again; digest is stamped into the binary as is.
+func CompileWithDigest(p *ebpf.Program, digest string, arch native.Arch) (*native.Binary, error) {
 	insns := p.Insns
 	if len(insns) == 0 {
 		return nil, fmt.Errorf("jit: empty program")
@@ -126,7 +133,7 @@ func Compile(p *ebpf.Program, arch native.Arch) (*native.Binary, error) {
 		}
 	}
 
-	return asm.Finish(p.Name, p.Digest(), uint32(xabi.StackSize)), nil
+	return asm.Finish(p.Name, digest, uint32(xabi.StackSize)), nil
 }
 
 func emitALU(asm *native.Assembler, ins ebpf.Instruction) error {

@@ -127,14 +127,29 @@ type Fig4aRow struct {
 	Speedup     float64
 }
 
+// fig4Reps is how many injections a Fig 4 cell is the median of: agent
+// injections of one program, and RDX injections, each of a never-seen
+// digest.
+func fig4Reps(opts Options) (agentReps, rdxReps int) {
+	if opts.Quick {
+		return 1, 3
+	}
+	return 3, 9
+}
+
+// fig4Fresh is the never-seen program RDX injection number rep of a Fig 4
+// cell deploys: size instructions, its own generator seed.
+func fig4Fresh(size, rep int) *ext.Extension {
+	return ext.FromEBPF(progen.MustGenerate(progen.Options{Size: size, Seed: int64(8 + rep), WithHelpers: true}))
+}
+
 // Fig4aData runs the Fig 4a comparison and returns structured rows.
 func Fig4aData(opts Options) ([]Fig4aRow, error) {
 	sizes := progen.PaperSizes
-	agentReps, rdxReps := 3, 9
 	if opts.Quick {
 		sizes = []int{1300, 11000}
-		agentReps, rdxReps = 1, 3
 	}
+	agentReps, rdxReps := fig4Reps(opts)
 	var out []Fig4aRow
 	for _, size := range sizes {
 		p := progen.MustGenerate(progen.Options{Size: size, Seed: 7, WithHelpers: true})
@@ -168,8 +183,7 @@ func Fig4aData(opts Options) ([]Fig4aRow, error) {
 		}
 		coldHist := telemetry.NewHistogram()
 		for rep := 0; rep < rdxReps; rep++ {
-			fresh := ext.FromEBPF(progen.MustGenerate(progen.Options{Size: size, Seed: int64(8 + rep), WithHelpers: true}))
-			r, err := rdxRig.cf.InjectExtension(fresh, "ingress")
+			r, err := rdxRig.cf.InjectExtension(fig4Fresh(size, rep), "ingress")
 			if err != nil {
 				rdxRig.close()
 				return nil, fmt.Errorf("fig4a rdx size %d: %w", size, err)
@@ -221,34 +235,24 @@ func Fig4a(opts Options) (*telemetry.Table, error) {
 	return tbl, nil
 }
 
-// Fig4b breaks one injection (1.3K instructions) into pipeline stages for
-// both architectures — the paper's Fig 4b bars.
+// Fig4b breaks an injection (1.3K instructions) into pipeline stages for
+// both architectures — the paper's Fig 4b bars. Every cell is a median over
+// rdxReps injections, each of a never-seen digest, like Fig 4a's columns.
 func Fig4b(opts Options) (*telemetry.Table, error) {
 	size := 1300
-	p := progen.MustGenerate(progen.Options{Size: size, Seed: 7, WithHelpers: true})
-	e := ext.FromEBPF(p)
+	_, reps := fig4Reps(opts)
 
 	agRig, err := newNodeRig("fig4b-agent", 4, 0, rdma.NoLatency())
 	if err != nil {
 		return nil, err
 	}
-	agRep, err := agent.New(agRig.node).Inject(context.Background(), "ingress", e)
-	agRig.close()
-	if err != nil {
-		return nil, err
-	}
-
+	defer agRig.close()
+	ag := agent.New(agRig.node)
 	rdxRig, err := newNodeRig("fig4b-rdx", 4, 0, rdma.DefaultLatency())
 	if err != nil {
 		return nil, err
 	}
 	defer rdxRig.close()
-	// Cold: validates and compiles on the control plane, then deploys.
-	coldRep, err := rdxRig.cf.InjectExtension(e, "ingress")
-	if err != nil {
-		return nil, err
-	}
-
 	// Registry hit: a second node bound to the SAME control plane. The
 	// deploy reuses the compiled artifact — link + write + commit only.
 	rig2, err := newNodeRigOn(rdxRig.cp, node.Config{
@@ -259,24 +263,50 @@ func Fig4b(opts Options) (*telemetry.Table, error) {
 		return nil, err
 	}
 	defer rig2.close()
-	hitRep, err := rig2.cf.InjectExtension(e, "ingress")
-	if err != nil {
-		return nil, err
-	}
 
-	// Redeploy: the code is already resident on node 1 — commit only.
-	redeployRep, err := rdxRig.cf.InjectExtension(e, "ingress")
-	if err != nil {
-		return nil, err
+	systems := []string{"Agent", "RDX (cold)", "RDX (registry hit)", "RDX (redeploy)"}
+	// cols[system][column]: verify, jit, link, alloc/state, load/write,
+	// commit, total.
+	cols := make([][7]*telemetry.Histogram, len(systems))
+	for i := range cols {
+		for c := range cols[i] {
+			cols[i][c] = telemetry.NewHistogram()
+		}
+	}
+	record := func(system int, ds ...time.Duration) {
+		for c, d := range ds {
+			cols[system][c].RecordDuration(d)
+		}
+	}
+	for rep := 0; rep < reps; rep++ {
+		e := fig4Fresh(size, rep)
+		agRep, err := ag.Inject(context.Background(), "ingress", e)
+		if err != nil {
+			return nil, err
+		}
+		record(0, agRep.Verify, agRep.Compile, agRep.Link, 0, agRep.Load, 0, agRep.Total)
+		// Cold: validates and compiles on the control plane, then deploys.
+		// Then the registry hit on the second node, and a redeploy of the
+		// code already resident on the first: commit only.
+		for system, cf := range []*core.CodeFlow{rdxRig.cf, rig2.cf, rdxRig.cf} {
+			r, err := cf.InjectExtension(e, "ingress")
+			if err != nil {
+				return nil, err
+			}
+			record(system+1, r.Validate, r.Compile, r.Link, r.Alloc, r.Write, r.Commit, r.Total)
+		}
 	}
 
 	tbl := telemetry.NewTable(
-		fmt.Sprintf("Fig 4b — injection time breakdown (%d insns)", size),
+		fmt.Sprintf("Fig 4b — injection time breakdown (%d insns, median of %d)", size, reps),
 		"system", "verify", "jit", "link", "alloc/state", "load/write", "commit", "total")
-	tbl.AddRowf("Agent", agRep.Verify, agRep.Compile, agRep.Link, time.Duration(0), agRep.Load, time.Duration(0), agRep.Total)
-	tbl.AddRowf("RDX (cold)", coldRep.Validate, coldRep.Compile, coldRep.Link, coldRep.Alloc, coldRep.Write, coldRep.Commit, coldRep.Total)
-	tbl.AddRowf("RDX (registry hit)", hitRep.Validate, hitRep.Compile, hitRep.Link, hitRep.Alloc, hitRep.Write, hitRep.Commit, hitRep.Total)
-	tbl.AddRowf("RDX (redeploy)", redeployRep.Validate, redeployRep.Compile, redeployRep.Link, redeployRep.Alloc, redeployRep.Write, redeployRep.Commit, redeployRep.Total)
+	for i, name := range systems {
+		cells := []interface{}{name}
+		for _, h := range cols[i] {
+			cells = append(cells, time.Duration(h.Median()))
+		}
+		tbl.AddRowf(cells...)
+	}
 	return tbl, nil
 }
 

@@ -128,7 +128,7 @@ func (e *Extension) Validate() (Info, error) {
 func (e *Extension) Compile(arch native.Arch) (*native.Binary, error) {
 	switch e.Kind {
 	case KindEBPF:
-		return jit.Compile(e.EBPF, arch)
+		return jit.CompileWithDigest(e.EBPF, e.Digest(), arch)
 	case KindWasm:
 		return wasm.Compile(e.Wasm, arch)
 	case KindUDF:

@@ -60,6 +60,9 @@ func TestKindDispatch(t *testing.T) {
 			if bin.Arch != arch {
 				t.Errorf("%v: binary arch %v", c.kind, bin.Arch)
 			}
+			if bin.SourceDigest != c.e.Digest() {
+				t.Errorf("%v: binary stamped with digest %q, extension's is %q", c.kind, bin.SourceDigest, c.e.Digest())
+			}
 		}
 	}
 }

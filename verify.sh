@@ -56,9 +56,11 @@ if [ "${1:-}" != "quick" ]; then
     echo "== fabric link conformance (race, x10) =="
     go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteSizesAcrossScratchKeep|TestReadDataOutlivesReadBuffer|TestMalformedFrameTearsDownConnection|TestDrainLosesNoCompletion|TestPipelinedAsyncWrites|TestConcurrentQPs|TestModeledLatency|TestWritePlacedBeforeCompletion' ./internal/rdma/
     # The journal's group commit is hand-rolled hand-off between appenders:
-    # its deterministic group tests repeat under -race.
+    # its deterministic group tests repeat under -race. Write-only entries
+    # (validate, compile) do not wait: they join the open batch or ride the
+    # next flight a waiting append opens, and that carry repeats here too.
     echo "== journal group commit (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestFlight|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight' ./internal/controlha/
+    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight' ./internal/controlha/
     # The standby folds the journal as it pumps: the background pump, a
     # takeover's final pump and State() snapshots share one host, and the
     # rollback-stack bound must hold on leader, replay and fold alike. Every
