@@ -210,7 +210,7 @@ func TestTakeOverRemoteFencesStaleAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := Entry{Type: EntryValidate, Seq: 1, Fence: 1, Digest: "d1"}
-	if err := rep1.Append(e1.Encode()); err != nil {
+	if err := rep1.Append(e1.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +230,7 @@ func TestTakeOverRemoteFencesStaleAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := Entry{Type: EntryValidate, Seq: 2, Fence: 1, Digest: "d2"}
-	if err := rep1.Append(e2.Encode()); !errors.Is(err, ErrFencedAppend) {
+	if err := rep1.Append(e2.Encode(nil)); !errors.Is(err, ErrFencedAppend) {
 		t.Fatalf("stale append after remote rotation: %v, want ErrFencedAppend", err)
 	}
 	hwmAfter, err := memAfter.ReadMem(ring.Addr+ringOffHwm, 8)

@@ -107,9 +107,21 @@ func newFlightRig(t *testing.T, ringCap uint64) *flightRig {
 	return &flightRig{hostRig: rig, gate: gate, ldr: ldr, j: ldr.Journal, reg: cp.Registry}
 }
 
-// probeLen is what a probe entry encodes to: a 1024-byte ring wraps inside
-// the 15th.
-const probeLen = 72
+// probeLen is what a probe entry encodes to as the rig's journal stamps it.
+// Probes share one digest width, and a test that appends fewer than 128 of
+// them stamps every seq into a one-byte uvarint, so each of its probes is
+// this long.
+func (r *flightRig) probeLen(t *testing.T) int {
+	t.Helper()
+	e := probe(0)
+	e.Seq, e.Fence = 1, r.ldr.Lease.Epoch()
+	n := len(e.Encode(nil))
+	e.Seq = 127
+	if m := len(e.Encode(nil)); m != n {
+		t.Fatalf("probes at seq 1 and 127 encode to %d and %d bytes; the arithmetic assumes one length", n, m)
+	}
+	return n
+}
 
 func probe(i int) Entry {
 	return Entry{Type: EntryValidate, Digest: fmt.Sprintf("d%015d", i)}
@@ -230,20 +242,32 @@ func TestFlightGroupsArrivals(t *testing.T) {
 }
 
 // TestFlightBoundAndWrap: a batch stops taking entries at flightBound, so
-// 20 arrivals behind a held flight on a 1024-byte ring fly as 7 + 7 + 6; the
-// second group straddles the ring's wrap point and goes out as two WRITEs
-// behind one commit. The standby pumps as each flight takes off, as a live
-// one would between flights, and ends with a replayable copy.
+// with k probes to a bound, 2k+1 arrivals behind a held flight on a
+// 1024-byte ring fly as k + k + 1; one group straddles the ring's wrap point
+// and goes out as two WRITEs behind one commit. The standby pumps as each
+// flight takes off, as a live one would between flights, and ends with a
+// replayable copy.
 func TestFlightBoundAndWrap(t *testing.T) {
-	rig := newFlightRig(t, 1024)
-	if e := probe(0); len(e.Encode()) != probeLen {
-		t.Fatalf("probe entry is %d bytes; the flight arithmetic below assumes %d", len(e.Encode()), probeLen)
+	const ringCap = 1024
+	rig := newFlightRig(t, ringCap)
+	pl := rig.probeLen(t)
+	k := rig.ldr.Rep.flightBound() / pl
+	arrivals := 2*k + 1
+	// Flights end after 1, 1+k, 1+2k and 1+arrivals probes: the wrap point
+	// must fall inside one of them, not on a boundary or past the end.
+	if (1+arrivals)*pl <= ringCap {
+		t.Fatalf("%d probes of %d bytes never wrap a %d-byte ring", 1+arrivals, pl, ringCap)
+	}
+	for _, end := range []int{1, 1 + k, 1 + 2*k} {
+		if end*pl == ringCap {
+			t.Fatalf("a flight ends exactly on the wrap point (%d probes of %d bytes)", end, pl)
+		}
 	}
 	parked, release := rig.gate.hold(ringEpochWord)
 	first := rig.appendAll(0, 1)
 	<-parked
-	rest := rig.appendAll(1, 20)
-	rig.awaitLen(t, 21)
+	rest := rig.appendAll(1, arrivals)
+	rig.awaitLen(t, 1+arrivals)
 
 	var writes, commits atomic.Int64
 	var pumpErr error
@@ -260,7 +284,7 @@ func TestFlightBoundAndWrap(t *testing.T) {
 		}
 	})
 	release()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < arrivals; i++ {
 		if err := <-rest; err != nil {
 			t.Errorf("append: %v", err)
 		}
@@ -271,7 +295,7 @@ func TestFlightBoundAndWrap(t *testing.T) {
 	if pumpErr != nil {
 		t.Fatalf("standby pump between flights: %v", pumpErr)
 	}
-	rig.expectFlights(t, 4, 21, 0, 7)
+	rig.expectFlights(t, 4, 1+arrivals, 0, k)
 	// The held flight's epoch CAS was already counted when it parked, so the
 	// hook saw its WRITE and commit plus three whole flights.
 	if w, c := writes.Load(), commits.Load(); w != 5 || c != 4 {
@@ -439,7 +463,7 @@ func TestFlightCarriesWriteOnlyEntries(t *testing.T) {
 		rig := newFlightRig(t, 0)
 		rig.carryProbe(0)
 		rig.expectFlights(t, 0, 0, 0, 0)
-		rig.expectLag(t, probeLen)
+		rig.expectLag(t, int64(rig.probeLen(t)))
 		if got := rig.gate.verbs.Load(); got != 0 {
 			t.Errorf("%d standby verbs for a carried entry, want 0", got)
 		}
@@ -475,23 +499,25 @@ func TestFlightCarriesWriteOnlyEntries(t *testing.T) {
 	})
 
 	t.Run("past flightBound they fly", func(t *testing.T) {
-		// A 1024-byte ring bounds a flight at 512 bytes: seven probes are
-		// carried, and the eighth takes them all up.
+		// A 1024-byte ring bounds a flight at 512 bytes: the k probes that
+		// fit are carried, and the next takes them all up.
 		rig := newFlightRig(t, 1024)
-		for i := 0; i < 7; i++ {
+		pl := rig.probeLen(t)
+		k := rig.ldr.Rep.flightBound() / pl
+		for i := 0; i < k; i++ {
 			rig.carryProbe(i)
 		}
 		rig.expectFlights(t, 0, 0, 0, 0)
-		rig.expectLag(t, 7*probeLen)
-		rig.carryProbe(7)
-		rig.expectFlights(t, 1, 8, 0, 8)
+		rig.expectLag(t, int64(k*pl))
+		rig.carryProbe(k)
+		rig.expectFlights(t, 1, k+1, 0, k+1)
 		rig.expectLag(t, 0)
-		rig.carryProbe(8)
-		rig.expectLag(t, probeLen)
-		if err := rig.j.Append(probe(9)); err != nil {
+		rig.carryProbe(k + 1)
+		rig.expectLag(t, int64(pl))
+		if err := rig.j.Append(probe(k + 2)); err != nil {
 			t.Fatal(err)
 		}
-		rig.expectFlights(t, 2, 10, 0, 8)
+		rig.expectFlights(t, 2, k+3, 0, k+1)
 		rig.expectStandbyMirrors(t)
 	})
 
@@ -548,11 +574,12 @@ func TestFlightCrashWindow(t *testing.T) {
 	if _, err := rig.host.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rig.host.JournalBytes(); len(got) != probeLen {
-		t.Fatalf("standby exposes %d bytes, want only the first flight's %d", len(got), probeLen)
+	pl := rig.probeLen(t)
+	if got := rig.host.JournalBytes(); len(got) != pl {
+		t.Fatalf("standby exposes %d bytes, want only the first flight's %d", len(got), pl)
 	}
 	tail, _ := rig.host.arena.ReadQword(hostRingBase + ringOffTail)
-	if want := uint64((1 + members) * probeLen); tail != want {
+	if want := uint64((1 + members) * pl); tail != want {
 		t.Fatalf("ring tail %d: the group's reservation (to %d) should be dead, not absent", tail, want)
 	}
 
@@ -587,8 +614,9 @@ func TestJournalReadableDuringFlight(t *testing.T) {
 	first := rig.appendAll(0, 1)
 	<-parked
 
-	if got := len(rig.j.Bytes()); got != probeLen {
-		t.Errorf("Bytes() during a flight returned %d bytes, want the entry's %d", got, probeLen)
+	pl := rig.probeLen(t)
+	if got := len(rig.j.Bytes()); got != pl {
+		t.Errorf("Bytes() during a flight returned %d bytes, want the entry's %d", got, pl)
 	}
 	if es := rig.j.Entries(); len(es) != 1 || rig.j.Len() != 1 {
 		t.Errorf("Entries()/Len() during a flight: %d / %d", len(es), rig.j.Len())
@@ -598,8 +626,8 @@ func TestJournalReadableDuringFlight(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatalf("flight whose replicator was swapped out: %v", err)
 	}
-	if got := rig.ldr.Rep.Replicated(); got != probeLen {
-		t.Errorf("original stream committed %d bytes, want %d", got, probeLen)
+	if got := rig.ldr.Rep.Replicated(); got != uint64(pl) {
+		t.Errorf("original stream committed %d bytes, want %d", got, pl)
 	}
 	if err := rig.j.Append(probe(1)); err != nil {
 		t.Fatal(err)

@@ -174,7 +174,7 @@ func TestHostFoldLatchesBadJournal(t *testing.T) {
 	entries := sampleJournal().Entries()
 	encode := func(es []Entry) (out []byte) {
 		for i := range es {
-			out = append(out, es[i].Encode()...)
+			out = append(out, es[i].Encode(nil)...)
 		}
 		return out
 	}
@@ -182,8 +182,12 @@ func TestHostFoldLatchesBadJournal(t *testing.T) {
 	mutate := func(f func(es []Entry) []Entry) []byte {
 		return encode(f(append([]Entry(nil), entries...)))
 	}
+	// Flip the last payload byte of the middle entry: past its length
+	// prefix, before its CRC, so the CRC catches it.
+	mid := len(entries) / 2
+	end := len(encode(entries[:mid+1]))
 	corrupt := append([]byte(nil), valid...)
-	corrupt[len(corrupt)/2+3] ^= 0x80
+	corrupt[end-4-1] ^= 0x80
 
 	for _, tc := range []struct {
 		name string
@@ -310,7 +314,7 @@ func takeoverCost(t *testing.T, h int) (folded int64, allocated uint64) {
 	var flight []byte
 	for seq := uint64(1); seq <= uint64(h); seq++ {
 		e := publish(seq)
-		flight = append(flight, e.Encode()...)
+		flight = append(flight, e.Encode(nil)...)
 		if len(flight) > 64<<10 || seq == uint64(h) {
 			if err := rep.Append(flight); err != nil {
 				t.Fatal(err)
@@ -324,7 +328,7 @@ func takeoverCost(t *testing.T, h int) (folded int64, allocated uint64) {
 	tail := func(seq uint64) {
 		for i := uint64(1); i <= 3; i++ {
 			e := publish(seq + i)
-			if err := rep.Append(e.Encode()); err != nil {
+			if err := rep.Append(e.Encode(nil)); err != nil {
 				t.Fatal(err)
 			}
 		}

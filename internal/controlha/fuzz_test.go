@@ -3,7 +3,9 @@ package controlha
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ func replayCorpus() [][]byte {
 	entries[0], entries[1] = entries[1], entries[0]
 	var swapped []byte
 	for i := range entries {
-		swapped = append(swapped, entries[i].Encode()...)
+		swapped = append(swapped, entries[i].Encode(nil)...)
 	}
 	return [][]byte{
 		{},
@@ -148,4 +150,74 @@ func FuzzJournalPumpThroughSim(f *testing.F) {
 			t.Fatalf("replayed state diverged:\n%+v\n%+v", sd, sp)
 		}
 	})
+}
+
+// FuzzEntryRoundTrip: whatever its field values, an entry decodes from its
+// own encoding bit for bit, consuming exactly the encoded bytes. The seeds
+// sit on the edges of each string form: empty, the %#x key form and the
+// strings just outside it, the hex form up to its 64-byte limit and past
+// it, and all-ones integers.
+func FuzzEntryRoundTrip(f *testing.F) {
+	hex64 := strings.Repeat("0123456789abcdef", 8) // 128 digits: 64 packed bytes
+	for _, s := range []string{
+		"",
+		"0x0",
+		"0x1a2b3c4d5e6f7081",
+		"0xffffffffffffffff",
+		"0x1ffffffffffffffff", // 17 digits: past a uint64
+		"0x0123",              // leading zero: not how %#x spells it
+		"0xABC",
+		"abc",
+		"0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
+		hex64,
+		hex64 + "00", // 130 digits: past the pack limit
+		"udf-quickstart",
+	} {
+		f.Add(uint8(EntryPublish), uint64(1), uint64(1), s, "ingress", s, s, uint32(0), uint64(1), uint64(0x100), uint8(1))
+	}
+	f.Add(uint8(EntryClaim), uint64(math.MaxUint64), uint64(math.MaxUint64), "0x1", "", "", "",
+		uint32(math.MaxUint32), uint64(math.MaxUint64), uint64(math.MaxUint64), uint8(math.MaxUint8))
+	f.Add(uint8(EntryInvalid), uint64(0), uint64(0), "", "", "", "", uint32(0), uint64(0), uint64(0), uint8(0))
+
+	f.Fuzz(func(t *testing.T, ty uint8, seq, fence uint64, node, hook, name, digest string, arch uint32, version, blob uint64, flags uint8) {
+		e := Entry{Type: EntryType(ty), Seq: seq, Fence: fence, Node: node, Hook: hook, Name: name,
+			Digest: digest, Arch: arch, Version: version, Blob: blob, Flags: flags}
+		enc := e.Encode([]byte("prefix"))[len("prefix"):]
+		got, n, err := DecodeEntry(append(enc, "suffix"...))
+		switch {
+		case e.Type == EntryInvalid || e.Type > EntryClaim:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("type %d: decode = %v, want ErrCorrupt", ty, err)
+			}
+		case e.payloadLen() > maxEntryPayload:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%d-byte payload: decode = %v, want ErrCorrupt", e.payloadLen(), err)
+			}
+		case err != nil:
+			t.Fatalf("decode %+v: %v", e, err)
+		case n != len(enc):
+			t.Fatalf("consumed %d of %d bytes", n, len(enc))
+		case got != e:
+			t.Fatalf("round trip\n got %+v\nwant %+v", got, e)
+		}
+	})
+}
+
+// TestEntryCodecAllocs: encoding into a buffer with room allocates nothing,
+// and decoding a publish entry allocates its four strings and no more,
+// whatever form each is stored in.
+func TestEntryCodecAllocs(t *testing.T) {
+	e := Entry{Type: EntryPublish, Seq: 12345, Fence: 2, Node: "0x7f000001c0a8", Hook: "ingress",
+		Name: "gen-7", Digest: strings.Repeat("0123456789abcdef", 4), Version: 7, Blob: 0xdead0000, Flags: 1}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = e.Encode(buf[:0]) }); n != 0 {
+		t.Errorf("encode allocates %v times per entry, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeEntry(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("decode allocates %v times per publish entry, want at most 4", n)
+	}
 }

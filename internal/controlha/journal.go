@@ -20,10 +20,13 @@
 package controlha
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -98,53 +101,128 @@ type Entry struct {
 }
 
 const (
-	entryMagic  = 0x4A52 // "RJ"
-	entryHdrLen = 2 + 1 + 1 + 8 + 8 + 4
+	entryMagic = 0x4A52 // "RJ"
 	// maxEntryPayload bounds decoded payload lengths; node keys, hook names
 	// and digests are all short, so anything near this is corruption.
 	maxEntryPayload = 1 << 16
+	// maxHexBytes bounds the hex string form: a digest of up to 64 bytes
+	// (128 hex digits) is packed, anything longer rides raw.
+	maxHexBytes = 64
 )
 
-// appendString encodes s as u16 length + bytes.
-func appendString(b []byte, s string) []byte {
-	b = append(b, byte(len(s)), byte(len(s)>>8))
-	return append(b, s...)
+// A string field is stored as uvarint(n<<2 | form) and then the form's
+// bytes. The encoder picks the form from the string alone, so equal
+// strings always encode alike.
+const (
+	strRaw = iota // n bytes: the string itself
+	strHex        // n bytes (1 ≤ n ≤ maxHexBytes) a lowercase, even-length hex string spells
+	strKey        // n = 0, then a non-zero uvarint v: the string "0x" + hex(v), a %#x node key
+)
+
+const hexDigits = "0123456789abcdef"
+
+// unhex is the value of a lowercase hex digit; upper case is not a digit,
+// so a string packs only if it unpacks to itself.
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	}
+	return 0, false
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// strForm picks s's form: key for the %#x spelling of a non-zero uint64
+// (returned as v), hex for a lowercase, even-length hex string of at most
+// 2*maxHexBytes digits, raw for everything else.
+func strForm(s string) (form int, v uint64) {
+	if len(s) > 2 && len(s) <= 2+16 && s[0] == '0' && s[1] == 'x' && s[2] != '0' {
+		for i := 2; i < len(s); i++ {
+			d, ok := unhex(s[i])
+			if !ok {
+				return strRaw, 0
+			}
+			v = v<<4 | uint64(d)
+		}
+		return strKey, v
+	}
+	if len(s) == 0 || len(s)%2 != 0 || len(s) > 2*maxHexBytes {
+		return strRaw, 0
+	}
+	for i := 0; i < len(s); i++ {
+		if _, ok := unhex(s[i]); !ok {
+			return strRaw, 0
+		}
+	}
+	return strHex, 0
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
-// Encode serializes the entry:
+// strLen is how many bytes appendStr spends on s.
+func strLen(s string) int {
+	switch form, v := strForm(s); form {
+	case strKey:
+		return 1 + uvarintLen(v)
+	case strHex:
+		return uvarintLen(uint64(len(s)/2)<<2|strHex) + len(s)/2
+	}
+	return uvarintLen(uint64(len(s))<<2) + len(s)
+}
+
+func appendStr(b []byte, s string) []byte {
+	switch form, v := strForm(s); form {
+	case strKey:
+		return binary.AppendUvarint(append(b, strKey), v)
+	case strHex:
+		b = binary.AppendUvarint(b, uint64(len(s)/2)<<2|strHex)
+		for i := 0; i < len(s); i += 2 {
+			hi, _ := unhex(s[i])
+			lo, _ := unhex(s[i+1])
+			b = append(b, hi<<4|lo)
+		}
+		return b
+	}
+	return append(binary.AppendUvarint(b, uint64(len(s))<<2), s...)
+}
+
+// payloadLen is how many payload bytes Encode writes for e.
+func (e *Entry) payloadLen() int {
+	return uvarintLen(e.Seq) + uvarintLen(e.Fence) +
+		strLen(e.Node) + strLen(e.Hook) + strLen(e.Name) + strLen(e.Digest) +
+		uvarintLen(uint64(e.Arch)) + uvarintLen(e.Version) + uvarintLen(e.Blob)
+}
+
+// Encode appends the entry's encoding to b and returns the extended slice;
+// with room in b it allocates nothing:
 //
-//	[magic u16][type u8][flags u8][seq u64][fence u64][payloadLen u32]
-//	[payload: node hook name digest (len-prefixed), arch u32, version u64,
-//	 blob u64]
-//	[crc32(IEEE) over header+payload u32]
-func (e *Entry) Encode() []byte {
-	payload := make([]byte, 0, 64)
-	payload = appendString(payload, e.Node)
-	payload = appendString(payload, e.Hook)
-	payload = appendString(payload, e.Name)
-	payload = appendString(payload, e.Digest)
-	payload = appendU32(payload, e.Arch)
-	payload = appendU64(payload, e.Version)
-	payload = appendU64(payload, e.Blob)
-
-	out := make([]byte, 0, entryHdrLen+len(payload)+4)
-	out = append(out, byte(entryMagic&0xff), byte(entryMagic>>8))
-	out = append(out, byte(e.Type), e.Flags)
-	out = appendU64(out, e.Seq)
-	out = appendU64(out, e.Fence)
-	out = appendU32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	return appendU32(out, crc32.ChecksumIEEE(out))
+//	[magic u16 "RJ"][type u8][flags u8][payloadLen uvarint]
+//	[payload: seq, fence (uvarint); node, hook, name, digest (str);
+//	 arch, version, blob (uvarint)]
+//	[crc32(IEEE) over everything before it, u32]
+func (e *Entry) Encode(b []byte) []byte {
+	plen := uint64(e.payloadLen())
+	b = slices.Grow(b, 4+uvarintLen(plen)+int(plen)+4)
+	start := len(b)
+	b = append(b, byte(entryMagic&0xff), byte(entryMagic>>8), byte(e.Type), e.Flags)
+	b = binary.AppendUvarint(b, plen)
+	b = binary.AppendUvarint(b, e.Seq)
+	b = binary.AppendUvarint(b, e.Fence)
+	b = appendStr(b, e.Node)
+	b = appendStr(b, e.Hook)
+	b = appendStr(b, e.Name)
+	b = appendStr(b, e.Digest)
+	b = binary.AppendUvarint(b, uint64(e.Arch))
+	b = binary.AppendUvarint(b, e.Version)
+	b = binary.AppendUvarint(b, e.Blob)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
 }
 
 type decoder struct {
@@ -152,84 +230,104 @@ type decoder struct {
 	off int
 }
 
-func (d *decoder) u16() (uint16, bool) {
-	if d.off+2 > len(d.b) {
+// uvarint reads one uvarint; it fails if the bytes end inside it or it
+// overflows 64 bits.
+func (d *decoder) uvarint() (uint64, bool) {
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
 		return 0, false
 	}
-	v := uint16(d.b[d.off]) | uint16(d.b[d.off+1])<<8
-	d.off += 2
+	d.off += n
 	return v, true
 }
 
-func (d *decoder) u32() (uint32, bool) {
-	if d.off+4 > len(d.b) {
-		return 0, false
-	}
-	v := uint32(d.b[d.off]) | uint32(d.b[d.off+1])<<8 |
-		uint32(d.b[d.off+2])<<16 | uint32(d.b[d.off+3])<<24
-	d.off += 4
-	return v, true
-}
-
-func (d *decoder) u64() (uint64, bool) {
-	lo, ok := d.u32()
-	if !ok {
-		return 0, false
-	}
-	hi, ok := d.u32()
-	if !ok {
-		return 0, false
-	}
-	return uint64(lo) | uint64(hi)<<32, true
-}
-
+// str reads one string field. The hex and key forms are spelled out in a
+// stack buffer, so each non-empty string costs one allocation, whatever
+// its form.
 func (d *decoder) str() (string, bool) {
-	n, ok := d.u16()
-	if !ok || d.off+int(n) > len(d.b) {
+	x, ok := d.uvarint()
+	if !ok {
 		return "", false
 	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, true
+	n, rest := x>>2, uint64(len(d.b)-d.off)
+	switch x & 3 {
+	case strRaw:
+		if n > rest {
+			return "", false
+		}
+		s := string(d.b[d.off : d.off+int(n)])
+		d.off += int(n)
+		return s, true
+	case strHex:
+		if n == 0 || n > maxHexBytes || n > rest {
+			return "", false
+		}
+		var buf [2 * maxHexBytes]byte
+		src, dst := d.b[d.off:d.off+int(n)], buf[:2*n]
+		for i, c := range src {
+			dst[2*i], dst[2*i+1] = hexDigits[c>>4], hexDigits[c&0xf]
+		}
+		d.off += int(n)
+		return string(dst), true
+	case strKey:
+		if n != 0 {
+			return "", false
+		}
+		v, ok := d.uvarint()
+		if !ok || v == 0 {
+			return "", false
+		}
+		var buf [2 + 16]byte
+		i := len(buf)
+		for ; v != 0; v >>= 4 {
+			i--
+			buf[i] = hexDigits[v&0xf]
+		}
+		buf[i-2], buf[i-1] = '0', 'x'
+		return string(buf[i-2:]), true
+	}
+	return "", false
 }
 
 // DecodeEntry parses one entry from the front of b, returning the entry
-// and the number of bytes consumed. Truncation inside an otherwise valid
-// frame is ErrTruncated; any structural or checksum violation is
-// ErrCorrupt.
+// and the number of bytes consumed. b ending anywhere inside an entry,
+// the payload length included, is ErrTruncated; any structural or
+// checksum violation is ErrCorrupt.
 func DecodeEntry(b []byte) (Entry, int, error) {
-	if len(b) < entryHdrLen {
-		return Entry{}, 0, fmt.Errorf("%w: %d header bytes of %d", ErrTruncated, len(b), entryHdrLen)
+	if len(b) < 4 {
+		return Entry{}, 0, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
 	}
-	d := &decoder{b: b}
-	magic, _ := d.u16()
-	if magic != entryMagic {
+	if magic := binary.LittleEndian.Uint16(b); magic != entryMagic {
 		return Entry{}, 0, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
 	}
-	var e Entry
-	e.Type = EntryType(b[d.off])
-	e.Flags = b[d.off+1]
-	d.off += 2
-	e.Seq, _ = d.u64()
-	e.Fence, _ = d.u64()
-	plen, _ := d.u32()
-	if plen > maxEntryPayload {
+	plen, vn := binary.Uvarint(b[4:])
+	if vn == 0 {
+		return Entry{}, 0, fmt.Errorf("%w: inside the payload length", ErrTruncated)
+	}
+	if vn < 0 || plen > maxEntryPayload {
 		return Entry{}, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, plen)
 	}
-	total := entryHdrLen + int(plen) + 4
+	hdr := 4 + vn
+	total := hdr + int(plen) + 4
 	if len(b) < total {
 		return Entry{}, 0, fmt.Errorf("%w: entry needs %d bytes, have %d", ErrTruncated, total, len(b))
 	}
+	e := Entry{Type: EntryType(b[2]), Flags: b[3]}
 	if e.Type == EntryInvalid || e.Type > EntryClaim {
 		return Entry{}, 0, fmt.Errorf("%w: unknown entry type %d", ErrCorrupt, e.Type)
 	}
-	body := b[:entryHdrLen+int(plen)]
-	sum := uint32(b[total-4]) | uint32(b[total-3])<<8 | uint32(b[total-2])<<16 | uint32(b[total-1])<<24
-	if got := crc32.ChecksumIEEE(body); got != sum {
-		return Entry{}, 0, fmt.Errorf("%w: checksum %#x != %#x (seq %d)", ErrCorrupt, got, sum, e.Seq)
+	body := b[:total-4]
+	if got, sum := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(b[total-4:]); got != sum {
+		return Entry{}, 0, fmt.Errorf("%w: checksum %#x != %#x", ErrCorrupt, got, sum)
 	}
-	pd := &decoder{b: body, off: entryHdrLen}
+	pd := &decoder{b: body, off: hdr}
 	var ok bool
+	if e.Seq, ok = pd.uvarint(); !ok {
+		return Entry{}, 0, fmt.Errorf("%w: seq field", ErrCorrupt)
+	}
+	if e.Fence, ok = pd.uvarint(); !ok {
+		return Entry{}, 0, fmt.Errorf("%w: fence field", ErrCorrupt)
+	}
 	if e.Node, ok = pd.str(); !ok {
 		return Entry{}, 0, fmt.Errorf("%w: node string", ErrCorrupt)
 	}
@@ -242,17 +340,19 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 	if e.Digest, ok = pd.str(); !ok {
 		return Entry{}, 0, fmt.Errorf("%w: digest string", ErrCorrupt)
 	}
-	if e.Arch, ok = pd.u32(); !ok {
+	arch, ok := pd.uvarint()
+	if !ok || arch > math.MaxUint32 {
 		return Entry{}, 0, fmt.Errorf("%w: arch field", ErrCorrupt)
 	}
-	if e.Version, ok = pd.u64(); !ok {
+	e.Arch = uint32(arch)
+	if e.Version, ok = pd.uvarint(); !ok {
 		return Entry{}, 0, fmt.Errorf("%w: version field", ErrCorrupt)
 	}
-	if e.Blob, ok = pd.u64(); !ok {
+	if e.Blob, ok = pd.uvarint(); !ok {
 		return Entry{}, 0, fmt.Errorf("%w: blob field", ErrCorrupt)
 	}
-	if pd.off != entryHdrLen+int(plen) {
-		return Entry{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, entryHdrLen+int(plen)-pd.off)
+	if pd.off != len(body) {
+		return Entry{}, 0, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(body)-pd.off)
 	}
 	return e, total, nil
 }
@@ -405,7 +505,7 @@ func (j *Journal) put(e Entry, wait bool) error {
 		e.Fence = j.fence()
 	}
 	off := len(j.buf)
-	j.buf = append(j.buf, e.Encode()...)
+	j.buf = e.Encode(j.buf)
 	j.n++
 	j.appended.Inc()
 	if j.rep == nil {

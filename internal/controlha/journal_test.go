@@ -3,6 +3,7 @@ package controlha
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rdx/internal/core"
@@ -21,7 +22,7 @@ func fullEntry(t EntryType, seq uint64) Entry {
 func TestEntryEncodeDecodeRoundTrip(t *testing.T) {
 	for ty := EntryValidate; ty <= EntryClaim; ty++ {
 		e := fullEntry(ty, 42)
-		enc := e.Encode()
+		enc := e.Encode(nil)
 		got, n, err := DecodeEntry(enc)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", ty, err)
@@ -35,7 +36,7 @@ func TestEntryEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	// Empty strings and zero fields survive too.
 	min := Entry{Type: EntryValidate, Seq: 1}
-	got, _, err := DecodeEntry(min.Encode())
+	got, _, err := DecodeEntry(min.Encode(nil))
 	if err != nil || got != min {
 		t.Errorf("minimal entry round trip: %+v, %v", got, err)
 	}
@@ -43,7 +44,7 @@ func TestEntryEncodeDecodeRoundTrip(t *testing.T) {
 	// other type is corruption, not a record replay may skip.
 	for _, ty := range []EntryType{EntryInvalid, EntryClaim + 1} {
 		e := fullEntry(ty, 42)
-		if _, _, err := DecodeEntry(e.Encode()); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeEntry(e.Encode(nil)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%v: decode = %v, want ErrCorrupt", ty, err)
 		}
 	}
@@ -51,7 +52,7 @@ func TestEntryEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	e9 := fullEntry(EntryPublish, 9)
-	enc := e9.Encode()
+	enc := e9.Encode(nil)
 	// Flipping any single byte must yield a typed error (or, for a byte in
 	// the length fields, possibly a truncation) — never a panic, never a
 	// silently different entry.
@@ -71,16 +72,18 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTruncation: every strict prefix of an entry is a
+// truncation, the prefixes ending inside a two-byte payload length
+// included, so a standby that pumped part of an entry waits for the rest.
 func TestDecodeRejectsTruncation(t *testing.T) {
-	e1 := fullEntry(EntryStage, 1)
-	enc := e1.Encode()
-	for n := 0; n < len(enc); n++ {
-		_, _, err := DecodeEntry(enc[:n])
-		if err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded", n, len(enc))
-		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("prefix of %d bytes: untyped error %v", n, err)
+	long := fullEntry(EntryStage, 1)
+	long.Name = strings.Repeat("n", 200)
+	for _, e := range []Entry{fullEntry(EntryStage, 1), long} {
+		enc := e.Encode(nil)
+		for n := 0; n < len(enc); n++ {
+			if _, _, err := DecodeEntry(enc[:n]); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("prefix of %d/%d bytes: %v, want ErrTruncated", n, len(enc), err)
+			}
 		}
 	}
 }
@@ -147,7 +150,7 @@ func TestReplayRejectsReorderAndSplice(t *testing.T) {
 	reencode := func(es []Entry) []byte {
 		var out []byte
 		for i := range es {
-			out = append(out, es[i].Encode()...)
+			out = append(out, es[i].Encode(nil)...)
 		}
 		return out
 	}

@@ -138,11 +138,13 @@ func TestLeaseExpiredTakeover(t *testing.T) {
 }
 
 func TestReplicationPumpAndWrap(t *testing.T) {
-	// A deliberately tiny ring: every entry is ~90 bytes, so appends wrap
-	// the 160-byte data region repeatedly, exercising the split WRITE and
-	// split Pump paths. The standby pumps after every append, so its local
-	// journal copy stays complete even though the ring holds only a window.
-	rig := newHostRig(t, 160)
+	// A deliberately tiny ring, under three entries wide: appends wrap the
+	// data region repeatedly, and entries straddle the wrap point, exercising
+	// the split WRITE and split Pump paths. The standby pumps after every
+	// append, so its local journal copy stays complete even though the ring
+	// holds only a window.
+	const ringCap = 104
+	rig := newHostRig(t, ringCap)
 	mem, w, ring := rig.connect(t)
 
 	lease := NewLease(mem, w.Addr, 1, time.Minute, nil, nil)
@@ -182,6 +184,20 @@ func TestReplicationPumpAndWrap(t *testing.T) {
 	if got.LastSeq != 8 {
 		t.Fatalf("lastSeq = %d", got.LastSeq)
 	}
+	straddled := 0
+	for b, off := j.Bytes(), 0; off < len(b); {
+		_, n, err := DecodeEntry(b[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off/ringCap != (off+n-1)/ringCap {
+			straddled++
+		}
+		off += n
+	}
+	if straddled == 0 {
+		t.Fatal("no entry straddles the wrap point: the split WRITE and Pump paths did not run")
+	}
 
 	// The wrapped ring no longer holds full history for late readers.
 	if _, err := FetchJournal(mem, ring.Addr); !errors.Is(err, ErrRingOverrun) {
@@ -190,7 +206,7 @@ func TestReplicationPumpAndWrap(t *testing.T) {
 
 	// A standby that stops pumping past one full capacity loses bytes —
 	// typed overrun, not silent corruption.
-	for i := 0; i < 4; i++ {
+	for i, pumped := 0, len(rig.host.JournalBytes()); len(j.Bytes())-pumped <= ringCap; i++ {
 		j.JournalClaim("0x1", uint64(i))
 	}
 	if _, err := rig.host.Pump(); !errors.Is(err, ErrRingOverrun) {
@@ -213,7 +229,7 @@ func TestReplicatorFencedAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := Entry{Type: EntryValidate, Seq: 1, Fence: 1, Digest: "d"}
-	if err := rep1.Append(e1.Encode()); err != nil {
+	if err := rep1.Append(e1.Encode(nil)); err != nil {
 		t.Fatalf("append under own term: %v", err)
 	}
 
@@ -231,7 +247,7 @@ func TestReplicatorFencedAppend(t *testing.T) {
 	// must not grow the committed journal.
 	hwmBefore, _ := mem1.ReadMem(ring.Addr+ringOffHwm, 8)
 	e2 := Entry{Type: EntryValidate, Seq: 2, Fence: 1, Digest: "d2"}
-	if err := rep1.Append(e2.Encode()); !errors.Is(err, ErrFencedAppend) {
+	if err := rep1.Append(e2.Encode(nil)); !errors.Is(err, ErrFencedAppend) {
 		t.Fatalf("deposed append: %v, want ErrFencedAppend", err)
 	}
 	hwmAfter, _ := mem1.ReadMem(ring.Addr+ringOffHwm, 8)
@@ -243,7 +259,7 @@ func TestReplicatorFencedAppend(t *testing.T) {
 	}
 
 	// The new term appends fine, seq continuing.
-	if err := rep2.Append(e2.Encode()); err != nil {
+	if err := rep2.Append(e2.Encode(nil)); err != nil {
 		t.Fatalf("successor append: %v", err)
 	}
 }

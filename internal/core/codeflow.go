@@ -42,7 +42,7 @@ type CodeFlow struct {
 	// rollback/hot-patching).
 	history    map[string][]Deployed
 	role       Role
-	codeHashes map[uint64]string // blob addr → SHA-256 of published code
+	codeHashes map[uint64][32]byte // blob addr → SHA-256 of published code
 	// slots double-buffers blobs per hook for delta injection (slots.go).
 	slots map[string]*hookSlots
 	// pending holds the blobs a stage or DeployProg owns, by size: allocated
@@ -154,7 +154,7 @@ func (cp *ControlPlane) CreateCodeFlowQP(qp rdma.Verbs) (*CodeFlow, error) {
 		nodeKey:    nodeKey,
 		got:        got,
 		history:    map[string][]Deployed{},
-		codeHashes: map[uint64]string{},
+		codeHashes: map[uint64][32]byte{},
 		slots:      map[string]*hookSlots{},
 		pending:    map[uint64]uint64{},
 		inDoubt:    map[uint64]doubt{},

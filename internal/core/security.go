@@ -107,7 +107,7 @@ func (cf *CodeFlow) authorize(e *ext.Extension, hook string) error {
 func (cf *CodeFlow) recordCodeHash(blob uint64, code []byte) {
 	sum := sha256.Sum256(code)
 	cf.mu.Lock()
-	cf.codeHashes[blob] = hex.EncodeToString(sum[:])
+	cf.codeHashes[blob] = sum
 	cf.mu.Unlock()
 }
 
@@ -228,12 +228,13 @@ func (cf *CodeFlow) VerifyIntegrity(hook string) (IntegrityReport, error) {
 	rep.Actual = hex.EncodeToString(sum[:])
 
 	cf.mu.Lock()
-	rep.Expected = cf.codeHashes[blob]
+	want, ok := cf.codeHashes[blob]
 	cf.mu.Unlock()
-	if rep.Expected == "" {
+	if !ok {
 		return rep, fmt.Errorf("core: no recorded fingerprint for blob %#x (deployed by another control plane?)", blob)
 	}
-	rep.Intact = rep.Expected == rep.Actual
+	rep.Expected = hex.EncodeToString(want[:])
+	rep.Intact = want == sum
 	if !rep.Intact {
 		return rep, ErrTampered
 	}

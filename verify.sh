@@ -2,8 +2,8 @@
 # verify.sh — the repo's tier-1 verification gate, runnable locally and in
 # CI. Fails fast on the first broken stage.
 #
-#   ./verify.sh          full gate: gofmt, vet, build, bench build, import boundary, export ratchet, tests, alloc gates, race, code region, simulation
-#   ./verify.sh quick    skip the -race pass (slowest stage) for inner loops
+#   ./verify.sh          full gate: gofmt, vet, build, bench build, import boundary, export ratchet, tests, alloc gates, race, journal codec fuzz, code region, simulation
+#   ./verify.sh quick    skip the -race passes and the fuzz smoke for inner loops
 set -eu
 cd "$(dirname "$0")"
 
@@ -59,8 +59,17 @@ if [ "${1:-}" != "quick" ]; then
     # its deterministic group tests repeat under -race. Write-only entries
     # (validate, compile) do not wait: they join the open batch or ride the
     # next flight a waiting append opens, and that carry repeats here too.
+    # The flight tests size their batches from the entry encoding, whose
+    # round trip (FuzzEntryRoundTrip's seeds: every string form's edges)
+    # runs with them.
     echo "== journal group commit (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight' ./internal/controlha/
+    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight|FuzzEntryRoundTrip' ./internal/controlha/
+    # The entry codec packs integers, digests and node keys: a short fuzz
+    # of its round trip and of replay over arbitrary bytes (typed errors,
+    # never a panic) runs on every full gate.
+    echo "== journal codec fuzz smoke (10 s each) =="
+    go test -run '^$' -fuzz '^FuzzEntryRoundTrip$' -fuzztime=10s ./internal/controlha/
+    go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime=10s ./internal/controlha/
     # The standby folds the journal as it pumps: the background pump, a
     # takeover's final pump and State() snapshots share one host, and the
     # rollback-stack bound must hold on leader, replay and fold alike. Every
