@@ -153,7 +153,9 @@ func FuzzJournalPumpThroughSim(f *testing.F) {
 }
 
 // FuzzEntryRoundTrip: whatever its field values, an entry decodes from its
-// own encoding bit for bit, consuming exactly the encoded bytes. The seeds
+// own encoding bit for bit, consuming exactly the encoded bytes, or the
+// journal refuses it: Journal.put takes no entry DecodeEntry would refuse
+// for its size, and an entry it takes is the one Encode writes. The seeds
 // sit on the edges of each string form: empty, the %#x key form and the
 // strings just outside it, the hex form up to its 64-byte limit and past
 // it, and all-ones integers.
@@ -178,20 +180,34 @@ func FuzzEntryRoundTrip(f *testing.F) {
 	f.Add(uint8(EntryClaim), uint64(math.MaxUint64), uint64(math.MaxUint64), "0x1", "", "", "",
 		uint32(math.MaxUint32), uint64(math.MaxUint64), uint64(math.MaxUint64), uint8(math.MaxUint8))
 	f.Add(uint8(EntryInvalid), uint64(0), uint64(0), "", "", "", "", uint32(0), uint64(0), uint64(0), uint8(0))
+	f.Add(uint8(EntryPublish), uint64(1), uint64(1), "0x1", "ingress", strings.Repeat("x", maxEntryPayload), "",
+		uint32(0), uint64(1), uint64(0x100), uint8(0)) // payload past the limit
 
 	f.Fuzz(func(t *testing.T, ty uint8, seq, fence uint64, node, hook, name, digest string, arch uint32, version, blob uint64, flags uint8) {
 		e := Entry{Type: EntryType(ty), Seq: seq, Fence: fence, Node: node, Hook: hook, Name: name,
 			Digest: digest, Arch: arch, Version: version, Blob: blob, Flags: flags}
 		enc := e.Encode([]byte("prefix"))[len("prefix"):]
 		got, n, err := DecodeEntry(append(enc, "suffix"...))
+		j := NewJournal(nil)
+		j.SeedSeq(seq - 1)
+		j.SetFenceSource(func() uint64 { return fence })
+		putErr := j.Append(e)
 		switch {
-		case e.Type == EntryInvalid || e.Type > EntryClaim:
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("type %d: decode = %v, want ErrCorrupt", ty, err)
-			}
 		case e.payloadLen() > maxEntryPayload:
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%d-byte payload: decode = %v, want ErrCorrupt", e.payloadLen(), err)
+			}
+			if !errors.Is(putErr, ErrEntryTooLarge) || j.Len() != 0 || j.repErrors.Value() != 1 {
+				t.Fatalf("%d-byte payload: put = %v with %d entries and %d replication errors, want ErrEntryTooLarge, none and 1",
+					e.payloadLen(), putErr, j.Len(), j.repErrors.Value())
+			}
+		case putErr != nil:
+			t.Fatalf("put %+v: %v", e, putErr)
+		case !bytes.Equal(j.Bytes(), enc):
+			t.Fatal("the journal holds other bytes than Encode writes")
+		case e.Type == EntryInvalid || e.Type > EntryClaim:
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("type %d: decode = %v, want ErrCorrupt", ty, err)
 			}
 		case err != nil:
 			t.Fatalf("decode %+v: %v", e, err)

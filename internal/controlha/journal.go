@@ -47,6 +47,10 @@ var (
 	// contiguous from 1 or whose fencing epochs regress — a reordered or
 	// spliced journal must not replay into plausible-but-divergent state.
 	ErrBadSequence = errors.New("controlha: broken journal sequence")
+	// ErrEntryTooLarge reports an entry whose payload exceeds
+	// maxEntryPayload, which DecodeEntry would refuse: the journal refuses
+	// it first, before it takes a sequence number.
+	ErrEntryTooLarge = errors.New("controlha: journal entry too large to replay")
 )
 
 // EntryType discriminates journal records. Values are part of the wire
@@ -496,14 +500,21 @@ func (j *Journal) carry(e Entry) {
 // put stamps e with seq + fence, lands it in buf and puts it aboard a
 // flight: the open batch if there is one, else a new flight that starts at
 // the carried entries. A put that does not wait opens no flight until the
-// carried bytes pass flightBound.
+// carried bytes pass flightBound. An entry no standby could decode is
+// refused with ErrEntryTooLarge and counted as a replication error; it
+// takes no sequence number.
 func (j *Journal) put(e Entry, wait bool) error {
 	j.mu.Lock()
-	j.seq++
-	e.Seq = j.seq
+	e.Seq = j.seq + 1
 	if j.fence != nil {
 		e.Fence = j.fence()
 	}
+	if n := e.payloadLen(); n > maxEntryPayload {
+		j.mu.Unlock()
+		j.repErrors.Inc()
+		return fmt.Errorf("%w: %s entry of %d payload bytes, limit %d", ErrEntryTooLarge, e.Type, n, maxEntryPayload)
+	}
+	j.seq = e.Seq
 	off := len(j.buf)
 	j.buf = e.Encode(j.buf)
 	j.n++

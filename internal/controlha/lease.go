@@ -257,7 +257,7 @@ func (l *Lease) depose() {
 // risking a split-brain pointer flip. The check cannot close the window
 // completely — a deposal can land between the READ and the CAS — but it
 // narrows it to a single in-flight verb, and the replay path makes any
-// such lost publish converge by last-writer-wins.
+// such lost publish converge: the successor's re-driven flip lands last.
 func (l *Lease) Check() error {
 	l.mu.Lock()
 	held, epoch, expiry := l.held, l.epoch, l.expiry

@@ -108,16 +108,13 @@ func (s *State) apply(e Entry) {
 		d := core.Deployed{Blob: e.Blob, Version: e.Version, Name: e.Name,
 			Digest: e.Digest, Reclaimed: e.Flags&1 != 0}
 		s.History[k] = core.PushDeployed(s.History[k], d)
-		// Same last-writer-wins guard as ControlPlane.recordDeployed:
-		// versions come from the node's epoch FETCH_ADD, so the highest
-		// wins regardless of journal interleaving across hooks.
-		if cur, ok := s.Versions[k]; !ok || cur.Version <= e.Version {
-			s.Versions[k] = core.DeployedVersion{Digest: e.Digest, Version: e.Version, Blob: e.Blob}
-		}
+		// A node's publishes and rollbacks are journaled in the order
+		// their flips landed, so the latest entry is what the hook
+		// dispatches, whatever its version.
+		s.Versions[k] = core.DeployedVersion{Digest: e.Digest, Version: e.Version, Blob: e.Blob}
 		s.closeIntent(e)
 	case EntryRollback:
-		// Rollback pops the history stack and forces the version map past
-		// the last-writer-wins guard, exactly like CodeFlow.Rollback.
+		// Rollback pops the history stack, exactly like CodeFlow.Rollback.
 		if h := s.History[k]; len(h) > 0 {
 			s.History[k] = h[:len(h)-1]
 		}

@@ -54,10 +54,12 @@ type CodeFlow struct {
 	// the same order, or a concurrent publish pair could leave the shadow
 	// believing a blob is dead while the node still dispatches it — and a
 	// later delta would overwrite live code. It also guards the code-region
-	// allocator's free list and the pending blobs in doubt (region.go).
+	// allocator's free list and inDoubt: per blob, each hook word a flip
+	// posted a CAS to but could not confirm, with the version it wrote
+	// (region.go).
 	pubMu   sync.Mutex
 	free    []codeSpan
-	inDoubt map[uint64]doubt
+	inDoubt map[uint64]map[uint64]uint64
 	// freshMu is read-held by each fresh allocation (region.go) until its
 	// blob is pending, and write-held by a sweep as a barrier.
 	freshMu   sync.RWMutex
@@ -157,7 +159,7 @@ func (cp *ControlPlane) CreateCodeFlowQP(qp rdma.Verbs) (*CodeFlow, error) {
 		codeHashes: map[uint64][32]byte{},
 		slots:      map[string]*hookSlots{},
 		pending:    map[uint64]uint64{},
-		inDoubt:    map[uint64]doubt{},
+		inDoubt:    map[uint64]map[uint64]uint64{},
 	}, nil
 }
 
@@ -323,13 +325,18 @@ type DeployParams struct {
 }
 
 // DeployProg is rdx_deploy_prog: push a fully linked binary into the node's
-// code region and atomically publish it on the hook. The publish step is an
-// rdx_tx: the blob (header + code) is written in full before a single CAS
-// flips the dispatch pointer, so concurrent executions observe the old or
-// the new extension, never a torn mix.
+// code region and atomically publish it on the hook. It stages and
+// publishes like a fleet node: the blob (header + code) and its staged
+// record ride one OpBatch into allocated space, then StagedDeploy's commit
+// flips the dispatch pointer with a single CAS — rdx_tx — so concurrent
+// executions observe the old or the new extension, never a torn mix. It
+// never claims the hook's standby.
 func (cf *CodeFlow) DeployProg(bin *native.Binary, hook string, p DeployParams) (Deployed, error) {
 	if !bin.Linked() {
 		return Deployed{}, fmt.Errorf("core: binary %q has unresolved relocations", bin.Name)
+	}
+	if err := checkNames(bin.Name, hook); err != nil {
+		return Deployed{}, err
 	}
 	hookAddr, err := cf.HookAddr(hook)
 	if err != nil {
@@ -339,39 +346,32 @@ func (cf *CodeFlow) DeployProg(bin *native.Binary, hook string, p DeployParams) 
 	if err != nil {
 		return Deployed{}, err
 	}
-	payload := blobImage(bin, p, version)
-	// The blob is written inside the flip, after its fence check: that
-	// check is the one a carve of reused space needs, so allocCode skips
-	// its own.
-	blob, err := cf.allocCode(cf.Remote, blobCap(len(payload)), nil)
+	payload := append(blobHeader(bin.Arch, p, version, len(bin.Code)), bin.Code...)
+	slot := &slotImage{cap: blobCap(len(payload))}
+	blob, fresh, err := cf.allocFresh(cf.Remote, slot.cap)
+	// pubMu is held from here to the CAS, so one fence check serves a carve
+	// of reused space, which nothing may write before it, and the flip.
+	fence := sync.OnceValue(cf.cp.checkFence)
+	cf.pubMu.Lock()
+	defer cf.pubMu.Unlock()
+	if err == nil && !fresh {
+		blob, err = cf.allocReused(cf.Remote, slot.cap, fence)
+	}
 	if err != nil {
 		return Deployed{}, err
 	}
-	cf.pubMu.Lock()
-	defer cf.pubMu.Unlock()
-	if posted, err := cf.flip(cf.Remote, hookAddr, blob,
-		TxWrite{Addr: blob, Bytes: payload},
-		TxWrite{Addr: hookAddr + node.HookOffStaged, Qword: blob},
-		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: version},
-	); err != nil {
-		// A CAS never posted dispatched nothing; one posted may have.
-		if posted {
-			cf.inDoubt[blob] = doubt{hookAddr, nil}
-		} else {
-			cf.release(blob)
-		}
+	slot.blob = blob
+	sd := &StagedDeploy{cf: cf, hook: hook, name: bin.Name, digest: p.Digest,
+		hookAddr: hookAddr, blob: blob, version: version, slot: slot}
+	if err = cf.stageFull(cf.Remote, sd, slot, payload); err == nil {
+		err = sd.publish(cf.Remote, fence)
+	}
+	if err != nil {
+		sd.Abort()
 		return Deployed{}, fmt.Errorf("core: deploy of %q on %q: %w", bin.Name, hook, err)
 	}
-	cf.recordCodeHash(blob, bin.Code)
-	d := Deployed{Blob: blob, Version: version, Name: bin.Name, Digest: p.Digest}
-	cf.installPublished(hook, &slotImage{blob: blob, cap: blobCap(len(payload)), image: payload}, d)
-	return d, nil
-}
-
-// blobImage frames bin's code behind its blob header: the exact bytes a
-// deploy writes into the code region.
-func blobImage(bin *native.Binary, p DeployParams, version uint64) []byte {
-	return append(blobHeader(bin.Arch, p, version, len(bin.Code)), bin.Code...)
+	cf.recordCodeHash(slot.blob, bin.Code)
+	return sd.deployed(), nil
 }
 
 // blobHeader encodes the header that precedes codeLen bytes of code in a
@@ -383,25 +383,35 @@ func blobHeader(arch native.Arch, p DeployParams, version uint64, codeLen int) [
 }
 
 // flip is the one dispatch-pointer commit every publish path shares — cold
-// deploy, resident fast path, staged Publish and Rollback: rdx_tx's writes,
-// the dispatch swap to blob, then rdx_cc_event, behind the leadership
-// fence. Caller holds pubMu, so the flip and the bookkeeping the caller
-// does after it land in the same order across concurrent publishes. A
-// failed flip reports whether it posted the CAS, which may have landed.
-func (cf *CodeFlow) flip(rem *RemoteMemory, hookAddr, blob uint64, writes ...TxWrite) (posted bool, err error) {
+// deploy, resident fast path, staged Publish and Rollback: rdx_tx's version
+// write, the dispatch swap to blob, then rdx_cc_event, behind the
+// leadership fence (DeployProg's may have run earlier in the same pubMu
+// hold). Caller holds pubMu, so the flip and the bookkeeping the caller
+// does after it land in the same order across concurrent publishes. A flip
+// that fails after posting its CAS, which may have landed, leaves blob in
+// doubt on the hook: no stage or carve reuses it until a later flip on the
+// hook lands.
+func (cf *CodeFlow) flip(rem *RemoteMemory, fence func() error, hookAddr, blob, version uint64) error {
 	// A deposed controller must not flip the pointer, no matter how far
 	// its stage got (see FenceCheck).
-	if err := cf.cp.checkFence(); err != nil {
-		return false, err
+	if err := fence(); err != nil {
+		return err
 	}
+	writes := []TxWrite{{Addr: hookAddr + node.HookOffVersion, Qword: version}}
 	if posted, err := cf.txOn(rem, writes, QwordSwap{Addr: hookAddr + node.HookOffDispatch, New: blob}); err != nil {
-		return posted, err
+		if posted {
+			if cf.inDoubt[blob] == nil {
+				cf.inDoubt[blob] = map[uint64]uint64{}
+			}
+			cf.inDoubt[blob][hookAddr] = version
+		}
+		return err
 	}
 	cf.landed(hookAddr, blob)
 	// Expose the flipped pointer to a possibly-stale CPU cache. The swap
 	// has landed, so a failed doorbell must not undo the bookkeeping.
 	cf.ccEventOn(rem, hookAddr+node.HookOffDispatch)
-	return true, nil
+	return nil
 }
 
 // TxWrite is one staged write of a remote transaction.
@@ -576,8 +586,7 @@ func (cf *CodeFlow) Rollback(hook string) (Deployed, error) {
 		return Deployed{}, fmt.Errorf("core: cannot roll back %q to version %d (%s): its blob was reclaimed for delta staging; redeploy it instead",
 			hook, prev.Version, prev.Name)
 	}
-	if _, err := cf.flip(cf.Remote, hookAddr, prev.Blob,
-		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: prev.Version}); err != nil {
+	if err := cf.flip(cf.Remote, cf.cp.checkFence, hookAddr, prev.Blob, prev.Version); err != nil {
 		// Fenced or failed on the wire: the stack, the version map and the
 		// journal stay as they were.
 		return Deployed{}, fmt.Errorf("core: rollback of %q: %w", hook, err)
@@ -586,10 +595,8 @@ func (cf *CodeFlow) Rollback(hook string) (Deployed, error) {
 	cf.history[hook] = h[:len(h)-1]
 	cf.switchDispatch(hook, prev.Blob)
 	cf.mu.Unlock()
-	// Rolling back intentionally regresses the version: force the
-	// deployed-version map past its last-writer-wins guard.
 	cf.cp.recordDeployed(cf.NodeKey(), hook,
-		DeployedVersion{Digest: prev.Digest, Version: prev.Version, Blob: prev.Blob}, true)
+		DeployedVersion{Digest: prev.Digest, Version: prev.Version, Blob: prev.Blob})
 	if j := cf.cp.journal(); j != nil {
 		j.JournalRollback(cf.NodeKey(), hook, prev)
 	}
@@ -657,20 +664,19 @@ func (cf *CodeFlow) InjectExtension(e *ext.Extension, hook string) (Report, erro
 	rep.Version = d.Version
 	rep.Blob = d.Blob
 	rep.Total = time.Since(start)
-	// DeployProg's installPublished recorded history and the
-	// deployed-version map via params.Digest.
+	// DeployProg's publish recorded history and the deployed-version map
+	// via params.Digest.
 	return rep, nil
 }
 
 // tryResidentInject attempts the repeat-deployment fast path: if the
 // extension's digest is resident — in a live entry of this node's history —
-// the inject reduces to a commit-only flip plus installPublished's
-// bookkeeping. The lookup and the flip happen under ONE pubMu hold:
-// claimStandby and the allocator's carve also take pubMu and tombstone the
-// history entries of every blob they reuse before releasing it, so a blob
-// found here cannot be overwritten before the CAS dispatches it. Returns
-// handled=false when the digest is not resident and the caller must run the
-// full pipeline.
+// the inject reduces to publishing a commit-only StagedDeploy of that blob.
+// The lookup and the publish happen under ONE pubMu hold: claimStandby and
+// the allocator's carve also take pubMu and tombstone the history entries
+// of every blob they reuse before releasing it, so a blob found here cannot
+// be overwritten before the CAS dispatches it. Returns handled=false when
+// the digest is not resident and the caller must run the full pipeline.
 func (cf *CodeFlow) tryResidentInject(e *ext.Extension, hook string, digest string, start time.Time, rep *Report) (handled bool, err error) {
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
@@ -687,16 +693,16 @@ func (cf *CodeFlow) tryResidentInject(e *ext.Extension, hook string, digest stri
 		return true, err
 	}
 	t0 := time.Now()
-	if _, err := cf.flip(cf.Remote, hookAddr, blob,
-		TxWrite{Addr: hookAddr + node.HookOffVersion, Qword: version}); err != nil {
-		return true, fmt.Errorf("core: inject of %q on %q: %w", e.Name(), hook, err)
+	sd := &StagedDeploy{cf: cf, hook: hook, name: e.Name(), digest: digest,
+		hookAddr: hookAddr, blob: blob, version: version}
+	if err := sd.publish(cf.Remote, cf.cp.checkFence); err != nil {
+		return true, err
 	}
 	rep.Commit = time.Since(t0)
 	rep.CacheHit = true
 	rep.Version = version
 	rep.Blob = blob
 	rep.Total = time.Since(start)
-	cf.installPublished(hook, nil, Deployed{Blob: blob, Version: version, Name: e.Name(), Digest: digest})
 	return true, nil
 }
 

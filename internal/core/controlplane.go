@@ -39,10 +39,10 @@ type ControlPlane struct {
 	artifacts *artifact.Cache
 
 	// versions tracks, per (node, hook), the digest/version/blob the
-	// control plane most recently published there — the deployed-version
-	// map the orchestrator's status step reads, journal replay restores,
-	// and the race tests assert last-writer-wins on. Delta staging diffs
-	// against the hook's slot image, not this map.
+	// control plane's last landed flip there dispatched — the
+	// deployed-version map the orchestrator's status step reads and journal
+	// replay restores. Delta staging diffs against the hook's slot image,
+	// not this map.
 	versMu   sync.Mutex
 	versions map[verKey]DeployedVersion
 
@@ -167,20 +167,14 @@ func (cp *ControlPlane) DeployedVersion(nodeKey, hook string) (DeployedVersion, 
 	return dv, ok
 }
 
-// recordDeployed updates the deployed-version map. Versions come from the
-// node's epoch FETCH_ADD, so they totally order publishes per node; the
-// guard makes concurrent publishes converge on the highest version —
-// last-writer-wins by epoch, regardless of the order their recordings race
-// in. force (rollback) overrides the guard: reverting to an older version
-// is the caller's explicit intent.
-func (cp *ControlPlane) recordDeployed(nodeKey, hook string, dv DeployedVersion, force bool) {
+// recordDeployed updates the deployed-version map. Every landed flip
+// records its outcome under the node's pubMu, in the order the flips
+// landed, so the map says what the node dispatches — a rollback or a
+// publish of an older staged version included.
+func (cp *ControlPlane) recordDeployed(nodeKey, hook string, dv DeployedVersion) {
 	cp.versMu.Lock()
-	defer cp.versMu.Unlock()
-	k := verKey{nodeKey, hook}
-	if cur, ok := cp.versions[k]; ok && !force && cur.Version > dv.Version {
-		return
-	}
-	cp.versions[k] = dv
+	cp.versions[verKey{nodeKey, hook}] = dv
+	cp.versMu.Unlock()
 }
 
 // Precompile validates and compiles for every architecture in Targets,

@@ -299,9 +299,9 @@ func TestChaosReconnQPRecoversMidDeltaKill(t *testing.T) {
 // TestConcurrentBroadcastLastWriterWins races two broadcasts of different
 // versions of the same CodeFlow name across the fleet under -race: both
 // must complete without deadlocking on the publish barrier, and the
-// deployed-version map must converge on the higher epoch per node —
-// last-writer-wins — with each node executing one of the two versions in
-// full.
+// deployed-version map must name the version each node's hook word holds —
+// the last flip to land there, not the higher epoch — with each node
+// executing one of the two versions in full.
 func TestConcurrentBroadcastLastWriterWins(t *testing.T) {
 	const fleet = 4
 	r := newRig(t, fleet)
@@ -354,12 +354,23 @@ func TestConcurrentBroadcastLastWriterWins(t *testing.T) {
 		if !ok {
 			t.Fatalf("node %d missing from the deployed-version map", i)
 		}
-		wantVer, wantDig := repA.Outcomes[i].Version, vA.Digest()
-		if repB.Outcomes[i].Version > wantVer {
-			wantVer, wantDig = repB.Outcomes[i].Version, vB.Digest()
+		// The map follows the flips in the order they landed: it names
+		// the version the node's hook word holds, whichever that is.
+		_, _, wantVer, err := cf.HookStats("ingress")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantDig string
+		switch wantVer {
+		case repA.Outcomes[i].Version:
+			wantDig = vA.Digest()
+		case repB.Outcomes[i].Version:
+			wantDig = vB.Digest()
+		default:
+			t.Errorf("node %d hook word holds version %d, neither racing publish's", i, wantVer)
 		}
 		if dv.Version != wantVer || dv.Digest != wantDig {
-			t.Errorf("node %d version map = (%d,%q), want last writer (%d,%q)",
+			t.Errorf("node %d version map = (%d,%q), want the dispatched (%d,%q)",
 				i, dv.Version, dv.Digest, wantVer, wantDig)
 		}
 		// Whichever publish the node's CAS observed last, the blob it

@@ -21,10 +21,12 @@ var ErrFenced = errors.New("core: control plane fenced (leadership lease lost)")
 
 // FenceCheck verifies that the control plane may still act as leader. It is
 // consulted under pubMu inside CodeFlow.flip, immediately before every
-// dispatch CAS, and before a stage claims a standby blob or carves reused
-// code-region space (one check covers both; DeployProg writes its blob
-// inside the flip, after that check): the check narrows the window between
-// deposal and a stale pointer flip or overwrite to a few in-flight verbs.
+// dispatch CAS, and before a stage claims a standby blob or an allocation
+// hands out carved, reused code-region space. A stage's claim and carve share one
+// check, and so do DeployProg's carve and flip, under one pubMu hold that
+// spans only the blob's OpBatch between them: the check narrows the window
+// between deposal and a stale pointer flip or overwrite to a few in-flight
+// verbs.
 // Implementations should return an error wrapping ErrFenced when the lease
 // is lost, and fail closed (non-nil) when leadership cannot be confirmed.
 type FenceCheck func() error
@@ -156,13 +158,11 @@ func (cp *ControlPlane) DeployedVersions() map[DeployedKey]DeployedVersion {
 	return out
 }
 
-// RestoreDeployed installs one deployed-version entry verbatim, bypassing
-// the last-writer-wins guard: journal replay applies entries in commit
-// order, so the replayed value is authoritative by construction.
+// RestoreDeployed installs one replayed deployed-version entry: journal
+// replay applies entries in flip order, so the replayed value is what the
+// node dispatched.
 func (cp *ControlPlane) RestoreDeployed(nodeKey, hook string, dv DeployedVersion) {
-	cp.versMu.Lock()
-	cp.versions[verKey{nodeKey, hook}] = dv
-	cp.versMu.Unlock()
+	cp.recordDeployed(nodeKey, hook, dv)
 }
 
 // RestoreHistory installs a replayed rollback stack on a re-attached

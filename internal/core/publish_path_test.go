@@ -89,7 +89,7 @@ func TestPublishPathVerbs(t *testing.T) {
 	}
 
 	check("cold inject", inject("pp-a", 1),
-		map[string]uint64{"fetch_add": 2, "write": 3, "read": 1, "cas": 1, "write_imm": 1},
+		map[string]uint64{"fetch_add": 2, "batch": 1, "write": 1, "read": 1, "cas": 1, "write_imm": 1},
 		"validate", "compile", "publish")
 	inject("pp-b", 2)()
 	check("resident re-inject", inject("pp-a", 1),

@@ -42,35 +42,39 @@ func (cf *CodeFlow) AllocCode(size int) (uint64, error) {
 	return addr, err
 }
 
-// allocCode reserves sz bytes and marks them pending. Reused space goes
-// only to a controller that still leads, so a carve first passes fence (the
-// caller's, which may have run already) under pubMu. A nil fence means the
-// caller writes the space only after a fence check of its own.
+// allocCode reserves sz bytes and marks them pending: fresh space, else
+// space allocReused carves.
 func (cf *CodeFlow) allocCode(rem *RemoteMemory, sz uint64, fence func() error) (uint64, error) {
-	if sz > node.CodeSize/2 {
-		return 0, fmt.Errorf("core: blob of %d bytes exceeds half the code region", sz)
-	}
 	if addr, ok, err := cf.allocFresh(rem, sz); ok || err != nil {
 		return addr, err
 	}
 	cf.pubMu.Lock()
 	defer cf.pubMu.Unlock()
-	if fence != nil {
-		if err := fence(); err != nil {
-			return 0, err
-		}
-	}
+	return cf.allocReused(rem, sz, fence)
+}
+
+// allocReused carves sz bytes and marks them pending. Reused space goes
+// only to a controller that still leads: fence (the caller's, which may have
+// run already) is checked after the carve's sweep READs. Caller holds pubMu.
+func (cf *CodeFlow) allocReused(rem *RemoteMemory, sz uint64, fence func() error) (uint64, error) {
 	addr, err := cf.carve(rem, sz)
 	if err == nil {
-		cf.markPending(addr, sz)
+		err = fence()
 	}
-	return addr, err
+	if err != nil {
+		return 0, err
+	}
+	cf.markPending(addr, sz)
+	return addr, nil
 }
 
 // allocFresh bump-allocates with the node's code-brk FETCH_ADD until it
 // overruns. The word is left past the end, so every controller sharing the
 // node sees the region exhausted from then on. ok is false once it is.
 func (cf *CodeFlow) allocFresh(rem *RemoteMemory, sz uint64) (addr uint64, ok bool, err error) {
+	if sz > node.CodeSize/2 {
+		return 0, false, fmt.Errorf("core: blob of %d bytes exceeds half the code region", sz)
+	}
 	cf.freshMu.RLock()
 	defer cf.freshMu.RUnlock()
 	if cf.exhausted.Load() {
@@ -94,21 +98,13 @@ func (cf *CodeFlow) markPending(blob, sz uint64) {
 	cf.mu.Unlock()
 }
 
-// doubt records a pending blob whose flip failed after posting its CAS,
-// which may have landed: the hook word it targeted and the staged deploy
-// that owns the blob (nil for DeployProg).
-type doubt struct {
-	hookAddr uint64
-	owner    *StagedDeploy
-}
-
-// landed releases hookAddr's in-doubt blobs once a flip there to blob has
+// landed drops hookAddr's in-doubt flips once a flip there to blob has
 // landed: its CAS swapped from whatever word was there, so the hook no
-// longer dispatches them. The caller installs blob itself. Caller holds
-// pubMu.
+// longer dispatches their blobs. A blob in doubt on no other hook is
+// released; the caller installs blob itself. Caller holds pubMu.
 func (cf *CodeFlow) landed(hookAddr, blob uint64) {
-	for b, d := range cf.inDoubt {
-		if d.hookAddr == hookAddr {
+	for b, hooks := range cf.inDoubt {
+		if delete(hooks, hookAddr); len(hooks) == 0 {
 			delete(cf.inDoubt, b)
 			if b != blob {
 				cf.release(b)
@@ -172,7 +168,8 @@ func (cf *CodeFlow) carve(rem *RemoteMemory, sz uint64) (uint64, error) {
 // sweep returns the hard-live spans and the soft-live ones. A blob's size
 // is the largest this controller gave it (pending or slot), else its
 // header's length: one READ per hook plus one per blob of neither kind.
-// Caller holds pubMu.
+// An in-doubt blob is hard-live: a CAS to it may land yet. Caller holds
+// pubMu.
 func (cf *CodeFlow) sweep(rem *RemoteMemory) (hard, soft []codeSpan, err error) {
 	// Wait out fresh allocations in flight: each is pending once this
 	// returns, and none starts after the region is exhausted.
@@ -186,6 +183,9 @@ func (cf *CodeFlow) sweep(rem *RemoteMemory) (hard, soft []codeSpan, err error) 
 			}
 			hard = append(hard, codeSpan{addr: blob}) // size 0: look it up
 		}
+	}
+	for blob := range cf.inDoubt {
+		hard = append(hard, codeSpan{addr: blob})
 	}
 	cf.mu.Lock()
 	for blob, sz := range cf.pending {

@@ -472,12 +472,20 @@ func TestConcurrentStagesAcrossExhaustion(t *testing.T) {
 	wantNoStandbyClaimed(t, r.cp)
 }
 
-// hookedVerbs runs a test hook after the node executes each FETCH_ADD and
-// CAS; the hook may block, and an error it returns replaces the verb's
-// completion, as a lost one would.
+// hookedVerbs runs a test hook after the node executes each READ,
+// FETCH_ADD and CAS; the hook may block, and an error it returns replaces
+// the verb's completion, as a lost one would.
 type hookedVerbs struct {
 	rdma.Verbs
 	after func(verb string) error
+}
+
+func (h *hookedVerbs) ReadCtx(ctx context.Context, rkey uint32, addr mem.Addr, n int) ([]byte, error) {
+	b, err := h.Verbs.ReadCtx(ctx, rkey, addr, n)
+	if err == nil {
+		err = h.after("read")
+	}
+	return b, err
 }
 
 func (h *hookedVerbs) FetchAddCtx(ctx context.Context, rkey uint32, addr mem.Addr, delta uint64) (uint64, error) {
@@ -529,7 +537,7 @@ func TestSweepWaitsOutFreshAllocations(t *testing.T) {
 	})
 	const last = 64 << 10
 	for _, sz := range []uint64{node.CodeSize / 2, node.CodeSize/2 - last} {
-		if _, err := cf.allocCode(cf.Remote, sz, nil); err != nil {
+		if _, err := cf.allocCode(cf.Remote, sz, cf.cp.checkFence); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -540,12 +548,12 @@ func TestSweepWaitsOutFreshAllocations(t *testing.T) {
 	}
 	first, second := make(chan alloc, 1), make(chan alloc, 1)
 	go func() {
-		a, err := cf.allocCode(cf.Remote, last, nil)
+		a, err := cf.allocCode(cf.Remote, last, cf.cp.checkFence)
 		first <- alloc{a, err}
 	}()
 	<-paused
 	go func() {
-		a, err := cf.allocCode(cf.Remote, last, nil)
+		a, err := cf.allocCode(cf.Remote, last, cf.cp.checkFence)
 		second <- alloc{a, err}
 	}()
 	select {
@@ -697,4 +705,196 @@ func TestInDoubtBlobSurvivesAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantVerdict(t, r.nodes[0], "ingress", 4)
+}
+
+// wantInDoubtFlipKeepsStandby publishes A then B on a hookedFlow, so A is
+// the hook's standby, then runs inDoubt, a commit-only flip back to A whose
+// CAS lands but whose completion is lost. A is dispatched though no
+// bookkeeping says so, and a stage on the hook must leave it alone: its
+// bytes and the hook's verdict do not change before a publish. inDoubt may
+// store lose again to lose a later CAS completion too.
+func wantInDoubtFlipKeepsStandby(t *testing.T, inDoubt func(cf *CodeFlow, lose *atomic.Bool) error) {
+	t.Helper()
+	r := newRig(t, 1, "ingress", "egress")
+	var lose atomic.Bool
+	cf := hookedFlow(t, r, func(verb string) error {
+		if verb == "cas" && lose.CompareAndSwap(true, false) {
+			return rdma.ErrUncertain
+		}
+		return nil
+	})
+	for i, name := range []string{"doubt-a", "doubt-b"} {
+		if _, err := cf.InjectExtension(bigProg(name, int32(i+1)), "ingress"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lose.Store(true)
+	if err := inDoubt(cf, &lose); !errors.Is(err, rdma.ErrUncertain) {
+		t.Fatalf("flip with a lost CAS completion = %v", err)
+	}
+	wantVerdict(t, r.nodes[0], "ingress", 1) // the CAS landed
+	blob, code := readDispatchedCode(t, cf, "ingress")
+	if _, err := cf.StageExtension(context.Background(), bigProg("doubt-c", 3), "ingress"); err != nil {
+		t.Fatal(err)
+	}
+	if after, again := readDispatchedCode(t, cf, "ingress"); after != blob || !bytes.Equal(again, code) {
+		t.Fatalf("a stage wrote into the in-doubt blob at %#x", blob)
+	}
+	wantVerdict(t, r.nodes[0], "ingress", 1)
+}
+
+// TestInDoubtResidentFlipKeepsStandby: the in-doubt flip is a resident
+// re-inject of A.
+func TestInDoubtResidentFlipKeepsStandby(t *testing.T) {
+	wantInDoubtFlipKeepsStandby(t, func(cf *CodeFlow, _ *atomic.Bool) error {
+		_, err := cf.InjectExtension(bigProg("doubt-a", 1), "ingress")
+		return err
+	})
+}
+
+// TestInDoubtFlipsOnTwoHooksKeepStandby: resident injects of A on the hook
+// and on a second hook both lose their completions, then a flip on the
+// second hook lands. That flip says nothing of the first hook, where A
+// stays in doubt.
+func TestInDoubtFlipsOnTwoHooksKeepStandby(t *testing.T) {
+	wantInDoubtFlipKeepsStandby(t, func(cf *CodeFlow, lose *atomic.Bool) error {
+		_, err := cf.InjectExtension(bigProg("doubt-a", 1), "ingress")
+		lose.Store(true)
+		if _, err := cf.InjectExtension(bigProg("doubt-a", 1), "egress"); !errors.Is(err, rdma.ErrUncertain) {
+			t.Fatalf("second resident flip with a lost CAS completion = %v", err)
+		}
+		if _, err := cf.InjectExtension(constProg("later", 9), "egress"); err != nil {
+			t.Fatal(err)
+		}
+		return err
+	})
+}
+
+// TestInDoubtRollbackKeepsStandby: the in-doubt flip is a rollback to A.
+func TestInDoubtRollbackKeepsStandby(t *testing.T) {
+	wantInDoubtFlipKeepsStandby(t, func(cf *CodeFlow, _ *atomic.Bool) error {
+		_, err := cf.Rollback("ingress")
+		return err
+	})
+}
+
+// TestInDoubtBlobReusedRefusesStalePublish leaves one deploy after another
+// in doubt, each released by a later publish on the hook, until a stage
+// reuses an earlier in-doubt deploy's blob and its publish is in doubt
+// too. The earlier deploy must not publish: its blob now holds the later
+// stage's code.
+func TestInDoubtBlobReusedRefusesStalePublish(t *testing.T) {
+	r := newRig(t, 1)
+	var lose atomic.Bool
+	cf := hookedFlow(t, r, func(verb string) error {
+		if verb == "cas" && lose.CompareAndSwap(true, false) {
+			return rdma.ErrUncertain
+		}
+		return nil
+	})
+	bin, err := r.cp.JITCompileCode(fillerProg("stale", 40000, 1), cf.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 2 * (node.CodeSize/(len(bin.Code)+node.BlobHdrSize) + 2)
+	earlier := map[uint64]*StagedDeploy{}
+	for i := 0; i < rounds; i++ {
+		ret := int32(10 + i)
+		sd, err := cf.StageExtension(context.Background(), fillerProg("stale", 40000, ret), "ingress")
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		lose.Store(true)
+		if err := sd.Publish(context.Background()); !errors.Is(err, rdma.ErrUncertain) {
+			t.Fatalf("publish with a lost CAS completion = %v", err)
+		}
+		if old := earlier[sd.blob]; old != nil {
+			if err := old.Publish(context.Background()); err == nil {
+				t.Fatalf("a released in-doubt deploy published onto blob %#x, reused by round %d", sd.blob, i)
+			}
+			wantVerdict(t, r.nodes[0], "ingress", uint64(ret))
+			return
+		}
+		earlier[sd.blob] = sd
+		if _, err := cf.InjectExtension(constProg("later", 9), "ingress"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Fatal("no stage reused an in-doubt deploy's released blob")
+}
+
+// TestInDoubtPublishRetriesAfterFlipElsewhere leaves a staged deploy in
+// doubt on each of two hooks, then lands a flip on the second. The first
+// deploy's blob is still in doubt on its own hook, so its retry publishes.
+func TestInDoubtPublishRetriesAfterFlipElsewhere(t *testing.T) {
+	r := newRig(t, 1, "ingress", "egress")
+	var lose atomic.Bool
+	cf := hookedFlow(t, r, func(verb string) error {
+		if verb == "cas" && lose.CompareAndSwap(true, false) {
+			return rdma.ErrUncertain
+		}
+		return nil
+	})
+	var staged []*StagedDeploy
+	for i, hook := range []string{"ingress", "egress"} {
+		sd, err := cf.StageExtension(context.Background(), constProg("retry", int32(i+1)), hook)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lose.Store(true)
+		if err := sd.Publish(context.Background()); !errors.Is(err, rdma.ErrUncertain) {
+			t.Fatalf("publish on %s with a lost CAS completion = %v", hook, err)
+		}
+		staged = append(staged, sd)
+	}
+	if _, err := cf.InjectExtension(constProg("later", 9), "egress"); err != nil {
+		t.Fatal(err)
+	}
+	if err := staged[0].Publish(context.Background()); err != nil {
+		t.Fatalf("retry of the deploy in doubt on ingress: %v", err)
+	}
+	wantVerdict(t, r.nodes[0], "ingress", 1)
+	if err := staged[1].Publish(context.Background()); err == nil {
+		t.Fatal("a released in-doubt deploy published")
+	}
+	wantVerdict(t, r.nodes[0], "egress", 9)
+}
+
+// TestDeployProgFencedAfterCarve exhausts the code region, then deposes the
+// leader at the first READ of a cold deploy's carve, a sweep of the hooks'
+// dispatch words. The deploy must fail fenced without writing its blob or
+// posting a CAS: the hook keeps dispatching the code it ran before.
+func TestDeployProgFencedAfterCarve(t *testing.T) {
+	r := newRig(t, 1)
+	var armed, deposed atomic.Bool
+	var cas atomic.Int32
+	cf := hookedFlow(t, r, func(verb string) error {
+		switch {
+		case verb == "read" && armed.CompareAndSwap(true, false):
+			deposed.Store(true)
+		case verb == "cas":
+			cas.Add(1)
+		}
+		return nil
+	})
+	r.cp.SetFence(func() error {
+		if deposed.Load() {
+			return ErrFenced
+		}
+		return nil
+	})
+	if _, err := cf.InjectExtension(constProg("before", 5), "ingress"); err != nil {
+		t.Fatal(err)
+	}
+	fillToBrim(t, cf)
+	cas.Store(0)
+	armed.Store(true)
+	if _, err := cf.InjectExtension(bigProg("after", 6), "ingress"); !errors.Is(err, ErrFenced) {
+		t.Fatalf("deploy deposed during its carve = %v, want ErrFenced", err)
+	}
+	if !deposed.Load() || cas.Load() != 0 {
+		t.Fatalf("deposed=%v, %d CAS posted after the deposal", deposed.Load(), cas.Load())
+	}
+	wantExhausted(t, cf)
+	wantVerdict(t, r.nodes[0], "ingress", 5)
 }

@@ -80,9 +80,34 @@ func (cf *CodeFlow) Bind(role Role) {
 	cf.mu.Unlock()
 }
 
+// maxNameLen bounds extension and hook names at 1024 bytes: a journal
+// entry with every string this long stays far under the 64 KiB payload a
+// standby decodes, so a standby can fold whatever a publish journals.
+const maxNameLen = 1 << 10
+
+// ErrNameTooLong refuses, before any verb, a publish whose extension or
+// hook name is longer than maxNameLen.
+var ErrNameTooLong = fmt.Errorf("core: name longer than %d bytes", maxNameLen)
+
+// checkNames runs first on every publish path: in authorize, which
+// InjectExtension and StageExtension call, and in DeployProg.
+func checkNames(name, hook string) error {
+	if len(name) > maxNameLen || len(hook) > maxNameLen {
+		return fmt.Errorf("%w: extension name %d bytes, hook name %d bytes", ErrNameTooLong, len(name), len(hook))
+	}
+	return nil
+}
+
 // authorize runs the policy check on this handle for deploying e to hook,
-// or for rolling hook back when e is nil.
+// or for rolling hook back when e is nil, after checkNames.
 func (cf *CodeFlow) authorize(e *ext.Extension, hook string) error {
+	name := ""
+	if e != nil {
+		name = e.Name()
+	}
+	if err := checkNames(name, hook); err != nil {
+		return err
+	}
 	cf.cp.mu.Lock()
 	policy := cf.cp.policy
 	cf.cp.mu.Unlock()

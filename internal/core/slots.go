@@ -55,7 +55,8 @@ func (cf *CodeFlow) reserve(rem *RemoteMemory, hook string, need int) (slot *slo
 // the lock every publish path takes: either a commit-only dispatch (resident
 // fast path, rollback) looks the blob up after this claim tombstoned it —
 // and misses — or it CASes first and the dispatch check below sees the blob
-// live and skips it.
+// live and skips it. A blob in doubt is skipped too: its CAS may have
+// landed without the bookkeeping.
 func (cf *CodeFlow) claimStandby(hook string, need uint64, fence func() error) *slotImage {
 	// A fenced (deposed) controller must not scatter-write into a standby:
 	// the new leader may have re-published that blob, making it live again.
@@ -69,11 +70,13 @@ func (cf *CodeFlow) claimStandby(hook string, need uint64, fence func() error) *
 		return nil
 	}
 	s := hs.standby
+	live := len(cf.inDoubt[s.blob]) > 0
 	for _, hist := range cf.history { // a hook dispatches its history's top
-		if n := len(hist); n > 0 && hist[n-1].Blob == s.blob {
-			cf.mu.Unlock()
-			return nil // live elsewhere; leave it as standby and try later
-		}
+		live = live || len(hist) > 0 && hist[len(hist)-1].Blob == s.blob
+	}
+	if live {
+		cf.mu.Unlock()
+		return nil // leave it as standby and try later
 	}
 	hs.standby = nil
 	if s.cap < need {
@@ -116,7 +119,7 @@ func (cf *CodeFlow) installPublished(hook string, slot *slotImage, d Deployed) {
 	}
 	cf.mu.Unlock()
 	cf.cp.recordDeployed(cf.NodeKey(), hook,
-		DeployedVersion{Digest: d.Digest, Version: d.Version, Blob: d.Blob}, false)
+		DeployedVersion{Digest: d.Digest, Version: d.Version, Blob: d.Blob})
 	if j := cf.cp.journal(); j != nil {
 		j.JournalPublish(cf.NodeKey(), hook, d)
 	}

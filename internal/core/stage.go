@@ -26,7 +26,8 @@ func (cf *CodeFlow) Stage(ctx context.Context, e *ext.Extension, hook string) (p
 // StagedDeploy is a prepared-but-unpublished deployment on one node: the
 // blob is fully written (in full, or as a page delta into a claimed
 // standby) and recorded on the hook's staged slot, but no dispatch pointer
-// references it yet. Publish is the commit-only half.
+// references it yet. Publish is the commit-only half. DeployProg and the
+// resident fast path commit through one too.
 type StagedDeploy struct {
 	cf       *CodeFlow
 	hook     string
@@ -35,10 +36,10 @@ type StagedDeploy struct {
 	hookAddr uint64
 	blob     uint64
 	version  uint64
-	slot     *slotImage
+	slot     *slotImage // nil for a commit-only (resident) deploy
 	link     time.Duration
 	write    time.Duration
-	inDoubt  bool // a Publish posted its CAS and failed
+	inDoubt  bool // a publish left the blob in doubt (cf.inDoubt)
 }
 
 // StageExtension runs everything except publication for one node: JIT (via
@@ -187,27 +188,35 @@ func (cf *CodeFlow) stageFull(rem *RemoteMemory, sd *StagedDeploy, slot *slotIma
 // (the next delta target), and the control plane's deployed-version map
 // records the new version. A failure leaves the blob pending, so a retry
 // may still publish it; a caller that gives up calls Abort. A failure
-// after the CAS was posted puts the blob in doubt (it may be dispatched);
-// once a later flip on the hook lands, that flip releases the blob and
-// Publish refuses to dispatch it again.
+// after the CAS was posted leaves the blob in doubt (it may be dispatched);
+// once a later flip on the hook lands, that flip releases the blob, which
+// another stage may then reuse, and Publish refuses to dispatch it again.
 func (s *StagedDeploy) Publish(ctx context.Context) error {
+	s.cf.pubMu.Lock()
+	defer s.cf.pubMu.Unlock()
+	return s.publish(s.cf.remote(ctx), s.cf.cp.checkFence)
+}
+
+// publish is Publish behind fence on rem, with pubMu held: the one commit
+// of a staged, a cold (DeployProg) and a resident (commit-only, nil slot)
+// deploy. The flip and its bookkeeping happen under one pubMu hold, so
+// landed flips are recorded in the order they landed.
+func (s *StagedDeploy) publish(rem *RemoteMemory, fence func() error) error {
 	cf := s.cf
-	cf.pubMu.Lock()
-	defer cf.pubMu.Unlock()
-	if s.inDoubt && cf.inDoubt[s.blob].owner != s {
+	if v, ok := cf.inDoubt[s.blob][s.hookAddr]; s.inDoubt && (!ok || v != s.version) {
 		return fmt.Errorf("core: publish of %q on %q: a later publish on the hook released its blob", s.name, s.hook)
 	}
-	if posted, err := cf.flip(cf.remote(ctx), s.hookAddr, s.blob,
-		TxWrite{Addr: s.hookAddr + node.HookOffVersion, Qword: s.version}); err != nil {
-		if posted {
-			s.inDoubt = true
-			cf.inDoubt[s.blob] = doubt{s.hookAddr, s}
-		}
+	if err := cf.flip(rem, fence, s.hookAddr, s.blob, s.version); err != nil {
+		_, s.inDoubt = cf.inDoubt[s.blob][s.hookAddr]
 		return fmt.Errorf("core: publish of %q on %q: %w", s.name, s.hook, err)
 	}
-	cf.installPublished(s.hook, s.slot,
-		Deployed{Blob: s.blob, Version: s.version, Name: s.name, Digest: s.digest})
+	cf.installPublished(s.hook, s.slot, s.deployed())
 	return nil
+}
+
+// deployed is the history entry a landed publish records.
+func (s *StagedDeploy) deployed() Deployed {
+	return Deployed{Blob: s.blob, Version: s.version, Name: s.name, Digest: s.digest}
 }
 
 // Abort implements pipeline.Staged: the scheduler calls it once for every

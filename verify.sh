@@ -60,10 +60,11 @@ if [ "${1:-}" != "quick" ]; then
     # (validate, compile) do not wait: they join the open batch or ride the
     # next flight a waiting append opens, and that carry repeats here too.
     # The flight tests size their batches from the entry encoding, whose
-    # round trip (FuzzEntryRoundTrip's seeds: every string form's edges)
-    # runs with them.
-    echo "== journal group commit (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight|FuzzEntryRoundTrip' ./internal/controlha/
+    # round trip (FuzzEntryRoundTrip's seeds: every string form's edges,
+    # and a payload the journal refuses) runs with them, as do the name
+    # bound that keeps every publish's entry foldable and the entry at it.
+    echo "== journal group commit + name bound (race, x20) =="
+    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight|FuzzEntryRoundTrip|TestLongNameRefusedBeforeAnyVerb|TestEntryAtNameLimitRoundTrips' ./internal/controlha/
     # The entry codec packs integers, digests and node keys: a short fuzz
     # of its round trip and of replay over arbitrary bytes (typed errors,
     # never a panic) runs on every full gate.
@@ -79,9 +80,10 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 300s -count=20 -run 'TestHostFold|TestTakeOverFlat|TestRollbackDepth|TestAttach' ./internal/controlha ./internal/core
     # Every publish path commits through one CodeFlow.flip (fence, rdx_tx,
     # cc_event) and passes one policy gate: the claim races, rollback's
-    # flip-then-pop order and the per-path verb pins repeat under -race.
+    # flip-then-pop order, the version map kept in flip order and the
+    # per-path verb pins repeat under -race.
     echo "== publish paths (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestResidentFastPathVsDeltaClaimRace|TestConcurrentBroadcastLastWriterWins|TestRollback|TestPublishPath|TestPolicy' ./internal/core ./internal/controlha
+    go test -race -timeout 300s -count=20 -run 'TestResidentFastPathVsDeltaClaimRace|TestConcurrentBroadcastLastWriterWins|TestRollback|TestPublishPath|TestPolicy|TestVersionMapFollowsDispatch' ./internal/core ./internal/controlha
     # A ReconnQP node link tolerates 3 redials per verb (a package
     # constant): the connection-kill chaos tests must complete their jobs
     # within it, repeated under -race.
@@ -90,10 +92,11 @@ if [ "${1:-}" != "quick" ]; then
     # The code region never wraps: an allocation reuses only space no
     # dispatched, pending or (short of pressure) historic blob holds. The
     # repros of overwritten and mis-dispatched code, the pending, abort and
-    # in-doubt contracts, the pressure path, the sweep's wait for fresh
+    # in-doubt contracts (a commit-only flip in doubt included), a cold
+    # deploy deposed during its carve, the pressure path, the sweep's wait for fresh
     # allocations and the carve-versus-dispatch race repeat under -race.
     echo "== code region: no live blob reused (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestGrowingPublishesKeepOtherHooksCode|TestAllocCodeFillThenPublish|TestRepublishAfterOtherTermReusesOnlyLiveHistory|TestStagedBlobSurvivesExhaustingAllocation|TestAbortedBroadcastsReleaseTheirBlobs|TestDispatchedBlobsFillRegion|TestPressureReclaimsOnlySoftLiveBlobs|TestCarveRacesCommitOnlyDispatch|TestSweepWaitsOutFreshAllocations|TestDeadlinePassedBeforePublishReleasesBlob|TestInDoubt|TestResidentFastPathVsDeltaClaimRace' ./internal/core
+    go test -race -timeout 300s -count=20 -run 'TestGrowingPublishesKeepOtherHooksCode|TestAllocCodeFillThenPublish|TestRepublishAfterOtherTermReusesOnlyLiveHistory|TestStagedBlobSurvivesExhaustingAllocation|TestAbortedBroadcastsReleaseTheirBlobs|TestDispatchedBlobsFillRegion|TestPressureReclaimsOnlySoftLiveBlobs|TestCarveRacesCommitOnlyDispatch|TestSweepWaitsOutFreshAllocations|TestDeadlinePassedBeforePublishReleasesBlob|TestInDoubt|TestDeployProgFencedAfterCarve|TestResidentFastPathVsDeltaClaimRace' ./internal/core
     # A job's per-node work runs on one worker set that meets at a publish
     # barrier, and each stage links its own copy of the cached master: the
     # worker bound, the stage-before-publish order, atomic abort, the
