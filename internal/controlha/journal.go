@@ -362,16 +362,18 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 }
 
 // Journal is the leader-side deployment journal: an append-only encoded
-// log, implementing core.JournalSink. Appends are stamped under mu with a
-// contiguous sequence number and the current fencing epoch and land in buf
-// at once; when a Replicator is attached they are group-committed to the
-// standby ring (see flight). Every append but two returns only after the
-// flight carrying its entry has committed or failed — so on the publish
-// path, a record is remote before the publish is reported done. The two
+// log, implementing core.Journaler and core.JournalSink. Entries are stamped
+// under mu with a contiguous sequence number and the current fencing epoch
+// and land in buf at once; when a Replicator is attached they are
+// group-committed to the standby ring (see flight). Journal waits for
+// nothing: its ack does, and waiting on it flies the entry if no flight has
+// it yet. Of the JournalSink methods, every append but two returns only
+// after the flight carrying its entry has committed or failed — so a
+// record is remote before the call that made it is reported done. The two
 // are validate and compile, whose entries replay ignores: they are carried
-// without waiting, aboard the open batch or in buf until the next waiting
-// append flies them, so they are remote no later than the publish they
-// precede, at no flight of their own.
+// without waiting, aboard the open batch or in buf until the next flight
+// takes them, so they are remote no later than the publish they precede,
+// at no flight of their own.
 type Journal struct {
 	mu    sync.Mutex
 	buf   []byte
@@ -379,32 +381,53 @@ type Journal struct {
 	seq   uint64
 	fence func() uint64
 	rep   *Replicator
-	tail  *flight // newest batch that has not landed; nil when the wire is idle
+	head  *flight // oldest batch that has not landed
+	tail  *flight // newest batch that has not landed; nil when all have
 
-	// buf[carryOff:] holds the carried entries, carried of them: entries
-	// that came with no batch open and wait for the next flight. Carried
-	// and open batch never coexist — opening a batch takes the carry along.
+	// buf[carryOff:] holds the carried entries, carried of them from seq
+	// carrySeq on: entries that came with no batch open and wait for the
+	// next flight. Carried and open batch never coexist — opening a batch
+	// takes the carry along.
 	carryOff, carried int
+	carrySeq          uint64
+
+	// landed is the last seq a landed flight carried; failed holds the seq
+	// runs of landed flights that failed, oldest first, adjacent failures
+	// merged, each with its first error.
+	landed uint64
+	failed []failedRun
 
 	appended, replicated, repErrors, flights *telemetry.Counter
 	flightEntries                            *telemetry.Histogram
 	lag                                      *telemetry.Gauge
 }
 
+// failedRun is a run of seqs, lo through hi, whose flights failed.
+type failedRun struct {
+	lo, hi uint64
+	err    error
+}
+
 // flight is one group commit: a contiguous run of buf that crosses the wire
-// behind a single Replicator.Append, flown by the appender that opened it.
-// At most one is in the air, so ring order = buf order = seq order. An append
-// that finds the wire idle flies at once, together with any carried
+// behind a single Replicator.Append, flown by the goroutine that took it on
+// — the appender that opened it, or the first to wait on an entry aboard
+// it. At most one is in the air, so ring order = buf order = seq order. An
+// append that finds the wire idle flies at once, together with any carried
 // entries; appends that arrive during a flight join the one open batch
 // behind it, which is sealed the moment its predecessor lands (or earlier,
 // at the replicator's flightBound). Arrivals after the seal open the next
 // batch — a batch never grows while its leader waits to be scheduled, so
-// two closed-loop appenders always see one-entry flights. mu is not held
-// while a flight is on the wire.
+// two closed-loop appenders always see one-entry flights, whether they wait
+// in the append or on its ack. Flights taken on form a prefix of the
+// queue: whoever takes one on takes on every flight ahead of it that no one
+// has, and flies them in order. mu is not held while a flight is on the
+// wire.
 type flight struct {
 	rep  *Replicator // the stream the batch was opened on
 	off  int         // buf[off:] holds the batch
+	lo   uint64      // seq of the first entry aboard
 	n    int         // entries aboard
+	led  bool        // someone has taken it on to fly it
 	b    []byte      // set when sealed: the bytes that fly; nothing joins after
 	next *flight
 	done chan struct{} // closed on landing; err is valid after
@@ -472,21 +495,31 @@ func (j *Journal) SeedSeq(n uint64) {
 	j.mu.Unlock()
 }
 
+// putMode is what put does with an entry once it is in buf.
+type putMode uint8
+
+const (
+	// putCarry joins the open batch or rides the carry, and flies the
+	// carry only once it passes flightBound: for entries replay ignores.
+	putCarry putMode = iota
+	// putBoard joins the open batch, or opens one behind a flight that has
+	// not landed, or — with the wire idle — rides the carry, so a fleet
+	// job's entries wait together for the job's next wait.
+	putBoard
+	// putFlight boards as putWait does, opening a flight with the wire
+	// idle, but waits for nothing: the entry's ack does.
+	putFlight
+	// putWait boards, then waits for the entry's flight, flying it if no
+	// one has taken it on.
+	putWait
+)
+
 // append journals an entry and waits for its flight. Journal replication
 // failures do not fail the control-plane operation (the publish already
 // landed); they are counted and surfaced via the lag gauge, which stops
 // converging to zero.
 func (j *Journal) append(e Entry) {
-	j.appendChecked(e) //nolint:errcheck // replication outcome surfaced via instruments
-}
-
-// appendChecked is append surfacing the replication outcome: a caller that
-// acts only once the standby holds its entry must know whether the ring
-// took the bytes — a fenced append means a successor owns the ring and this
-// term must stop, not proceed on a local-only record. Every member of a
-// flight gets that flight's error.
-func (j *Journal) appendChecked(e Entry) error {
-	return j.put(e, true)
+	j.put(e, putWait) //nolint:errcheck // replication outcome surfaced via instruments
 }
 
 // carry journals an entry the standby's replay ignores (validate, compile)
@@ -494,16 +527,15 @@ func (j *Journal) appendChecked(e Entry) error {
 // otherwise waits in buf for the next flight a waiting append opens. Only
 // when the carried bytes pass flightBound does it fly them itself.
 func (j *Journal) carry(e Entry) {
-	j.put(e, false) //nolint:errcheck // replication outcome surfaced via instruments
+	j.put(e, putCarry) //nolint:errcheck // replication outcome surfaced via instruments
 }
 
 // put stamps e with seq + fence, lands it in buf and puts it aboard a
-// flight: the open batch if there is one, else a new flight that starts at
-// the carried entries. A put that does not wait opens no flight until the
-// carried bytes pass flightBound. An entry no standby could decode is
-// refused with ErrEntryTooLarge and counted as a replication error; it
-// takes no sequence number.
-func (j *Journal) put(e Entry, wait bool) error {
+// flight as mode says: the open batch if there is one, else a new flight
+// that starts at the carried entries, or the carry itself. It returns e's
+// seq. An entry no standby could decode is refused with ErrEntryTooLarge
+// and counted as a replication error; it takes no sequence number.
+func (j *Journal) put(e Entry, mode putMode) (uint64, error) {
 	j.mu.Lock()
 	e.Seq = j.seq + 1
 	if j.fence != nil {
@@ -512,7 +544,7 @@ func (j *Journal) put(e Entry, wait bool) error {
 	if n := e.payloadLen(); n > maxEntryPayload {
 		j.mu.Unlock()
 		j.repErrors.Inc()
-		return fmt.Errorf("%w: %s entry of %d payload bytes, limit %d", ErrEntryTooLarge, e.Type, n, maxEntryPayload)
+		return 0, fmt.Errorf("%w: %s entry of %d payload bytes, limit %d", ErrEntryTooLarge, e.Type, n, maxEntryPayload)
 	}
 	j.seq = e.Seq
 	off := len(j.buf)
@@ -521,7 +553,7 @@ func (j *Journal) put(e Entry, wait bool) error {
 	j.appended.Inc()
 	if j.rep == nil {
 		j.mu.Unlock()
-		return nil
+		return e.Seq, nil
 	}
 	prev := j.tail
 	if prev != nil && prev.b == nil && len(j.buf)-prev.off > prev.rep.flightBound() {
@@ -529,35 +561,99 @@ func (j *Journal) put(e Entry, wait bool) error {
 	}
 	if prev != nil && prev.b == nil { // a batch is open: join it
 		prev.n++
-		j.mu.Unlock()
-		if !wait {
-			return nil
+		switch {
+		case mode != putWait:
+			j.mu.Unlock()
+			return e.Seq, nil
+		case prev.led:
+			j.mu.Unlock()
+			<-prev.done // its leader flies it
+			return e.Seq, prev.err
 		}
-		<-prev.done
-		return prev.err
+		return e.Seq, j.awaitFlight(prev)
 	}
 	if j.carried == 0 {
-		j.carryOff = off
+		j.carryOff, j.carrySeq = off, e.Seq
 	}
 	j.carried++
-	if !wait && len(j.buf)-j.carryOff <= j.rep.flightBound() {
+	if mode == putCarry && len(j.buf)-j.carryOff <= j.rep.flightBound() || mode == putBoard && prev == nil {
 		j.lag.Set(int64(uint64(len(j.buf)) - j.rep.Replicated()))
 		j.mu.Unlock()
-		return nil
+		return e.Seq, nil
 	}
-	f := &flight{rep: j.rep, off: j.carryOff, n: j.carried, done: make(chan struct{})}
+	f := j.openCarried(prev)
+	if mode == putBoard || mode == putFlight {
+		// Sealed when prev lands (at once with the wire idle), flown by
+		// the first to wait on it.
+		j.lag.Set(int64(uint64(len(j.buf)) - j.rep.Replicated()))
+		j.mu.Unlock()
+		return e.Seq, nil
+	}
+	return e.Seq, j.awaitFlight(f)
+}
+
+// openCarried opens a flight holding every carried entry behind prev, the
+// tail; with the wire idle (prev nil) it is sealed at once. No one has
+// taken it on yet. Caller holds mu, with at least one entry carried.
+func (j *Journal) openCarried(prev *flight) *flight {
+	f := &flight{rep: j.rep, off: j.carryOff, lo: j.carrySeq, n: j.carried, done: make(chan struct{})}
 	j.carried = 0
 	if prev == nil {
-		f.b = j.buf[f.off:] // wire idle: fly now
+		f.b = j.buf[f.off:]
+		j.head = f
 	} else {
 		prev.next = f
 	}
 	j.tail = f
-	j.mu.Unlock()
+	return f
+}
 
-	if prev != nil {
-		prev.await() // its landing sealed f
+// awaitFlight returns once f has landed, with its error. If no one has
+// taken f on, the caller takes it on together with every flight ahead of
+// it no one has, and flies them in order, each once the one ahead of it
+// has landed (that landing sealed it); otherwise it polls for f's landing.
+// Caller holds mu; awaitFlight releases it.
+func (j *Journal) awaitFlight(f *flight) error {
+	var ahead, first *flight
+	for g := j.head; g != f; g = g.next {
+		if !g.led {
+			first = g
+			break
+		}
+		ahead = g
 	}
+	if first == nil && !f.led {
+		first = f
+	}
+	if first == nil {
+		j.mu.Unlock()
+		f.await()
+		return f.err
+	}
+	for g := first; ; g = g.next {
+		g.led = true
+		if g == f {
+			break
+		}
+	}
+	j.mu.Unlock()
+	// The flights taken on here all had a successor, so their next
+	// pointers were set before mu was released and never change.
+	for g := first; ; g = g.next {
+		if ahead != nil {
+			ahead.await()
+		}
+		j.fly(g)
+		if g == f {
+			return f.err
+		}
+		ahead = g
+	}
+}
+
+// fly puts sealed flight f on the wire and lands it: it seals the batch
+// behind it, advances the head and the landed seq, and closes f.done.
+func (j *Journal) fly(f *flight) {
 	err := f.rep.Append(f.b)
 
 	j.mu.Lock()
@@ -565,6 +661,15 @@ func (j *Journal) put(e Entry, wait bool) error {
 		j.tail = nil
 	} else if f.next.b == nil {
 		f.next.b = j.buf[f.next.off:]
+	}
+	j.head = f.next
+	j.landed = f.lo + uint64(f.n) - 1
+	if err != nil {
+		if k := len(j.failed) - 1; k >= 0 && j.failed[k].hi+1 == f.lo {
+			j.failed[k].hi = j.landed
+		} else {
+			j.failed = append(j.failed, failedRun{lo: f.lo, hi: j.landed, err: err})
+		}
 	}
 	j.lag.Set(int64(uint64(len(j.buf)) - f.rep.Replicated()))
 	j.mu.Unlock()
@@ -577,7 +682,63 @@ func (j *Journal) put(e Entry, wait bool) error {
 	j.flightEntries.Record(int64(f.n))
 	f.err = err
 	close(f.done)
-	return err
+}
+
+// Journal implements core.Journaler: it journals e without waiting and
+// returns e's ack. Validate and compile entries are carried. An entry a
+// fleet job batches rides the carry with the wire idle; any other boards
+// as a waiting append does, so callers that wait on their acks at once
+// see the flights they would waiting in the append.
+func (j *Journal) Journal(e core.JournalEntry) core.Ack {
+	mode := putFlight
+	switch {
+	case e.Kind == core.EntryValidate || e.Kind == core.EntryCompile:
+		mode = putCarry
+	case e.Batch:
+		mode = putBoard
+	}
+	seq, err := j.put(entryOf(e), mode)
+	return core.NewAck(j, seq, err)
+}
+
+// WaitSeq implements core.AckSource: it returns once entry seq is on the
+// standby, with the error of the flight that carried it. A landed flight
+// answers at once; an entry aboard a flight waits for it like any append
+// aboard (flying it if no one has taken it on); a carried entry flies every
+// carried entry now, so no ack waits on an append that may never come. An
+// entry journaled with no stream attached is not replicated: nil.
+func (j *Journal) WaitSeq(seq uint64) error {
+	j.mu.Lock()
+	if seq <= j.landed {
+		defer j.mu.Unlock()
+		for i := len(j.failed) - 1; i >= 0 && seq <= j.failed[i].hi; i-- {
+			if seq >= j.failed[i].lo {
+				return j.failed[i].err
+			}
+		}
+		return nil
+	}
+	for f := j.head; f != nil && seq >= f.lo; f = f.next {
+		if seq < f.lo+uint64(f.n) {
+			return j.awaitFlight(f)
+		}
+	}
+	if j.carried == 0 || seq < j.carrySeq {
+		j.mu.Unlock()
+		return nil
+	}
+	return j.awaitFlight(j.openCarried(j.tail))
+}
+
+// entryOf is e as the journal records it. core numbers its entry kinds as
+// the format numbers entry types.
+func entryOf(e core.JournalEntry) Entry {
+	var flags uint8
+	if e.Reclaimed && e.Kind == core.EntryPublish {
+		flags = 1
+	}
+	return Entry{Type: EntryType(e.Kind), Node: e.Node, Hook: e.Hook, Name: e.Name, Digest: e.Digest,
+		Arch: uint32(e.Arch), Version: e.Version, Blob: e.Blob, Flags: flags}
 }
 
 // Append journals an arbitrary entry and surfaces the replication
@@ -585,7 +746,8 @@ func (j *Journal) put(e Entry, wait bool) error {
 // (and the simulator's acked-publish scenarios) append through here and
 // treat an error as "not acked".
 func (j *Journal) Append(e Entry) error {
-	return j.appendChecked(e)
+	_, err := j.put(e, putWait)
+	return err
 }
 
 // Bytes snapshots the encoded journal.
@@ -665,4 +827,7 @@ func (j *Journal) JournalReclaim(string, uint64) {}
 // JournalHandoff: see JournalReclaim.
 func (j *Journal) JournalHandoff(uint64) error { return nil }
 
-var _ core.JournalSink = (*Journal)(nil)
+var (
+	_ core.JournalSink = (*Journal)(nil)
+	_ core.Journaler   = (*Journal)(nil)
+)

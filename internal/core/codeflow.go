@@ -364,13 +364,14 @@ func (cf *CodeFlow) DeployProg(bin *native.Binary, hook string, p DeployParams) 
 	sd := &StagedDeploy{cf: cf, hook: hook, name: bin.Name, digest: p.Digest,
 		hookAddr: hookAddr, blob: blob, version: version, slot: slot}
 	if err = cf.stageFull(cf.Remote, sd, slot, payload); err == nil {
-		err = sd.publish(cf.Remote, fence)
+		err = sd.publish(cf.Remote, fence, false)
 	}
 	if err != nil {
 		sd.Abort()
 		return Deployed{}, fmt.Errorf("core: deploy of %q on %q: %w", bin.Name, hook, err)
 	}
 	cf.recordCodeHash(slot.blob, bin.Code)
+	sd.Durable()
 	return sd.deployed(), nil
 }
 
@@ -597,9 +598,8 @@ func (cf *CodeFlow) Rollback(hook string) (Deployed, error) {
 	cf.mu.Unlock()
 	cf.cp.recordDeployed(cf.NodeKey(), hook,
 		DeployedVersion{Digest: prev.Digest, Version: prev.Version, Blob: prev.Blob})
-	if j := cf.cp.journal(); j != nil {
-		j.JournalRollback(cf.NodeKey(), hook, prev)
-	}
+	ack := cf.cp.journal(JournalEntry{Kind: EntryRollback, Node: cf.NodeKey(), Hook: hook, Deployed: prev})
+	ack.Wait() //nolint:errcheck // replication outcome surfaced via instruments
 	return prev, nil
 }
 
@@ -695,9 +695,10 @@ func (cf *CodeFlow) tryResidentInject(e *ext.Extension, hook string, digest stri
 	t0 := time.Now()
 	sd := &StagedDeploy{cf: cf, hook: hook, name: e.Name(), digest: digest,
 		hookAddr: hookAddr, blob: blob, version: version}
-	if err := sd.publish(cf.Remote, cf.cp.checkFence); err != nil {
+	if err := sd.publish(cf.Remote, cf.cp.checkFence, false); err != nil {
 		return true, err
 	}
+	sd.Durable()
 	rep.Commit = time.Since(t0)
 	rep.CacheHit = true
 	rep.Version = version

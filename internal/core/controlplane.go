@@ -104,11 +104,10 @@ func NewControlPlane() *ControlPlane {
 func (cp *ControlPlane) ValidateCode(e *ext.Extension) (ext.Info, error) {
 	info, hit, err := cp.artifacts.Validate(e.Digest(), e.Validate)
 	// Only actual validator runs are journaled: replaying a hit would make
-	// the standby's replayed intent log diverge from the work done.
+	// the standby's replayed intent log diverge from the work done. Replay
+	// ignores the entry, so nothing waits for it: it rides the next flight.
 	if !hit && err == nil {
-		if j := cp.journal(); j != nil {
-			j.JournalValidate(e.Digest())
-		}
+		cp.journal(JournalEntry{Kind: EntryValidate, Deployed: Deployed{Digest: e.Digest()}})
 	}
 	return info, err
 }
@@ -144,9 +143,7 @@ func (cp *ControlPlane) compiled(e *ext.Extension, arch native.Arch) (*native.Bi
 		return nil, err
 	}
 	if !hit {
-		if j := cp.journal(); j != nil {
-			j.JournalCompile(e.Digest(), arch)
-		}
+		cp.journal(JournalEntry{Kind: EntryCompile, Deployed: Deployed{Digest: e.Digest()}, Arch: arch})
 	}
 	return art.Master(), nil
 }

@@ -43,7 +43,9 @@ type FenceCheck func() error
 // may return from JournalValidate and JournalCompile before their records
 // are remote — replay ignores them — as long as they are remote no later
 // than the next call that does wait: controlha carries them aboard the
-// next publish's (or stage's, claim's, rollback's) flight.
+// next publish's (or stage's, claim's, rollback's) flight. Every other
+// call returns only once its record is remote. A sink that is also a
+// Journaler is driven through Journal instead (see SetJournal).
 type JournalSink interface {
 	JournalValidate(digest string)
 	JournalCompile(digest string, arch native.Arch)
@@ -60,12 +62,102 @@ type JournalSink interface {
 	JournalHandoff(ringEpoch uint64) error
 }
 
-// haState carries the control plane's replication hooks. Both fields are
-// nil on a standalone controller, making every check a no-op.
+// EntryKind is what a JournalEntry records.
+type EntryKind uint8
+
+// The entry kinds, one per JournalSink method that journals, numbered as
+// controlha's journal format numbers its entry types.
+const (
+	EntryValidate EntryKind = iota + 1 // validator ran for Digest
+	EntryCompile                       // JIT ran for (Digest, Arch)
+	EntryStage                         // blob staged (written, not dispatched) on (Node, Hook)
+	EntryPublish                       // dispatch CAS landed on (Node, Hook)
+	EntryRollback                      // hook reverted to a prior version
+	EntryClaim                         // Blob on Node claimed for reuse: its bytes are gone
+)
+
+// JournalEntry is one control-plane intent or outcome, as a Journaler
+// records it. Fields a kind does not use are zero.
+type JournalEntry struct {
+	Kind EntryKind
+	Node string // NodeKey
+	Hook string
+	Deployed
+	Arch native.Arch
+	// Batch marks an entry of a fleet job, whose caller waits once for
+	// many entries: with nothing else journaling, it waits for that wait
+	// instead of starting a flight, so the job's entries fly together. A
+	// caller that waits on its ack at once leaves it unset.
+	Batch bool
+}
+
+// Journaler journals an entry without waiting for it to be durable: the
+// returned Ack says when it is. Acks complete in journal order, so a
+// waited Ack means every entry journaled before it is durable too.
+type Journaler interface {
+	Journal(e JournalEntry) Ack
+}
+
+// AckSource is the journal an Ack waits on: WaitSeq returns once the entry
+// numbered seq is durable, with the error that kept it from being so.
+type AckSource interface {
+	WaitSeq(seq uint64) error
+}
+
+// Ack is one journaled entry's durability handle: the journal and the
+// entry's sequence number, or the error that refused the entry. It is a
+// value, so handing one back allocates nothing. The zero Ack is done.
+type Ack struct {
+	src AckSource
+	seq uint64
+	err error
+}
+
+// NewAck returns the ack of entry seq of src, or, with err set, of an entry
+// src refused.
+func NewAck(src AckSource, seq uint64, err error) Ack {
+	return Ack{src: src, seq: seq, err: err}
+}
+
+// Wait returns once the entry is durable, or with the error that kept it
+// from being so.
+func (a Ack) Wait() error {
+	if a.err != nil || a.src == nil {
+		return a.err
+	}
+	return a.src.WaitSeq(a.seq)
+}
+
+// sinkJournaler drives an eight-method JournalSink as a Journaler: each
+// entry is the sink's matching call, which blocks as the sink does, so the
+// returned Ack is already done.
+type sinkJournaler struct{ sink JournalSink }
+
+func (s sinkJournaler) Journal(e JournalEntry) Ack {
+	switch e.Kind {
+	case EntryValidate:
+		s.sink.JournalValidate(e.Digest)
+	case EntryCompile:
+		s.sink.JournalCompile(e.Digest, e.Arch)
+	case EntryStage:
+		s.sink.JournalStage(e.Node, e.Hook, e.Name, e.Digest, e.Version, e.Blob)
+	case EntryPublish:
+		s.sink.JournalPublish(e.Node, e.Hook, e.Deployed)
+	case EntryRollback:
+		s.sink.JournalRollback(e.Node, e.Hook, e.Deployed)
+	case EntryClaim:
+		s.sink.JournalClaim(e.Node, e.Blob)
+	}
+	return Ack{}
+}
+
+// haState carries the control plane's replication hooks. All are nil on a
+// standalone controller, making every check a no-op.
 type haState struct {
 	mu    sync.RWMutex
 	fence FenceCheck
 	sink  JournalSink
+	jr    Journaler // sink itself when it is a Journaler, else sinkJournaler over it
 }
 
 // SetFence installs (or clears, with nil) the leadership fence consulted
@@ -77,9 +169,19 @@ func (cp *ControlPlane) SetFence(f FenceCheck) {
 }
 
 // SetJournal installs (or clears, with nil) the deployment journal sink.
+// A sink that is also a Journaler is journaled through Journal, so a fleet
+// job can wait once for many entries; any other sink sees exactly its
+// eight methods' calls.
 func (cp *ControlPlane) SetJournal(j JournalSink) {
+	var jr Journaler
+	if j != nil {
+		var ok bool
+		if jr, ok = j.(Journaler); !ok {
+			jr = sinkJournaler{j}
+		}
+	}
 	cp.ha.mu.Lock()
-	cp.ha.sink = j
+	cp.ha.sink, cp.ha.jr = j, jr
 	cp.ha.mu.Unlock()
 }
 
@@ -94,17 +196,26 @@ func (cp *ControlPlane) checkFence() error {
 	return f()
 }
 
-// journal returns the installed sink, or nil.
-func (cp *ControlPlane) journal() JournalSink {
+// journal journals e through the installed sink and returns its ack,
+// which is done when no sink is installed.
+func (cp *ControlPlane) journal(e JournalEntry) Ack {
 	cp.ha.mu.RLock()
-	defer cp.ha.mu.RUnlock()
-	return cp.ha.sink
+	jr := cp.ha.jr
+	cp.ha.mu.RUnlock()
+	if jr == nil {
+		return Ack{}
+	}
+	return jr.Journal(e)
 }
 
 // Journal exposes the installed sink (nil on a standalone controller). No
 // caller in this module needs it; the benchmark pins it, wrapping the sink
 // in its tracer.
-func (cp *ControlPlane) Journal() JournalSink { return cp.journal() }
+func (cp *ControlPlane) Journal() JournalSink {
+	cp.ha.mu.RLock()
+	defer cp.ha.mu.RUnlock()
+	return cp.ha.sink
+}
 
 // NewControlPlaneLabeled creates a control plane sharing an existing
 // artifact store and registry — the standby-controller constructor. Failover

@@ -157,11 +157,13 @@ func (cf *CodeFlow) carve(rem *RemoteMemory, sz uint64) (uint64, error) {
 		}
 	}
 	cf.mu.Unlock()
-	if j := cf.cp.journal(); j != nil {
-		for _, blob := range claimed {
-			j.JournalClaim(cf.NodeKey(), blob)
-		}
+	// The carver writes into the space as soon as this returns, so the
+	// claims wait: a successor must not roll back onto overwritten bytes.
+	var ack Ack
+	for _, blob := range claimed {
+		ack = cf.cp.journal(JournalEntry{Kind: EntryClaim, Node: cf.NodeKey(), Deployed: Deployed{Blob: blob}})
 	}
+	ack.Wait() //nolint:errcheck // replication outcome surfaced via instruments
 	return addr, nil
 }
 

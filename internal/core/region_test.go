@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,6 +238,84 @@ func TestAbortedBroadcastsReleaseTheirBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantVerdict(t, r.nodes[0], "ingress", 4)
+}
+
+// failWriteTarget is a CodeFlow whose reserves succeed and whose writes
+// fail for good, without a verb.
+type failWriteTarget struct{ *CodeFlow }
+
+var errWriteRefused = errors.New("test: write refused")
+
+func (f failWriteTarget) Stage(ctx context.Context, e *ext.Extension, hook string) (pipeline.Staged, error) {
+	st, err := f.CodeFlow.Stage(ctx, e, hook)
+	if err != nil {
+		return nil, err
+	}
+	return failWriteStaged{st}, nil
+}
+
+type failWriteStaged struct{ pipeline.Staged }
+
+func (failWriteStaged) Write(context.Context) error { return errWriteRefused }
+
+// TestAbortedWritesReleaseTheirBlobs repeats a job in which every node
+// reserves and one node's write fails, until the healthy node's writes
+// have covered the code region twice. No node flips, every reserved blob
+// leaves pending (so the region never fills), and the standbys the first
+// job claimed stay tombstoned in the leader's history and journaled.
+func TestAbortedWritesReleaseTheirBlobs(t *testing.T) {
+	r := newRig(t, 2)
+	sink := &recordingSink{}
+	r.cp.SetJournal(sink)
+	g := Group(r.cfs)
+	for gen := int32(1); gen <= 2; gen++ {
+		if _, err := g.Broadcast(fillerProg(fmt.Sprintf("gen%d", gen), 4000, gen), BroadcastOptions{Hook: "ingress"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var claimed []uint64
+	for _, cf := range r.cfs {
+		claimed = append(claimed, cf.History("ingress")[0].Blob)
+	}
+	e := fillerProg("abort-write", 4000, 7)
+	bin, err := r.cp.JITCompileCode(e, r.cfs[0].Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.take()
+	rounds := 2*node.CodeSize/(len(bin.Code)+node.BlobHdrSize) + 1
+	targets := []pipeline.Target{r.cfs[0], failWriteTarget{r.cfs[1]}}
+	for i := 0; i < rounds; i++ {
+		res, err := r.cp.sched.Inject(pipeline.Request{Ext: e, Hook: "ingress", Targets: targets})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Published || !errors.Is(res.Outcomes[1].Err, errWriteRefused) {
+			t.Fatalf("round %d: published %v, failing node's outcome %v", i, res.Published, res.Outcomes[1].Err)
+		}
+		if errors.Is(res.Outcomes[0].Err, ErrCodeRegionFull) {
+			t.Fatalf("round %d of %d: %v", i, rounds, res.Outcomes[0].Err)
+		}
+		for n, cf := range r.cfs {
+			cf.mu.Lock()
+			pending := len(cf.pending)
+			cf.mu.Unlock()
+			if pending != 0 {
+				t.Fatalf("round %d: node %d keeps %d blobs pending after the abort", i, n, pending)
+			}
+		}
+		if i == 0 {
+			if rec := sink.take(); len(rec) < 2 || fmt.Sprint(rec[:2]) != "[claim claim]" || slices.Contains(rec, "publish") {
+				t.Errorf("first aborted job journaled %v, want both claims and no publish", rec)
+			}
+		}
+	}
+	for n, cf := range r.cfs {
+		wantVerdict(t, r.nodes[n], "ingress", 2)
+		if h := cf.History("ingress"); h[0].Blob != claimed[n] || !h[0].Reclaimed {
+			t.Errorf("node %d: claimed standby %#x not tombstoned: %+v", n, claimed[n], h)
+		}
+	}
 }
 
 // TestDispatchedBlobsFillRegion dispatches blobs that cover the whole code

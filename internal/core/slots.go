@@ -27,21 +27,23 @@ type hookSlots struct {
 
 // reserve picks a stage's blob — the hook's standby when claimStandby can
 // take it, else fresh or carved space — with at most one fence check for
-// both. Either way the blob is pending on return.
-func (cf *CodeFlow) reserve(rem *RemoteMemory, hook string, need int) (slot *slotImage, claimed bool, err error) {
+// both. Either way the blob is pending on return. A claim is journaled but
+// not waited for: ack is its entry's, and nothing may write into the slot
+// until it is durable.
+func (cf *CodeFlow) reserve(rem *RemoteMemory, hook string, need int) (slot *slotImage, claimed bool, ack Ack, err error) {
 	sz := blobCap(need)
 	fence := sync.OnceValue(cf.cp.checkFence)
 	cf.pubMu.Lock()
-	s := cf.claimStandby(hook, sz, fence)
+	s, ack := cf.claimStandby(hook, sz, fence)
 	cf.pubMu.Unlock()
 	if s != nil {
-		return s, true, nil
+		return s, true, ack, nil
 	}
 	blob, err := cf.allocCode(rem, sz, fence)
 	if err != nil {
-		return nil, false, err
+		return nil, false, Ack{}, err
 	}
-	return &slotImage{blob: blob, cap: sz}, false, nil
+	return &slotImage{blob: blob, cap: sz}, false, Ack{}, nil
 }
 
 // claimStandby removes and returns hook's standby slot for reuse as a
@@ -51,23 +53,25 @@ func (cf *CodeFlow) reserve(rem *RemoteMemory, hook string, need int) (slot *slo
 // path, and overwriting it there would tear B. Claiming tombstones the
 // blob's history entries, so neither rollback nor the resident fast path
 // re-dispatches overwritten bytes, and marks it pending. Returns nil when
-// no reusable slot exists; the caller then allocates. Caller holds pubMu,
+// no reusable slot exists; the caller then allocates. The claim's entry is
+// journaled, and its ack returned, before anything writes into the slot.
+// Caller holds pubMu,
 // the lock every publish path takes: either a commit-only dispatch (resident
 // fast path, rollback) looks the blob up after this claim tombstoned it —
 // and misses — or it CASes first and the dispatch check below sees the blob
 // live and skips it. A blob in doubt is skipped too: its CAS may have
 // landed without the bookkeeping.
-func (cf *CodeFlow) claimStandby(hook string, need uint64, fence func() error) *slotImage {
+func (cf *CodeFlow) claimStandby(hook string, need uint64, fence func() error) (*slotImage, Ack) {
 	// A fenced (deposed) controller must not scatter-write into a standby:
 	// the new leader may have re-published that blob, making it live again.
 	if fence() != nil {
-		return nil
+		return nil, Ack{}
 	}
 	cf.mu.Lock()
 	hs := cf.slots[hook]
 	if hs == nil || hs.standby == nil {
 		cf.mu.Unlock()
-		return nil
+		return nil, Ack{}
 	}
 	s := hs.standby
 	live := len(cf.inDoubt[s.blob]) > 0
@@ -76,31 +80,29 @@ func (cf *CodeFlow) claimStandby(hook string, need uint64, fence func() error) *
 	}
 	if live {
 		cf.mu.Unlock()
-		return nil // leave it as standby and try later
+		return nil, Ack{} // leave it as standby and try later
 	}
 	hs.standby = nil
 	if s.cap < need {
 		// Too small for the new image: drop it so the next publish
 		// installs a bigger standby.
 		cf.mu.Unlock()
-		return nil
+		return nil, Ack{}
 	}
 	cf.reclaimLocked(s.blob)
 	cf.pending[s.blob] = s.cap
 	cf.mu.Unlock()
-	if j := cf.cp.journal(); j != nil {
-		j.JournalClaim(cf.NodeKey(), s.blob)
-	}
-	return s
+	return s, cf.cp.journal(JournalEntry{Kind: EntryClaim, Node: cf.NodeKey(), Deployed: Deployed{Blob: s.blob}, Batch: true})
 }
 
 // installPublished records one successful publish: history, the control
-// plane's deployed-version map and the journal entry.
+// plane's deployed-version map and the journal entry (a fleet job's with
+// batch set), whose ack it returns without waiting.
 // A freshly written slot also leaves pending and installs as the hook's
 // active — the displaced active becomes the new standby; a nil slot (the
 // resident fast path re-targeting an already written blob) swaps the
 // slots with switchDispatch instead.
-func (cf *CodeFlow) installPublished(hook string, slot *slotImage, d Deployed) {
+func (cf *CodeFlow) installPublished(hook string, slot *slotImage, d Deployed, batch bool) Ack {
 	cf.mu.Lock()
 	cf.history[hook] = PushDeployed(cf.history[hook], d)
 	if slot == nil {
@@ -120,9 +122,7 @@ func (cf *CodeFlow) installPublished(hook string, slot *slotImage, d Deployed) {
 	cf.mu.Unlock()
 	cf.cp.recordDeployed(cf.NodeKey(), hook,
 		DeployedVersion{Digest: d.Digest, Version: d.Version, Blob: d.Blob})
-	if j := cf.cp.journal(); j != nil {
-		j.JournalPublish(cf.NodeKey(), hook, d)
-	}
+	return cf.cp.journal(JournalEntry{Kind: EntryPublish, Node: cf.NodeKey(), Hook: hook, Deployed: d, Batch: batch})
 }
 
 // switchDispatch records a commit-only pointer flip (resident fast path,

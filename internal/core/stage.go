@@ -18,16 +18,18 @@ import (
 // the handle is created.
 func (cf *CodeFlow) NodeKey() string { return cf.nodeKey }
 
-// Stage implements pipeline.Target by staging without publishing.
+// Stage implements pipeline.Target: it reserves the deploy and writes
+// nothing (see reserveStage).
 func (cf *CodeFlow) Stage(ctx context.Context, e *ext.Extension, hook string) (pipeline.Staged, error) {
-	return cf.StageExtension(ctx, e, hook)
+	return cf.reserveStage(ctx, e, hook)
 }
 
-// StagedDeploy is a prepared-but-unpublished deployment on one node: the
-// blob is fully written (in full, or as a page delta into a claimed
-// standby) and recorded on the hook's staged slot, but no dispatch pointer
-// references it yet. Publish is the commit-only half. DeployProg and the
-// resident fast path commit through one too.
+// StagedDeploy is a prepared-but-unpublished deployment on one node. It
+// starts reserved: linked, versioned, its blob pending and any claim
+// journaled. Write puts the blob on the node — in full, or as a page delta
+// into a claimed standby — and records it on the hook's staged slot, but no
+// dispatch pointer references it yet. Publish is the commit-only half.
+// DeployProg and the resident fast path commit through one too.
 type StagedDeploy struct {
 	cf       *CodeFlow
 	hook     string
@@ -37,12 +39,17 @@ type StagedDeploy struct {
 	blob     uint64
 	version  uint64
 	slot     *slotImage // nil for a commit-only (resident) deploy
+	payload  []byte     // the linked image Write puts in slot
+	claimed  bool       // slot is the hook's claimed standby: Write may scatter a delta
+	ack      Ack        // the newest entry the deploy journaled; acks complete in order
 	link     time.Duration
 	write    time.Duration
 	inDoubt  bool // a publish left the blob in doubt (cf.inDoubt)
 }
 
-// StageExtension runs everything except publication for one node: JIT (via
+// StageExtension stages e on hook for a caller that drives one node
+// itself: it reserves the deploy, waits until any claim it journaled is
+// durable, and writes the blob. Everything but publication runs: JIT (via
 // the artifact store), state setup, linking, remote allocation, then ONE
 // OpBatch chain carrying the blob bytes plus the staged-record write,
 // terminated by a single doorbell WriteImm — the coalesced-doorbell
@@ -56,6 +63,25 @@ type StagedDeploy struct {
 // staging sequence shares one deadline and (when ctx carries one) one
 // trace ID.
 func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook string) (*StagedDeploy, error) {
+	sd, err := cf.reserveStage(ctx, e, hook)
+	if err != nil {
+		return nil, err
+	}
+	sd.Durable()
+	if err := sd.Write(ctx); err != nil {
+		sd.Abort()
+		return nil, err
+	}
+	return sd, nil
+}
+
+// reserveStage is the first of a stage's two halves: it authorizes, looks
+// the artifact up (validating and compiling once per digest), sets up
+// state, links, takes a version and reserves the blob — the hook's standby
+// when it can be claimed, journaling the claim without waiting for it. It
+// writes nothing into the code region; Write does. A fleet job reserves
+// every node, waits once for all their claims, then writes.
+func (cf *CodeFlow) reserveStage(ctx context.Context, e *ext.Extension, hook string) (*StagedDeploy, error) {
 	rem := cf.remote(ctx)
 	hookAddr, err := cf.HookAddr(hook)
 	if err != nil {
@@ -67,7 +93,7 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 		return nil, err
 	}
 	cf.cp.audit(cf.NodeID, "stage", hook, e.Name())
-	linkStart := time.Now()
+	start := time.Now()
 	master, err := cf.cp.compiled(e, cf.Arch)
 	if err != nil {
 		return nil, err
@@ -89,34 +115,49 @@ func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook s
 	if err != nil {
 		return nil, err
 	}
-	link := time.Since(linkStart)
-
-	writeStart := time.Now()
 	copy(payload, blobHeader(master.Arch, params, version, len(code)))
-	sd := &StagedDeploy{
+	slot, claimed, ack, err := cf.reserve(rem, hook, len(payload))
+	if err != nil {
+		return nil, err
+	}
+	return &StagedDeploy{
 		cf: cf, hook: hook, name: e.Name(), digest: e.Digest(),
-		hookAddr: hookAddr, version: version, link: link,
-	}
-	slot, claimed, err := cf.reserve(rem, hook, len(payload))
-	if err != nil {
-		return nil, err
-	}
-	if claimed {
-		err = cf.stageIntoSlot(ctx, rem, sd, slot, payload)
+		hookAddr: hookAddr, blob: slot.blob, version: version, slot: slot,
+		payload: payload, claimed: claimed, ack: ack, link: time.Since(start),
+	}, nil
+}
+
+// Write implements pipeline.Staged: the reserved blob goes onto the node
+// under ctx, and the stage entry is journaled without waiting for it. Call
+// it only once the reservation's claim is durable (Durable). A failed
+// write leaves the reservation, so Write may be retried; a caller that
+// gives up calls Abort.
+func (s *StagedDeploy) Write(ctx context.Context) error {
+	cf, rem := s.cf, s.cf.remote(ctx)
+	start := time.Now()
+	var err error
+	if s.claimed {
+		err = cf.stageIntoSlot(ctx, rem, s, s.slot, s.payload)
 	} else {
-		err = cf.stageFull(rem, sd, slot, payload)
+		err = cf.stageFull(rem, s, s.slot, s.payload)
 	}
 	if err != nil {
-		cf.release(slot.blob)
-		return nil, err
+		return err
 	}
-	sd.blob, sd.slot = slot.blob, slot
-	sd.write = time.Since(writeStart)
-	cf.recordCodeHash(sd.blob, code)
-	if j := cf.cp.journal(); j != nil {
-		j.JournalStage(cf.NodeKey(), hook, sd.name, sd.digest, sd.version, sd.blob)
-	}
-	return sd, nil
+	s.write = time.Since(start)
+	cf.recordCodeHash(s.blob, s.payload[node.BlobHdrSize:])
+	s.ack = cf.cp.journal(JournalEntry{Kind: EntryStage, Node: cf.NodeKey(), Hook: s.hook,
+		Deployed: Deployed{Name: s.name, Digest: s.digest, Version: s.version, Blob: s.blob}, Batch: true})
+	return nil
+}
+
+// Durable implements pipeline.Staged: it returns once every entry the
+// deploy has journaled so far — claim, stage, publish — is durable. Acks
+// complete in journal order, so across a fleet job the first call flies
+// the batch and the rest return at once. A replication failure is counted
+// in controlha.journal.replication_errors, not returned.
+func (s *StagedDeploy) Durable() {
+	s.ack.Wait() //nolint:errcheck // replication outcome surfaced via instruments
 }
 
 // deltaMaxRatio is the fallback-to-full threshold: a delta whose bytes
@@ -183,25 +224,30 @@ func (cf *CodeFlow) stageFull(rem *RemoteMemory, sd *StagedDeploy, slot *slotIma
 }
 
 // Publish implements pipeline.Staged: the version write plus the flip,
-// issued under ctx. On success the slot bookkeeping flips: the published
+// issued under ctx once the stage entry is durable (at once after a fleet
+// job's barrier). On success the slot bookkeeping flips: the published
 // blob becomes the hook's active, the displaced active becomes the standby
 // (the next delta target), and the control plane's deployed-version map
-// records the new version. A failure leaves the blob pending, so a retry
+// records the new version. The publish entry is journaled without waiting
+// for it: Durable waits. A failure leaves the blob pending, so a retry
 // may still publish it; a caller that gives up calls Abort. A failure
 // after the CAS was posted leaves the blob in doubt (it may be dispatched);
 // once a later flip on the hook lands, that flip releases the blob, which
 // another stage may then reuse, and Publish refuses to dispatch it again.
 func (s *StagedDeploy) Publish(ctx context.Context) error {
+	s.Durable()
 	s.cf.pubMu.Lock()
 	defer s.cf.pubMu.Unlock()
-	return s.publish(s.cf.remote(ctx), s.cf.cp.checkFence)
+	return s.publish(s.cf.remote(ctx), s.cf.cp.checkFence, true)
 }
 
 // publish is Publish behind fence on rem, with pubMu held: the one commit
 // of a staged, a cold (DeployProg) and a resident (commit-only, nil slot)
 // deploy. The flip and its bookkeeping happen under one pubMu hold, so
-// landed flips are recorded in the order they landed.
-func (s *StagedDeploy) publish(rem *RemoteMemory, fence func() error) error {
+// landed flips are recorded, and journaled, in the order they landed. The
+// publish entry (batched for a fleet job) has its ack in s.ack; no one
+// waits for it here.
+func (s *StagedDeploy) publish(rem *RemoteMemory, fence func() error, batch bool) error {
 	cf := s.cf
 	if v, ok := cf.inDoubt[s.blob][s.hookAddr]; s.inDoubt && (!ok || v != s.version) {
 		return fmt.Errorf("core: publish of %q on %q: a later publish on the hook released its blob", s.name, s.hook)
@@ -210,7 +256,7 @@ func (s *StagedDeploy) publish(rem *RemoteMemory, fence func() error) error {
 		_, s.inDoubt = cf.inDoubt[s.blob][s.hookAddr]
 		return fmt.Errorf("core: publish of %q on %q: %w", s.name, s.hook, err)
 	}
-	cf.installPublished(s.hook, s.slot, s.deployed())
+	s.ack = cf.installPublished(s.hook, s.slot, s.deployed(), batch)
 	return nil
 }
 
@@ -220,7 +266,8 @@ func (s *StagedDeploy) deployed() Deployed {
 }
 
 // Abort implements pipeline.Staged: the scheduler calls it once for every
-// staged deploy it does not publish, failed publishes included. The blob
+// reserved deploy it does not publish, failed writes and publishes
+// included. The blob
 // leaves pending, so a later sweep may reuse its space, unless it is in
 // doubt: then it stays pending until a later flip on the hook lands. The
 // deploy must not be published afterwards.

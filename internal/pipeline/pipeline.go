@@ -5,23 +5,30 @@
 // The paper's claim is that one-sided injection makes extension deployment
 // a data-plane-speed operation; what the claim needs at fleet scale is a
 // scheduler, not a sequential loop. A Scheduler job carries every target
-// node from stage to publish on one worker set owned by the job:
+// node through three phases on one worker set owned by the job:
 // min(len(Targets), fan-out) goroutines, the job's own among them, pull
-// node indices and stage them, meet at one publish barrier where the job
-// decides (every node staged, BeforePublish), then pull indices again and
-// publish. Every job is all-or-none, like the paper's rdx_broadcast: a
-// node that fails to stage withholds every publish. Per-node writes are
-// coalesced by the targets into OpBatch chains ending in a single doorbell
-// WriteImm, so a fleet-wide rollout costs one latency-model charge per
-// node instead of one per segment. Validation and JIT are the targets'
-// business: core's Stage looks the artifact up in the control plane's
-// content-addressed cache, so a fleet job validates and compiles once per
-// digest however many nodes it spans.
+// node indices and reserve them (Target.Stage: link, version, reserve the
+// blob, journal any claim), meet at a barrier, write them (Staged.Write),
+// meet at the publish barrier where the job decides (every node written,
+// BeforePublish), then publish (Staged.Publish). Journal entries are not
+// waited for where they are made: at each barrier the job's own goroutine
+// waits once for the phase's entries (Staged.Durable), and once more for
+// the publish entries before the job returns — so every claim is durable
+// before any write, every stage entry before the first flip, and a job
+// journals in three flights however many nodes it spans. Every job is
+// all-or-none, like the paper's rdx_broadcast: a node that fails to
+// reserve or write withholds every publish. Per-node writes are coalesced
+// by the targets into OpBatch chains ending in a single doorbell WriteImm,
+// so a fleet-wide rollout costs one latency-model charge per node instead
+// of one per segment. Validation and JIT are the targets' business: core's
+// Stage looks the artifact up in the control plane's content-addressed
+// cache, so a fleet job validates and compiles once per digest however
+// many nodes it spans.
 //
 // Robustness: every job runs under a deadline, transient fabric errors
 // retry with exponential backoff, and failures are reported per node — a
 // dead node yields a failed Outcome, never a wedged rollout.
-// Observability: every stage (link → write → publish) records into
+// Observability: every phase (link → write → publish) records into
 // "pipeline.*" histograms of the registry the scheduler is built with.
 package pipeline
 
@@ -53,8 +60,8 @@ const (
 // concurrent use; the scheduler owns no long-lived goroutines, so it needs
 // no Close.
 type Scheduler struct {
-	// nodeSem bounds concurrent per-node operations (Stage or Publish
-	// calls) across all jobs: each takes one token. Its capacity, the
+	// nodeSem bounds concurrent per-node operations (Stage, Write or
+	// Publish calls) across all jobs: each takes one token. Its capacity, the
 	// fan-out, also sizes each job's worker set.
 	nodeSem chan struct{}
 
@@ -80,10 +87,10 @@ func New(reg *telemetry.Registry, tracer *telemetry.TraceRecorder) *Scheduler {
 	}
 }
 
-// Inject runs one job synchronously: the job's worker set stages every
-// node, waits at the publish barrier and commits. The error covers a bad
-// request only; per-node failures, a rejected program among them, live in
-// Result.Outcomes.
+// Inject runs one job synchronously: the job's worker set reserves and
+// writes every node, waits at the publish barrier and commits. The error
+// covers a bad request only; per-node failures, a rejected program among
+// them, live in Result.Outcomes.
 func (s *Scheduler) Inject(req Request) (*Result, error) {
 	if req.Ext == nil {
 		return nil, fmt.Errorf("pipeline: nil extension")
@@ -123,63 +130,83 @@ func (s *Scheduler) Inject(req Request) (*Result, error) {
 	return res, nil
 }
 
+// A job's per-node work runs in three phases, each over every node.
+const (
+	phaseReserve = iota // Target.Stage: link, version, reserve, journal claims
+	phaseWrite          // Staged.Write: the blob onto the node, journal the stage
+	phasePublish        // Staged.Publish: the flip, journal the publish
+	phases
+)
+
 // job is one job's per-node work. A worker set of
-// min(len(Targets), fan-out) goroutines carries every node from stage to
-// publish: the job's own goroutine is worker 0 and spawns the rest. Workers
-// pull node indices off the stage counter until it runs dry, then wait at
-// one barrier, where worker 0 alone decides whether to publish; if it does,
-// the same workers pull indices off the publish counter. Every item takes
-// a nodeSem token, so the fan-out bounds per-node operations across all
-// jobs. No worker outlives run.
+// min(len(Targets), fan-out) goroutines carries every node through the
+// three phases: the job's own goroutine is worker 0 and spawns the rest.
+// In each phase workers pull node indices off the phase's counter until it
+// runs dry, then wait at a barrier, where worker 0 alone decides whether
+// the job goes on: after the reserves it makes every claim durable, after
+// the writes every stage entry, then runs BeforePublish. So each barrier
+// waits for one journal flight, whatever the node count, and after the
+// publishes worker 0 waits for one more. Every item takes a nodeSem token,
+// so the fan-out bounds per-node operations across all jobs. No worker
+// outlives run.
 type job struct {
 	s      *Scheduler
 	ctx    context.Context
 	req    Request
 	res    *Result
-	staged []Staged // nil where the node failed to stage
+	staged []Staged // nil where the node failed to reserve
 
-	nextStage, nextPublish atomic.Int64
-	staging                sync.WaitGroup // spawned workers still staging
-	done                   sync.WaitGroup // spawned workers not yet exited
-	release                chan struct{}  // closed once worker 0 has decided
-	publish                bool           // the decision, written before release closes
+	next    [phases]atomic.Int64
+	arrived [phasePublish]sync.WaitGroup // spawned workers done with the phase
+	release [phasePublish]chan struct{}  // closed once worker 0 has decided after the phase
+	goOn    [phasePublish]bool           // the decision, written before release closes
+	done    sync.WaitGroup               // spawned workers not yet exited
 
 	pubOK atomic.Int64
-	// Every job is all-or-none, so the first stage that still fails after
-	// its retries aborts the stages that haven't started: decide withholds
-	// every publish once any stage has failed, so a later stage would only
-	// write garbage (and re-run the verifier on a rejected program, node
-	// after node). Likewise the first permanently failed publish (a fenced
-	// controller, a deterministic remote fault — anything retries can't
-	// fix) aborts the publishes that haven't started: a deposed leader
-	// discovering the fence on node 1 should not keep hammering nodes 2..N
-	// with CASes that will each be refused. The aborted outcomes wrap the
-	// triggering error so callers can errors.Is the real cause (e.g.
-	// core.ErrFenced) on any outcome.
+	// Every job is all-or-none, so the first reserve or write that still
+	// fails after its retries aborts the ones that haven't started: the
+	// barrier withholds every publish once any has failed, so later work
+	// would only write garbage (and re-run the verifier on a rejected
+	// program, node after node). Likewise the first permanently failed
+	// publish (a fenced controller, a deterministic remote fault —
+	// anything retries can't fix) aborts the publishes that haven't
+	// started: a deposed leader discovering the fence on node 1 should not
+	// keep hammering nodes 2..N with CASes that will each be refused. The
+	// aborted outcomes wrap the triggering error so callers can errors.Is
+	// the real cause (e.g. core.ErrFenced) on any outcome.
 	abort atomic.Pointer[error]
 }
 
-// run is worker 0: it spawns the other workers, stages alongside them,
-// decides at the barrier, publishes alongside them, and returns once every
-// worker has exited.
+// run is worker 0: it spawns the other workers, works each phase alongside
+// them, decides at each barrier, and returns once every worker has exited
+// and every entry the job journaled is durable.
 func (j *job) run() {
 	s, req, res := j.s, j.req, j.res
 	stageStart := time.Now()
 	spawn := min(len(req.Targets), cap(s.nodeSem)) - 1
-	j.release = make(chan struct{})
-	j.staging.Add(spawn)
+	for p := range j.release {
+		j.release[p] = make(chan struct{})
+		j.arrived[p].Add(spawn)
+	}
 	j.done.Add(spawn)
 	for w := 0; w < spawn; w++ {
 		go j.worker()
 	}
-	j.stageItems()
-	j.staging.Wait()
-	s.m.spanStage.RecordDuration(time.Since(stageStart))
-
-	j.publish = j.decide()
-	close(j.release)
-	if j.publish {
-		j.publishItems()
+	for p := range j.release {
+		j.items(p)
+		j.arrived[p].Wait()
+		if p == phaseWrite {
+			s.m.spanStage.RecordDuration(time.Since(stageStart))
+		}
+		j.goOn[p] = j.decide(p)
+		close(j.release[p])
+		if !j.goOn[p] {
+			break
+		}
+	}
+	published := j.goOn[phaseWrite]
+	if published {
+		j.items(phasePublish)
 	} else {
 		for _, st := range j.staged {
 			if st != nil {
@@ -188,88 +215,101 @@ func (j *job) run() {
 		}
 	}
 	j.done.Wait()
-	if j.publish {
+	if published {
 		res.Published = j.pubOK.Load() > 0
 		if req.AfterPublish != nil {
 			req.AfterPublish()
 		}
 	}
+	// The publish entries, or an aborted job's claims, reach the standby
+	// before the caller hears the outcome.
+	j.durable()
 }
 
 // worker is every worker but worker 0.
 func (j *job) worker() {
 	defer j.done.Done()
-	j.stageItems()
-	j.staging.Done()
-	<-j.release
-	if j.publish {
-		j.publishItems()
+	for p := range j.release {
+		j.items(p)
+		j.arrived[p].Done()
+		<-j.release[p]
+		if !j.goOn[p] {
+			return
+		}
 	}
+	j.items(phasePublish)
 }
 
-// decide is the publish barrier, run by worker 0 once every node has
-// staged or failed: a failed stage withholds every publish, and so does a
-// failing BeforePublish, with its error on every staged node's outcome.
-// Either way run aborts every staged node.
-func (j *job) decide() bool {
+// decide is the barrier after phase p, run by worker 0 once every node has
+// finished it: a failed reserve or write withholds every publish, and so
+// does a failing BeforePublish, with its error on every reserved node's
+// outcome. Going on, it first makes every entry the phase journaled
+// durable, so every claim is on the standby before any write and every
+// stage entry before BeforePublish and the first flip.
+func (j *job) decide(p int) bool {
 	if j.abort.Load() != nil {
 		return false
 	}
-	if j.req.BeforePublish != nil {
-		start := time.Now()
-		if err := j.req.BeforePublish(); err != nil {
-			for i := range j.res.Outcomes {
-				if j.res.Outcomes[i].Err == nil {
-					j.res.Outcomes[i].Err = fmt.Errorf("pipeline: publish barrier: %w", err)
-				}
+	j.durable()
+	if p != phaseWrite || j.req.BeforePublish == nil {
+		return true
+	}
+	start := time.Now()
+	if err := j.req.BeforePublish(); err != nil {
+		for i := range j.res.Outcomes {
+			if j.res.Outcomes[i].Err == nil {
+				j.res.Outcomes[i].Err = fmt.Errorf("pipeline: publish barrier: %w", err)
 			}
-			j.s.m.spanPublish.RecordDuration(time.Since(start))
-			return false
 		}
+		j.s.m.spanPublish.RecordDuration(time.Since(start))
+		return false
 	}
 	return true
 }
 
-// stageItems stages nodes until the stage counter runs dry, each under one
-// nodeSem token; once a stage has failed, the nodes left get the cause
-// instead.
-func (j *job) stageItems() {
+// durable waits until every reserved node's journal entries are durable:
+// the first node's call waits for the flight, the rest find it landed.
+func (j *job) durable() {
+	for _, st := range j.staged {
+		if st != nil {
+			st.Durable()
+		}
+	}
+}
+
+// items works phase p on nodes until the phase's counter runs dry, each
+// under one nodeSem token; once a reserve or write has failed, the nodes
+// left in those phases get the cause instead.
+func (j *job) items(p int) {
 	for {
-		i := int(j.nextStage.Add(1) - 1)
+		i := int(j.next[p].Add(1) - 1)
 		if i >= len(j.staged) {
 			return
 		}
-		if cause := j.abort.Load(); cause != nil {
+		if cause := j.abort.Load(); cause != nil && p != phasePublish {
 			o := &j.res.Outcomes[i]
 			o.Node = j.req.Targets[i].NodeKey()
 			o.Err = fmt.Errorf("pipeline: stage on %s skipped, job already failed: %w", o.Node, *cause)
 			continue
 		}
 		j.s.nodeSem <- struct{}{}
-		j.stageOne(i)
-		<-j.s.nodeSem
-	}
-}
-
-// publishItems publishes staged nodes until the publish counter runs dry,
-// each under one nodeSem token.
-func (j *job) publishItems() {
-	for {
-		i := int(j.nextPublish.Add(1) - 1)
-		if i >= len(j.staged) {
-			return
+		switch p {
+		case phaseReserve:
+			j.reserveOne(i)
+		case phaseWrite:
+			j.writeOne(i)
+		default:
+			j.publishOne(i)
 		}
-		j.s.nodeSem <- struct{}{}
-		j.publishOne(i)
 		<-j.s.nodeSem
 	}
 }
 
-// stageOne links and writes node i, with retries; a failure aborts the
-// stages that haven't started.
-func (j *job) stageOne(i int) {
+// reserveOne reserves node i, with retries; a failure aborts the reserves
+// and writes that haven't started.
+func (j *job) reserveOne(i int) {
 	s, tgt := j.s, j.req.Targets[i]
-	nodeStart := time.Now()
+	start := time.Now()
 	o := &j.res.Outcomes[i]
 	o.Node = tgt.NodeKey()
 	var st Staged
@@ -282,20 +322,30 @@ func (j *job) stageOne(i int) {
 		j.staged[i] = st
 		o.Version = st.Version()
 		s.m.spanLink.RecordDuration(st.LinkDuration())
-		s.m.spanWrite.RecordDuration(st.WriteDuration())
-		if s.tr != nil {
-			// Approximate sub-spans: link leads the node's staging work,
-			// the batched write follows it.
-			s.tr.Record(telemetry.TraceEvent{Trace: j.res.Trace, Layer: "pipeline", Name: "link",
-				Node: o.Node, Start: nodeStart, Dur: st.LinkDuration()})
-			s.tr.Record(telemetry.TraceEvent{Trace: j.res.Trace, Layer: "pipeline", Name: "write",
-				Node: o.Node, Start: nodeStart.Add(st.LinkDuration()), Dur: st.WriteDuration()})
-		}
+		s.tr.SpanFor(j.res.Trace, "pipeline", "link", o.Node, start, st.LinkDuration(), 0, nil)
 	} else {
 		err := o.Err
 		j.abort.CompareAndSwap(nil, &err)
 	}
-	o.Latency = time.Since(nodeStart)
+	o.Latency = time.Since(start)
+}
+
+// writeOne writes node i, with retries; a failure aborts the writes that
+// haven't started.
+func (j *job) writeOne(i int) {
+	s, st := j.s, j.staged[i]
+	start := time.Now()
+	o := &j.res.Outcomes[i]
+	attempts, err := s.withRetry(j.ctx, func() error { return st.Write(j.ctx) })
+	o.Attempts += attempts - 1
+	if err == nil {
+		s.m.spanWrite.RecordDuration(st.WriteDuration())
+		s.tr.SpanFor(j.res.Trace, "pipeline", "write", o.Node, start, st.WriteDuration(), 0, nil)
+	} else {
+		o.Err = err
+		j.abort.CompareAndSwap(nil, &err)
+	}
+	o.Latency += time.Since(start)
 }
 
 // publishOne commits node i, with retries, unless the job has already
@@ -341,7 +391,7 @@ type metrics struct {
 
 	spanLink    *telemetry.Histogram
 	spanWrite   *telemetry.Histogram
-	spanStage   *telemetry.Histogram // whole stage fan-out, slowest node
+	spanStage   *telemetry.Histogram // reserve and write fan-outs, slowest node
 	spanPublish *telemetry.Histogram
 	spanTotal   *telemetry.Histogram
 }

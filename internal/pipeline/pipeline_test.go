@@ -87,6 +87,9 @@ type fakeStaged struct {
 	ver uint64
 }
 
+func (s *fakeStaged) Write(context.Context) error { return nil }
+func (s *fakeStaged) Durable()                    {}
+
 func (s *fakeStaged) Publish(context.Context) error {
 	if s.t.publishErr != nil {
 		return s.t.publishErr
@@ -438,6 +441,8 @@ func (p *probeTarget) Stage(context.Context, *ext.Extension, string) (Staged, er
 
 type probeStaged struct{ p *probeTarget }
 
+func (s probeStaged) Write(context.Context) error   { return nil }
+func (s probeStaged) Durable()                      {}
 func (s probeStaged) Publish(context.Context) error { s.p.publish(); return nil }
 func (s probeStaged) Abort()                        {}
 func (s probeStaged) Version() uint64               { return 1 }

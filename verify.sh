@@ -43,6 +43,7 @@ go test -timeout 120s ./...
 echo "== hot-path alloc gates =="
 go test -count=1 -timeout 120s -run 'HotPathZeroAllocs$' ./internal/rdma/
 go test -count=1 -run 'TestVerifySteadyStateAllocs$' ./internal/ebpf/verifier/
+go test -count=1 -run 'TestResidentRepublishAckAllocs$' ./internal/controlha/
 
 if [ "${1:-}" != "quick" ]; then
     echo "== go test -race =="
@@ -63,8 +64,11 @@ if [ "${1:-}" != "quick" ]; then
     # round trip (FuzzEntryRoundTrip's seeds: every string form's edges,
     # and a payload the journal refuses) runs with them, as do the name
     # bound that keeps every publish's entry foldable and the entry at it.
-    echo "== journal group commit + name bound (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight|FuzzEntryRoundTrip|TestLongNameRefusedBeforeAnyVerb|TestEntryAtNameLimitRoundTrips' ./internal/controlha/
+    # A fleet job waits on journal acks once per phase: its three flights
+    # per job, a takeover at its claim barrier and before its publish
+    # flight, and an aborted job's claims repeat here too.
+    echo "== journal group commit + name bound + fleet job flights (race, x20) =="
+    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight|FuzzEntryRoundTrip|TestLongNameRefusedBeforeAnyVerb|TestEntryAtNameLimitRoundTrips|TestFleetJobJournalsInThreeFlights|TestTakeOverAtClaimBarrier|TestTakeOverBeforePublishFlight|TestAbortedJobKeepsClaimsTombstoned' ./internal/controlha/
     # The entry codec packs integers, digests and node keys: a short fuzz
     # of its round trip and of replay over arbitrary bytes (typed errors,
     # never a panic) runs on every full gate.
@@ -91,15 +95,17 @@ if [ "${1:-}" != "quick" ]; then
     go test -race -timeout 300s -count=20 -run 'TestChaosReconnQPBroadcastSurvivesKills|TestChaosReconnQPRecoversMidDeltaKill' ./internal/core
     # The code region never wraps: an allocation reuses only space no
     # dispatched, pending or (short of pressure) historic blob holds. The
-    # repros of overwritten and mis-dispatched code, the pending, abort and
+    # repros of overwritten and mis-dispatched code, the pending, abort
+    # (at a node's reserve or its write) and
     # in-doubt contracts (a commit-only flip in doubt included), a cold
     # deploy deposed during its carve, the pressure path, the sweep's wait for fresh
     # allocations and the carve-versus-dispatch race repeat under -race.
     echo "== code region: no live blob reused (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestGrowingPublishesKeepOtherHooksCode|TestAllocCodeFillThenPublish|TestRepublishAfterOtherTermReusesOnlyLiveHistory|TestStagedBlobSurvivesExhaustingAllocation|TestAbortedBroadcastsReleaseTheirBlobs|TestDispatchedBlobsFillRegion|TestPressureReclaimsOnlySoftLiveBlobs|TestCarveRacesCommitOnlyDispatch|TestSweepWaitsOutFreshAllocations|TestDeadlinePassedBeforePublishReleasesBlob|TestInDoubt|TestDeployProgFencedAfterCarve|TestResidentFastPathVsDeltaClaimRace' ./internal/core
-    # A job's per-node work runs on one worker set that meets at a publish
-    # barrier, and each stage links its own copy of the cached master: the
-    # worker bound, the stage-before-publish order, atomic abort, the
+    go test -race -timeout 300s -count=20 -run 'TestGrowingPublishesKeepOtherHooksCode|TestAllocCodeFillThenPublish|TestRepublishAfterOtherTermReusesOnlyLiveHistory|TestStagedBlobSurvivesExhaustingAllocation|TestAbortedBroadcastsReleaseTheirBlobs|TestAbortedWritesReleaseTheirBlobs|TestDispatchedBlobsFillRegion|TestPressureReclaimsOnlySoftLiveBlobs|TestCarveRacesCommitOnlyDispatch|TestSweepWaitsOutFreshAllocations|TestDeadlinePassedBeforePublishReleasesBlob|TestInDoubt|TestDeployProgFencedAfterCarve|TestResidentFastPathVsDeltaClaimRace' ./internal/core
+    # A job's per-node work runs on one worker set that meets at a barrier
+    # after its reserves and after its writes, and each stage links its own
+    # copy of the cached master: the worker bound, the
+    # stage-before-publish order, atomic abort, the
     # per-node link, the one compile per digest and the shard's atomic
     # N-node broadcast repeat under -race.
     echo "== fleet job workers (race, x20) =="
