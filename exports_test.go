@@ -43,7 +43,6 @@ var exportsAllowlist = map[string]string{
 	"rdx/internal/core.CodeFlow.DeployXState":    "Table 1 deploy_xstate",
 	"rdx/internal/core.CodeFlow.MutualExcl":      "Table 1 mutual_excl",
 	"rdx/internal/core.CodeFlow.History":         "the per-hook deployment stack Rollback pops",
-	"rdx/internal/core.CodeFlow.StageExtension":  "the one-call stage (reserve, wait for the claim, write) for a caller driving one node; fleet jobs run its halves in phases",
 	"rdx/internal/core.CodeFlow.Bind":            "access control: binds a CodeFlow to a policy role",
 	"rdx/internal/core.ControlPlane.SetPolicy":   "access control: installs the policy",
 	"rdx/internal/core.ControlPlane.AuditLen":    "access control: the audit log of control-plane actions",

@@ -126,3 +126,40 @@ func TestJournalEncodesLikeTheSinkMethods(t *testing.T) {
 		t.Errorf("Journal encoded %x, the sink methods %x", acked.Bytes(), sink.Bytes())
 	}
 }
+
+// TestSinkMethodsWaitForTheStandby: each JournalSink method is one Journal
+// call. Stage, publish, rollback and claim wait on its ack, so when one
+// returns the standby holds every byte of the journal, a validate carried
+// ahead of it included; validate and compile are carried, so when one
+// returns no flight has flown.
+func TestSinkMethodsWaitForTheStandby(t *testing.T) {
+	d := core.Deployed{Blob: 0x100, Version: 1, Name: "v1", Digest: "sha256:sink"}
+	for _, c := range []struct {
+		name  string
+		call  func(j *Journal)
+		waits bool
+	}{
+		{"validate", func(j *Journal) { j.JournalValidate(d.Digest) }, false},
+		{"compile", func(j *Journal) { j.JournalCompile(d.Digest, 1) }, false},
+		{"stage", func(j *Journal) { j.JournalStage("n0", "ingress", d.Name, d.Digest, d.Version, d.Blob) }, true},
+		{"publish", func(j *Journal) { j.JournalPublish("n0", "ingress", d) }, true},
+		{"rollback", func(j *Journal) { j.JournalRollback("n0", "ingress", d) }, true},
+		{"claim", func(j *Journal) { j.JournalClaim("n0", d.Blob) }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rig := newFlightRig(t, 0)
+			if !c.waits {
+				c.call(rig.j)
+				rig.expectFlights(t, 0, 0, 0, 0)
+				return
+			}
+			rig.j.JournalValidate(d.Digest)
+			c.call(rig.j)
+			if got, want := rig.ldr.Rep.Replicated(), uint64(len(rig.j.Bytes())); got != want {
+				t.Errorf("standby holds %d of the journal's %d bytes when %s returns", got, want, c.name)
+			}
+			rig.expectLag(t, 0)
+			rig.expectFlights(t, 1, 2, 0, 2)
+		})
+	}
+}

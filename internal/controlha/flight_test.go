@@ -194,7 +194,7 @@ func (r *flightRig) expectStandbyMirrors(t *testing.T) {
 			t.Fatalf("entry %d has seq %d", i, e.Seq)
 		}
 		e.Seq, e.Fence = 0, 0
-		seq.append(e)
+		seq.Append(e)
 	}
 	if !bytes.Equal(seq.Bytes(), want) {
 		t.Fatal("grouped log differs from the sequential encoding")

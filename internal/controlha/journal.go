@@ -367,13 +367,13 @@ func DecodeEntry(b []byte) (Entry, int, error) {
 // and land in buf at once; when a Replicator is attached they are
 // group-committed to the standby ring (see flight). Journal waits for
 // nothing: its ack does, and waiting on it flies the entry if no flight has
-// it yet. Of the JournalSink methods, every append but two returns only
-// after the flight carrying its entry has committed or failed — so a
-// record is remote before the call that made it is reported done. The two
-// are validate and compile, whose entries replay ignores: they are carried
-// without waiting, aboard the open batch or in buf until the next flight
-// takes them, so they are remote no later than the publish they precede,
-// at no flight of their own.
+// it yet. That ack is the one way to wait: each JournalSink method is one
+// Journal call, and every one but two waits on its ack before it returns —
+// so a record is remote before the call that made it is reported done. The
+// two are validate and compile, whose entries replay ignores: they are
+// carried without waiting, aboard the open batch or in buf until the next
+// flight takes them, so they are remote no later than the publish they
+// precede, at no flight of their own.
 type Journal struct {
 	mu    sync.Mutex
 	buf   []byte
@@ -410,15 +410,15 @@ type failedRun struct {
 
 // flight is one group commit: a contiguous run of buf that crosses the wire
 // behind a single Replicator.Append, flown by the goroutine that took it on
-// — the appender that opened it, or the first to wait on an entry aboard
-// it. At most one is in the air, so ring order = buf order = seq order. An
-// append that finds the wire idle flies at once, together with any carried
-// entries; appends that arrive during a flight join the one open batch
-// behind it, which is sealed the moment its predecessor lands (or earlier,
-// at the replicator's flightBound). Arrivals after the seal open the next
-// batch — a batch never grows while its leader waits to be scheduled, so
-// two closed-loop appenders always see one-entry flights, whether they wait
-// in the append or on its ack. Flights taken on form a prefix of the
+// — the first to wait on an entry aboard it, or a carry that passed
+// flightBound. At most one is in the air, so ring order = buf order = seq
+// order. An append that finds the wire idle opens a flight, sealed at once
+// and holding any carried entries; appends that arrive during a flight join
+// the one open batch behind it, which is sealed the moment its predecessor
+// lands (or earlier, at the replicator's flightBound). Arrivals after the
+// seal open the next batch — a batch never grows while its leader waits to
+// be scheduled, so two closed-loop appenders that wait on their acks always
+// see one-entry flights. Flights taken on form a prefix of the
 // queue: whoever takes one on takes on every flight ahead of it that no one
 // has, and flies them in order. mu is not held while a flight is on the
 // wire.
@@ -495,7 +495,9 @@ func (j *Journal) SeedSeq(n uint64) {
 	j.mu.Unlock()
 }
 
-// putMode is what put does with an entry once it is in buf.
+// putMode is what put does with an entry once it is in buf. None waits
+// for the entry's flight — its ack does (WaitSeq) — except a carry that
+// passes flightBound, which flies the carry itself.
 type putMode uint8
 
 const (
@@ -506,29 +508,11 @@ const (
 	// not landed, or — with the wire idle — rides the carry, so a fleet
 	// job's entries wait together for the job's next wait.
 	putBoard
-	// putFlight boards as putWait does, opening a flight with the wire
-	// idle, but waits for nothing: the entry's ack does.
+	// putFlight joins the open batch, or opens a flight — sealed at once
+	// with the wire idle — holding it and every carried entry, for the
+	// first to wait on it to fly.
 	putFlight
-	// putWait boards, then waits for the entry's flight, flying it if no
-	// one has taken it on.
-	putWait
 )
-
-// append journals an entry and waits for its flight. Journal replication
-// failures do not fail the control-plane operation (the publish already
-// landed); they are counted and surfaced via the lag gauge, which stops
-// converging to zero.
-func (j *Journal) append(e Entry) {
-	j.put(e, putWait) //nolint:errcheck // replication outcome surfaced via instruments
-}
-
-// carry journals an entry the standby's replay ignores (validate, compile)
-// without waiting for the wire: it joins the open batch if there is one, and
-// otherwise waits in buf for the next flight a waiting append opens. Only
-// when the carried bytes pass flightBound does it fly them itself.
-func (j *Journal) carry(e Entry) {
-	j.put(e, putCarry) //nolint:errcheck // replication outcome surfaced via instruments
-}
 
 // put stamps e with seq + fence, lands it in buf and puts it aboard a
 // flight as mode says: the open batch if there is one, else a new flight
@@ -561,35 +545,22 @@ func (j *Journal) put(e Entry, mode putMode) (uint64, error) {
 	}
 	if prev != nil && prev.b == nil { // a batch is open: join it
 		prev.n++
-		switch {
-		case mode != putWait:
-			j.mu.Unlock()
-			return e.Seq, nil
-		case prev.led:
-			j.mu.Unlock()
-			<-prev.done // its leader flies it
-			return e.Seq, prev.err
-		}
-		return e.Seq, j.awaitFlight(prev)
+		j.mu.Unlock()
+		return e.Seq, nil
 	}
 	if j.carried == 0 {
 		j.carryOff, j.carrySeq = off, e.Seq
 	}
 	j.carried++
-	if mode == putCarry && len(j.buf)-j.carryOff <= j.rep.flightBound() || mode == putBoard && prev == nil {
-		j.lag.Set(int64(uint64(len(j.buf)) - j.rep.Replicated()))
-		j.mu.Unlock()
-		return e.Seq, nil
+	switch {
+	case mode == putCarry && len(j.buf)-j.carryOff > j.rep.flightBound():
+		return e.Seq, j.awaitFlight(j.openCarried(prev))
+	case mode == putFlight || mode == putBoard && prev != nil:
+		j.openCarried(prev)
 	}
-	f := j.openCarried(prev)
-	if mode == putBoard || mode == putFlight {
-		// Sealed when prev lands (at once with the wire idle), flown by
-		// the first to wait on it.
-		j.lag.Set(int64(uint64(len(j.buf)) - j.rep.Replicated()))
-		j.mu.Unlock()
-		return e.Seq, nil
-	}
-	return e.Seq, j.awaitFlight(f)
+	j.lag.Set(int64(uint64(len(j.buf)) - j.rep.Replicated()))
+	j.mu.Unlock()
+	return e.Seq, nil
 }
 
 // openCarried opens a flight holding every carried entry behind prev, the
@@ -686,9 +657,10 @@ func (j *Journal) fly(f *flight) {
 
 // Journal implements core.Journaler: it journals e without waiting and
 // returns e's ack. Validate and compile entries are carried. An entry a
-// fleet job batches rides the carry with the wire idle; any other boards
-// as a waiting append does, so callers that wait on their acks at once
-// see the flights they would waiting in the append.
+// fleet job batches rides the carry with the wire idle; any other joins
+// the open batch or opens a flight, so a caller that waits on its ack at
+// once shares a flight only with entries that arrived while the one ahead
+// of it flew.
 func (j *Journal) Journal(e core.JournalEntry) core.Ack {
 	mode := putFlight
 	switch {
@@ -703,8 +675,8 @@ func (j *Journal) Journal(e core.JournalEntry) core.Ack {
 
 // WaitSeq implements core.AckSource: it returns once entry seq is on the
 // standby, with the error of the flight that carried it. A landed flight
-// answers at once; an entry aboard a flight waits for it like any append
-// aboard (flying it if no one has taken it on); a carried entry flies every
+// answers at once; an entry aboard a flight waits for its landing (flying
+// it if no one has taken it on); a carried entry flies every
 // carried entry now, so no ack waits on an append that may never come. An
 // entry journaled with no stream attached is not replicated: nil.
 func (j *Journal) WaitSeq(seq uint64) error {
@@ -741,13 +713,16 @@ func entryOf(e core.JournalEntry) Entry {
 		Arch: uint32(e.Arch), Version: e.Version, Blob: e.Blob, Flags: flags}
 }
 
-// Append journals an arbitrary entry and surfaces the replication
-// outcome: callers that acknowledge work only after the standby holds it
-// (and the simulator's acked-publish scenarios) append through here and
-// treat an error as "not acked".
+// Append journals an arbitrary entry and waits for its flight, surfacing
+// the replication outcome: callers that acknowledge work only after the
+// standby holds it (and the simulator's acked-publish scenarios) append
+// through here and treat an error as "not acked".
 func (j *Journal) Append(e Entry) error {
-	_, err := j.put(e, putWait)
-	return err
+	seq, err := j.put(e, putFlight)
+	if err != nil {
+		return err
+	}
+	return j.WaitSeq(seq)
 }
 
 // Bytes snapshots the encoded journal.
@@ -779,43 +754,40 @@ func (j *Journal) Len() int {
 	return j.n
 }
 
-// core.JournalSink implementation.
+// core.JournalSink implementation: each method is one Journal call, and
+// all but validate and compile wait on its ack. Replication failures do not
+// fail the control-plane operation (the publish already landed); they are
+// counted and surfaced via the lag gauge, which stops converging to zero.
 
 // JournalValidate records a validator run.
 func (j *Journal) JournalValidate(digest string) {
-	j.carry(Entry{Type: EntryValidate, Digest: digest})
+	j.Journal(core.JournalEntry{Kind: core.EntryValidate, Deployed: core.Deployed{Digest: digest}})
 }
 
 // JournalCompile records a JIT compilation.
 func (j *Journal) JournalCompile(digest string, arch native.Arch) {
-	j.carry(Entry{Type: EntryCompile, Digest: digest, Arch: uint32(arch)})
+	j.Journal(core.JournalEntry{Kind: core.EntryCompile, Deployed: core.Deployed{Digest: digest}, Arch: arch})
 }
 
 // JournalStage records a staged-but-unpublished blob.
 func (j *Journal) JournalStage(node, hook, name, digest string, version, blob uint64) {
-	j.append(Entry{Type: EntryStage, Node: node, Hook: hook, Name: name,
-		Digest: digest, Version: version, Blob: blob})
+	j.Journal(core.JournalEntry{Kind: core.EntryStage, Node: node, Hook: hook,
+		Deployed: core.Deployed{Name: name, Digest: digest, Version: version, Blob: blob}}).Wait() //nolint:errcheck // surfaced via instruments
 }
 
 // JournalPublish records a landed dispatch CAS.
 func (j *Journal) JournalPublish(node, hook string, d core.Deployed) {
-	var flags uint8
-	if d.Reclaimed {
-		flags = 1
-	}
-	j.append(Entry{Type: EntryPublish, Node: node, Hook: hook, Name: d.Name,
-		Digest: d.Digest, Version: d.Version, Blob: d.Blob, Flags: flags})
+	j.Journal(core.JournalEntry{Kind: core.EntryPublish, Node: node, Hook: hook, Deployed: d}).Wait() //nolint:errcheck // surfaced via instruments
 }
 
 // JournalRollback records a reversion to a prior version.
 func (j *Journal) JournalRollback(node, hook string, to core.Deployed) {
-	j.append(Entry{Type: EntryRollback, Node: node, Hook: hook, Name: to.Name,
-		Digest: to.Digest, Version: to.Version, Blob: to.Blob})
+	j.Journal(core.JournalEntry{Kind: core.EntryRollback, Node: node, Hook: hook, Deployed: to}).Wait() //nolint:errcheck // surfaced via instruments
 }
 
 // JournalClaim records a standby blob claimed for delta staging.
 func (j *Journal) JournalClaim(node string, blob uint64) {
-	j.append(Entry{Type: EntryClaim, Node: node, Blob: blob})
+	j.Journal(core.JournalEntry{Kind: core.EntryClaim, Node: node, Deployed: core.Deployed{Blob: blob}}).Wait() //nolint:errcheck // surfaced via instruments
 }
 
 // JournalReclaim and JournalHandoff journal nothing: the code region no

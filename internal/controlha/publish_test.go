@@ -11,6 +11,7 @@ import (
 	"rdx/internal/controlha"
 	"rdx/internal/core"
 	"rdx/internal/ext"
+	"rdx/internal/pipeline"
 )
 
 // nameLimit is core's bound on extension and hook names, in bytes;
@@ -52,8 +53,8 @@ func TestLongNameRefusedBeforeAnyVerb(t *testing.T) {
 		if _, err := cf.InjectExtension(e, "ingress"); !errors.Is(err, core.ErrNameTooLong) {
 			t.Fatalf("InjectExtension of a %d-byte name = %v, want ErrNameTooLong", len(long), err)
 		}
-		if _, err := cf.StageExtension(context.Background(), e, "ingress"); !errors.Is(err, core.ErrNameTooLong) {
-			t.Fatalf("StageExtension of a %d-byte name = %v, want ErrNameTooLong", len(long), err)
+		if _, err := cf.Stage(context.Background(), e, "ingress"); !errors.Is(err, core.ErrNameTooLong) {
+			t.Fatalf("Stage of a %d-byte name = %v, want ErrNameTooLong", len(long), err)
 		}
 		bin, err := cp.JITCompileCode(e, cf.Arch)
 		if err != nil {
@@ -114,15 +115,19 @@ func TestVersionMapFollowsDispatch(t *testing.T) {
 	j := controlha.NewJournal(nil)
 	cp.SetJournal(j)
 	cf, ctx := g[0], context.Background()
-	a, err := cf.StageExtension(ctx, cluster.GenerationExt(ext.KindEBPF, 1, 200), "ingress")
-	if err != nil {
-		t.Fatal(err)
+	stage := func(gen int) pipeline.Staged {
+		sd, err := cf.Stage(ctx, cluster.GenerationExt(ext.KindEBPF, gen, 200), "ingress")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd.Durable()
+		if err := sd.Write(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return sd
 	}
-	b, err := cf.StageExtension(ctx, cluster.GenerationExt(ext.KindEBPF, 2, 200), "ingress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sd := range []*core.StagedDeploy{b, a} {
+	a, b := stage(1), stage(2)
+	for _, sd := range []pipeline.Staged{b, a} {
 		if err := sd.Publish(ctx); err != nil {
 			t.Fatal(err)
 		}

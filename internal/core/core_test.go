@@ -85,6 +85,24 @@ func constProg(name string, ret int32) *ext.Extension {
 	}))
 }
 
+// stageWrite stages e on hook as a fleet job stages each node: Stage
+// reserves, Durable waits for any claim it journaled, Write puts the blob
+// on the node. A failed write aborts the reservation.
+func stageWrite(cf *CodeFlow, e *ext.Extension, hook string) (*StagedDeploy, error) {
+	ctx := context.Background()
+	st, err := cf.Stage(ctx, e, hook)
+	if err != nil {
+		return nil, err
+	}
+	sd := st.(*StagedDeploy)
+	sd.Durable()
+	if err := sd.Write(ctx); err != nil {
+		sd.Abort()
+		return nil, err
+	}
+	return sd, nil
+}
+
 func TestCreateCodeFlowDiscovery(t *testing.T) {
 	r := newRig(t, 1, "ingress", "egress")
 	cf := r.cfs[0]
@@ -310,7 +328,7 @@ func TestStageLinksIntoOwnImage(t *testing.T) {
 	mapAddr := make([]uint64, 2)
 	code := make([][]byte, 2)
 	for i, cf := range r.cfs {
-		sd, err := cf.StageExtension(context.Background(), e, "ingress")
+		sd, err := stageWrite(cf, e, "ingress")
 		if err != nil {
 			t.Fatal(err)
 		}

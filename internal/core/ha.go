@@ -45,7 +45,10 @@ type FenceCheck func() error
 // than the next call that does wait: controlha carries them aboard the
 // next publish's (or stage's, claim's, rollback's) flight. Every other
 // call returns only once its record is remote. A sink that is also a
-// Journaler is driven through Journal instead (see SetJournal).
+// Journaler is driven through Journal instead (see SetJournal); controlha's
+// Journal implements each method as one Journal call, followed by a wait
+// on its ack for all but validate and compile. The interface stays only
+// for the benchmark's traced sink, which implements no Journal.
 type JournalSink interface {
 	JournalValidate(digest string)
 	JournalCompile(digest string, arch native.Arch)

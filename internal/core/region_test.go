@@ -145,7 +145,7 @@ func TestRepublishAfterOtherTermReusesOnlyLiveHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b.StageExtension(context.Background(), g2, "ingress"); err != nil {
+	if _, err := stageWrite(b, g2, "ingress"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -164,7 +164,7 @@ func TestStagedBlobSurvivesExhaustingAllocation(t *testing.T) {
 	r := newRig(t, 1)
 	cf := r.cfs[0]
 	e := bigProg("pending-v1", 1)
-	sd, err := cf.StageExtension(context.Background(), e, "ingress")
+	sd, err := stageWrite(cf, e, "ingress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +668,7 @@ func TestDeadlinePassedBeforePublishReleasesBlob(t *testing.T) {
 	}
 	rounds := node.CodeSize/(len(bin.Code)+node.BlobHdrSize) + 2
 	for i := 0; i < rounds; i++ {
-		sd, err := cf.StageExtension(context.Background(), e, "ingress")
+		sd, err := stageWrite(cf, e, "ingress")
 		if err != nil {
 			t.Fatalf("round %d of %d: %v", i, rounds, err)
 		}
@@ -713,7 +713,7 @@ func TestInDoubtBlobHeldUntilLaterFlip(t *testing.T) {
 	}
 	rounds := node.CodeSize/(len(bin.Code)+node.BlobHdrSize) + 2
 	for i := 0; i < rounds; i++ {
-		sd, err := cf.StageExtension(context.Background(), e, "ingress")
+		sd, err := stageWrite(cf, e, "ingress")
 		if err != nil {
 			t.Fatalf("round %d of %d: %v", i, rounds, err)
 		}
@@ -752,7 +752,7 @@ func TestInDoubtBlobSurvivesAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := cf.StageExtension(context.Background(), bigProg("late-cas", 4), "ingress")
+	sd, err := stageWrite(cf, bigProg("late-cas", 4), "ingress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -813,7 +813,7 @@ func wantInDoubtFlipKeepsStandby(t *testing.T, inDoubt func(cf *CodeFlow, lose *
 	}
 	wantVerdict(t, r.nodes[0], "ingress", 1) // the CAS landed
 	blob, code := readDispatchedCode(t, cf, "ingress")
-	if _, err := cf.StageExtension(context.Background(), bigProg("doubt-c", 3), "ingress"); err != nil {
+	if _, err := stageWrite(cf, bigProg("doubt-c", 3), "ingress"); err != nil {
 		t.Fatal(err)
 	}
 	if after, again := readDispatchedCode(t, cf, "ingress"); after != blob || !bytes.Equal(again, code) {
@@ -879,7 +879,7 @@ func TestInDoubtBlobReusedRefusesStalePublish(t *testing.T) {
 	earlier := map[uint64]*StagedDeploy{}
 	for i := 0; i < rounds; i++ {
 		ret := int32(10 + i)
-		sd, err := cf.StageExtension(context.Background(), fillerProg("stale", 40000, ret), "ingress")
+		sd, err := stageWrite(cf, fillerProg("stale", 40000, ret), "ingress")
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -916,7 +916,7 @@ func TestInDoubtPublishRetriesAfterFlipElsewhere(t *testing.T) {
 	})
 	var staged []*StagedDeploy
 	for i, hook := range []string{"ingress", "egress"} {
-		sd, err := cf.StageExtension(context.Background(), constProg("retry", int32(i+1)), hook)
+		sd, err := stageWrite(cf, constProg("retry", int32(i+1)), hook)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,7 +90,7 @@ const maxNameLen = 1 << 10
 var ErrNameTooLong = fmt.Errorf("core: name longer than %d bytes", maxNameLen)
 
 // checkNames runs first on every publish path: in authorize, which
-// InjectExtension and StageExtension call, and in DeployProg.
+// InjectExtension and Stage call, and in DeployProg.
 func checkNames(name, hook string) error {
 	if len(name) > maxNameLen || len(hook) > maxNameLen {
 		return fmt.Errorf("%w: extension name %d bytes, hook name %d bytes", ErrNameTooLong, len(name), len(hook))

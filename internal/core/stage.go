@@ -18,12 +18,6 @@ import (
 // the handle is created.
 func (cf *CodeFlow) NodeKey() string { return cf.nodeKey }
 
-// Stage implements pipeline.Target: it reserves the deploy and writes
-// nothing (see reserveStage).
-func (cf *CodeFlow) Stage(ctx context.Context, e *ext.Extension, hook string) (pipeline.Staged, error) {
-	return cf.reserveStage(ctx, e, hook)
-}
-
 // StagedDeploy is a prepared-but-unpublished deployment on one node. It
 // starts reserved: linked, versioned, its blob pending and any claim
 // journaled. Write puts the blob on the node — in full, or as a page delta
@@ -47,41 +41,15 @@ type StagedDeploy struct {
 	inDoubt  bool // a publish left the blob in doubt (cf.inDoubt)
 }
 
-// StageExtension stages e on hook for a caller that drives one node
-// itself: it reserves the deploy, waits until any claim it journaled is
-// durable, and writes the blob. Everything but publication runs: JIT (via
-// the artifact store), state setup, linking, remote allocation, then ONE
-// OpBatch chain carrying the blob bytes plus the staged-record write,
-// terminated by a single doorbell WriteImm — the coalesced-doorbell
-// injection path. When the hook has a standby blob of known contents (the
-// previously displaced version), the stage diffs the new image against it
-// at page granularity and scatter-writes only the changed runs into that
-// blob — delta injection. The delta never targets the dispatched blob, so
-// a connection killed mid-delta cannot tear the live version; if the delta
-// exceeds deltaMaxRatio of the full image it degrades to a full write of
-// the claimed slot. Every remote verb issues under ctx, so the whole
-// staging sequence shares one deadline and (when ctx carries one) one
-// trace ID.
-func (cf *CodeFlow) StageExtension(ctx context.Context, e *ext.Extension, hook string) (*StagedDeploy, error) {
-	sd, err := cf.reserveStage(ctx, e, hook)
-	if err != nil {
-		return nil, err
-	}
-	sd.Durable()
-	if err := sd.Write(ctx); err != nil {
-		sd.Abort()
-		return nil, err
-	}
-	return sd, nil
-}
-
-// reserveStage is the first of a stage's two halves: it authorizes, looks
-// the artifact up (validating and compiling once per digest), sets up
-// state, links, takes a version and reserves the blob — the hook's standby
-// when it can be claimed, journaling the claim without waiting for it. It
-// writes nothing into the code region; Write does. A fleet job reserves
-// every node, waits once for all their claims, then writes.
-func (cf *CodeFlow) reserveStage(ctx context.Context, e *ext.Extension, hook string) (*StagedDeploy, error) {
+// Stage implements pipeline.Target with a *StagedDeploy, the first of a
+// stage's two halves. It authorizes, looks the artifact up (validating and
+// compiling once per digest), sets up state, links, takes a version and
+// reserves the blob — the hook's standby when it can be claimed, journaling
+// the claim without waiting for it. It writes nothing into the code region;
+// Write does. A fleet job reserves every node, waits once for all their
+// claims, then writes; a caller driving one node runs Stage, Durable, then
+// Write.
+func (cf *CodeFlow) Stage(ctx context.Context, e *ext.Extension, hook string) (pipeline.Staged, error) {
 	rem := cf.remote(ctx)
 	hookAddr, err := cf.HookAddr(hook)
 	if err != nil {
@@ -128,10 +96,16 @@ func (cf *CodeFlow) reserveStage(ctx context.Context, e *ext.Extension, hook str
 }
 
 // Write implements pipeline.Staged: the reserved blob goes onto the node
-// under ctx, and the stage entry is journaled without waiting for it. Call
-// it only once the reservation's claim is durable (Durable). A failed
-// write leaves the reservation, so Write may be retried; a caller that
-// gives up calls Abort.
+// under ctx as ONE OpBatch chain carrying the blob bytes plus the
+// staged-record write, whose immediate rings the doorbell — the
+// coalesced-doorbell injection path. When the reservation claimed the
+// hook's standby (the previously displaced version, its contents known),
+// the chain scatter-writes only the pages that differ — delta injection
+// (stageIntoSlot). Every verb issues under ctx, so the whole stage shares
+// one deadline and (when ctx carries one) one trace ID. The stage entry is
+// journaled without waiting for it. Call Write only once the reservation's
+// claim is durable (Durable). A failed write leaves the reservation, so
+// Write may be retried; a caller that gives up calls Abort.
 func (s *StagedDeploy) Write(ctx context.Context) error {
 	cf, rem := s.cf, s.cf.remote(ctx)
 	start := time.Now()
@@ -166,10 +140,12 @@ func (s *StagedDeploy) Durable() {
 const deltaMaxRatio = 0.5
 
 // stageIntoSlot writes payload into a claimed standby blob, as a scatter
-// chain of changed-page runs when the delta pays for itself, else as a
-// full rewrite. The slot's shadow image is nil while writes are in flight:
-// a transport failure partway leaves the slot marked torn, so a later
-// claim falls back to a full rewrite instead of trusting stale bytes.
+// chain of changed-page runs when the delta pays for itself, else (past
+// deltaMaxRatio of the full image) as a full rewrite. The delta never
+// targets the dispatched blob, so a connection killed mid-delta cannot tear
+// the live version. The slot's shadow image is nil while writes are in
+// flight: a transport failure partway leaves the slot marked torn, so a
+// later claim falls back to a full rewrite instead of trusting stale bytes.
 func (cf *CodeFlow) stageIntoSlot(ctx context.Context, rem *RemoteMemory, sd *StagedDeploy, slot *slotImage, payload []byte) error {
 	cp := cf.cp
 	d := artifact.Compute(slot.image, payload, artifact.DefaultPageSize)

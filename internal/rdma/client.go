@@ -315,10 +315,12 @@ func (qp *QP) abandon(id uint64) bool {
 
 // wait blocks for the completion of posted verb pv and hands it to the
 // caller no earlier than its modeled due time, bounded by ctx and the QP's
-// default timeout. A verb not due by then — its completion not arrived, or
-// arrived but modeled to finish past the deadline — fails ErrTimeout and
-// its completion is dropped. Note the verb may still execute remotely; only
-// the completion is lost (real RC-QP semantics).
+// default timeout: the deadline is the earlier of ctx's and the timeout's.
+// A verb not due by then — its completion not arrived, or arrived but
+// modeled to finish past the deadline — fails ErrTimeout and its
+// completion is dropped, even one already queued when ctx had expired
+// before the post. Note the verb may still execute remotely; only the
+// completion is lost (real RC-QP semantics).
 //
 // wait owns pv's recycling; see pendingVerb for the rules.
 func (qp *QP) wait(ctx context.Context, pv *pendingVerb) (Completion, error) {
@@ -328,6 +330,9 @@ func (qp *QP) wait(ctx context.Context, pv *pendingVerb) (Completion, error) {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		timeout, deadline = t.C, pv.start.Add(d)
+	}
+	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+		deadline = d
 	}
 	select {
 	case c := <-pv.ch:
@@ -339,9 +344,9 @@ func (qp *QP) wait(ctx context.Context, pv *pendingVerb) (Completion, error) {
 	case <-ctx.Done():
 	}
 	// A completer that took the entry before the abandon sends at once; its
-	// completion is kept only if it is already due.
+	// completion is kept only if it is already due, and due by the deadline.
 	if !qp.abandon(pv.id) {
-		if c := <-pv.ch; !c.at.After(time.Now()) {
+		if c := <-pv.ch; !c.at.After(time.Now()) && (deadline.IsZero() || !c.at.After(deadline)) {
 			return qp.deliver(pv, c)
 		}
 	}

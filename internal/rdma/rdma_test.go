@@ -559,6 +559,31 @@ func TestModeledLatencyPastDeadline(t *testing.T) {
 	}
 }
 
+// TestExpiredContextDropsQueuedCompletion: a verb posted under a context
+// whose deadline has already passed fails ErrTimeout, even when its
+// completion is queued before the wait starts — the verb was not due by the
+// deadline. wait's select may take the completion or ctx.Done first, so
+// the check repeats.
+func TestExpiredContextDropsQueuedCompletion(t *testing.T) {
+	_, ep, qp := newTestRig(t, 4096, nil)
+	mr, _ := ep.RegisterMR("all", 0, 4096, PermAll)
+	for i := 0; i < 200; i++ {
+		expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
+		pv, err := qp.post(request{op: OpWrite, rkey: mr.RKey, data: []byte{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(pv.ch) == 0 {
+			runtime.Gosched()
+		}
+		_, err = qp.wait(expired, pv)
+		cancel()
+		if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: a verb posted past its deadline = %v, want ErrTimeout wrapping DeadlineExceeded", i, err)
+		}
+	}
+}
+
 // TestWritePlacedBeforeCompletion: a WRITE's bytes are in the target arena
 // while its completion is still modeled to be in flight, as on hardware.
 func TestWritePlacedBeforeCompletion(t *testing.T) {

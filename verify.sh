@@ -53,9 +53,10 @@ if [ "${1:-}" != "quick" ]; then
     # buffer tests, the endpoint's one-frame serve loop (malformed and
     # pipelined frames, drain, pipelined and concurrent QPs) and the
     # modeled-latency contract (completion at the due time, effect placed
-    # before it) repeat under -race.
+    # before it, none delivered under a context that expired before the
+    # post) repeat under -race.
     echo "== fabric link conformance (race, x10) =="
-    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteSizesAcrossScratchKeep|TestReadDataOutlivesReadBuffer|TestMalformedFrameTearsDownConnection|TestDrainLosesNoCompletion|TestPipelinedAsyncWrites|TestConcurrentQPs|TestModeledLatency|TestWritePlacedBeforeCompletion' ./internal/rdma/
+    go test -race -timeout 300s -count=10 -run 'TestLink|TestConcurrentWritersShareConn|TestWriteSizesAcrossScratchKeep|TestReadDataOutlivesReadBuffer|TestMalformedFrameTearsDownConnection|TestDrainLosesNoCompletion|TestPipelinedAsyncWrites|TestConcurrentQPs|TestModeledLatency|TestWritePlacedBeforeCompletion|TestExpiredContextDropsQueuedCompletion' ./internal/rdma/
     # The journal's group commit is hand-rolled hand-off between appenders:
     # its deterministic group tests repeat under -race. Write-only entries
     # (validate, compile) do not wait: they join the open batch or ride the
@@ -66,9 +67,11 @@ if [ "${1:-}" != "quick" ]; then
     # bound that keeps every publish's entry foldable and the entry at it.
     # A fleet job waits on journal acks once per phase: its three flights
     # per job, a takeover at its claim barrier and before its publish
-    # flight, and an aborted job's claims repeat here too.
+    # flight, and an aborted job's claims repeat here too, as do the
+    # JournalSink methods, each one Journal call that waits on its ack
+    # (stage, publish, rollback, claim) or is carried (validate, compile).
     echo "== journal group commit + name bound + fleet job flights (race, x20) =="
-    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight|FuzzEntryRoundTrip|TestLongNameRefusedBeforeAnyVerb|TestEntryAtNameLimitRoundTrips|TestFleetJobJournalsInThreeFlights|TestTakeOverAtClaimBarrier|TestTakeOverBeforePublishFlight|TestAbortedJobKeepsClaimsTombstoned' ./internal/controlha/
+    go test -race -timeout 300s -count=20 -run 'TestFlight|TestFlightCarriesWriteOnlyEntries|TestTwoClosedLoopAppendersNeverGroup|TestJournalReadableDuringFlight|TestColdInjectIsOneStandbyFlight|FuzzEntryRoundTrip|TestLongNameRefusedBeforeAnyVerb|TestEntryAtNameLimitRoundTrips|TestFleetJobJournalsInThreeFlights|TestTakeOverAtClaimBarrier|TestTakeOverBeforePublishFlight|TestAbortedJobKeepsClaimsTombstoned|TestSinkMethodsWaitForTheStandby' ./internal/controlha/
     # The entry codec packs integers, digests and node keys: a short fuzz
     # of its round trip and of replay over arbitrary bytes (typed errors,
     # never a panic) runs on every full gate.
